@@ -8,20 +8,31 @@
 
 namespace gsx::geostat {
 
-double matern_correlation(double nu, double d) {
-  GSX_REQUIRE(nu > 0.0, "matern_correlation: smoothness must be positive");
+double matern_correlation(double nu, double d) { return MaternCorrelation(nu)(d); }
+
+MaternCorrelation::MaternCorrelation(double nu) : nu_(nu) {
+  GSX_REQUIRE(nu > 0.0 && std::isfinite(nu),
+              "matern_correlation: smoothness must be positive and finite");
+  if (nu == 0.5 || nu == 1.5 || nu == 2.5) return;  // closed forms need no Bessel K
+  log_norm_ = (1.0 - nu) * std::log(2.0) - std::lgamma(nu);
+  order_ = mathx::BesselKOrder(nu);
+}
+
+double MaternCorrelation::operator()(double d) const {
+  // Also the guard that turns a NaN location into an error rather than a
+  // NaN tile entry.
   GSX_REQUIRE(d >= 0.0, "matern_correlation: distance must be non-negative");
   if (d == 0.0) return 1.0;
   // Closed forms for half-integer smoothness (the common special cases).
-  if (nu == 0.5) return std::exp(-d);
-  if (nu == 1.5) return (1.0 + d) * std::exp(-d);
-  if (nu == 2.5) return (1.0 + d + d * d / 3.0) * std::exp(-d);
+  if (nu_ == 0.5) return std::exp(-d);
+  if (nu_ == 1.5) return (1.0 + d) * std::exp(-d);
+  if (nu_ == 2.5) return (1.0 + d + d * d / 3.0) * std::exp(-d);
   // General case; for large d the product underflows to 0, which is the
   // correct limit, so compute through the scaled Bessel to avoid premature
   // underflow: K_nu(d) = e^{-d} * K_scaled.
   if (d > 700.0) return 0.0;
-  const double log_pref = (1.0 - nu) * std::log(2.0) - std::lgamma(nu) + nu * std::log(d);
-  const double k_scaled = mathx::bessel_k_scaled(nu, d);
+  const double log_pref = log_norm_ + nu_ * std::log(d);
+  const double k_scaled = mathx::bessel_k_scaled(order_, d);
   const double val = std::exp(log_pref - d) * k_scaled;
   return std::min(val, 1.0);  // guard tiny numerical overshoot near d -> 0
 }
@@ -30,28 +41,28 @@ double matern_correlation(double nu, double d) {
 
 MaternCovariance::MaternCovariance(double variance, double range, double smoothness,
                                    double nugget)
-    : variance_(variance), range_(range), smoothness_(smoothness), nugget_(nugget) {
-  GSX_REQUIRE(variance > 0 && range > 0 && smoothness > 0 && nugget >= 0,
+    : variance_(variance), range_(range), corr_(smoothness), nugget_(nugget) {
+  GSX_REQUIRE(variance > 0 && range > 0 && nugget >= 0,
               "MaternCovariance: parameters must be positive (nugget >= 0)");
 }
 
 double MaternCovariance::operator()(const Location& a, const Location& b) const {
   const double d = mathx::euclidean2d(a.x, a.y, b.x, b.y);
-  const double c = variance_ * matern_correlation(smoothness_, d / range_);
+  const double c = variance_ * corr_(d / range_);
   return (d == 0.0) ? c + nugget_ : c;
 }
 
 std::vector<double> MaternCovariance::params() const {
-  return {variance_, range_, smoothness_};
+  return {variance_, range_, corr_.nu()};
 }
 
 void MaternCovariance::set_params(std::span<const double> theta) {
   GSX_REQUIRE(theta.size() == 3, "MaternCovariance: expects 3 parameters");
   GSX_REQUIRE(theta[0] > 0 && theta[1] > 0 && theta[2] > 0,
               "MaternCovariance: parameters must be positive");
+  corr_ = MaternCorrelation(theta[2]);
   variance_ = theta[0];
   range_ = theta[1];
-  smoothness_ = theta[2];
 }
 
 std::vector<double> MaternCovariance::lower_bounds() const { return {0.01, 0.005, 0.05}; }
@@ -111,12 +122,12 @@ GneitingCovariance::GneitingCovariance(double variance, double range_s, double s
                                        double nugget)
     : variance_(variance),
       range_s_(range_s),
-      smooth_s_(smooth_s),
+      corr_s_(smooth_s),
       range_t_(range_t),
       smooth_t_(smooth_t),
       beta_(beta),
       nugget_(nugget) {
-  GSX_REQUIRE(variance > 0 && range_s > 0 && smooth_s > 0 && range_t > 0,
+  GSX_REQUIRE(variance > 0 && range_s > 0 && range_t > 0,
               "GneitingCovariance: scale parameters must be positive");
   GSX_REQUIRE(smooth_t > 0 && smooth_t <= 1.0, "GneitingCovariance: alpha in (0, 1]");
   GSX_REQUIRE(beta >= 0 && beta <= 1.0, "GneitingCovariance: beta in [0, 1]");
@@ -128,12 +139,12 @@ double GneitingCovariance::operator()(const Location& a, const Location& b) cons
   const double u = std::fabs(a.t - b.t);
   const double psi = range_t_ * std::pow(u, 2.0 * smooth_t_) + 1.0;
   const double arg = h / (range_s_ * std::pow(psi, beta_ / 2.0));
-  const double c = variance_ / psi * matern_correlation(smooth_s_, arg);
+  const double c = variance_ / psi * corr_s_(arg);
   return (h == 0.0 && u == 0.0) ? c + nugget_ : c;
 }
 
 std::vector<double> GneitingCovariance::params() const {
-  return {variance_, range_s_, smooth_s_, range_t_, smooth_t_, beta_};
+  return {variance_, range_s_, corr_s_.nu(), range_t_, smooth_t_, beta_};
 }
 
 void GneitingCovariance::set_params(std::span<const double> theta) {
@@ -142,9 +153,9 @@ void GneitingCovariance::set_params(std::span<const double> theta) {
               "GneitingCovariance: scale parameters must be positive");
   GSX_REQUIRE(theta[4] > 0 && theta[4] <= 1.0, "GneitingCovariance: alpha in (0, 1]");
   GSX_REQUIRE(theta[5] >= 0 && theta[5] <= 1.0, "GneitingCovariance: beta in [0, 1]");
+  corr_s_ = MaternCorrelation(theta[2]);
   variance_ = theta[0];
   range_s_ = theta[1];
-  smooth_s_ = theta[2];
   range_t_ = theta[3];
   smooth_t_ = theta[4];
   beta_ = theta[5];

@@ -15,12 +15,32 @@
 #include <vector>
 
 #include "geostat/locations.hpp"
+#include "mathx/bessel.hpp"
 
 namespace gsx::geostat {
 
 /// Matérn correlation M_nu(d): 2^{1-nu}/Gamma(nu) * d^nu * K_nu(d), with
 /// M_nu(0) = 1. Fast closed forms for nu = 0.5, 1.5, 2.5.
 double matern_correlation(double nu, double d);
+
+/// M_nu with its per-nu constants (the Gamma normalisation and the Bessel
+/// order's constants) fixed once, for evaluating one smoothness at many
+/// distances. matern_correlation(nu, d) is MaternCorrelation(nu)(d): both
+/// go through the same arithmetic, so the results are bit-identical.
+class MaternCorrelation {
+ public:
+  /// Throws InvalidArgument unless nu is positive and finite.
+  explicit MaternCorrelation(double nu);
+
+  /// M_nu(d); throws InvalidArgument unless d >= 0 (NaN included).
+  [[nodiscard]] double operator()(double d) const;
+  [[nodiscard]] double nu() const noexcept { return nu_; }
+
+ private:
+  double nu_;
+  double log_norm_ = 0.0;       ///< (1 - nu) log 2 - lgamma(nu)
+  mathx::BesselKOrder order_;   ///< unused at the closed-form orders
+};
 
 /// A parametric covariance function over locations, exposing its parameter
 /// vector for the optimizer. Implementations are cheap value types behind
@@ -64,7 +84,7 @@ class MaternCovariance final : public CovarianceModel {
  private:
   double variance_;
   double range_;
-  double smoothness_;
+  MaternCorrelation corr_;
   double nugget_;
 };
 
@@ -111,7 +131,7 @@ class GneitingCovariance final : public CovarianceModel {
  private:
   double variance_;
   double range_s_;
-  double smooth_s_;
+  MaternCorrelation corr_s_;  ///< spatial smoothness nu
   double range_t_;
   double smooth_t_;  ///< alpha in (0, 1]
   double beta_;      ///< space-time interaction in [0, 1]

@@ -29,96 +29,36 @@ double chebev(double a, double b, const double* c, int m, double x) {
   return y * d - dd + 0.5 * c[0];
 }
 
-struct GammaPair {
-  double gam1;   // [1/Gamma(1-x) - 1/Gamma(1+x)] / (2x)
-  double gam2;   // [1/Gamma(1-x) + 1/Gamma(1+x)] / 2
-  double gampl;  // 1/Gamma(1+x)
-  double gammi;  // 1/Gamma(1-x)
+/// K_xmu(x) and K_{xmu+1}(x) at the reduced order.
+struct KPair {
+  double kmu;
+  double k1;
 };
 
-/// Chebyshev fits for the Gamma combinations needed by Temme's series,
-/// valid for |x| <= 1/2 (Numerical Recipes "beschb").
-GammaPair beschb(double x) {
-  static constexpr std::array<double, 7> c1 = {
-      -1.142022680371168e0, 6.5165112670737e-3,  3.087090173086e-4,
-      -3.4706269649e-6,     6.9437664e-9,        3.67795e-11,
-      -1.356e-13};
-  static constexpr std::array<double, 8> c2 = {
-      1.843740587300905e0, -7.68528408447867e-2, 1.2719271366546e-3,
-      -4.9717367042e-6,    -3.31261198e-8,       2.423096e-10,
-      -1.702e-13,          -1.49e-15};
-  const double xx = 8.0 * x * x - 1.0;
-  GammaPair g{};
-  g.gam1 = chebev(-1.0, 1.0, c1.data(), static_cast<int>(c1.size()), xx);
-  g.gam2 = chebev(-1.0, 1.0, c2.data(), static_cast<int>(c2.size()), xx);
-  g.gampl = g.gam2 - x * g.gam1;
-  g.gammi = g.gam2 + x * g.gam1;
-  return g;
+void require_argument(double x) {
+  GSX_REQUIRE(std::isfinite(x) && x > 0.0, "bessel: x must be positive and finite");
 }
 
-struct BessIK {
-  double i;  // I_nu(x)
-  double k;  // K_nu(x), scaled by exp(x) if `scaled`
-};
-
-/// Joint evaluation of I_nu and K_nu following the Steed/Temme scheme.
-/// With scaled=true returns K multiplied by exp(x) (I is then invalid).
-BessIK bessik(double nu, double x, bool scaled) {
-  GSX_REQUIRE(std::isfinite(x) && x > 0.0, "bessel: x must be positive and finite");
-  GSX_REQUIRE(std::isfinite(nu), "bessel: nu must be finite");
-  nu = std::fabs(nu);  // K_{-nu} = K_nu; I only requested for nu >= 0
-
-  const int nl = static_cast<int>(nu + 0.5);
-  const double xmu = nu - nl;  // in [-1/2, 1/2]
-  const double xmu2 = xmu * xmu;
+/// Temme's series (x < 2) or Steed's CF2 (x >= 2) for the reduced-order
+/// pair; with scaled=true both values are multiplied by exp(x).
+KPair k_reduced(const BesselKOrder& o, double x, bool scaled) {
+  const double xmu = o.xmu;
+  const double xmu2 = o.xmu2;
   const double xi = 1.0 / x;
   const double xi2 = 2.0 * xi;
-
-  // CF1 for I'_nu/I_nu.
-  double h = nu * xi;
-  if (h < kFpMin) h = kFpMin;
-  double b = xi2 * nu;
-  double d = 0.0;
-  double c = h;
-  int iter = 0;
-  for (; iter < kMaxIter; ++iter) {
-    b += xi2;
-    d = 1.0 / (b + d);
-    c = b + 1.0 / c;
-    const double del = c * d;
-    h = del * h;
-    if (std::fabs(del - 1.0) < kEps) break;
-  }
-  GSX_REQUIRE(iter < kMaxIter, "bessel: CF1 failed to converge (x too large for order?)");
-
-  // Downward recurrence of an unnormalised I from order nu to xmu.
-  double ril = kFpMin;
-  double ripl = h * ril;
-  const double ril1 = ril;
-  double fact = nu * xi;
-  for (int l = nl; l >= 1; --l) {
-    const double ritemp = fact * ril + ripl;
-    fact -= xi;
-    ripl = fact * ritemp + ril;
-    ril = ritemp;
-  }
-  const double f = ripl / ril;  // I'_xmu/I_xmu
 
   double rkmu, rk1;
   if (x < kXMin) {
     // Temme's series for K_xmu and K_{xmu+1}.
     const double x2 = 0.5 * x;
-    const double pimu = kPi * xmu;
-    const double fct = (std::fabs(pimu) < kEps) ? 1.0 : pimu / std::sin(pimu);
     double dlog = -std::log(x2);
     double e = xmu * dlog;
     const double fact2 = (std::fabs(e) < kEps) ? 1.0 : std::sinh(e) / e;
-    const GammaPair g = beschb(xmu);
-    double ff = fct * (g.gam1 * std::cosh(e) + g.gam2 * fact2 * dlog);
+    double ff = o.fct * (o.gam1 * std::cosh(e) + o.gam2 * fact2 * dlog);
     double sum = ff;
     e = std::exp(e);
-    double p = 0.5 * e / g.gampl;
-    double q = 0.5 / (e * g.gammi);
+    double p = 0.5 * e / o.gampl;
+    double q = 0.5 / (e * o.gammi);
     double cc = 1.0;
     const double d2 = x2 * x2;
     double sum1 = p;
@@ -176,30 +116,106 @@ BessIK bessik(double nu, double x, bool scaled) {
     rkmu = std::sqrt(kPi / (2.0 * x)) * scale / s;
     rk1 = rkmu * (xmu + x + 0.5 - hh) * xi;
   }
+  return KPair{rkmu, rk1};
+}
 
-  // I_xmu from the Wronskian, then recurrences back up to order nu.
-  const double rkmup = xmu * xi * rkmu - rk1;
-  const double rimu = xi / (f * rkmu - rkmup);
-  const double ri = (rimu * ril1) / ril;
-  double kmu = rkmu;
-  double k1 = rk1;
-  for (int i = 1; i <= nl; ++i) {
-    const double rktemp = (xmu + i) * xi2 * k1 + kmu;
+/// K_nu(x) (exp(x)-scaled if `scaled`): the reduced-order pair, then the
+/// upward recurrence in the order.
+double k_only(const BesselKOrder& o, double x, bool scaled) {
+  require_argument(x);
+  const KPair k = k_reduced(o, x, scaled);
+  const double xi2 = 2.0 * (1.0 / x);
+  double kmu = k.kmu;
+  double k1 = k.k1;
+  for (int i = 1; i <= o.nl; ++i) {
+    const double rktemp = (o.xmu + i) * xi2 * k1 + kmu;
     kmu = k1;
     k1 = rktemp;
   }
-  return BessIK{ri, kmu};
+  return kmu;
 }
 
 }  // namespace
 
-double bessel_k(double nu, double x) { return bessik(nu, x, /*scaled=*/false).k; }
+BesselKOrder::BesselKOrder(double nu) {
+  GSX_REQUIRE(std::isfinite(nu), "bessel: nu must be finite");
+  nu = std::fabs(nu);  // K_{-nu} = K_nu
+  nl = static_cast<int>(nu + 0.5);
+  xmu = nu - nl;
+  xmu2 = xmu * xmu;
+  const double pimu = kPi * xmu;
+  fct = (std::fabs(pimu) < kEps) ? 1.0 : pimu / std::sin(pimu);
+  // Chebyshev fits for the Gamma combinations of Temme's series, valid for
+  // |xmu| <= 1/2 (Numerical Recipes "beschb").
+  static constexpr std::array<double, 7> c1 = {
+      -1.142022680371168e0, 6.5165112670737e-3,  3.087090173086e-4,
+      -3.4706269649e-6,     6.9437664e-9,        3.67795e-11,
+      -1.356e-13};
+  static constexpr std::array<double, 8> c2 = {
+      1.843740587300905e0, -7.68528408447867e-2, 1.2719271366546e-3,
+      -4.9717367042e-6,    -3.31261198e-8,       2.423096e-10,
+      -1.702e-13,          -1.49e-15};
+  const double xx = 8.0 * xmu * xmu - 1.0;
+  gam1 = chebev(-1.0, 1.0, c1.data(), static_cast<int>(c1.size()), xx);
+  gam2 = chebev(-1.0, 1.0, c2.data(), static_cast<int>(c2.size()), xx);
+  gampl = gam2 - xmu * gam1;
+  gammi = gam2 + xmu * gam1;
+}
 
-double bessel_k_scaled(double nu, double x) { return bessik(nu, x, /*scaled=*/true).k; }
+double bessel_k(double nu, double x) {
+  return k_only(BesselKOrder(nu), x, /*scaled=*/false);
+}
+
+double bessel_k_scaled(double nu, double x) {
+  return k_only(BesselKOrder(nu), x, /*scaled=*/true);
+}
+
+double bessel_k_scaled(const BesselKOrder& order, double x) {
+  return k_only(order, x, /*scaled=*/true);
+}
 
 double bessel_i(double nu, double x) {
   GSX_REQUIRE(nu >= 0.0, "bessel_i: order must be non-negative");
-  return bessik(nu, x, /*scaled=*/false).i;
+  require_argument(x);
+  const BesselKOrder o(nu);
+  const double xi = 1.0 / x;
+  const double xi2 = 2.0 * xi;
+
+  // CF1 for I'_nu/I_nu.
+  double h = nu * xi;
+  if (h < kFpMin) h = kFpMin;
+  double b = xi2 * nu;
+  double d = 0.0;
+  double c = h;
+  int iter = 0;
+  for (; iter < kMaxIter; ++iter) {
+    b += xi2;
+    d = 1.0 / (b + d);
+    c = b + 1.0 / c;
+    const double del = c * d;
+    h = del * h;
+    if (std::fabs(del - 1.0) < kEps) break;
+  }
+  GSX_REQUIRE(iter < kMaxIter, "bessel: CF1 failed to converge (x too large for order?)");
+
+  // Downward recurrence of an unnormalised I from order nu to xmu.
+  double ril = kFpMin;
+  double ripl = h * ril;
+  const double ril1 = ril;
+  double fact = nu * xi;
+  for (int l = o.nl; l >= 1; --l) {
+    const double ritemp = fact * ril + ripl;
+    fact -= xi;
+    ripl = fact * ritemp + ril;
+    ril = ritemp;
+  }
+  const double f = ripl / ril;  // I'_xmu/I_xmu
+
+  // I_xmu from the Wronskian with the reduced-order K pair, rescaled to nu.
+  const KPair k = k_reduced(o, x, /*scaled=*/false);
+  const double rkmup = o.xmu * xi * k.kmu - k.k1;
+  const double rimu = xi / (f * k.kmu - rkmup);
+  return (rimu * ril1) / ril;
 }
 
 }  // namespace gsx::mathx

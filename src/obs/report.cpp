@@ -193,6 +193,7 @@ void write_profile_json(const std::string& path) {
 
   // Aggregate phase timings from the trace spans.
   os << ",\n  \"phase_seconds\": {";
+  double phase_sum = 0.0;
   {
     std::map<std::string, double> phase_totals;
     for (const Span& s : spans)
@@ -202,9 +203,14 @@ void write_profile_json(const std::string& path) {
       if (!first) os << ", ";
       first = false;
       os << "\"" << json_escape(name) << "\": " << secs;
+      phase_sum += secs;
     }
   }
   os << "},\n";
+  // Iteration wall time no phase span accounts for.
+  double iteration_sum = 0.0;
+  for (const IterationRecord& it : iters) iteration_sum += it.seconds;
+  os << "  \"unattributed_seconds\": " << iteration_sum - phase_sum << ",\n";
 
   // Achieved-vs-peak roofline. "hwcounters" is "live" when perf_event
   // sampling contributed cycles, "unavailable" when perf_event_open is

@@ -148,7 +148,12 @@ void LineListener::metrics_loop() {
 }
 
 void LineListener::serve_forever() {
-  GSX_REQUIRE(listen_fd_ >= 0, "LineListener::serve_forever: call listen() first");
+  // shutdown() sets stopping_ before it closes the listen fd, so a closed
+  // fd seen together with stopping_ means a shutdown that ran before this
+  // loop started: nothing is left to serve.
+  const int lfd = listen_fd_.load();
+  if (lfd < 0 && stopping_.load(std::memory_order_acquire)) return;
+  GSX_REQUIRE(lfd >= 0, "LineListener::serve_forever: call listen() first");
   while (!stopping_.load(std::memory_order_acquire)) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {

@@ -1,7 +1,10 @@
 // Covariance models: values, SPD property, parameter plumbing.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
@@ -147,6 +150,125 @@ TEST(Gneiting, ParameterValidation) {
   const std::vector<double> theta = {1.0, 2.0, 0.3, 0.01, 0.9, 0.19};
   g.set_params(theta);
   EXPECT_EQ(g.params(), theta);
+}
+
+/// Bit patterns of M_nu(x) recorded from the per-element formulation the
+/// hoisted-constant path replaced (same grid as test_bessel's golden table).
+struct GoldenCorrelation {
+  double nu, x;
+  std::uint64_t bits;
+};
+
+constexpr GoldenCorrelation kGolden[] = {
+    {0.3, 1e-06, 0x3feffe0953ecd430},
+    {0.3, 0.5, 0x3fdb9091ec0eca95},
+    {0.3, 1.999, 0x3fb3e18b77c04755},
+    {0.3, 2.0, 0x3fb3dc0544c58df9},
+    {0.3, 17.0, 0x3e51169ac81f51e2},
+    {0.3, 47.0, 0x3b97052e7044aed4},
+    {0.3, 699.0, 0x00c147a32d9b3b7f},
+    {0.8, 1e-06, 0x3fefffffffc809bf},
+    {0.8, 0.5, 0x3fe87f0b06e904b8},
+    {0.8, 1.999, 0x3fcc999be3b348e6},
+    {0.8, 2.0, 0x3fcc9324439b2f79},
+    {0.8, 17.0, 0x3e80417bb3f819d3},
+    {0.8, 47.0, 0x3bd206a63077b9ae},
+    {0.8, 699.0, 0x0119f34e2c0b3b71},
+    {1.3, 1e-06, 0x3fefffffffffe29d},
+    {1.3, 0.5, 0x3fec59602541722e},
+    {1.3, 1.999, 0x3fd6f42d2b1e4764},
+    {1.3, 2.0, 0x3fd6eff04273b6f7},
+    {1.3, 17.0, 0x3e9fad37b237a7cb},
+    {1.3, 47.0, 0x3bfca786fa67ab51},
+    {1.3, 699.0, 0x0163ae82bb6f9912},
+    {2.2, 1e-06, 0x3feffffffffff8ab},
+    {2.2, 0.5, 0x3fee743f074bb15f},
+    {2.2, 1.999, 0x3fe156bac2a3fddc},
+    {2.2, 2.0, 0x3fe154748e9270ea},
+    {2.2, 17.0, 0x3ec83743ec46fcd5},
+    {2.2, 47.0, 0x3c39d7e199364a45},
+    {2.2, 699.0, 0x01d86d02569e97e0},
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(MaternCorrelation, GoldenBitsUnchanged) {
+  for (const GoldenCorrelation& g : kGolden) {
+    EXPECT_EQ(bits(matern_correlation(g.nu, g.x)), g.bits) << "nu=" << g.nu << " x=" << g.x;
+    EXPECT_EQ(bits(MaternCorrelation(g.nu)(g.x)), g.bits) << "nu=" << g.nu << " x=" << g.x;
+  }
+}
+
+TEST(MaternCorrelation, ModelsUseTheSameArithmetic) {
+  // MaternCovariance and GneitingCovariance (at u = 0, so psi = 1) hold a
+  // MaternCorrelation; their entries equal the free function's bit for bit.
+  const Location a{0.0, 0.0, 0.0};
+  for (const GoldenCorrelation& g : kGolden) {
+    const Location b{g.x, 0.0, 0.0};
+    const MaternCovariance m(1.0, 1.0, g.nu);
+    EXPECT_EQ(bits(m(a, b)), g.bits) << "nu=" << g.nu << " x=" << g.x;
+    const GneitingCovariance gn(1.0, 1.0, g.nu, 0.5, 0.5, 0.5);
+    EXPECT_EQ(bits(gn(a, b)), g.bits) << "nu=" << g.nu << " x=" << g.x;
+  }
+  // set_params rebuilds the constants.
+  MaternCovariance m(1.0, 1.0, 0.3);
+  const std::vector<double> theta = {1.0, 1.0, 2.2};
+  m.set_params(theta);
+  EXPECT_EQ(bits(m(a, Location{17.0, 0.0, 0.0})), bits(matern_correlation(2.2, 17.0)));
+  GneitingCovariance gn(1.0, 1.0, 0.3, 0.5, 0.5, 0.5);
+  const std::vector<double> theta_st = {1.0, 1.0, 1.3, 0.5, 0.5, 0.5};
+  gn.set_params(theta_st);
+  EXPECT_EQ(bits(gn(a, Location{0.5, 0.0, 0.0})), bits(matern_correlation(1.3, 0.5)));
+}
+
+TEST(MaternCorrelation, RejectsBadSmoothnessUpFront) {
+  EXPECT_THROW(MaternCorrelation(0.0), InvalidArgument);
+  EXPECT_THROW(MaternCorrelation(std::numeric_limits<double>::infinity()), InvalidArgument);
+  EXPECT_THROW(MaternCovariance(1.0, 0.1, -0.5), InvalidArgument);
+  // A rejected set_params leaves the model untouched.
+  MaternCovariance m(1.0, 0.1, 0.8);
+  const std::vector<double> bad = {2.0, 0.2, std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(m.set_params(bad), InvalidArgument);
+  EXPECT_EQ(m.params(), (std::vector<double>{1.0, 0.1, 0.8}));
+}
+
+TEST(FillCovarianceTiles, BitIdenticalToCovarianceMatrixWithRaggedTile) {
+  // n = 300 in tiles of 128: the last tile row/column is 44 wide.
+  Rng rng(23);
+  auto locs = perturbed_grid_locations(300, rng);
+  const MaternCovariance model(1.0, 0.1, 0.8);
+  const la::Matrix<double> sigma = covariance_matrix(model, locs);
+  tile::SymTileMatrix tiles(300, 128);
+  fill_covariance_tiles(tiles, model, locs, 4);
+  ASSERT_EQ(tiles.nt(), 3u);
+  ASSERT_EQ(tiles.tile_dim(2), 44u);
+  std::size_t mismatches = 0;
+  for (std::size_t tj = 0; tj < tiles.nt(); ++tj) {
+    for (std::size_t ti = tj; ti < tiles.nt(); ++ti) {
+      const la::Matrix<double>& t = tiles.at(ti, tj).d64();
+      for (std::size_t c = 0; c < t.cols(); ++c)
+        for (std::size_t r = 0; r < t.rows(); ++r)
+          mismatches += bits(t(r, c)) != bits(sigma(tiles.tile_offset(ti) + r,
+                                                      tiles.tile_offset(tj) + c));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(FillCovarianceTiles, NanLocationThrowsInvalidArgument) {
+  // A NaN coordinate must surface as an error out of the worker pool — not
+  // std::terminate, not a NaN tile — for the Bessel path and a closed form.
+  Rng rng(29);
+  auto locs = perturbed_grid_locations(300, rng);
+  locs[150].x = std::numeric_limits<double>::quiet_NaN();
+  for (double nu : {0.8, 0.5}) {
+    const MaternCovariance model(1.0, 0.1, nu);
+    for (std::size_t workers : {1u, 4u}) {
+      tile::SymTileMatrix tiles(300, 128);
+      EXPECT_THROW(fill_covariance_tiles(tiles, model, locs, workers), InvalidArgument)
+          << "nu=" << nu << " workers=" << workers;
+    }
+  }
 }
 
 class SpdCheck : public ::testing::TestWithParam<double> {};

@@ -610,6 +610,23 @@ TEST(FleetE2E, ConcurrentShutdownCallersDoNotDeadlock) {
   router.reset();
 }
 
+TEST(FleetE2E, ServeAfterShutdownReturnsImmediately) {
+  // The ordering the concurrent test above can hit: a shutdown lands before
+  // the serve loop starts. The loop must return, not throw on its thread.
+  ServerConfig scfg;
+  scfg.tcp_port = 0;
+  Server server(scfg);
+  server.listen();
+  server.shutdown();
+  EXPECT_NO_THROW(server.serve_forever());
+  RouterConfig rcfg;
+  rcfg.tcp_port = 0;
+  Router router(rcfg);
+  router.listen();
+  router.shutdown();
+  EXPECT_NO_THROW(router.serve_forever());
+}
+
 // --- fleet observability plane ----------------------------------------------
 
 // The whole plane in one pass: a predict through the router carries a

@@ -2,7 +2,10 @@
 // iteration profiling and report writers.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -355,6 +358,30 @@ TEST_F(ObsMetrics, ReportWritersEmitExpectedStructure) {
 
   std::remove(jpath.c_str());
   std::remove(cpath.c_str());
+}
+
+TEST_F(ObsMetrics, ProfileReportsUnattributedIterationTime) {
+  // One iteration: 10 ms inside a phase span, then 10 ms outside any.
+  begin_iteration("evaluate");
+  {
+    const ScopedPhase p("assemble");
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  end_iteration();
+  const double iteration_s = profile_iterations().at(0).seconds;
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gsx_obs_unattributed_test.json").string();
+  write_profile_json(path);
+  const std::string json = slurp(path);
+  std::remove(path.c_str());
+  const std::string key = "\"unattributed_seconds\": ";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const double unattributed = std::strtod(json.c_str() + at + key.size(), nullptr);
+  EXPECT_GE(unattributed, 0.009);
+  EXPECT_LE(unattributed, iteration_s - 0.009);
 }
 
 TEST_F(ObsMetrics, ReportWriterRejectsUnwritablePath) {
