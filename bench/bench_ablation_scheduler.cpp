@@ -10,7 +10,6 @@
 #include "bench_utils.hpp"
 #include "cholesky/factorize.hpp"
 #include "geostat/assemble.hpp"
-#include "runtime/trace_io.hpp"
 
 namespace {
 

@@ -1,12 +1,16 @@
 // Adaptive Cholesky internals: decision heat maps, the Algorithm-2 band
-// auto-tuning, the task DAG the runtime executes, and an execution trace.
+// auto-tuning, the task DAG the runtime executes, and its first tasks read
+// back from the flight recorder.
 //
 //   $ ./examples/adaptive_cholesky_demo
+#include <cinttypes>
 #include <cstdio>
 
 #include "cholesky/factorize.hpp"
 #include "core/model.hpp"
 #include "geostat/assemble.hpp"
+#include "obs/analytics.hpp"
+#include "obs/flight.hpp"
 #include "perfmodel/band_tuner.hpp"
 
 int main() {
@@ -35,7 +39,7 @@ int main() {
               bd.band_size_dense, bd.footprint_bytes / 1048576.0,
               bd.dense_fp64_bytes / 1048576.0);
 
-  std::printf("\n== factorization through the task runtime, with tracing ==\n");
+  std::printf("\n== factorization through the task runtime ==\n");
   tile::SymTileMatrix a(n, ts);
   geostat::fill_covariance_tiles(a, proto, locs, 2);
   cholesky::PrecisionPolicy policy;
@@ -44,7 +48,6 @@ int main() {
 
   cholesky::FactorOptions fopt;
   fopt.workers = 2;
-  fopt.tracing = true;
   const cholesky::FactorReport rep = cholesky::tile_cholesky_dense(a, fopt);
   std::printf("info=%d  tasks=%zu  edges=%zu  critical path=%zu tasks / %.4fs\n",
               rep.info, rep.graph.num_tasks, rep.graph.num_edges,
@@ -54,22 +57,22 @@ int main() {
               rep.graph.makespan_seconds, rep.graph.total_task_seconds,
               100.0 * rep.graph.parallel_efficiency(2));
 
-  std::printf("\nfirst ten trace events (task, worker, start ms, end ms):\n");
-  // Tracing is recorded by the graph; re-run a small instance to show it.
-  tile::SymTileMatrix b(256, 64);
-  geostat::fill_covariance_tiles(b, proto, std::span(locs.data(), 256), 1);
-  rt::TaskGraph demo;
-  demo.set_tracing(true);
-  // Submit a tiny hand-built chain for illustration.
-  const auto d0 = rt::DatumId::from_index(0);
-  for (int i = 0; i < 10; ++i)
-    demo.submit("step" + std::to_string(i), {{d0, rt::Access::ReadWrite}}, [] {
-      volatile double x = 0;
-      for (int k = 0; k < 100000; ++k) x = x + 1.0;
-    });
-  demo.run(2);
-  for (const auto& ev : demo.trace())
-    std::printf("  %-8s worker %zu  %8.3f -> %8.3f\n", ev.name.c_str(), ev.worker,
-                ev.start_seconds * 1e3, ev.end_seconds * 1e3);
+  // Every task-graph run records its tasks in the flight rings; decode them
+  // back into the executed DAG. The factorization is the latest graph.
+  const obs::ExecutionHistory h =
+      obs::build_history(obs::FlightRecorder::instance().snapshot());
+  if (h.graphs.empty()) {
+    std::printf("\n(no task history: the flight recorder is compiled out)\n");
+    return 0;
+  }
+  const obs::GraphExec& g = h.graphs.back();
+  const double t0 = g.tasks.begin()->second.start;
+  std::printf("\nfirst ten tasks (task, op, worker, start ms, end ms):\n");
+  std::size_t shown = 0;
+  for (const auto& [id, t] : g.tasks) {
+    if (shown++ == 10) break;
+    std::printf("  %4" PRIu64 " %-6s worker %" PRIu64 "  %8.3f -> %8.3f\n", id, t.op.c_str(),
+                t.worker, (t.start - t0) * 1e3, (t.end - t0) * 1e3);
+  }
   return 0;
 }

@@ -40,9 +40,6 @@ FactorReport run_cholesky_dag(SymTileMatrix& a, const FactorOptions& opts, TrsmF
   const std::size_t nt = a.nt();
   rt::TaskGraph graph;
   graph.set_policy(opts.sched);
-  // Profiling implies tracing: the per-task spans feed the pipeline trace.
-  const bool profiling = obs::enabled();
-  graph.set_tracing(opts.tracing || profiling);
 
   std::atomic<int> info{0};
 
@@ -104,9 +101,6 @@ FactorReport run_cholesky_dag(SymTileMatrix& a, const FactorOptions& opts, TrsmF
   }
 
   FactorReport report;
-  // Task timestamps come out of run() relative to its start; capture the
-  // process-wide epoch here so they stitch into the pipeline trace.
-  const double run_epoch = obs::now_seconds();
   Timer t;
   try {
     const obs::ScopedPhase phase("factorize");
@@ -151,11 +145,6 @@ FactorReport run_cholesky_dag(SymTileMatrix& a, const FactorOptions& opts, TrsmF
     }
   }
   report.seconds = t.seconds();
-  if (profiling) {
-    for (const rt::TraceEvent& e : graph.trace())
-      obs::record_span({e.name, "task", static_cast<std::uint32_t>(e.worker),
-                        run_epoch + e.start_seconds, run_epoch + e.end_seconds, e.args});
-  }
   report.info = info.load();
   report.graph = graph.stats();
   return report;

@@ -19,7 +19,6 @@ namespace gsx::cholesky {
 struct FactorOptions {
   std::size_t workers = 1;
   rt::SchedPolicy sched = rt::SchedPolicy::Priority;
-  bool tracing = false;
   /// Rounding used by the TLR path's low-rank accumulations.
   tlr::RoundingMethod rounding = tlr::RoundingMethod::QrSvd;
   /// Precision rule that shaped the matrix — forensic context only (the

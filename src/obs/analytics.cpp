@@ -118,6 +118,7 @@ ExecutionHistory build_history(const std::vector<MergedEvent>& timeline) {
       t.op = unpack_op_name(e.b);
       if (e.kind == "task_start") {
         t.start = e.t_wall;
+        t.started = true;
         t.dep_count = static_cast<std::size_t>(e.v);
         if (t.end < t.start) t.end = t.start;
       } else {
@@ -192,7 +193,12 @@ CriticalPathReport critical_path(const GraphExec& g) {
   double total_task_seconds = 0.0;
   std::uint64_t best_id = g.tasks.begin()->first;
   double best = -1.0;
+  // Whole history: no task missing (ids 0..n-1) and every worker task saw
+  // all the predecessor edges its TaskStart counted.
+  r.complete = g.tasks.begin()->first == 0 && g.tasks.rbegin()->first + 1 == g.tasks.size();
   for (const auto& [id, t] : g.tasks) {
+    if (t.worker != kExternalWorker && (!t.started || t.preds.size() != t.dep_count))
+      r.complete = false;
     double chain = 0.0;
     std::int64_t from = -1;
     for (const std::uint64_t p : t.preds) {
@@ -233,7 +239,10 @@ CriticalPathReport critical_path(const ExecutionHistory& h) {
   CriticalPathReport best;
   for (const GraphExec& g : h.graphs) {
     CriticalPathReport r = critical_path(g);
-    if (r.length_seconds > best.length_seconds) best = std::move(r);
+    // Any complete graph beats every incomplete one; then the longest wins.
+    if (r.complete != best.complete ? r.complete
+                                    : r.length_seconds > best.length_seconds)
+      best = std::move(r);
   }
   return best;
 }
@@ -349,6 +358,7 @@ std::string analytics_json(const AnalyticsReport& r, const std::string& indent) 
      << ", \"tasks\": " << r.critical_path.length_tasks
      << ", \"span_seconds\": " << r.critical_path.span_seconds
      << ", \"dominance\": " << r.critical_path.dominance
+     << ", \"complete\": " << (r.critical_path.complete ? "true" : "false")
      << ", \"process\": \"" << json_escape(r.critical_path.process) << "\",\n"
      << in2 << "  \"op_seconds\": {";
   bool first = true;

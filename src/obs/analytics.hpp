@@ -49,7 +49,8 @@ struct TaskExec {
   std::string op;            ///< decoded op-kind prefix ("gemm", ...)
   double start = 0.0;        ///< wall seconds (offset-corrected)
   double end = 0.0;
-  std::size_t dep_count = 0;           ///< recorded predecessor count
+  bool started = false;                ///< a TaskStart was decoded
+  std::size_t dep_count = 0;           ///< predecessor count TaskStart recorded
   std::vector<std::uint64_t> preds;    ///< predecessor task ids (same graph)
   [[nodiscard]] double duration() const noexcept { return end - start; }
 };
@@ -101,13 +102,20 @@ struct CriticalPathReport {
   /// Fraction of total recorded task seconds that sit on the path — how
   /// serialized the execution was (1.0 = a pure chain).
   double dominance = 0.0;
+  /// True when the graph's history is whole: task ids run contiguously from
+  /// 0 and every non-external task has a TaskStart whose dep_count equals
+  /// its decoded predecessors. Ring wrap drops tasks or edges; the path of an
+  /// incomplete graph may then be shorter than the one that really ran.
+  bool complete = false;
 };
 
-/// Critical path of one graph; with no edges recorded (ring wrap) the
-/// heaviest single task is reported and `edges` stays 0 in the history.
+/// Critical path of one graph. With edges missing (ring wrap) the chain is
+/// computed over what was decoded — down to the heaviest single task when no
+/// edge survived — and `complete` is false.
 [[nodiscard]] CriticalPathReport critical_path(const GraphExec& g);
-/// The dominant critical path across every graph in the history (longest
-/// length_seconds). Returns a default report for an empty history.
+/// The dominant critical path across the history: the longest
+/// length_seconds among complete graphs, or among all graphs when none is
+/// complete. Returns a default report for an empty history.
 [[nodiscard]] CriticalPathReport critical_path(const ExecutionHistory& h);
 
 /// Busy/idle accounting for one (process, worker) lane.

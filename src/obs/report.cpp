@@ -270,6 +270,27 @@ void write_profile_json(const std::string& path) {
   GSX_REQUIRE(os.good(), "write_profile_json: write failed for " + path);
 }
 
+void write_profile_trace_json(const std::string& path) {
+  std::ofstream os(path);
+  GSX_REQUIRE(os.good(), "write_profile_trace_json: cannot open " + path);
+  const std::vector<Span> spans = trace_spans();
+  os << "[\n";
+  // Name the pipeline-phase row so Perfetto labels it.
+  os << R"(  {"name": "thread_name", "ph": "M", "pid": 1, "tid": )" << kPipelineTid
+     << R"(, "args": {"name": "pipeline"}})";
+  os << std::fixed << std::setprecision(3);
+  for (const Span& s : spans) {
+    // Timestamps in microseconds, as the format expects.
+    os << ",\n" << R"(  {"name": ")" << s.name << R"(", "cat": ")" << s.category
+       << R"(", "ph": "X", "ts": )" << s.start_seconds * 1e6 << R"(, "dur": )"
+       << (s.end_seconds - s.start_seconds) * 1e6 << R"(, "pid": 1, "tid": )" << s.tid;
+    if (!s.args.empty()) os << R"(, "args": {)" << s.args << "}";
+    os << "}";
+  }
+  os << "\n]\n";
+  GSX_REQUIRE(os.good(), "write_profile_trace_json: write failed for " + path);
+}
+
 void write_flops_csv(const std::string& path) {
   std::ofstream os(path);
   GSX_REQUIRE(os.good(), "write_flops_csv: cannot open " + path);

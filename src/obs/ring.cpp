@@ -8,9 +8,6 @@ std::string_view event_kind_name(EventKind k) noexcept {
     case EventKind::RequestDispatch: return "request_dispatch";
     case EventKind::RequestComplete: return "request_complete";
     case EventKind::RequestReject: return "request_reject";
-    case EventKind::TaskReady: return "task_ready";
-    case EventKind::TaskRun: return "task_run";
-    case EventKind::TaskDone: return "task_done";
     case EventKind::TileDemotion: return "tile_demotion";
     case EventKind::CacheHit: return "cache_hit";
     case EventKind::CacheMiss: return "cache_miss";

@@ -29,9 +29,9 @@ enum class EventKind : std::uint16_t {
   RequestDispatch = 2,   ///< a = batch size (requests), b = batch points
   RequestComplete = 3,   ///< a = ok (1/0), v = total seconds
   RequestReject = 4,     ///< a = 1 queue-full, 2 deadline, 3 draining
-  TaskReady = 10,        ///< a = task id, b = ready-queue depth
-  TaskRun = 11,          ///< a = task id, b = worker id
-  TaskDone = 12,         ///< a = task id, b = worker id, v = seconds
+  // 10-12 are retired (the former task_ready/task_run/task_done interval
+  // events, superseded by TaskStart/TaskEnd below). Never reuse them: older
+  // dumps still carry those values.
   TileDemotion = 20,     ///< a = tile i, b = tile j, v = observed error
   CacheHit = 30,         ///< request-scoped model lookup hit
   CacheMiss = 31,
@@ -79,7 +79,7 @@ enum class EventKind : std::uint16_t {
   //   a = (graph_gen << 48) | (successor << 24) | predecessor
   // (24-bit task ids), b = packed op name of the successor. Edge events for
   // graphs beyond ~4k edges wrap the caller's ring oldest-first; analytics
-  // degrades to interval-only reporting for the missing prefix.
+  // then reports that graph's critical path as incomplete.
   TaskDepEdge = 92,
 };
 

@@ -1,12 +1,13 @@
 // End-to-end pipeline tracing: phase spans plus per-task kernel events.
 //
-// The runtime's TaskGraph traces individual kernel tasks relative to one
-// run(); this store stitches those runs, the surrounding pipeline phases
-// (assembly -> precision policy -> compression -> factorize -> solve ->
-// krige) and any user spans onto a single process-wide clock, so one Chrome
-// trace covers the full MLE / prediction pipeline. Kernels attach metadata
-// (precision, rank, flops) to the task that is currently executing them via
-// a thread-local annotation slot drained by the TaskGraph worker loop.
+// While enabled, the runtime's TaskGraph workers record every finished
+// kernel task here; the store keeps those task spans, the surrounding
+// pipeline phases (assembly -> precision policy -> compression -> factorize
+// -> solve -> krige) and any user spans on a single process-wide clock, so
+// one Chrome trace covers the full MLE / prediction pipeline. Kernels
+// attach metadata (precision, rank, flops) to the task that is currently
+// executing them via a thread-local annotation slot drained by the
+// TaskGraph worker loop.
 #pragma once
 
 #include <cstdint>

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "obs/analytics.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -70,11 +69,6 @@ std::size_t TaskGraph::submit_impl(std::string name, const std::vector<Dep>& dep
         }
         st.last_writer = static_cast<std::ptrdiff_t>(id);
         st.readers_since_write.clear();
-        if (d.mode == Access::ReadWrite) {
-          // A ReadWrite also counts as a reader of its own write for
-          // subsequent writers; not needed — successor writers depend on the
-          // last_writer directly.
-        }
         break;
     }
   }
@@ -171,7 +165,6 @@ struct TaskGraph::RunCtx {
     }
     ++ready_count;
     queue_depth_gauge.set(static_cast<double>(ready_count));
-    GSX_FLIGHT(obs::EventKind::TaskReady, 0, id, ready_count, 0.0);
   }
 
   std::size_t pop_ready(std::size_t worker) {
@@ -242,7 +235,6 @@ struct TaskGraph::RunCtx {
     done_external[id] = 1;
     ++completed;
     g.exec_order_.push_back(id);
-    GSX_FLIGHT(obs::EventKind::TaskDone, 0, id, /*worker=*/num_workers, 0.0);
     // Externals have no body: the notify() instant is both start and end
     // (TaskEnd only, duration 0 — analytics reconstructs a point task).
     if (dag_events)
@@ -303,7 +295,6 @@ void TaskGraph::run(std::size_t num_workers) {
   GSX_REQUIRE(num_workers >= 1, "run: need at least one worker");
   stats_.num_tasks = tasks_.size();
   exec_order_.clear();
-  trace_.clear();
   if (tasks_.empty()) return;
 
   // The registry lookup takes a mutex; this path runs once per task, so
@@ -318,8 +309,8 @@ void TaskGraph::run(std::size_t num_workers) {
   // Stamp this run's DAG identity and ship the dependency edges to the
   // flight ring up front, so the dump carries a replayable execution history
   // (obs/analytics.hpp). One event per edge on the caller's ring; graphs
-  // past the ring capacity lose their oldest edges, which analytics
-  // tolerates (it degrades to interval-only reporting).
+  // past the ring capacity lose their oldest edges, and analytics then
+  // reports the graph's critical path as incomplete.
   {
     static std::atomic<std::uint64_t> run_generation{0};
     ctx.generation = run_generation.fetch_add(1, std::memory_order_relaxed) & 0xFFFF;
@@ -327,8 +318,8 @@ void TaskGraph::run(std::size_t num_workers) {
   // The packed identities carry 8-bit worker lanes (0xFF reserved for
   // externals) and 24-bit TaskDepEdge endpoints (analytics.hpp); a run past
   // either width would alias worker 255 with externals or orphan edges from
-  // their tasks. Degrade explicitly: warn once, skip the DAG events, and let
-  // analytics fall back to the interval-only TaskRun/TaskDone vocabulary.
+  // their tasks. Degrade explicitly: warn once and skip the DAG events, so
+  // such a run leaves no task events in the flight rings.
   ctx.dag_events =
       num_workers <= obs::kExternalWorker && tasks_.size() <= 0xFFFFFFu;
   if (!ctx.dag_events) {
@@ -372,7 +363,9 @@ void TaskGraph::run(std::size_t num_workers) {
   }
   for (std::size_t id : pre) ctx.handle_notify(id);
 
-  Timer wall;
+  // Profile-trace rows: one "task" span per finished task while obs is on.
+  const bool record_spans = obs::enabled();
+  const double run_start = obs::now_seconds();
   auto worker_loop = [&](std::size_t worker_id) {
     for (;;) {
       std::size_t id;
@@ -391,7 +384,6 @@ void TaskGraph::run(std::size_t num_workers) {
       }
 
       Task& t = tasks_[id];
-      GSX_FLIGHT(obs::EventKind::TaskRun, 0, id, worker_id, 0.0);
       if (ctx.dag_events)
         GSX_FLIGHT(obs::EventKind::TaskStart, 0,
                    obs::task_ident(ctx.generation, worker_id, id),
@@ -399,7 +391,7 @@ void TaskGraph::run(std::size_t num_workers) {
                    static_cast<double>(t.num_predecessors));
       inflight_gauge.set(static_cast<double>(
           ctx.inflight.fetch_add(1, std::memory_order_relaxed) + 1));
-      const double t0 = wall.seconds();
+      const double t0 = obs::now_seconds();
       if (!ctx.aborting.load(std::memory_order_acquire)) {
         try {
           t.body();
@@ -414,28 +406,26 @@ void TaskGraph::run(std::size_t num_workers) {
           ctx.cv.notify_all();
         }
       }
-      const double t1 = wall.seconds();
+      const double t1 = obs::now_seconds();
       t.duration_seconds = t1 - t0;
       inflight_gauge.set(static_cast<double>(
           ctx.inflight.fetch_sub(1, std::memory_order_relaxed) - 1));
-      GSX_FLIGHT(obs::EventKind::TaskDone, 0, id, worker_id, t.duration_seconds);
       if (ctx.dag_events)
         GSX_FLIGHT(obs::EventKind::TaskEnd, 0,
                    obs::task_ident(ctx.generation, worker_id, id),
                    obs::pack_op_name(t.name), t.duration_seconds);
 
-      // Kernel-attached metadata (precision, rank, flops) for the trace.
+      // Kernel-attached metadata (precision, rank, flops) for the span.
       // Always drained so a stale annotation never leaks onto a later task.
       const auto ann = obs::take_task_annotation();
-      std::string args;
-      if (tracing_ && ann) args = obs::annotation_args(*ann);
+      if (record_spans)
+        obs::record_span({t.name, "task", static_cast<std::uint32_t>(worker_id), t0, t1,
+                          ann ? obs::annotation_args(*ann) : std::string{}});
 
       std::size_t newly_ready = 0;
       bool quiesced = false;
       {
         std::lock_guard lk(ctx.mtx);
-        if (tracing_)
-          trace_.push_back(TraceEvent{t.name, worker_id, t0, t1, std::move(args)});
         ++ctx.completed;
         newly_ready = ctx.propagate(id, worker_id);
         quiesced = ctx.completed == tasks_.size();
@@ -475,7 +465,7 @@ void TaskGraph::run(std::size_t num_workers) {
   while (notify_inflight_.load(std::memory_order_seq_cst) != 0)
     std::this_thread::yield();
 
-  stats_.makespan_seconds = wall.seconds();
+  stats_.makespan_seconds = obs::now_seconds() - run_start;
   stats_.steals = ctx.steal_count;
   stats_.total_task_seconds = 0.0;
   for (const Task& t : tasks_) stats_.total_task_seconds += t.duration_seconds;

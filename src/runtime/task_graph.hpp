@@ -83,17 +83,6 @@ struct GraphStats {
   }
 };
 
-/// One trace record (enabled via set_tracing).
-struct TraceEvent {
-  std::string name;
-  std::size_t worker = 0;
-  double start_seconds = 0.0;
-  double end_seconds = 0.0;
-  /// Pre-rendered Chrome-trace "args" fields the executing kernel attached
-  /// via obs::annotate_task (precision, rank, flops); empty if none.
-  std::string args;
-};
-
 /// A statically-unrolled task DAG executed by run().
 ///
 /// Usage:
@@ -106,13 +95,18 @@ struct TraceEvent {
 /// algorithm author in sequential program order — that order defines the
 /// dependencies); run() executes bodies concurrently. Bodies must touch only
 /// data they declared (CP.2/CP.3: the graph is the sharing discipline).
+///
+/// Every run records each task once per reader: TaskStart/TaskEnd (and one
+/// TaskDepEdge per edge) in the flight rings for obs/analytics, and, while
+/// obs::enabled(), one "task" obs::Span carrying the kernel's annotation for
+/// the profile trace.
 class TaskGraph {
  public:
   TaskGraph() = default;
   TaskGraph(const TaskGraph&) = delete;
   TaskGraph& operator=(const TaskGraph&) = delete;
 
-  /// Add a task. Returns its index (usable for testing/tracing).
+  /// Add a task. Returns its index (its task id in the flight events).
   std::size_t submit(std::string name, const std::vector<Dep>& deps,
                      std::function<void()> body, int priority = 0);
 
@@ -135,10 +129,8 @@ class TaskGraph {
   void run(std::size_t num_workers);
 
   void set_policy(SchedPolicy p) noexcept { policy_ = p; }
-  void set_tracing(bool on) noexcept { tracing_ = on; }
 
   [[nodiscard]] const GraphStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const std::vector<TraceEvent>& trace() const noexcept { return trace_; }
   [[nodiscard]] std::size_t size() const noexcept { return tasks_.size(); }
 
   /// Execution order observed during run() (task indices). With one worker
@@ -188,9 +180,7 @@ class TaskGraph {
   // De-duplication of edges during construction (cheap bloom via last edge).
   std::vector<std::ptrdiff_t> last_edge_target_;
   SchedPolicy policy_ = SchedPolicy::Priority;
-  bool tracing_ = false;
   GraphStats stats_;
-  std::vector<TraceEvent> trace_;
   std::vector<std::size_t> exec_order_;
 };
 

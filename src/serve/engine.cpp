@@ -6,7 +6,6 @@
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "serve/wire.hpp"
 
 namespace gsx::serve {
@@ -29,34 +28,6 @@ PredictOutcome fail(std::string why) {
 constexpr std::uint64_t kRejectQueueFull = 1;
 constexpr std::uint64_t kRejectDeadline = 2;
 constexpr std::uint64_t kRejectDraining = 3;
-
-/// Chrome-trace spans for one request ("request" category, named
-/// "r-<id>/queue|assemble|solve"), anchored on the observability clock via
-/// the batch-end instant so they align with pipeline/task rows.
-void record_request_spans(std::uint64_t request_id, double end_obs, double total_s,
-                          double queue_s, double pass_s,
-                          const cholesky::SolveTelemetry& t) {
-  if (!obs::enabled()) return;
-  const std::string prefix = request_id_string(request_id) + "/";
-  obs::Span queue;
-  queue.name = prefix + "queue";
-  queue.category = "request";
-  queue.start_seconds = end_obs - total_s;
-  queue.end_seconds = queue.start_seconds + queue_s;
-  obs::record_span(std::move(queue));
-  obs::Span assemble;
-  assemble.name = prefix + "assemble";
-  assemble.category = "request";
-  assemble.start_seconds = end_obs - pass_s;
-  assemble.end_seconds = assemble.start_seconds + t.assemble_seconds;
-  obs::record_span(assemble);
-  obs::Span solve;
-  solve.name = prefix + "solve";
-  solve.category = "request";
-  solve.start_seconds = assemble.end_seconds;
-  solve.end_seconds = solve.start_seconds + t.solve_seconds;
-  obs::record_span(std::move(solve));
-}
 
 }  // namespace
 
@@ -260,9 +231,6 @@ void KrigingEngine::process_batch(std::vector<Pending> batch) {
   }
 
   const auto end = Clock::now();
-  // Anchor wall-clock offsets onto the observability clock so per-request
-  // spans land on the same axis as pipeline phases and task events.
-  const double end_obs = obs::now_seconds();
   auto& latency = obs::Registry::instance().histogram(
       "serve.predict.seconds", obs::Histogram::duration_bounds());
   auto& queue_wait = obs::Registry::instance().histogram(
@@ -280,8 +248,6 @@ void KrigingEngine::process_batch(std::vector<Pending> batch) {
     const std::size_t m = p.points.size();
     const double queue_s = seconds_between(p.enqueued, start);
     const double total_s = seconds_between(p.enqueued, end);
-    record_request_spans(p.request_id, end_obs, total_s, queue_s,
-                         seconds_between(start, end), telemetry);
     // Replica-side distributed-trace spans: queue/assemble/solve siblings
     // under the router's forward span. Recorded even on failure — a span
     // tree that stops at the router is exactly the blind spot this exists

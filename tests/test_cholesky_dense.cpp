@@ -7,6 +7,9 @@
 #include "cholesky/tile_batch.hpp"
 #include "cholesky/tile_solve.hpp"
 #include "la/lapack.hpp"
+#include "obs/metrics.hpp"
+#include "obs/report.hpp"
+#include "obs/trace.hpp"
 #include "test_utils.hpp"
 
 namespace gsx::cholesky {
@@ -162,6 +165,33 @@ TEST(DenseCholesky, NonSpdReportsPivot) {
   EXPECT_NE(rep.info, 0);
   EXPECT_GT(rep.info, 16);  // failure after the first two tiles
   EXPECT_LE(rep.info, 24);
+}
+
+TEST(DenseCholesky, ProfiledRunRecordsEveryTaskInsideFactorizePhase) {
+  auto a = make_spd_tiles(512, 64, 0.3);
+  FactorOptions opts;
+  opts.workers = 2;
+  obs::reset_all();
+  obs::set_enabled(true);
+  const FactorReport rep = tile_cholesky_dense(a, opts);
+  obs::set_enabled(false);
+  const std::vector<obs::Span> spans = obs::trace_spans();
+  obs::reset_all();
+  ASSERT_EQ(rep.info, 0);
+
+  const obs::Span* phase = nullptr;
+  for (const obs::Span& s : spans)
+    if (s.category == "phase" && s.name == "factorize") phase = &s;
+  ASSERT_NE(phase, nullptr);
+  std::size_t tasks = 0;
+  for (const obs::Span& s : spans) {
+    if (s.category != "task") continue;
+    ++tasks;
+    EXPECT_NE(s.args.find("\"precision\""), std::string::npos) << s.name;
+    EXPECT_GE(s.start_seconds, phase->start_seconds) << s.name;
+    EXPECT_LE(s.end_seconds, phase->end_seconds) << s.name;
+  }
+  EXPECT_EQ(tasks, rep.graph.num_tasks);
 }
 
 TEST(DenseCholesky, LogdetMatchesReference) {

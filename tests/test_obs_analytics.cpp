@@ -5,6 +5,7 @@
 // containers). The offline gsx_obs subcommands and the in-process
 // profile.json block both sit on exactly this code.
 #include <cmath>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -172,6 +173,68 @@ TEST(CriticalPath, EmptyHistoryIsZero) {
   const CriticalPathReport r = critical_path(ExecutionHistory{});
   EXPECT_EQ(r.length_tasks, 0u);
   EXPECT_EQ(r.length_seconds, 0.0);
+  EXPECT_FALSE(r.complete);
+}
+
+// --- history completeness ----------------------------------------------------
+
+/// The committed diamond fixture, decoded the way gsx_obs decodes it, with
+/// every line containing `drop` (when non-empty) removed first.
+CriticalPathReport fixture_critical_path(const std::string& drop = "") {
+  std::ifstream in(GSX_TEST_FIXTURES "/flight-analytics.jsonl");
+  EXPECT_TRUE(in.good());
+  std::string jsonl;
+  for (std::string line; std::getline(in, line);)
+    if (drop.empty() || line.find(drop) == std::string::npos) jsonl += line + "\n";
+  const auto merged = gsx::obs::merge_flight_dumps({gsx::obs::parse_flight_dump(jsonl)});
+  return critical_path(build_history(merged.timeline));
+}
+
+TEST(CriticalPath, FixtureHistoryIsComplete) {
+  const CriticalPathReport r = fixture_critical_path();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.length_tasks, 3u);
+}
+
+TEST(CriticalPath, FixtureMissingOneEdgeIsIncomplete) {
+  // The task_dep for succ 3 <- pred 2: gemm(3) recorded 2 predecessors but
+  // only the edge from 1 survives.
+  const std::string edge_3_from_2 =
+      "\"a\":" + std::to_string(dep_ident(1, 3, 2)) + ",";
+  const CriticalPathReport r = fixture_critical_path(edge_3_from_2);
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.length_tasks, 3u);  // 0 -> 1 -> 3 is still decodable
+}
+
+TEST(CriticalPath, LostTasksMakeTheHistoryIncomplete) {
+  // Ids must run 0..n-1: a graph whose task 0 aged out is incomplete.
+  HistoryBuilder gap;
+  gap.task(1, "a", 0, 0.0, 1.0, 0);
+  gap.task(2, "b", 0, 1.0, 2.0, 0);
+  EXPECT_FALSE(critical_path(gap.history()).complete);
+
+  // A worker task whose task_start aged out has no recorded dep count.
+  HistoryBuilder no_start;
+  no_start.task(0, "a", 0, 0.0, 1.0, 0);
+  no_start.events.erase(no_start.events.begin());
+  EXPECT_FALSE(critical_path(no_start.history()).complete);
+}
+
+TEST(CriticalPath, CompleteGraphBeatsHeavierEdgelessGraph) {
+  HistoryBuilder b;
+  b.gen = 1;  // complete: 2 s chain with its edge
+  b.task(0, "a", 0, 0.0, 1.0, 0);
+  b.task(1, "b", 0, 1.0, 2.0, 1);
+  b.dep(0, 1);
+  b.gen = 2;  // heavier, but its one edge was lost
+  b.task(0, "c", 0, 0.0, 5.0, 0);
+  b.task(1, "d", 0, 5.0, 6.0, 1);
+  const ExecutionHistory h = b.history();
+  ASSERT_EQ(h.graphs.size(), 2u);
+  const CriticalPathReport r = critical_path(h);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.generation, 1u);
+  EXPECT_NEAR(r.length_seconds, 2.0, 1e-12);
 }
 
 // --- utilization -------------------------------------------------------------
@@ -279,6 +342,7 @@ TEST(AnalyticsJson, CarriesAllThreeSections) {
   EXPECT_NE(json.find("\"utilization\""), std::string::npos);
   EXPECT_NE(json.find("\"overlap\""), std::string::npos);
   EXPECT_NE(json.find("\"op_seconds\""), std::string::npos);
+  EXPECT_NE(json.find("\"complete\": true"), std::string::npos);
   EXPECT_EQ(json.find("\n\n"), std::string::npos);  // no blank lines
 }
 

@@ -1,5 +1,5 @@
 // Observability layer: registry instruments, flop/conversion ledger,
-// iteration profiling and report writers.
+// iteration profiling and report writers (profile JSON, Chrome trace, CSV).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -384,8 +384,43 @@ TEST_F(ObsMetrics, ProfileReportsUnattributedIterationTime) {
   EXPECT_LE(unattributed, iteration_s - 0.009);
 }
 
+TEST_F(ObsMetrics, ProfileTraceCoversPhasesAndAnnotatedTasks) {
+  // A pipeline phase span plus an annotated kernel-task span, as a profiled
+  // factorization records them: phases on the pipeline row, tasks on worker
+  // rows with precision/rank/flops args.
+  { const ScopedPhase phase("assemble"); }
+  TaskAnnotation ann;
+  ann.precision = Precision::FP32;
+  ann.rank = 7;
+  ann.flops = 512;
+  record_span({"gemm(2,1,0)", "task", 3, now_seconds(), now_seconds(), annotation_args(ann)});
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gsx_profile_trace_test.json").string();
+  write_profile_trace_json(path);
+  const std::string content = slurp(path);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(content.front(), '[');
+  EXPECT_EQ(content[content.size() - 2], ']');
+  // Pipeline row is named via a thread_name metadata event.
+  EXPECT_NE(content.find("\"ph\": \"M\""), std::string::npos);
+  EXPECT_NE(content.find("\"thread_name\""), std::string::npos);
+  EXPECT_NE(content.find("pipeline"), std::string::npos);
+  // The phase span, on the pipeline row with its category.
+  EXPECT_NE(content.find("\"name\": \"assemble\""), std::string::npos);
+  EXPECT_NE(content.find("\"cat\": \"phase\""), std::string::npos);
+  // The task span keeps its worker tid and kernel metadata.
+  EXPECT_NE(content.find("\"name\": \"gemm(2,1,0)\""), std::string::npos);
+  EXPECT_NE(content.find("\"cat\": \"task\""), std::string::npos);
+  EXPECT_NE(content.find("\"tid\": 3"), std::string::npos);
+  EXPECT_NE(content.find("\"precision\": \"FP32\""), std::string::npos);
+  EXPECT_NE(content.find("\"rank\": 7"), std::string::npos);
+}
+
 TEST_F(ObsMetrics, ReportWriterRejectsUnwritablePath) {
   EXPECT_THROW(write_profile_json("/nonexistent-dir/x.json"), InvalidArgument);
+  EXPECT_THROW(write_profile_trace_json("/nonexistent-dir/x.trace.json"), InvalidArgument);
   EXPECT_THROW(write_flops_csv("/nonexistent-dir/x.csv"), InvalidArgument);
 }
 

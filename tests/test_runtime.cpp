@@ -8,7 +8,9 @@
 
 #include "common/error.hpp"
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "obs/ring.hpp"
+#include "obs/trace.hpp"
 #include "runtime/task_graph.hpp"
 
 namespace gsx::rt {
@@ -181,16 +183,41 @@ TEST(TaskGraph, StatsAccounting) {
   EXPECT_GT(g.stats().makespan_seconds, 0.0);
 }
 
-TEST(TaskGraph, TracingRecordsEveryTask) {
+TEST(TaskGraph, ProfiledRunRecordsOneSpanPerTask) {
+  obs::reset_trace();
+  obs::set_enabled(true);
   TaskGraph g;
-  g.set_tracing(true);
   for (int i = 0; i < 7; ++i) g.submit("traced" + std::to_string(i), {}, [] {});
   g.run(3);
-  EXPECT_EQ(g.trace().size(), 7u);
-  for (const auto& ev : g.trace()) {
-    EXPECT_LE(ev.start_seconds, ev.end_seconds);
-    EXPECT_LT(ev.worker, 3u);
+  obs::set_enabled(false);
+  const std::vector<obs::Span> spans = obs::trace_spans();
+  obs::reset_trace();
+  ASSERT_EQ(spans.size(), 7u);
+  for (const obs::Span& s : spans) {
+    EXPECT_EQ(s.category, "task");
+    EXPECT_LE(s.start_seconds, s.end_seconds);
+    EXPECT_LT(s.tid, 3u);
   }
+}
+
+TEST(TaskGraph, ProfiledRunDrainsAnnotationPerTask) {
+  obs::reset_trace();
+  obs::set_enabled(true);
+  TaskGraph g;
+  g.submit("annotated", {}, [] { obs::annotate_task(Precision::FP16, 5, 99); });
+  g.submit("plain", {}, [] {});
+  g.run(1);
+  obs::set_enabled(false);
+  const std::vector<obs::Span> spans = obs::trace_spans();
+  obs::reset_trace();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "annotated");
+  EXPECT_NE(spans[0].args.find("\"precision\": \"FP16\""), std::string::npos);
+  EXPECT_NE(spans[0].args.find("\"rank\": 5"), std::string::npos);
+  EXPECT_NE(spans[0].args.find("\"flops\": 99"), std::string::npos);
+  // The slot is drained per task: no annotation may leak across tasks.
+  EXPECT_EQ(spans[1].name, "plain");
+  EXPECT_TRUE(spans[1].args.empty());
 }
 
 TEST(TaskGraph, ExecutionOrderIsTopological) {
@@ -304,8 +331,8 @@ TEST(ParallelFor, SingleWorkerSequential) {
 // The packed TaskStart/TaskEnd/TaskDepEdge identities carry 8-bit worker
 // lanes (0xFF reserved for externals): a run with more workers than the
 // field can hold must skip the DAG-history events entirely — worker 255
-// would otherwise masquerade as an external task — while the interval
-// vocabulary (TaskRun/TaskDone) and the run itself stay intact.
+// would otherwise masquerade as an external task. Such a run records no
+// task events at all, and it still completes.
 TEST(TaskGraph, OversizedWorkerCountSkipsPackedDagEvents) {
   const auto count = [](gsx::obs::EventKind k) {
     std::size_t n = 0;
@@ -328,8 +355,8 @@ TEST(TaskGraph, OversizedWorkerCountSkipsPackedDagEvents) {
   }
 
   // 300 workers overflow the 8-bit lane field: no new TaskStart/TaskEnd/
-  // TaskDepEdge events (older ones may age out of the ring, hence LE), but
-  // the graph still executes and TaskRun still records.
+  // TaskDepEdge events (older ones may age out of the ring, hence LE), and
+  // the graph still executes.
   {
     const std::size_t start_before = count(gsx::obs::EventKind::TaskStart);
     const std::size_t end_before = count(gsx::obs::EventKind::TaskEnd);

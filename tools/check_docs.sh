@@ -21,7 +21,12 @@
 #      in the source; the documented prefix is what is checked;
 #   6. every GSX_* environment variable the code reads (quoted literals
 #      under src/ and tools/) is documented in README.md or docs/ — an
-#      env knob nobody can discover is a bug.
+#      env knob nobody can discover is a bug;
+#   7. the flight-recorder vocabulary matches both ways: every kind name
+#      event_kind_name returns in src/obs/ring.cpp (except "unknown")
+#      appears backticked in docs/observability.md, and every backticked
+#      kind in the first column of that doc's | kind | a | b | v | table
+#      exists in ring.cpp.
 # Run from anywhere: paths resolve against the repo root (this script's
 # parent directory). Exits non-zero listing every violation.
 set -u
@@ -174,6 +179,35 @@ for e in $envs; do
   done
   if [ "$found" -eq 0 ]; then
     echo "MISSING ENV VAR: $e is not documented in README.md or docs/"
+    status=1
+  fi
+done
+
+# --- 7. flight-recorder vocabulary matches docs/observability.md ------------
+ring_src="$root/src/obs/ring.cpp"
+kinds=$(grep -o 'return "[a-z_]*";' "$ring_src" | sed 's/^return "\(.*\)";$/\1/' \
+          | grep -vx unknown | sort -u)
+if [ -z "$kinds" ]; then
+  echo "EXTRACT FAILED: no event kind names found in src/obs/ring.cpp"
+  status=1
+fi
+for k in $kinds; do
+  if ! grep -qF "\`$k\`" "$obs_doc"; then
+    echo "MISSING EVENT KIND: \"$k\" (src/obs/ring.cpp) is not documented in docs/observability.md"
+    status=1
+  fi
+done
+# First-column kinds of the vocabulary table: the rows that follow its
+# "| kind | a | b | v |" header, up to the first non-table line.
+table_kinds=$(sed -n '/^| kind | a | b | v |$/,/^[^|]/p' "$obs_doc" | grep '^|' \
+                | cut -d'|' -f2 | grep -o '`[a-z_]*`' | tr -d '`' | sort -u)
+if [ -z "$table_kinds" ]; then
+  echo "EXTRACT FAILED: no | kind | a | b | v | table in docs/observability.md"
+  status=1
+fi
+for k in $table_kinds; do
+  if ! grep -qF "return \"$k\";" "$ring_src"; then
+    echo "STALE EVENT KIND: docs/observability.md documents \"$k\", which src/obs/ring.cpp does not name"
     status=1
   fi
 done

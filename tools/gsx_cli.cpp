@@ -33,7 +33,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "runtime/trace_io.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/registry.hpp"
 
@@ -136,7 +135,7 @@ bool begin_profile(const std::map<std::string, std::string>& flags) {
 /// they are written.
 void end_profile(const std::map<std::string, std::string>& flags) {
   const std::string& prefix = flags.at("profile");
-  rt::write_profile_trace_json(prefix + ".trace.json");
+  obs::write_profile_trace_json(prefix + ".trace.json");
   obs::write_profile_json(prefix + ".profile.json");
   obs::write_flops_csv(prefix + ".flops.csv");
   obs::set_hw_enabled(false);

@@ -151,6 +151,9 @@ int cmd_critical_path(const char* argv0, const std::vector<std::string>& args,
               ", wall span %.6f s, dominance %.1f%%)\n",
               cp.length_seconds, cp.length_tasks, cp.process.c_str(),
               cp.generation, cp.span_seconds, 100.0 * cp.dominance);
+  if (!cp.complete)
+    std::printf("warning: incomplete history (flight rings wrapped: tasks or edges of "
+                "this graph are missing), so the real critical path may be longer\n");
   std::printf("op attribution on the path:\n");
   for (const auto& [op, secs] : cp.op_seconds)
     std::printf("  %-10s %.6f s (%5.1f%%)\n", op.c_str(), secs,
