@@ -49,7 +49,7 @@ RunOutcome run_once(const dist::DistProblemConfig& prob, int nprocs,
         cfg.nprocs = nprocs;
         cfg.coord_port = port;
         cfg.workers = 2;
-        cfg.policy.policy = policy;
+        cfg.policy = policy;
         results[static_cast<std::size_t>(r)] = dist::run_dist_rank(prob, cfg);
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();

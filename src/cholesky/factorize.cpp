@@ -1,5 +1,6 @@
 #include "cholesky/factorize.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 
@@ -28,15 +29,14 @@ DatumId tid(const SymTileMatrix& a, std::size_t i, std::size_t j) {
   return DatumId::from_pointer(&a.at(i, j));
 }
 
-/// Submit the Algorithm-1 DAG. `gemm_batch_fn(k, n, ms)` applies the
-/// trailing updates A(m,n) -= A(m,k) A(n,k)^T for every m in `ms`; the DAG
-/// submits one task per <= kGemmBatchMax chunk of a panel column so all
-/// GEMMs sharing the packed A(n,k) operand execute as one batched kernel
-/// call (per-tile dependencies and results are unchanged — each output tile
-/// is still read-modify-written exactly once per k, in k order).
-template <typename TrsmFn, typename SyrkFn, typename GemmBatchFn>
-FactorReport run_cholesky_dag(SymTileMatrix& a, const FactorOptions& opts, TrsmFn&& trsm_fn,
-                              SyrkFn&& syrk_fn, GemmBatchFn&& gemm_batch_fn) {
+/// Submit and run the Algorithm-1 DAG. The tile kernels choose their dense
+/// or low-rank routine from the formats they receive; `abs_tol` bounds the
+/// rounding of low-rank accumulations. Each panel column's trailing updates
+/// are submitted as one task per <= kGemmBatchMax chunk so all GEMMs sharing
+/// the packed A(n,k) operand execute as one batched kernel call (per-tile
+/// dependencies and results are unchanged — each output tile is still
+/// read-modify-written exactly once per k, in k order).
+FactorReport run_cholesky_dag(SymTileMatrix& a, double abs_tol, const FactorOptions& opts) {
   const std::size_t nt = a.nt();
   rt::TaskGraph graph;
   graph.set_policy(opts.sched);
@@ -69,12 +69,12 @@ FactorReport run_cholesky_dag(SymTileMatrix& a, const FactorOptions& opts, TrsmF
     for (std::size_t m = k + 1; m < nt; ++m) {
       graph.submit("trsm(" + std::to_string(m) + "," + std::to_string(k) + ")",
                    {{tid(a, k, k), Access::Read}, {tid(a, m, k), Access::ReadWrite}},
-                   [&a, &trsm_fn, m, k] { trsm_fn(a.at(k, k), a.at(m, k)); }, base + 1);
+                   [&a, m, k] { trsm_tile(a.at(k, k), a.at(m, k)); }, base + 1);
     }
     for (std::size_t m = k + 1; m < nt; ++m) {
       graph.submit("syrk(" + std::to_string(m) + "," + std::to_string(k) + ")",
                    {{tid(a, m, k), Access::Read}, {tid(a, m, m), Access::ReadWrite}},
-                   [&a, &syrk_fn, m, k] { syrk_fn(a.at(m, k), a.at(m, m)); }, base);
+                   [&a, m, k] { syrk_tile(a.at(m, k), a.at(m, m)); }, base);
     }
     for (std::size_t n = k + 1; n < nt; ++n) {
       for (std::size_t m0 = n + 1; m0 < nt; m0 += kGemmBatchMax) {
@@ -92,8 +92,9 @@ FactorReport run_cholesky_dag(SymTileMatrix& a, const FactorOptions& opts, TrsmF
         graph.submit("gemm(" + std::to_string(m0) +
                          (m1 - m0 > 1 ? ".." + std::to_string(m1 - 1) : std::string{}) +
                          "," + std::to_string(n) + "," + std::to_string(k) + ")",
-                     deps, [&a, &gemm_batch_fn, ms = std::move(ms), n, k] {
-                       gemm_batch_fn(k, n, ms);
+                     deps,
+                     [&a, ms = std::move(ms), n, k, abs_tol, rounding = opts.rounding] {
+                       gemm_tile_batch(a, k, n, ms, abs_tol, rounding);
                      },
                      base);
       }
@@ -153,33 +154,76 @@ FactorReport run_cholesky_dag(SymTileMatrix& a, const FactorOptions& opts, TrsmF
 }  // namespace
 
 FactorReport tile_cholesky_dense(SymTileMatrix& a, const FactorOptions& opts) {
-  return run_cholesky_dag(
-      a, opts, [](const Tile& l, Tile& b) { trsm_tile(l, b); },
-      [](const Tile& p, Tile& d) { syrk_tile(p, d); },
-      [&a](std::size_t k, std::size_t n, const std::vector<std::size_t>& ms) {
-        gemm_tile_batch(a, k, n, ms, /*tlr_mode=*/false, 0.0);
-      });
+  for (std::size_t j = 0; j < a.nt(); ++j)
+    for (std::size_t i = j; i < a.nt(); ++i)
+      GSX_REQUIRE(a.at(i, j).format() == TileFormat::Dense,
+                  "tile_cholesky_dense: low-rank tile (use tile_cholesky_tlr)");
+  return run_cholesky_dag(a, 0.0, opts);
 }
 
 FactorReport tile_cholesky_tlr(SymTileMatrix& a, double abs_tol, const FactorOptions& opts) {
-  return run_cholesky_dag(
-      a, opts,
-      [](const Tile& l, Tile& b) {
-        if (b.format() == TileFormat::LowRank)
-          trsm_lr_tile(l, b);
-        else
-          trsm_tile(l, b);
-      },
-      [](const Tile& p, Tile& d) {
-        if (p.format() == TileFormat::LowRank)
-          syrk_lr_tile(p, d);
-        else
-          syrk_tile(p, d);
-      },
-      [&a, abs_tol, rounding = opts.rounding](std::size_t k, std::size_t n,
-                                              const std::vector<std::size_t>& ms) {
-        gemm_tile_batch(a, k, n, ms, /*tlr_mode=*/true, abs_tol, rounding);
-      });
+  return run_cholesky_dag(a, abs_tol, opts);
+}
+
+void compress_tile(SymTileMatrix& a, std::size_t i, std::size_t j, double global_norm,
+                   const TlrCompressOptions& opts) {
+  Tile& t = a.at(i, j);
+  GSX_REQUIRE(t.format() == TileFormat::Dense, "compress_tile: tile already compressed");
+  const std::size_t nt = a.nt();
+  const double tile_norm = t.frobenius();
+  const la::Matrix<double> full = t.to_dense64();
+  const bool audit = obs::health_enabled();
+  if (audit) {
+    // Compressing a tile with NaN/Inf silently poisons its factors; flag
+    // the input here, where the tile coordinate is still known.
+    const std::size_t bad = t.nonfinite_count();
+    if (bad > 0) {
+      obs::record_nonfinite("compress", static_cast<long>(i), static_cast<long>(j), bad);
+      obs::log_warn("compress", "non-finite values in compression input",
+                    {obs::lf("tile_i", static_cast<std::uint64_t>(i)),
+                     obs::lf("tile_j", static_cast<std::uint64_t>(j)),
+                     obs::lf("count", static_cast<std::uint64_t>(bad))});
+    }
+  }
+  Rng rng(opts.seed + 1315423911ull * (i * nt + j));
+  tlr::Compressed comp =
+      tlr::compress(opts.method, full.cview(), opts.tol, rng, tlr::TolMode::Absolute);
+
+  // Structure-aware decision: rank too high for the TLR kernel to win; keep
+  // the tile dense (it re-joins the band, cf. Fig. 3(a->b)). The cap is
+  // measured against the tile side, so thin ragged tiles share it.
+  const std::size_t rank_cap = (opts.max_rank > 0) ? opts.max_rank : a.tile_size() / 2;
+  if (comp.rank() > rank_cap) return;
+
+  // Precision-aware decision for the LR factors (FP64 vs FP32 storage).
+  bool use_fp32 = false;
+  if (opts.lr_fp32) {
+    const Precision p = frobenius_precision(tile_norm, global_norm, nt, opts.eps_target,
+                                            /*allow_fp16=*/false, t.rows() * t.cols());
+    use_fp32 = (p != Precision::FP64);
+  }
+  const std::size_t k = comp.rank();
+  // Rank-revealing cost ~ two (m x n) * (n x k) products.
+  obs::add_flops(obs::KernelOp::Compress, Precision::FP64,
+                 2 * obs::gemm_flops(t.rows(), t.cols(), k));
+  if (audit) {
+    obs::TlrRecord tr;
+    tr.i = static_cast<std::uint32_t>(i);
+    tr.j = static_cast<std::uint32_t>(j);
+    tr.rank = static_cast<std::uint32_t>(k);
+    tr.tol = opts.tol;
+    tr.observed_err = tlr::lowrank_error(full.cview(), comp.u, comp.v);
+    tr.fp32 = use_fp32;
+    obs::record_tlr(tr);
+  }
+  if (use_fp32) {
+    la::Matrix<float> u32(comp.u.rows(), k), v32(comp.v.rows(), k);
+    la::convert(comp.u.cview(), u32.view());
+    la::convert(comp.v.cview(), v32.view());
+    t = Tile::lowrank32(std::move(u32), std::move(v32));
+  } else {
+    t = Tile::lowrank64(std::move(comp.u), std::move(comp.v));
+  }
 }
 
 CompressStats compress_offband(SymTileMatrix& a, const TlrCompressOptions& opts,
@@ -191,7 +235,6 @@ CompressStats compress_offband(SymTileMatrix& a, const TlrCompressOptions& opts,
   const obs::ScopedPhase obs_phase("compress");
   CompressStats stats;
   stats.bytes_before = a.footprint_bytes();
-  const std::size_t rank_cap = (opts.max_rank > 0) ? opts.max_rank : a.tile_size() / 2;
 
   // Global norm for the FP32-storage decision on LR factors.
   const double global_norm = opts.lr_fp32 ? a.frobenius_norm() : 0.0;
@@ -202,86 +245,25 @@ CompressStats compress_offband(SymTileMatrix& a, const TlrCompressOptions& opts,
     for (std::size_t i = j; i < nt; ++i)
       if (i - j >= opts.band_size) coords.emplace_back(i, j);
 
-  std::atomic<std::size_t> lr_count{0}, lr32_count{0}, reverted{0}, max_rank{0};
-  std::atomic<std::uint64_t> rank_sum{0};
-
   rt::parallel_for(0, coords.size(), workers, [&](std::size_t c) {
-    const auto [i, j] = coords[c];
-    Tile& t = a.at(i, j);
-    GSX_REQUIRE(t.format() == TileFormat::Dense,
-                "compress_offband: tile already compressed");
-    const double tile_norm = t.frobenius();
-    const la::Matrix<double> full = t.to_dense64();
-    const bool audit = obs::health_enabled();
-    if (audit) {
-      // Compressing a tile with NaN/Inf silently poisons its factors; flag
-      // the input here, where the tile coordinate is still known.
-      const std::size_t bad = t.nonfinite_count();
-      if (bad > 0) {
-        obs::record_nonfinite("compress", static_cast<long>(i), static_cast<long>(j),
-                              bad);
-        obs::log_warn("compress", "non-finite values in compression input",
-                      {obs::lf("tile_i", static_cast<std::uint64_t>(i)),
-                       obs::lf("tile_j", static_cast<std::uint64_t>(j)),
-                       obs::lf("count", static_cast<std::uint64_t>(bad))});
-      }
-    }
-    Rng rng(opts.seed + 1315423911ull * (i * nt + j));
-    tlr::Compressed comp =
-        tlr::compress(opts.method, full.cview(), opts.tol, rng, tlr::TolMode::Absolute);
-
-    if (comp.rank() > rank_cap) {
-      // Structure-aware decision: rank too high for the TLR kernel to win;
-      // keep the tile dense (it re-joins the band, cf. Fig. 3(a->b)).
-      ++reverted;
-      return;
-    }
-
-    // Precision-aware decision for the LR factors (FP64 vs FP32 storage).
-    bool use_fp32 = false;
-    if (opts.lr_fp32) {
-      const Precision p = frobenius_precision(tile_norm, global_norm, nt, opts.eps_target,
-                                              /*allow_fp16=*/false, t.rows() * t.cols());
-      use_fp32 = (p != Precision::FP64);
-    }
-    const std::size_t k = comp.rank();
-    // Rank-revealing cost ~ two (m x n) * (n x k) products.
-    obs::add_flops(obs::KernelOp::Compress, Precision::FP64,
-                   2 * obs::gemm_flops(t.rows(), t.cols(), k));
-    if (audit) {
-      obs::TlrRecord tr;
-      tr.i = static_cast<std::uint32_t>(i);
-      tr.j = static_cast<std::uint32_t>(j);
-      tr.rank = static_cast<std::uint32_t>(k);
-      tr.tol = opts.tol;
-      tr.observed_err = tlr::lowrank_error(full.cview(), comp.u, comp.v);
-      tr.fp32 = use_fp32;
-      obs::record_tlr(tr);
-    }
-    if (use_fp32) {
-      la::Matrix<float> u32(comp.u.rows(), k), v32(comp.v.rows(), k);
-      la::convert(comp.u.cview(), u32.view());
-      la::convert(comp.v.cview(), v32.view());
-      t = Tile::lowrank32(std::move(u32), std::move(v32));
-      ++lr32_count;
-    } else {
-      t = Tile::lowrank64(std::move(comp.u), std::move(comp.v));
-    }
-    ++lr_count;
-    rank_sum += k;
-    std::size_t prev = max_rank.load();
-    while (k > prev && !max_rank.compare_exchange_weak(prev, k)) {
-    }
+    compress_tile(a, coords[c].first, coords[c].second, global_norm, opts);
   });
 
-  stats.lr_tiles = lr_count.load();
-  stats.lr_fp32_tiles = lr32_count.load();
-  stats.reverted_tiles = reverted.load();
-  stats.max_rank = max_rank.load();
-  stats.avg_rank = stats.lr_tiles > 0
-                       ? static_cast<double>(rank_sum.load()) /
-                             static_cast<double>(stats.lr_tiles)
-                       : 0.0;
+  std::size_t rank_sum = 0;
+  for (const auto& [i, j] : coords) {
+    const Tile& t = a.at(i, j);
+    if (t.format() != TileFormat::LowRank) {
+      ++stats.reverted_tiles;
+      continue;
+    }
+    ++stats.lr_tiles;
+    if (t.precision() == Precision::FP32) ++stats.lr_fp32_tiles;
+    rank_sum += t.rank();
+    stats.max_rank = std::max(stats.max_rank, t.rank());
+  }
+  stats.avg_rank = stats.lr_tiles > 0 ? static_cast<double>(rank_sum) /
+                                            static_cast<double>(stats.lr_tiles)
+                                      : 0.0;
   stats.dense_tiles = nt * (nt + 1) / 2 - stats.lr_tiles;
   stats.bytes_after = a.footprint_bytes();
   return stats;

@@ -20,7 +20,7 @@ struct FactorOptions {
   std::size_t workers = 1;
   rt::SchedPolicy sched = rt::SchedPolicy::Priority;
   /// Rounding used by the TLR path's low-rank accumulations.
-  tlr::RoundingMethod rounding = tlr::RoundingMethod::QrSvd;
+  tlr::RoundingMethod rounding = tlr::RoundingMethod::Rrqr;
   /// Precision rule that shaped the matrix — forensic context only (the
   /// factorization itself reads per-tile precisions, not the rule).
   PrecisionRule rule = PrecisionRule::AllFP64;
@@ -36,9 +36,9 @@ struct FactorReport {
 };
 
 /// Mixed-precision dense tile Cholesky (Algorithm 1). All tiles must be
-/// dense; per-tile precisions as set by apply_precision_policy. On return
-/// the stored triangle holds the tile Cholesky factor (each tile at its own
-/// storage precision).
+/// dense (checked up front); per-tile precisions as set by
+/// apply_precision_policy. On return the stored triangle holds the tile
+/// Cholesky factor (each tile at its own storage precision).
 FactorReport tile_cholesky_dense(tile::SymTileMatrix& a, const FactorOptions& opts);
 
 struct TlrCompressOptions {
@@ -65,13 +65,23 @@ struct CompressStats {
   std::size_t bytes_after = 0;
 };
 
-/// Compress off-band tiles to low-rank form (structure-aware decision):
-/// run after generation + precision policy, before tile_cholesky_tlr.
+/// The per-tile structure-aware decision (Algorithm 2) for dense tile
+/// (i, j): compress it, keep it dense if its rank exceeds the cap, and
+/// store its factors in FP32 where the Frobenius rule permits against
+/// `global_norm` = ||A||_F. Records the compression flops and, under health
+/// auditing, the tile's non-finite input and observed error.
+void compress_tile(tile::SymTileMatrix& a, std::size_t i, std::size_t j,
+                   double global_norm, const TlrCompressOptions& opts);
+
+/// compress_tile over every off-band tile, against a.frobenius_norm():
+/// run after generation, before tile_cholesky_tlr.
 CompressStats compress_offband(tile::SymTileMatrix& a, const TlrCompressOptions& opts,
                                std::size_t workers = 1);
 
-/// TLR tile Cholesky over mixed dense/low-rank tiles. `abs_tol` bounds the
-/// rounding of low-rank accumulations (use the compression tolerance).
+/// TLR tile Cholesky over mixed dense/low-rank tiles: the same DAG and
+/// kernels as tile_cholesky_dense, which pick their low-rank routines from
+/// the tile formats. `abs_tol` bounds the rounding of low-rank
+/// accumulations (use the compression tolerance).
 FactorReport tile_cholesky_tlr(tile::SymTileMatrix& a, double abs_tol,
                                const FactorOptions& opts);
 

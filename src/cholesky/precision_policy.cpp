@@ -56,6 +56,61 @@ double demotion_error(const tile::Tile& after, const la::Matrix<double>& before)
 
 }  // namespace
 
+Precision demote_tile(tile::SymTileMatrix& a, std::size_t i, std::size_t j,
+                      double global_norm, const PrecisionPolicy& policy) {
+  tile::Tile& t = a.at(i, j);
+  GSX_REQUIRE(t.format() == tile::TileFormat::Dense, "demote_tile: expects a dense tile");
+  const std::size_t nt = a.nt();
+  Precision p = Precision::FP64;
+  if (i != j) {  // diagonal stays FP64
+    switch (policy.rule) {
+      case PrecisionRule::AllFP64:
+        p = Precision::FP64;
+        break;
+      case PrecisionRule::Band:
+        p = band_precision(i, j, policy.band, policy.allow_fp16, policy.allow_bf16);
+        break;
+      case PrecisionRule::AdaptiveFrobenius:
+        p = frobenius_precision(t.frobenius(), global_norm, nt, policy.eps_target,
+                                policy.allow_fp16, t.rows() * t.cols(), policy.allow_bf16);
+        break;
+    }
+  }
+  if (!obs::health_enabled() || p == Precision::FP64) {
+    t.convert_dense(p);
+    return p;
+  }
+  const double tile_norm = t.frobenius();
+  const la::Matrix<double> before = t.to_dense64();
+  t.convert_dense(p);
+  obs::DemotionRecord rec;
+  rec.i = static_cast<std::uint32_t>(i);
+  rec.j = static_cast<std::uint32_t>(j);
+  rec.chosen = p;
+  rec.tile_norm = tile_norm;
+  rec.budget = (policy.rule == PrecisionRule::AdaptiveFrobenius)
+                   ? policy.eps_target * global_norm / static_cast<double>(nt)
+                   : 0.0;
+  rec.guaranteed_err =
+      unit_roundoff(p) * tile_norm +
+      std::sqrt(static_cast<double>(t.rows() * t.cols())) * subnormal_floor(p);
+  rec.observed_err = demotion_error(t, before);
+  obs::record_demotion(rec);
+  GSX_FLIGHT(obs::EventKind::TileDemotion, 0, i, j, rec.observed_err);
+  // Demotion can overflow narrow formats (FP16 range) into Inf: the rule
+  // only bounds roundoff, so catch range violations here.
+  const std::size_t bad = t.nonfinite_count();
+  if (bad > 0) {
+    obs::record_nonfinite("convert", static_cast<long>(i), static_cast<long>(j), bad);
+    obs::log_warn("policy", "non-finite values after precision demotion",
+                  {obs::lf("tile_i", static_cast<std::uint64_t>(i)),
+                   obs::lf("tile_j", static_cast<std::uint64_t>(j)),
+                   obs::lf("precision", std::string(precision_name(p))),
+                   obs::lf("count", static_cast<std::uint64_t>(bad))});
+  }
+  return p;
+}
+
 PolicyStats apply_precision_policy(tile::SymTileMatrix& a, const PrecisionPolicy& policy) {
   PolicyStats stats;
   stats.bytes_before = a.footprint_bytes();
@@ -75,60 +130,10 @@ PolicyStats apply_precision_policy(tile::SymTileMatrix& a, const PrecisionPolicy
 
   for (std::size_t j = 0; j < nt; ++j) {
     for (std::size_t i = j; i < nt; ++i) {
-      tile::Tile& t = a.at(i, j);
       // Low-rank tiles carry their own precision decision (made during
       // compression); the dense-tile rule does not apply to them.
-      if (t.format() != tile::TileFormat::Dense) continue;
-      Precision p = Precision::FP64;
-      if (i != j) {  // diagonal stays FP64
-        switch (policy.rule) {
-          case PrecisionRule::AllFP64:
-            p = Precision::FP64;
-            break;
-          case PrecisionRule::Band:
-            p = band_precision(i, j, policy.band, policy.allow_fp16, policy.allow_bf16);
-            break;
-          case PrecisionRule::AdaptiveFrobenius:
-            p = frobenius_precision(t.frobenius(), global_norm, nt, policy.eps_target,
-                                    policy.allow_fp16, t.rows() * t.cols(),
-                                    policy.allow_bf16);
-            break;
-        }
-      }
-      if (audit && p != Precision::FP64) {
-        const double tile_norm = t.frobenius();
-        const la::Matrix<double> before = t.to_dense64();
-        t.convert_dense(p);
-        obs::DemotionRecord rec;
-        rec.i = static_cast<std::uint32_t>(i);
-        rec.j = static_cast<std::uint32_t>(j);
-        rec.chosen = p;
-        rec.tile_norm = tile_norm;
-        rec.budget = (policy.rule == PrecisionRule::AdaptiveFrobenius)
-                         ? policy.eps_target * global_norm / static_cast<double>(nt)
-                         : 0.0;
-        rec.guaranteed_err =
-            unit_roundoff(p) * tile_norm +
-            std::sqrt(static_cast<double>(t.rows() * t.cols())) * subnormal_floor(p);
-        rec.observed_err = demotion_error(t, before);
-        obs::record_demotion(rec);
-        GSX_FLIGHT(obs::EventKind::TileDemotion, 0, i, j, rec.observed_err);
-        // Demotion can overflow narrow formats (FP16 range) into Inf: the
-        // rule only bounds roundoff, so catch range violations here.
-        const std::size_t bad = t.nonfinite_count();
-        if (bad > 0) {
-          obs::record_nonfinite("convert", static_cast<long>(i), static_cast<long>(j),
-                                bad);
-          obs::log_warn("policy", "non-finite values after precision demotion",
-                        {obs::lf("tile_i", static_cast<std::uint64_t>(i)),
-                         obs::lf("tile_j", static_cast<std::uint64_t>(j)),
-                         obs::lf("precision", std::string(precision_name(p))),
-                         obs::lf("count", static_cast<std::uint64_t>(bad))});
-        }
-      } else {
-        t.convert_dense(p);
-      }
-      switch (p) {
+      if (a.at(i, j).format() != tile::TileFormat::Dense) continue;
+      switch (demote_tile(a, i, j, global_norm, policy)) {
         case Precision::FP64: ++stats.fp64_tiles; break;
         case Precision::FP32: ++stats.fp32_tiles; break;
         case Precision::FP16: ++stats.fp16_tiles; break;

@@ -83,8 +83,16 @@ struct PolicyStats {
   std::size_t bytes_after = 0;
 };
 
-/// Demote dense-tile storage across the matrix per the policy. Diagonal
-/// tiles always stay FP64 (POTRF stability). Returns what was decided.
+/// The per-tile precision decision: choose dense tile (i, j)'s storage
+/// precision under `policy`, with `global_norm` = ||A||_F for the Frobenius
+/// rule, and demote it in place. Diagonal tiles stay FP64 (POTRF
+/// stability). Under health auditing it also records the demotion and any
+/// non-finite values it produced. Returns the chosen precision.
+Precision demote_tile(tile::SymTileMatrix& a, std::size_t i, std::size_t j,
+                      double global_norm, const PrecisionPolicy& policy);
+
+/// demote_tile over every dense stored tile, against a.frobenius_norm().
+/// Returns what was decided.
 PolicyStats apply_precision_policy(tile::SymTileMatrix& a, const PrecisionPolicy& policy);
 
 }  // namespace gsx::cholesky

@@ -2,7 +2,6 @@
 
 #include <deque>
 
-#include "common/error.hpp"
 #include "la/blas.hpp"
 #include "la/half_blas.hpp"
 #include "obs/flops.hpp"
@@ -26,7 +25,7 @@ struct Group {
   std::vector<std::size_t> ms;
 };
 
-// The four per-precision group runners mirror the switch in gemm_tile: same
+// The four per-precision group runners mirror gemm_tile's dense switch: same
 // operand converters, same kernel, same (NoTrans, Trans, -1, +1) update.
 // Operands live in a deque so their views stay valid for the whole call.
 
@@ -89,7 +88,7 @@ void run_group_bf16(SymTileMatrix& a, std::size_t k, std::size_t n, const Group&
 }  // namespace
 
 void gemm_tile_batch(SymTileMatrix& a, std::size_t k, std::size_t n,
-                     const std::vector<std::size_t>& ms, bool tlr_mode, double abs_tol,
+                     const std::vector<std::size_t>& ms, double abs_tol,
                      tlr::RoundingMethod rounding) {
   const Tile& ank = a.at(n, k);
   const bool ank_lr = ank.format() == TileFormat::LowRank;
@@ -100,13 +99,11 @@ void gemm_tile_batch(SymTileMatrix& a, std::size_t k, std::size_t n,
     // Updates involving a low-rank tile keep the per-op LR algebra; each
     // output tile is touched exactly once per k, so interleaving per-op and
     // batched items cannot change any result.
-    if (tlr_mode && (ank_lr || amk.format() == TileFormat::LowRank ||
-                     amn.format() == TileFormat::LowRank)) {
-      gemm_mixed_tile(amk, ank, amn, abs_tol, rounding);
+    if (ank_lr || amk.format() == TileFormat::LowRank ||
+        amn.format() == TileFormat::LowRank) {
+      gemm_tile(amk, ank, amn, abs_tol, rounding);
       continue;
     }
-    GSX_REQUIRE(amn.format() == TileFormat::Dense,
-                "gemm_tile_batch: expects a dense output tile");
     Group* g = nullptr;
     for (Group& cand : groups)
       if (cand.p == amn.precision() && cand.rows == amn.rows()) {

@@ -24,11 +24,10 @@ inline constexpr std::size_t kGemmBatchMax = 32;
 ///
 /// Dense tiles are grouped by (output precision, rows) — cols and the inner
 /// dimension are fixed by (n, k) — and dispatched to the batched GEMM entry
-/// point of that precision. In TLR mode (`tlr_mode`), any update touching a
-/// low-rank tile falls back to the per-op gemm_mixed_tile with the given
-/// rounding tolerance; dense-only updates still batch.
+/// point of that precision. An update touching a low-rank tile runs the
+/// per-op gemm_tile with the given rounding tolerance and method.
 void gemm_tile_batch(tile::SymTileMatrix& a, std::size_t k, std::size_t n,
-                     const std::vector<std::size_t>& ms, bool tlr_mode, double abs_tol,
-                     tlr::RoundingMethod rounding = tlr::RoundingMethod::QrSvd);
+                     const std::vector<std::size_t>& ms, double abs_tol,
+                     tlr::RoundingMethod rounding);
 
 }  // namespace gsx::cholesky

@@ -92,7 +92,22 @@ int potrf_tile(Tile& akk) {
 }
 
 void trsm_tile(const Tile& lkk, Tile& amk) {
-  GSX_REQUIRE(amk.format() == TileFormat::Dense, "trsm_tile: expects a dense tile");
+  if (amk.format() == TileFormat::LowRank) {
+    // A_mk = U V^T: only V is touched (V := L_kk^{-1} V), in FP64.
+    if (obs::enabled())
+      obs::annotate_task(amk.precision(), static_cast<std::int64_t>(amk.rank()), 0);
+    const F64Operand l(lkk);
+    if (amk.precision() == Precision::FP64) {
+      tlr::lr_trsm_right_lower_trans(l.view(), amk.lr64().v);
+    } else {
+      auto& lr = amk.lr32();
+      la::Matrix<double> v64(lr.v.rows(), lr.v.cols());
+      la::convert(lr.v.cview(), v64.view());
+      tlr::lr_trsm_right_lower_trans(l.view(), v64);
+      la::convert(v64.cview(), lr.v.view());
+    }
+    return;
+  }
   account(KernelOp::Trsm, amk.precision(), obs::trsm_flops(amk.rows(), amk.cols()));
   switch (amk.precision()) {
     case Precision::FP64: {
@@ -141,6 +156,13 @@ void trsm_tile(const Tile& lkk, Tile& amk) {
 void syrk_tile(const Tile& amk, Tile& amm) {
   GSX_REQUIRE(amm.format() == TileFormat::Dense && amm.precision() == Precision::FP64,
               "syrk_tile: diagonal tiles must be dense FP64");
+  if (amk.format() == TileFormat::LowRank) {
+    if (obs::enabled())
+      obs::annotate_task(amk.precision(), static_cast<std::int64_t>(amk.rank()), 0);
+    const LrOperand a(amk);
+    tlr::syrk_lr_dense(-1.0, a.view(), amm.d64().view());
+    return;
+  }
   account(KernelOp::Syrk, Precision::FP64, obs::syrk_flops(amm.rows(), amk.cols()));
   const F64Operand a(amk);
   const obs::KernelTimer timer(KernelOp::Syrk, Precision::FP64);
@@ -148,8 +170,10 @@ void syrk_tile(const Tile& amk, Tile& amm) {
                    amm.d64().view());
 }
 
-void gemm_tile(const Tile& amk, const Tile& ank, Tile& amn) {
-  GSX_REQUIRE(amn.format() == TileFormat::Dense, "gemm_tile: expects a dense output tile");
+namespace {
+
+/// GEMM with every tile dense: kernel precision = storage of A_mn.
+void gemm_dense(const Tile& amk, const Tile& ank, Tile& amn) {
   account(KernelOp::Gemm, amn.precision(),
           obs::gemm_flops(amn.rows(), amn.cols(), amk.cols()));
   switch (amn.precision()) {
@@ -186,33 +210,6 @@ void gemm_tile(const Tile& amk, const Tile& ank, Tile& amn) {
   }
 }
 
-void trsm_lr_tile(const Tile& lkk, Tile& amk) {
-  GSX_REQUIRE(amk.format() == TileFormat::LowRank, "trsm_lr_tile: expects a low-rank tile");
-  if (obs::enabled())
-    obs::annotate_task(amk.precision(), static_cast<std::int64_t>(amk.rank()), 0);
-  const F64Operand l(lkk);
-  if (amk.precision() == Precision::FP64) {
-    tlr::lr_trsm_right_lower_trans(l.view(), amk.lr64().v);
-  } else {
-    auto& lr = amk.lr32();
-    la::Matrix<double> v64(lr.v.rows(), lr.v.cols());
-    la::convert(lr.v.cview(), v64.view());
-    tlr::lr_trsm_right_lower_trans(l.view(), v64);
-    la::convert(v64.cview(), lr.v.view());
-  }
-}
-
-void syrk_lr_tile(const Tile& amk, Tile& amm) {
-  GSX_REQUIRE(amm.format() == TileFormat::Dense && amm.precision() == Precision::FP64,
-              "syrk_lr_tile: diagonal tiles must be dense FP64");
-  if (obs::enabled())
-    obs::annotate_task(amk.precision(), static_cast<std::int64_t>(amk.rank()), 0);
-  const LrOperand a(amk);
-  tlr::syrk_lr_dense(-1.0, a.view(), amm.d64().view());
-}
-
-namespace {
-
 /// Assemble the low-rank product P = A_mk * A_nk^T for any dense/LR mix.
 tlr::LrProduct make_product(const Tile& amk, const Tile& ank, double abs_tol) {
   const bool a_lr = amk.format() == TileFormat::LowRank;
@@ -237,21 +234,21 @@ tlr::LrProduct make_product(const Tile& amk, const Tile& ank, double abs_tol) {
 
 }  // namespace
 
-void gemm_mixed_tile(const Tile& amk, const Tile& ank, Tile& amn, double abs_tol,
-                     tlr::RoundingMethod rounding) {
+void gemm_tile(const Tile& amk, const Tile& ank, Tile& amn, double abs_tol,
+               tlr::RoundingMethod rounding) {
   const bool a_lr = amk.format() == TileFormat::LowRank;
   const bool b_lr = ank.format() == TileFormat::LowRank;
-  if (obs::enabled() && (a_lr || b_lr || amn.format() == TileFormat::LowRank)) {
+  if (!a_lr && !b_lr && amn.format() == TileFormat::Dense) {
+    gemm_dense(amk, ank, amn);
+    return;
+  }
+  if (obs::enabled()) {
     const std::int64_t rank =
         amn.format() == TileFormat::LowRank ? static_cast<std::int64_t>(amn.rank()) : -1;
     obs::annotate_task(amn.precision(), rank, 0);
   }
 
   if (amn.format() == TileFormat::Dense) {
-    if (!a_lr && !b_lr) {
-      gemm_tile(amk, ank, amn);
-      return;
-    }
     // Dense output with at least one low-rank operand: FP64 compute, then
     // round back to the output tile's storage precision.
     const Precision out_p = amn.precision();

@@ -72,26 +72,20 @@ class LrOperand {
 /// Returns LAPACK-style info (0 = success).
 int potrf_tile(tile::Tile& akk);
 
-/// TRSM: A_mk := A_mk * L_kk^{-T}; kernel precision = storage of A_mk.
+/// TRSM: A_mk := A_mk * L_kk^{-T}. Dense A_mk: kernel precision = its
+/// storage. Low-rank A_mk = U V^T: only V is touched (V := L_kk^{-1} V).
 void trsm_tile(const tile::Tile& lkk, tile::Tile& amk);
 
-/// SYRK: A_mm := A_mm - A_mk A_mk^T; diagonal tiles compute in FP64.
+/// SYRK: A_mm := A_mm - A_mk A_mk^T; diagonal tiles compute in FP64, from a
+/// dense or low-rank panel tile A_mk.
 void syrk_tile(const tile::Tile& amk, tile::Tile& amm);
 
-/// GEMM: A_mn := A_mn - A_mk A_nk^T; kernel precision = storage of A_mn,
-/// all tiles dense.
-void gemm_tile(const tile::Tile& amk, const tile::Tile& ank, tile::Tile& amn);
-
-/// TRSM on a low-rank tile: only V is touched (V := L_kk^{-1} V).
-void trsm_lr_tile(const tile::Tile& lkk, tile::Tile& amk);
-
-/// SYRK where the panel tile A_mk is low-rank; A_mm dense FP64.
-void syrk_lr_tile(const tile::Tile& amk, tile::Tile& amm);
-
-/// GEMM with any dense/LR mix. `abs_tol` bounds the rounding of low-rank
-/// accumulation when A_mn is low-rank; `rounding` selects QR+SVD or RRQR.
-void gemm_mixed_tile(const tile::Tile& amk, const tile::Tile& ank, tile::Tile& amn,
-                     double abs_tol,
-                     tlr::RoundingMethod rounding = tlr::RoundingMethod::QrSvd);
+/// GEMM: A_mn := A_mn - A_mk A_nk^T for any dense/low-rank mix. All dense:
+/// kernel precision = storage of A_mn. A low-rank operand with a dense
+/// A_mn: FP64 compute, rounded back to A_mn's storage. Low-rank A_mn: the
+/// product is accumulated in low-rank form and re-truncated to `abs_tol`
+/// by `rounding`.
+void gemm_tile(const tile::Tile& amk, const tile::Tile& ank, tile::Tile& amn,
+               double abs_tol, tlr::RoundingMethod rounding);
 
 }  // namespace gsx::cholesky

@@ -21,14 +21,13 @@
 #include "common/timer.hpp"
 #include "dist/tile_pool.hpp"
 #include "dist/transport.hpp"
+#include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
 #include "geostat/locations.hpp"
-#include "la/convert.hpp"
 #include "la/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/task_graph.hpp"
 #include "tile/tile_codec.hpp"
-#include "tlr/compression.hpp"
 
 namespace gsx::dist {
 
@@ -43,6 +42,16 @@ std::uint64_t tile_tag(std::size_t i, std::size_t j) {
   return (static_cast<std::uint64_t>(i) << 32) | static_cast<std::uint64_t>(j);
 }
 
+/// Settings of the per-tile decisions every rank and the oracle make with
+/// GsxModel's own functions: TLR compression (absolute tolerance 1e-7,
+/// dense band 2, rank cap tile_size/2, FP32 factors where the Frobenius
+/// rule allows at eps 1e-8, seed 42), adaptive-Frobenius demotion (eps
+/// 1e-8, FP16 allowed), and the oracle's rounding of low-rank updates.
+constexpr cholesky::TlrCompressOptions kTlr{.tol = 1.0e-7, .band_size = 2};
+constexpr cholesky::PrecisionPolicy kMp{.rule = cholesky::PrecisionRule::AdaptiveFrobenius,
+                                        .band = {}};
+constexpr tlr::RoundingMethod kRounding = cholesky::FactorOptions{}.rounding;
+
 /// The deterministic Matérn problem: same seed -> same locations -> same
 /// Sigma on every rank and in the oracle. Mirrors bench make_space_problem.
 std::vector<geostat::Location> problem_locations(const DistProblemConfig& prob) {
@@ -50,6 +59,26 @@ std::vector<geostat::Location> problem_locations(const DistProblemConfig& prob) 
   std::vector<geostat::Location> locs = geostat::perturbed_grid_locations(prob.n, rng);
   geostat::sort_morton(locs);
   return locs;
+}
+
+geostat::MaternCovariance problem_kernel(const DistProblemConfig& prob) {
+  return {1.0, prob.range, prob.smoothness, prob.nugget};
+}
+
+/// The storage decision `policy` makes for tile (i, j) against the global
+/// norm: a switch over the functions GsxModel runs on every tile.
+void decide_tile(tile::SymTileMatrix& a, std::size_t i, std::size_t j, DistPolicy policy,
+                 double global_norm) {
+  switch (policy) {
+    case DistPolicy::Dense:
+      return;
+    case DistPolicy::MixedPrecision:
+      cholesky::demote_tile(a, i, j, global_norm, kMp);
+      return;
+    case DistPolicy::Tlr:
+      if (i - j >= kTlr.band_size) cholesky::compress_tile(a, i, j, global_norm, kTlr);
+      return;
+  }
 }
 
 /// One rank's slice of the factorization: owned tiles, remote staging,
@@ -79,30 +108,20 @@ class RankEngine {
     return static_cast<std::size_t>(cfg_.rank);
   }
 
-  /// Materialize only the owned tiles, with the exact inner loop
-  /// SymTileMatrix::generate uses so values are bit-identical to the oracle.
+  /// Materialize only the owned tiles.
   void generate() {
     const std::vector<geostat::Location> locs = problem_locations(prob_);
-    const geostat::MaternCovariance model(1.0, prob_.range, prob_.smoothness,
-                                          prob_.nugget);
-    for (const auto& [i, j] : owned_) {
-      const std::size_t rows = a_.tile_dim(i);
-      const std::size_t cols = a_.tile_dim(j);
-      const std::size_t gi0 = a_.tile_offset(i);
-      const std::size_t gj0 = a_.tile_offset(j);
-      la::Matrix<double> block(rows, cols);
-      for (std::size_t jj = 0; jj < cols; ++jj)
-        for (std::size_t ii = 0; ii < rows; ++ii)
-          block(ii, jj) = model(locs[gi0 + ii], locs[gj0 + jj]);
-      a_.at(i, j) = tile::Tile::dense64(std::move(block));
-    }
+    const geostat::MaternCovariance model = problem_kernel(prob_);
+    for (const auto& [i, j] : owned_)
+      a_.generate_tile(i, j, [&](std::size_t gi, std::size_t gj) {
+        return model(locs[gi], locs[gj]);
+      });
   }
 
   [[nodiscard]] double local_sumsq() const { return weighted_sumsq(a_, owned_); }
 
   void apply_policy(double global_norm) {
-    for (const auto& [i, j] : owned_)
-      apply_dist_tile_policy(a_.at(i, j), i, j, nt_, global_norm, cfg_.policy);
+    for (const auto& [i, j] : owned_) decide_tile(a_, i, j, cfg_.policy, global_norm);
   }
 
   /// In OOC mode move the (policy-shaped) owned tiles into the byte-bounded
@@ -244,10 +263,7 @@ class RankEngine {
         [this, m, k] {
           Operand l = read_operand(k, k);
           TileLease b(*store_, m, k);
-          if (b.get().format() == tile::TileFormat::LowRank)
-            cholesky::trsm_lr_tile(*l.t, b.get());
-          else
-            cholesky::trsm_tile(*l.t, b.get());
+          cholesky::trsm_tile(*l.t, b.get());
           // Consumers of the finished panel tile (m, k): syrk at (m, m),
           // gemm outputs (m, n) for k < n < m and (i, m) for i > m.
           std::set<std::size_t> dests;
@@ -266,10 +282,7 @@ class RankEngine {
         [this, m, k] {
           Operand p = read_operand(m, k);
           TileLease d(*store_, m, m);
-          if (p.t->format() == tile::TileFormat::LowRank)
-            cholesky::syrk_lr_tile(*p.t, d.get());
-          else
-            cholesky::syrk_tile(*p.t, d.get());
+          cholesky::syrk_tile(*p.t, d.get());
         },
         priority);
   }
@@ -283,10 +296,7 @@ class RankEngine {
           Operand x = read_operand(m, k);
           Operand y = read_operand(n, k);
           TileLease c(*store_, m, n);
-          if (cfg_.policy.policy == DistPolicy::Tlr)
-            cholesky::gemm_mixed_tile(*x.t, *y.t, c.get(), cfg_.policy.tlr_tol);
-          else
-            cholesky::gemm_tile(*x.t, *y.t, c.get());
+          cholesky::gemm_tile(*x.t, *y.t, c.get(), kTlr.tol, kRounding);
         },
         priority);
   }
@@ -328,51 +338,6 @@ double weighted_sumsq(const tile::SymTileMatrix& a,
     sum += (i == j ? 1.0 : 2.0) * f * f;
   }
   return sum;
-}
-
-void apply_dist_tile_policy(tile::Tile& t, std::size_t i, std::size_t j,
-                            std::size_t nt, double global_norm,
-                            const DistPolicyOptions& opts) {
-  if (i == j) return;  // diagonal stays dense FP64 under every policy
-  switch (opts.policy) {
-    case DistPolicy::Dense:
-      return;
-    case DistPolicy::MixedPrecision: {
-      const Precision p = cholesky::frobenius_precision(
-          t.frobenius(), global_norm, nt, opts.eps_target, opts.allow_fp16,
-          t.rows() * t.cols());
-      t.convert_dense(p);
-      return;
-    }
-    case DistPolicy::Tlr: {
-      // Mirrors compress_offband's per-tile decisions (same rng stream, same
-      // tolerance mode, same rank cap and fp32 rule) so the distributed TLR
-      // matrix matches a single-process compress_offband bit-for-bit.
-      if (i - j < opts.band) return;
-      const std::size_t rank_cap =
-          opts.max_rank > 0 ? opts.max_rank : std::max<std::size_t>(1, t.rows() / 2);
-      const double tile_norm = t.frobenius();
-      const la::Matrix<double> full = t.to_dense64();
-      Rng rng(opts.compress_seed + 1315423911ull * (i * nt + j));
-      tlr::Compressed comp = tlr::compress(tlr::CompressionMethod::SVD, full.cview(),
-                                           opts.tlr_tol, rng, tlr::TolMode::Absolute);
-      if (comp.rank() > rank_cap) return;  // rank too high: stays dense
-      const bool use_fp32 =
-          cholesky::frobenius_precision(tile_norm, global_norm, nt, opts.eps_target,
-                                        /*allow_fp16=*/false, t.rows() * t.cols()) !=
-          Precision::FP64;
-      if (use_fp32) {
-        la::Matrix<float> u32(comp.u.rows(), comp.rank());
-        la::Matrix<float> v32(comp.v.rows(), comp.rank());
-        la::convert(comp.u.cview(), u32.view());
-        la::convert(comp.v.cview(), v32.view());
-        t = tile::Tile::lowrank32(std::move(u32), std::move(v32));
-      } else {
-        t = tile::Tile::lowrank64(std::move(comp.u), std::move(comp.v));
-      }
-      return;
-    }
-  }
 }
 
 DistResult run_dist_rank(const DistProblemConfig& prob, const DistRunConfig& run) {
@@ -468,29 +433,18 @@ DistResult run_dist_rank(const DistProblemConfig& prob, const DistRunConfig& run
 }
 
 std::unique_ptr<tile::SymTileMatrix> oracle_factor(const DistProblemConfig& prob,
-                                                   const DistPolicyOptions& opts,
-                                                   double global_norm,
+                                                   DistPolicy policy, double global_norm,
                                                    std::size_t workers) {
   auto a = std::make_unique<tile::SymTileMatrix>(prob.n, prob.tile_size);
-  {
-    const std::vector<geostat::Location> locs = problem_locations(prob);
-    const geostat::MaternCovariance model(1.0, prob.range, prob.smoothness,
-                                          prob.nugget);
-    a->generate(
-        [&](std::size_t gi, std::size_t gj) { return model(locs[gi], locs[gj]); },
-        workers);
-  }
-  const std::size_t nt = a->nt();
-  for (std::size_t j = 0; j < nt; ++j)
-    for (std::size_t i = j; i < nt; ++i)
-      apply_dist_tile_policy(a->at(i, j), i, j, nt, global_norm, opts);
+  geostat::fill_covariance_tiles(*a, problem_kernel(prob), problem_locations(prob), workers);
+  for (std::size_t j = 0; j < a->nt(); ++j)
+    for (std::size_t i = j; i < a->nt(); ++i) decide_tile(*a, i, j, policy, global_norm);
 
   cholesky::FactorOptions fopt;
   fopt.workers = workers;
   const cholesky::FactorReport report =
-      opts.policy == DistPolicy::Tlr
-          ? cholesky::tile_cholesky_tlr(*a, opts.tlr_tol, fopt)
-          : cholesky::tile_cholesky_dense(*a, fopt);
+      policy == DistPolicy::Tlr ? cholesky::tile_cholesky_tlr(*a, kTlr.tol, fopt)
+                                : cholesky::tile_cholesky_dense(*a, fopt);
   GSX_REQUIRE(report.info == 0, "oracle_factor: matrix not positive definite");
   return a;
 }

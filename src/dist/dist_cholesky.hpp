@@ -13,13 +13,15 @@
 //     inside its own body (potrf broadcasts down the panel, trsm to the
 //     trailing update owners) — at the tile's *stored* precision.
 //
-// Precision parity with the single-process oracle: every per-tile decision
-// (mixed-precision demotion, TLR compression, FP32 low-rank storage) is a
-// pure function of (i, j, tile values, global Frobenius norm). The global
-// norm is allreduced through the coordinator, and the oracle is handed that
-// same number — so a distributed run and the oracle make bit-identical
-// decisions and, with the kernel order fixed by the DAG's dependency chains,
-// produce bit-identical factors.
+// Parity with the single-process path: ranks and oracle generate, decide
+// and factor tiles through GsxModel's own functions
+// (SymTileMatrix::generate_tile, cholesky::demote_tile and compress_tile,
+// the format-dispatched tile kernels). Every per-tile decision is a pure
+// function of (i, j, tile values, global Frobenius norm); the global norm
+// is allreduced through the coordinator and the oracle is handed that same
+// number, so a distributed run and the oracle make bit-identical decisions
+// and, with the kernel order fixed by the DAG's dependency chains, produce
+// bit-identical factors.
 #pragma once
 
 #include <cstdint>
@@ -66,25 +68,13 @@ struct DistProblemConfig {
   double nugget = 1e-6;
 };
 
-/// Per-tile policy parameters shared by the distributed ranks and the
-/// oracle.
-struct DistPolicyOptions {
-  DistPolicy policy = DistPolicy::Dense;
-  double eps_target = 1.0e-8;  ///< adaptive-Frobenius accuracy target
-  bool allow_fp16 = true;
-  double tlr_tol = 1.0e-7;     ///< absolute compression tolerance
-  std::size_t band = 2;        ///< |i-j| < band stays dense (TLR policy)
-  std::size_t max_rank = 0;    ///< 0 = tile_size / 2 cap
-  std::uint64_t compress_seed = 42;
-};
-
 /// One rank's run parameters.
 struct DistRunConfig {
   int rank = 0;
   int nprocs = 1;
   std::uint16_t coord_port = 0;  ///< launcher's control-plane port
   std::size_t workers = 2;       ///< task-graph worker threads
-  DistPolicyOptions policy;
+  DistPolicy policy = DistPolicy::Dense;
   std::size_t ooc_bytes = 0;     ///< >0: out-of-core pool byte bound
   std::string spill_dir;         ///< required when ooc_bytes > 0
   std::size_t heartbeats = 3;    ///< clock-alignment beats to emit
@@ -99,13 +89,6 @@ struct DistResult {
   std::unique_ptr<tile::SymTileMatrix> factor;
 };
 
-/// Apply the per-tile storage policy to one generated (dense FP64) tile.
-/// Pure in (tile values, i, j, nt, global_norm, opts) — the parity contract
-/// between ranks and oracle. Diagonal tiles always stay dense FP64.
-void apply_dist_tile_policy(tile::Tile& t, std::size_t i, std::size_t j,
-                            std::size_t nt, double global_norm,
-                            const DistPolicyOptions& opts);
-
 /// Partial weighted sum of squares (off-diagonal tiles count twice) over
 /// `coords` — the local contribution to ||Sigma||_F^2 before the allreduce.
 [[nodiscard]] double weighted_sumsq(
@@ -117,12 +100,13 @@ void apply_dist_tile_policy(tile::Tile& t, std::size_t i, std::size_t j,
 /// Throws on any failure (the caller reports dist_done ok=false).
 DistResult run_dist_rank(const DistProblemConfig& prob, const DistRunConfig& run);
 
-/// Single-process reference factorization using the SAME policy decisions as
-/// the distributed run (pass the allreduced global_norm from DistResult so
+/// Single-process reference factorization: fill_covariance_tiles, the same
+/// per-tile decisions as the distributed run, then tile_cholesky_dense or
+/// tile_cholesky_tlr (pass the allreduced global_norm from DistResult so
 /// precision choices match bit-for-bit).
 [[nodiscard]] std::unique_ptr<tile::SymTileMatrix> oracle_factor(
-    const DistProblemConfig& prob, const DistPolicyOptions& opts,
-    double global_norm, std::size_t workers);
+    const DistProblemConfig& prob, DistPolicy policy, double global_norm,
+    std::size_t workers);
 
 /// Element-wise comparison of two factors at stored precision.
 struct FactorComparison {

@@ -564,210 +564,6 @@ void gemm_batch(Trans ta, Trans tb, T alpha, const GemmBatchItem<T>* items,
   detail::gemm_accum_fast_batch<T>(ta, tb, alpha, items, count);
 }
 
-/// One op of a same-shape SYRK batch: C = alpha * op(A) op(A)^T + beta * C.
-template <typename T>
-struct SyrkBatchItem {
-  Span2D<const T> a;
-  Span2D<T> c;
-};
-
-namespace detail {
-
-/// Joint recursion over a SYRK batch, mirroring syrk_accum_blocked step for
-/// step per item; the off-diagonal quadrants of all items coalesce into one
-/// GEMM batch per recursion level.
-template <typename T>
-void syrk_accum_batch(Uplo uplo, Trans trans, T alpha, const SyrkBatchItem<T>* items,
-                      std::size_t count) {
-  const std::size_t n = items[0].c.rows();
-  const std::size_t k = (trans == Trans::NoTrans) ? items[0].a.cols() : items[0].a.rows();
-  if (n <= kMicroBlock || !kHasPackedKernel<T>) {
-    for (std::size_t i = 0; i < count; ++i)
-      ref::syrk<T>(uplo, trans, alpha, items[i].a, T{1}, items[i].c);
-    return;
-  }
-  const std::size_t h = n / 2;
-  std::vector<SyrkBatchItem<T>> sub(count);
-  for (std::size_t i = 0; i < count; ++i)
-    sub[i] = {(trans == Trans::NoTrans) ? items[i].a.sub(0, 0, h, k)
-                                        : items[i].a.sub(0, 0, k, h),
-              items[i].c.sub(0, 0, h, h)};
-  syrk_accum_batch<T>(uplo, trans, alpha, sub.data(), count);
-  for (std::size_t i = 0; i < count; ++i)
-    sub[i] = {(trans == Trans::NoTrans) ? items[i].a.sub(h, 0, n - h, k)
-                                        : items[i].a.sub(0, h, k, n - h),
-              items[i].c.sub(h, h, n - h, n - h)};
-  syrk_accum_batch<T>(uplo, trans, alpha, sub.data(), count);
-
-  std::vector<GemmBatchItem<T>> g(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Span2D<const T> a1 = (trans == Trans::NoTrans) ? items[i].a.sub(0, 0, h, k)
-                                                         : items[i].a.sub(0, 0, k, h);
-    const Span2D<const T> a2 = (trans == Trans::NoTrans)
-                                   ? items[i].a.sub(h, 0, n - h, k)
-                                   : items[i].a.sub(0, h, k, n - h);
-    if (uplo == Uplo::Lower)
-      g[i] = {a2, a1, items[i].c.sub(h, 0, n - h, h)};
-    else
-      g[i] = {a1, a2, items[i].c.sub(0, h, h, n - h)};
-  }
-  if (trans == Trans::NoTrans)
-    gemm_accum_fast_batch<T>(Trans::NoTrans, Trans::Trans, alpha, g.data(), count);
-  else
-    gemm_accum_fast_batch<T>(Trans::Trans, Trans::NoTrans, alpha, g.data(), count);
-}
-
-}  // namespace detail
-
-/// Batched SYRK on the `uplo` triangle; every item must have the same
-/// (n, k) and `trans` orientation.
-template <typename T>
-void syrk_batch(Uplo uplo, Trans trans, T alpha, const SyrkBatchItem<T>* items,
-                std::size_t count, T beta) {
-  if (count == 0) return;
-  const std::size_t n = items[0].c.rows();
-  const std::size_t k = (trans == Trans::NoTrans) ? items[0].a.cols() : items[0].a.rows();
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto& it = items[i];
-    GSX_REQUIRE(it.c.rows() == n && it.c.cols() == n, "syrk_batch: C shape mismatch");
-    GSX_REQUIRE(((trans == Trans::NoTrans) ? it.a.rows() : it.a.cols()) == n &&
-                    ((trans == Trans::NoTrans) ? it.a.cols() : it.a.rows()) == k,
-                "syrk_batch: A shape mismatch");
-  }
-  for (std::size_t b = 0; b < count; ++b) {
-    auto c = items[b].c;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t ibeg = (uplo == Uplo::Lower) ? j : 0;
-      const std::size_t iend = (uplo == Uplo::Lower) ? n : j + 1;
-      for (std::size_t i = ibeg; i < iend; ++i)
-        c(i, j) = (beta == T{0}) ? T{0} : c(i, j) * beta;
-    }
-  }
-  if (alpha == T{0} || k == 0 || n == 0) return;
-  obs::record_batch(obs::KernelOp::Syrk, obs::PrecisionOf<T>::value, count);
-  detail::syrk_accum_batch<T>(uplo, trans, alpha, items, count);
-}
-
-namespace detail {
-
-/// Joint recursion over a shared-triangle TRSM batch, mirroring trsm_blocked
-/// step for step per item; the coupling updates of all items coalesce into
-/// one GEMM batch per recursion level. For the Side::Right cases the shared
-/// A sub-block is the GEMM's B operand, so its packed panel is re-used
-/// across the whole batch.
-template <typename T>
-void trsm_blocked_batch(Side side, Uplo uplo, Trans ta, Diag diag, Span2D<const T> a,
-                        const Span2D<T>* bs, std::size_t count) {
-  const std::size_t na = a.rows();
-  const std::size_t m = bs[0].rows();
-  const std::size_t n = bs[0].cols();
-  if (na <= kMicroBlock || !kHasPackedKernel<T>) {
-    for (std::size_t i = 0; i < count; ++i)
-      ref::trsm<T>(side, uplo, ta, diag, T{1}, a, bs[i]);
-    return;
-  }
-  const std::size_t h = na / 2;
-  const auto a11 = a.sub(0, 0, h, h);
-  const auto a22 = a.sub(h, h, na - h, na - h);
-  const T neg1 = T{-1};
-
-  std::vector<Span2D<T>> b1(count), b2(count);
-  std::vector<GemmBatchItem<T>> g(count);
-  if (side == Side::Left) {
-    for (std::size_t i = 0; i < count; ++i) {
-      b1[i] = bs[i].sub(0, 0, h, n);
-      b2[i] = bs[i].sub(h, 0, m - h, n);
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      b1[i] = bs[i].sub(0, 0, m, h);
-      b2[i] = bs[i].sub(0, h, m, n - h);
-    }
-  }
-  const auto couple = [&](Trans ga, Trans gb, const std::vector<Span2D<T>>& src,
-                          const Span2D<const T> amid, const std::vector<Span2D<T>>& dst,
-                          bool a_first) {
-    for (std::size_t i = 0; i < count; ++i)
-      g[i] = a_first ? GemmBatchItem<T>{amid, src[i], dst[i]}
-                     : GemmBatchItem<T>{src[i], amid, dst[i]};
-    gemm_accum_fast_batch<T>(ga, gb, neg1, g.data(), count);
-  };
-
-  if (side == Side::Left) {
-    if (uplo == Uplo::Lower) {
-      const auto a21 = a.sub(h, 0, na - h, h);
-      if (ta == Trans::NoTrans) {
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a11, b1.data(), count);
-        couple(Trans::NoTrans, Trans::NoTrans, b1, a21, b2, true);
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a22, b2.data(), count);
-      } else {
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a22, b2.data(), count);
-        couple(Trans::Trans, Trans::NoTrans, b2, a21, b1, true);
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a11, b1.data(), count);
-      }
-    } else {
-      const auto a12 = a.sub(0, h, h, na - h);
-      if (ta == Trans::NoTrans) {
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a22, b2.data(), count);
-        couple(Trans::NoTrans, Trans::NoTrans, b2, a12, b1, true);
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a11, b1.data(), count);
-      } else {
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a11, b1.data(), count);
-        couple(Trans::Trans, Trans::NoTrans, b1, a12, b2, true);
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a22, b2.data(), count);
-      }
-    }
-  } else {  // Side::Right
-    if (uplo == Uplo::Lower) {
-      const auto a21 = a.sub(h, 0, na - h, h);
-      if (ta == Trans::NoTrans) {
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a22, b2.data(), count);
-        couple(Trans::NoTrans, Trans::NoTrans, b2, a21, b1, false);
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a11, b1.data(), count);
-      } else {
-        // The tile panel solve: shared a21 is the GEMM B operand.
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a11, b1.data(), count);
-        couple(Trans::NoTrans, Trans::Trans, b1, a21, b2, false);
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a22, b2.data(), count);
-      }
-    } else {
-      const auto a12 = a.sub(0, h, h, na - h);
-      if (ta == Trans::NoTrans) {
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a11, b1.data(), count);
-        couple(Trans::NoTrans, Trans::NoTrans, b1, a12, b2, false);
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a22, b2.data(), count);
-      } else {
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a22, b2.data(), count);
-        couple(Trans::NoTrans, Trans::Trans, b2, a12, b1, false);
-        trsm_blocked_batch<T>(side, uplo, ta, diag, a11, b1.data(), count);
-      }
-    }
-  }
-}
-
-}  // namespace detail
-
-/// Batched TRSM against one shared triangle: bs[i] = alpha * op(A)^{-1} *
-/// bs[i] (Side::Left) or bs[i] * op(A)^{-1} (Side::Right). Every RHS must
-/// have the same shape. This is the multi-RHS shape of the tile solve phase
-/// (many tiles solved against one factor panel tile).
-template <typename T>
-void trsm_batch(Side side, Uplo uplo, Trans ta, Diag diag, T alpha, Span2D<const T> a,
-                const Span2D<T>* bs, std::size_t count) {
-  if (count == 0) return;
-  const std::size_t m = bs[0].rows();
-  const std::size_t n = bs[0].cols();
-  const std::size_t na = (side == Side::Left) ? m : n;
-  GSX_REQUIRE(a.rows() == na && a.cols() == na, "trsm_batch: A shape mismatch");
-  for (std::size_t i = 0; i < count; ++i)
-    GSX_REQUIRE(bs[i].rows() == m && bs[i].cols() == n, "trsm_batch: B shape mismatch");
-
-  for (std::size_t i = 0; i < count; ++i) detail::scale_matrix(alpha, bs[i]);
-  if (m == 0 || n == 0) return;
-  obs::record_batch(obs::KernelOp::Trsm, obs::PrecisionOf<T>::value, count);
-  detail::trsm_blocked_batch<T>(side, uplo, ta, diag, a, bs, count);
-}
-
 /// y = alpha * op(A) x + beta * y.
 template <typename T>
 void gemv(Trans ta, T alpha, Span2D<const T> a, const T* x, T beta, T* y) {

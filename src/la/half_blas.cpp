@@ -130,12 +130,6 @@ void shgemm_batch(Trans ta, Trans tb, float alpha,
   shgemm_batch_impl(ta, tb, alpha, items, count, beta);
 }
 
-void sbgemm_batch(Trans ta, Trans tb, float alpha,
-                  const GemmBatchItem<bfloat16, float>* items, std::size_t count,
-                  float beta) {
-  shgemm_batch_impl(ta, tb, alpha, items, count, beta);
-}
-
 void hgemm_batch(Trans ta, Trans tb, float alpha, const Gemm16BatchItem<half>* items,
                  std::size_t count, float beta) {
   gemm16_batch_impl(ta, tb, alpha, items, count, beta);

@@ -43,11 +43,6 @@ void shgemm_batch(Trans ta, Trans tb, float alpha,
                   const GemmBatchItem<half, float>* items, std::size_t count,
                   float beta);
 
-/// Batched SBGEMM (BF16 storage, FP32 C).
-void sbgemm_batch(Trans ta, Trans tb, float alpha,
-                  const GemmBatchItem<bfloat16, float>* items, std::size_t count,
-                  float beta);
-
 /// One op of a 16-bit-store GEMM batch: C is stored in the 16-bit type and
 /// round-trips through one shared FP32 scratch inside the batch call.
 template <typename T16>

@@ -39,17 +39,21 @@ void SymTileMatrix::generate(const std::function<double(std::size_t, std::size_t
     for (std::size_t i = j; i < nt_; ++i) coords.emplace_back(i, j);
 
   rt::parallel_for(0, coords.size(), num_workers, [&](std::size_t c) {
-    const auto [i, j] = coords[c];
-    const std::size_t r = tile_dim(i);
-    const std::size_t cdim = tile_dim(j);
-    const std::size_t gi0 = tile_offset(i);
-    const std::size_t gj0 = tile_offset(j);
-    la::Matrix<double> block(r, cdim);
-    for (std::size_t jj = 0; jj < cdim; ++jj)
-      for (std::size_t ii = 0; ii < r; ++ii)
-        block(ii, jj) = sigma(gi0 + ii, gj0 + jj);
-    at(i, j) = Tile::dense64(std::move(block));
+    generate_tile(coords[c].first, coords[c].second, sigma);
   });
+}
+
+void SymTileMatrix::generate_tile(
+    std::size_t i, std::size_t j,
+    const std::function<double(std::size_t, std::size_t)>& sigma) {
+  const std::size_t r = tile_dim(i);
+  const std::size_t cdim = tile_dim(j);
+  const std::size_t gi0 = tile_offset(i);
+  const std::size_t gj0 = tile_offset(j);
+  la::Matrix<double> block(r, cdim);
+  for (std::size_t jj = 0; jj < cdim; ++jj)
+    for (std::size_t ii = 0; ii < r; ++ii) block(ii, jj) = sigma(gi0 + ii, gj0 + jj);
+  at(i, j) = Tile::dense64(std::move(block));
 }
 
 double SymTileMatrix::frobenius_norm() const {

@@ -41,6 +41,11 @@ class SymTileMatrix {
   void generate(const std::function<double(std::size_t, std::size_t)>& sigma,
                 std::size_t num_workers = 1);
 
+  /// Generate stored tile (i, j) dense FP64 from sigma(gi, gj): the one
+  /// element loop behind generate(), for callers that own only some tiles.
+  void generate_tile(std::size_t i, std::size_t j,
+                     const std::function<double(std::size_t, std::size_t)>& sigma);
+
   /// Frobenius norm of the full symmetric matrix, accumulated tile-by-tile
   /// during/after generation (the paper stores no global copy).
   [[nodiscard]] double frobenius_norm() const;

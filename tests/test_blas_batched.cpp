@@ -100,108 +100,27 @@ TEST(GemmBatch, MatchesLoopedF32) {
                               false);
 }
 
-// ------------------------------------------------------------------- SYRK
-
-template <typename T>
-void syrk_batch_vs_looped(Uplo uplo, Trans trans, std::size_t n, std::size_t k, T alpha,
-                          T beta) {
-  const std::size_t count = 5;
-  std::vector<Matrix<T>> as, c_batch, c_loop;
-  for (std::size_t i = 0; i < count; ++i) {
-    as.push_back(trans == Trans::NoTrans ? filled<T>(n, k, 3 * i + 1)
-                                         : filled<T>(k, n, 3 * i + 1));
-    c_batch.push_back(filled<T>(n, n, 700 + i));
-    c_loop.push_back(c_batch.back());
-  }
-  std::vector<SyrkBatchItem<T>> items(count);
-  for (std::size_t i = 0; i < count; ++i) items[i] = {as[i].cview(), c_batch[i].view()};
-  syrk_batch<T>(uplo, trans, alpha, items.data(), count, beta);
-  for (std::size_t i = 0; i < count; ++i)
-    syrk<T>(uplo, trans, alpha, as[i].cview(), beta, c_loop[i].view());
-  for (std::size_t i = 0; i < count; ++i)
-    expect_bits_equal(c_batch[i], c_loop[i], "syrk_batch");
-}
-
-TEST(SyrkBatch, MatchesLoopedAllCombos) {
-  // n = 96 recurses past the micro-block base case; n = 32 stays inside it.
-  for (const std::size_t n : {std::size_t{32}, std::size_t{96}}) {
-    syrk_batch_vs_looped<double>(Uplo::Lower, Trans::NoTrans, n, 48, -1.0, 1.0);
-    syrk_batch_vs_looped<double>(Uplo::Upper, Trans::NoTrans, n, 48, 0.5, 0.0);
-    syrk_batch_vs_looped<double>(Uplo::Lower, Trans::Trans, n, 48, 1.0, 2.0);
-    syrk_batch_vs_looped<float>(Uplo::Upper, Trans::Trans, n, 48, -1.0f, 1.0f);
-  }
-}
-
-// ------------------------------------------------------------------- TRSM
-
-template <typename T>
-void trsm_batch_vs_looped(Side side, Uplo uplo, Trans ta, std::size_t m, std::size_t n,
-                          T alpha) {
-  const std::size_t count = 6;
-  const std::size_t na = (side == Side::Left) ? m : n;
-  Matrix<T> a = filled<T>(na, na, 11);
-  // Diagonal dominance keeps every triangular solve well-conditioned.
-  for (std::size_t i = 0; i < na; ++i)
-    a(i, i) = static_cast<T>(static_cast<float>(na) + 2.0f);
-  std::vector<Matrix<T>> b_batch, b_loop;
-  for (std::size_t i = 0; i < count; ++i) {
-    b_batch.push_back(filled<T>(m, n, 40 + i));
-    b_loop.push_back(b_batch.back());
-  }
-  std::vector<Span2D<T>> bs(count);
-  for (std::size_t i = 0; i < count; ++i) bs[i] = b_batch[i].view();
-  trsm_batch<T>(side, uplo, ta, Diag::NonUnit, alpha, a.cview(), bs.data(), count);
-  for (std::size_t i = 0; i < count; ++i)
-    trsm<T>(side, uplo, ta, Diag::NonUnit, alpha, a.cview(), b_loop[i].view());
-  for (std::size_t i = 0; i < count; ++i)
-    expect_bits_equal(b_batch[i], b_loop[i], "trsm_batch");
-}
-
-TEST(TrsmBatch, MatchesLoopedAllEightCombos) {
-  for (const Side side : {Side::Left, Side::Right})
-    for (const Uplo uplo : {Uplo::Lower, Uplo::Upper})
-      for (const Trans ta : {Trans::NoTrans, Trans::Trans})
-        trsm_batch_vs_looped<double>(side, uplo, ta, 96, 40, 1.0);
-  // The tile Cholesky's combo, FP32, non-unit alpha, recursion-straddling
-  // shape.
-  trsm_batch_vs_looped<float>(Side::Right, Uplo::Lower, Trans::Trans, 40, 96, 0.5f);
-}
-
 // ----------------------------------------------------------------- 16-bit
 
-TEST(GemmBatch16, ShgemmAndSbgemmMatchLooped) {
+TEST(GemmBatch16, ShgemmMatchesLooped) {
   const std::size_t count = 6, m = 48, n = 32, k = 40;
   std::vector<Matrix<half>> ah;
-  std::vector<Matrix<bfloat16>> ab;
   const Matrix<half> bh = filled<half>(n, k, 7);
-  const Matrix<bfloat16> bb = filled<bfloat16>(n, k, 7);
-  std::vector<Matrix<float>> ch_batch, ch_loop, cb_batch, cb_loop;
+  std::vector<Matrix<float>> ch_batch, ch_loop;
   for (std::size_t i = 0; i < count; ++i) {
     ah.push_back(filled<half>(m, k, 20 + i));
-    ab.push_back(filled<bfloat16>(m, k, 20 + i));
     ch_batch.push_back(filled<float>(m, n, 60 + i));
     ch_loop.push_back(ch_batch.back());
-    cb_batch.push_back(filled<float>(m, n, 80 + i));
-    cb_loop.push_back(cb_batch.back());
   }
   std::vector<GemmBatchItem<half, float>> hi(count);
-  std::vector<GemmBatchItem<bfloat16, float>> bi(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i)
     hi[i] = {ah[i].cview(), bh.cview(), ch_batch[i].view()};
-    bi[i] = {ab[i].cview(), bb.cview(), cb_batch[i].view()};
-  }
   shgemm_batch(Trans::NoTrans, Trans::Trans, -1.0f, hi.data(), count, 1.0f);
-  sbgemm_batch(Trans::NoTrans, Trans::Trans, -1.0f, bi.data(), count, 1.0f);
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i)
     shgemm(Trans::NoTrans, Trans::Trans, -1.0f, ah[i].cview(), bh.cview(), 1.0f,
            ch_loop[i].view());
-    sbgemm(Trans::NoTrans, Trans::Trans, -1.0f, ab[i].cview(), bb.cview(), 1.0f,
-           cb_loop[i].view());
-  }
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i)
     expect_bits_equal(ch_batch[i], ch_loop[i], "shgemm_batch");
-    expect_bits_equal(cb_batch[i], cb_loop[i], "sbgemm_batch");
-  }
 }
 
 TEST(GemmBatch16, HgemmAndBgemmMatchLooped) {

@@ -1,6 +1,7 @@
 // Distributed backend: placement properties, wire framing, socket transport,
-// out-of-core pool, external tasks, and in-process multi-rank factorization
-// matched against the single-process oracle.
+// out-of-core pool, external tasks, in-process multi-rank factorization
+// matched against the single-process oracle, and the oracle matched against
+// the production tile path.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -25,13 +26,19 @@
 #include <type_traits>
 #include <vector>
 
+#include "cholesky/factorize.hpp"
+#include "cholesky/precision_policy.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/dist_cholesky.hpp"
 #include "dist/placement.hpp"
 #include "dist/tile_pool.hpp"
 #include "dist/transport.hpp"
 #include "distsim/distsim.hpp"
+#include "geostat/assemble.hpp"
+#include "geostat/covariance.hpp"
+#include "geostat/locations.hpp"
 #include "la/matrix.hpp"
 #include "runtime/task_graph.hpp"
 #include "tile/sym_tile_matrix.hpp"
@@ -330,9 +337,8 @@ struct MultiRankResult {
   std::vector<RankStats> stats;
 };
 
-MultiRankResult run_ranks(const DistProblemConfig& prob, int nprocs,
-                          const DistPolicyOptions& policy, std::size_t ooc_bytes = 0,
-                          const std::string& spill_base = "") {
+MultiRankResult run_ranks(const DistProblemConfig& prob, int nprocs, DistPolicy policy,
+                          std::size_t ooc_bytes = 0, const std::string& spill_base = "") {
   Coordinator coord(nprocs);
   const std::uint16_t port = coord.start();
   std::vector<std::thread> threads;
@@ -372,14 +378,12 @@ MultiRankResult run_ranks(const DistProblemConfig& prob, int nprocs,
 
 void expect_matches_oracle(const DistProblemConfig& prob, DistPolicy policy,
                            int nprocs) {
-  DistPolicyOptions opts;
-  opts.policy = policy;
-  const MultiRankResult run = run_ranks(prob, nprocs, opts);
+  const MultiRankResult run = run_ranks(prob, nprocs, policy);
   ASSERT_NE(run.rank0.factor, nullptr);
-  const auto oracle = oracle_factor(prob, opts, run.rank0.global_norm, 2);
+  const auto oracle = oracle_factor(prob, policy, run.rank0.global_norm, 2);
   const FactorComparison cmp = compare_factors(*run.rank0.factor, *oracle);
   EXPECT_TRUE(cmp.identical)
-      << dist_policy_name(policy) << ": " << cmp.mismatched_tiles << "/"
+      << dist_policy_name(policy) << " n=" << prob.n << ": " << cmp.mismatched_tiles << "/"
       << cmp.tiles_compared << " tiles differ, max |diff| " << cmp.max_abs_diff;
   if (nprocs > 1) {
     std::uint64_t sent = 0;
@@ -395,16 +399,28 @@ DistProblemConfig small_problem() {
   return prob;
 }
 
+/// n = 100 in tiles of 16: the last tile row and column hold 4 rows, so
+/// ragged tiles cross the transport, the tile pool and the gather.
+DistProblemConfig ragged_problem() {
+  DistProblemConfig prob;
+  prob.n = 100;
+  prob.tile_size = 16;
+  return prob;
+}
+
 TEST(DistCholesky, DenseMatchesOracleAcross4Ranks) {
   expect_matches_oracle(small_problem(), DistPolicy::Dense, 4);
+  expect_matches_oracle(ragged_problem(), DistPolicy::Dense, 4);
 }
 
 TEST(DistCholesky, MixedPrecisionMatchesOracleAcross4Ranks) {
   expect_matches_oracle(small_problem(), DistPolicy::MixedPrecision, 4);
+  expect_matches_oracle(ragged_problem(), DistPolicy::MixedPrecision, 4);
 }
 
 TEST(DistCholesky, TlrMatchesOracleAcross4Ranks) {
   expect_matches_oracle(small_problem(), DistPolicy::Tlr, 4);
+  expect_matches_oracle(ragged_problem(), DistPolicy::Tlr, 4);
 }
 
 TEST(DistCholesky, SingleRankDegenerateCase) {
@@ -427,19 +443,64 @@ TEST(DistCholesky, WeightedSumsqMatchesFullNorm) {
 
 TEST(DistCholesky, OutOfCoreSpillsAndStillMatchesOracle) {
   const DistProblemConfig prob = small_problem();
-  DistPolicyOptions opts;
-  opts.policy = DistPolicy::Dense;
   const std::string base = fresh_dir("dist_ooc");
   // 16x16 FP64 tiles are 2048 B; a 6 KiB bound forces heavy spilling on the
   // rank that owns ~11 of the 21 stored tiles.
-  const MultiRankResult run = run_ranks(prob, 2, opts, 6144, base);
+  const MultiRankResult run = run_ranks(prob, 2, DistPolicy::Dense, 6144, base);
   ASSERT_NE(run.rank0.factor, nullptr);
   std::uint64_t spills = 0;
   for (const RankStats& s : run.stats) spills += s.spill_out;
   EXPECT_GT(spills, 0u) << "pool bound never triggered a spill";
-  const auto oracle = oracle_factor(prob, opts, run.rank0.global_norm, 2);
+  const auto oracle = oracle_factor(prob, DistPolicy::Dense, run.rank0.global_norm, 2);
   const FactorComparison cmp = compare_factors(*run.rank0.factor, *oracle);
   EXPECT_TRUE(cmp.identical) << cmp.mismatched_tiles << " tiles differ";
+}
+
+// ------------------------- parity with the single-process production path
+
+/// The problem's covariance tiles built the way GsxModel builds them: the
+/// same seed, Morton ordering and Matérn kernel every rank uses.
+tile::SymTileMatrix production_tiles(const DistProblemConfig& prob) {
+  Rng rng(prob.seed);
+  std::vector<geostat::Location> locs = geostat::perturbed_grid_locations(prob.n, rng);
+  geostat::sort_morton(locs);
+  const geostat::MaternCovariance model(1.0, prob.range, prob.smoothness, prob.nugget);
+  tile::SymTileMatrix a(prob.n, prob.tile_size);
+  geostat::fill_covariance_tiles(a, model, locs, 2);
+  return a;
+}
+
+void expect_same_factor(const tile::SymTileMatrix& oracle,
+                        const tile::SymTileMatrix& production) {
+  const FactorComparison cmp = compare_factors(oracle, production);
+  EXPECT_TRUE(cmp.identical) << cmp.mismatched_tiles << "/" << cmp.tiles_compared
+                             << " tiles differ, max |diff| " << cmp.max_abs_diff;
+}
+
+TEST(DistParity, TlrOracleMatchesCompressOffbandAtRaggedN) {
+  // The 4-row last tile row must get compress_offband's decisions (rank
+  // cap tile_size/2, not half the tile's own rows).
+  const DistProblemConfig prob = ragged_problem();
+  tile::SymTileMatrix a = production_tiles(prob);
+  const double norm = a.frobenius_norm();
+  cholesky::TlrCompressOptions copt;
+  copt.tol = 1e-7;
+  copt.band_size = 2;
+  copt.seed = 42;
+  cholesky::compress_offband(a, copt, 2);
+  ASSERT_EQ(cholesky::tile_cholesky_tlr(a, copt.tol, cholesky::FactorOptions{}).info, 0);
+  expect_same_factor(*oracle_factor(prob, DistPolicy::Tlr, norm, 2), a);
+}
+
+TEST(DistParity, MixedPrecisionOracleMatchesPrecisionPolicyAtRaggedN) {
+  const DistProblemConfig prob = ragged_problem();
+  tile::SymTileMatrix a = production_tiles(prob);
+  const double norm = a.frobenius_norm();
+  cholesky::PrecisionPolicy policy;
+  policy.rule = cholesky::PrecisionRule::AdaptiveFrobenius;
+  cholesky::apply_precision_policy(a, policy);
+  ASSERT_EQ(cholesky::tile_cholesky_dense(a, cholesky::FactorOptions{}).info, 0);
+  expect_same_factor(*oracle_factor(prob, DistPolicy::MixedPrecision, norm, 2), a);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <vector>
@@ -242,7 +243,8 @@ TEST(TaskGraph, RejectsNullBody) {
 TEST(TaskGraph, WorkStealingMatchesSequentialOracle) {
   constexpr int kData = 8;
   constexpr int kTasks = 150;
-  std::vector<long> values(kData, 1);
+  // Unsigned, so the 7x recurrence wraps (defined) instead of overflowing.
+  std::vector<std::uint64_t> values(kData, 1);
   TaskGraph g;
   g.set_policy(SchedPolicy::WorkStealing);
   for (int t = 0; t < kTasks; ++t) {
@@ -253,7 +255,7 @@ TEST(TaskGraph, WorkStealingMatchesSequentialOracle) {
              [&values, src, dst] { values[dst] = values[dst] * 7 + values[src]; });
   }
   g.run(4);
-  std::vector<long> oracle(kData, 1);
+  std::vector<std::uint64_t> oracle(kData, 1);
   for (int t = 0; t < kTasks; ++t) {
     const int src = (t * 3) % kData;
     const int dst = (t * 5 + 1) % kData;

@@ -93,7 +93,7 @@ TEST_P(GemmTilePrecision, LeadOperandSetsKernelAndAccuracy) {
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.to_dense64().cview(),
                    b.to_dense64().cview(), 1.0, oracle_rounded.view());
 
-  gemm_tile(a, b, c);
+  gemm_tile(a, b, c, 0.0, tlr::RoundingMethod::Rrqr);
   EXPECT_EQ(c.precision(), p) << "storage precision is sticky";
   const double tol = (p == Precision::FP64)   ? 1e-13
                      : (p == Precision::FP32) ? 1e-5
@@ -172,6 +172,37 @@ TEST(SyrkTile, PromotesLowPrecisionPanel) {
           << "FP64 accumulate of the rounded panel";
 }
 
+TEST(TrsmTile, LowRankTileSolvesOnlyV) {
+  Rng rng(33);
+  const std::size_t ts = 12;
+  Tile lkk = spd_tile64(ts, rng);
+  ASSERT_EQ(potrf_tile(lkk), 0);
+  const auto u = random_matrix(ts, 3, rng);
+  Tile amk = Tile::lowrank64(u, random_matrix(ts, 3, rng));
+  la::Matrix<double> oracle = amk.to_dense64();
+  la::trsm<double>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit,
+                   1.0, lkk.d64().cview(), oracle.view());
+
+  trsm_tile(lkk, amk);
+  EXPECT_EQ(amk.format(), tile::TileFormat::LowRank);
+  EXPECT_EQ(rel_frobenius_diff(amk.lr64().u, u), 0.0) << "U is untouched";
+  EXPECT_LT(rel_frobenius_diff(amk.to_dense64(), oracle), 1e-12);
+}
+
+TEST(SyrkTile, LowRankPanelUpdatesDenseDiagonal) {
+  Rng rng(35);
+  const std::size_t ts = 10;
+  const Tile panel = Tile::lowrank64(random_matrix(ts, 2, rng), random_matrix(ts, 2, rng));
+  Tile diag = spd_tile64(ts, rng);
+  la::Matrix<double> oracle = diag.to_dense64();
+  la::syrk<double>(la::Uplo::Lower, la::Trans::NoTrans, -1.0,
+                   panel.to_dense64().cview(), 1.0, oracle.view());
+
+  syrk_tile(panel, diag);
+  for (std::size_t j = 0; j < ts; ++j)
+    for (std::size_t i = j; i < ts; ++i) EXPECT_NEAR(diag.d64()(i, j), oracle(i, j), 1e-12);
+}
+
 TEST(GemmMixed, DenseOutputWithLrOperandsRoundsToStorage) {
   Rng rng(37);
   const std::size_t ts = 16;
@@ -186,7 +217,7 @@ TEST(GemmMixed, DenseOutputWithLrOperandsRoundsToStorage) {
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.to_dense64().cview(),
                    b.to_dense64().cview(), 1.0, oracle.view());
 
-  gemm_mixed_tile(a, b, c, 1e-9);
+  gemm_tile(a, b, c, 1e-9, tlr::RoundingMethod::Rrqr);
   EXPECT_EQ(c.format(), tile::TileFormat::Dense);
   EXPECT_EQ(c.precision(), Precision::FP32);
   EXPECT_LT(rel_frobenius_diff(c.to_dense64(), oracle), 1e-5);
@@ -203,7 +234,7 @@ TEST(GemmMixed, LrOutputAccumulatesAndRecompresses) {
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.to_dense64().cview(),
                    b.to_dense64().cview(), 1.0, oracle.view());
 
-  gemm_mixed_tile(a, b, c, 1e-10);
+  gemm_tile(a, b, c, 1e-10, tlr::RoundingMethod::Rrqr);
   EXPECT_EQ(c.format(), tile::TileFormat::LowRank);
   EXPECT_LE(c.rank(), 5u);  // 3 + min(2,4)
   EXPECT_LT(rel_frobenius_diff(c.to_dense64(), oracle), 1e-8);
@@ -223,7 +254,7 @@ TEST(GemmMixed, Fp32LrOutputStaysFp32) {
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.to_dense64().cview(),
                    b.to_dense64().cview(), 1.0, oracle.view());
 
-  gemm_mixed_tile(a, b, c, 1e-8);
+  gemm_tile(a, b, c, 1e-8, tlr::RoundingMethod::Rrqr);
   EXPECT_EQ(c.precision(), Precision::FP32);
   EXPECT_EQ(c.format(), tile::TileFormat::LowRank);
   EXPECT_LT(rel_frobenius_diff(c.to_dense64(), oracle), 1e-4);

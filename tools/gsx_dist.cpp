@@ -38,7 +38,6 @@
 
 namespace {
 
-using gsx::dist::DistPolicyOptions;
 using gsx::dist::DistProblemConfig;
 using gsx::dist::DistRunConfig;
 
@@ -95,7 +94,7 @@ bool parse_common(Options& o, const std::string& arg,
   } else if (arg == "--workers") {
     o.run.workers = std::stoul(value());
   } else if (arg == "--policy") {
-    o.run.policy.policy = gsx::dist::parse_dist_policy(value());
+    o.run.policy = gsx::dist::parse_dist_policy(value());
   } else if (arg == "--ooc-bytes") {
     o.run.ooc_bytes = std::stoull(value());
   } else if (arg == "--verify") {
@@ -201,7 +200,7 @@ int run_main(Options o, const char* self) {
   gsx::dist::Coordinator coord(o.run.nprocs);
   const std::uint16_t port = coord.start();
   std::printf("gsx_dist: coordinator on 127.0.0.1:%u, %d ranks, policy %s\n", port,
-              o.run.nprocs, gsx::dist::dist_policy_name(o.run.policy.policy));
+              o.run.nprocs, gsx::dist::dist_policy_name(o.run.policy));
   std::fflush(stdout);
 
   std::vector<pid_t> pids;
@@ -216,7 +215,7 @@ int run_main(Options o, const char* self) {
         "--tile", std::to_string(o.prob.tile_size),
         "--seed", std::to_string(o.prob.seed),
         "--workers", std::to_string(o.run.workers),
-        "--policy", gsx::dist::dist_policy_name(o.run.policy.policy),
+        "--policy", gsx::dist::dist_policy_name(o.run.policy),
     };
     if (o.run.ooc_bytes > 0) {
       const std::string dir = o.spill_base + "/r" + std::to_string(rank);
@@ -292,7 +291,7 @@ int run_main(Options o, const char* self) {
     std::ofstream out(o.json_path, std::ios::trunc);
     out << "{\"schema\":\"gsx-dist-v1\",\"n\":" << o.prob.n
         << ",\"tile\":" << o.prob.tile_size << ",\"procs\":" << o.run.nprocs
-        << ",\"policy\":\"" << gsx::dist::dist_policy_name(o.run.policy.policy)
+        << ",\"policy\":\"" << gsx::dist::dist_policy_name(o.run.policy)
         << "\",\"ok\":" << (ok ? "true" : "false")
         << ",\"tiles_sent\":" << total.tiles_sent
         << ",\"bytes_sent\":" << total.bytes_sent
