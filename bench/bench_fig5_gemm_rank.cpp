@@ -46,7 +46,7 @@ double time_tlr(std::size_t ts, std::size_t rank, Rng& rng, int reps) {
     auto vc = rand_mat(ts, rank);
     const tlr::LrProduct p = tlr::product_lr_lr(tlr::LrView{ua.cview(), va.cview()},
                                                 tlr::LrView{ub.cview(), vb.cview()});
-    tlr::lr_axpy_rounded(-1.0, p, uc, vc, 1e-8);
+    tlr::lr_axpy_rounded(-1.0, p, uc, vc, 1e-8, tlr::RoundingMethod::Rrqr);
   }
   return t.seconds() / reps;
 }

@@ -70,9 +70,7 @@ void GsxModel::prepare(std::span<const double> theta, std::span<const Location> 
   const std::unique_ptr<geostat::CovarianceModel> model = prototype_->clone();
   model->set_params(theta);
 
-  Timer gen_timer;
   geostat::fill_covariance_tiles(out, *model, locs, config_.workers);
-  if (breakdown) breakdown->generation_seconds = gen_timer.seconds();
   if (breakdown) breakdown->dense_fp64_bytes = out.dense_fp64_bytes();
 
   // Structure-aware decision first (Algorithm 2, on full-precision data):
@@ -89,8 +87,7 @@ void GsxModel::prepare(std::span<const double> theta, std::span<const Location> 
       // Compress everything off-diagonal, tune, then revert in-band tiles
       // to dense (they rejoin the band, cf. Fig. 3(a)->(b)).
       copt.band_size = 1;
-      const cholesky::CompressStats cs0 = cholesky::compress_offband(out, copt,
-                                                                     config_.workers);
+      cholesky::compress_offband(out, copt, config_.workers);
       const perfmodel::BandDecision bd =
           perfmodel::tune_band_size(out, perf_model(out.tile_size()), config_.fluctuation);
       band = std::max<std::size_t>(1, bd.band_size_dense);
@@ -103,20 +100,11 @@ void GsxModel::prepare(std::span<const double> theta, std::span<const Location> 
           }
         }
       }
-      if (breakdown) {
-        breakdown->compress = cs0;
-        breakdown->band_size_dense = band;
-        breakdown->compress.bytes_after = out.footprint_bytes();
-      }
     } else {
       copt.band_size = std::max<std::size_t>(1, band);
-      const cholesky::CompressStats cs = cholesky::compress_offband(out, copt,
-                                                                    config_.workers);
-      if (breakdown) {
-        breakdown->compress = cs;
-        breakdown->band_size_dense = band;
-      }
+      cholesky::compress_offband(out, copt, config_.workers);
     }
+    if (breakdown) breakdown->band_size_dense = band;
   }
 
   // Precision-aware decision (Fig. 2) on the tiles that remained dense.
@@ -134,11 +122,10 @@ void GsxModel::prepare(std::span<const double> theta, std::span<const Location> 
       policy.rule = config_.mp_rule;
       break;
   }
-  const cholesky::PolicyStats pstats = [&] {
+  {
     const obs::ScopedPhase phase("precision_policy");
-    return cholesky::apply_precision_policy(out, policy);
-  }();
-  if (breakdown) breakdown->policy = pstats;
+    cholesky::apply_precision_policy(out, policy);
+  }
   if (breakdown) breakdown->footprint_bytes = out.footprint_bytes();
 }
 

@@ -76,11 +76,8 @@ struct ModelConfig {
 
 /// What one evaluation did (per-variant diagnostics for the benches).
 struct EvalBreakdown {
-  cholesky::PolicyStats policy;
-  cholesky::CompressStats compress;       ///< zeros unless MPDenseTLR
   std::size_t band_size_dense = 1;        ///< Algorithm 2 outcome
   cholesky::FactorReport factor;
-  double generation_seconds = 0.0;
   double total_seconds = 0.0;
   std::size_t footprint_bytes = 0;        ///< matrix bytes entering POTRF
   std::size_t dense_fp64_bytes = 0;       ///< baseline MF for the same matrix

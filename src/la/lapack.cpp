@@ -133,14 +133,15 @@ template void qr_factor<double>(Span2D<double>, Matrix<double>&);
 template void qr_factor<float>(Span2D<float>, Matrix<float>&);
 
 template <typename T>
-void qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm) {
+std::size_t qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm,
+                       T stop_norm) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-  GSX_REQUIRE(m >= n, "qr_pivoted: requires m >= n");
+  const std::size_t steps = std::min(m, n);
 
   perm.resize(n);
   for (std::size_t j = 0; j < n; ++j) perm[j] = j;
-  std::vector<T> tau(n, T{0});
+  std::vector<T> tau(steps, T{0});
   // Partial column norms with downdating (and their reference values for
   // the cancellation-triggered recomputation).
   std::vector<T> norms(n), norms0(n);
@@ -151,7 +152,14 @@ void qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm) {
     norms0[j] = norms[j];
   }
 
-  for (std::size_t k = 0; k < n; ++k) {
+  std::size_t k = 0;
+  for (; k < steps; ++k) {
+    // Early stop on the trailing block summed exactly: the downdated column
+    // norms are estimates and can under-report it.
+    if (stop_norm > T{0} &&
+        norm_frobenius<T>(a.sub(k, k, m - k, n - k)) <= static_cast<double>(stop_norm))
+      break;
+
     // Pivot: residual column of largest norm.
     std::size_t p = k;
     for (std::size_t j = k + 1; j < n; ++j)
@@ -203,27 +211,29 @@ void qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm) {
     }
   }
 
-  // Accumulate thin Q (same back-substitution as qr_factor).
-  q.resize(m, n);
-  for (std::size_t j = 0; j < n; ++j) q(j, j) = T{1};
-  for (std::size_t k = n; k-- > 0;) {
-    if (tau[k] == T{0}) continue;
-    for (std::size_t j = k; j < n; ++j) {
-      T s = q(k, j);
-      for (std::size_t i = k + 1; i < m; ++i) s += a(i, k) * q(i, j);
-      s *= tau[k];
-      q(k, j) -= s;
-      for (std::size_t i = k + 1; i < m; ++i) q(i, j) -= a(i, k) * s;
+  // Accumulate thin Q from the k reflectors taken (same back-substitution
+  // as qr_factor).
+  q.resize(m, k);
+  for (std::size_t j = 0; j < k; ++j) q(j, j) = T{1};
+  for (std::size_t l = k; l-- > 0;) {
+    if (tau[l] == T{0}) continue;
+    for (std::size_t j = l; j < k; ++j) {
+      T s = q(l, j);
+      for (std::size_t i = l + 1; i < m; ++i) s += a(i, l) * q(i, j);
+      s *= tau[l];
+      q(l, j) -= s;
+      for (std::size_t i = l + 1; i < m; ++i) q(i, j) -= a(i, l) * s;
     }
   }
-  for (std::size_t j = 0; j < n; ++j)
+  for (std::size_t j = 0; j < k; ++j)
     for (std::size_t i = j + 1; i < m; ++i) a(i, j) = T{0};
+  return k;
 }
 
-template void qr_pivoted<double>(Span2D<double>, Matrix<double>&,
-                                 std::vector<std::size_t>&);
-template void qr_pivoted<float>(Span2D<float>, Matrix<float>&,
-                                std::vector<std::size_t>&);
+template std::size_t qr_pivoted<double>(Span2D<double>, Matrix<double>&,
+                                        std::vector<std::size_t>&, double);
+template std::size_t qr_pivoted<float>(Span2D<float>, Matrix<float>&,
+                                       std::vector<std::size_t>&, float);
 
 template <typename T>
 void svd_jacobi(const Matrix<T>& a, Matrix<T>& u, std::vector<T>& s, Matrix<T>& v) {

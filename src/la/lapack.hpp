@@ -29,18 +29,23 @@ extern template void qr_factor<double>(Span2D<double>, Matrix<double>&);
 extern template void qr_factor<float>(Span2D<float>, Matrix<float>&);
 
 /// Column-pivoted thin QR (xGEQP3-style, with norm downdating):
-/// A * P = Q * R, A m x n with m >= n. On return `a` holds R in its upper
-/// triangle (sub-diagonal zeroed), `q` the thin orthonormal factor (m x n),
-/// and perm[j] the original index of the column now in position j. The
-/// diagonal of R is non-increasing in magnitude — the rank-revealing
-/// property the cheap TLR recompression relies on.
+/// A * P = Q * R for any m x n A. Runs k = min(m, n) Householder steps, or
+/// with `stop_norm` > 0 stops at the first k whose trailing block
+/// ||A(k:m, k:n)||_F, summed exactly, is <= stop_norm. Returns k. On return
+/// `a` holds R1 = [R11 R12] in its first k rows (upper trapezoidal, zeros
+/// below the diagonal of the first k columns) and the unreduced trailing
+/// block R22 in a(k:m, k:n); `q` is the m x k orthonormal factor Q1, and
+/// perm[j] the original index of the column now in position j. The diagonal
+/// of R is non-increasing in magnitude — the rank-revealing property the
+/// cheap TLR recompression and the QR-first tile SVD rely on.
 template <typename T>
-void qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm);
+std::size_t qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm,
+                       T stop_norm = T{0});
 
-extern template void qr_pivoted<double>(Span2D<double>, Matrix<double>&,
-                                        std::vector<std::size_t>&);
-extern template void qr_pivoted<float>(Span2D<float>, Matrix<float>&,
-                                       std::vector<std::size_t>&);
+extern template std::size_t qr_pivoted<double>(Span2D<double>, Matrix<double>&,
+                                               std::vector<std::size_t>&, double);
+extern template std::size_t qr_pivoted<float>(Span2D<float>, Matrix<float>&,
+                                              std::vector<std::size_t>&, float);
 
 /// Thin SVD by one-sided Jacobi: A (m x n, any shape) = U diag(s) V^T with
 /// U m x r, V n x r, r = min(m, n). Singular values descending. Accurate to

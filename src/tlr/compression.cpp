@@ -31,16 +31,11 @@ double resolve_threshold(double tol, TolMode mode, double norm_f) {
   return (mode == TolMode::RelativeFrobenius) ? tol * norm_f : tol;
 }
 
-Compressed take_svd_factors(const la::Matrix<double>& u_full, const std::vector<double>& s,
-                            const la::Matrix<double>& v_full, std::size_t k) {
-  Compressed out;
-  out.u.resize(u_full.rows(), k);
-  out.v.resize(v_full.rows(), k);
-  for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t i = 0; i < u_full.rows(); ++i) out.u(i, j) = u_full(i, j) * s[j];
-    for (std::size_t i = 0; i < v_full.rows(); ++i) out.v(i, j) = v_full(i, j);
-  }
-  return out;
+la::Matrix<double> copy_of(Span2D<const double> a) {
+  la::Matrix<double> m(a.rows(), a.cols());
+  for (std::size_t j = 0; j < a.cols(); ++j)
+    for (std::size_t i = 0; i < a.rows(); ++i) m(i, j) = a(i, j);
+  return m;
 }
 
 }  // namespace
@@ -48,17 +43,43 @@ Compressed take_svd_factors(const la::Matrix<double>& u_full, const std::vector<
 Compressed compress_svd(Span2D<const double> a, double tol, TolMode mode) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-  la::Matrix<double> work(m, n);
+  const double threshold = resolve_threshold(tol, mode, la::norm_frobenius<double>(a));
+
+  // Step 1: column-pivoted QR, A P = Q1 [R11 R12] + Q2 [0 R22], stopped once
+  // ||R22||_F <= threshold / 100, so k stays close to the rank.
+  la::Matrix<double> r = copy_of(a);
+  la::Matrix<double> q1;
+  std::vector<std::size_t> perm;
+  const std::size_t k = la::qr_pivoted(r.view(), q1, perm, 0.01 * threshold);
+  const double tail = la::norm_frobenius<double>(r.cview().sub(k, k, m - k, n - k));
+
+  // Step 2: SVD of the k x n factor R1 = [R11 R12]. Q1 is orthogonal to Q2,
+  // so the two errors add in squares: truncating R1 at
+  // sqrt(threshold^2 - ||R22||^2) keeps ||A - U V^T||_F <= threshold, which
+  // makes the rank at least the full SVD's (Eckart-Young); sigma_i(R1) <=
+  // sigma_i(A) makes it at most the full SVD's rank at that reduced budget.
+  la::Matrix<double> r1(k, n);
   for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t i = 0; i < m; ++i) work(i, j) = a(i, j);
-
-  la::Matrix<double> u, v;
+    for (std::size_t i = 0; i < k; ++i) r1(i, j) = r(i, j);
+  la::Matrix<double> ur, vr;
   std::vector<double> s;
-  la::svd_jacobi(work, u, s, v);
+  la::svd_jacobi(r1, ur, s, vr);
+  const std::size_t rank =
+      truncation_rank(s, std::sqrt(std::max(0.0, threshold * threshold - tail * tail)));
 
-  const double norm_f = la::norm_frobenius<double>(a);
-  const std::size_t k = truncation_rank(s, resolve_threshold(tol, mode, norm_f));
-  return take_svd_factors(u, s, v, k);
+  // U = Q1 Ur diag(s), V = P Vr.
+  la::Matrix<double> us(k, rank);
+  for (std::size_t c = 0; c < rank; ++c)
+    for (std::size_t i = 0; i < k; ++i) us(i, c) = ur(i, c) * s[c];
+  Compressed out;
+  out.u.resize(m, rank);
+  out.v.resize(n, rank);
+  if (rank > 0)
+    la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, 1.0, q1.cview(), us.cview(), 0.0,
+                     out.u.view());
+  for (std::size_t c = 0; c < rank; ++c)
+    for (std::size_t j = 0; j < n; ++j) out.v(perm[j], c) = vr(j, c);
+  return out;
 }
 
 Compressed compress_aca(Span2D<const double> a, double tol, TolMode mode) {
@@ -66,21 +87,16 @@ Compressed compress_aca(Span2D<const double> a, double tol, TolMode mode) {
   const std::size_t n = a.cols();
   const double norm_f = la::norm_frobenius<double>(a);
   const double threshold = resolve_threshold(tol, mode, norm_f);
-  const std::size_t max_rank = std::min(m, n);
+
+  // The tile is assembled, so the residual R = A - U V^T is kept explicitly
+  // and ACA stops on its exact norm, leaving most of the budget to rounding.
+  la::Matrix<double> res = copy_of(a);
+  double res_norm = norm_f;
 
   std::vector<std::vector<double>> us, vs;  // rank-1 terms
   std::vector<bool> row_used(m, false), col_used(n, false);
-
-  // Residual access: R(i,j) = A(i,j) - sum_t us[t][i] * vs[t][j].
-  auto residual = [&](std::size_t i, std::size_t j) {
-    double r = a(i, j);
-    for (std::size_t t = 0; t < us.size(); ++t) r -= us[t][i] * vs[t][j];
-    return r;
-  };
-
-  double approx_norm_sq = 0.0;
   std::size_t next_row = 0;
-  for (std::size_t it = 0; it < max_rank; ++it) {
+  while (res_norm > 0.1 * threshold) {
     // Pivot row: first unused (classic partial pivoting starts from the
     // residual row of the previous pivot; a fresh unused row is more robust
     // for covariance blocks with decaying structure).
@@ -89,65 +105,38 @@ Compressed compress_aca(Span2D<const double> a, double tol, TolMode mode) {
     std::size_t pi = next_row;
 
     // Pivot column: max |residual| in the pivot row.
-    std::vector<double> row(n);
     double best = 0.0;
     std::size_t pj = n;
     for (std::size_t j = 0; j < n; ++j) {
-      row[j] = residual(pi, j);
-      if (!col_used[j] && std::fabs(row[j]) > best) {
-        best = std::fabs(row[j]);
+      if (!col_used[j] && std::fabs(res(pi, j)) > best) {
+        best = std::fabs(res(pi, j));
         pj = j;
       }
     }
-    if (pj == n || best == 0.0) {
+    if (pj == n) {
       row_used[pi] = true;
       continue;
     }
     // Improve the pivot row choice: max |residual| within the pivot column.
-    std::vector<double> col(m);
     double cbest = 0.0;
-    std::size_t ci = pi;
     for (std::size_t i = 0; i < m; ++i) {
-      col[i] = residual(i, pj);
-      if (!row_used[i] && std::fabs(col[i]) > cbest) {
-        cbest = std::fabs(col[i]);
-        ci = i;
+      if (!row_used[i] && std::fabs(res(i, pj)) > cbest) {
+        cbest = std::fabs(res(i, pj));
+        pi = i;
       }
     }
-    if (ci != pi) {
-      pi = ci;
-      for (std::size_t j = 0; j < n; ++j) row[j] = residual(pi, j);
-    }
-    const double pivot = row[pj];
-    if (pivot == 0.0) {
-      row_used[pi] = true;
-      continue;
-    }
+    const double pivot = res(pi, pj);
 
     std::vector<double> uvec(m), vvec(n);
-    for (std::size_t i = 0; i < m; ++i) uvec[i] = residual(i, pj) / pivot;
-    for (std::size_t j = 0; j < n; ++j) vvec[j] = row[j];
+    for (std::size_t i = 0; i < m; ++i) uvec[i] = res(i, pj) / pivot;
+    for (std::size_t j = 0; j < n; ++j) vvec[j] = res(pi, j);
     row_used[pi] = true;
     col_used[pj] = true;
-
-    // Stopping criterion: ||u_k|| * ||v_k|| against the running approx norm
-    // (standard ACA heuristic for the residual Frobenius norm).
-    double nu = 0.0, nv = 0.0;
-    for (double x : uvec) nu += x * x;
-    for (double x : vvec) nv += x * x;
-    const double term = std::sqrt(nu * nv);
-    double cross = 0.0;
-    for (std::size_t t = 0; t < us.size(); ++t) {
-      double du = 0.0, dv = 0.0;
-      for (std::size_t i = 0; i < m; ++i) du += us[t][i] * uvec[i];
-      for (std::size_t j = 0; j < n; ++j) dv += vs[t][j] * vvec[j];
-      cross += du * dv;
-    }
-    approx_norm_sq += 2.0 * cross + term * term;
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < m; ++i) res(i, j) -= uvec[i] * vvec[j];
+    res_norm = la::norm_frobenius<double>(res.cview());
     us.push_back(std::move(uvec));
     vs.push_back(std::move(vvec));
-
-    if (term <= threshold) break;
   }
 
   Compressed out;
@@ -158,19 +147,11 @@ Compressed compress_aca(Span2D<const double> a, double tol, TolMode mode) {
     for (std::size_t i = 0; i < m; ++i) out.u(i, t) = us[t][i];
     for (std::size_t j = 0; j < n; ++j) out.v(j, t) = vs[t][j];
   }
-  // ACA over-estimates rank; round down to the tolerance.
-  if (k > 0) {
-    TolMode round_mode = mode;
-    double round_tol = tol;
-    if (mode == TolMode::Absolute) {
-      round_tol = threshold;
-    } else {
-      // Recompress against the original matrix norm, not the LR norm.
-      round_mode = TolMode::Absolute;
-      round_tol = threshold;
-    }
-    recompress(out.u, out.v, round_tol, round_mode);
-  }
+  // ACA over-estimates rank; round down with what the residual left of the
+  // budget (the two errors add, they need not be orthogonal).
+  if (k > 0)
+    recompress(out.u, out.v, std::max(0.0, threshold - res_norm), TolMode::Absolute,
+               RoundingMethod::QrSvd);
   return out;
 }
 
@@ -199,29 +180,25 @@ Compressed compress_rsvd(Span2D<const double> a, double tol, Rng& rng, TolMode m
     la::Matrix<double> q;
     la::qr_factor(y.view(), q);
 
-    // B = Q^T A (p x n), then a small SVD.
+    // B = Q^T A (p x n). The range error ||A - Q B||_F is orthogonal to
+    // any truncation of Q B, so it is summed exactly: grow the sample until
+    // it is <= threshold / 10 (or covers the full rank), then compress B
+    // with what it leaves of the budget.
     la::Matrix<double> b(p, n);
     la::gemm<double>(la::Trans::Trans, la::Trans::NoTrans, 1.0, q.cview(), a, 0.0, b.view());
-    la::Matrix<double> ub, vb;
-    std::vector<double> s;
-    la::svd_jacobi(b, ub, s, vb);
-
-    const std::size_t k = truncation_rank(s, threshold);
-    // Accept if the spectrum visibly decayed inside the sample window or the
-    // window already covers the full rank.
-    if (k < sample || p >= max_rank) {
-      Compressed out;
-      out.u.resize(m, k);
-      out.v.resize(n, k);
-      // U = Q * Ub_k scaled by singular values; V = Vb_k.
-      la::Matrix<double> ubk(p, k);
-      for (std::size_t j = 0; j < k; ++j)
-        for (std::size_t i = 0; i < p; ++i) ubk(i, j) = ub(i, j) * s[j];
-      if (k > 0)
+    la::Matrix<double> resid = copy_of(a);
+    la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, q.cview(), b.cview(), 1.0,
+                     resid.view());
+    const double range_err = la::norm_frobenius<double>(resid.cview());
+    if (range_err <= 0.1 * threshold || p >= max_rank) {
+      Compressed out = compress_svd(
+          b.cview(), std::sqrt(std::max(0.0, threshold * threshold - range_err * range_err)),
+          TolMode::Absolute);
+      la::Matrix<double> u(m, out.rank());  // U = Q U_B
+      if (out.rank() > 0)
         la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, 1.0, q.cview(),
-                         ubk.cview(), 0.0, out.u.view());
-      for (std::size_t j = 0; j < k; ++j)
-        for (std::size_t i = 0; i < n; ++i) out.v(i, j) = vb(i, j);
+                         out.u.cview(), 0.0, u.view());
+      out.u = std::move(u);
       return out;
     }
     sample = std::min(max_rank, sample * 2);

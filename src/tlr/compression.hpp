@@ -2,10 +2,12 @@
 //
 // The paper compresses off-diagonal tiles "up to a target accuracy
 // threshold" (1e-8 for the geostatistics application). Three compressors are
-// provided — deterministic truncated SVD (the reference), adaptive cross
-// approximation (ACA, the cheap streaming alternative), and randomized SVD —
-// plus the QR-based recompression ("rounding") used after low-rank additions
-// inside the TLR Cholesky.
+// provided — truncated SVD (the default; QR-first, so its cost follows the
+// rank rather than the tile size), adaptive cross approximation (ACA), and
+// randomized SVD — plus the QR-based recompression ("rounding") used after
+// low-rank additions inside the TLR Cholesky. All three check their error
+// against the assembled tile, so ||A - U V^T||_F <= threshold holds up to
+// floating-point rounding whichever is chosen.
 #pragma once
 
 #include <cstddef>
@@ -29,16 +31,26 @@ struct Compressed {
   [[nodiscard]] std::size_t rank() const noexcept { return u.cols(); }
 };
 
-/// Truncated SVD compression (deterministic reference).
+/// Truncated SVD compression, QR first: a column-pivoted QR stopped once
+/// the trailing block's norm ||R22||_F is <= threshold / 100, then a Jacobi
+/// SVD of the k x n factor [R11 R12] truncated at
+/// sqrt(threshold^2 - ||R22||_F^2). ||A - U V^T||_F <= threshold holds as
+/// for a full-tile SVD. The rank is never below the full SVD's truncation
+/// rank, and equals it unless the energy that truncation drops lies within
+/// the last 1e-4 of threshold^2.
 Compressed compress_svd(Span2D<const double> a, double tol,
                         TolMode mode = TolMode::RelativeFrobenius);
 
-/// Adaptive cross approximation with partial pivoting; may overshoot the
-/// rank slightly, so the result is recompressed to the same tolerance.
+/// Adaptive cross approximation with partial pivoting on the assembled
+/// tile. It keeps the residual explicitly, stops once ||A - U V^T||_F is
+/// <= threshold / 10, and rounds the cross terms (QrSvd) with the budget
+/// left, so ||A - U V^T||_F <= threshold holds like compress_svd's.
 Compressed compress_aca(Span2D<const double> a, double tol,
                         TolMode mode = TolMode::RelativeFrobenius);
 
-/// Randomized SVD: adaptive rank doubling with one power iteration.
+/// Randomized SVD: adaptive rank doubling with one power iteration, until
+/// the exact range error ||A - Q Q^T A||_F is <= threshold / 10; Q^T A is
+/// then compressed (compress_svd) with the rest of the budget.
 Compressed compress_rsvd(Span2D<const double> a, double tol, Rng& rng,
                          TolMode mode = TolMode::RelativeFrobenius);
 
@@ -55,9 +67,8 @@ enum class RoundingMethod : unsigned char {
 /// QR-based rounding of a low-rank representation: replaces (u, v) by an
 /// equivalent factorization truncated to `tol`. Used after LR additions
 /// (GEMM accumulation into a low-rank tile).
-void recompress(la::Matrix<double>& u, la::Matrix<double>& v, double tol,
-                TolMode mode = TolMode::RelativeFrobenius,
-                RoundingMethod method = RoundingMethod::QrSvd);
+void recompress(la::Matrix<double>& u, la::Matrix<double>& v, double tol, TolMode mode,
+                RoundingMethod method);
 
 /// ||A - U V^T||_F (testing helper).
 double lowrank_error(Span2D<const double> a, const la::Matrix<double>& u,

@@ -57,8 +57,7 @@ LrProduct product_dense_dense(Span2D<const double> a, Span2D<const double> b, do
 /// rounding to `abs_tol` (absolute Frobenius threshold) with the chosen
 /// method (QR+SVD reference or the cheaper RRQR).
 void lr_axpy_rounded(double alpha, const LrProduct& p, la::Matrix<double>& uc,
-                     la::Matrix<double>& vc, double abs_tol,
-                     RoundingMethod method = RoundingMethod::QrSvd);
+                     la::Matrix<double>& vc, double abs_tol, RoundingMethod method);
 
 /// y += alpha * (U V^T) x  (tile GEMV for the triangular solve phase).
 void lr_gemv(double alpha, const LrView& a, const double* x, double* y);

@@ -2,17 +2,46 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "cholesky/factorize.hpp"
+#include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
+#include "geostat/locations.hpp"
 #include "la/lapack.hpp"
 #include "test_utils.hpp"
+#include "tile/sym_tile_matrix.hpp"
 #include "tlr/compression.hpp"
 
 namespace gsx::tlr {
 namespace {
 
+using gsx::test::max_abs_diff;
 using gsx::test::random_lowrank;
 using gsx::test::random_matrix;
+
+/// The application's matrix: Matérn (nu = 0.8) over a Morton-ordered
+/// jittered 2-D grid, n = 1000 in tiles of 128, so the last tile row holds
+/// ragged 104 x 128 (wide) tiles.
+tile::SymTileMatrix morton_matern(double range) {
+  Rng rng(1);
+  auto locs = geostat::perturbed_grid_locations(1000, rng);
+  geostat::sort_morton(locs);
+  tile::SymTileMatrix a(1000, 128);
+  geostat::fill_covariance_tiles(a, geostat::MaternCovariance(1.0, range, 0.8), locs, 1);
+  return a;
+}
+
+/// Smallest k with sqrt(sum_{i>=k} s_i^2) <= threshold, s descending.
+std::size_t truncation_rank(const std::vector<double>& s, double threshold) {
+  std::size_t k = s.size();
+  double tail = 0.0;
+  while (k > 0 && std::sqrt(tail + s[k - 1] * s[k - 1]) <= threshold) {
+    tail += s[k - 1] * s[k - 1];
+    --k;
+  }
+  return k;
+}
 
 /// A covariance-like block: smooth decay with distance, numerically low-rank.
 la::Matrix<double> covariance_block(std::size_t m, std::size_t n, double sep) {
@@ -34,14 +63,18 @@ struct MethodCase {
 class CompressionMethods : public ::testing::TestWithParam<MethodCase> {};
 
 TEST_P(CompressionMethods, MeetsAbsoluteTolerance) {
-  Rng rng(11);
-  const auto a = covariance_block(40, 36, 1.5);
-  for (double tol : {1e-2, 1e-4, 1e-8}) {
-    Rng local(5);
-    const Compressed c = compress(GetParam().method, a.cview(), tol, local,
-                                  TolMode::Absolute);
-    EXPECT_LE(lowrank_error(a.cview(), c.u, c.v), tol * 1.0001)
-        << GetParam().name << " tol=" << tol;
+  // A 1-D exponential block, and a separated tile of the application's
+  // matrix on which stopping on a heuristic (ACA's ||u|| ||v||, RSVD's
+  // spectrum decay) left the error above the tolerance.
+  for (const la::Matrix<double>& a :
+       {covariance_block(40, 36, 1.5), morton_matern(0.1).at(2, 0).to_dense64()}) {
+    for (double tol : {1e-2, 1e-4, 1e-8}) {
+      Rng local(5);
+      const Compressed c = compress(GetParam().method, a.cview(), tol, local,
+                                    TolMode::Absolute);
+      EXPECT_LE(lowrank_error(a.cview(), c.u, c.v), tol * 1.0001)
+          << GetParam().name << " " << a.rows() << "x" << a.cols() << " tol=" << tol;
+    }
   }
 }
 
@@ -104,6 +137,53 @@ TEST(CompressSvd, RectangularBlocks) {
   }
 }
 
+TEST(CompressSvd, MatchesFullTileSvdOnMortonMaternTiles) {
+  // Every off-diagonal tile, the ragged wide ones included: the QR-first
+  // SVD meets the bound and keeps the rank of the full-tile Jacobi SVD.
+  std::size_t wide = 0;
+  for (double range : {0.03, 0.1}) {
+    const tile::SymTileMatrix a = morton_matern(range);
+    std::vector<TolMode> modes{TolMode::Absolute};
+    if (range == 0.1) modes.push_back(TolMode::RelativeFrobenius);
+    for (std::size_t j = 0; j < a.nt(); ++j)
+      for (std::size_t i = j + 1; i < a.nt(); ++i) {
+        const la::Matrix<double> t = a.at(i, j).to_dense64();
+        if (t.rows() < t.cols()) ++wide;
+        la::Matrix<double> u, v;
+        std::vector<double> s;
+        la::svd_jacobi(t, u, s, v);
+        for (TolMode mode : modes) {
+          const double threshold = (mode == TolMode::Absolute)
+                                       ? 1e-8
+                                       : 1e-8 * la::norm_frobenius<double>(t.cview());
+          const Compressed c = compress_svd(t.cview(), 1e-8, mode);
+          EXPECT_LE(lowrank_error(t.cview(), c.u, c.v), threshold)
+              << "range " << range << " tile (" << i << "," << j << ")";
+          EXPECT_EQ(c.rank(), truncation_rank(s, threshold))
+              << "range " << range << " tile (" << i << "," << j << ")";
+        }
+      }
+  }
+  EXPECT_EQ(wide, 14u);  // 7 ragged tiles per range
+}
+
+TEST(CompressSvd, FullRankTileStaysDenseInCompressTile) {
+  // A full-rank tile runs the QR to completion and the SVD over all of R;
+  // its rank exceeds tile/2, so compress_tile keeps it dense and untouched.
+  Rng rng(51);
+  const la::Matrix<double> r = random_matrix(128, 128, rng);
+  const Compressed c = compress_svd(r.cview(), 1e-8, TolMode::Absolute);
+  EXPECT_EQ(c.rank(), 128u);
+  EXPECT_LE(lowrank_error(r.cview(), c.u, c.v), 1e-8);
+
+  tile::SymTileMatrix a(256, 128);
+  a.at(1, 0).assign_dense64(la::Matrix<double>(r));
+  cholesky::compress_tile(a, 1, 0, la::norm_frobenius<double>(r.cview()),
+                          cholesky::TlrCompressOptions{});
+  EXPECT_EQ(a.at(1, 0).format(), tile::TileFormat::Dense);
+  EXPECT_EQ(max_abs_diff(a.at(1, 0).to_dense64(), r), 0.0);
+}
+
 TEST(Recompress, ReducesInflatedRank) {
   Rng rng(41);
   // Build an exactly rank-3 block represented with rank 12 factors.
@@ -122,7 +202,7 @@ TEST(Recompress, ReducesInflatedRank) {
       v2(i, true_rank + j) = c.v(i, j);
     }
   }
-  recompress(u2, v2, 1e-10, TolMode::Absolute);
+  recompress(u2, v2, 1e-10, TolMode::Absolute, RoundingMethod::QrSvd);
   EXPECT_EQ(u2.cols(), true_rank);
   EXPECT_LE(lowrank_error(a.cview(), u2, v2), 1e-8);
 }
@@ -135,13 +215,13 @@ TEST(Recompress, PreservesValueWithinTolerance) {
   la::Matrix<double> before(m, n);
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, 1.0, u.cview(), v.cview(), 0.0,
                    before.view());
-  recompress(u, v, 1e-6, TolMode::Absolute);
+  recompress(u, v, 1e-6, TolMode::Absolute, RoundingMethod::QrSvd);
   EXPECT_LE(lowrank_error(before.cview(), u, v), 1e-6 * 1.0001);
 }
 
 TEST(Recompress, RankZeroIsNoop) {
   la::Matrix<double> u(10, 0), v(8, 0);
-  recompress(u, v, 1e-8, TolMode::Absolute);
+  recompress(u, v, 1e-8, TolMode::Absolute, RoundingMethod::QrSvd);
   EXPECT_EQ(u.cols(), 0u);
 }
 
@@ -154,7 +234,7 @@ TEST(Recompress, WideFactorsFallBackToDenseSvd) {
   la::Matrix<double> before(m, n);
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, 1.0, u.cview(), v.cview(), 0.0,
                    before.view());
-  recompress(u, v, 1e-10, TolMode::Absolute);
+  recompress(u, v, 1e-10, TolMode::Absolute, RoundingMethod::QrSvd);
   EXPECT_LE(u.cols(), std::min(m, n));
   EXPECT_LE(lowrank_error(before.cview(), u, v), 1e-8);
 }

@@ -181,7 +181,7 @@ TEST(LrAxpy, AccumulatesWithRounding) {
       oracle(i, j) = c.dense(i, j) - 2.0 * p.dense(i, j);
 
   la::Matrix<double> uc = c.u, vc = c.v;
-  lr_axpy_rounded(-2.0, LrProduct{p.u, p.v}, uc, vc, 1e-9);
+  lr_axpy_rounded(-2.0, LrProduct{p.u, p.v}, uc, vc, 1e-9, RoundingMethod::QrSvd);
 
   la::Matrix<double> rec(m, n);
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, 1.0, uc.cview(), vc.cview(), 0.0,
@@ -195,7 +195,7 @@ TEST(LrAxpy, CancellationReducesRank) {
   LrFixture c(16, 16, 5, rng);
   // Subtracting the tile from itself must collapse to (near) rank zero.
   la::Matrix<double> uc = c.u, vc = c.v;
-  lr_axpy_rounded(-1.0, LrProduct{c.u, c.v}, uc, vc, 1e-10);
+  lr_axpy_rounded(-1.0, LrProduct{c.u, c.v}, uc, vc, 1e-10, RoundingMethod::QrSvd);
   EXPECT_LE(uc.cols(), 1u);
   la::Matrix<double> rec(16, 16);
   if (uc.cols() > 0)

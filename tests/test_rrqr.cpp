@@ -1,7 +1,10 @@
 // Column-pivoted QR and the RRQR low-rank rounding path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "cholesky/factorize.hpp"
 #include "cholesky/tile_solve.hpp"
@@ -27,23 +30,25 @@ class QrPivotedTest : public ::testing::TestWithParam<QrpShape> {};
 
 TEST_P(QrPivotedTest, ReconstructsWithPermutation) {
   const auto [m, n] = GetParam();
+  const std::size_t p = std::min(m, n);
   Rng rng(m * 100 + n);
   const auto a0 = random_matrix(m, n, rng);
   auto r = a0;
   la::Matrix<double> q;
   std::vector<std::size_t> perm;
-  la::qr_pivoted(r.view(), q, perm);
+  EXPECT_EQ(la::qr_pivoted(r.view(), q, perm), p);
 
-  // Q orthonormal.
-  la::Matrix<double> qtq(n, n);
+  // Q orthonormal (m x p).
+  ASSERT_EQ(q.cols(), p);
+  la::Matrix<double> qtq(p, p);
   la::gemm<double>(la::Trans::Trans, la::Trans::NoTrans, 1.0, q.cview(), q.cview(), 0.0,
                    qtq.view());
-  EXPECT_LT(max_abs_diff(qtq, la::Matrix<double>::identity(n)), 1e-12);
+  EXPECT_LT(max_abs_diff(qtq, la::Matrix<double>::identity(p)), 1e-12);
 
   // Q R == A P (column perm[j] of A is column j of A*P).
   la::Matrix<double> qr(m, n);
   la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, 1.0, q.cview(),
-                   Span2D<const double>(r.data(), n, n, m), 0.0, qr.view());
+                   Span2D<const double>(r.data(), p, n, m), 0.0, qr.view());
   for (std::size_t j = 0; j < n; ++j)
     for (std::size_t i = 0; i < m; ++i)
       EXPECT_NEAR(qr(i, j), a0(i, perm[j]), 1e-11) << i << "," << j;
@@ -57,14 +62,59 @@ TEST_P(QrPivotedTest, ReconstructsWithPermutation) {
   }
 
   // Rank-revealing property: |R_jj| non-increasing.
-  for (std::size_t j = 1; j < n; ++j)
+  for (std::size_t j = 1; j < p; ++j)
     EXPECT_LE(std::fabs(r(j, j)), std::fabs(r(j - 1, j - 1)) + 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, QrPivotedTest,
                          ::testing::Values(QrpShape{6, 6}, QrpShape{20, 7},
                                            QrpShape{50, 12}, QrpShape{9, 1},
-                                           QrpShape{64, 32}));
+                                           QrpShape{64, 32}, QrpShape{7, 20},
+                                           QrpShape{1, 9}, QrpShape{26, 32}));
+
+TEST(QrPivoted, StopsOnExactTrailingNorm) {
+  // Rank 6 plus a 1e-9 perturbation, tall and wide: a 1e-6 stop halts
+  // after the 6 informative columns, and the dropped part A P - Q1 R1 is
+  // exactly the trailing block left in place.
+  for (auto [m, n] : {std::pair<std::size_t, std::size_t>{40, 30},
+                      std::pair<std::size_t, std::size_t>{30, 40}}) {
+    Rng rng(m + n);
+    auto a0 = random_lowrank(m, n, 6, rng);
+    const auto noise = random_matrix(m, n, rng);
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < m; ++i) a0(i, j) += 1e-9 * noise(i, j);
+    auto r = a0;
+    la::Matrix<double> q;
+    std::vector<std::size_t> perm;
+    const std::size_t k = la::qr_pivoted(r.view(), q, perm, 1e-6);
+    ASSERT_EQ(k, 6u);
+    ASSERT_EQ(q.cols(), k);
+    const double tail = la::norm_frobenius<double>(r.cview().sub(k, k, m - k, n - k));
+    EXPECT_LE(tail, 1e-6);
+
+    la::Matrix<double> diff(m, n);
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < m; ++i) diff(i, j) = a0(i, perm[j]);
+    la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, q.cview(),
+                     Span2D<const double>(r.data(), k, n, m), 1.0, diff.view());
+    EXPECT_NEAR(la::norm_frobenius<double>(diff.cview()), tail, 1e-12);
+  }
+}
+
+TEST(QrPivoted, UntriggeredStopLeavesFactorizationBitIdentical) {
+  // The stop test only reads the trailing block: a threshold that never
+  // fires gives the same bits as the plain factorization.
+  Rng rng(12);
+  const auto a0 = random_matrix(33, 21, rng);
+  auto r1 = a0, r2 = a0;
+  la::Matrix<double> q1, q2;
+  std::vector<std::size_t> p1, p2;
+  la::qr_pivoted(r1.view(), q1, p1);
+  EXPECT_EQ(la::qr_pivoted(r2.view(), q2, p2, 1e-300), 21u);
+  EXPECT_EQ(p1, p2);
+  EXPECT_EQ(max_abs_diff(r1, r2), 0.0);
+  EXPECT_EQ(max_abs_diff(q1, q2), 0.0);
+}
 
 TEST(QrPivoted, RevealsNumericalRank) {
   Rng rng(5);
