@@ -1,5 +1,5 @@
 // Ablation: design choices inside the TLR machinery.
-//  (a) Compression kernels (truncated SVD vs ACA vs randomized SVD) on real
+//  (a) Compression kernels (truncated SVD vs ACA) on real
 //      covariance blocks: time, achieved rank, achieved error.
 //  (b) Low-rank rounding inside the TLR Cholesky (QR+SVD vs RRQR): whole
 //      factorization time at equal tolerance, and factor agreement.
@@ -40,12 +40,10 @@ int main() {
     const la::Matrix<double> block = covariance_block(ts, sep);
     for (auto [method, name] :
          {std::pair{tlr::CompressionMethod::SVD, "truncated SVD"},
-          std::pair{tlr::CompressionMethod::ACA, "ACA (partial pivot)"},
-          std::pair{tlr::CompressionMethod::RSVD, "randomized SVD"}}) {
-      Rng rng(9);
+          std::pair{tlr::CompressionMethod::ACA, "ACA (partial pivot)"}}) {
       Timer t;
       const tlr::Compressed c =
-          tlr::compress(method, block.cview(), 1e-8, rng, tlr::TolMode::Absolute);
+          tlr::compress(method, block.cview(), 1e-8, tlr::TolMode::Absolute);
       const double ms = t.milliseconds();
       std::printf("%-24s %8.1f | %12.3f %8zu %14.3e\n", name, sep, ms, c.rank(),
                   tlr::lowrank_error(block.cview(), c.u, c.v));

@@ -7,7 +7,6 @@
 #include "cholesky/tile_batch.hpp"
 #include "cholesky/tile_kernels.hpp"
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "la/convert.hpp"
 #include "obs/flops.hpp"
@@ -185,9 +184,8 @@ void compress_tile(SymTileMatrix& a, std::size_t i, std::size_t j, double global
                      obs::lf("count", static_cast<std::uint64_t>(bad))});
     }
   }
-  Rng rng(opts.seed + 1315423911ull * (i * nt + j));
   tlr::Compressed comp =
-      tlr::compress(opts.method, full.cview(), opts.tol, rng, tlr::TolMode::Absolute);
+      tlr::compress(opts.method, full.cview(), opts.tol, tlr::TolMode::Absolute);
 
   // Structure-aware decision: rank too high for the TLR kernel to win; keep
   // the tile dense (it re-joins the band, cf. Fig. 3(a->b)). The cap is

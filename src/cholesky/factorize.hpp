@@ -7,8 +7,6 @@
 //                    tile_cholesky_tlr
 #pragma once
 
-#include <cstdint>
-
 #include "cholesky/precision_policy.hpp"
 #include "runtime/task_graph.hpp"
 #include "tile/sym_tile_matrix.hpp"
@@ -51,7 +49,6 @@ struct TlrCompressOptions {
   /// Store low-rank factors in FP32 where the Frobenius rule permits.
   bool lr_fp32 = true;
   double eps_target = 1.0e-8;   ///< accuracy target for the FP32-LR decision
-  std::uint64_t seed = 42;      ///< randomized compression seed
 };
 
 struct CompressStats {

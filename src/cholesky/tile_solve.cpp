@@ -266,7 +266,7 @@ geostat::KrigingResult tile_krige_solved(const geostat::CovarianceModel& model,
   const double t_assemble0 = obs::now_seconds();
   la::Matrix<double> w(n, m);
   rt::parallel_for(0, m, workers, [&](std::size_t j) {
-    for (std::size_t i = 0; i < n; ++i) w(i, j) = model(train_locs[i], test_locs[j]);
+    model.fill(train_locs, test_locs.subspan(j, 1), w.view().sub(0, j, n, 1));
   });
   const double t_solve0 = obs::now_seconds();
   if (telemetry != nullptr) telemetry->assemble_seconds = t_solve0 - t_assemble0;

@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <set>
 #include <thread>
 #include <utility>
@@ -111,10 +112,11 @@ class RankEngine {
   /// Materialize only the owned tiles.
   void generate() {
     const std::vector<geostat::Location> locs = problem_locations(prob_);
+    const std::span<const geostat::Location> all(locs);
     const geostat::MaternCovariance model = problem_kernel(prob_);
     for (const auto& [i, j] : owned_)
-      a_.generate_tile(i, j, [&](std::size_t gi, std::size_t gj) {
-        return model(locs[gi], locs[gj]);
+      a_.generate_tile(i, j, [&](std::size_t gi0, std::size_t gj0, Span2D<double> block) {
+        model.fill(all.subspan(gi0, block.rows()), all.subspan(gj0, block.cols()), block);
       });
   }
 

@@ -28,11 +28,9 @@ la::Matrix<double> covariance_matrix(const CovarianceModel& model,
   count_cov_evals(n * (n + 1) / 2);
   la::Matrix<double> sigma(n, n);
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = j; i < n; ++i) {
-      const double c = model(locs[i], locs[j]);
-      sigma(i, j) = c;
-      sigma(j, i) = c;
-    }
+    // Column j from the diagonal down, mirrored into row j.
+    model.fill(locs.subspan(j), locs.subspan(j, 1), sigma.view().sub(j, j, n - j, 1));
+    for (std::size_t i = j + 1; i < n; ++i) sigma(j, i) = sigma(i, j);
   }
   return sigma;
 }
@@ -44,8 +42,7 @@ la::Matrix<double> cross_covariance(const CovarianceModel& model,
   const obs::ScopedTimer timer("assemble.seconds");
   count_cov_evals(a.size() * b.size());
   la::Matrix<double> sigma(a.size(), b.size());
-  for (std::size_t j = 0; j < b.size(); ++j)
-    for (std::size_t i = 0; i < a.size(); ++i) sigma(i, j) = model(a[i], b[j]);
+  model.fill(a, b, sigma.view());
   return sigma;
 }
 
@@ -55,7 +52,9 @@ void fill_covariance_tiles(tile::SymTileMatrix& tiles, const CovarianceModel& mo
   const obs::ScopedTimer timer("assemble.seconds");
   const obs::ScopedPhase phase("assemble");
   tiles.generate(
-      [&](std::size_t gi, std::size_t gj) { return model(locs[gi], locs[gj]); },
+      [&](std::size_t gi0, std::size_t gj0, Span2D<double> block) {
+        model.fill(locs.subspan(gi0, block.rows()), locs.subspan(gj0, block.cols()), block);
+      },
       num_workers);
   if (obs::enabled()) {
     std::size_t elems = 0;

@@ -1,5 +1,7 @@
 #include "geostat/covariance.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -8,12 +10,22 @@
 
 namespace gsx::geostat {
 
+namespace {
+
+/// Half-integer smoothness with a closed form (the common special cases).
+bool closed_form(double nu) { return nu == 0.5 || nu == 1.5 || nu == 2.5; }
+
+/// Beyond this distance M_nu underflows to 0, which is the correct limit.
+constexpr double kUnderflowDistance = 700.0;
+
+}  // namespace
+
 double matern_correlation(double nu, double d) { return MaternCorrelation(nu)(d); }
 
 MaternCorrelation::MaternCorrelation(double nu) : nu_(nu) {
   GSX_REQUIRE(nu > 0.0 && std::isfinite(nu),
               "matern_correlation: smoothness must be positive and finite");
-  if (nu == 0.5 || nu == 1.5 || nu == 2.5) return;  // closed forms need no Bessel K
+  if (closed_form(nu)) return;  // closed forms need no Bessel K
   log_norm_ = (1.0 - nu) * std::log(2.0) - std::lgamma(nu);
   order_ = mathx::BesselKOrder(nu);
 }
@@ -23,18 +35,58 @@ double MaternCorrelation::operator()(double d) const {
   // NaN tile entry.
   GSX_REQUIRE(d >= 0.0, "matern_correlation: distance must be non-negative");
   if (d == 0.0) return 1.0;
-  // Closed forms for half-integer smoothness (the common special cases).
   if (nu_ == 0.5) return std::exp(-d);
   if (nu_ == 1.5) return (1.0 + d) * std::exp(-d);
   if (nu_ == 2.5) return (1.0 + d + d * d / 3.0) * std::exp(-d);
-  // General case; for large d the product underflows to 0, which is the
-  // correct limit, so compute through the scaled Bessel to avoid premature
-  // underflow: K_nu(d) = e^{-d} * K_scaled.
-  if (d > 700.0) return 0.0;
+  if (d > kUnderflowDistance) return 0.0;
+  return from_k_scaled(d, mathx::bessel_k_scaled(order_, d));
+}
+
+void MaternCorrelation::eval(std::span<const double> d, std::span<double> out) const {
+  GSX_REQUIRE(d.size() == out.size(), "MaternCorrelation::eval: d and out differ in length");
+  if (closed_form(nu_)) {
+    for (std::size_t i = 0; i < d.size(); ++i) out[i] = (*this)(d[i]);
+    return;
+  }
+  // The distances of a chunk that need K_nu, with their positions in d.
+  constexpr std::size_t kChunk = 256;
+  std::array<double, kChunk> x;
+  std::array<double, kChunk> k;
+  std::array<std::size_t, kChunk> at;
+  for (std::size_t c0 = 0; c0 < d.size(); c0 += kChunk) {
+    const std::size_t c1 = std::min(d.size(), c0 + kChunk);
+    std::size_t m = 0;
+    for (std::size_t i = c0; i < c1; ++i) {
+      GSX_REQUIRE(d[i] >= 0.0, "matern_correlation: distance must be non-negative");
+      if (d[i] == 0.0) {
+        out[i] = 1.0;
+      } else if (d[i] > kUnderflowDistance) {
+        out[i] = 0.0;
+      } else {
+        x[m] = d[i];
+        at[m++] = i;
+      }
+    }
+    mathx::bessel_k_scaled(order_, std::span<const double>(x.data(), m),
+                           std::span<double>(k.data(), m));
+    for (std::size_t t = 0; t < m; ++t) out[at[t]] = from_k_scaled(x[t], k[t]);
+  }
+}
+
+double MaternCorrelation::from_k_scaled(double d, double k_scaled) const {
+  // K_nu(d) = e^{-d} * K_scaled: the e^{-d} joins the exponent of the
+  // prefactor, so the product does not underflow early.
   const double log_pref = log_norm_ + nu_ * std::log(d);
-  const double k_scaled = mathx::bessel_k_scaled(order_, d);
   const double val = std::exp(log_pref - d) * k_scaled;
   return std::min(val, 1.0);  // guard tiny numerical overshoot near d -> 0
+}
+
+void CovarianceModel::fill(std::span<const Location> rows, std::span<const Location> cols,
+                           Span2D<double> out) const {
+  GSX_REQUIRE(out.rows() == rows.size() && out.cols() == cols.size(),
+              "CovarianceModel::fill: block shape differs from the location sets");
+  for (std::size_t j = 0; j < cols.size(); ++j)
+    for (std::size_t i = 0; i < rows.size(); ++i) out(i, j) = (*this)(rows[i], cols[j]);
 }
 
 // ---------------------------------------------------------------- Matérn
@@ -50,6 +102,27 @@ double MaternCovariance::operator()(const Location& a, const Location& b) const 
   const double d = mathx::euclidean2d(a.x, a.y, b.x, b.y);
   const double c = variance_ * corr_(d / range_);
   return (d == 0.0) ? c + nugget_ : c;
+}
+
+void MaternCovariance::fill(std::span<const Location> rows, std::span<const Location> cols,
+                            Span2D<double> out) const {
+  GSX_REQUIRE(out.rows() == rows.size() && out.cols() == cols.size(),
+              "MaternCovariance::fill: block shape differs from the location sets");
+  std::vector<double> d(rows.size());
+  std::vector<double> scaled(rows.size());
+  for (std::size_t j = 0; j < cols.size(); ++j) {
+    const Location& b = cols[j];
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      d[i] = mathx::euclidean2d(rows[i].x, rows[i].y, b.x, b.y);
+      scaled[i] = d[i] / range_;
+    }
+    const std::span<double> col(out.data() + j * out.ld(), rows.size());
+    corr_.eval(scaled, col);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const double c = variance_ * col[i];
+      col[i] = (d[i] == 0.0) ? c + nugget_ : c;
+    }
+  }
 }
 
 std::vector<double> MaternCovariance::params() const {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/span2d.hpp"
 #include "geostat/locations.hpp"
 #include "mathx/bessel.hpp"
 
@@ -34,9 +35,20 @@ class MaternCorrelation {
 
   /// M_nu(d); throws InvalidArgument unless d >= 0 (NaN included).
   [[nodiscard]] double operator()(double d) const;
+
+  /// out[i] = (*this)(d[i]) for every i, bit for bit. The Bessel K of the
+  /// whole span goes through mathx::bessel_k_scaled's span entry, which
+  /// runs its continued fraction for several elements at once. Throws
+  /// InvalidArgument if the spans differ in length or any d[i] is negative
+  /// or NaN.
+  void eval(std::span<const double> d, std::span<double> out) const;
+
   [[nodiscard]] double nu() const noexcept { return nu_; }
 
  private:
+  /// M_nu(d) from exp(d) K_nu(d), for 0 < d <= 700 off the closed forms.
+  [[nodiscard]] double from_k_scaled(double d, double k_scaled) const;
+
   double nu_;
   double log_norm_ = 0.0;       ///< (1 - nu) log 2 - lgamma(nu)
   mathx::BesselKOrder order_;   ///< unused at the closed-form orders
@@ -53,6 +65,13 @@ class CovarianceModel {
   /// Covariance between two locations (including nugget when a == b is
   /// indicated by zero distance in space and time).
   [[nodiscard]] virtual double operator()(const Location& a, const Location& b) const = 0;
+
+  /// out(i, j) = (*this)(rows[i], cols[j]) for every i, j: the block of the
+  /// covariance matrix between two location sets, in column-major order.
+  /// The default loops over operator(); an override must give the same
+  /// bits. Throws InvalidArgument if out's shape differs from the sets'.
+  virtual void fill(std::span<const Location> rows, std::span<const Location> cols,
+                    Span2D<double> out) const;
 
   [[nodiscard]] virtual std::size_t num_params() const = 0;
   [[nodiscard]] virtual std::vector<double> params() const = 0;
@@ -71,6 +90,9 @@ class MaternCovariance final : public CovarianceModel {
   MaternCovariance(double variance, double range, double smoothness, double nugget = 0.0);
 
   double operator()(const Location& a, const Location& b) const override;
+  /// One column of distances at a time, through MaternCorrelation::eval.
+  void fill(std::span<const Location> rows, std::span<const Location> cols,
+            Span2D<double> out) const override;
   std::size_t num_params() const override { return 3; }
   std::vector<double> params() const override;
   void set_params(std::span<const double> theta) override;

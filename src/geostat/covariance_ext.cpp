@@ -11,28 +11,28 @@ namespace gsx::geostat {
 
 MaternNuggetCovariance::MaternNuggetCovariance(double variance, double range,
                                                double smoothness, double nugget)
-    : variance_(variance), range_(range), smoothness_(smoothness), nugget_(nugget) {
+    : variance_(variance), range_(range), corr_(smoothness), nugget_(nugget) {
   GSX_REQUIRE(variance > 0 && range > 0 && smoothness > 0 && nugget >= 0,
               "MaternNuggetCovariance: invalid parameters");
 }
 
 double MaternNuggetCovariance::operator()(const Location& a, const Location& b) const {
   const double d = mathx::euclidean2d(a.x, a.y, b.x, b.y);
-  const double c = variance_ * matern_correlation(smoothness_, d / range_);
+  const double c = variance_ * corr_(d / range_);
   return (d == 0.0) ? c + nugget_ : c;
 }
 
 std::vector<double> MaternNuggetCovariance::params() const {
-  return {variance_, range_, smoothness_, nugget_};
+  return {variance_, range_, corr_.nu(), nugget_};
 }
 
 void MaternNuggetCovariance::set_params(std::span<const double> theta) {
   GSX_REQUIRE(theta.size() == 4, "MaternNuggetCovariance: expects 4 parameters");
   GSX_REQUIRE(theta[0] > 0 && theta[1] > 0 && theta[2] > 0 && theta[3] >= 0,
               "MaternNuggetCovariance: invalid parameters");
+  corr_ = MaternCorrelation(theta[2]);
   variance_ = theta[0];
   range_ = theta[1];
-  smoothness_ = theta[2];
   nugget_ = theta[3];
 }
 
@@ -59,7 +59,7 @@ AnisotropicMaternCovariance::AnisotropicMaternCovariance(double variance,
       range_major_(range_major),
       range_minor_(range_minor),
       angle_(angle),
-      smoothness_(smoothness),
+      corr_(smoothness),
       nugget_(nugget) {
   GSX_REQUIRE(variance > 0 && range_major > 0 && range_minor > 0 && smoothness > 0 &&
                   nugget >= 0,
@@ -80,23 +80,23 @@ double AnisotropicMaternCovariance::scaled_distance(const Location& a,
 
 double AnisotropicMaternCovariance::operator()(const Location& a, const Location& b) const {
   const double d = scaled_distance(a, b);
-  const double cval = variance_ * matern_correlation(smoothness_, d);
+  const double cval = variance_ * corr_(d);
   return (d == 0.0) ? cval + nugget_ : cval;
 }
 
 std::vector<double> AnisotropicMaternCovariance::params() const {
-  return {variance_, range_major_, range_minor_, angle_, smoothness_};
+  return {variance_, range_major_, range_minor_, angle_, corr_.nu()};
 }
 
 void AnisotropicMaternCovariance::set_params(std::span<const double> theta) {
   GSX_REQUIRE(theta.size() == 5, "AnisotropicMaternCovariance: expects 5 parameters");
   GSX_REQUIRE(theta[0] > 0 && theta[1] > 0 && theta[2] > 0 && theta[4] > 0,
               "AnisotropicMaternCovariance: invalid parameters");
+  corr_ = MaternCorrelation(theta[4]);
   variance_ = theta[0];
   range_major_ = theta[1];
   range_minor_ = theta[2];
   angle_ = theta[3];
-  smoothness_ = theta[4];
 }
 
 std::vector<double> AnisotropicMaternCovariance::lower_bounds() const {

@@ -28,7 +28,7 @@ class MaternNuggetCovariance final : public CovarianceModel {
  private:
   double variance_;
   double range_;
-  double smoothness_;
+  MaternCorrelation corr_;
   double nugget_;
 };
 
@@ -58,7 +58,7 @@ class AnisotropicMaternCovariance final : public CovarianceModel {
   double range_major_;
   double range_minor_;
   double angle_;
-  double smoothness_;
+  MaternCorrelation corr_;
   double nugget_;
 };
 

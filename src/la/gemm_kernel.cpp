@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
+#include "common/isa.hpp"
 #include "la/autotune.hpp"
 
 namespace gsx::la {
@@ -262,32 +262,6 @@ GSX_GEMM_VARIANT(gemm_b32_48x8_avx512, GSX_TARGET_AVX512, bfloat16, float, 48, 8
 #endif  // GSX_X86_DISPATCH
 
 #undef GSX_GEMM_VARIANT
-
-enum class Isa : int { Portable = 0, Avx2 = 1, Avx512 = 2 };
-
-Isa pick_isa() noexcept {
-  Isa best = Isa::Portable;
-#if GSX_X86_DISPATCH
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) best = Isa::Avx2;
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512bw"))
-    best = Isa::Avx512;
-#endif
-  // Opt-down override for tuning and A/B testing; never opt-up past what the
-  // CPU supports.
-  if (const char* s = std::getenv("GSX_GEMM_ISA")) {
-    const std::string_view v(s);
-    if (v == "portable") return Isa::Portable;
-    if (v == "avx2") return (best == Isa::Portable) ? best : Isa::Avx2;
-    if (v == "avx512") return best;
-  }
-  return best;
-}
-
-Isa active_isa() noexcept {
-  static const Isa isa = pick_isa();
-  return isa;
-}
 
 /// The compiled shape table for a scalar type: one function per (shape, ISA).
 /// Index 0 is the portable/AVX2 default... defaults per ISA are recorded

@@ -1,14 +1,25 @@
 #include "mathx/bessel.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/isa.hpp"
 
 namespace gsx::mathx {
 
 namespace {
+
+#define GSX_ALWAYS_INLINE inline __attribute__((always_inline))
+
+#if defined(__x86_64__)
+#define GSX_X86_DISPATCH 1
+#else
+#define GSX_X86_DISPATCH 0
+#endif
 
 constexpr double kEps = 1.0e-16;
 constexpr double kFpMin = std::numeric_limits<double>::min() / kEps;
@@ -37,6 +48,104 @@ struct KPair {
 
 void require_argument(double x) {
   GSX_REQUIRE(std::isfinite(x) && x > 0.0, "bessel: x must be positive and finite");
+}
+
+/// W doubles in one vector register (GCC/Clang vector extension).
+/// Arithmetic and comparisons act lane by lane, a scalar operand is
+/// broadcast, and `mask ? a : b` selects per lane.
+template <int W>
+struct LaneVec {
+  typedef double type __attribute__((vector_size(W * sizeof(double))));
+};
+
+/// `v` in every lane of V (s - 0 is exact for every s, signed zero too).
+template <typename V>
+GSX_ALWAYS_INLINE void splat(V& out, double v) {
+  out = v - V{};
+}
+
+GSX_ALWAYS_INLINE void lane_fabs(double& v) { v = std::fabs(v); }
+
+template <typename V>
+GSX_ALWAYS_INLINE void lane_fabs(V& v) {
+  typedef long long Bits __attribute__((vector_size(sizeof(V))));
+  v = reinterpret_cast<V>(reinterpret_cast<Bits>(v) & 0x7fffffffffffffffLL);
+}
+
+GSX_ALWAYS_INLINE bool none(bool active) { return !active; }
+
+template <typename M>
+GSX_ALWAYS_INLINE bool none(const M& active) {
+  long long any = 0;
+  for (std::size_t k = 0; k < sizeof(M) / sizeof(any); ++k) any |= active[k];
+  return any == 0;
+}
+
+GSX_ALWAYS_INLINE void lane_sqrt(double& v) { v = std::sqrt(v); }
+
+template <typename V>
+GSX_ALWAYS_INLINE void lane_sqrt(V& v) {
+  for (std::size_t k = 0; k < sizeof(V) / sizeof(double); ++k) v[k] = std::sqrt(v[k]);
+}
+
+/// Steed's CF2 for the reduced-order pair at x >= 2, for every lane of V in
+/// lockstep (V = double is the one-lane, scalar path). It yields
+/// exp(x)-scaled values; `scale` multiplies both (exp(-x) unscales them).
+/// aa and cc depend only on the iteration, so they stay scalars. A lane
+/// whose own test has stopped keeps its hh and s while the others go on, so
+/// each lane ends with the values the scalar loop would break with.
+template <typename V>
+GSX_ALWAYS_INLINE void cf2_pair(const BesselKOrder& o, const V& x, const V& scale, V& kmu,
+                                V& k1) {
+  V bb = 2.0 * (1.0 + x);
+  V dd = 1.0 / bb;
+  V delh = dd;
+  V hh = delh;
+  V q1, q2, qq;
+  splat(q1, 0.0);
+  splat(q2, 1.0);
+  const double a1 = 0.25 - o.xmu2;
+  splat(qq, a1);
+  double cc = a1;
+  double aa = -a1;
+  V s = 1.0 + qq * delh;
+  auto active = x == x;  // every lane: x is finite
+  int i = 2;
+  for (; i <= kMaxIter; ++i) {
+    aa -= 2 * (i - 1);
+    cc = -aa * cc / i;
+    const V qnew = (q1 - bb * q2) / aa;
+    q1 = q2;
+    q2 = qnew;
+    qq += cc * qnew;
+    bb += 2.0;
+    dd = 1.0 / (bb + aa * dd);
+    delh = (bb * dd - 1.0) * delh;
+    const V dels = qq * delh;
+    hh = active ? hh + delh : hh;
+    s = active ? s + dels : s;
+    V ratio = dels / s;
+    lane_fabs(ratio);
+    active = (ratio < kEps) ? decltype(active){} : active;
+    if (none(active)) break;
+  }
+  GSX_REQUIRE(i <= kMaxIter, "bessel: CF2 failed to converge");
+  hh = a1 * hh;
+  V root = kPi / (2.0 * x);
+  lane_sqrt(root);
+  kmu = root * scale / s;
+  k1 = kmu * (o.xmu + x + 0.5 - hh) * (1.0 / x);
+}
+
+/// Upward recurrence in the order, from the reduced pair to K_nu in kmu.
+template <typename V>
+GSX_ALWAYS_INLINE void raise_order(const BesselKOrder& o, const V& x, V& kmu, V& k1) {
+  const V xi2 = 2.0 * (1.0 / x);
+  for (int i = 1; i <= o.nl; ++i) {
+    const V rktemp = (o.xmu + i) * xi2 * k1 + kmu;
+    kmu = k1;
+    k1 = rktemp;
+  }
 }
 
 /// Temme's series (x < 2) or Steed's CF2 (x >= 2) for the reduced-order
@@ -83,38 +192,7 @@ KPair k_reduced(const BesselKOrder& o, double x, bool scaled) {
       rk1 *= ex;
     }
   } else {
-    // Steed's CF2 for K_xmu; yields exp(-x)-scaled values naturally.
-    double bb = 2.0 * (1.0 + x);
-    double dd = 1.0 / bb;
-    double delh = dd;
-    double hh = delh;
-    double q1 = 0.0, q2 = 1.0;
-    const double a1 = 0.25 - xmu2;
-    double qq = a1;
-    double cc = a1;
-    double aa = -a1;
-    double s = 1.0 + qq * delh;
-    int i = 2;
-    for (; i <= kMaxIter; ++i) {
-      aa -= 2 * (i - 1);
-      cc = -aa * cc / i;
-      const double qnew = (q1 - bb * q2) / aa;
-      q1 = q2;
-      q2 = qnew;
-      qq += cc * qnew;
-      bb += 2.0;
-      dd = 1.0 / (bb + aa * dd);
-      delh = (bb * dd - 1.0) * delh;
-      hh += delh;
-      const double dels = qq * delh;
-      s += dels;
-      if (std::fabs(dels / s) < kEps) break;
-    }
-    GSX_REQUIRE(i <= kMaxIter, "bessel: CF2 failed to converge");
-    hh = a1 * hh;
-    const double scale = scaled ? 1.0 : std::exp(-x);
-    rkmu = std::sqrt(kPi / (2.0 * x)) * scale / s;
-    rk1 = rkmu * (xmu + x + 0.5 - hh) * xi;
+    cf2_pair(o, x, scaled ? 1.0 : std::exp(-x), rkmu, rk1);
   }
   return KPair{rkmu, rk1};
 }
@@ -123,17 +201,72 @@ KPair k_reduced(const BesselKOrder& o, double x, bool scaled) {
 /// upward recurrence in the order.
 double k_only(const BesselKOrder& o, double x, bool scaled) {
   require_argument(x);
-  const KPair k = k_reduced(o, x, scaled);
-  const double xi2 = 2.0 * (1.0 / x);
-  double kmu = k.kmu;
-  double k1 = k.k1;
-  for (int i = 1; i <= o.nl; ++i) {
-    const double rktemp = (o.xmu + i) * xi2 * k1 + kmu;
-    kmu = k1;
-    k1 = rktemp;
-  }
-  return kmu;
+  KPair k = k_reduced(o, x, scaled);
+  raise_order(o, x, k.kmu, k.k1);
+  return k.kmu;
 }
+
+/// Elements gathered per pass of the span entry. CF2 arguments wait in a
+/// stack buffer, with their positions, until they fill whole lane groups.
+constexpr std::size_t kChunk = 256;
+
+/// exp(x) K_nu(x) over a span: Temme elements one at a time, CF2 elements
+/// W at a time in lockstep (V holds W doubles). The last group of a chunk
+/// pads its spare lanes with a copy of its last argument and drops their
+/// results.
+template <typename V>
+GSX_ALWAYS_INLINE void k_scaled_span(const BesselKOrder& o, std::span<const double> x,
+                                     std::span<double> out) {
+  constexpr std::size_t W = sizeof(V) / sizeof(double);
+  std::array<double, kChunk + W> xs;
+  std::array<double, kChunk + W> ks;
+  std::array<std::size_t, kChunk> at;
+  V one;
+  splat(one, 1.0);
+  for (std::size_t c0 = 0; c0 < x.size(); c0 += kChunk) {
+    const std::size_t c1 = std::min(x.size(), c0 + kChunk);
+    std::size_t m = 0;
+    for (std::size_t i = c0; i < c1; ++i) {
+      if (x[i] < kXMin) {
+        out[i] = k_only(o, x[i], /*scaled=*/true);
+      } else {
+        require_argument(x[i]);
+        xs[m] = x[i];
+        at[m++] = i;
+      }
+    }
+    for (std::size_t t = m; t % W != 0; ++t) xs[t] = xs[m - 1];
+    for (std::size_t t = 0; t < m; t += W) {
+      V xv, kmu, k1;
+      std::memcpy(&xv, &xs[t], sizeof xv);
+      cf2_pair(o, xv, one, kmu, k1);
+      raise_order(o, xv, kmu, k1);
+      std::memcpy(&ks[t], &kmu, sizeof kmu);
+    }
+    for (std::size_t t = 0; t < m; ++t) out[at[t]] = ks[t];
+  }
+}
+
+void k_scaled_portable(const BesselKOrder& o, std::span<const double> x,
+                       std::span<double> out) {
+  k_scaled_span<LaneVec<2>::type>(o, x, out);
+}
+
+#if GSX_X86_DISPATCH
+// No FMA in either target list; -ffp-contract=off keeps GCC from fusing
+// where the target would allow it (AVX-512F implies FMA in GCC).
+__attribute__((target("avx2"))) void k_scaled_avx2(const BesselKOrder& o,
+                                                   std::span<const double> x,
+                                                   std::span<double> out) {
+  k_scaled_span<LaneVec<4>::type>(o, x, out);
+}
+
+__attribute__((target("avx512f"))) void k_scaled_avx512(const BesselKOrder& o,
+                                                       std::span<const double> x,
+                                                       std::span<double> out) {
+  k_scaled_span<LaneVec<8>::type>(o, x, out);
+}
+#endif
 
 }  // namespace
 
@@ -172,6 +305,18 @@ double bessel_k_scaled(double nu, double x) {
 
 double bessel_k_scaled(const BesselKOrder& order, double x) {
   return k_only(order, x, /*scaled=*/true);
+}
+
+void bessel_k_scaled(const BesselKOrder& order, std::span<const double> x,
+                     std::span<double> out) {
+  GSX_REQUIRE(x.size() == out.size(), "bessel_k_scaled: x and out differ in length");
+  switch (active_isa()) {
+#if GSX_X86_DISPATCH
+    case Isa::Avx512: return k_scaled_avx512(order, x, out);
+    case Isa::Avx2: return k_scaled_avx2(order, x, out);
+#endif
+    default: return k_scaled_portable(order, x, out);
+  }
 }
 
 double bessel_i(double nu, double x) {

@@ -16,7 +16,26 @@
 // The terms that depend on nu alone (the reduced order, the Gamma-function
 // Chebyshev fits and the reflection factor of Temme's series) live in
 // BesselKOrder, so a caller evaluating one order at many x builds them once.
+//
+// Span entry (bessel_k_scaled(order, x, out)): each CF2 step depends on the
+// one before and divides, so one element at a time runs at the latency of
+// that chain. The span entry instead runs CF2 for W elements in lockstep,
+// one per vector lane: W = 8 with AVX-512, 4 with AVX2, 2 otherwise, picked
+// at run time by common/isa.hpp (GSX_GEMM_ISA caps it). Each lane has its
+// own convergence mask: once its test passes it keeps its sums while the
+// other lanes go on. The loop is one template over the lane type, and its
+// one-lane instance is the scalar path, so every lane performs the scalar
+// loop's IEEE operations in the same order and the span entry is
+// bit-identical to calling the scalar entry per element. Temme's series
+// (x < 2) stays per element.
+//
+// That identity needs bessel.cpp compiled with -ffp-contract=off (set in
+// src/mathx/CMakeLists.txt). GCC's C++ default is -ffp-contract=fast, and
+// the AVX-512 target provides FMA, so it would fuse a * b + c into one
+// rounding in the lane code but not in the scalar code, which changes bits.
 #pragma once
+
+#include <span>
 
 namespace gsx::mathx {
 
@@ -50,6 +69,13 @@ double bessel_k_scaled(double nu, double x);
 /// exp(x) * K_nu(x) with the order's constants prebuilt; bit-identical to
 /// bessel_k_scaled(nu, x) for order = BesselKOrder(nu).
 double bessel_k_scaled(const BesselKOrder& order, double x);
+
+/// out[i] = bessel_k_scaled(order, x[i]) for every i, bit for bit, with
+/// the CF2 elements run in lockstep vector lanes (see above). Throws
+/// InvalidArgument if the spans differ in length or any x[i] is not
+/// positive and finite.
+void bessel_k_scaled(const BesselKOrder& order, std::span<const double> x,
+                     std::span<double> out);
 
 /// Modified Bessel function of the first kind, I_nu(x), x > 0, nu >= 0.
 /// (Exposed for testing the Wronskian identity

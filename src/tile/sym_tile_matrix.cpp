@@ -30,8 +30,7 @@ const Tile& SymTileMatrix::at(std::size_t i, std::size_t j) const {
   return tiles_[index(i, j)];
 }
 
-void SymTileMatrix::generate(const std::function<double(std::size_t, std::size_t)>& sigma,
-                             std::size_t num_workers) {
+void SymTileMatrix::generate(const BlockFn& fill, std::size_t num_workers) {
   // Flatten stored-tile coordinates for a balanced parallel loop.
   std::vector<std::pair<std::size_t, std::size_t>> coords;
   coords.reserve(tiles_.size());
@@ -39,20 +38,13 @@ void SymTileMatrix::generate(const std::function<double(std::size_t, std::size_t
     for (std::size_t i = j; i < nt_; ++i) coords.emplace_back(i, j);
 
   rt::parallel_for(0, coords.size(), num_workers, [&](std::size_t c) {
-    generate_tile(coords[c].first, coords[c].second, sigma);
+    generate_tile(coords[c].first, coords[c].second, fill);
   });
 }
 
-void SymTileMatrix::generate_tile(
-    std::size_t i, std::size_t j,
-    const std::function<double(std::size_t, std::size_t)>& sigma) {
-  const std::size_t r = tile_dim(i);
-  const std::size_t cdim = tile_dim(j);
-  const std::size_t gi0 = tile_offset(i);
-  const std::size_t gj0 = tile_offset(j);
-  la::Matrix<double> block(r, cdim);
-  for (std::size_t jj = 0; jj < cdim; ++jj)
-    for (std::size_t ii = 0; ii < r; ++ii) block(ii, jj) = sigma(gi0 + ii, gj0 + jj);
+void SymTileMatrix::generate_tile(std::size_t i, std::size_t j, const BlockFn& fill) {
+  la::Matrix<double> block(tile_dim(i), tile_dim(j));
+  fill(tile_offset(i), tile_offset(j), block.view());
   at(i, j) = Tile::dense64(std::move(block));
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/span2d.hpp"
 #include "la/matrix.hpp"
 #include "tile/tile.hpp"
 
@@ -36,15 +37,17 @@ class SymTileMatrix {
   [[nodiscard]] Tile& at(std::size_t i, std::size_t j);
   [[nodiscard]] const Tile& at(std::size_t i, std::size_t j) const;
 
-  /// Generate all stored tiles dense FP64 from an element functor
-  /// sigma(gi, gj), optionally in parallel over tiles.
-  void generate(const std::function<double(std::size_t, std::size_t)>& sigma,
-                std::size_t num_workers = 1);
+  /// Fills `block` with the matrix entries whose top-left one is at
+  /// global row gi0, column gj0.
+  using BlockFn = std::function<void(std::size_t gi0, std::size_t gj0, Span2D<double> block)>;
 
-  /// Generate stored tile (i, j) dense FP64 from sigma(gi, gj): the one
-  /// element loop behind generate(), for callers that own only some tiles.
-  void generate_tile(std::size_t i, std::size_t j,
-                     const std::function<double(std::size_t, std::size_t)>& sigma);
+  /// Generate all stored tiles dense FP64 from a block functor, optionally
+  /// in parallel over tiles.
+  void generate(const BlockFn& fill, std::size_t num_workers = 1);
+
+  /// Generate stored tile (i, j) dense FP64 from a block functor: the one
+  /// tile path behind generate(), for callers that own only some tiles.
+  void generate_tile(std::size_t i, std::size_t j, const BlockFn& fill);
 
   /// Frobenius norm of the full symmetric matrix, accumulated tile-by-tile
   /// during/after generation (the paper stores no global copy).

@@ -155,62 +155,11 @@ Compressed compress_aca(Span2D<const double> a, double tol, TolMode mode) {
   return out;
 }
 
-Compressed compress_rsvd(Span2D<const double> a, double tol, Rng& rng, TolMode mode) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  const double norm_f = la::norm_frobenius<double>(a);
-  const double threshold = resolve_threshold(tol, mode, norm_f);
-  const std::size_t max_rank = std::min(m, n);
-
-  std::size_t sample = std::min<std::size_t>(max_rank, 8);
-  for (;;) {
-    const std::size_t p = std::min(max_rank, sample + 8);  // oversampling
-    // Range finding with one power iteration: Y = A (A^T (A Omega)).
-    la::Matrix<double> omega(n, p);
-    for (std::size_t j = 0; j < p; ++j)
-      for (std::size_t i = 0; i < n; ++i) omega(i, j) = rng.normal();
-    la::Matrix<double> y(m, p);
-    la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, 1.0, a, omega.cview(), 0.0,
-                     y.view());
-    la::Matrix<double> z(n, p);
-    la::gemm<double>(la::Trans::Trans, la::Trans::NoTrans, 1.0, a, y.cview(), 0.0, z.view());
-    la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, 1.0, a, z.cview(), 0.0,
-                     y.view());
-
-    la::Matrix<double> q;
-    la::qr_factor(y.view(), q);
-
-    // B = Q^T A (p x n). The range error ||A - Q B||_F is orthogonal to
-    // any truncation of Q B, so it is summed exactly: grow the sample until
-    // it is <= threshold / 10 (or covers the full rank), then compress B
-    // with what it leaves of the budget.
-    la::Matrix<double> b(p, n);
-    la::gemm<double>(la::Trans::Trans, la::Trans::NoTrans, 1.0, q.cview(), a, 0.0, b.view());
-    la::Matrix<double> resid = copy_of(a);
-    la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, q.cview(), b.cview(), 1.0,
-                     resid.view());
-    const double range_err = la::norm_frobenius<double>(resid.cview());
-    if (range_err <= 0.1 * threshold || p >= max_rank) {
-      Compressed out = compress_svd(
-          b.cview(), std::sqrt(std::max(0.0, threshold * threshold - range_err * range_err)),
-          TolMode::Absolute);
-      la::Matrix<double> u(m, out.rank());  // U = Q U_B
-      if (out.rank() > 0)
-        la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, 1.0, q.cview(),
-                         out.u.cview(), 0.0, u.view());
-      out.u = std::move(u);
-      return out;
-    }
-    sample = std::min(max_rank, sample * 2);
-  }
-}
-
-Compressed compress(CompressionMethod method, Span2D<const double> a, double tol, Rng& rng,
+Compressed compress(CompressionMethod method, Span2D<const double> a, double tol,
                     TolMode mode) {
   switch (method) {
     case CompressionMethod::SVD: return compress_svd(a, tol, mode);
     case CompressionMethod::ACA: return compress_aca(a, tol, mode);
-    case CompressionMethod::RSVD: return compress_rsvd(a, tol, rng, mode);
   }
   GSX_REQUIRE(false, "compress: unknown method");
   return {};

@@ -1,18 +1,17 @@
 // Low-rank compression of dense tiles: A ~= U V^T to a target accuracy.
 //
 // The paper compresses off-diagonal tiles "up to a target accuracy
-// threshold" (1e-8 for the geostatistics application). Three compressors are
+// threshold" (1e-8 for the geostatistics application). Two compressors are
 // provided — truncated SVD (the default; QR-first, so its cost follows the
-// rank rather than the tile size), adaptive cross approximation (ACA), and
-// randomized SVD — plus the QR-based recompression ("rounding") used after
-// low-rank additions inside the TLR Cholesky. All three check their error
-// against the assembled tile, so ||A - U V^T||_F <= threshold holds up to
-// floating-point rounding whichever is chosen.
+// rank rather than the tile size) and adaptive cross approximation (ACA) —
+// plus the QR-based recompression ("rounding") used after low-rank additions
+// inside the TLR Cholesky. Both check their error against the assembled
+// tile, so ||A - U V^T||_F <= threshold holds up to floating-point rounding
+// whichever is chosen.
 #pragma once
 
 #include <cstddef>
 
-#include "common/rng.hpp"
 #include "common/span2d.hpp"
 #include "la/matrix.hpp"
 
@@ -23,7 +22,7 @@ enum class TolMode : unsigned char {
   Absolute,           ///< ||A - UV^T||_F <= tol
 };
 
-enum class CompressionMethod : unsigned char { SVD, ACA, RSVD };
+enum class CompressionMethod : unsigned char { SVD, ACA };
 
 struct Compressed {
   la::Matrix<double> u;  ///< m x k
@@ -48,14 +47,8 @@ Compressed compress_svd(Span2D<const double> a, double tol,
 Compressed compress_aca(Span2D<const double> a, double tol,
                         TolMode mode = TolMode::RelativeFrobenius);
 
-/// Randomized SVD: adaptive rank doubling with one power iteration, until
-/// the exact range error ||A - Q Q^T A||_F is <= threshold / 10; Q^T A is
-/// then compressed (compress_svd) with the rest of the budget.
-Compressed compress_rsvd(Span2D<const double> a, double tol, Rng& rng,
-                         TolMode mode = TolMode::RelativeFrobenius);
-
-/// Dispatch on method (RSVD draws from `rng`; others ignore it).
-Compressed compress(CompressionMethod method, Span2D<const double> a, double tol, Rng& rng,
+/// Dispatch on method.
+Compressed compress(CompressionMethod method, Span2D<const double> a, double tol,
                     TolMode mode = TolMode::RelativeFrobenius);
 
 /// How low-rank sums are rounded back to the tolerance.

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "mathx/bessel.hpp"
@@ -153,6 +155,15 @@ TEST(Bessel, RejectsBadArguments) {
   EXPECT_THROW(bessel_k(0.5, -1.0), InvalidArgument);
   EXPECT_THROW(bessel_k(std::nan(""), 1.0), InvalidArgument);
   EXPECT_THROW(bessel_i(-1.0, 1.0), InvalidArgument);
+  // The span entry checks every element, on both sides of the CF2 switch.
+  const BesselKOrder order(0.8);
+  std::vector<double> out(3);
+  for (double bad : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> x = {3.0, bad, 1.0};
+    EXPECT_THROW(bessel_k_scaled(order, x, out), InvalidArgument) << "x = " << bad;
+  }
+  const std::vector<double> x = {3.0, 4.0};
+  EXPECT_THROW(bessel_k_scaled(order, x, out), InvalidArgument);
 }
 
 /// Bit patterns of K and I recorded from the joint I/K routine the K-only
@@ -212,6 +223,45 @@ TEST(Bessel, PrebuiltOrderIsBitIdentical) {
   }
   // K_{-nu} = K_nu holds for the prebuilt constants too.
   EXPECT_EQ(bits(bessel_k_scaled(BesselKOrder(-0.8), 3.0)), bits(bessel_k_scaled(0.8, 3.0)));
+}
+
+/// The span entry's lanes against the scalar entry, bit for bit. ctest runs
+/// this again under GSX_GEMM_ISA=avx2 and =portable (tests/CMakeLists.txt),
+/// so every lane width the host supports is checked.
+TEST(Bessel, SpanMatchesScalarBitwise) {
+  constexpr std::size_t kPoints = 100000;
+  const double lo = std::log(1e-8);
+  const double hi = std::log(720.0);
+  std::vector<double> x;
+  for (std::size_t i = 0; i < kPoints; ++i)
+    x.push_back(std::exp(lo + (hi - lo) * static_cast<double>(i) / (kPoints - 1)));
+  x.push_back(2.0);
+  x.push_back(std::nextafter(2.0, 0.0));
+  x.push_back(700.0);
+  std::vector<double> out(x.size());
+  // Where the grid crosses the Temme/CF2 switch at x = 2.
+  std::size_t at_two = 0;
+  while (x[at_two] < 2.0) ++at_two;
+  for (double nu : {0.3, 0.8, 1.3, 2.2, 3.7}) {
+    const BesselKOrder order(nu);
+    bessel_k_scaled(order, x, out);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < x.size(); ++i)
+      mismatches += bits(out[i]) != bits(bessel_k_scaled(order, x[i]));
+    EXPECT_EQ(mismatches, 0u) << "nu=" << nu;
+    // Span lengths 1 .. 2W+1 for the widest W = 8: every tail shape, all
+    // CF2 or mixed with Temme elements.
+    for (std::size_t len = 1; len <= 17; ++len) {
+      for (std::size_t first : {at_two - len / 2, at_two + 5000}) {
+        const std::span<const double> xs(x.data() + first, len);
+        std::vector<double> part(len);
+        bessel_k_scaled(order, xs, part);
+        for (std::size_t i = 0; i < len; ++i)
+          EXPECT_EQ(bits(part[i]), bits(bessel_k_scaled(order, xs[i])))
+              << "nu=" << nu << " len=" << len << " x=" << xs[i];
+      }
+    }
+  }
 }
 
 TEST(Bessel, OrderRejectsNonFinite) {

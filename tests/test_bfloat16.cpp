@@ -152,7 +152,7 @@ TEST(CholeskyBf16, FactorizationThroughBf16Tiles) {
   // Force BF16 on far tiles and check the factorization stays accurate at
   // the demoted-storage level.
   tile::SymTileMatrix a(96, 16);
-  a.generate(
+  gsx::test::generate(a,
       [](std::size_t i, std::size_t j) {
         const double d = static_cast<double>(i > j ? i - j : j - i);
         return std::exp(-0.8 * d) + (i == j ? 0.5 : 0.0);

@@ -242,7 +242,7 @@ TEST(CholeskyBatchWiring, DenseTrailingUpdatesRouteThroughGemmBatch) {
   obs::set_enabled(true);
   obs::Registry::instance().reset();
   tile::SymTileMatrix a(256, 32);
-  a.generate(
+  gsx::test::generate(a,
       [](std::size_t i, std::size_t j) {
         const double d = static_cast<double>(i > j ? i - j : j - i);
         return std::exp(-0.3 * d) + (i == j ? 0.5 : 0.0);

@@ -20,7 +20,7 @@ using gsx::test::rel_frobenius_diff;
 /// SPD covariance-like test matrix with exponential decay.
 tile::SymTileMatrix make_spd_tiles(std::size_t n, std::size_t ts, double rate) {
   tile::SymTileMatrix a(n, ts);
-  a.generate(
+  gsx::test::generate(a,
       [&](std::size_t i, std::size_t j) {
         const double d = static_cast<double>(i > j ? i - j : j - i);
         return std::exp(-rate * d) + (i == j ? 0.5 : 0.0);
@@ -154,7 +154,7 @@ TEST(DenseCholesky, TilePrecisionPreservedThroughFactorization) {
 
 TEST(DenseCholesky, NonSpdReportsPivot) {
   tile::SymTileMatrix a(32, 8);
-  a.generate(
+  gsx::test::generate(a,
       [](std::size_t i, std::size_t j) {
         if (i != j) return 0.01;
         return (i == 20) ? -5.0 : 1.0;  // negative pivot in tile 2

@@ -5,9 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
+#include "geostat/covariance_ext.hpp"
 #include "la/lapack.hpp"
 #include "test_utils.hpp"
 
@@ -200,8 +203,8 @@ TEST(MaternCorrelation, GoldenBitsUnchanged) {
 }
 
 TEST(MaternCorrelation, ModelsUseTheSameArithmetic) {
-  // MaternCovariance and GneitingCovariance (at u = 0, so psi = 1) hold a
-  // MaternCorrelation; their entries equal the free function's bit for bit.
+  // Every Matérn-based model holds a MaternCorrelation; its entries equal
+  // the free function's bit for bit (Gneiting at u = 0, so psi = 1).
   const Location a{0.0, 0.0, 0.0};
   for (const GoldenCorrelation& g : kGolden) {
     const Location b{g.x, 0.0, 0.0};
@@ -209,6 +212,10 @@ TEST(MaternCorrelation, ModelsUseTheSameArithmetic) {
     EXPECT_EQ(bits(m(a, b)), g.bits) << "nu=" << g.nu << " x=" << g.x;
     const GneitingCovariance gn(1.0, 1.0, g.nu, 0.5, 0.5, 0.5);
     EXPECT_EQ(bits(gn(a, b)), g.bits) << "nu=" << g.nu << " x=" << g.x;
+    const MaternNuggetCovariance mn(1.0, 1.0, g.nu, 0.5);
+    EXPECT_EQ(bits(mn(a, b)), g.bits) << "nu=" << g.nu << " x=" << g.x;
+    const AnisotropicMaternCovariance am(1.0, 1.0, 1.0, 0.0, g.nu);
+    EXPECT_EQ(bits(am(a, b)), g.bits) << "nu=" << g.nu << " x=" << g.x;
   }
   // set_params rebuilds the constants.
   MaternCovariance m(1.0, 1.0, 0.3);
@@ -219,6 +226,56 @@ TEST(MaternCorrelation, ModelsUseTheSameArithmetic) {
   const std::vector<double> theta_st = {1.0, 1.0, 1.3, 0.5, 0.5, 0.5};
   gn.set_params(theta_st);
   EXPECT_EQ(bits(gn(a, Location{0.5, 0.0, 0.0})), bits(matern_correlation(1.3, 0.5)));
+  MaternNuggetCovariance mn(1.0, 1.0, 0.3, 0.5);
+  const std::vector<double> theta_nug = {1.0, 1.0, 0.8, 0.5};
+  mn.set_params(theta_nug);
+  EXPECT_EQ(bits(mn(a, Location{2.0, 0.0, 0.0})), bits(matern_correlation(0.8, 2.0)));
+  AnisotropicMaternCovariance am(1.0, 1.0, 1.0, 0.0, 0.3);
+  const std::vector<double> theta_an = {1.0, 1.0, 1.0, 0.0, 2.2};
+  am.set_params(theta_an);
+  EXPECT_EQ(bits(am(a, Location{47.0, 0.0, 0.0})), bits(matern_correlation(2.2, 47.0)));
+}
+
+/// eval's vector-lane path against operator(), bit for bit. ctest runs this
+/// again under GSX_GEMM_ISA=avx2 and =portable (tests/CMakeLists.txt).
+TEST(MaternCorrelation, EvalMatchesScalarBitwise) {
+  // d = 0, a log grid over [1e-8, 720] (so d > 700 too), and the edges of
+  // the Temme/CF2 switch and the underflow cut.
+  constexpr std::size_t kPoints = 20000;
+  const double lo = std::log(1e-8);
+  const double hi = std::log(720.0);
+  std::vector<double> d = {0.0, 2.0, std::nextafter(2.0, 0.0), 700.0,
+                           std::nextafter(700.0, 1000.0)};
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    d.push_back(std::exp(lo + (hi - lo) * static_cast<double>(i) / (kPoints - 1)));
+    if (i % 97 == 0) d.push_back(0.0);
+  }
+  std::vector<double> out(d.size());
+  for (double nu : {0.3, 0.8, 1.3, 2.2, 3.7, 0.5, 1.5, 2.5}) {
+    const MaternCorrelation corr(nu);
+    corr.eval(d, out);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < d.size(); ++i) mismatches += bits(out[i]) != bits(corr(d[i]));
+    EXPECT_EQ(mismatches, 0u) << "nu=" << nu;
+    // Short spans: every lane tail.
+    for (std::size_t len = 1; len <= 17; ++len) {
+      const std::span<const double> part(d.data() + 9000, len);
+      std::vector<double> got(len);
+      corr.eval(part, got);
+      for (std::size_t i = 0; i < len; ++i)
+        EXPECT_EQ(bits(got[i]), bits(corr(part[i]))) << "nu=" << nu << " len=" << len;
+    }
+  }
+  // A negative or NaN distance anywhere in the span is an error.
+  const MaternCorrelation corr(0.8);
+  for (double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<double> dd(40, 3.0);
+    dd[37] = bad;
+    std::vector<double> got(dd.size());
+    EXPECT_THROW(corr.eval(dd, got), InvalidArgument) << "d = " << bad;
+  }
+  std::vector<double> short_out(2);
+  EXPECT_THROW(corr.eval(d, short_out), InvalidArgument);
 }
 
 TEST(MaternCorrelation, RejectsBadSmoothnessUpFront) {
@@ -233,11 +290,17 @@ TEST(MaternCorrelation, RejectsBadSmoothnessUpFront) {
 }
 
 TEST(FillCovarianceTiles, BitIdenticalToCovarianceMatrixWithRaggedTile) {
-  // n = 300 in tiles of 128: the last tile row/column is 44 wide.
+  // n = 300 in tiles of 128: the last tile row/column is 44 wide. Both
+  // fill_covariance_tiles and covariance_matrix go through
+  // CovarianceModel::fill, so the reference is a per-element operator() loop.
+  // A repeated location puts d = 0 off the diagonal, where the nugget joins.
   Rng rng(23);
   auto locs = perturbed_grid_locations(300, rng);
-  const MaternCovariance model(1.0, 0.1, 0.8);
-  const la::Matrix<double> sigma = covariance_matrix(model, locs);
+  locs[200] = locs[7];
+  const MaternCovariance model(1.0, 0.1, 0.8, 1e-3);
+  la::Matrix<double> ref(300, 300);
+  for (std::size_t j = 0; j < 300; ++j)
+    for (std::size_t i = 0; i < 300; ++i) ref(i, j) = model(locs[i], locs[j]);
   tile::SymTileMatrix tiles(300, 128);
   fill_covariance_tiles(tiles, model, locs, 4);
   ASSERT_EQ(tiles.nt(), 3u);
@@ -248,11 +311,16 @@ TEST(FillCovarianceTiles, BitIdenticalToCovarianceMatrixWithRaggedTile) {
       const la::Matrix<double>& t = tiles.at(ti, tj).d64();
       for (std::size_t c = 0; c < t.cols(); ++c)
         for (std::size_t r = 0; r < t.rows(); ++r)
-          mismatches += bits(t(r, c)) != bits(sigma(tiles.tile_offset(ti) + r,
-                                                      tiles.tile_offset(tj) + c));
+          mismatches += bits(t(r, c)) != bits(ref(tiles.tile_offset(ti) + r,
+                                                    tiles.tile_offset(tj) + c));
     }
   }
   EXPECT_EQ(mismatches, 0u);
+  const la::Matrix<double> sigma = covariance_matrix(model, locs);
+  std::size_t dense_mismatches = 0;
+  for (std::size_t j = 0; j < 300; ++j)
+    for (std::size_t i = 0; i < 300; ++i) dense_mismatches += bits(sigma(i, j)) != bits(ref(i, j));
+  EXPECT_EQ(dense_mismatches, 0u);
 }
 
 TEST(FillCovarianceTiles, NanLocationThrowsInvalidArgument) {

@@ -44,6 +44,7 @@
 #include "tile/sym_tile_matrix.hpp"
 #include "tile/tile.hpp"
 #include "tile/tile_codec.hpp"
+#include "test_utils.hpp"
 
 namespace gsx::dist {
 namespace {
@@ -431,7 +432,7 @@ TEST(DistCholesky, WeightedSumsqMatchesFullNorm) {
   // weighted_sumsq over the whole stored triangle (off-diagonal tiles count
   // twice) is exactly ||A||_F^2 of the symmetric operator.
   tile::SymTileMatrix a(64, 16);
-  a.generate([](std::size_t gi, std::size_t gj) {
+  gsx::test::generate(a, [](std::size_t gi, std::size_t gj) {
     return 1.0 / (1.0 + static_cast<double>(gi > gj ? gi - gj : gj - gi));
   });
   std::vector<std::pair<std::size_t, std::size_t>> all;
@@ -486,7 +487,6 @@ TEST(DistParity, TlrOracleMatchesCompressOffbandAtRaggedN) {
   cholesky::TlrCompressOptions copt;
   copt.tol = 1e-7;
   copt.band_size = 2;
-  copt.seed = 42;
   cholesky::compress_offband(a, copt, 2);
   ASSERT_EQ(cholesky::tile_cholesky_tlr(a, copt.tol, cholesky::FactorOptions{}).info, 0);
   expect_same_factor(*oracle_factor(prob, DistPolicy::Tlr, norm, 2), a);

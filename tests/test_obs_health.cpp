@@ -18,6 +18,7 @@
 #include "obs/log.hpp"
 #include "optim/nelder_mead.hpp"
 #include "tile/sym_tile_matrix.hpp"
+#include "test_utils.hpp"
 
 namespace gsx {
 namespace {
@@ -123,7 +124,7 @@ TEST_F(ObsHealth, DisabledLedgerRecordsNothing) {
 
 tile::SymTileMatrix decaying_spd(std::size_t n, std::size_t ts) {
   tile::SymTileMatrix a(n, ts);
-  a.generate([](std::size_t i, std::size_t j) {
+  gsx::test::generate(a, [](std::size_t i, std::size_t j) {
     const double d = (i >= j) ? static_cast<double>(i - j) : static_cast<double>(j - i);
     return (i == j ? 2.0 : 1.0) * std::exp(-d / 3.0);
   });
@@ -153,7 +154,7 @@ TEST_F(ObsHealth, ConvertSentinelCatchesFp16Overflow) {
   // FP16 range overflow to Inf on conversion, which the rule cannot see but
   // the sentinel must.
   tile::SymTileMatrix a(64, 16);
-  a.generate([](std::size_t i, std::size_t j) {
+  gsx::test::generate(a, [](std::size_t i, std::size_t j) {
     const auto d = static_cast<double>(i >= j ? i - j : j - i);
     if (d >= 32) return 1.0e5;  // far off-band, FP16 target, > 65504
     return i == j ? 2.0e5 : 0.0;
@@ -187,7 +188,7 @@ TEST_F(ObsHealth, TileNonfiniteCountScansAllFormats) {
 
 TEST_F(ObsHealth, ForensicBundleOnInjectedNonSpd) {
   tile::SymTileMatrix a(64, 16);
-  a.generate([](std::size_t i, std::size_t j) {
+  gsx::test::generate(a, [](std::size_t i, std::size_t j) {
     if (i != j) return 0.01;
     return (i == 5) ? -4.0 : 2.0;  // indefinite: one negative diagonal entry
   });
@@ -246,7 +247,7 @@ TEST_F(ObsHealth, PowerIterationRecoversKnownSpectrum) {
   // Diagonal matrix with one dominant eigenvalue: lambda_max = 100,
   // lambda_min = 1; both iterations converge fast at this separation.
   tile::SymTileMatrix a(32, 8);
-  a.generate([](std::size_t i, std::size_t j) {
+  gsx::test::generate(a, [](std::size_t i, std::size_t j) {
     if (i != j) return 0.0;
     return i == 0 ? 100.0 : 1.0;
   });

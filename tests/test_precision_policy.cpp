@@ -45,7 +45,7 @@ TEST(BandRule, Bf16IsThe16BitTierWhenFp16Disallowed) {
 
 TEST(BandRule, PolicyAppliesBf16Band) {
   tile::SymTileMatrix a(64, 16);
-  a.generate([](std::size_t i, std::size_t j) { return i == j ? 4.0 : 0.25; }, 1);
+  gsx::test::generate(a, [](std::size_t i, std::size_t j) { return i == j ? 4.0 : 0.25; }, 1);
   PrecisionPolicy policy;
   policy.rule = PrecisionRule::Band;
   policy.band = {1, 2};
@@ -88,7 +88,7 @@ TEST(FrobeniusRule, TighterEpsKeepsMorePrecision) {
 /// Exponentially decaying symmetric matrix: realistic norm profile.
 tile::SymTileMatrix decaying_matrix(std::size_t n, std::size_t ts, double rate) {
   tile::SymTileMatrix a(n, ts);
-  a.generate(
+  gsx::test::generate(a,
       [&](std::size_t i, std::size_t j) {
         const double d = static_cast<double>(i > j ? i - j : j - i);
         return std::exp(-rate * d) + (i == j ? 1.0 : 0.0);

@@ -145,7 +145,7 @@ TEST(SymTileMatrix, GenerateMatchesElementFunction) {
   auto f = [](std::size_t i, std::size_t j) {
     return static_cast<double>(std::max(i, j) * 100 + std::min(i, j));
   };
-  a.generate(f, 1);
+  gsx::test::generate(a, f, 1);
   const auto full = a.to_full();
   for (std::size_t j = 0; j < 11; ++j)
     for (std::size_t i = j; i < 11; ++i) {
@@ -159,21 +159,21 @@ TEST(SymTileMatrix, ParallelGenerationMatchesSequential) {
     return 1.0 / (1.0 + static_cast<double>(i > j ? i - j : j - i));
   };
   SymTileMatrix seq(37, 8), par(37, 8);
-  seq.generate(f, 1);
-  par.generate(f, 4);
+  gsx::test::generate(seq, f, 1);
+  gsx::test::generate(par, f, 4);
   EXPECT_LT(gsx::test::rel_frobenius_diff(par.to_full(), seq.to_full()), 1e-300);
 }
 
 TEST(SymTileMatrix, FrobeniusCountsOffDiagonalTwice) {
   SymTileMatrix a(8, 4);
-  a.generate([](std::size_t i, std::size_t j) { return (i == j) ? 2.0 : 1.0; }, 1);
+  gsx::test::generate(a, [](std::size_t i, std::size_t j) { return (i == j) ? 2.0 : 1.0; }, 1);
   const auto full = a.to_full();
   EXPECT_NEAR(a.frobenius_norm(), la::norm_frobenius<double>(full.cview()), 1e-12);
 }
 
 TEST(SymTileMatrix, FootprintTracksConversions) {
   SymTileMatrix a(16, 4);
-  a.generate([](std::size_t, std::size_t) { return 1.0; }, 1);
+  gsx::test::generate(a, [](std::size_t, std::size_t) { return 1.0; }, 1);
   const std::size_t dense64 = a.footprint_bytes();
   EXPECT_EQ(dense64, a.dense_fp64_bytes());
   a.at(3, 0).convert_dense(Precision::FP16);
@@ -182,7 +182,7 @@ TEST(SymTileMatrix, FootprintTracksConversions) {
 
 TEST(SymTileMatrix, DecisionMapShape) {
   SymTileMatrix a(12, 4);
-  a.generate([](std::size_t, std::size_t) { return 1.0; }, 1);
+  gsx::test::generate(a, [](std::size_t, std::size_t) { return 1.0; }, 1);
   a.at(1, 0).convert_dense(Precision::FP32);
   a.at(2, 0).convert_dense(Precision::FP16);
   const auto map = a.decision_map();

@@ -16,7 +16,7 @@ namespace {
 
 tile::SymTileMatrix spd_tiles(std::size_t n, std::size_t ts) {
   tile::SymTileMatrix a(n, ts);
-  a.generate(
+  gsx::test::generate(a,
       [&](std::size_t i, std::size_t j) {
         const double d = static_cast<double>(i > j ? i - j : j - i);
         return std::exp(-0.4 * d) + (i == j ? 0.3 : 0.0);
@@ -132,7 +132,7 @@ TEST(TileSolve, ReconstructLowerIsTriangular) {
 
 TEST(TileSolve, LogdetRejectsUnfactoredGarbage) {
   tile::SymTileMatrix a(16, 8);
-  a.generate([](std::size_t i, std::size_t j) { return (i == j) ? -1.0 : 0.0; }, 1);
+  gsx::test::generate(a, [](std::size_t i, std::size_t j) { return (i == j) ? -1.0 : 0.0; }, 1);
   EXPECT_THROW(tile_logdet(a), InvalidArgument);
 }
 

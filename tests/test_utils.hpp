@@ -3,12 +3,28 @@
 
 #include <cmath>
 #include <cstddef>
+#include <functional>
 
 #include "common/rng.hpp"
+#include "common/span2d.hpp"
 #include "la/blas.hpp"
 #include "la/matrix.hpp"
+#include "tile/sym_tile_matrix.hpp"
 
 namespace gsx::test {
+
+/// Generate every stored tile of `a` from an element functor sigma(gi, gj)
+/// over `workers` threads (SymTileMatrix::generate takes a block functor).
+inline void generate(tile::SymTileMatrix& a,
+                     const std::function<double(std::size_t, std::size_t)>& sigma,
+                     std::size_t workers = 1) {
+  a.generate(
+      [&](std::size_t gi0, std::size_t gj0, Span2D<double> block) {
+        for (std::size_t j = 0; j < block.cols(); ++j)
+          for (std::size_t i = 0; i < block.rows(); ++i) block(i, j) = sigma(gi0 + i, gj0 + j);
+      },
+      workers);
+}
 
 inline la::Matrix<double> random_matrix(std::size_t rows, std::size_t cols, Rng& rng,
                                         double scale = 1.0) {
