@@ -17,7 +17,6 @@
 #include "bench_utils.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/dist_cholesky.hpp"
-#include "la/autotune.hpp"
 #include "la/gemm_kernel.hpp"
 #include "obs/analytics.hpp"
 #include "obs/flight.hpp"

@@ -13,7 +13,6 @@
 
 #include "bench_utils.hpp"
 #include "common/rng.hpp"
-#include "la/autotune.hpp"
 #include "la/blas.hpp"
 #include "la/convert.hpp"
 #include "la/gemm_kernel.hpp"
@@ -370,7 +369,7 @@ void append_batch_speedup(std::vector<bench::BenchRecord>& records) {
 }
 
 /// Derived records: throughput as a percent of the ISA's theoretical peak at
-/// the measured clock (the achieved-vs-peak framing gsx_tune reports).
+/// the measured clock (la::gemm_peak_gflops).
 void append_pct_of_peak(std::vector<bench::BenchRecord>& records) {
   const double ghz = gsx::la::measure_clock_ghz();
   const std::pair<const char*, gsx::Precision> prefixes[] = {

@@ -11,7 +11,9 @@ enum class Isa : int { Portable = 0, Avx2 = 1, Avx512 = 2 };
 
 /// The widest ISA this CPU supports, capped by GSX_GEMM_ISA
 /// (portable|avx2|avx512; it can only lower the pick, never raise it past
-/// what the CPU supports). Fixed at the first call for the process.
+/// what the CPU supports). An empty value counts as unset; any other value
+/// is ignored with one warning on stderr. Fixed at the first call for the
+/// process.
 [[nodiscard]] Isa active_isa() noexcept;
 
 }  // namespace gsx

@@ -59,8 +59,4 @@ std::string kernel_name(const CovarianceModel& model) {
   throw InvalidArgument("kernel_name: covariance type is not registered");
 }
 
-std::vector<std::string> kernel_names() {
-  return {"matern", "matern-nugget", "powexp", "aniso-matern", "gneiting"};
-}
-
 }  // namespace gsx::geostat

@@ -8,7 +8,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "geostat/covariance.hpp"
 
@@ -24,8 +23,5 @@ std::unique_ptr<CovarianceModel> make_kernel(const std::string& name,
 /// Registry name of a model instance (inverse of make_kernel). Throws
 /// InvalidArgument for a type the registry does not know.
 std::string kernel_name(const CovarianceModel& model);
-
-/// All registered kernel names, in a stable order (for usage strings).
-std::vector<std::string> kernel_names();
 
 }  // namespace gsx::geostat

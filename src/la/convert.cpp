@@ -164,25 +164,4 @@ void narrow_fast(Span2D<const float> src, Span2D<bfloat16> dst) {
 
 }  // namespace detail
 
-void round_through_float(Span2D<double> a) {
-  obs::add_conversion(Precision::FP64, Precision::FP32, a.rows() * a.cols());
-  for (std::size_t j = 0; j < a.cols(); ++j)
-    for (std::size_t i = 0; i < a.rows(); ++i)
-      a(i, j) = static_cast<double>(static_cast<float>(a(i, j)));
-}
-
-void round_through_half(Span2D<double> a) {
-  obs::add_conversion(Precision::FP64, Precision::FP16, a.rows() * a.cols());
-  for (std::size_t j = 0; j < a.cols(); ++j)
-    for (std::size_t i = 0; i < a.rows(); ++i)
-      a(i, j) = static_cast<double>(half(a(i, j)));
-}
-
-void round_through_bfloat16(Span2D<double> a) {
-  obs::add_conversion(Precision::FP64, Precision::BF16, a.rows() * a.cols());
-  for (std::size_t j = 0; j < a.cols(); ++j)
-    for (std::size_t i = 0; i < a.rows(); ++i)
-      a(i, j) = static_cast<double>(bfloat16(a(i, j)));
-}
-
 }  // namespace gsx::la

@@ -28,12 +28,6 @@ void convert(Span2D<const bfloat16> src, Span2D<double> dst);
 void convert(Span2D<const bfloat16> src, Span2D<float> dst);
 void convert(Span2D<const bfloat16> src, Span2D<bfloat16> dst);
 
-/// Round-trip a block through a lower precision in place (double storage):
-/// the storage-rounding operator applied when a tile is demoted.
-void round_through_float(Span2D<double> a);
-void round_through_half(Span2D<double> a);
-void round_through_bfloat16(Span2D<double> a);
-
 namespace detail {
 
 /// Vectorized C-scratch conversions for the batched 16-bit GEMM path

@@ -1,13 +1,15 @@
 #include "la/gemm_kernel.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "common/isa.hpp"
-#include "la/autotune.hpp"
 
 namespace gsx::la {
 
@@ -26,14 +28,6 @@ namespace {
 #else
 #define GSX_X86_DISPATCH 0
 #endif
-
-std::size_t env_size(const char* name, std::size_t fallback) noexcept {
-  if (const char* s = std::getenv(name)) {
-    const long v = std::atol(s);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return fallback;
-}
 
 constexpr std::size_t round_up(std::size_t v, std::size_t q) noexcept {
   return (v + q - 1) / q * q;
@@ -135,6 +129,15 @@ GSX_ALWAYS_INLINE void micro_store(T alpha, const T* GSX_RESTRICT acc, T* GSX_RE
   }
 }
 
+/// Cache-blocking parameters (in elements): MC x KC blocks of packed op(A)
+/// target L2, one KC x NR micro-panel of packed op(B) stays L1-resident, NC
+/// bounds the packed-B footprint.
+struct GemmBlocking {
+  std::size_t mc;
+  std::size_t kc;
+  std::size_t nc;
+};
+
 // ---------------------------------------------------------------------------
 // Macro-kernel: the five-loop BLIS structure, generalized to a batch of
 // same-shape items. Packed B panels are re-used across every MC block of A
@@ -191,12 +194,10 @@ GSX_ALWAYS_INLINE void gemm_macro(Trans ta, Trans tb, T alpha,
 }
 
 // ---------------------------------------------------------------------------
-// ISA variants. Each candidate register-tile shape is a concrete function
-// compiled per target (the portable tile must fit 16 xmm registers; AVX2 has
-// 16 ymm, AVX-512 32 zmm), so the whole macro-kernel (packing included) is
-// vectorized for that target. All shapes exist on all ISAs; which one runs
-// is a per-precision KernelConfig decision (default per ISA, overridable by
-// a tuning profile — gsx_tune searches exactly this table).
+// ISA variants. Each (precision, ISA) pair has exactly one register-tile
+// shape, compiled as a concrete function per target (the portable tile must
+// fit 16 xmm registers; AVX2 has 16 ymm, AVX-512 32 zmm), so the whole
+// macro-kernel (packing included) is vectorized for that target.
 
 template <typename TS, typename T>
 using BatchKernelFn = void (*)(Trans, Trans, T, const GemmBatchItem<TS, T>*, std::size_t,
@@ -209,254 +210,77 @@ using BatchKernelFn = void (*)(Trans, Trans, T, const GemmBatchItem<TS, T>*, std
     gemm_macro<TS, T, MR, NR>(ta, tb, alpha, items, count, blk, apack, bpack);            \
   }
 
-// Shape candidates are chosen empirically per ISA (GCC's SLP vectorizer is
-// shape-sensitive; see docs/tuning.md for the retuning recipe). The default
-// shapes keep every accumulator column a whole number of vectors and fully
-// unroll into independent FMA chains; the alternates are the plausible
-// runners-up the autotuner searches.
+// Shapes were chosen empirically per ISA (GCC's SLP vectorizer is
+// shape-sensitive; see docs/tuning.md before changing one). Each keeps every
+// accumulator column a whole number of vectors and fully unrolls into
+// independent FMA chains. 16-bit storage computes in FP32 and shares the
+// FP32 shape.
 GSX_GEMM_VARIANT(gemm_f64_32x8_portable, , double, double, 32, 8)
-GSX_GEMM_VARIANT(gemm_f64_8x4_portable, , double, double, 8, 4)
-GSX_GEMM_VARIANT(gemm_f64_32x6_portable, , double, double, 32, 6)
-GSX_GEMM_VARIANT(gemm_f64_24x8_portable, , double, double, 24, 8)
 GSX_GEMM_VARIANT(gemm_f32_32x4_portable, , float, float, 32, 4)
-GSX_GEMM_VARIANT(gemm_f32_32x8_portable, , float, float, 32, 8)
-GSX_GEMM_VARIANT(gemm_f32_48x8_portable, , float, float, 48, 8)
 GSX_GEMM_VARIANT(gemm_h32_32x4_portable, , half, float, 32, 4)
-GSX_GEMM_VARIANT(gemm_h32_32x8_portable, , half, float, 32, 8)
-GSX_GEMM_VARIANT(gemm_h32_48x8_portable, , half, float, 48, 8)
 GSX_GEMM_VARIANT(gemm_b32_32x4_portable, , bfloat16, float, 32, 4)
-GSX_GEMM_VARIANT(gemm_b32_32x8_portable, , bfloat16, float, 32, 8)
-GSX_GEMM_VARIANT(gemm_b32_48x8_portable, , bfloat16, float, 48, 8)
 
 #if GSX_X86_DISPATCH
 #define GSX_TARGET_AVX2 __attribute__((target("avx2,fma")))
 #define GSX_TARGET_AVX512 __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw,fma")))
 
-GSX_GEMM_VARIANT(gemm_f64_32x8_avx2, GSX_TARGET_AVX2, double, double, 32, 8)
 GSX_GEMM_VARIANT(gemm_f64_8x4_avx2, GSX_TARGET_AVX2, double, double, 8, 4)
-GSX_GEMM_VARIANT(gemm_f64_32x6_avx2, GSX_TARGET_AVX2, double, double, 32, 6)
-GSX_GEMM_VARIANT(gemm_f64_24x8_avx2, GSX_TARGET_AVX2, double, double, 24, 8)
 GSX_GEMM_VARIANT(gemm_f32_32x4_avx2, GSX_TARGET_AVX2, float, float, 32, 4)
-GSX_GEMM_VARIANT(gemm_f32_32x8_avx2, GSX_TARGET_AVX2, float, float, 32, 8)
-GSX_GEMM_VARIANT(gemm_f32_48x8_avx2, GSX_TARGET_AVX2, float, float, 48, 8)
 GSX_GEMM_VARIANT(gemm_h32_32x4_avx2, GSX_TARGET_AVX2, half, float, 32, 4)
-GSX_GEMM_VARIANT(gemm_h32_32x8_avx2, GSX_TARGET_AVX2, half, float, 32, 8)
-GSX_GEMM_VARIANT(gemm_h32_48x8_avx2, GSX_TARGET_AVX2, half, float, 48, 8)
 GSX_GEMM_VARIANT(gemm_b32_32x4_avx2, GSX_TARGET_AVX2, bfloat16, float, 32, 4)
-GSX_GEMM_VARIANT(gemm_b32_32x8_avx2, GSX_TARGET_AVX2, bfloat16, float, 32, 8)
-GSX_GEMM_VARIANT(gemm_b32_48x8_avx2, GSX_TARGET_AVX2, bfloat16, float, 48, 8)
 
-GSX_GEMM_VARIANT(gemm_f64_32x8_avx512, GSX_TARGET_AVX512, double, double, 32, 8)
-GSX_GEMM_VARIANT(gemm_f64_8x4_avx512, GSX_TARGET_AVX512, double, double, 8, 4)
 GSX_GEMM_VARIANT(gemm_f64_32x6_avx512, GSX_TARGET_AVX512, double, double, 32, 6)
-GSX_GEMM_VARIANT(gemm_f64_24x8_avx512, GSX_TARGET_AVX512, double, double, 24, 8)
-GSX_GEMM_VARIANT(gemm_f32_32x4_avx512, GSX_TARGET_AVX512, float, float, 32, 4)
 GSX_GEMM_VARIANT(gemm_f32_32x8_avx512, GSX_TARGET_AVX512, float, float, 32, 8)
-GSX_GEMM_VARIANT(gemm_f32_48x8_avx512, GSX_TARGET_AVX512, float, float, 48, 8)
-GSX_GEMM_VARIANT(gemm_h32_32x4_avx512, GSX_TARGET_AVX512, half, float, 32, 4)
 GSX_GEMM_VARIANT(gemm_h32_32x8_avx512, GSX_TARGET_AVX512, half, float, 32, 8)
-GSX_GEMM_VARIANT(gemm_h32_48x8_avx512, GSX_TARGET_AVX512, half, float, 48, 8)
-GSX_GEMM_VARIANT(gemm_b32_32x4_avx512, GSX_TARGET_AVX512, bfloat16, float, 32, 4)
 GSX_GEMM_VARIANT(gemm_b32_32x8_avx512, GSX_TARGET_AVX512, bfloat16, float, 32, 8)
-GSX_GEMM_VARIANT(gemm_b32_48x8_avx512, GSX_TARGET_AVX512, bfloat16, float, 48, 8)
+
+#define GSX_BY_ISA(portable, avx2, avx512) {portable, avx2, avx512}
+#else
+#define GSX_BY_ISA(portable, avx2, avx512) {portable, portable, portable}
 #endif  // GSX_X86_DISPATCH
 
 #undef GSX_GEMM_VARIANT
 
-/// The compiled shape table for a scalar type: one function per (shape, ISA).
-/// Index 0 is the portable/AVX2 default... defaults per ISA are recorded
-/// separately in default_shape_index().
+/// The compiled kernel for storage type TS on `isa`.
 template <typename TS, typename T>
-struct ShapeVariant {
-  int mr, nr;
-  BatchKernelFn<TS, T> fn[3];  // indexed by Isa
-};
-
-template <typename TS>
-const auto& shape_table() {
-#if GSX_X86_DISPATCH
-#define GSX_ROW(stem, mr, nr) \
-  { mr, nr, {stem##_portable, stem##_avx2, stem##_avx512} }
-#else
-#define GSX_ROW(stem, mr, nr) \
-  { mr, nr, {stem##_portable, stem##_portable, stem##_portable} }
-#endif
+BatchKernelFn<TS, T> kernel_for(Isa isa) noexcept {
   if constexpr (std::is_same_v<TS, double>) {
-    static const ShapeVariant<double, double> t[] = {
-        GSX_ROW(gemm_f64_32x8, 32, 8),
-        GSX_ROW(gemm_f64_8x4, 8, 4),
-        GSX_ROW(gemm_f64_32x6, 32, 6),
-        GSX_ROW(gemm_f64_24x8, 24, 8),
-    };
-    return t;
+    static constexpr BatchKernelFn<double, double> fn[] =
+        GSX_BY_ISA(gemm_f64_32x8_portable, gemm_f64_8x4_avx2, gemm_f64_32x6_avx512);
+    return fn[static_cast<int>(isa)];
   } else if constexpr (std::is_same_v<TS, float>) {
-    static const ShapeVariant<float, float> t[] = {
-        GSX_ROW(gemm_f32_32x4, 32, 4),
-        GSX_ROW(gemm_f32_32x8, 32, 8),
-        GSX_ROW(gemm_f32_48x8, 48, 8),
-    };
-    return t;
+    static constexpr BatchKernelFn<float, float> fn[] =
+        GSX_BY_ISA(gemm_f32_32x4_portable, gemm_f32_32x4_avx2, gemm_f32_32x8_avx512);
+    return fn[static_cast<int>(isa)];
   } else if constexpr (std::is_same_v<TS, half>) {
-    static const ShapeVariant<half, float> t[] = {
-        GSX_ROW(gemm_h32_32x4, 32, 4),
-        GSX_ROW(gemm_h32_32x8, 32, 8),
-        GSX_ROW(gemm_h32_48x8, 48, 8),
-    };
-    return t;
+    static constexpr BatchKernelFn<half, float> fn[] =
+        GSX_BY_ISA(gemm_h32_32x4_portable, gemm_h32_32x4_avx2, gemm_h32_32x8_avx512);
+    return fn[static_cast<int>(isa)];
   } else {
-    static const ShapeVariant<bfloat16, float> t[] = {
-        GSX_ROW(gemm_b32_32x4, 32, 4),
-        GSX_ROW(gemm_b32_32x8, 32, 8),
-        GSX_ROW(gemm_b32_48x8, 48, 8),
-    };
-    return t;
+    static constexpr BatchKernelFn<bfloat16, float> fn[] =
+        GSX_BY_ISA(gemm_b32_32x4_portable, gemm_b32_32x4_avx2, gemm_b32_32x8_avx512);
+    return fn[static_cast<int>(isa)];
   }
-#undef GSX_ROW
 }
 
-/// Default shape (index into shape_table) per ISA: the hand-picked shapes
-/// every release before the autotuner shipped with.
-int default_shape_index(Precision p, Isa isa) noexcept {
-  if (p == Precision::FP64) {
-    // portable 32x8, avx2 8x4, avx512 32x6.
-    switch (isa) {
-      case Isa::Portable: return 0;
-      case Isa::Avx2: return 1;
-      case Isa::Avx512: return 2;
-    }
-  }
-  // FP32 compute group: portable/avx2 32x4, avx512 32x8.
-  return isa == Isa::Avx512 ? 1 : 0;
-}
+#undef GSX_BY_ISA
 
-constexpr std::size_t pidx(Precision p) noexcept { return static_cast<std::size_t>(p); }
+/// The one blocking per compute type, sized for ~48 KiB L1d and >= 1 MiB L2:
+/// a packed A block is 256 KiB, a packed B micro-panel ~12 KiB, and NC keeps
+/// the packed-B scratch of tall-skinny serving batches bounded. 16-bit
+/// storage computes in FP32 and uses the FP32 blocking.
+template <typename T>
+constexpr GemmBlocking kBlocking =
+    std::is_same_v<T, double> ? GemmBlocking{128, 256, 4096} : GemmBlocking{256, 256, 4096};
 
-template <typename TS>
-constexpr Precision precision_of_storage() noexcept {
-  if constexpr (std::is_same_v<TS, double>) return Precision::FP64;
-  else if constexpr (std::is_same_v<TS, float>) return Precision::FP32;
-  else if constexpr (std::is_same_v<TS, half>) return Precision::FP16;
-  else return Precision::BF16;
-}
-
-template <typename TS>
-int shape_count() noexcept {
-  return static_cast<int>(std::size(shape_table<TS>()));
-}
-
-template <typename TS>
-int find_shape(int mr, int nr) noexcept {
-  const auto& t = shape_table<TS>();
-  for (int i = 0; i < shape_count<TS>(); ++i)
-    if (t[i].mr == mr && t[i].nr == nr) return i;
-  return -1;
-}
-
-int find_shape_for(Precision p, int mr, int nr) noexcept {
-  switch (p) {
-    case Precision::FP64: return find_shape<double>(mr, nr);
-    case Precision::FP32: return find_shape<float>(mr, nr);
-    case Precision::FP16: return find_shape<half>(mr, nr);
-    case Precision::BF16: return find_shape<bfloat16>(mr, nr);
-  }
-  return -1;
-}
-
-struct ActiveConfig {
-  GemmBlocking blk;
-  int shape = 0;  // index into the scalar type's shape table
-};
-
-KernelConfig compiled_default(Precision p, Isa isa) noexcept {
-  // Blocking defaults sized for ~48 KiB L1d and >= 1 MiB L2: the packed A
-  // block (MC x KC) fills a fraction of L2 (256 KiB at 8 bytes), one packed
-  // B micro-panel (KC x NR) stays L1-resident (~12 KiB), and NC bounds the
-  // packed-B panel so tall-skinny serving batches don't blow the scratch.
-  // 16-bit storage computes in FP32 and starts from the FP32 blocking.
-  KernelConfig cfg;
-  cfg.blk = (p == Precision::FP64) ? GemmBlocking{128, 256, 4096}
-                                   : GemmBlocking{256, 256, 4096};
-  const int idx = default_shape_index(p, isa);
-  switch (p) {
-    case Precision::FP64:
-      cfg.mr = shape_table<double>()[idx].mr;
-      cfg.nr = shape_table<double>()[idx].nr;
-      break;
-    case Precision::FP32:
-      cfg.mr = shape_table<float>()[idx].mr;
-      cfg.nr = shape_table<float>()[idx].nr;
-      break;
-    case Precision::FP16:
-      cfg.mr = shape_table<half>()[idx].mr;
-      cfg.nr = shape_table<half>()[idx].nr;
-      break;
-    case Precision::BF16:
-      cfg.mr = shape_table<bfloat16>()[idx].mr;
-      cfg.nr = shape_table<bfloat16>()[idx].nr;
-      break;
-  }
-  return cfg;
-}
-
-struct ConfigState {
-  ActiveConfig cfg[kNumPrecisions];
-};
-
-/// Startup resolution: compiled defaults, then the tuning profile (if one
-/// parses and matches the dispatched ISA), then GSX_GEMM_MC/KC/NC env
-/// overrides (highest priority, applied to every precision as before).
-ConfigState init_configs() {
-  ConfigState st;
-  const Isa isa = active_isa();
-  for (std::size_t i = 0; i < kNumPrecisions; ++i) {
-    const Precision p = static_cast<Precision>(i);
-    const KernelConfig def = compiled_default(p, isa);
-    st.cfg[i].blk = def.blk;
-    st.cfg[i].shape = default_shape_index(p, isa);
-  }
-  if (auto prof = detail::startup_tune_profile()) {
-    for (std::size_t i = 0; i < kNumPrecisions; ++i) {
-      if (!prof->has[i]) continue;
-      const Precision p = static_cast<Precision>(i);
-      const KernelConfig& c = prof->config[i];
-      const int idx = (c.mr == 0 && c.nr == 0) ? default_shape_index(p, isa)
-                                               : find_shape_for(p, c.mr, c.nr);
-      if (idx < 0 || c.blk.mc == 0 || c.blk.kc == 0 || c.blk.nc == 0) {
-        std::fprintf(stderr,
-                     "gsx: tuning profile entry for %.*s names an unknown shape "
-                     "%dx%d or zero blocking; keeping defaults for it\n",
-                     static_cast<int>(precision_name(p).size()), precision_name(p).data(),
-                     c.mr, c.nr);
-        continue;
-      }
-      st.cfg[i].blk = c.blk;
-      st.cfg[i].shape = idx;
-    }
-  }
-  for (std::size_t i = 0; i < kNumPrecisions; ++i) {
-    st.cfg[i].blk.mc = env_size("GSX_GEMM_MC", st.cfg[i].blk.mc);
-    st.cfg[i].blk.kc = env_size("GSX_GEMM_KC", st.cfg[i].blk.kc);
-    st.cfg[i].blk.nc = env_size("GSX_GEMM_NC", st.cfg[i].blk.nc);
-  }
-  return st;
-}
-
-ConfigState& configs() {
-  static ConfigState st = init_configs();
-  return st;
-}
-
-/// Per-scalar-type variant selection plus thread-local packing scratch; the
+/// Runs the active ISA's kernel with thread-local packing scratch; the
 /// buffers keep their capacity across tile-task invocations on a worker.
 template <typename TS, typename T>
 void run_batch(Trans ta, Trans tb, T alpha, const GemmBatchItem<TS, T>* items,
                std::size_t count) {
   static thread_local std::vector<T> apack;
   static thread_local std::vector<T> bpack;
-  const ActiveConfig& cfg = configs().cfg[pidx(precision_of_storage<TS>())];
-  shape_table<TS>()[cfg.shape].fn[static_cast<int>(active_isa())](ta, tb, alpha, items,
-                                                                  count, cfg.blk, apack,
-                                                                  bpack);
+  kernel_for<TS, T>(active_isa())(ta, tb, alpha, items, count, kBlocking<T>, apack, bpack);
 }
 
 template <typename TS, typename T>
@@ -467,87 +291,6 @@ void run_packed(Trans ta, Trans tb, T alpha, Span2D<const TS> a, Span2D<const TS
 }
 
 }  // namespace
-
-GemmBlocking gemm_blocking(std::size_t scalar_bytes) noexcept {
-  return gemm_kernel_config(scalar_bytes >= sizeof(double) ? Precision::FP64
-                                                           : Precision::FP32)
-      .blk;
-}
-
-KernelConfig gemm_kernel_config(Precision p) noexcept {
-  const ActiveConfig& a = configs().cfg[pidx(p)];
-  KernelConfig cfg;
-  cfg.blk = a.blk;
-  switch (p) {
-    case Precision::FP64:
-      cfg.mr = shape_table<double>()[a.shape].mr;
-      cfg.nr = shape_table<double>()[a.shape].nr;
-      break;
-    case Precision::FP32:
-      cfg.mr = shape_table<float>()[a.shape].mr;
-      cfg.nr = shape_table<float>()[a.shape].nr;
-      break;
-    case Precision::FP16:
-      cfg.mr = shape_table<half>()[a.shape].mr;
-      cfg.nr = shape_table<half>()[a.shape].nr;
-      break;
-    case Precision::BF16:
-      cfg.mr = shape_table<bfloat16>()[a.shape].mr;
-      cfg.nr = shape_table<bfloat16>()[a.shape].nr;
-      break;
-  }
-  return cfg;
-}
-
-KernelConfig gemm_default_config(Precision p) noexcept {
-  return compiled_default(p, active_isa());
-}
-
-bool set_gemm_kernel_config(Precision p, const KernelConfig& cfg) noexcept {
-  if (cfg.blk.mc == 0 || cfg.blk.kc == 0 || cfg.blk.nc == 0) return false;
-  const int idx = (cfg.mr == 0 && cfg.nr == 0)
-                      ? default_shape_index(p, active_isa())
-                      : find_shape_for(p, cfg.mr, cfg.nr);
-  if (idx < 0) return false;
-  ActiveConfig& a = configs().cfg[pidx(p)];
-  a.blk = cfg.blk;
-  a.shape = idx;
-  return true;
-}
-
-std::vector<GemmShape> gemm_kernel_shapes(Precision p) {
-  std::vector<GemmShape> out;
-  const int def = default_shape_index(p, active_isa());
-  const auto push = [&](int mr, int nr, bool front) {
-    if (front)
-      out.insert(out.begin(), GemmShape{mr, nr});
-    else
-      out.push_back(GemmShape{mr, nr});
-  };
-  switch (p) {
-    case Precision::FP64: {
-      const auto& t = shape_table<double>();
-      for (int i = 0; i < shape_count<double>(); ++i) push(t[i].mr, t[i].nr, i == def);
-      break;
-    }
-    case Precision::FP32: {
-      const auto& t = shape_table<float>();
-      for (int i = 0; i < shape_count<float>(); ++i) push(t[i].mr, t[i].nr, i == def);
-      break;
-    }
-    case Precision::FP16: {
-      const auto& t = shape_table<half>();
-      for (int i = 0; i < shape_count<half>(); ++i) push(t[i].mr, t[i].nr, i == def);
-      break;
-    }
-    case Precision::BF16: {
-      const auto& t = shape_table<bfloat16>();
-      for (int i = 0; i < shape_count<bfloat16>(); ++i) push(t[i].mr, t[i].nr, i == def);
-      break;
-    }
-  }
-  return out;
-}
 
 const char* gemm_kernel_isa() noexcept {
   switch (active_isa()) {
@@ -576,6 +319,39 @@ double gemm_peak_gflops(Precision p, double ghz) noexcept {
   const int lane_bits = (p == Precision::FP64) ? 64 : 32;
   const int lanes = info.vector_bits / lane_bits;
   return ghz * static_cast<double>(lanes) * 2.0 * static_cast<double>(info.fma_ports);
+}
+
+double measure_clock_ghz() {
+  // Prefer the kernel's view of the clock; "cpu MHz" tracks the current
+  // frequency on physical hosts and the nominal one on VMs.
+  if (std::ifstream f{"/proc/cpuinfo"}; f) {
+    std::string line;
+    while (std::getline(f, line)) {
+      if (line.rfind("cpu MHz", 0) == 0) {
+        const auto colon = line.find(':');
+        if (colon != std::string::npos) {
+          const double mhz = std::atof(line.c_str() + colon + 1);
+          if (mhz > 100.0) return mhz / 1000.0;
+        }
+      }
+    }
+  }
+  // Fallback: a dependent xorshift chain is 6 one-cycle ops per iteration
+  // that no compiler can reassociate. Coarse (~±10%), and labeled as an
+  // estimate wherever it surfaces.
+  using Clock = std::chrono::steady_clock;
+  volatile std::uint64_t seed = 0x9e3779b97f4a7c15ull;
+  std::uint64_t x = seed;
+  const std::size_t iters = 50'000'000;
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < iters; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  const double t = std::chrono::duration<double>(Clock::now() - t0).count();
+  seed = x;  // keep the chain observable
+  return 6.0 * static_cast<double>(iters) / t / 1e9;
 }
 
 namespace detail {

@@ -7,22 +7,21 @@
 // register-tiled micro-kernel over them: C traffic drops to one
 // read-modify-write per KC-deep block, and the inner loop is a pure
 // multiply-add over register accumulators that the compiler vectorizes for
-// the dispatched ISA (portable / AVX2+FMA / AVX-512, chosen at runtime).
+// the target ISA.
 //
 // The 16-bit entry points widen FP16/BF16 operands to FP32 *during packing*
 // (one pass, no full-matrix scratch copies) and accumulate in FP32 — the
 // SHGEMM semantics the paper borrowed from BLIS for Fugaku's missing kernel.
 //
-// Every kernel runs under a per-precision KernelConfig (cache blocking plus
-// micro-kernel shape) resolved once at startup: compiled defaults, then a
-// gsx-tune-v1 profile (GSX_TUNE_PROFILE or ./gsx-tune.json, written by
-// tools/gsx_tune — see la/autotune.hpp), then GSX_GEMM_MC/KC/NC env
-// overrides. The batch entry points run many same-shape ops through one
+// Like the fixed per-machine BLAS the paper links, each (precision, ISA)
+// pair has exactly one compiled kernel with one compile-time blocking (table
+// in docs/tuning.md). The ISA is picked once per process from the CPU
+// (common/isa.hpp); GSX_GEMM_ISA can only cap it, and is the one runtime
+// control. The batch entry points run many same-shape ops through one
 // blocked sweep, re-using the packed op(B) panel across ops that share B.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "common/bfloat16.hpp"
 #include "common/half.hpp"
@@ -32,55 +31,8 @@
 
 namespace gsx::la {
 
-/// Cache-blocking parameters (in elements) for the packed GEMM path:
-/// MC x KC blocks of packed op(A) target L2, one KC x NR micro-panel of
-/// packed op(B) stays L1-resident, NC bounds the packed-B footprint.
-struct GemmBlocking {
-  std::size_t mc = 0;
-  std::size_t kc = 0;
-  std::size_t nc = 0;
-};
-
-/// A register-tile (micro-kernel) shape. Only shapes compiled for the
-/// active ISA can be selected; see gemm_kernel_shapes().
-struct GemmShape {
-  int mr = 0;
-  int nr = 0;
-};
-
-/// Per-precision kernel configuration: cache blocking plus micro-kernel
-/// shape. mr == nr == 0 selects the compiled default shape for the ISA.
-struct KernelConfig {
-  GemmBlocking blk;
-  int mr = 0;
-  int nr = 0;
-};
-
-/// Active blocking for a scalar of `scalar_bytes` (8 = FP64 config, else
-/// FP32). Kept for callers that predate per-precision configs; equivalent to
-/// gemm_kernel_config(FP64/FP32).blk.
-[[nodiscard]] GemmBlocking gemm_blocking(std::size_t scalar_bytes) noexcept;
-
-/// Active configuration for `p` after startup resolution (compiled defaults,
-/// then tuning profile, then GSX_GEMM_MC/KC/NC env overrides).
-[[nodiscard]] KernelConfig gemm_kernel_config(Precision p) noexcept;
-
-/// Compiled default configuration for `p` on the active ISA (no profile, no
-/// env overrides). The baseline gsx_tune compares candidates against.
-[[nodiscard]] KernelConfig gemm_default_config(Precision p) noexcept;
-
-/// Install `cfg` as the active configuration for `p`. Returns false (config
-/// unchanged) if cfg names a shape not compiled for this scalar type or a
-/// zero blocking field. Not synchronized against concurrent GEMMs: call at
-/// startup or from a tuning loop that owns all kernel threads.
-bool set_gemm_kernel_config(Precision p, const KernelConfig& cfg) noexcept;
-
-/// Micro-kernel shapes compiled for precision `p` (same list on every ISA;
-/// the per-ISA default is first). These are the shapes gsx_tune searches.
-[[nodiscard]] std::vector<GemmShape> gemm_kernel_shapes(Precision p);
-
 /// Name of the micro-kernel variant runtime dispatch selected for this
-/// process: "avx512", "avx2" or "portable" (overridable via GSX_GEMM_ISA).
+/// process: "avx512", "avx2" or "portable" (capped by GSX_GEMM_ISA).
 [[nodiscard]] const char* gemm_kernel_isa() noexcept;
 
 /// What runtime dispatch selected, for achieved-vs-peak reporting: the ISA
@@ -97,6 +49,11 @@ struct GemmDispatchInfo {
 /// `ghz` (16-bit storage computes in FP32 and uses FP32 lanes):
 /// lanes * 2 (fused multiply-add) * fma_ports * ghz, in GFlop/s.
 [[nodiscard]] double gemm_peak_gflops(Precision p, double ghz) noexcept;
+
+/// Sustained-clock estimate in GHz for gemm_peak_gflops: /proc/cpuinfo when
+/// available, otherwise a timed dependent-op chain. An estimate (~±10%);
+/// peaks derived from it are labeled as such in reports.
+[[nodiscard]] double measure_clock_ghz();
 
 /// One op of a same-shape GEMM batch: C += alpha * op(A) * op(B) with the
 /// operands stored as TS and accumulation carried in TAcc (equal for

@@ -347,32 +347,4 @@ double norm_frobenius(Span2D<const T> a) {
 template double norm_frobenius<double>(Span2D<const double>);
 template double norm_frobenius<float>(Span2D<const float>);
 
-template <typename T>
-double norm_max(Span2D<const T> a) {
-  double s = 0.0;
-  for (std::size_t j = 0; j < a.cols(); ++j)
-    for (std::size_t i = 0; i < a.rows(); ++i)
-      s = std::max(s, std::abs(static_cast<double>(a(i, j))));
-  return s;
-}
-
-template double norm_max<double>(Span2D<const double>);
-template double norm_max<float>(Span2D<const float>);
-
-template <typename T>
-void symmetrize_from(Uplo stored, Span2D<T> a) {
-  const std::size_t n = a.rows();
-  GSX_REQUIRE(a.cols() == n, "symmetrize_from: square required");
-  if (stored == Uplo::Lower) {
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t i = j + 1; i < n; ++i) a(j, i) = a(i, j);
-  } else {
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t i = j + 1; i < n; ++i) a(i, j) = a(j, i);
-  }
-}
-
-template void symmetrize_from<double>(Uplo, Span2D<double>);
-template void symmetrize_from<float>(Uplo, Span2D<float>);
-
 }  // namespace gsx::la

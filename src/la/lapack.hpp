@@ -66,18 +66,4 @@ double norm_frobenius(Span2D<const T> a);
 extern template double norm_frobenius<double>(Span2D<const double>);
 extern template double norm_frobenius<float>(Span2D<const float>);
 
-/// Max-abs entry.
-template <typename T>
-double norm_max(Span2D<const T> a);
-
-extern template double norm_max<double>(Span2D<const double>);
-extern template double norm_max<float>(Span2D<const float>);
-
-/// Symmetrize from the stored triangle (testing helper for SYRK/POTRF).
-template <typename T>
-void symmetrize_from(Uplo stored, Span2D<T> a);
-
-extern template void symmetrize_from<double>(Uplo, Span2D<double>);
-extern template void symmetrize_from<float>(Uplo, Span2D<float>);
-
 }  // namespace gsx::la

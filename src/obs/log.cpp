@@ -93,20 +93,9 @@ void set_log_level(LogLevel level) noexcept {
   refresh_gate_locked();
 }
 
-LogLevel log_level() noexcept {
-  std::lock_guard lk(g_mutex);
-  return g_global;
-}
-
 void set_module_log_level(const std::string& module, LogLevel level) {
   std::lock_guard lk(g_mutex);
   g_module_levels[module] = level;
-  refresh_gate_locked();
-}
-
-void clear_module_log_levels() {
-  std::lock_guard lk(g_mutex);
-  g_module_levels.clear();
   refresh_gate_locked();
 }
 

@@ -58,13 +58,11 @@ enum class LogLevel : unsigned char {
 
 /// Global threshold: messages below `level` are dropped (default Off).
 void set_log_level(LogLevel level) noexcept;
-[[nodiscard]] LogLevel log_level() noexcept;
 
 /// Override the threshold for one module name (exact match against the
 /// `module` argument of log()). Overrides may raise or lower the global
 /// threshold for that module.
 void set_module_log_level(const std::string& module, LogLevel level);
-void clear_module_log_levels();
 
 /// One structured field. Build with the lf() helpers; numbers render
 /// unquoted in the JSONL sink.

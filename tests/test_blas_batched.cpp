@@ -1,5 +1,5 @@
-// Batched BLAS entry points: bit-identity against looped per-op calls,
-// tune-profile round trips, and the Cholesky DAG's batch wiring.
+// Batched BLAS entry points: bit-identity against looped per-op calls, and
+// the Cholesky DAG's batch wiring.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,7 +10,6 @@
 #include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
 #include "geostat/locations.hpp"
-#include "la/autotune.hpp"
 #include "la/blas.hpp"
 #include "la/half_blas.hpp"
 #include "la/matrix.hpp"
@@ -79,6 +78,10 @@ void gemm_batch_vs_looped(Trans ta, Trans tb, std::size_t m, std::size_t n,
             c_loop[i].view());
   for (std::size_t i = 0; i < count; ++i)
     expect_bits_equal(c_batch[i], c_loop[i], "gemm_batch");
+}
+
+TEST(GemmBatch, DispatchIsWithinIsaCap) {
+  EXPECT_TRUE(test::gemm_isa_within_cap()) << "dispatch picked " << gemm_kernel_isa();
 }
 
 TEST(GemmBatch, MatchesLoopedF64AcrossShapesAndScalars) {
@@ -158,82 +161,6 @@ TEST(GemmBatch16, HgemmAndBgemmMatchLooped) {
     expect_bits_equal(ch_batch[i], ch_loop[i], "hgemm_batch");
     expect_bits_equal(cb_batch[i], cb_loop[i], "bgemm_batch");
   }
-}
-
-// ----------------------------------------------------------- tune profile
-
-TuneProfile sample_profile() {
-  TuneProfile p;
-  p.isa = gemm_kernel_isa();
-  p.ghz = 2.5;
-  for (std::size_t i = 0; i < kNumPrecisions; ++i) {
-    const Precision prec = static_cast<Precision>(i);
-    p.has[i] = true;
-    p.config[i] = gemm_default_config(prec);
-    p.config[i].blk.mc = 64 + 32 * i;
-    p.gflops[i] = 10.0 + static_cast<double>(i);
-  }
-  return p;
-}
-
-TEST(TuneProfile, JsonRoundTripPreservesEveryField) {
-  const TuneProfile p = sample_profile();
-  const std::string json = profile_to_json(p);
-  EXPECT_NE(json.find(kTuneProfileSchema), std::string::npos);
-  TuneProfile q;
-  std::string err;
-  ASSERT_TRUE(profile_from_json(json, &q, &err)) << err;
-  EXPECT_EQ(q.isa, p.isa);
-  EXPECT_DOUBLE_EQ(q.ghz, p.ghz);
-  for (std::size_t i = 0; i < kNumPrecisions; ++i) {
-    ASSERT_TRUE(q.has[i]);
-    EXPECT_EQ(q.config[i].blk.mc, p.config[i].blk.mc);
-    EXPECT_EQ(q.config[i].blk.kc, p.config[i].blk.kc);
-    EXPECT_EQ(q.config[i].blk.nc, p.config[i].blk.nc);
-    EXPECT_EQ(q.config[i].mr, p.config[i].mr);
-    EXPECT_EQ(q.config[i].nr, p.config[i].nr);
-    EXPECT_DOUBLE_EQ(q.gflops[i], p.gflops[i]);
-  }
-}
-
-TEST(TuneProfile, CorruptJsonIsRejectedNotCrashed) {
-  TuneProfile q;
-  std::string err;
-  EXPECT_FALSE(profile_from_json("{ definitely not json", &q, &err));
-  EXPECT_FALSE(err.empty());
-  EXPECT_FALSE(profile_from_json("{}", &q, &err));
-  EXPECT_FALSE(profile_from_json(R"({"schema":"gsx-tune-v99","isa":"avx512"})", &q,
-                                 &err));
-  // Negative / non-integer blocking values must be rejected.
-  EXPECT_FALSE(profile_from_json(
-      R"({"schema":"gsx-tune-v1","isa":"avx512","ghz":2.0,)"
-      R"("configs":{"FP64":{"mc":-4,"kc":256,"nc":4096,"mr":0,"nr":0,"gflops":1.0}}})",
-      &q, &err));
-}
-
-TEST(TuneProfile, MismatchedIsaFallsBackGracefully) {
-  TuneProfile p = sample_profile();
-  p.isa = "not-a-real-isa";
-  std::string err;
-  EXPECT_FALSE(apply_profile(p, &err));
-  EXPECT_NE(err.find("not-a-real-isa"), std::string::npos);
-  // Nothing was applied: the active configs still validate as installable.
-  for (std::size_t i = 0; i < kNumPrecisions; ++i) {
-    const KernelConfig active = gemm_kernel_config(static_cast<Precision>(i));
-    EXPECT_GT(active.blk.mc, 0u);
-  }
-}
-
-TEST(TuneProfile, FileRoundTripAndMissingFile) {
-  const TuneProfile p = sample_profile();
-  const std::string path = ::testing::TempDir() + "gsx-tune-test.json";
-  std::string err;
-  ASSERT_TRUE(save_profile(p, path, &err)) << err;
-  TuneProfile q;
-  ASSERT_TRUE(load_profile(path, &q, &err)) << err;
-  EXPECT_EQ(q.isa, p.isa);
-  EXPECT_FALSE(load_profile(path + ".does-not-exist", &q, &err));
-  std::remove(path.c_str());
 }
 
 // ------------------------------------------------- Cholesky batch wiring

@@ -94,6 +94,10 @@ void run_gemm_oracle_sweep() {
   }
 }
 
+TEST(BlasMicrokernel, DispatchIsWithinIsaCap) {
+  EXPECT_TRUE(test::gemm_isa_within_cap()) << "dispatch picked " << la::gemm_kernel_isa();
+}
+
 TEST(BlasMicrokernel, GemmMatchesOracleF64) { run_gemm_oracle_sweep<double>(); }
 TEST(BlasMicrokernel, GemmMatchesOracleF32) { run_gemm_oracle_sweep<float>(); }
 

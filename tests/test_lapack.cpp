@@ -226,20 +226,5 @@ TEST(Norms, FrobeniusMatchesDefinition) {
   EXPECT_DOUBLE_EQ(norm_frobenius<double>(a.cview()), 5.0);
 }
 
-TEST(Norms, MaxAbs) {
-  Rng rng(3);
-  auto a = random_matrix(5, 5, rng);
-  a(3, 2) = -99.0;
-  EXPECT_DOUBLE_EQ(norm_max<double>(a.cview()), 99.0);
-}
-
-TEST(Symmetrize, CopiesLowerToUpper) {
-  Rng rng(4);
-  auto a = random_matrix(5, 5, rng);
-  symmetrize_from<double>(Uplo::Lower, a.view());
-  for (std::size_t j = 0; j < 5; ++j)
-    for (std::size_t i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(a(i, j), a(j, i));
-}
-
 }  // namespace
 }  // namespace gsx::la

@@ -3,7 +3,9 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <functional>
+#include <string_view>
 
 #include "common/rng.hpp"
 #include "common/span2d.hpp"
@@ -12,6 +14,17 @@
 #include "tile/sym_tile_matrix.hpp"
 
 namespace gsx::test {
+
+/// True when the packed GEMM kernels run no wider than the GSX_GEMM_ISA cap
+/// (always true without one). The per-width reruns in tests/CMakeLists.txt
+/// check it, so a rerun cannot pass while testing the native kernels.
+inline bool gemm_isa_within_cap() {
+  const auto rank = [](std::string_view isa) {
+    return isa == "portable" ? 0 : isa == "avx2" ? 1 : 2;
+  };
+  const char* cap = std::getenv("GSX_GEMM_ISA");
+  return cap == nullptr || rank(la::gemm_kernel_isa()) <= rank(cap);
+}
 
 /// Generate every stored tile of `a` from an element functor sigma(gi, gj)
 /// over `workers` threads (SymTileMatrix::generate takes a block functor).

@@ -9,9 +9,9 @@
 #      coordinator verb (kDistVerbs in src/dist/coordinator.cpp) has one
 #      in docs/distributed.md — the verb lists are extracted from the
 #      source, so adding a verb without documenting it fails this check;
-#   4. every CLI flag printed by gsx_serve's, gsx_router's, gsx_dist's,
-#      gsx_tune's and gsx_obs's usage() text is mentioned somewhere in
-#      README.md or docs/;
+#   4. every CLI flag printed by gsx_serve's, gsx_router's, gsx_dist's
+#      and gsx_obs's usage() text is mentioned somewhere in README.md or
+#      docs/;
 #   5. every metric name registered in the serving, distributed,
 #      linear-algebra and analytics planes (serve.* / router.* /
 #      taskgraph.* / dist.* / la.* / obs.* literals passed to
@@ -133,7 +133,6 @@ check_flags() {
 check_flags tools/gsx_serve.cpp
 check_flags tools/gsx_router.cpp
 check_flags tools/gsx_dist.cpp
-check_flags tools/gsx_tune.cpp
 check_flags tools/gsx_obs.cpp
 
 # --- 5. observability docs cover every registered metric name ---------------

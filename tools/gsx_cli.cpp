@@ -25,7 +25,6 @@
 #include "data/dataset.hpp"
 #include "geostat/field.hpp"
 #include "geostat/kernel_registry.hpp"
-#include "la/autotune.hpp"
 #include "la/gemm_kernel.hpp"
 #include "mathx/stats.hpp"
 #include "obs/health.hpp"
