@@ -9,9 +9,13 @@
 //
 // With --fleet N it instead benchmarks the sharded serving fleet: for each
 // replica count k = 1..N it stands up k in-process replicas plus a router,
-// loads one model per shard from a shared checkpoint store, and drives
-// concurrent predict clients through the router socket — aggregate req/s and
-// p999 vs replica count, all emitted as gsx-bench-v1 records.
+// loads two models per replica from a shared checkpoint store, and runs 8
+// closed-loop predict clients through the router socket for a fixed time.
+// It reports aggregate req/s, p50/p99 latency and the median of each hop —
+// the router hop (client latency minus the replica's total) and the
+// replica's queue/assemble/solve — vs replica count, all emitted as
+// gsx-bench-v1 records. At the widest fleet a second pass runs under a
+// federated-scrape hammer to measure the cost of observing the fleet.
 //
 //   bench_serve_throughput [--json FILE] [--fleet N]   (GSX_BENCH_SCALE scales n)
 #include <algorithm>
@@ -37,6 +41,7 @@
 #include "serve/registry.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
+#include "serve/wire.hpp"
 
 namespace {
 
@@ -59,6 +64,41 @@ std::vector<geostat::Location> request_points(std::size_t m, std::uint64_t seed)
   return pts;
 }
 
+/// One predict through the fleet: the client's round trip and the replica's
+/// `timing` object from the response.
+struct FleetSample {
+  double latency = 0.0;
+  double queue = 0.0, assemble = 0.0, solve = 0.0, total = 0.0;
+};
+
+/// Parse the replica's timing fields out of an ok predict response.
+bool read_timing(const std::string& response, FleetSample* s) {
+  const serve::JsonValue r = serve::JsonValue::parse(response);
+  const serve::JsonValue* ok = r.find("ok");
+  const serve::JsonValue* timing = r.find("timing");
+  if (ok == nullptr || !ok->is_bool() || !ok->as_bool() || timing == nullptr)
+    return false;
+  const auto field = [timing](const char* key, double* out) {
+    const serve::JsonValue* v = timing->find(key);
+    if (v == nullptr || !v->is_number()) return false;
+    *out = v->as_number();
+    return true;
+  };
+  return field("queue_seconds", &s->queue) &&
+         field("assemble_seconds", &s->assemble) &&
+         field("solve_seconds", &s->solve) && field("total_seconds", &s->total);
+}
+
+/// What one fixed-time pass measured.
+struct FleetPass {
+  double seconds = 0.0;  ///< measured wall time
+  double rps = 0.0;
+  double p50 = 0.0, p99 = 0.0;
+  std::size_t samples = 0;
+  std::size_t beyond_p99 = 0;  ///< samples slower than p99
+  double hop = 0.0, queue = 0.0, assemble = 0.0, solve = 0.0;  ///< medians
+};
+
 /// --fleet N: router + k replicas per point, k = 1..N. Returns exit status.
 int run_fleet_bench(std::size_t max_replicas, const std::string& json) {
   // The daemons run with recording on; the scrape-overhead cell is only
@@ -66,8 +106,9 @@ int run_fleet_bench(std::size_t max_replicas, const std::string& json) {
   obs::set_enabled(true);
   const std::size_t n = bench::scaled(600);
   const std::size_t points_per_request = 4;
-  const std::size_t requests = bench::scaled(96);
   const std::size_t client_threads = 8;
+  // Long enough that hundreds of samples lie beyond p99.
+  const double pass_seconds = 5.0;
   const std::vector<double> theta{1.0, 0.1, 0.5};
 
   bench::print_header("Sharded serving fleet: aggregate throughput vs replica "
@@ -107,7 +148,6 @@ int run_fleet_bench(std::size_t max_replicas, const std::string& json) {
     for (std::size_t i = 0; i < k; ++i) {
       serve::ServerConfig scfg;
       scfg.workers = 1;
-      scfg.queue_capacity = requests + client_threads;
       scfg.store_dir = store;
       replicas.push_back(std::make_unique<serve::Server>(scfg));
       const std::uint16_t port = replicas.back()->listen();
@@ -130,80 +170,108 @@ int run_fleet_bench(std::size_t max_replicas, const std::string& json) {
       }
     }
 
-    // One pass = the full request sweep through the router; with `scrape`
-    // a background thread hammers the federated fleet_metrics verb (every
-    // replica scraped per call) so the overhead of observing the fleet
-    // under load is measurable rather than assumed.
-    auto run_pass = [&](bool scrape, double* rps_out, double* p999_out) {
-      std::vector<double> latencies(requests, -1.0);
-      std::atomic<std::size_t> next{0};
-      std::atomic<bool> stop_scraper{false};
+    // One pass = every client closed-loop through the router for
+    // pass_seconds; with `scrape` a background thread hammers the federated
+    // fleet_metrics verb (every replica scraped per call) so the overhead of
+    // observing the fleet under load is measurable rather than assumed.
+    auto run_pass = [&](bool scrape, FleetPass* out) {
+      std::atomic<bool> stop{false};
       std::thread scraper;
       if (scrape) {
         scraper = std::thread([&] {
           serve::WireClient c;
           if (!c.dial_tcp("127.0.0.1", router_port)) return;
           std::string response;
-          while (!stop_scraper.load(std::memory_order_acquire)) {
+          while (!stop.load(std::memory_order_acquire)) {
             if (!c.request("{\"op\":\"fleet_metrics\"}", &response)) return;
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
           }
         });
       }
+      std::vector<std::vector<FleetSample>> per_client(client_threads);
+      std::atomic<std::size_t> failed{0};
       const auto t0 = std::chrono::steady_clock::now();
       std::vector<std::thread> clients;
       for (std::size_t c = 0; c < client_threads; ++c) {
-        clients.emplace_back([&] {
+        clients.emplace_back([&, c] {
           serve::WireClient client;
-          if (!client.dial_tcp("127.0.0.1", router_port)) return;
-          for (std::size_t r = next.fetch_add(1); r < requests;
-               r = next.fetch_add(1)) {
+          if (!client.dial_tcp("127.0.0.1", router_port)) {
+            ++failed;
+            return;
+          }
+          for (std::size_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+            const std::size_t r = c + client_threads * i;
             const auto pts = request_points(points_per_request, 900 + r);
             std::string req = "{\"op\":\"predict\",\"model\":\"m" +
                               std::to_string(r % models) + "\",\"points\":[";
-            for (std::size_t i = 0; i < pts.size(); ++i) {
-              if (i) req += ",";
-              req += "[" + std::to_string(pts[i].x) + "," +
-                     std::to_string(pts[i].y) + "]";
+            for (std::size_t j = 0; j < pts.size(); ++j) {
+              if (j) req += ",";
+              req += "[" + std::to_string(pts[j].x) + "," +
+                     std::to_string(pts[j].y) + "]";
             }
             req += "]}";
             const auto r0 = std::chrono::steady_clock::now();
             std::string response;
-            if (client.request(req, &response) &&
-                response.find("\"ok\":true") != std::string::npos)
-              latencies[r] = std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - r0).count();
+            const bool io_ok = client.request(req, &response);
+            FleetSample s;
+            s.latency = std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - r0).count();
+            if (!io_ok || !read_timing(response, &s)) {
+              ++failed;
+              return;
+            }
+            per_client[c].push_back(s);
           }
         });
       }
+      std::this_thread::sleep_for(std::chrono::duration<double>(pass_seconds));
+      stop.store(true, std::memory_order_release);
       for (auto& t : clients) t.join();
       const double wall = std::chrono::duration<double>(
           std::chrono::steady_clock::now() - t0).count();
-      stop_scraper.store(true, std::memory_order_release);
       if (scraper.joinable()) scraper.join();
 
-      std::size_t failed = 0;
-      std::vector<double> ok_latencies;
-      for (const double l : latencies)
-        l < 0 ? void(++failed) : ok_latencies.push_back(l);
-      if (failed > 0 || ok_latencies.empty()) {
-        std::printf("  !! %zu fleet requests failed at k=%zu\n", failed, k);
+      std::vector<double> latency, hop, queue, assemble, solve;
+      for (const auto& samples : per_client)
+        for (const FleetSample& s : samples) {
+          latency.push_back(s.latency);
+          hop.push_back(s.latency - s.total);
+          queue.push_back(s.queue);
+          assemble.push_back(s.assemble);
+          solve.push_back(s.solve);
+        }
+      if (failed.load() > 0 || latency.empty()) {
+        std::printf("  !! %zu fleet requests failed at k=%zu\n", failed.load(), k);
         return false;
       }
-      *rps_out = static_cast<double>(requests) / wall;
-      *p999_out = percentile(ok_latencies, 0.999);
+      out->seconds = wall;
+      out->rps = static_cast<double>(latency.size()) / wall;
+      out->p50 = percentile(latency, 0.50);
+      out->p99 = percentile(latency, 0.99);
+      out->samples = latency.size();
+      out->beyond_p99 = static_cast<std::size_t>(std::count_if(
+          latency.begin(), latency.end(), [&](double l) { return l > out->p99; }));
+      out->hop = percentile(hop, 0.50);
+      out->queue = percentile(queue, 0.50);
+      out->assemble = percentile(assemble, 0.50);
+      out->solve = percentile(solve, 0.50);
       return true;
     };
+    auto print_pass = [](const char* label, const FleetPass& f) {
+      std::printf("%-26s %9.1f req/s  p50 %6.3f ms  p99 %6.3f ms (%zu of %zu beyond)\n",
+                  label, f.rps, 1e3 * f.p50, 1e3 * f.p99, f.beyond_p99, f.samples);
+      std::printf("%-26s hop %6.3f ms  queue %6.3f ms  assemble %6.3f ms  "
+                  "solve %6.3f ms\n",
+                  "", 1e3 * f.hop, 1e3 * f.queue, 1e3 * f.assemble, 1e3 * f.solve);
+    };
 
-    double rps = 0.0, p999 = 0.0;
-    const bool pass_ok = run_pass(false, &rps, &p999);
+    FleetPass plain;
+    const bool pass_ok = run_pass(false, &plain);
 
-    // At the widest fleet, measure the cost of scraping under load: the
-    // federated exposition must be an observability free lunch (<2% req/s).
-    double scraped_rps = 0.0, scraped_p999 = 0.0;
+    // At the widest fleet, measure the cost of scraping under load.
+    FleetPass scraped;
     bool scraped_ok = false;
-    if (pass_ok && k == max_replicas)
-      scraped_ok = run_pass(true, &scraped_rps, &scraped_p999);
+    if (pass_ok && k == max_replicas) scraped_ok = run_pass(true, &scraped);
 
     router.shutdown();
     for (auto& r : replicas) r->shutdown();
@@ -212,17 +280,22 @@ int run_fleet_bench(std::size_t max_replicas, const std::string& json) {
 
     char label[64];
     std::snprintf(label, sizeof label, "fleet replicas=%zu", k);
-    std::printf("%-34s %10.2f req/s   p999 %8.2f ms\n", label, rps, 1e3 * p999);
-    records.push_back({std::string(label) + " req/s", n,
-                       static_cast<double>(requests) / rps, rps});
-    records.push_back({std::string(label) + " p999 seconds", n, p999, 0.0});
+    print_pass(label, plain);
+    const std::string name(label);
+    records.push_back({name + " req/s", n, plain.seconds, plain.rps});
+    records.push_back({name + " p50 seconds", n, plain.p50, 0.0});
+    records.push_back({name + " p99 seconds", n, plain.p99, 0.0});
+    records.push_back({name + " router hop seconds", n, plain.hop, 0.0});
+    records.push_back({name + " replica queue seconds", n, plain.queue, 0.0});
+    records.push_back({name + " replica assemble seconds", n, plain.assemble, 0.0});
+    records.push_back({name + " replica solve seconds", n, plain.solve, 0.0});
     if (scraped_ok) {
-      const double overhead = rps > 0.0 ? (rps - scraped_rps) / rps : 0.0;
+      const double overhead = (plain.rps - scraped.rps) / plain.rps;
       std::snprintf(label, sizeof label, "fleet k=%zu scraped", k);
-      std::printf("%-34s %10.2f req/s   p999 %8.2f ms   (%.2f%% overhead)\n",
-                  label, scraped_rps, 1e3 * scraped_p999, 1e2 * overhead);
-      records.push_back({std::string(label) + " req/s", n,
-                         static_cast<double>(requests) / scraped_rps, scraped_rps});
+      print_pass(label, scraped);
+      std::printf("%-26s %+.2f%% of req/s\n", "scrape-under-load overhead",
+                  1e2 * overhead);
+      records.push_back({std::string(label) + " req/s", n, scraped.seconds, scraped.rps});
       records.push_back({"fleet scrape-under-load overhead fraction", n,
                          overhead, 0.0});
     }

@@ -62,6 +62,7 @@ Router::Router(RouterConfig cfg)
   auto& reg = obs::Registry::instance();
   reg.counter("router.rehash_events");
   reg.counter("router.forwards");
+  reg.counter("router.forward.dials");
   reg.counter("router.forward.failures");
   reg.counter("router.failover.loads");
   reg.counter("router.slo.violations");
@@ -132,8 +133,13 @@ std::string Router::do_heartbeat(const JsonValue& req) {
     if (q->is_number()) queue_depth = q->as_number();
   if (const JsonValue* f = req.find("inflight"))
     if (f->is_number()) inflight = f->as_number();
-  if (const JsonValue* s = req.find("seq"))
-    if (s->is_number()) seq = static_cast<std::uint64_t>(s->as_number());
+  if (const JsonValue* s = req.find("seq")) {
+    GSX_REQUIRE(s->is_number() && s->as_number() >= 0.0 &&
+                    s->as_number() < 0x1p64 &&
+                    std::floor(s->as_number()) == s->as_number(),
+                "heartbeat \"seq\" must be an integer in [0, 2^64)");
+    seq = static_cast<std::uint64_t>(s->as_number());
+  }
   // The recv timestamp (router clock) between the replica's send/ack pair
   // (replica clock) is the per-heartbeat clock-offset sample gsx_obs uses.
   if (seq != 0) GSX_FLIGHT(obs::EventKind::HeartbeatRecv, 0, seq, 0, 0.0);
@@ -180,6 +186,7 @@ std::string Router::do_drain(const JsonValue& req) {
     std::string response;
     forwarded = forward(*info, "{\"op\":\"drain\"}", &response);
   }
+  close_idle(name);
   JsonValue::Object o;
   o["ok"] = JsonValue(true);
   o["replica"] = JsonValue(name);
@@ -191,8 +198,42 @@ std::string Router::do_drain(const JsonValue& req) {
 bool Router::forward(const ReplicaInfo& replica, const std::string& line,
                      std::string* response) {
   WireClient client;
-  if (!client.dial_tcp(replica.host, replica.port)) return false;
-  return client.request(line, response);
+  {
+    std::lock_guard lk(idle_mu_);
+    IdleConnections& idle = idle_[replica.name];
+    if (idle.port != replica.port) {  // re-registered: old dials are stale
+      idle.clients.clear();
+      idle.port = replica.port;
+    }
+    if (!idle.clients.empty()) {
+      client = std::move(idle.clients.back());
+      idle.clients.pop_back();
+    }
+  }
+  // A pooled connection's failure only earns a fresh dial: the replica may
+  // have restarted, drained or closed it while it sat idle. The fresh dial's
+  // failure is the one that says the replica is down.
+  if (!client.connected() || !client.request(line, response)) {
+    obs::Registry::instance().counter("router.forward.dials").add();
+    if (!client.dial_tcp(replica.host, replica.port) ||
+        !client.request(line, response))
+      return false;
+  }
+  std::lock_guard lk(idle_mu_);
+  IdleConnections& idle = idle_[replica.name];
+  if (idle.port == replica.port) idle.clients.push_back(std::move(client));
+  return true;
+}
+
+void Router::close_idle(const std::string& replica) {
+  std::lock_guard lk(idle_mu_);
+  const auto it = idle_.find(replica);
+  if (it != idle_.end()) it->second.clients.clear();
+}
+
+void Router::mark_dead(const std::string& replica) {
+  membership_.mark_dead(replica);
+  close_idle(replica);
 }
 
 bool Router::load_on(const ReplicaInfo& replica, const std::string& model) {
@@ -235,7 +276,7 @@ std::string Router::do_forward_by_name(const JsonValue& req,
   }();
   std::string response;
   if (!forward(*owner, line, &response)) {
-    membership_.mark_dead(owner->name);
+    mark_dead(owner->name);
     return wire_error("replica \"" + owner->name + "\" unreachable for " + op);
   }
   obs::Registry::instance().counter("router.requests." + owner->name).add();
@@ -321,10 +362,10 @@ std::string Router::do_predict(const JsonValue& req) {
       reg.counter("router.slo.violations").add();
 
     if (!delivered) {
-      // The dial/roundtrip failure IS the failure detector: kill the owner
-      // (one rehash event) and retry on whoever inherits its arc.
+      // A failed fresh dial or round trip IS the failure detector: kill the
+      // owner (one rehash event) and retry on whoever inherits its arc.
       reg.counter("router.forward.failures").add();
-      membership_.mark_dead(owner->name);
+      mark_dead(owner->name);
       last_error = "replica \"" + owner->name + "\" unreachable";
       continue;
     }
@@ -548,9 +589,12 @@ void Router::sweep_loop() {
     membership_.expire_stale();
     const std::vector<ReplicaInfo> replicas = membership_.snapshot();
     double max_age = 0.0;
-    for (const ReplicaInfo& r : replicas)
-      if (r.state == ReplicaState::Alive && r.heartbeat_age_seconds > max_age)
+    for (const ReplicaInfo& r : replicas) {
+      if (r.state != ReplicaState::Alive)
+        close_idle(r.name);  // stale expiries, and connections returned late
+      else if (r.heartbeat_age_seconds > max_age)
         max_age = r.heartbeat_age_seconds;
+    }
     reg.gauge("router.replicas.alive")
         .set(static_cast<double>(membership_.alive_count()));
     reg.gauge("router.heartbeat.age.max_seconds").set(max_age);
@@ -579,6 +623,8 @@ void Router::shutdown() {
   sweep_cv_.notify_all();
   if (sweep_thread_.joinable()) sweep_thread_.join();
   listener_.shutdown();
+  std::lock_guard idle_lk(idle_mu_);
+  idle_.clear();
 }
 
 }  // namespace gsx::serve

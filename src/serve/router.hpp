@@ -30,14 +30,19 @@
 //     {"op":"drain"}   — no "replica": drain the router itself
 //
 // Placement is Membership's consistent-hash ring, so it depends only on the
-// set of routable replica names. Forwards dial the owner per request (the
-// fleet is loopback-local; a dial failure IS the failure detector). A failed
-// forward marks the owner Dead — one rehash event — and retries on the new
-// owner; if the new owner answers "no such model", the router replays the
-// remembered load spec there first, so failover is invisible to clients
-// beyond latency. The router mints the request id when the client didn't,
-// and forwards it on the second hop, so one id traces both hops in the
-// flight recorder.
+// set of routable replica names. Forwards reuse connections: the router keeps
+// each replica's idle connections, a forward takes one (or dials when none is
+// idle) and puts it back after a complete round trip, so a steady fleet pays
+// no TCP handshake per request. Each connection carries one request at a
+// time, because a replica answers a connection's lines in order. A request
+// that fails on a pooled connection (the replica restarted, drained or closed
+// it) is retried once on a fresh dial; only a failure on a fresh dial is the
+// failure detector. It marks the owner Dead — one rehash event — and the
+// request retries on the new owner; if the new owner answers "no such
+// model", the router replays the remembered load spec there first, so
+// failover is invisible to clients beyond latency. The router mints the
+// request id when the client didn't, and forwards it on the second hop, so
+// one id traces both hops in the flight recorder.
 #pragma once
 
 #include <atomic>
@@ -47,6 +52,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "serve/listener.hpp"
 #include "serve/membership.hpp"
@@ -111,10 +117,22 @@ class Router {
   /// fleet_metrics verb and the HTTP scrape port.
   std::string federated_prometheus();
 
-  /// One hop: dial `replica`, send `line`, read one line. False on any I/O
-  /// failure (the caller marks the replica dead and rehashes).
+  /// One hop: send `line` to `replica` and read one line, on an idle pooled
+  /// connection or, when none is idle, a fresh dial. A pooled connection
+  /// that fails may only be stale, so the request is retried once on a
+  /// fresh dial. False when a fresh dial or its round trip fails (the caller
+  /// marks the replica dead and rehashes).
   bool forward(const ReplicaInfo& replica, const std::string& line,
                std::string* response);
+
+  /// Close `replica`'s idle connections. One that a forward still held
+  /// goes back to the pool afterwards; the sweeper closes it on its next
+  /// pass, as it does for every replica that is not Alive.
+  void close_idle(const std::string& replica);
+
+  /// Mark `replica` Dead in the membership table and close its idle
+  /// connections.
+  void mark_dead(const std::string& replica);
 
   /// Replay the remembered load spec for `model` on `replica`; true when the
   /// replica answered ok. Used before retrying a predict after failover.
@@ -128,6 +146,16 @@ class Router {
 
   std::mutex models_mu_;
   std::map<std::string, std::string> models_;  ///< model -> load "path" ("" = store)
+
+  /// One replica's idle connections, all dialed to `port`, the port its
+  /// name is registered at. Connections to an older port are closed, never
+  /// handed out.
+  struct IdleConnections {
+    std::uint16_t port = 0;
+    std::vector<WireClient> clients;
+  };
+  std::mutex idle_mu_;
+  std::map<std::string, IdleConnections> idle_;  ///< replica name -> pool
 
   // Scrape-to-scrape state for the fleet predict-rate rollup; serializes
   // concurrent scrapers (wire verb vs. HTTP scrape port).

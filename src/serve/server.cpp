@@ -49,6 +49,20 @@ const std::string& require_string(const JsonValue& req, const std::string& key) 
   return v->as_string();
 }
 
+/// now + `seconds` on the engine clock. Its duration counts int64
+/// nanoseconds, so a deadline past the clock's range (~292 years) would
+/// overflow the conversion; the range is checked in seconds first, and such
+/// a deadline means no deadline. The one-second slack absorbs the rounding
+/// of `seconds` to nanoseconds at the boundary.
+KrigingEngine::Clock::time_point deadline_after(double seconds) {
+  using Clock = KrigingEngine::Clock;
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> room = Clock::time_point::max() - now;
+  if (!(seconds < room.count() - 1.0)) return Clock::time_point::max();
+  return now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(seconds));
+}
+
 }  // namespace
 
 Server::Server(ServerConfig cfg)
@@ -171,10 +185,7 @@ std::string Server::do_predict(const JsonValue& req) {
     GSX_REQUIRE(d->is_number() && d->as_number() > 0, "\"deadline_ms\" must be > 0");
     deadline_seconds = d->as_number() / 1000.0;
   }
-  const auto deadline =
-      KrigingEngine::Clock::now() +
-      std::chrono::duration_cast<KrigingEngine::Clock::duration>(
-          std::chrono::duration<double>(deadline_seconds));
+  const auto deadline = deadline_after(deadline_seconds);
 
   // The request id is minted here at the wire boundary — unless an upstream
   // router already minted one and forwarded it, in which case both hops'

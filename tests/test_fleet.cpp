@@ -2,8 +2,10 @@
 // movement, drain/dead exclusion, stale expiry), the shared checkpoint store
 // (newest-valid resolution, partial-file rejection, concurrent loads,
 // hot-swap), and router end-to-end passes against live replica Servers —
-// routing vs the placement oracle, failover after a killed replica, and a
-// drain that drops zero in-flight predicts.
+// routing vs the placement oracle, failover after a killed replica, a drain
+// that drops zero in-flight predicts, pooled connection reuse, a restarted
+// replica that is re-dialed instead of marked dead, and a re-registered one
+// that is never reached on its old port.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -474,6 +476,108 @@ TEST(FleetE2E, DrainCompletesEveryInFlightPredict) {
   EXPECT_TRUE(after.find("ok")->as_bool()) << after.dump();
 }
 
+// Forwards take an idle pooled connection instead of dialing: sequential
+// traffic through the router needs one connection per replica.
+TEST(FleetE2E, ForwardsReuseConnections) {
+  obs::set_enabled(true);  // counters only count while recording is on
+  const Problem p = make_problem(72);
+  const std::string store = temp_dir("gsx_fleet_e2e_reuse");
+  save_model_checkpoint(store + "/shared.ckpt", make_checkpoint(p));
+
+  Fleet fleet(3, store);
+  auto& reg = obs::Registry::instance();
+  const std::uint64_t dials_before = reg.counter("router.forward.dials").value();
+  const std::uint64_t forwards_before = reg.counter("router.forwards").value();
+  for (int m = 0; m < 6; ++m)
+    ASSERT_TRUE(fleet.ask(R"({"op":"load","name":"model-)" + std::to_string(m) +
+                          R"(","path":"shared.ckpt"})")
+                    .find("ok")->as_bool());
+  for (int i = 0; i < 30; ++i) {
+    const JsonValue r = fleet.ask(predict_line(
+        "model-" + std::to_string(i % 6), random_points(2, 300 + static_cast<std::uint64_t>(i))));
+    ASSERT_TRUE(r.find("ok")->as_bool()) << r.dump();
+  }
+  const std::uint64_t dials = reg.counter("router.forward.dials").value() - dials_before;
+  EXPECT_GE(dials, 1u);
+  EXPECT_LE(dials, fleet.replicas.size());
+  EXPECT_EQ(reg.counter("router.forwards").value() - forwards_before, 30u);
+  obs::set_enabled(false);
+  std::filesystem::remove_all(store);
+}
+
+// A replica that restarts on its port leaves the router holding a pooled
+// connection to the old process. That connection fails, but the fresh dial
+// behind it succeeds, so the replica is neither marked Dead nor rehashed.
+TEST(FleetE2E, RestartedReplicaIsRedialedNotMarkedDead) {
+  const Problem p = make_problem(72);
+  const std::string store = temp_dir("gsx_fleet_e2e_restart");
+  save_model_checkpoint(store + "/shared.ckpt", make_checkpoint(p));
+
+  Fleet fleet(3, store);
+  std::string model;
+  for (int m = 0; model.empty(); ++m)
+    if (fleet.router->membership().owner("model-" + std::to_string(m))->name == "r1")
+      model = "model-" + std::to_string(m);
+  ASSERT_TRUE(fleet.ask(R"({"op":"load","name":")" + model +
+                        R"(","path":"shared.ckpt"})")
+                  .find("ok")->as_bool());
+  ASSERT_TRUE(fleet.ask(predict_line(model, random_points(2, 51))).find("ok")->as_bool());
+
+  // Restart r1: same port, same store, an empty registry.
+  fleet.replicas[1]->shutdown();
+  fleet.loops[1].join();
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.store_dir = store;
+  cfg.tcp_port = fleet.ports[1];
+  fleet.replicas[1] = std::make_unique<Server>(cfg);
+  ASSERT_EQ(fleet.replicas[1]->listen(), fleet.ports[1]);
+  fleet.loops[1] = std::thread([s = fleet.replicas[1].get()] { s->serve_forever(); });
+
+  const std::uint64_t rehashes_before = fleet.router->membership().rehash_events();
+  const JsonValue r = fleet.ask(predict_line(model, random_points(2, 52)));
+  ASSERT_TRUE(r.find("ok")->as_bool()) << r.dump();
+  EXPECT_EQ(r.find("replica")->as_string(), "r1");
+  EXPECT_EQ(fleet.router->membership().rehash_events(), rehashes_before);
+  for (const ReplicaInfo& info : fleet.router->membership().snapshot()) {
+    if (info.name == "r1") {
+      EXPECT_EQ(info.state, ReplicaState::Alive);
+    }
+  }
+  std::filesystem::remove_all(store);
+}
+
+// A name re-registered at a new port must not be served a pooled connection
+// to its old port, even while the old process still answers there.
+TEST(FleetE2E, ReRegisteredReplicaIsNotReachedOnItsOldPort) {
+  const Problem p = make_problem(72);
+  const std::string store = temp_dir("gsx_fleet_e2e_reregister");
+  save_model_checkpoint(store + "/shared.ckpt", make_checkpoint(p));
+
+  Fleet fleet(1, store);
+  ASSERT_TRUE(fleet.ask(R"({"op":"load","name":"m","path":"shared.ckpt"})")
+                  .find("ok")->as_bool());
+  ASSERT_TRUE(fleet.ask(predict_line("m", random_points(2, 61))).find("ok")->as_bool());
+
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.store_dir = store;
+  Server moved(cfg);
+  const std::uint16_t moved_port = moved.listen();
+  std::thread moved_loop([&moved] { moved.serve_forever(); });
+  fleet.router->membership().join("r0", "127.0.0.1", moved_port);
+
+  const std::uint64_t old_completed = fleet.replicas[0]->engine().stats().completed;
+  const JsonValue r = fleet.ask(predict_line("m", random_points(2, 62)));
+  EXPECT_TRUE(r.find("ok")->as_bool()) << r.dump();
+  EXPECT_EQ(moved.engine().stats().completed, 1u);
+  EXPECT_EQ(fleet.replicas[0]->engine().stats().completed, old_completed);
+
+  moved.shutdown();
+  moved_loop.join();
+  std::filesystem::remove_all(store);
+}
+
 TEST(FleetE2E, RouterForwardsClientRequestIdAcrossBothHops) {
   const Problem p = make_problem(72);
   const std::string store = temp_dir("gsx_fleet_e2e_reqid");
@@ -562,6 +666,26 @@ TEST(Router, StatsHealthAndUnknownVerbs) {
   EXPECT_EQ(stats.find("replicas")->as_array()[0].find("state")->as_string(),
             "alive");
   EXPECT_EQ(stats.find("alive")->as_number(), 1.0);
+}
+
+// A heartbeat "seq" has to be a uint64_t: anything else is a wire error,
+// not an out-of-range cast.
+TEST(Router, HeartbeatSeqMustBeAnUnsigned64BitInteger) {
+  RouterConfig cfg;
+  Router router(cfg);
+  ASSERT_TRUE(JsonValue::parse(router.handle_line(
+                  R"({"op":"register","replica":"r0","port":12345})"))
+                  .find("ok")->as_bool());
+  for (const char* seq : {"-1", "1e30", "0.5", "\"5\""}) {
+    const JsonValue r = JsonValue::parse(router.handle_line(
+        std::string(R"({"op":"heartbeat","replica":"r0","seq":)") + seq + "}"));
+    EXPECT_FALSE(r.find("ok")->as_bool()) << seq;
+    ASSERT_NE(r.find("error"), nullptr) << seq;
+    EXPECT_NE(r.find("error")->as_string().find("seq"), std::string::npos) << seq;
+  }
+  EXPECT_TRUE(JsonValue::parse(router.handle_line(
+                  R"({"op":"heartbeat","replica":"r0","seq":5})"))
+                  .find("ok")->as_bool());
 }
 
 TEST(Wire, RequestIdRoundTripAndVerbTables) {

@@ -508,6 +508,22 @@ TEST(Server, StatsSchemaReflectsCompletedPredict) {
   EXPECT_GE(after.find("registry")->find("hits")->as_number(), 1.0);
 }
 
+// A deadline beyond the steady clock's range (int64 ns, ~292 years) is no
+// deadline; converting it used to overflow and reject the predict as late.
+TEST(Server, DeadlineBeyondClockRangeMeansNoDeadline) {
+  const Problem p = make_problem(72);
+  ServerConfig cfg;
+  cfg.workers = 1;
+  Server server(cfg);
+  server.registry().insert(make_model(p, "m"));
+  for (const char* deadline_ms : {"1000", "1e15", "1e300"}) {
+    const JsonValue r = JsonValue::parse(server.handle_line(
+        std::string(R"({"op":"predict","model":"m","points":[[0.2,0.3]],"deadline_ms":)") +
+        deadline_ms + "}"));
+    EXPECT_TRUE(r.find("ok")->as_bool()) << deadline_ms << " -> " << r.dump();
+  }
+}
+
 TEST(Server, HealthSchema) {
   ServerConfig cfg;
   cfg.workers = 1;
