@@ -166,6 +166,7 @@ FactorReport tile_cholesky_tlr(SymTileMatrix& a, double abs_tol, const FactorOpt
 
 void compress_tile(SymTileMatrix& a, std::size_t i, std::size_t j, double global_norm,
                    const TlrCompressOptions& opts) {
+  GSX_REQUIRE(opts.tol > 0, "compress_tile: tolerance must be positive");
   Tile& t = a.at(i, j);
   GSX_REQUIRE(t.format() == TileFormat::Dense, "compress_tile: tile already compressed");
   const std::size_t nt = a.nt();
@@ -227,7 +228,6 @@ void compress_tile(SymTileMatrix& a, std::size_t i, std::size_t j, double global
 CompressStats compress_offband(SymTileMatrix& a, const TlrCompressOptions& opts,
                                std::size_t workers) {
   GSX_REQUIRE(opts.band_size >= 1, "compress_offband: band must keep the diagonal dense");
-  GSX_REQUIRE(opts.tol > 0, "compress_offband: tolerance must be positive");
   const std::size_t nt = a.nt();
 
   const obs::ScopedPhase obs_phase("compress");

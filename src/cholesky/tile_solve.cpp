@@ -1,5 +1,6 @@
 #include "cholesky/tile_solve.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <functional>
@@ -288,7 +289,9 @@ geostat::KrigingResult tile_krige_solved(const geostat::CovarianceModel& model,
       const double smm = model(test_locs[j], test_locs[j]);
       double wnorm = 0.0;
       for (std::size_t i = 0; i < n; ++i) wnorm += w(i, j) * w(i, j);
-      out.variance[j] = smm - wnorm;
+      // At a training location the two terms cancel exactly in exact
+      // arithmetic, so rounding leaves about half of them just below zero.
+      out.variance[j] = std::max(0.0, smm - wnorm);
     }
   }
   const double t_end = obs::now_seconds();

@@ -40,6 +40,33 @@ void profile_tiles(const SymTileMatrix& a) {
   obs::record_iteration_tiles(mix, ranks);
 }
 
+/// Algorithm 2 from the outside in: compress sub-diagonal d = nt-1, nt-2,
+/// ... until dense execution wins on one (perfmodel::dense_wins). That
+/// sub-diagonal gets its assembled tiles back and nothing nearer the
+/// diagonal is compressed. Returns band_size_dense (diagonal included; 1
+/// when low rank wins everywhere). Low-rank tiles match compress_offband's
+/// bit for bit: both take ||A||_F from the assembled matrix.
+std::size_t compress_outside_in(SymTileMatrix& a, const cholesky::TlrCompressOptions& copt,
+                                const perfmodel::KernelModel& model, double fluctuation,
+                                std::size_t workers) {
+  const obs::ScopedPhase phase("compress");
+  const double global_norm = copt.lr_fp32 ? a.frobenius_norm() : 0.0;
+  const std::size_t nt = a.nt();
+  std::vector<tile::Tile> assembled(nt);
+  for (std::size_t d = nt; d-- > 1;) {
+    // Sub-diagonal d holds tiles (j + d, j), j < nt - d.
+    rt::parallel_for(0, nt - d, workers, [&](std::size_t j) {
+      assembled[j] = a.at(j + d, j);
+      cholesky::compress_tile(a, j + d, j, global_norm, copt);
+    });
+    if (perfmodel::dense_wins(a, model, d, fluctuation)) {
+      for (std::size_t j = 0; j + d < nt; ++j) a.at(j + d, j) = std::move(assembled[j]);
+      return d + 1;
+    }
+  }
+  return 1;
+}
+
 }  // namespace
 
 GsxModel::GsxModel(std::unique_ptr<geostat::CovarianceModel> prototype, ModelConfig config)
@@ -47,6 +74,10 @@ GsxModel::GsxModel(std::unique_ptr<geostat::CovarianceModel> prototype, ModelCon
   GSX_REQUIRE(prototype_ != nullptr, "GsxModel: covariance prototype required");
   GSX_REQUIRE(config_.tile_size >= 8, "GsxModel: tile size too small");
   GSX_REQUIRE(config_.workers >= 1, "GsxModel: need at least one worker");
+  // Checked here rather than mid-evaluation, where fit() would turn the
+  // error into an infeasible point.
+  GSX_REQUIRE(config_.tlr_tol > 0, "GsxModel: TLR tolerance must be positive");
+  GSX_REQUIRE(config_.fluctuation > 0, "GsxModel: band fluctuation must be positive");
 }
 
 const perfmodel::KernelModel& GsxModel::perf_model(std::size_t ts) const {
@@ -74,34 +105,21 @@ void GsxModel::prepare(std::span<const double> theta, std::span<const Location> 
   if (breakdown) breakdown->dense_fp64_bytes = out.dense_fp64_bytes();
 
   // Structure-aware decision first (Algorithm 2, on full-precision data):
-  // compress off-band tiles, auto-tuning the dense band from the rank
-  // distribution when requested.
+  // compress off-band tiles. With auto-tuning the band is decided from the
+  // outside in, one sub-diagonal at a time, so in-band tiles are never
+  // compressed.
   if (config_.variant == ComputeVariant::MPDenseTLR) {
-    std::size_t band = config_.band_size;
     cholesky::TlrCompressOptions copt;
     copt.tol = config_.tlr_tol;
     copt.method = config_.compression;
     copt.lr_fp32 = config_.lr_fp32;
     copt.eps_target = config_.eps_target;
+    std::size_t band = std::max<std::size_t>(1, config_.band_size);
     if (config_.auto_band) {
-      // Compress everything off-diagonal, tune, then revert in-band tiles
-      // to dense (they rejoin the band, cf. Fig. 3(a)->(b)).
-      copt.band_size = 1;
-      cholesky::compress_offband(out, copt, config_.workers);
-      const perfmodel::BandDecision bd =
-          perfmodel::tune_band_size(out, perf_model(out.tile_size()), config_.fluctuation);
-      band = std::max<std::size_t>(1, bd.band_size_dense);
-      for (std::size_t j = 0; j < out.nt(); ++j) {
-        for (std::size_t i = j; i < out.nt(); ++i) {
-          if (i - j >= 1 && i - j < band &&
-              out.at(i, j).format() == tile::TileFormat::LowRank) {
-            la::Matrix<double> full = out.at(i, j).to_dense64();
-            out.at(i, j).assign_dense64(std::move(full));
-          }
-        }
-      }
+      band = compress_outside_in(out, copt, perf_model(out.tile_size()), config_.fluctuation,
+                                 config_.workers);
     } else {
-      copt.band_size = std::max<std::size_t>(1, band);
+      copt.band_size = band;
       cholesky::compress_offband(out, copt, config_.workers);
     }
     if (breakdown) breakdown->band_size_dense = band;

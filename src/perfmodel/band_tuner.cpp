@@ -26,20 +26,29 @@ void predict_subdiagonal_cost(const tile::SymTileMatrix& a, const KernelModel& m
   }
 }
 
+bool dense_wins(const tile::SymTileMatrix& a, const KernelModel& model, std::size_t subdiag,
+                double fluctuation, double* dense_s, double* tlr_s) {
+  GSX_REQUIRE(fluctuation > 0, "dense_wins: fluctuation must be positive");
+  double dense = 0.0, tlr = 0.0;
+  predict_subdiagonal_cost(a, model, subdiag, dense, tlr);
+  if (dense_s != nullptr) *dense_s = dense;
+  if (tlr_s != nullptr) *tlr_s = tlr;
+  return dense < fluctuation * tlr;
+}
+
 BandDecision tune_band_size(const tile::SymTileMatrix& a, const KernelModel& model,
                             double fluctuation) {
   GSX_REQUIRE(fluctuation > 0, "tune_band_size: fluctuation must be positive");
   BandDecision out;
-  std::size_t id = 1;
-  while (id < a.nt()) {
-    double dense_s = 0.0, tlr_s = 0.0;
-    predict_subdiagonal_cost(a, model, id, dense_s, tlr_s);
-    out.dense_seconds.push_back(dense_s);
-    out.tlr_seconds.push_back(tlr_s);
-    if (!(dense_s < fluctuation * tlr_s)) break;
-    ++id;
+  const std::size_t nt = a.nt();
+  out.dense_seconds.assign(nt - 1, 0.0);
+  out.tlr_seconds.assign(nt - 1, 0.0);
+  for (std::size_t d = 1; d < nt; ++d) {
+    // The outermost dense win decides: sub-diagonals <= d run dense.
+    if (dense_wins(a, model, d, fluctuation, &out.dense_seconds[d - 1],
+                   &out.tlr_seconds[d - 1]))
+      out.band_size_dense = d + 1;
   }
-  out.band_size_dense = id;  // sub-diagonals < id run dense (diagonal included)
   return out;
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "cholesky/factorize.hpp"
 #include "cholesky/tile_solve.hpp"
@@ -105,6 +106,19 @@ TEST(CompressOffband, ParallelMatchesSequential) {
   compress_offband(a1, copt, 1);
   compress_offband(a2, copt, 4);
   EXPECT_LT(rel_frobenius_diff(a2.to_full(), a1.to_full()), 1e-14);
+}
+
+TEST(CompressTile, RejectsNonPositiveTolerance) {
+  // compress_tile is what the auto-band walk and src/dist call directly, so
+  // it checks the tolerance itself: at tol 0 it would keep every tile dense
+  // after a full-rank QR and SVD.
+  auto a = matern_tiles(64, 32, 0.05);
+  TlrCompressOptions copt;
+  copt.tol = 0.0;
+  EXPECT_THROW(compress_tile(a, 1, 0, a.frobenius_norm(), copt), InvalidArgument);
+  copt.tol = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(compress_tile(a, 1, 0, a.frobenius_norm(), copt), InvalidArgument);
+  EXPECT_EQ(a.at(1, 0).format(), tile::TileFormat::Dense);
 }
 
 struct TlrCase {

@@ -2,12 +2,18 @@
 // variants, on space and space-time data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <set>
 
 #include "core/model.hpp"
 #include "data/synthetic.hpp"
+#include "geostat/assemble.hpp"
 #include "geostat/field.hpp"
 #include "mathx/stats.hpp"
+#include "obs/health.hpp"
 
 namespace gsx::core {
 namespace {
@@ -156,17 +162,105 @@ TEST(GsxModel, MpDenseReducesFootprint) {
   EXPECT_EQ(dense_bd.footprint_bytes, dense_bd.dense_fp64_bytes);
 }
 
+/// A tile's bytes as its checkpoint record (format, precision, shape, rank,
+/// storage verbatim), for bit-identity checks.
+std::vector<std::uint8_t> tile_bits(const tile::Tile& t) {
+  std::vector<std::uint8_t> out;
+  t.serialize(out);
+  return out;
+}
+
 TEST(GsxModel, AutoBandTuningRuns) {
-  const SpaceData d = make_space_data(192, 0.06);
-  const geostat::MaternCovariance proto(1.0, 0.06, 0.5, 1e-6);
+  // Under the flop model this matrix's winners along sub-diagonals 1..7 read
+  // dense x5, low rank x2, so the walk restores one compressed sub-diagonal.
+  const SpaceData d = make_space_data(256, 0.03);
+  const geostat::MaternCovariance proto(1.0, 0.03, 0.5, 1e-6);
   ModelConfig cfg = base_config(ComputeVariant::MPDenseTLR);
   cfg.auto_band = true;
+  cfg.calibrate_perf_model = false;
   GsxModel model(proto.clone(), cfg);
   EvalBreakdown bd;
-  const std::vector<double> theta = {1.0, 0.06, 0.5};
-  ASSERT_TRUE(model.evaluate(theta, d.locs, d.z, &bd).ok);
-  EXPECT_GE(bd.band_size_dense, 1u);
-  EXPECT_LE(bd.band_size_dense, 6u);  // nt = 6 at n=192, ts=32
+  const std::vector<double> theta = {1.0, 0.03, 0.5};
+  obs::reset_health();
+  obs::set_health_enabled(true);
+  const bool ok = model.evaluate(theta, d.locs, d.z, &bd).ok;
+  const obs::HealthSnapshot health = obs::health_snapshot();
+  obs::set_health_enabled(false);
+  obs::reset_health();
+  ASSERT_TRUE(ok);
+  const std::size_t nt = 8;  // n=256, ts=32
+  const std::size_t band = bd.band_size_dense;
+  ASSERT_GE(band, 1u);
+  ASSERT_LE(band, nt);
+
+  // The walk compresses sub-diagonals nt-1 down to band-1 (down to 1 when
+  // low rank wins everywhere) and nothing nearer the diagonal.
+  const std::size_t innermost = std::max<std::size_t>(1, band - 1);
+  std::size_t walked_tiles = 0;
+  for (std::size_t s = innermost; s < nt; ++s) walked_tiles += nt - s;
+  EXPECT_EQ(health.tlr.size(), walked_tiles);
+  std::set<std::size_t> walked;
+  for (const obs::TlrRecord& r : health.tlr) walked.insert(r.i - r.j);
+  ASSERT_FALSE(walked.empty());
+  EXPECT_EQ(*walked.begin(), innermost);
+  EXPECT_EQ(walked.size(), nt - innermost);
+
+  // Reference: compress every off-diagonal tile, then tune eagerly under the
+  // same (flop) model.
+  const auto kernel = proto.clone();
+  kernel->set_params(theta);
+  tile::SymTileMatrix assembled(d.locs.size(), cfg.tile_size);
+  geostat::fill_covariance_tiles(assembled, *kernel, d.locs, 1);
+  tile::SymTileMatrix eager = assembled;
+  cholesky::TlrCompressOptions copt;
+  copt.tol = cfg.tlr_tol;
+  copt.method = cfg.compression;
+  copt.lr_fp32 = cfg.lr_fp32;
+  copt.eps_target = cfg.eps_target;
+  copt.band_size = 1;
+  cholesky::compress_offband(eager, copt, 1);
+  EXPECT_EQ(band, perfmodel::tune_band_size(
+                      eager, perfmodel::KernelModel::theoretical(cfg.tile_size),
+                      cfg.fluctuation)
+                      .band_size_dense);
+
+  // Low-rank tiles are bit-identical to the eager copy's; dense FP64 tiles
+  // (the whole band unless the precision policy demoted them) hold the
+  // assembled values, not a U V^T reconstruction.
+  const tile::SymTileMatrix got = model.build_decision_matrix(theta, d.locs);
+  std::size_t lowrank = 0, in_band_fp64 = 0;
+  for (std::size_t j = 0; j < nt; ++j) {
+    for (std::size_t i = j; i < nt; ++i) {
+      const tile::Tile& t = got.at(i, j);
+      if (t.format() == tile::TileFormat::LowRank) {
+        ++lowrank;
+        EXPECT_GE(i - j, band) << i << "," << j;
+        EXPECT_EQ(tile_bits(t), tile_bits(eager.at(i, j))) << i << "," << j;
+      } else if (t.precision() == Precision::FP64) {
+        if (i - j >= 1 && i - j < band) ++in_band_fp64;
+        EXPECT_EQ(tile_bits(t), tile_bits(assembled.at(i, j))) << i << "," << j;
+      }
+    }
+  }
+  EXPECT_GT(lowrank, 0u);
+  EXPECT_GT(in_band_fp64, 0u);
+}
+
+TEST(GsxModel, RejectsBadTlrSettingsAtConstruction) {
+  // fit() turns an InvalidArgument from evaluate into an infeasible point,
+  // so these must fail here rather than mid-evaluation.
+  const geostat::MaternCovariance proto(1.0, 0.1, 0.5, 1e-6);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double f : {0.0, -1.0, nan}) {
+    ModelConfig cfg = base_config(ComputeVariant::MPDenseTLR);
+    cfg.fluctuation = f;
+    EXPECT_THROW(GsxModel(proto.clone(), cfg), InvalidArgument) << "fluctuation " << f;
+  }
+  for (const double tol : {0.0, nan}) {
+    ModelConfig cfg = base_config(ComputeVariant::MPDenseTLR);
+    cfg.tlr_tol = tol;
+    EXPECT_THROW(GsxModel(proto.clone(), cfg), InvalidArgument) << "tlr_tol " << tol;
+  }
 }
 
 TEST(GsxModel, DecisionMatrixMatchesVariantSemantics) {

@@ -1,6 +1,9 @@
 // Kernel performance model and the Algorithm-2 band auto-tuner.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "cholesky/factorize.hpp"
 #include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
@@ -95,8 +98,56 @@ TEST(BandTuner, ProducesValidBand) {
   const BandDecision d = tune_band_size(a, m, 1.0);
   EXPECT_GE(d.band_size_dense, 1u);
   EXPECT_LE(d.band_size_dense, a.nt());
-  EXPECT_EQ(d.dense_seconds.size(), d.tlr_seconds.size());
-  EXPECT_GE(d.dense_seconds.size(), 1u);
+  EXPECT_EQ(d.dense_seconds.size(), a.nt() - 1);  // one entry per sub-diagonal
+  EXPECT_EQ(d.tlr_seconds.size(), a.nt() - 1);
+}
+
+/// A matrix whose sub-diagonal d holds FP64 low-rank tiles of rank
+/// ranks[d - 1]; the cost model reads nothing but those ranks.
+tile::SymTileMatrix ranked_matrix(std::size_t ts, const std::vector<std::size_t>& ranks) {
+  const std::size_t nt = ranks.size() + 1;
+  tile::SymTileMatrix a(nt * ts, ts);
+  for (std::size_t j = 0; j < nt; ++j) {
+    a.at(j, j) = tile::Tile::dense64(la::Matrix<double>(ts, ts));
+    for (std::size_t i = j + 1; i < nt; ++i) {
+      const std::size_t k = ranks[i - j - 1];
+      a.at(i, j) = tile::Tile::lowrank64(la::Matrix<double>(ts, k), la::Matrix<double>(ts, k));
+    }
+  }
+  return a;
+}
+
+TEST(BandTuner, InwardWalkStopsAtOutermostDenseWin) {
+  constexpr std::size_t ts = 32;
+  const KernelModel m = KernelModel::theoretical(ts);
+  // Low-rank tiles run dense at FP32: rank 1 updates beat that, full rank
+  // does not.
+  constexpr std::size_t lo = 1, hi = ts;
+  ASSERT_LT(m.tlr_gemm_seconds(lo), m.dense_gemm_seconds(Precision::FP32));
+  ASSERT_GT(m.tlr_gemm_seconds(hi), m.dense_gemm_seconds(Precision::FP32));
+
+  // Winners along sub-diagonals 1..6: dense, dense, low rank, dense, low
+  // rank, low rank. The band ends at the outermost dense win, sub-diagonal 4.
+  const auto a = ranked_matrix(ts, {hi, hi, lo, hi, lo, lo});
+  const BandDecision d = tune_band_size(a, m, 1.0);
+  EXPECT_EQ(d.band_size_dense, 5u);
+  ASSERT_EQ(d.dense_seconds.size(), a.nt() - 1);
+  ASSERT_EQ(d.tlr_seconds.size(), a.nt() - 1);
+  for (std::size_t s = 1; s < a.nt(); ++s) {
+    double dense = 0.0, tlr = 0.0;
+    EXPECT_EQ(dense_wins(a, m, s, 1.0, &dense, &tlr), s == 1 || s == 2 || s == 4) << s;
+    EXPECT_EQ(d.dense_seconds[s - 1], dense) << s;
+    EXPECT_EQ(d.tlr_seconds[s - 1], tlr) << s;
+  }
+
+  EXPECT_EQ(tune_band_size(ranked_matrix(ts, {lo, lo, lo, lo}), m, 1.0).band_size_dense, 1u);
+  EXPECT_EQ(tune_band_size(ranked_matrix(ts, {hi, hi, hi, hi}), m, 1.0).band_size_dense, 5u);
+  const BandDecision single = tune_band_size(ranked_matrix(ts, {}), m, 1.0);
+  EXPECT_EQ(single.band_size_dense, 1u);
+  EXPECT_TRUE(single.dense_seconds.empty());
+
+  EXPECT_THROW((void)dense_wins(a, m, 1, std::numeric_limits<double>::quiet_NaN()),
+               InvalidArgument);
 }
 
 TEST(BandTuner, StrongerCorrelationWidensTheBand) {

@@ -138,6 +138,20 @@ TEST(TileKrige, TlrFactorPredictsAccurately) {
   }
 }
 
+TEST(TileKrige, VarianceAtTrainingLocationsIsNotNegative) {
+  // Sigma_mm - ||W_j||^2 cancels exactly at a training location; unclamped,
+  // rounding leaves many of those variances just below zero, and a standard
+  // error taken from them is NaN.
+  const Problem p = make_problem(160);
+  const auto a = factor_dense(p, 32);
+  const auto r = tile_krige(p.model, a, p.locs, p.z, p.locs, true);
+  ASSERT_EQ(r.variance.size(), p.locs.size());
+  for (std::size_t i = 0; i < r.variance.size(); ++i) {
+    EXPECT_GE(r.variance[i], 0.0) << i;
+    EXPECT_LT(r.variance[i], 1e-8) << i;
+  }
+}
+
 TEST(TileKrige, RejectsMismatchedSizes) {
   const Problem p = make_problem(64);
   const auto a = factor_dense(p, 32);
