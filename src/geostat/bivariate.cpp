@@ -31,6 +31,18 @@ double BivariateMaternCovariance::max_rho(double smooth1, double smooth2) {
   return std::exp(lg);
 }
 
+namespace {
+
+/// The component a location's tag names. Checked before any conversion, so
+/// a fractional, out-of-range or NaN tag is an error rather than a guess.
+int component(const Location& l) {
+  GSX_REQUIRE(l.t == 0.0 || l.t == 1.0,
+              "BivariateMaternCovariance: component tag (Location::t) must be 0 or 1");
+  return l.t == 1.0 ? 1 : 0;
+}
+
+}  // namespace
+
 BivariateMaternCovariance::BivariateMaternCovariance(double var1, double var2,
                                                      double range, double smooth1,
                                                      double smooth2, double rho,
@@ -38,12 +50,12 @@ BivariateMaternCovariance::BivariateMaternCovariance(double var1, double var2,
     : var1_(var1),
       var2_(var2),
       range_(range),
-      smooth1_(smooth1),
-      smooth2_(smooth2),
+      corr1_(smooth1),
+      corr2_(smooth2),
+      corr12_(0.5 * (smooth1 + smooth2)),
       rho_(rho),
       nugget_(nugget) {
-  GSX_REQUIRE(var1 > 0 && var2 > 0 && range > 0 && smooth1 > 0 && smooth2 > 0 &&
-                  nugget >= 0,
+  GSX_REQUIRE(var1 > 0 && var2 > 0 && range > 0 && nugget >= 0,
               "BivariateMaternCovariance: invalid scale parameters");
   GSX_REQUIRE(std::fabs(rho) <= max_rho(smooth1, smooth2),
               "BivariateMaternCovariance: |rho| exceeds the validity bound");
@@ -51,25 +63,20 @@ BivariateMaternCovariance::BivariateMaternCovariance(double var1, double var2,
 
 double BivariateMaternCovariance::operator()(const Location& a, const Location& b) const {
   const double h = mathx::euclidean2d(a.x, a.y, b.x, b.y);
-  const int ca = static_cast<int>(a.t);
-  const int cb = static_cast<int>(b.t);
-  GSX_REQUIRE((ca == 0 || ca == 1) && (cb == 0 || cb == 1),
-              "BivariateMaternCovariance: component tag (Location::t) must be 0 or 1");
+  const int ca = component(a);
+  const int cb = component(b);
   double c;
   if (ca == cb) {
-    const double var = (ca == 0) ? var1_ : var2_;
-    const double nu = (ca == 0) ? smooth1_ : smooth2_;
-    c = var * matern_correlation(nu, h / range_);
+    c = (ca == 0) ? var1_ * corr1_(h / range_) : var2_ * corr2_(h / range_);
     if (h == 0.0) c += nugget_;
   } else {
-    const double nu12 = 0.5 * (smooth1_ + smooth2_);
-    c = rho_ * std::sqrt(var1_ * var2_) * matern_correlation(nu12, h / range_);
+    c = rho_ * std::sqrt(var1_ * var2_) * corr12_(h / range_);
   }
   return c;
 }
 
 std::vector<double> BivariateMaternCovariance::params() const {
-  return {var1_, var2_, range_, smooth1_, smooth2_, rho_};
+  return {var1_, var2_, range_, corr1_.nu(), corr2_.nu(), rho_};
 }
 
 void BivariateMaternCovariance::set_params(std::span<const double> theta) {
@@ -78,11 +85,15 @@ void BivariateMaternCovariance::set_params(std::span<const double> theta) {
               "BivariateMaternCovariance: invalid scale parameters");
   GSX_REQUIRE(std::fabs(theta[5]) <= max_rho(theta[3], theta[4]),
               "BivariateMaternCovariance: |rho| exceeds the validity bound");
+  MaternCorrelation corr1(theta[3]);
+  MaternCorrelation corr2(theta[4]);
+  MaternCorrelation corr12(0.5 * (theta[3] + theta[4]));
   var1_ = theta[0];
   var2_ = theta[1];
   range_ = theta[2];
-  smooth1_ = theta[3];
-  smooth2_ = theta[4];
+  corr1_ = corr1;
+  corr2_ = corr2;
+  corr12_ = corr12;
   rho_ = theta[5];
 }
 

@@ -42,8 +42,9 @@ class BivariateMaternCovariance final : public CovarianceModel {
   double var1_;
   double var2_;
   double range_;
-  double smooth1_;
-  double smooth2_;
+  MaternCorrelation corr1_;   ///< nu1, component 0 with itself
+  MaternCorrelation corr2_;   ///< nu2, component 1 with itself
+  MaternCorrelation corr12_;  ///< (nu1 + nu2) / 2, across components
   double rho_;
   double nugget_;
 };

@@ -20,26 +20,24 @@ constexpr double kUnderflowDistance = 700.0;
 
 }  // namespace
 
-double matern_correlation(double nu, double d) { return MaternCorrelation(nu)(d); }
-
 MaternCorrelation::MaternCorrelation(double nu) : nu_(nu) {
   GSX_REQUIRE(nu > 0.0 && std::isfinite(nu),
-              "matern_correlation: smoothness must be positive and finite");
+              "MaternCorrelation: smoothness must be positive and finite");
   if (closed_form(nu)) return;  // closed forms need no Bessel K
   log_norm_ = (1.0 - nu) * std::log(2.0) - std::lgamma(nu);
-  order_ = mathx::BesselKOrder(nu);
+  fit_ = mathx::BesselKFit(nu);
 }
 
 double MaternCorrelation::operator()(double d) const {
   // Also the guard that turns a NaN location into an error rather than a
   // NaN tile entry.
-  GSX_REQUIRE(d >= 0.0, "matern_correlation: distance must be non-negative");
+  GSX_REQUIRE(d >= 0.0, "MaternCorrelation: distance must be non-negative");
   if (d == 0.0) return 1.0;
   if (nu_ == 0.5) return std::exp(-d);
   if (nu_ == 1.5) return (1.0 + d) * std::exp(-d);
   if (nu_ == 2.5) return (1.0 + d + d * d / 3.0) * std::exp(-d);
   if (d > kUnderflowDistance) return 0.0;
-  return from_k_scaled(d, mathx::bessel_k_scaled(order_, d));
+  return from_k_scaled(d, mathx::bessel_k_scaled(fit_, d));
 }
 
 void MaternCorrelation::eval(std::span<const double> d, std::span<double> out) const {
@@ -57,7 +55,7 @@ void MaternCorrelation::eval(std::span<const double> d, std::span<double> out) c
     const std::size_t c1 = std::min(d.size(), c0 + kChunk);
     std::size_t m = 0;
     for (std::size_t i = c0; i < c1; ++i) {
-      GSX_REQUIRE(d[i] >= 0.0, "matern_correlation: distance must be non-negative");
+      GSX_REQUIRE(d[i] >= 0.0, "MaternCorrelation: distance must be non-negative");
       if (d[i] == 0.0) {
         out[i] = 1.0;
       } else if (d[i] > kUnderflowDistance) {
@@ -67,7 +65,7 @@ void MaternCorrelation::eval(std::span<const double> d, std::span<double> out) c
         at[m++] = i;
       }
     }
-    mathx::bessel_k_scaled(order_, std::span<const double>(x.data(), m),
+    mathx::bessel_k_scaled(fit_, std::span<const double>(x.data(), m),
                            std::span<double>(k.data(), m));
     for (std::size_t t = 0; t < m; ++t) out[at[t]] = from_k_scaled(x[t], k[t]);
   }

@@ -20,14 +20,14 @@
 
 namespace gsx::geostat {
 
-/// Matérn correlation M_nu(d): 2^{1-nu}/Gamma(nu) * d^nu * K_nu(d), with
-/// M_nu(0) = 1. Fast closed forms for nu = 0.5, 1.5, 2.5.
-double matern_correlation(double nu, double d);
-
-/// M_nu with its per-nu constants (the Gamma normalisation and the Bessel
-/// order's constants) fixed once, for evaluating one smoothness at many
-/// distances. matern_correlation(nu, d) is MaternCorrelation(nu)(d): both
-/// go through the same arithmetic, so the results are bit-identical.
+/// The Matérn correlation M_nu(d) = 2^{1-nu}/Gamma(nu) * d^nu * K_nu(d),
+/// M_nu(0) = 1, for one smoothness at many distances. Closed forms serve
+/// nu = 0.5, 1.5, 2.5. Any other nu takes exp(d) K_nu(d) from a
+/// mathx::BesselKFit built here once: Temme's series below d = 2, the
+/// Chebyshev fit from 2 to 700 (relative error within 1e-15 of K_nu up to
+/// nu = 5; see mathx/bessel.hpp), and 0 beyond 700, where M_nu underflows.
+/// Construction costs about 0.15 ms off the closed forms (the fit), so
+/// build one per smoothness, not per entry.
 class MaternCorrelation {
  public:
   /// Throws InvalidArgument unless nu is positive and finite.
@@ -37,10 +37,9 @@ class MaternCorrelation {
   [[nodiscard]] double operator()(double d) const;
 
   /// out[i] = (*this)(d[i]) for every i, bit for bit. The Bessel K of the
-  /// whole span goes through mathx::bessel_k_scaled's span entry, which
-  /// runs its continued fraction for several elements at once. Throws
-  /// InvalidArgument if the spans differ in length or any d[i] is negative
-  /// or NaN.
+  /// whole span goes through the fit's span entry, which evaluates several
+  /// entries per vector register. Throws InvalidArgument if the spans
+  /// differ in length or any d[i] is negative or NaN.
   void eval(std::span<const double> d, std::span<double> out) const;
 
   [[nodiscard]] double nu() const noexcept { return nu_; }
@@ -50,8 +49,8 @@ class MaternCorrelation {
   [[nodiscard]] double from_k_scaled(double d, double k_scaled) const;
 
   double nu_;
-  double log_norm_ = 0.0;       ///< (1 - nu) log 2 - lgamma(nu)
-  mathx::BesselKOrder order_;   ///< unused at the closed-form orders
+  double log_norm_ = 0.0;  ///< (1 - nu) log 2 - lgamma(nu)
+  mathx::BesselKFit fit_;  ///< unused at the closed-form orders
 };
 
 /// A parametric covariance function over locations, exposing its parameter

@@ -25,7 +25,8 @@ constexpr double kEps = 1.0e-16;
 constexpr double kFpMin = std::numeric_limits<double>::min() / kEps;
 constexpr int kMaxIter = 10000;
 constexpr double kXMin = 2.0;  // series/continued-fraction switch point
-constexpr double kPi = 3.141592653589793238462643383279502884;
+constexpr long double kPiL = 3.141592653589793238462643383279502884L;
+constexpr double kPi = kPiL;
 
 /// Chebyshev series evaluation on [a, b].
 double chebev(double a, double b, const double* c, int m, double x) {
@@ -50,99 +51,57 @@ void require_argument(double x) {
   GSX_REQUIRE(std::isfinite(x) && x > 0.0, "bessel: x must be positive and finite");
 }
 
-/// W doubles in one vector register (GCC/Clang vector extension).
-/// Arithmetic and comparisons act lane by lane, a scalar operand is
-/// broadcast, and `mask ? a : b` selects per lane.
-template <int W>
-struct LaneVec {
-  typedef double type __attribute__((vector_size(W * sizeof(double))));
-};
+/// CF2's stopping threshold: 1e-16 in double (the recorded bits depend on
+/// it), the type's epsilon in long double (the fit's nodes).
+template <typename T>
+constexpr T kCf2Eps = std::numeric_limits<T>::epsilon();
+template <>
+constexpr double kCf2Eps<double> = kEps;
 
-/// `v` in every lane of V (s - 0 is exact for every s, signed zero too).
-template <typename V>
-GSX_ALWAYS_INLINE void splat(V& out, double v) {
-  out = v - V{};
-}
-
-GSX_ALWAYS_INLINE void lane_fabs(double& v) { v = std::fabs(v); }
-
-template <typename V>
-GSX_ALWAYS_INLINE void lane_fabs(V& v) {
-  typedef long long Bits __attribute__((vector_size(sizeof(V))));
-  v = reinterpret_cast<V>(reinterpret_cast<Bits>(v) & 0x7fffffffffffffffLL);
-}
-
-GSX_ALWAYS_INLINE bool none(bool active) { return !active; }
-
-template <typename M>
-GSX_ALWAYS_INLINE bool none(const M& active) {
-  long long any = 0;
-  for (std::size_t k = 0; k < sizeof(M) / sizeof(any); ++k) any |= active[k];
-  return any == 0;
-}
-
-GSX_ALWAYS_INLINE void lane_sqrt(double& v) { v = std::sqrt(v); }
-
-template <typename V>
-GSX_ALWAYS_INLINE void lane_sqrt(V& v) {
-  for (std::size_t k = 0; k < sizeof(V) / sizeof(double); ++k) v[k] = std::sqrt(v[k]);
-}
-
-/// Steed's CF2 for the reduced-order pair at x >= 2, for every lane of V in
-/// lockstep (V = double is the one-lane, scalar path). It yields
-/// exp(x)-scaled values; `scale` multiplies both (exp(-x) unscales them).
-/// aa and cc depend only on the iteration, so they stay scalars. A lane
-/// whose own test has stopped keeps its hh and s while the others go on, so
-/// each lane ends with the values the scalar loop would break with.
-template <typename V>
-GSX_ALWAYS_INLINE void cf2_pair(const BesselKOrder& o, const V& x, const V& scale, V& kmu,
-                                V& k1) {
-  V bb = 2.0 * (1.0 + x);
-  V dd = 1.0 / bb;
-  V delh = dd;
-  V hh = delh;
-  V q1, q2, qq;
-  splat(q1, 0.0);
-  splat(q2, 1.0);
-  const double a1 = 0.25 - o.xmu2;
-  splat(qq, a1);
-  double cc = a1;
-  double aa = -a1;
-  V s = 1.0 + qq * delh;
-  auto active = x == x;  // every lane: x is finite
+/// Steed's CF2 for the reduced-order pair at x >= 2, in T = double or long
+/// double. It yields exp(x)-scaled values; `scale` multiplies both (exp(-x)
+/// unscales them).
+template <typename T>
+void cf2_pair(T xmu, T x, T scale, T& kmu, T& k1) {
+  T bb = 2.0 * (1.0 + x);
+  T dd = 1.0 / bb;
+  T delh = dd;
+  T hh = delh;
+  T q1 = 0.0;
+  T q2 = 1.0;
+  const T a1 = 0.25 - xmu * xmu;
+  T qq = a1;
+  T cc = a1;
+  T aa = -a1;
+  T s = 1.0 + qq * delh;
   int i = 2;
   for (; i <= kMaxIter; ++i) {
     aa -= 2 * (i - 1);
     cc = -aa * cc / i;
-    const V qnew = (q1 - bb * q2) / aa;
+    const T qnew = (q1 - bb * q2) / aa;
     q1 = q2;
     q2 = qnew;
     qq += cc * qnew;
     bb += 2.0;
     dd = 1.0 / (bb + aa * dd);
     delh = (bb * dd - 1.0) * delh;
-    const V dels = qq * delh;
-    hh = active ? hh + delh : hh;
-    s = active ? s + dels : s;
-    V ratio = dels / s;
-    lane_fabs(ratio);
-    active = (ratio < kEps) ? decltype(active){} : active;
-    if (none(active)) break;
+    const T dels = qq * delh;
+    hh += delh;
+    s += dels;
+    if (std::fabs(dels / s) < kCf2Eps<T>) break;
   }
   GSX_REQUIRE(i <= kMaxIter, "bessel: CF2 failed to converge");
   hh = a1 * hh;
-  V root = kPi / (2.0 * x);
-  lane_sqrt(root);
+  const T root = std::sqrt(static_cast<T>(kPiL) / (2.0 * x));
   kmu = root * scale / s;
-  k1 = kmu * (o.xmu + x + 0.5 - hh) * (1.0 / x);
+  k1 = kmu * (xmu + x + 0.5 - hh) * (1.0 / x);
 }
 
 /// Upward recurrence in the order, from the reduced pair to K_nu in kmu.
-template <typename V>
-GSX_ALWAYS_INLINE void raise_order(const BesselKOrder& o, const V& x, V& kmu, V& k1) {
-  const V xi2 = 2.0 * (1.0 / x);
+void raise_order(const BesselKOrder& o, double x, double& kmu, double& k1) {
+  const double xi2 = 2.0 * (1.0 / x);
   for (int i = 1; i <= o.nl; ++i) {
-    const V rktemp = (o.xmu + i) * xi2 * k1 + kmu;
+    const double rktemp = (o.xmu + i) * xi2 * k1 + kmu;
     kmu = k1;
     k1 = rktemp;
   }
@@ -192,7 +151,7 @@ KPair k_reduced(const BesselKOrder& o, double x, bool scaled) {
       rk1 *= ex;
     }
   } else {
-    cf2_pair(o, x, scaled ? 1.0 : std::exp(-x), rkmu, rk1);
+    cf2_pair(xmu, x, scaled ? 1.0 : std::exp(-x), rkmu, rk1);
   }
   return KPair{rkmu, rk1};
 }
@@ -206,65 +165,121 @@ double k_only(const BesselKOrder& o, double x, bool scaled) {
   return k.kmu;
 }
 
-/// Elements gathered per pass of the span entry. CF2 arguments wait in a
-/// stack buffer, with their positions, until they fill whole lane groups.
+/// W doubles in one vector register (GCC/Clang vector extension).
+/// Arithmetic acts lane by lane and a scalar operand is broadcast.
+template <int W>
+struct LaneVec {
+  typedef double type __attribute__((vector_size(W * sizeof(double))));
+};
+
+GSX_ALWAYS_INLINE void lane_sqrt(double& v) { v = std::sqrt(v); }
+
+/// One vector square root: -fno-math-errno (src/mathx/CMakeLists.txt) lets
+/// GCC combine the per-lane calls.
+template <typename V>
+GSX_ALWAYS_INLINE void lane_sqrt(V& v) {
+  for (std::size_t k = 0; k < sizeof(V) / sizeof(double); ++k) v[k] = std::sqrt(v[k]);
+}
+
+/// exp(x) K_nu(x) from the fit for G registers of lanes at once, x >= 2 in
+/// every lane. V = double with G = 1 is the scalar entry; every lane runs
+/// the same IEEE operations in the same order at every width. The groups
+/// only interleave independent dependency chains.
+template <typename V, int G>
+GSX_ALWAYS_INLINE void fit_k_scaled(const BesselKFit& f, const V (&x)[G], V (&k)[G]) {
+  V xi[G], u[G], u2[G], b0[G], p0[G], b1[G], p1[G];
+  for (int g = 0; g < G; ++g) {
+    xi[g] = 1.0 / x[g];
+    u[g] = 4.0 * xi[g] - 1.0;
+    u2[g] = 2.0 * u[g];
+    b0[g] = p0[g] = b1[g] = p1[g] = V{};
+  }
+  // Clenshaw: b_j = 2u b_{j+1} - b_{j+2} + c_j, grouped so that only the
+  // multiply and one add wait on the step before.
+  for (int j = BesselKFit::kTerms - 1; j >= 1; --j) {
+    for (int g = 0; g < G; ++g) {
+      const V n0 = u2[g] * b0[g] + (f.c0[j] - p0[g]);
+      p0[g] = b0[g];
+      b0[g] = n0;
+      const V n1 = u2[g] * b1[g] + (f.c1[j] - p1[g]);
+      p1[g] = b1[g];
+      b1[g] = n1;
+    }
+  }
+  for (int g = 0; g < G; ++g) {
+    V kmu = u[g] * b0[g] + (f.c0[0] - p0[g]);
+    V k1 = u[g] * b1[g] + (f.c1[0] - p1[g]);
+    // Up from (K_mu, K_{mu+1}) to K_{mu+nl} in k1, dividing by x at each
+    // step: a rounded 2/x shared by all steps would add up its error.
+    for (int i = 1; i < f.order.nl; ++i) {
+      const V next = (2.0 * (f.order.xmu + i)) / x[g] * k1 + kmu;
+      kmu = k1;
+      k1 = next;
+    }
+    V root = xi[g];
+    lane_sqrt(root);
+    k[g] = (f.order.nl == 0 ? kmu : k1) * root;
+  }
+}
+
+/// Register groups interleaved per pass of the span entry.
+constexpr int kGroups = 2;
+
+/// Entries gathered per pass of the span entry. Fit arguments wait in a
+/// stack buffer, with their positions, until they fill whole passes.
 constexpr std::size_t kChunk = 256;
 
-/// exp(x) K_nu(x) over a span: Temme elements one at a time, CF2 elements
-/// W at a time in lockstep (V holds W doubles). The last group of a chunk
-/// pads its spare lanes with a copy of its last argument and drops their
-/// results.
+/// exp(x) K_nu(x) over a span: Temme entries one at a time, fit entries
+/// kGroups registers of V at a time. The last pass of a chunk pads its
+/// spare lanes with a copy of its last argument and drops their results.
 template <typename V>
-GSX_ALWAYS_INLINE void k_scaled_span(const BesselKOrder& o, std::span<const double> x,
-                                     std::span<double> out) {
-  constexpr std::size_t W = sizeof(V) / sizeof(double);
-  std::array<double, kChunk + W> xs;
-  std::array<double, kChunk + W> ks;
+GSX_ALWAYS_INLINE void fit_span(const BesselKFit& f, std::span<const double> x,
+                                std::span<double> out) {
+  constexpr std::size_t kPass = kGroups * (sizeof(V) / sizeof(double));
+  std::array<double, kChunk + kPass> xs;
+  std::array<double, kChunk + kPass> ks;
   std::array<std::size_t, kChunk> at;
-  V one;
-  splat(one, 1.0);
   for (std::size_t c0 = 0; c0 < x.size(); c0 += kChunk) {
     const std::size_t c1 = std::min(x.size(), c0 + kChunk);
     std::size_t m = 0;
     for (std::size_t i = c0; i < c1; ++i) {
       if (x[i] < kXMin) {
-        out[i] = k_only(o, x[i], /*scaled=*/true);
+        out[i] = k_only(f.order, x[i], /*scaled=*/true);
       } else {
         require_argument(x[i]);
         xs[m] = x[i];
         at[m++] = i;
       }
     }
-    for (std::size_t t = m; t % W != 0; ++t) xs[t] = xs[m - 1];
-    for (std::size_t t = 0; t < m; t += W) {
-      V xv, kmu, k1;
-      std::memcpy(&xv, &xs[t], sizeof xv);
-      cf2_pair(o, xv, one, kmu, k1);
-      raise_order(o, xv, kmu, k1);
-      std::memcpy(&ks[t], &kmu, sizeof kmu);
+    for (std::size_t t = m; t % kPass != 0; ++t) xs[t] = xs[m - 1];
+    for (std::size_t t = 0; t < m; t += kPass) {
+      V xv[kGroups], kv[kGroups];
+      std::memcpy(xv, &xs[t], sizeof xv);
+      fit_k_scaled<V, kGroups>(f, xv, kv);
+      std::memcpy(&ks[t], kv, sizeof kv);
     }
     for (std::size_t t = 0; t < m; ++t) out[at[t]] = ks[t];
   }
 }
 
-void k_scaled_portable(const BesselKOrder& o, std::span<const double> x,
+void fit_span_portable(const BesselKFit& f, std::span<const double> x,
                        std::span<double> out) {
-  k_scaled_span<LaneVec<2>::type>(o, x, out);
+  fit_span<LaneVec<2>::type>(f, x, out);
 }
 
 #if GSX_X86_DISPATCH
 // No FMA in either target list; -ffp-contract=off keeps GCC from fusing
 // where the target would allow it (AVX-512F implies FMA in GCC).
-__attribute__((target("avx2"))) void k_scaled_avx2(const BesselKOrder& o,
+__attribute__((target("avx2"))) void fit_span_avx2(const BesselKFit& f,
                                                    std::span<const double> x,
                                                    std::span<double> out) {
-  k_scaled_span<LaneVec<4>::type>(o, x, out);
+  fit_span<LaneVec<4>::type>(f, x, out);
 }
 
-__attribute__((target("avx512f"))) void k_scaled_avx512(const BesselKOrder& o,
+__attribute__((target("avx512f"))) void fit_span_avx512(const BesselKFit& f,
                                                        std::span<const double> x,
                                                        std::span<double> out) {
-  k_scaled_span<LaneVec<8>::type>(o, x, out);
+  fit_span<LaneVec<8>::type>(f, x, out);
 }
 #endif
 
@@ -307,15 +322,50 @@ double bessel_k_scaled(const BesselKOrder& order, double x) {
   return k_only(order, x, /*scaled=*/true);
 }
 
-void bessel_k_scaled(const BesselKOrder& order, std::span<const double> x,
+BesselKFit::BesselKFit(double nu) : order(nu) {
+  // Interpolate g0 and g1 at the Chebyshev nodes u_k = cos(pi (k + 1/2) / n),
+  // i.e. x_k = 4 / (u_k + 1) in (2, 1870), with CF2 in long double.
+  constexpr int n = kTerms;
+  std::array<long double, n> f0;
+  std::array<long double, n> f1;
+  for (int k = 0; k < n; ++k) {
+    const long double x = 4.0L / (std::cos(kPiL * (k + 0.5L) / n) + 1.0L);
+    long double kmu, k1;
+    cf2_pair<long double>(order.xmu, x, 1.0L, kmu, k1);
+    f0[k] = std::sqrt(x) * kmu;
+    f1[k] = std::sqrt(x) * k1;
+  }
+  for (int j = 0; j < n; ++j) {
+    long double s0 = 0.0L, s1 = 0.0L;
+    for (int k = 0; k < n; ++k) {
+      const long double t = std::cos(kPiL * j * (k + 0.5L) / n);
+      s0 += f0[k] * t;
+      s1 += f1[k] * t;
+    }
+    const long double w = (j == 0 ? 1.0L : 2.0L) / n;
+    c0[j] = static_cast<double>(w * s0);
+    c1[j] = static_cast<double>(w * s1);
+  }
+}
+
+double bessel_k_scaled(const BesselKFit& fit, double x) {
+  if (x < kXMin) return k_only(fit.order, x, /*scaled=*/true);
+  require_argument(x);
+  const double xs[1] = {x};
+  double k[1];
+  fit_k_scaled<double, 1>(fit, xs, k);
+  return k[0];
+}
+
+void bessel_k_scaled(const BesselKFit& fit, std::span<const double> x,
                      std::span<double> out) {
   GSX_REQUIRE(x.size() == out.size(), "bessel_k_scaled: x and out differ in length");
   switch (active_isa()) {
 #if GSX_X86_DISPATCH
-    case Isa::Avx512: return k_scaled_avx512(order, x, out);
-    case Isa::Avx2: return k_scaled_avx2(order, x, out);
+    case Isa::Avx512: return fit_span_avx512(fit, x, out);
+    case Isa::Avx2: return fit_span_avx2(fit, x, out);
 #endif
-    default: return k_scaled_portable(order, x, out);
+    default: return fit_span_portable(fit, x, out);
   }
 }
 

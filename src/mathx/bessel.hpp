@@ -2,32 +2,46 @@
 //
 // The Matérn covariance C(r) = sigma^2 * 2^{1-nu}/Gamma(nu) * (r)^nu * K_nu(r)
 // requires K_nu for arbitrary real smoothness nu, evaluated O(n^2) times
-// during covariance-matrix generation. The implementation follows the
-// classical Temme/Steed scheme (Numerical Recipes "bessik"), split by what
-// each function needs:
+// during covariance-matrix generation, always at one nu per matrix.
+//
+// The free functions follow the classical Temme/Steed scheme (Numerical
+// Recipes "bessik"), split by what each needs:
 //   - K (bessel_k, bessel_k_scaled): Temme's series for x < 2 or Steed's
 //     second continued fraction (CF2) for x >= 2 gives K_mu and K_{mu+1} at
-//     the reduced order mu = nu - round(nu); the upward order recurrence then
-//     reaches nu. Nothing else runs: the per-element cost is independent of
-//     I_nu.
+//     the reduced order mu = nu - round(nu) in [-1/2, 1/2]; the upward order
+//     recurrence then reaches nu.
 //   - I (bessel_i): additionally runs Steed's first continued fraction (CF1)
 //     for I'_nu/I_nu and a downward recurrence to mu, then recovers I_mu from
 //     the Wronskian with the K pair above.
 // The terms that depend on nu alone (the reduced order, the Gamma-function
 // Chebyshev fits and the reflection factor of Temme's series) live in
-// BesselKOrder, so a caller evaluating one order at many x builds them once.
+// BesselKOrder. The free functions' bits are fixed: tests compare them with
+// recorded tables.
 //
-// Span entry (bessel_k_scaled(order, x, out)): each CF2 step depends on the
-// one before and divides, so one element at a time runs at the latency of
-// that chain. The span entry instead runs CF2 for W elements in lockstep,
-// one per vector lane: W = 8 with AVX-512, 4 with AVX2, 2 otherwise, picked
-// at run time by common/isa.hpp (GSX_GEMM_ISA caps it). Each lane has its
-// own convergence mask: once its test passes it keeps its sums while the
-// other lanes go on. The loop is one template over the lane type, and its
-// one-lane instance is the scalar path, so every lane performs the scalar
-// loop's IEEE operations in the same order and the span entry is
-// bit-identical to calling the scalar entry per element. Temme's series
-// (x < 2) stays per element.
+// BesselKFit is the many-x path. Each CF2 step depends on the one before and
+// makes three divisions, and CF2 takes 11-80 steps. Since nu is fixed while
+// a matrix is assembled, the fit replaces CF2 above x = 2 by two Chebyshev
+// series built once per order,
+//   g0(u) = sqrt(x) e^x K_mu(x),  g1(u) = sqrt(x) e^x K_{mu+1}(x),
+//   u = 4/x - 1 in (-1, 1],
+// each interpolated at kTerms Chebyshev nodes where CF2 runs in long double.
+// An entry x >= 2 then costs one division (1/x), Clenshaw's recurrence in u
+// for both series, the upward order recurrence from K_{mu+1} to K_nu, and a
+// multiply by sqrt(1/x): a fixed trip count and no data-dependent branch.
+// The recurrence divides by x at each of its round(nu) - 1 steps (none below
+// nu = 1.5) instead of sharing one rounded 2/x, whose error would grow with
+// the number of steps. Entries x < 2 take Temme's series, bit-identical to
+// bessel_k_scaled. The fit depends on nu only through mu; against a long
+// double CF2 on x in [2, 700] its relative error stays within 1e-15 over mu
+// in [-1/2, 1/2] and up to nu = 5, and below the double CF2's at larger nu
+// (tests/test_bessel.cpp checks both; CF2 itself reaches 2e-15 to 3e-15).
+//
+// The span entry evaluates the fit for W entries per vector register, two
+// registers interleaved: W = 8 with AVX-512, 4 with AVX2, 2 otherwise,
+// picked at run time by common/isa.hpp (GSX_GEMM_ISA caps it). The lane code
+// is one template whose one-lane instance is the scalar entry, so every lane
+// performs the scalar entry's IEEE operations in the same order and the span
+// entry equals the scalar entry bit for bit at every width.
 //
 // That identity needs bessel.cpp compiled with -ffp-contract=off (set in
 // src/mathx/CMakeLists.txt). GCC's C++ default is -ffp-contract=fast, and
@@ -35,6 +49,7 @@
 // rounding in the lane code but not in the scalar code, which changes bits.
 #pragma once
 
+#include <array>
 #include <span>
 
 namespace gsx::mathx {
@@ -70,11 +85,32 @@ double bessel_k_scaled(double nu, double x);
 /// bessel_k_scaled(nu, x) for order = BesselKOrder(nu).
 double bessel_k_scaled(const BesselKOrder& order, double x);
 
-/// out[i] = bessel_k_scaled(order, x[i]) for every i, bit for bit, with
-/// the CF2 elements run in lockstep vector lanes (see above). Throws
-/// InvalidArgument if the spans differ in length or any x[i] is not
-/// positive and finite.
-void bessel_k_scaled(const BesselKOrder& order, std::span<const double> x,
+/// The Chebyshev fit of exp(x) K_nu(x) above x = 2 for one order (see
+/// above). A default-constructed value is a placeholder; build a usable one
+/// with BesselKFit(nu), which runs CF2 in long double at kTerms nodes
+/// (about 0.15 ms on one x86 core).
+struct BesselKFit {
+  static constexpr int kTerms = 24;
+
+  BesselKFit() = default;
+  /// Fit order nu. Throws InvalidArgument for non-finite nu.
+  explicit BesselKFit(double nu);
+
+  BesselKOrder order;  ///< Temme's series below 2 and the recurrence steps
+  /// g0(u) = sum_j c0[j] T_j(u) and g1(u) = sum_j c1[j] T_j(u).
+  std::array<double, kTerms> c0{};
+  std::array<double, kTerms> c1{};
+};
+
+/// exp(x) * K_nu(x) for the fit's order: Temme's series for x < 2 (the
+/// bits of bessel_k_scaled), the fit for x >= 2. Throws InvalidArgument
+/// unless x is positive and finite.
+double bessel_k_scaled(const BesselKFit& fit, double x);
+
+/// out[i] = bessel_k_scaled(fit, x[i]) for every i, bit for bit, with the
+/// fit entries run in vector lanes (see above). Throws InvalidArgument if
+/// the spans differ in length or any x[i] is not positive and finite.
+void bessel_k_scaled(const BesselKFit& fit, std::span<const double> x,
                      std::span<double> out);
 
 /// Modified Bessel function of the first kind, I_nu(x), x > 0, nu >= 0.

@@ -1,6 +1,7 @@
 // Tests for K_nu: closed forms, reference values, identities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -155,15 +156,16 @@ TEST(Bessel, RejectsBadArguments) {
   EXPECT_THROW(bessel_k(0.5, -1.0), InvalidArgument);
   EXPECT_THROW(bessel_k(std::nan(""), 1.0), InvalidArgument);
   EXPECT_THROW(bessel_i(-1.0, 1.0), InvalidArgument);
-  // The span entry checks every element, on both sides of the CF2 switch.
-  const BesselKOrder order(0.8);
+  // The fit's entries check every element, on both sides of the switch at 2.
+  const BesselKFit fit(0.8);
   std::vector<double> out(3);
   for (double bad : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)bessel_k_scaled(fit, bad), InvalidArgument) << "x = " << bad;
     const std::vector<double> x = {3.0, bad, 1.0};
-    EXPECT_THROW(bessel_k_scaled(order, x, out), InvalidArgument) << "x = " << bad;
+    EXPECT_THROW(bessel_k_scaled(fit, x, out), InvalidArgument) << "x = " << bad;
   }
   const std::vector<double> x = {3.0, 4.0};
-  EXPECT_THROW(bessel_k_scaled(order, x, out), InvalidArgument);
+  EXPECT_THROW(bessel_k_scaled(fit, x, out), InvalidArgument);
 }
 
 /// Bit patterns of K and I recorded from the joint I/K routine the K-only
@@ -225,10 +227,89 @@ TEST(Bessel, PrebuiltOrderIsBitIdentical) {
   EXPECT_EQ(bits(bessel_k_scaled(BesselKOrder(-0.8), 3.0)), bits(bessel_k_scaled(0.8, 3.0)));
 }
 
+/// exp(x) K_nu(x) in long double, independent of the library: Steed's CF2
+/// for the reduced-order pair, then the upward recurrence (x >= 2).
+long double k_scaled_long_double(double nu, double x) {
+  const int nl = static_cast<int>(nu + 0.5);
+  const long double xmu = static_cast<long double>(nu) - nl;
+  const long double xl = x;
+  const long double a1 = 0.25L - xmu * xmu;
+  long double bb = 2.0L * (1.0L + xl);
+  long double dd = 1.0L / bb;
+  long double delh = dd, hh = dd, q1 = 0.0L, q2 = 1.0L, qq = a1, cc = a1, aa = -a1;
+  long double s = 1.0L + qq * delh;
+  for (int i = 2; i < 10000; ++i) {
+    aa -= 2 * (i - 1);
+    cc = -aa * cc / i;
+    const long double qnew = (q1 - bb * q2) / aa;
+    q1 = q2;
+    q2 = qnew;
+    qq += cc * qnew;
+    bb += 2.0L;
+    dd = 1.0L / (bb + aa * dd);
+    delh = (bb * dd - 1.0L) * delh;
+    const long double dels = qq * delh;
+    hh += delh;
+    s += dels;
+    if (std::fabs(dels / s) < std::numeric_limits<long double>::epsilon()) break;
+  }
+  long double kmu = std::sqrt(3.141592653589793238462643383279502884L / (2.0L * xl)) / s;
+  long double k1 = kmu * (xmu + xl + 0.5L - a1 * hh) / xl;
+  for (int i = 1; i <= nl; ++i) {
+    const long double next = 2.0L * (xmu + i) / xl * k1 + kmu;
+    kmu = k1;
+    k1 = next;
+  }
+  return kmu;
+}
+
+/// 400 log-spaced points over [2, 700], both ends included.
+std::vector<double> fit_grid() {
+  std::vector<double> x;
+  for (int i = 0; i < 400; ++i) x.push_back(2.0 * std::pow(350.0, i / 399.0));
+  x.front() = 2.0;
+  x.back() = 700.0;
+  return x;
+}
+
+/// The largest relative error of k(x) against the long double oracle.
+template <typename K>
+double max_rel_error(double nu, const std::vector<double>& grid, K k) {
+  double worst = 0.0;
+  for (double x : grid) {
+    const long double ref = k_scaled_long_double(nu, x);
+    worst = std::max(worst, static_cast<double>(std::fabs((k(x) - ref) / ref)));
+  }
+  return worst;
+}
+
+TEST(BesselKFit, MatchesLongDoubleCf2) {
+  const std::vector<double> grid = fit_grid();
+  // nu = 1 + mu sweeps every reduced order mu in [-1/2, 1/2] in steps of
+  // 0.01 (nu = 1.5 reduces to mu = -1/2 with two steps up), each with the
+  // recurrence; the fit depends on nu only through mu.
+  std::vector<double> orders;
+  for (int k = -50; k <= 50; ++k) orders.push_back(1.0 + 0.01 * k);
+  for (double nu : {0.05, 0.8, 3.5, 4.9}) orders.push_back(nu);
+  for (double nu : orders) {
+    const BesselKFit fit(nu);
+    const double err = max_rel_error(nu, grid, [&](double x) { return bessel_k_scaled(fit, x); });
+    EXPECT_LE(err, 1e-15) << "nu=" << nu;
+  }
+  // At large orders the recurrence's rounding dominates: the fit is no
+  // worse than the double CF2 it replaces.
+  for (double nu : {10.3, 20.7, 30.0}) {
+    const BesselKFit fit(nu);
+    const double err = max_rel_error(nu, grid, [&](double x) { return bessel_k_scaled(fit, x); });
+    const double cf2 = max_rel_error(nu, grid, [&](double x) { return bessel_k_scaled(nu, x); });
+    EXPECT_LE(err, cf2) << "nu=" << nu;
+  }
+}
+
 /// The span entry's lanes against the scalar entry, bit for bit. ctest runs
 /// this again under GSX_GEMM_ISA=avx2 and =portable (tests/CMakeLists.txt),
 /// so every lane width the host supports is checked.
-TEST(Bessel, SpanMatchesScalarBitwise) {
+TEST(BesselKFit, SpanMatchesScalarBitwise) {
   constexpr std::size_t kPoints = 100000;
   const double lo = std::log(1e-8);
   const double hi = std::log(720.0);
@@ -239,25 +320,32 @@ TEST(Bessel, SpanMatchesScalarBitwise) {
   x.push_back(std::nextafter(2.0, 0.0));
   x.push_back(700.0);
   std::vector<double> out(x.size());
-  // Where the grid crosses the Temme/CF2 switch at x = 2.
+  // Where the grid crosses the Temme/fit switch at x = 2.
   std::size_t at_two = 0;
   while (x[at_two] < 2.0) ++at_two;
-  for (double nu : {0.3, 0.8, 1.3, 2.2, 3.7}) {
+  for (double nu : {0.3, 0.8, 1.3, 2.2, 3.7, 0.5}) {
+    const BesselKFit fit(nu);
     const BesselKOrder order(nu);
-    bessel_k_scaled(order, x, out);
+    bessel_k_scaled(fit, x, out);
     std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < x.size(); ++i)
-      mismatches += bits(out[i]) != bits(bessel_k_scaled(order, x[i]));
+    std::size_t temme_mismatches = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double scalar = bessel_k_scaled(fit, x[i]);
+      mismatches += bits(out[i]) != bits(scalar);
+      // Below 2 the fit's entries are Temme's series, as the free function.
+      if (x[i] < 2.0) temme_mismatches += bits(scalar) != bits(bessel_k_scaled(order, x[i]));
+    }
     EXPECT_EQ(mismatches, 0u) << "nu=" << nu;
-    // Span lengths 1 .. 2W+1 for the widest W = 8: every tail shape, all
-    // CF2 or mixed with Temme elements.
-    for (std::size_t len = 1; len <= 17; ++len) {
+    EXPECT_EQ(temme_mismatches, 0u) << "nu=" << nu;
+    // Span lengths 1 .. 2GW+1 for two groups of the widest W = 8: every tail
+    // shape, all fit entries or mixed with Temme entries.
+    for (std::size_t len = 1; len <= 33; ++len) {
       for (std::size_t first : {at_two - len / 2, at_two + 5000}) {
         const std::span<const double> xs(x.data() + first, len);
         std::vector<double> part(len);
-        bessel_k_scaled(order, xs, part);
+        bessel_k_scaled(fit, xs, part);
         for (std::size_t i = 0; i < len; ++i)
-          EXPECT_EQ(bits(part[i]), bits(bessel_k_scaled(order, xs[i])))
+          EXPECT_EQ(bits(part[i]), bits(bessel_k_scaled(fit, xs[i])))
               << "nu=" << nu << " len=" << len << " x=" << xs[i];
       }
     }
@@ -267,6 +355,7 @@ TEST(Bessel, SpanMatchesScalarBitwise) {
 TEST(Bessel, OrderRejectsNonFinite) {
   EXPECT_THROW(BesselKOrder(std::nan("")), InvalidArgument);
   EXPECT_THROW(BesselKOrder(std::numeric_limits<double>::infinity()), InvalidArgument);
+  EXPECT_THROW(BesselKFit(std::nan("")), InvalidArgument);
   EXPECT_THROW(bessel_k_scaled(BesselKOrder(0.8), 0.0), InvalidArgument);
 }
 

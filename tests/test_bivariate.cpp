@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "geostat/assemble.hpp"
 #include "geostat/bivariate.hpp"
@@ -55,12 +57,37 @@ TEST(BivariateMatern, MarginalAndCrossValues) {
   EXPECT_NEAR(m(a0, b0), 2.0 * std::exp(-1.0), 1e-12);
   EXPECT_NEAR(m(a1, b1), 0.5 * (1.0 + 1.0) * std::exp(-1.0), 1e-12);
   // Cross-covariance: nu12 = 1, rho sqrt(var1 var2).
-  EXPECT_NEAR(m(a0, b1), 0.6 * std::sqrt(1.0) * matern_correlation(1.0, 1.0), 1e-12);
+  EXPECT_NEAR(m(a0, b1), 0.6 * std::sqrt(1.0) * MaternCorrelation(1.0)(1.0), 1e-12);
   // Nugget only on exact coincidence of the same component.
   EXPECT_NEAR(m(a0, a0), 2.1, 1e-12);
   EXPECT_NEAR(m(a0, a1), 0.6 * std::sqrt(1.0), 1e-12) << "no nugget across components";
   // Symmetry.
   EXPECT_DOUBLE_EQ(m(a0, b1), m(b1, a0));
+}
+
+TEST(BivariateMatern, RejectsComponentTagsOtherThanZeroOrOne) {
+  const BivariateMaternCovariance m(1.0, 1.0, 0.2, 0.8, 1.3, 0.5);
+  const Location good{0.1, 0.2, 1.0};
+  for (double tag : {0.7, 2.0, std::numeric_limits<double>::quiet_NaN()}) {
+    const Location bad{0.3, 0.4, tag};
+    EXPECT_THROW((void)m(bad, good), InvalidArgument) << "t = " << tag;
+    EXPECT_THROW((void)m(good, bad), InvalidArgument) << "t = " << tag;
+  }
+}
+
+TEST(BivariateMatern, SetParamsRebuildsEveryCorrelation) {
+  BivariateMaternCovariance m(1.0, 1.0, 0.2, 0.3, 0.3, 0.5);
+  const std::vector<double> theta = {2.0, 0.5, 0.25, 0.8, 1.3, 0.4};
+  m.set_params(theta);
+  EXPECT_EQ(m.params(), theta);
+  // Distance 0.5 at range 0.25: scaled lag 2, where the Bessel fit starts.
+  const Location a0{0.0, 0.0, 0.0}, b0{0.5, 0.0, 0.0};
+  Location a1 = a0, b1 = b0;
+  a1.t = 1.0;
+  b1.t = 1.0;
+  EXPECT_EQ(m(a0, b0), 2.0 * MaternCorrelation(0.8)(2.0));
+  EXPECT_EQ(m(a1, b1), 0.5 * MaternCorrelation(1.3)(2.0));
+  EXPECT_EQ(m(a0, b1), 0.4 * std::sqrt(2.0 * 0.5) * MaternCorrelation(0.5 * (0.8 + 1.3))(2.0));
 }
 
 class BivariateSpd : public ::testing::TestWithParam<double> {};

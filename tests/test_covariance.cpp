@@ -19,34 +19,34 @@ namespace {
 
 TEST(MaternCorrelation, ClosedFormHalf) {
   for (double d : {0.1, 0.5, 1.0, 3.0})
-    EXPECT_NEAR(matern_correlation(0.5, d), std::exp(-d), 1e-14);
+    EXPECT_NEAR(MaternCorrelation(0.5)(d), std::exp(-d), 1e-14);
 }
 
 TEST(MaternCorrelation, ClosedFormThreeHalves) {
   for (double d : {0.1, 0.5, 2.0})
-    EXPECT_NEAR(matern_correlation(1.5, d), (1.0 + d) * std::exp(-d), 1e-14);
+    EXPECT_NEAR(MaternCorrelation(1.5)(d), (1.0 + d) * std::exp(-d), 1e-14);
 }
 
 TEST(MaternCorrelation, ClosedFormFiveHalves) {
   for (double d : {0.2, 1.0, 4.0})
-    EXPECT_NEAR(matern_correlation(2.5, d), (1.0 + d + d * d / 3.0) * std::exp(-d), 1e-14);
+    EXPECT_NEAR(MaternCorrelation(2.5)(d), (1.0 + d + d * d / 3.0) * std::exp(-d), 1e-14);
 }
 
 TEST(MaternCorrelation, GeneralOrderContinuityWithClosedForms) {
   // The Bessel path evaluated *at* nu = 0.5 +/- tiny must agree with the
   // closed form (continuity across the special-case dispatch).
   for (double d : {0.3, 1.0, 2.5}) {
-    EXPECT_NEAR(matern_correlation(0.5 + 1e-9, d), std::exp(-d), 1e-6);
-    EXPECT_NEAR(matern_correlation(1.5 + 1e-9, d), (1.0 + d) * std::exp(-d), 1e-6);
+    EXPECT_NEAR(MaternCorrelation(0.5 + 1e-9)(d), std::exp(-d), 1e-6);
+    EXPECT_NEAR(MaternCorrelation(1.5 + 1e-9)(d), (1.0 + d) * std::exp(-d), 1e-6);
   }
 }
 
 TEST(MaternCorrelation, BasicProperties) {
   for (double nu : {0.2, 0.44, 1.0, 2.7}) {
-    EXPECT_DOUBLE_EQ(matern_correlation(nu, 0.0), 1.0);
+    EXPECT_DOUBLE_EQ(MaternCorrelation(nu)(0.0), 1.0);
     double prev = 1.0;
     for (double d = 0.05; d < 10.0; d *= 1.7) {
-      const double c = matern_correlation(nu, d);
+      const double c = MaternCorrelation(nu)(d);
       EXPECT_GT(c, 0.0);
       EXPECT_LE(c, 1.0);
       EXPECT_LT(c, prev) << "monotone decreasing, nu=" << nu << " d=" << d;
@@ -56,8 +56,8 @@ TEST(MaternCorrelation, BasicProperties) {
 }
 
 TEST(MaternCorrelation, UnderflowsToZeroGracefully) {
-  EXPECT_EQ(matern_correlation(0.44, 800.0), 0.0);
-  EXPECT_GT(matern_correlation(0.44, 600.0), 0.0);
+  EXPECT_EQ(MaternCorrelation(0.44)(800.0), 0.0);
+  EXPECT_GT(MaternCorrelation(0.44)(600.0), 0.0);
 }
 
 TEST(MaternCovariance, ValueAndNugget) {
@@ -116,7 +116,7 @@ TEST(Gneiting, SeparableWhenBetaZero) {
   const Location a{0, 0, 0}, b{0.3, 0, 2.0};
   // beta = 0: C(h, u) = sigma^2/psi(u) * M(h/a_s) factors exactly.
   const double psi = 0.7 * std::pow(2.0, 2 * 0.6) + 1.0;
-  const double expect = 1.0 / psi * matern_correlation(0.8, 0.3 / 0.5);
+  const double expect = 1.0 / psi * MaternCorrelation(0.8)(0.3 / 0.5);
   EXPECT_NEAR(g(a, b), expect, 1e-13);
 }
 
@@ -155,8 +155,8 @@ TEST(Gneiting, ParameterValidation) {
   EXPECT_EQ(g.params(), theta);
 }
 
-/// Bit patterns of M_nu(x) recorded from the per-element formulation the
-/// hoisted-constant path replaced (same grid as test_bessel's golden table).
+/// Bit patterns of M_nu(x) recorded from the per-element continued-fraction
+/// formulation (same grid as test_bessel's golden table).
 struct GoldenCorrelation {
   double nu, x;
   std::uint64_t bits;
@@ -196,44 +196,51 @@ constexpr GoldenCorrelation kGolden[] = {
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(MaternCorrelation, GoldenBitsUnchanged) {
+  // The values were recorded from the continued-fraction routine; at d >= 2
+  // the Chebyshev fit stands in for it, within a stated bound of it.
   for (const GoldenCorrelation& g : kGolden) {
-    EXPECT_EQ(bits(matern_correlation(g.nu, g.x)), g.bits) << "nu=" << g.nu << " x=" << g.x;
-    EXPECT_EQ(bits(MaternCorrelation(g.nu)(g.x)), g.bits) << "nu=" << g.nu << " x=" << g.x;
+    const double recorded = std::bit_cast<double>(g.bits);
+    const double now = MaternCorrelation(g.nu)(g.x);
+    EXPECT_LE(std::fabs(now - recorded), 3e-15 * recorded) << "nu=" << g.nu << " x=" << g.x;
+    if (g.x < 2.0) {
+      EXPECT_EQ(bits(now), g.bits) << "nu=" << g.nu << " x=" << g.x;
+    }
   }
 }
 
 TEST(MaternCorrelation, ModelsUseTheSameArithmetic) {
   // Every Matérn-based model holds a MaternCorrelation; its entries equal
-  // the free function's bit for bit (Gneiting at u = 0, so psi = 1).
+  // the correlation's bit for bit (Gneiting at u = 0, so psi = 1).
   const Location a{0.0, 0.0, 0.0};
   for (const GoldenCorrelation& g : kGolden) {
     const Location b{g.x, 0.0, 0.0};
+    const std::uint64_t expect = bits(MaternCorrelation(g.nu)(g.x));
     const MaternCovariance m(1.0, 1.0, g.nu);
-    EXPECT_EQ(bits(m(a, b)), g.bits) << "nu=" << g.nu << " x=" << g.x;
+    EXPECT_EQ(bits(m(a, b)), expect) << "nu=" << g.nu << " x=" << g.x;
     const GneitingCovariance gn(1.0, 1.0, g.nu, 0.5, 0.5, 0.5);
-    EXPECT_EQ(bits(gn(a, b)), g.bits) << "nu=" << g.nu << " x=" << g.x;
+    EXPECT_EQ(bits(gn(a, b)), expect) << "nu=" << g.nu << " x=" << g.x;
     const MaternNuggetCovariance mn(1.0, 1.0, g.nu, 0.5);
-    EXPECT_EQ(bits(mn(a, b)), g.bits) << "nu=" << g.nu << " x=" << g.x;
+    EXPECT_EQ(bits(mn(a, b)), expect) << "nu=" << g.nu << " x=" << g.x;
     const AnisotropicMaternCovariance am(1.0, 1.0, 1.0, 0.0, g.nu);
-    EXPECT_EQ(bits(am(a, b)), g.bits) << "nu=" << g.nu << " x=" << g.x;
+    EXPECT_EQ(bits(am(a, b)), expect) << "nu=" << g.nu << " x=" << g.x;
   }
   // set_params rebuilds the constants.
   MaternCovariance m(1.0, 1.0, 0.3);
   const std::vector<double> theta = {1.0, 1.0, 2.2};
   m.set_params(theta);
-  EXPECT_EQ(bits(m(a, Location{17.0, 0.0, 0.0})), bits(matern_correlation(2.2, 17.0)));
+  EXPECT_EQ(bits(m(a, Location{17.0, 0.0, 0.0})), bits(MaternCorrelation(2.2)(17.0)));
   GneitingCovariance gn(1.0, 1.0, 0.3, 0.5, 0.5, 0.5);
   const std::vector<double> theta_st = {1.0, 1.0, 1.3, 0.5, 0.5, 0.5};
   gn.set_params(theta_st);
-  EXPECT_EQ(bits(gn(a, Location{0.5, 0.0, 0.0})), bits(matern_correlation(1.3, 0.5)));
+  EXPECT_EQ(bits(gn(a, Location{0.5, 0.0, 0.0})), bits(MaternCorrelation(1.3)(0.5)));
   MaternNuggetCovariance mn(1.0, 1.0, 0.3, 0.5);
   const std::vector<double> theta_nug = {1.0, 1.0, 0.8, 0.5};
   mn.set_params(theta_nug);
-  EXPECT_EQ(bits(mn(a, Location{2.0, 0.0, 0.0})), bits(matern_correlation(0.8, 2.0)));
+  EXPECT_EQ(bits(mn(a, Location{2.0, 0.0, 0.0})), bits(MaternCorrelation(0.8)(2.0)));
   AnisotropicMaternCovariance am(1.0, 1.0, 1.0, 0.0, 0.3);
   const std::vector<double> theta_an = {1.0, 1.0, 1.0, 0.0, 2.2};
   am.set_params(theta_an);
-  EXPECT_EQ(bits(am(a, Location{47.0, 0.0, 0.0})), bits(matern_correlation(2.2, 47.0)));
+  EXPECT_EQ(bits(am(a, Location{47.0, 0.0, 0.0})), bits(MaternCorrelation(2.2)(47.0)));
 }
 
 /// eval's vector-lane path against operator(), bit for bit. ctest runs this
@@ -257,8 +264,8 @@ TEST(MaternCorrelation, EvalMatchesScalarBitwise) {
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < d.size(); ++i) mismatches += bits(out[i]) != bits(corr(d[i]));
     EXPECT_EQ(mismatches, 0u) << "nu=" << nu;
-    // Short spans: every lane tail.
-    for (std::size_t len = 1; len <= 17; ++len) {
+    // Short spans: every tail of two groups of up to 8 lanes.
+    for (std::size_t len = 1; len <= 33; ++len) {
       const std::span<const double> part(d.data() + 9000, len);
       std::vector<double> got(len);
       corr.eval(part, got);
