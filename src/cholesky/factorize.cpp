@@ -235,7 +235,7 @@ CompressStats compress_offband(SymTileMatrix& a, const TlrCompressOptions& opts,
   stats.bytes_before = a.footprint_bytes();
 
   // Global norm for the FP32-storage decision on LR factors.
-  const double global_norm = opts.lr_fp32 ? a.frobenius_norm() : 0.0;
+  const double global_norm = opts.lr_fp32 ? a.frobenius_norm(workers) : 0.0;
 
   // Collect compressible coordinates.
   std::vector<std::pair<std::size_t, std::size_t>> coords;

@@ -1,11 +1,14 @@
 #include "cholesky/precision_policy.hpp"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/flight.hpp"
 #include "obs/health.hpp"
 #include "obs/log.hpp"
+#include "runtime/task_graph.hpp"
 
 namespace gsx::cholesky {
 
@@ -54,10 +57,20 @@ double demotion_error(const tile::Tile& after, const la::Matrix<double>& before)
   return std::sqrt(s);
 }
 
-}  // namespace
+/// One tile's decision and what it leaves for the health ledger and the
+/// flight recorder. Those are written by record(), in tile order, so a
+/// policy that decides tiles in parallel records what the serial one did.
+struct Demotion {
+  Precision chosen = Precision::FP64;
+  bool audited = false;  ///< health auditing recorded a demotion
+  obs::DemotionRecord rec;
+  std::size_t nonfinite = 0;  ///< non-finite values the demotion produced
+};
 
-Precision demote_tile(tile::SymTileMatrix& a, std::size_t i, std::size_t j,
-                      double global_norm, const PrecisionPolicy& policy) {
+/// Choose dense tile (i, j)'s precision and convert it; touches no other
+/// tile and no shared state.
+Demotion decide(tile::SymTileMatrix& a, std::size_t i, std::size_t j, double global_norm,
+                const PrecisionPolicy& policy) {
   tile::Tile& t = a.at(i, j);
   GSX_REQUIRE(t.format() == tile::TileFormat::Dense, "demote_tile: expects a dense tile");
   const std::size_t nt = a.nt();
@@ -76,14 +89,17 @@ Precision demote_tile(tile::SymTileMatrix& a, std::size_t i, std::size_t j,
         break;
     }
   }
+  Demotion d;
+  d.chosen = p;
   if (!obs::health_enabled() || p == Precision::FP64) {
     t.convert_dense(p);
-    return p;
+    return d;
   }
   const double tile_norm = t.frobenius();
   const la::Matrix<double> before = t.to_dense64();
   t.convert_dense(p);
-  obs::DemotionRecord rec;
+  d.audited = true;
+  obs::DemotionRecord& rec = d.rec;
   rec.i = static_cast<std::uint32_t>(i);
   rec.j = static_cast<std::uint32_t>(j);
   rec.chosen = p;
@@ -95,23 +111,38 @@ Precision demote_tile(tile::SymTileMatrix& a, std::size_t i, std::size_t j,
       unit_roundoff(p) * tile_norm +
       std::sqrt(static_cast<double>(t.rows() * t.cols())) * subnormal_floor(p);
   rec.observed_err = demotion_error(t, before);
-  obs::record_demotion(rec);
-  GSX_FLIGHT(obs::EventKind::TileDemotion, 0, i, j, rec.observed_err);
   // Demotion can overflow narrow formats (FP16 range) into Inf: the rule
   // only bounds roundoff, so catch range violations here.
-  const std::size_t bad = t.nonfinite_count();
-  if (bad > 0) {
-    obs::record_nonfinite("convert", static_cast<long>(i), static_cast<long>(j), bad);
+  d.nonfinite = t.nonfinite_count();
+  return d;
+}
+
+/// Write what decide() left for tile (i, j).
+void record(const Demotion& d, std::size_t i, std::size_t j) {
+  if (!d.audited) return;
+  obs::record_demotion(d.rec);
+  GSX_FLIGHT(obs::EventKind::TileDemotion, 0, i, j, d.rec.observed_err);
+  if (d.nonfinite > 0) {
+    obs::record_nonfinite("convert", static_cast<long>(i), static_cast<long>(j), d.nonfinite);
     obs::log_warn("policy", "non-finite values after precision demotion",
                   {obs::lf("tile_i", static_cast<std::uint64_t>(i)),
                    obs::lf("tile_j", static_cast<std::uint64_t>(j)),
-                   obs::lf("precision", std::string(precision_name(p))),
-                   obs::lf("count", static_cast<std::uint64_t>(bad))});
+                   obs::lf("precision", std::string(precision_name(d.chosen))),
+                   obs::lf("count", static_cast<std::uint64_t>(d.nonfinite))});
   }
-  return p;
 }
 
-PolicyStats apply_precision_policy(tile::SymTileMatrix& a, const PrecisionPolicy& policy) {
+}  // namespace
+
+Precision demote_tile(tile::SymTileMatrix& a, std::size_t i, std::size_t j,
+                      double global_norm, const PrecisionPolicy& policy) {
+  const Demotion d = decide(a, i, j, global_norm, policy);
+  record(d, i, j);
+  return d.chosen;
+}
+
+PolicyStats apply_precision_policy(tile::SymTileMatrix& a, const PrecisionPolicy& policy,
+                                   std::size_t workers) {
   PolicyStats stats;
   stats.bytes_before = a.footprint_bytes();
   const std::size_t nt = a.nt();
@@ -122,23 +153,29 @@ PolicyStats apply_precision_policy(tile::SymTileMatrix& a, const PrecisionPolicy
   // The Frobenius rule needs the global norm, accumulated tile-by-tile
   // (the paper stores no global copy of the matrix).
   const double global_norm =
-      (policy.rule == PrecisionRule::AdaptiveFrobenius || audit) ? a.frobenius_norm()
+      (policy.rule == PrecisionRule::AdaptiveFrobenius || audit) ? a.frobenius_norm(workers)
                                                                  : 0.0;
   if (audit)
     obs::record_bound_context(precision_rule_name(policy.rule), policy.eps_target,
                               global_norm, nt);
 
-  for (std::size_t j = 0; j < nt; ++j) {
-    for (std::size_t i = j; i < nt; ++i) {
-      // Low-rank tiles carry their own precision decision (made during
-      // compression); the dense-tile rule does not apply to them.
-      if (a.at(i, j).format() != tile::TileFormat::Dense) continue;
-      switch (demote_tile(a, i, j, global_norm, policy)) {
-        case Precision::FP64: ++stats.fp64_tiles; break;
-        case Precision::FP32: ++stats.fp32_tiles; break;
-        case Precision::FP16: ++stats.fp16_tiles; break;
-        case Precision::BF16: ++stats.bf16_tiles; break;
-      }
+  // Low-rank tiles carry their own precision decision (made during
+  // compression); the dense-tile rule does not apply to them.
+  std::vector<std::pair<std::size_t, std::size_t>> coords;
+  for (std::size_t j = 0; j < nt; ++j)
+    for (std::size_t i = j; i < nt; ++i)
+      if (a.at(i, j).format() == tile::TileFormat::Dense) coords.emplace_back(i, j);
+  std::vector<Demotion> decided(coords.size());
+  rt::parallel_for(0, coords.size(), workers, [&](std::size_t c) {
+    decided[c] = decide(a, coords[c].first, coords[c].second, global_norm, policy);
+  });
+  for (std::size_t c = 0; c < coords.size(); ++c) {
+    record(decided[c], coords[c].first, coords[c].second);
+    switch (decided[c].chosen) {
+      case Precision::FP64: ++stats.fp64_tiles; break;
+      case Precision::FP32: ++stats.fp32_tiles; break;
+      case Precision::FP16: ++stats.fp16_tiles; break;
+      case Precision::BF16: ++stats.bf16_tiles; break;
     }
   }
   stats.bytes_after = a.footprint_bytes();

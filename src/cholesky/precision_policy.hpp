@@ -92,7 +92,11 @@ Precision demote_tile(tile::SymTileMatrix& a, std::size_t i, std::size_t j,
                       double global_norm, const PrecisionPolicy& policy);
 
 /// demote_tile over every dense stored tile, against a.frobenius_norm().
+/// The norm and the tiles' decisions run over `workers` threads; the norm
+/// is summed and the health records are written in tile order (column by
+/// column), so tiles, statistics and ledger do not depend on `workers`.
 /// Returns what was decided.
-PolicyStats apply_precision_policy(tile::SymTileMatrix& a, const PrecisionPolicy& policy);
+PolicyStats apply_precision_policy(tile::SymTileMatrix& a, const PrecisionPolicy& policy,
+                                   std::size_t workers = 1);
 
 }  // namespace gsx::cholesky

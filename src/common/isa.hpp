@@ -1,7 +1,7 @@
 // Runtime pick of the vector ISA the hand-dispatched kernels run on.
 //
-// The packed GEMM micro-kernels (la/gemm_kernel.cpp) and the Bessel K fit's
-// span entry (mathx/bessel.cpp) each compile one variant per ISA
+// The packed GEMM micro-kernels (la/gemm_kernel.cpp) and the Matérn
+// assembly lanes (geostat/covariance.cpp) each compile one variant per ISA
 // and call the one active_isa() names, so both follow one decision.
 #pragma once
 

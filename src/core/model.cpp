@@ -50,7 +50,7 @@ std::size_t compress_outside_in(SymTileMatrix& a, const cholesky::TlrCompressOpt
                                 const perfmodel::KernelModel& model, double fluctuation,
                                 std::size_t workers) {
   const obs::ScopedPhase phase("compress");
-  const double global_norm = copt.lr_fp32 ? a.frobenius_norm() : 0.0;
+  const double global_norm = copt.lr_fp32 ? a.frobenius_norm(workers) : 0.0;
   const std::size_t nt = a.nt();
   std::vector<tile::Tile> assembled(nt);
   for (std::size_t d = nt; d-- > 1;) {
@@ -142,7 +142,7 @@ void GsxModel::prepare(std::span<const double> theta, std::span<const Location> 
   }
   {
     const obs::ScopedPhase phase("precision_policy");
-    cholesky::apply_precision_policy(out, policy);
+    cholesky::apply_precision_policy(out, policy, config_.workers);
   }
   if (breakdown) breakdown->footprint_bytes = out.footprint_bytes();
 }

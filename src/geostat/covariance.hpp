@@ -20,34 +20,65 @@
 
 namespace gsx::geostat {
 
-/// The Matérn correlation M_nu(d) = 2^{1-nu}/Gamma(nu) * d^nu * K_nu(d),
-/// M_nu(0) = 1, for one smoothness at many distances. Closed forms serve
-/// nu = 0.5, 1.5, 2.5. Any other nu takes exp(d) K_nu(d) from a
-/// mathx::BesselKFit built here once: Temme's series below d = 2, the
-/// Chebyshev fit from 2 to 700 (relative error within 1e-15 of K_nu up to
-/// nu = 5; see mathx/bessel.hpp), and 0 beyond 700, where M_nu underflows.
-/// Construction costs about 0.15 ms off the closed forms (the fit), so
-/// build one per smoothness, not per entry.
+/// The Matérn correlation M_nu(x) = 2^{1-nu}/Gamma(nu) * x^nu * K_nu(x),
+/// M_nu(0) = 1, for one smoothness at many scaled distances x = d / range.
+///
+/// Closed forms serve nu = 0.5, 1.5, 2.5: e^{-x} times 1, 1 + x or
+/// 1 + x + x^2/3. Any other nu is
+///   M = min(exp((log_norm + nu log x) - x) * K, 1),
+///   log_norm = (1 - nu) log 2 - lgamma(nu),  K = e^x K_nu(x),
+/// with K from a mathx::BesselKFit built here once: Temme's series below
+/// x = 2, the Chebyshev fit from 2 to 700 (relative error within 1e-15 of
+/// K_nu up to nu = 5; see mathx/bessel.hpp), and M = 0 beyond 700, where it
+/// underflows. exp and log are mathx::lane_exp and lane_log (within 1 ulp
+/// of std::exp and std::log). Construction costs about 0.15 ms off the
+/// closed forms (the fit), so build one per smoothness, not per entry.
+///
+/// fill() assembles a covariance block column by column in staged passes
+/// over vector lanes (8 with AVX-512, 4 with AVX2, 2 otherwise; see
+/// common/isa.hpp):
+///   (1) d = sqrt(dx^2 + dy^2) (mathx::lane_distance) and x = d / range;
+///   (2) K from the fit at max(x, 2) for every entry, reading only the
+///       series the order needs;
+///   (3) Temme's series overwrites K where 0 < x < 2 (1-2% of the entries
+///       of a weakly correlated field, 13-29% at ranges 0.1-0.17);
+///   (4) M from K as above (or the closed form), times the variance, plus
+///       the nugget where d = 0.
+/// Each pass is one template over the lane count whose one-lane instance
+/// is operator() (and mathx::euclidean2d for the distance), so fill()
+/// equals the per-entry models bit for bit at every width, and every
+/// Matérn-based model (nugget, anisotropic, Gneiting, bivariate) shares
+/// operator()'s bits. K itself keeps its bits: Temme's series and the fit
+/// are mathx::bessel_k_scaled(fit, x)'s. The closed forms cap x at 750,
+/// where e^{-x} is already 0, so a huge distance gives 0 rather than
+/// inf * 0.
+///
+/// Stated bound. Against the same formula evaluated with std::hypot,
+/// std::log and std::exp (the arithmetic before the lanes), a value moves by
+/// at most 2^-50 (1 + |log_norm| + nu |log x| + x) relative (x alone in the
+/// parentheses at the closed forms); tests/test_covariance.cpp checks it
+/// (MaternCorrelation.WithinBoundOfLibmArithmetic). The terms are the sizes
+/// of the exponent's parts: a last-bit change in an argument of size s
+/// moves its exp by up to s ulp.
 class MaternCorrelation {
  public:
   /// Throws InvalidArgument unless nu is positive and finite.
   explicit MaternCorrelation(double nu);
 
-  /// M_nu(d); throws InvalidArgument unless d >= 0 (NaN included).
-  [[nodiscard]] double operator()(double d) const;
+  /// M_nu(x); throws InvalidArgument unless x >= 0 (NaN included).
+  [[nodiscard]] double operator()(double x) const;
 
-  /// out[i] = (*this)(d[i]) for every i, bit for bit. The Bessel K of the
-  /// whole span goes through the fit's span entry, which evaluates several
-  /// entries per vector register. Throws InvalidArgument if the spans
-  /// differ in length or any d[i] is negative or NaN.
-  void eval(std::span<const double> d, std::span<double> out) const;
+  /// out(i, j) = variance * (*this)(d_ij / range), plus nugget where
+  /// d_ij = 0, for d_ij = mathx::euclidean2d between rows[i] and cols[j]:
+  /// the Matérn models' entries, bit for bit, through the passes above.
+  /// Throws InvalidArgument if out's shape differs from the sets' or a
+  /// distance is NaN.
+  void fill(std::span<const Location> rows, std::span<const Location> cols, double variance,
+            double range, double nugget, Span2D<double> out) const;
 
   [[nodiscard]] double nu() const noexcept { return nu_; }
 
  private:
-  /// M_nu(d) from exp(d) K_nu(d), for 0 < d <= 700 off the closed forms.
-  [[nodiscard]] double from_k_scaled(double d, double k_scaled) const;
-
   double nu_;
   double log_norm_ = 0.0;  ///< (1 - nu) log 2 - lgamma(nu)
   mathx::BesselKFit fit_;  ///< unused at the closed-form orders
@@ -89,7 +120,7 @@ class MaternCovariance final : public CovarianceModel {
   MaternCovariance(double variance, double range, double smoothness, double nugget = 0.0);
 
   double operator()(const Location& a, const Location& b) const override;
-  /// One column of distances at a time, through MaternCorrelation::eval.
+  /// Through MaternCorrelation::fill.
   void fill(std::span<const Location> rows, std::span<const Location> cols,
             Span2D<double> out) const override;
   std::size_t num_params() const override { return 3; }

@@ -22,6 +22,11 @@ double MaternNuggetCovariance::operator()(const Location& a, const Location& b) 
   return (d == 0.0) ? c + nugget_ : c;
 }
 
+void MaternNuggetCovariance::fill(std::span<const Location> rows,
+                                  std::span<const Location> cols, Span2D<double> out) const {
+  corr_.fill(rows, cols, variance_, range_, nugget_, out);
+}
+
 std::vector<double> MaternNuggetCovariance::params() const {
   return {variance_, range_, corr_.nu(), nugget_};
 }
@@ -59,6 +64,8 @@ AnisotropicMaternCovariance::AnisotropicMaternCovariance(double variance,
       range_major_(range_major),
       range_minor_(range_minor),
       angle_(angle),
+      cos_angle_(std::cos(angle)),
+      sin_angle_(std::sin(angle)),
       corr_(smoothness),
       nugget_(nugget) {
   GSX_REQUIRE(variance > 0 && range_major > 0 && range_minor > 0 && smoothness > 0 &&
@@ -70,11 +77,9 @@ double AnisotropicMaternCovariance::scaled_distance(const Location& a,
                                                     const Location& b) const {
   const double dx = a.x - b.x;
   const double dy = a.y - b.y;
-  const double c = std::cos(angle_);
-  const double s = std::sin(angle_);
   // Rotate into the anisotropy frame, then scale each axis by its range.
-  const double u = (c * dx + s * dy) / range_major_;
-  const double v = (-s * dx + c * dy) / range_minor_;
+  const double u = (cos_angle_ * dx + sin_angle_ * dy) / range_major_;
+  const double v = (-sin_angle_ * dx + cos_angle_ * dy) / range_minor_;
   return std::hypot(u, v);
 }
 
@@ -97,6 +102,8 @@ void AnisotropicMaternCovariance::set_params(std::span<const double> theta) {
   range_major_ = theta[1];
   range_minor_ = theta[2];
   angle_ = theta[3];
+  cos_angle_ = std::cos(angle_);
+  sin_angle_ = std::sin(angle_);
 }
 
 std::vector<double> AnisotropicMaternCovariance::lower_bounds() const {

@@ -17,6 +17,9 @@ class MaternNuggetCovariance final : public CovarianceModel {
   MaternNuggetCovariance(double variance, double range, double smoothness, double nugget);
 
   double operator()(const Location& a, const Location& b) const override;
+  /// Through MaternCorrelation::fill, as MaternCovariance.
+  void fill(std::span<const Location> rows, std::span<const Location> cols,
+            Span2D<double> out) const override;
   std::size_t num_params() const override { return 4; }
   std::vector<double> params() const override;
   void set_params(std::span<const double> theta) override;
@@ -58,6 +61,8 @@ class AnisotropicMaternCovariance final : public CovarianceModel {
   double range_major_;
   double range_minor_;
   double angle_;
+  double cos_angle_;  ///< cos(angle_), sin(angle_): fixed with the angle
+  double sin_angle_;
   MaternCorrelation corr_;
   double nugget_;
 };

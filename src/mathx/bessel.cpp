@@ -1,25 +1,15 @@
 #include "mathx/bessel.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/isa.hpp"
+#include "mathx/lanes.hpp"
 
 namespace gsx::mathx {
 
 namespace {
-
-#define GSX_ALWAYS_INLINE inline __attribute__((always_inline))
-
-#if defined(__x86_64__)
-#define GSX_X86_DISPATCH 1
-#else
-#define GSX_X86_DISPATCH 0
-#endif
 
 constexpr double kEps = 1.0e-16;
 constexpr double kFpMin = std::numeric_limits<double>::min() / kEps;
@@ -165,124 +155,6 @@ double k_only(const BesselKOrder& o, double x, bool scaled) {
   return k.kmu;
 }
 
-/// W doubles in one vector register (GCC/Clang vector extension).
-/// Arithmetic acts lane by lane and a scalar operand is broadcast.
-template <int W>
-struct LaneVec {
-  typedef double type __attribute__((vector_size(W * sizeof(double))));
-};
-
-GSX_ALWAYS_INLINE void lane_sqrt(double& v) { v = std::sqrt(v); }
-
-/// One vector square root: -fno-math-errno (src/mathx/CMakeLists.txt) lets
-/// GCC combine the per-lane calls.
-template <typename V>
-GSX_ALWAYS_INLINE void lane_sqrt(V& v) {
-  for (std::size_t k = 0; k < sizeof(V) / sizeof(double); ++k) v[k] = std::sqrt(v[k]);
-}
-
-/// exp(x) K_nu(x) from the fit for G registers of lanes at once, x >= 2 in
-/// every lane. V = double with G = 1 is the scalar entry; every lane runs
-/// the same IEEE operations in the same order at every width. The groups
-/// only interleave independent dependency chains.
-template <typename V, int G>
-GSX_ALWAYS_INLINE void fit_k_scaled(const BesselKFit& f, const V (&x)[G], V (&k)[G]) {
-  V xi[G], u[G], u2[G], b0[G], p0[G], b1[G], p1[G];
-  for (int g = 0; g < G; ++g) {
-    xi[g] = 1.0 / x[g];
-    u[g] = 4.0 * xi[g] - 1.0;
-    u2[g] = 2.0 * u[g];
-    b0[g] = p0[g] = b1[g] = p1[g] = V{};
-  }
-  // Clenshaw: b_j = 2u b_{j+1} - b_{j+2} + c_j, grouped so that only the
-  // multiply and one add wait on the step before.
-  for (int j = BesselKFit::kTerms - 1; j >= 1; --j) {
-    for (int g = 0; g < G; ++g) {
-      const V n0 = u2[g] * b0[g] + (f.c0[j] - p0[g]);
-      p0[g] = b0[g];
-      b0[g] = n0;
-      const V n1 = u2[g] * b1[g] + (f.c1[j] - p1[g]);
-      p1[g] = b1[g];
-      b1[g] = n1;
-    }
-  }
-  for (int g = 0; g < G; ++g) {
-    V kmu = u[g] * b0[g] + (f.c0[0] - p0[g]);
-    V k1 = u[g] * b1[g] + (f.c1[0] - p1[g]);
-    // Up from (K_mu, K_{mu+1}) to K_{mu+nl} in k1, dividing by x at each
-    // step: a rounded 2/x shared by all steps would add up its error.
-    for (int i = 1; i < f.order.nl; ++i) {
-      const V next = (2.0 * (f.order.xmu + i)) / x[g] * k1 + kmu;
-      kmu = k1;
-      k1 = next;
-    }
-    V root = xi[g];
-    lane_sqrt(root);
-    k[g] = (f.order.nl == 0 ? kmu : k1) * root;
-  }
-}
-
-/// Register groups interleaved per pass of the span entry.
-constexpr int kGroups = 2;
-
-/// Entries gathered per pass of the span entry. Fit arguments wait in a
-/// stack buffer, with their positions, until they fill whole passes.
-constexpr std::size_t kChunk = 256;
-
-/// exp(x) K_nu(x) over a span: Temme entries one at a time, fit entries
-/// kGroups registers of V at a time. The last pass of a chunk pads its
-/// spare lanes with a copy of its last argument and drops their results.
-template <typename V>
-GSX_ALWAYS_INLINE void fit_span(const BesselKFit& f, std::span<const double> x,
-                                std::span<double> out) {
-  constexpr std::size_t kPass = kGroups * (sizeof(V) / sizeof(double));
-  std::array<double, kChunk + kPass> xs;
-  std::array<double, kChunk + kPass> ks;
-  std::array<std::size_t, kChunk> at;
-  for (std::size_t c0 = 0; c0 < x.size(); c0 += kChunk) {
-    const std::size_t c1 = std::min(x.size(), c0 + kChunk);
-    std::size_t m = 0;
-    for (std::size_t i = c0; i < c1; ++i) {
-      if (x[i] < kXMin) {
-        out[i] = k_only(f.order, x[i], /*scaled=*/true);
-      } else {
-        require_argument(x[i]);
-        xs[m] = x[i];
-        at[m++] = i;
-      }
-    }
-    for (std::size_t t = m; t % kPass != 0; ++t) xs[t] = xs[m - 1];
-    for (std::size_t t = 0; t < m; t += kPass) {
-      V xv[kGroups], kv[kGroups];
-      std::memcpy(xv, &xs[t], sizeof xv);
-      fit_k_scaled<V, kGroups>(f, xv, kv);
-      std::memcpy(&ks[t], kv, sizeof kv);
-    }
-    for (std::size_t t = 0; t < m; ++t) out[at[t]] = ks[t];
-  }
-}
-
-void fit_span_portable(const BesselKFit& f, std::span<const double> x,
-                       std::span<double> out) {
-  fit_span<LaneVec<2>::type>(f, x, out);
-}
-
-#if GSX_X86_DISPATCH
-// No FMA in either target list; -ffp-contract=off keeps GCC from fusing
-// where the target would allow it (AVX-512F implies FMA in GCC).
-__attribute__((target("avx2"))) void fit_span_avx2(const BesselKFit& f,
-                                                   std::span<const double> x,
-                                                   std::span<double> out) {
-  fit_span<LaneVec<4>::type>(f, x, out);
-}
-
-__attribute__((target("avx512f"))) void fit_span_avx512(const BesselKFit& f,
-                                                       std::span<const double> x,
-                                                       std::span<double> out) {
-  fit_span<LaneVec<8>::type>(f, x, out);
-}
-#endif
-
 }  // namespace
 
 BesselKOrder::BesselKOrder(double nu) {
@@ -353,20 +225,8 @@ double bessel_k_scaled(const BesselKFit& fit, double x) {
   require_argument(x);
   const double xs[1] = {x};
   double k[1];
-  fit_k_scaled<double, 1>(fit, xs, k);
+  fit_k_scaled<1, 1>(fit, xs, k);
   return k[0];
-}
-
-void bessel_k_scaled(const BesselKFit& fit, std::span<const double> x,
-                     std::span<double> out) {
-  GSX_REQUIRE(x.size() == out.size(), "bessel_k_scaled: x and out differ in length");
-  switch (active_isa()) {
-#if GSX_X86_DISPATCH
-    case Isa::Avx512: return fit_span_avx512(fit, x, out);
-    case Isa::Avx2: return fit_span_avx2(fit, x, out);
-#endif
-    default: return fit_span_portable(fit, x, out);
-  }
 }
 
 double bessel_i(double nu, double x) {

@@ -36,21 +36,17 @@
 // in [-1/2, 1/2] and up to nu = 5, and below the double CF2's at larger nu
 // (tests/test_bessel.cpp checks both; CF2 itself reaches 2e-15 to 3e-15).
 //
-// The span entry evaluates the fit for W entries per vector register, two
-// registers interleaved: W = 8 with AVX-512, 4 with AVX2, 2 otherwise,
-// picked at run time by common/isa.hpp (GSX_GEMM_ISA caps it). The lane code
-// is one template whose one-lane instance is the scalar entry, so every lane
-// performs the scalar entry's IEEE operations in the same order and the span
-// entry equals the scalar entry bit for bit at every width.
-//
-// That identity needs bessel.cpp compiled with -ffp-contract=off (set in
-// src/mathx/CMakeLists.txt). GCC's C++ default is -ffp-contract=fast, and
-// the AVX-512 target provides FMA, so it would fuse a * b + c into one
-// rounding in the lane code but not in the scalar code, which changes bits.
+// The Clenshaw pass is one template in mathx/lanes.hpp, over the lane count:
+// bessel_k_scaled(fit, x) runs its one-lane instance, and the Matérn
+// assembly (geostat/covariance.cpp) runs it 8, 4 or 2 lanes at a time at
+// max(x, 2) for every entry, reading only the series the order needs (g0
+// below nu = 1/2, g1 up to 3/2). Every lane performs the scalar entry's IEEE
+// operations in the same order, so the lanes equal bessel_k_scaled(fit, x)
+// bit for bit at x >= 2, at every width. That needs each source that
+// instantiates it compiled with -ffp-contract=off (see mathx/lanes.hpp).
 #pragma once
 
 #include <array>
-#include <span>
 
 namespace gsx::mathx {
 
@@ -106,12 +102,6 @@ struct BesselKFit {
 /// bits of bessel_k_scaled), the fit for x >= 2. Throws InvalidArgument
 /// unless x is positive and finite.
 double bessel_k_scaled(const BesselKFit& fit, double x);
-
-/// out[i] = bessel_k_scaled(fit, x[i]) for every i, bit for bit, with the
-/// fit entries run in vector lanes (see above). Throws InvalidArgument if
-/// the spans differ in length or any x[i] is not positive and finite.
-void bessel_k_scaled(const BesselKFit& fit, std::span<const double> x,
-                     std::span<double> out);
 
 /// Modified Bessel function of the first kind, I_nu(x), x > 0, nu >= 0.
 /// (Exposed for testing the Wronskian identity

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "mathx/lanes.hpp"
+
 namespace gsx::mathx {
 
 namespace {
@@ -9,7 +11,11 @@ constexpr double kDegToRad = 3.141592653589793238462643383279502884 / 180.0;
 }
 
 double euclidean2d(double x1, double y1, double x2, double y2) {
-  return std::hypot(x1 - x2, y1 - y2);
+  const double dx = x1 - x2;
+  const double dy = y1 - y2;
+  bool needs_hypot = false;
+  const double d = lane_distance<1>(dx, dy, needs_hypot);
+  return needs_hypot ? std::hypot(dx, dy) : d;
 }
 
 double haversine_deg(double lon1, double lat1, double lon2, double lat2) {

@@ -48,11 +48,14 @@ void SymTileMatrix::generate_tile(std::size_t i, std::size_t j, const BlockFn& f
   at(i, j) = Tile::dense64(std::move(block));
 }
 
-double SymTileMatrix::frobenius_norm() const {
+double SymTileMatrix::frobenius_norm(std::size_t num_workers) const {
+  std::vector<double> norms(tiles_.size());
+  rt::parallel_for(0, tiles_.size(), num_workers,
+                   [&](std::size_t c) { norms[c] = tiles_[c].frobenius(); });
   double sum = 0.0;
   for (std::size_t j = 0; j < nt_; ++j) {
     for (std::size_t i = j; i < nt_; ++i) {
-      const double f = at(i, j).frobenius();
+      const double f = norms[index(i, j)];
       sum += (i == j) ? f * f : 2.0 * f * f;
     }
   }

@@ -50,8 +50,10 @@ class SymTileMatrix {
   void generate_tile(std::size_t i, std::size_t j, const BlockFn& fill);
 
   /// Frobenius norm of the full symmetric matrix, accumulated tile-by-tile
-  /// during/after generation (the paper stores no global copy).
-  [[nodiscard]] double frobenius_norm() const;
+  /// (the paper stores no global copy). The tiles' norms are computed over
+  /// `num_workers` threads and summed in storage order, so the value does
+  /// not depend on `num_workers`.
+  [[nodiscard]] double frobenius_norm(std::size_t num_workers = 1) const;
 
   /// Total payload bytes across stored tiles (the "memory footprint" of
   /// Fig. 9, counting the stored triangle).

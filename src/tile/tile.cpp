@@ -114,8 +114,8 @@ double Tile::frobenius() const {
       }
     }
   }
-  // ||U V^T||_F = ||R_u R_v^T||_F for QR factors; computing via the small
-  // k x k Gram products avoids materializing the block.
+  // A low-rank tile is expanded to its dense FP64 block U V^T, whose norm is
+  // taken as a dense FP64 tile's.
   const la::Matrix<double> full = to_dense64();
   return la::norm_frobenius<double>(full.cview());
 }

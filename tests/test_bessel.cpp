@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -156,16 +155,10 @@ TEST(Bessel, RejectsBadArguments) {
   EXPECT_THROW(bessel_k(0.5, -1.0), InvalidArgument);
   EXPECT_THROW(bessel_k(std::nan(""), 1.0), InvalidArgument);
   EXPECT_THROW(bessel_i(-1.0, 1.0), InvalidArgument);
-  // The fit's entries check every element, on both sides of the switch at 2.
+  // The fit's entry checks its argument on both sides of the switch at 2.
   const BesselKFit fit(0.8);
-  std::vector<double> out(3);
-  for (double bad : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+  for (double bad : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()})
     EXPECT_THROW((void)bessel_k_scaled(fit, bad), InvalidArgument) << "x = " << bad;
-    const std::vector<double> x = {3.0, bad, 1.0};
-    EXPECT_THROW(bessel_k_scaled(fit, x, out), InvalidArgument) << "x = " << bad;
-  }
-  const std::vector<double> x = {3.0, 4.0};
-  EXPECT_THROW(bessel_k_scaled(fit, x, out), InvalidArgument);
 }
 
 /// Bit patterns of K and I recorded from the joint I/K routine the K-only
@@ -222,6 +215,10 @@ TEST(Bessel, PrebuiltOrderIsBitIdentical) {
   for (const GoldenBits& g : kGolden) {
     const BesselKOrder order(g.nu);
     EXPECT_EQ(bits(bessel_k_scaled(order, g.x)), g.k_scaled) << "nu=" << g.nu << " x=" << g.x;
+    // Below 2 the fit's entry is Temme's series, as the free function.
+    if (g.x < 2.0)
+      EXPECT_EQ(bits(bessel_k_scaled(BesselKFit(g.nu), g.x)), g.k_scaled)
+          << "nu=" << g.nu << " x=" << g.x;
   }
   // K_{-nu} = K_nu holds for the prebuilt constants too.
   EXPECT_EQ(bits(bessel_k_scaled(BesselKOrder(-0.8), 3.0)), bits(bessel_k_scaled(0.8, 3.0)));
@@ -303,52 +300,6 @@ TEST(BesselKFit, MatchesLongDoubleCf2) {
     const double err = max_rel_error(nu, grid, [&](double x) { return bessel_k_scaled(fit, x); });
     const double cf2 = max_rel_error(nu, grid, [&](double x) { return bessel_k_scaled(nu, x); });
     EXPECT_LE(err, cf2) << "nu=" << nu;
-  }
-}
-
-/// The span entry's lanes against the scalar entry, bit for bit. ctest runs
-/// this again under GSX_GEMM_ISA=avx2 and =portable (tests/CMakeLists.txt),
-/// so every lane width the host supports is checked.
-TEST(BesselKFit, SpanMatchesScalarBitwise) {
-  constexpr std::size_t kPoints = 100000;
-  const double lo = std::log(1e-8);
-  const double hi = std::log(720.0);
-  std::vector<double> x;
-  for (std::size_t i = 0; i < kPoints; ++i)
-    x.push_back(std::exp(lo + (hi - lo) * static_cast<double>(i) / (kPoints - 1)));
-  x.push_back(2.0);
-  x.push_back(std::nextafter(2.0, 0.0));
-  x.push_back(700.0);
-  std::vector<double> out(x.size());
-  // Where the grid crosses the Temme/fit switch at x = 2.
-  std::size_t at_two = 0;
-  while (x[at_two] < 2.0) ++at_two;
-  for (double nu : {0.3, 0.8, 1.3, 2.2, 3.7, 0.5}) {
-    const BesselKFit fit(nu);
-    const BesselKOrder order(nu);
-    bessel_k_scaled(fit, x, out);
-    std::size_t mismatches = 0;
-    std::size_t temme_mismatches = 0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double scalar = bessel_k_scaled(fit, x[i]);
-      mismatches += bits(out[i]) != bits(scalar);
-      // Below 2 the fit's entries are Temme's series, as the free function.
-      if (x[i] < 2.0) temme_mismatches += bits(scalar) != bits(bessel_k_scaled(order, x[i]));
-    }
-    EXPECT_EQ(mismatches, 0u) << "nu=" << nu;
-    EXPECT_EQ(temme_mismatches, 0u) << "nu=" << nu;
-    // Span lengths 1 .. 2GW+1 for two groups of the widest W = 8: every tail
-    // shape, all fit entries or mixed with Temme entries.
-    for (std::size_t len = 1; len <= 33; ++len) {
-      for (std::size_t first : {at_two - len / 2, at_two + 5000}) {
-        const std::span<const double> xs(x.data() + first, len);
-        std::vector<double> part(len);
-        bessel_k_scaled(fit, xs, part);
-        for (std::size_t i = 0; i < len; ++i)
-          EXPECT_EQ(bits(part[i]), bits(bessel_k_scaled(fit, xs[i])))
-              << "nu=" << nu << " len=" << len << " x=" << xs[i];
-      }
-    }
   }
 }
 

@@ -1,17 +1,20 @@
 // Covariance models: values, SPD property, parameter plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
 #include "geostat/covariance_ext.hpp"
 #include "la/lapack.hpp"
+#include "mathx/bessel.hpp"
 #include "test_utils.hpp"
 
 namespace gsx::geostat {
@@ -195,15 +198,78 @@ constexpr GoldenCorrelation kGolden[] = {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+/// The size of the Matérn exponent's terms at scaled distance x,
+/// |log_norm| + nu |log x| + x (x alone at the closed forms): the lanes'
+/// stated bound scales with it (geostat/covariance.hpp).
+double exponent_size(double nu, double x) {
+  if (nu == 0.5 || nu == 1.5 || nu == 2.5) return x;
+  return std::fabs((1.0 - nu) * std::log(2.0) - std::lgamma(nu)) + nu * std::fabs(std::log(x)) + x;
+}
+
+/// The stated bound on the relative change against libm's arithmetic.
+double lane_bound(double nu, double x) { return 0x1p-50 * (1.0 + exponent_size(nu, x)); }
+
 TEST(MaternCorrelation, GoldenBitsUnchanged) {
-  // The values were recorded from the continued-fraction routine; at d >= 2
-  // the Chebyshev fit stands in for it, within a stated bound of it.
+  // The values were recorded from the continued-fraction routine with
+  // std::log and std::exp. The lanes' exp and log stand in for those at
+  // every d, and from d = 2 on the Chebyshev fit for the continued fraction
+  // (within 3e-15 relative); each within its stated bound.
   for (const GoldenCorrelation& g : kGolden) {
     const double recorded = std::bit_cast<double>(g.bits);
     const double now = MaternCorrelation(g.nu)(g.x);
-    EXPECT_LE(std::fabs(now - recorded), 3e-15 * recorded) << "nu=" << g.nu << " x=" << g.x;
-    if (g.x < 2.0) {
-      EXPECT_EQ(bits(now), g.bits) << "nu=" << g.nu << " x=" << g.x;
+    const double fit = g.x >= 2.0 ? 3e-15 : 0.0;
+    EXPECT_LE(std::fabs(now - recorded), (fit + lane_bound(g.nu, g.x)) * recorded)
+        << "nu=" << g.nu << " x=" << g.x;
+  }
+}
+
+/// A Matérn covariance entry in the arithmetic before the lanes: std::hypot,
+/// the division by the range, std::log and std::exp around the fit's K.
+double libm_matern(double nu, double range, const Location& a, const Location& b) {
+  const double x = std::hypot(a.x - b.x, a.y - b.y) / range;
+  if (x == 0.0) return 1.0;
+  if (nu == 0.5) return std::exp(-x);
+  if (nu == 1.5) return (1.0 + x) * std::exp(-x);
+  if (nu == 2.5) return (1.0 + x + x * x / 3.0) * std::exp(-x);
+  if (x > 700.0) return 0.0;
+  const mathx::BesselKFit fit(nu);
+  const double log_norm = (1.0 - nu) * std::log(2.0) - std::lgamma(nu);
+  const double v = std::exp(log_norm + nu * std::log(x) - x) * mathx::bessel_k_scaled(fit, x);
+  return std::min(v, 1.0);
+}
+
+/// The offset along the x axis whose scaled distance from 0 is exactly x
+/// (searched over the neighbours of x * range).
+double offset_for(double x, double range) {
+  double dx = x * range;
+  for (int step = 0; step < 64 && dx / range != x; ++step)
+    dx = std::nextafter(dx, dx / range < x ? 1e300 : 0.0);
+  return dx;
+}
+
+TEST(MaternCorrelation, WithinBoundOfLibmArithmetic) {
+  Rng rng(31);
+  const std::vector<Location> pts = perturbed_grid_locations(400, rng);
+  for (double nu : {0.05, 0.3, 0.8, 1.3, 2.2, 3.7, 0.5, 1.5, 2.5}) {
+    for (double range : {0.03, 0.1, 0.17}) {
+      const MaternCovariance model(1.0, range, nu);
+      // Pairs along the x axis at exact scaled distances, including both
+      // sides of the Temme/fit switch at 2 and of the underflow cut at 700,
+      // then a log grid of scaled distances, then pairs of grid points.
+      std::vector<std::pair<Location, Location>> pairs;
+      std::vector<double> xs = {0.0, std::nextafter(2.0, 0.0), 2.0, std::nextafter(2.0, 4.0),
+                                700.0, 701.0};
+      for (int i = 0; i <= 400; ++i) xs.push_back(1e-6 * std::pow(750.0 / 1e-6, i / 400.0));
+      for (double x : xs) pairs.push_back({Location{}, Location{offset_for(x, range), 0.0, 0.0}});
+      for (std::size_t i = 0; i + 1 < pts.size(); i += 2) pairs.push_back({pts[i], pts[i + 1]});
+      for (std::size_t i = 0; i < 6; ++i)
+        ASSERT_EQ(pairs[i].second.x / range, xs[i]) << "range=" << range;
+      for (const auto& [a, b] : pairs) {
+        const double ref = libm_matern(nu, range, a, b);
+        const double x = std::hypot(a.x - b.x, a.y - b.y) / range;
+        EXPECT_LE(std::fabs(model(a, b) - ref), lane_bound(nu, x) * ref)
+            << "nu=" << nu << " range=" << range << " x=" << x;
+      }
     }
   }
 }
@@ -243,46 +309,66 @@ TEST(MaternCorrelation, ModelsUseTheSameArithmetic) {
   EXPECT_EQ(bits(am(a, Location{47.0, 0.0, 0.0})), bits(MaternCorrelation(2.2)(47.0)));
 }
 
-/// eval's vector-lane path against operator(), bit for bit. ctest runs this
-/// again under GSX_GEMM_ISA=avx2 and =portable (tests/CMakeLists.txt).
-TEST(MaternCorrelation, EvalMatchesScalarBitwise) {
-  // d = 0, a log grid over [1e-8, 720] (so d > 700 too), and the edges of
-  // the Temme/CF2 switch and the underflow cut.
-  constexpr std::size_t kPoints = 20000;
-  const double lo = std::log(1e-8);
-  const double hi = std::log(720.0);
-  std::vector<double> d = {0.0, 2.0, std::nextafter(2.0, 0.0), 700.0,
-                           std::nextafter(700.0, 1000.0)};
-  for (std::size_t i = 0; i < kPoints; ++i) {
-    d.push_back(std::exp(lo + (hi - lo) * static_cast<double>(i) / (kPoints - 1)));
-    if (i % 97 == 0) d.push_back(0.0);
-  }
-  std::vector<double> out(d.size());
-  for (double nu : {0.3, 0.8, 1.3, 2.2, 3.7, 0.5, 1.5, 2.5}) {
-    const MaternCorrelation corr(nu);
-    corr.eval(d, out);
+/// fill's vector lanes against operator(), bit for bit, for every Matérn
+/// order. ctest runs this again under GSX_GEMM_ISA=avx2 and =portable
+/// (tests/CMakeLists.txt), so every lane width the host supports is checked.
+TEST(MaternCovariance, FillMatchesScalarBitwise) {
+  // Rows along the x axis at scaled distances 0, a log grid over [1e-8,
+  // 720] (so past 700 too) and the edges of the Temme/fit switch and the
+  // underflow cut; then special pairs: a duplicated location (the nugget
+  // joins), locations 1e-160 and 1e-170 apart (too close to square, so
+  // std::hypot, and no nugget) and 1e200 apart (the square overflows).
+  constexpr double kRange = 0.1;
+  std::vector<Location> rows;
+  std::vector<double> xs = {0.0, 2.0, std::nextafter(2.0, 0.0), 700.0,
+                            std::nextafter(700.0, 1000.0)};
+  for (int i = 0; i < 3000; ++i) xs.push_back(1e-8 * std::pow(720.0 / 1e-8, i / 2999.0));
+  for (double x : xs) rows.push_back(Location{x * kRange, 0.0, 0.0});
+  const std::vector<Location> special = {{0.0, 0.0, 0.0},   {1e-160, 0.0, 0.0},
+                                         {0.0, 1e-170, 0.0}, {1e200, 0.0, 0.0},
+                                         {0.3, 0.7, 0.0},   {0.3, 0.7, 0.0}};
+  rows.insert(rows.end(), special.begin(), special.end());
+  const std::vector<Location> cols = {special[0], special[4], Location{0.05, 0.02, 0.0}};
+  const auto check = [&](const MaternCovariance& model, std::span<const Location> r,
+                         std::span<const Location> c) {
+    la::Matrix<double> out(r.size(), c.size());
+    model.fill(r, c, out.view());
     std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < d.size(); ++i) mismatches += bits(out[i]) != bits(corr(d[i]));
-    EXPECT_EQ(mismatches, 0u) << "nu=" << nu;
-    // Short spans: every tail of two groups of up to 8 lanes.
-    for (std::size_t len = 1; len <= 33; ++len) {
-      const std::span<const double> part(d.data() + 9000, len);
-      std::vector<double> got(len);
-      corr.eval(part, got);
-      for (std::size_t i = 0; i < len; ++i)
-        EXPECT_EQ(bits(got[i]), bits(corr(part[i]))) << "nu=" << nu << " len=" << len;
-    }
+    for (std::size_t j = 0; j < c.size(); ++j)
+      for (std::size_t i = 0; i < r.size(); ++i)
+        mismatches += bits(out(i, j)) != bits(model(r[i], c[j]));
+    return mismatches;
+  };
+  for (double nu : {0.3, 0.8, 1.3, 2.2, 3.7, 0.5, 1.5, 2.5}) {
+    const MaternCovariance model(1.3, kRange, nu, 0.01);
+    EXPECT_EQ(check(model, rows, cols), 0u) << "nu=" << nu;
+    // Every row count from 1 to 2W + 1 at the widest W = 8, so every tail of
+    // two register groups.
+    for (std::size_t len = 1; len <= 17; ++len)
+      EXPECT_EQ(check(model, std::span(rows).subspan(1500, len), cols), 0u)
+          << "nu=" << nu << " rows=" << len;
   }
-  // A negative or NaN distance anywhere in the span is an error.
-  const MaternCorrelation corr(0.8);
-  for (double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
-    std::vector<double> dd(40, 3.0);
-    dd[37] = bad;
-    std::vector<double> got(dd.size());
-    EXPECT_THROW(corr.eval(dd, got), InvalidArgument) << "d = " << bad;
+  // Distance 0 is "same location": the duplicate gets the nugget, the pairs
+  // 1e-160 and 1e-170 apart do not.
+  const MaternCovariance model(1.3, kRange, 0.8, 0.01);
+  EXPECT_EQ(model(special[4], special[5]), 1.3 + 0.01);
+  EXPECT_NEAR(model(special[0], special[1]), 1.3, 1e-12);
+  EXPECT_NEAR(model(special[0], special[2]), 1.3, 1e-12);
+  EXPECT_EQ(model(special[0], special[3]), 0.0);
+  // The closed forms too: capping x keeps 1 + x + x^2/3 finite, so no inf * 0.
+  for (double nu : {1.5, 2.5})
+    EXPECT_EQ(MaternCovariance(1.3, kRange, nu)(special[0], special[3]), 0.0) << "nu=" << nu;
+  // A NaN distance anywhere in a block is an error, for the Bessel path and
+  // a closed form.
+  for (double nu : {0.8, 0.5}) {
+    const MaternCovariance m(1.0, kRange, nu);
+    std::vector<Location> bad(40, Location{0.3, 0.3, 0.0});
+    bad[37].y = std::numeric_limits<double>::quiet_NaN();
+    la::Matrix<double> out(bad.size(), cols.size());
+    EXPECT_THROW(m.fill(bad, cols, out.view()), InvalidArgument) << "nu=" << nu;
   }
-  std::vector<double> short_out(2);
-  EXPECT_THROW(corr.eval(d, short_out), InvalidArgument);
+  la::Matrix<double> wrong(2, 2);
+  EXPECT_THROW(model.fill(rows, cols, wrong.view()), InvalidArgument);
 }
 
 TEST(MaternCorrelation, RejectsBadSmoothnessUpFront) {

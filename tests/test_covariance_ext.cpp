@@ -1,7 +1,10 @@
 // Extended covariance families: nugget estimation and anisotropy.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "geostat/assemble.hpp"
 #include "geostat/covariance_ext.hpp"
@@ -29,6 +32,29 @@ TEST(MaternNugget, ParameterPlumbing) {
   EXPECT_EQ(m.params(), theta);
   const std::vector<double> bad = {1.0, 0.2, 0.5, -0.1};
   EXPECT_THROW(m.set_params(bad), InvalidArgument);
+}
+
+/// The nugget model assembles through the same lanes as MaternCovariance:
+/// fill equals operator() bit for bit, the duplicated location included.
+/// ctest runs this again under GSX_GEMM_ISA=avx2 and =portable.
+TEST(MaternNugget, FillMatchesScalarBitwise) {
+  Rng rng(41);
+  auto locs = perturbed_grid_locations(150, rng);
+  locs[90] = locs[63];
+  for (double nu : {0.3, 0.8, 2.2, 0.5, 2.5}) {
+    const MaternNuggetCovariance m(1.7, 0.08, nu, 0.05);
+    const auto rows = std::span<const Location>(locs).subspan(0, 131);
+    const auto cols = std::span<const Location>(locs).subspan(60, 37);
+    la::Matrix<double> out(rows.size(), cols.size());
+    m.fill(rows, cols, out.view());
+    std::size_t mismatches = 0;
+    for (std::size_t j = 0; j < cols.size(); ++j)
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        mismatches += std::bit_cast<std::uint64_t>(out(i, j)) !=
+                      std::bit_cast<std::uint64_t>(m(rows[i], cols[j]));
+    EXPECT_EQ(mismatches, 0u) << "nu=" << nu;
+    EXPECT_EQ(out(90, 3), 1.7 + 0.05) << "nu=" << nu;
+  }
 }
 
 TEST(MaternNugget, SpdWithDuplicateLocations) {

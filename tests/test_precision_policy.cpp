@@ -1,10 +1,15 @@
 // Precision-aware tile decisions: band rule and adaptive Frobenius rule.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "cholesky/precision_policy.hpp"
 #include "la/lapack.hpp"
+#include "obs/health.hpp"
+#include "tile/tile_codec.hpp"
 #include "test_utils.hpp"
 
 namespace gsx::cholesky {
@@ -178,6 +183,124 @@ TEST(ApplyPolicy, StatsCountsAddUp) {
   EXPECT_EQ(stats.fp64_tiles + stats.fp32_tiles + stats.fp16_tiles,
             a.nt() * (a.nt() + 1) / 2);
   EXPECT_EQ(stats.bytes_after, a.footprint_bytes());
+}
+
+/// One policy application's outcome: every stored tile's encoded bytes,
+/// the statistics and the health ledger.
+struct Outcome {
+  std::vector<std::vector<std::uint8_t>> tiles;
+  PolicyStats stats;
+  obs::HealthSnapshot health;
+};
+
+/// Apply `p` to a fresh copy of `make()`'s matrix with health auditing on,
+/// over `workers` threads, or (workers == 0) by the serial loop the policy
+/// ran before it decided tiles in parallel: demote_tile tile by tile against
+/// the serial global norm.
+template <typename Make>
+Outcome apply(const Make& make, const PrecisionPolicy& p, std::size_t workers) {
+  obs::reset_health();
+  obs::set_health_enabled(true);
+  tile::SymTileMatrix a = make();
+  Outcome o;
+  if (workers == 0) {
+    o.stats.bytes_before = a.footprint_bytes();
+    const double norm = a.frobenius_norm();
+    obs::record_bound_context(precision_rule_name(p.rule), p.eps_target, norm, a.nt());
+    for (std::size_t j = 0; j < a.nt(); ++j)
+      for (std::size_t i = j; i < a.nt(); ++i) switch (demote_tile(a, i, j, norm, p)) {
+          case Precision::FP64: ++o.stats.fp64_tiles; break;
+          case Precision::FP32: ++o.stats.fp32_tiles; break;
+          case Precision::FP16: ++o.stats.fp16_tiles; break;
+          case Precision::BF16: ++o.stats.bf16_tiles; break;
+        }
+    o.stats.bytes_after = a.footprint_bytes();
+  } else {
+    o.stats = apply_precision_policy(a, p, workers);
+  }
+  o.health = obs::health_snapshot();
+  obs::set_health_enabled(false);
+  obs::reset_health();
+  for (std::size_t j = 0; j < a.nt(); ++j)
+    for (std::size_t i = j; i < a.nt(); ++i) {
+      o.tiles.emplace_back();
+      tile::encode_tile(a.at(i, j), o.tiles.back());
+    }
+  return o;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same(const Outcome& got, const Outcome& ref, std::size_t workers) {
+  EXPECT_TRUE(got.tiles == ref.tiles) << "workers=" << workers;
+  EXPECT_EQ(got.stats.fp64_tiles, ref.stats.fp64_tiles);
+  EXPECT_EQ(got.stats.fp32_tiles, ref.stats.fp32_tiles);
+  EXPECT_EQ(got.stats.fp16_tiles, ref.stats.fp16_tiles);
+  EXPECT_EQ(got.stats.bf16_tiles, ref.stats.bf16_tiles);
+  EXPECT_EQ(got.stats.bytes_before, ref.stats.bytes_before);
+  EXPECT_EQ(got.stats.bytes_after, ref.stats.bytes_after);
+  const obs::BoundAudit& g = got.health.bound;
+  const obs::BoundAudit& r = ref.health.bound;
+  EXPECT_EQ(g.rule, r.rule);
+  EXPECT_EQ(bits(g.global_norm), bits(r.global_norm));
+  EXPECT_EQ(g.demoted_tiles, r.demoted_tiles);
+  EXPECT_EQ(g.recorded, r.recorded);
+  EXPECT_EQ(bits(g.max_budget_ratio), bits(r.max_budget_ratio));
+  // sqrt of the ledger's running demotion_sum_sq, which depends on the order
+  // the records arrive in.
+  EXPECT_EQ(bits(g.observed_total_err), bits(r.observed_total_err)) << "workers=" << workers;
+  EXPECT_EQ(bits(g.observed_rel_err), bits(r.observed_rel_err));
+  EXPECT_EQ(g.bound_satisfied, r.bound_satisfied);
+  ASSERT_EQ(got.health.demotions.size(), ref.health.demotions.size());
+  for (std::size_t k = 0; k < ref.health.demotions.size(); ++k) {
+    const obs::DemotionRecord& a = got.health.demotions[k];
+    const obs::DemotionRecord& b = ref.health.demotions[k];
+    EXPECT_TRUE(a.i == b.i && a.j == b.j && a.chosen == b.chosen &&
+                bits(a.tile_norm) == bits(b.tile_norm) && bits(a.budget) == bits(b.budget) &&
+                bits(a.guaranteed_err) == bits(b.guaranteed_err) &&
+                bits(a.observed_err) == bits(b.observed_err))
+        << "record " << k << " workers=" << workers;
+  }
+  ASSERT_EQ(got.health.nonfinite.size(), ref.health.nonfinite.size());
+  for (std::size_t k = 0; k < ref.health.nonfinite.size(); ++k) {
+    EXPECT_EQ(got.health.nonfinite[k].i, ref.health.nonfinite[k].i);
+    EXPECT_EQ(got.health.nonfinite[k].j, ref.health.nonfinite[k].j);
+    EXPECT_EQ(got.health.nonfinite[k].count, ref.health.nonfinite[k].count);
+  }
+}
+
+TEST(ApplyPolicy, ParallelMatchesSerialDemotion) {
+  // 13 x 13 tiles with a ragged last one. The Frobenius rule sends tiles to
+  // every precision; the band rule also overflows FP16 far from the
+  // diagonal, so the ledger gets non-finite records too.
+  const auto decaying = [] { return decaying_matrix(200, 16, 0.2); };
+  const auto overflowing = [] {
+    tile::SymTileMatrix a(200, 16);
+    gsx::test::generate(a, [](std::size_t i, std::size_t j) {
+      const auto d = static_cast<double>(i >= j ? i - j : j - i);
+      return d >= 120 ? 1.0e5 : std::exp(-d / 9.0) + (i == j ? 1.0 : 0.0);
+    });
+    return a;
+  };
+  PrecisionPolicy frob;
+  frob.rule = PrecisionRule::AdaptiveFrobenius;
+  frob.eps_target = 1e-6;
+  PrecisionPolicy band;
+  band.rule = PrecisionRule::Band;
+  band.band = {2, 4};
+  const auto frob_ref = apply(decaying, frob, 0);
+  EXPECT_GT(frob_ref.stats.fp16_tiles, 0u);
+  EXPECT_GT(frob_ref.stats.fp32_tiles, 0u);
+  EXPECT_GT(frob_ref.health.demotions.size(), 0u);
+  const auto band_ref = apply(overflowing, band, 0);
+  EXPECT_GT(band_ref.health.nonfinite.size(), 0u);
+  for (std::size_t workers : {1u, 4u}) {
+    expect_same(apply(decaying, frob, workers), frob_ref, workers);
+    expect_same(apply(overflowing, band, workers), band_ref, workers);
+  }
+  // The global norm itself does not depend on the worker count.
+  const tile::SymTileMatrix a = decaying();
+  EXPECT_EQ(bits(a.frobenius_norm(4)), bits(a.frobenius_norm(1)));
 }
 
 }  // namespace
