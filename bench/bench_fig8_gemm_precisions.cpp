@@ -205,7 +205,7 @@ void BM_hgemm_batched(benchmark::State& state) {
   Rng rng(4);
   const auto b = random_mat<half>(n, rng);
   std::vector<la::Matrix<half>> as, cs;
-  std::vector<la::Gemm16BatchItem<half>> items(kBatch);
+  std::vector<la::GemmBatchItem<half>> items(kBatch);
   for (std::size_t i = 0; i < kBatch; ++i) {
     as.push_back(random_mat<half>(n, rng));
     cs.push_back(random_mat<half>(n, rng));
@@ -226,7 +226,7 @@ void BM_bgemm_batched(benchmark::State& state) {
   Rng rng(6);
   const auto b = random_mat<bfloat16>(n, rng);
   std::vector<la::Matrix<bfloat16>> as, cs;
-  std::vector<la::Gemm16BatchItem<bfloat16>> items(kBatch);
+  std::vector<la::GemmBatchItem<bfloat16>> items(kBatch);
   for (std::size_t i = 0; i < kBatch; ++i) {
     as.push_back(random_mat<bfloat16>(n, rng));
     cs.push_back(random_mat<bfloat16>(n, rng));

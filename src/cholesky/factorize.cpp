@@ -171,7 +171,7 @@ void compress_tile(SymTileMatrix& a, std::size_t i, std::size_t j, double global
   GSX_REQUIRE(t.format() == TileFormat::Dense, "compress_tile: tile already compressed");
   const std::size_t nt = a.nt();
   const double tile_norm = t.frobenius();
-  const la::Matrix<double> full = t.to_dense64();
+  const DenseOperand<double> full(t);  // zero-copy for an FP64 tile
   const bool audit = obs::health_enabled();
   if (audit) {
     // Compressing a tile with NaN/Inf silently poisons its factors; flag
@@ -186,7 +186,7 @@ void compress_tile(SymTileMatrix& a, std::size_t i, std::size_t j, double global
     }
   }
   tlr::Compressed comp =
-      tlr::compress(opts.method, full.cview(), opts.tol, tlr::TolMode::Absolute);
+      tlr::compress(opts.method, full.view(), opts.tol, tlr::TolMode::Absolute);
 
   // Structure-aware decision: rank too high for the TLR kernel to win; keep
   // the tile dense (it re-joins the band, cf. Fig. 3(a->b)). The cap is
@@ -211,7 +211,7 @@ void compress_tile(SymTileMatrix& a, std::size_t i, std::size_t j, double global
     tr.j = static_cast<std::uint32_t>(j);
     tr.rank = static_cast<std::uint32_t>(k);
     tr.tol = opts.tol;
-    tr.observed_err = tlr::lowrank_error(full.cview(), comp.u, comp.v);
+    tr.observed_err = tlr::lowrank_error(full.view(), comp.u, comp.v);
     tr.fp32 = use_fp32;
     obs::record_tlr(tr);
   }
@@ -219,9 +219,9 @@ void compress_tile(SymTileMatrix& a, std::size_t i, std::size_t j, double global
     la::Matrix<float> u32(comp.u.rows(), k), v32(comp.v.rows(), k);
     la::convert(comp.u.cview(), u32.view());
     la::convert(comp.v.cview(), v32.view());
-    t = Tile::lowrank32(std::move(u32), std::move(v32));
+    t = Tile::lowrank(std::move(u32), std::move(v32));
   } else {
-    t = Tile::lowrank64(std::move(comp.u), std::move(comp.v));
+    t = Tile::lowrank(std::move(comp.u), std::move(comp.v));
   }
 }
 

@@ -23,9 +23,9 @@ inline constexpr std::size_t kGemmBatchMax = 32;
 /// Apply A(m,n) -= A(m,k) * A(n,k)^T for every m in `ms`.
 ///
 /// Dense tiles are grouped by (output precision, rows) — cols and the inner
-/// dimension are fixed by (n, k) — and dispatched to the batched GEMM entry
-/// point of that precision. An update touching a low-rank tile runs the
-/// per-op gemm_tile with the given rounding tolerance and method.
+/// dimension are fixed by (n, k) — and each group runs as one
+/// gemm_dense_batch. An update touching a low-rank tile runs the per-op
+/// gemm_tile with the given rounding tolerance and method.
 void gemm_tile_batch(tile::SymTileMatrix& a, std::size_t k, std::size_t n,
                      const std::vector<std::size_t>& ms, double abs_tol,
                      tlr::RoundingMethod rounding);

@@ -1,5 +1,8 @@
 #include "cholesky/tile_kernels.hpp"
 
+#include <type_traits>
+#include <vector>
+
 #include "common/error.hpp"
 #include "la/blas.hpp"
 #include "la/convert.hpp"
@@ -24,63 +27,42 @@ inline void account(KernelOp op, Precision p, std::uint64_t flops,
   obs::annotate_task(p, rank, flops);
 }
 
+/// Runs `f` on `m` at scalar C: in place when m already is C, else on a
+/// converted copy that is rounded back into `m` (taking the copy's shape)
+/// afterwards.
+template <typename C, typename T, typename F>
+void at_scalar(la::Matrix<T>& m, F&& f) {
+  if constexpr (std::is_same_v<C, T>) {
+    f(m);
+  } else {
+    la::Matrix<C> work(m.rows(), m.cols());
+    la::convert(m.cview(), work.view());
+    f(work);
+    if (m.rows() != work.rows() || m.cols() != work.cols()) m.resize(work.rows(), work.cols());
+    la::convert(work.cview(), m.view());
+  }
+}
+
+/// `m` viewed at FP64: zero-copy for double, else widened into `scratch`.
+template <typename T>
+Span2D<const double> fp64_view(const la::Matrix<T>& m, la::Matrix<double>& scratch) {
+  if constexpr (std::is_same_v<T, double>) {
+    return m.cview();
+  } else {
+    scratch.resize(m.rows(), m.cols());
+    la::convert(m.cview(), scratch.view());
+    return scratch.cview();
+  }
+}
+
 }  // namespace
-
-F64Operand::F64Operand(const Tile& t) {
-  if (t.format() == TileFormat::Dense && t.precision() == Precision::FP64) {
-    view_ = t.d64().cview();
-  } else {
-    scratch_ = t.to_dense64();
-    view_ = scratch_.cview();
-  }
-}
-
-F32Operand::F32Operand(const Tile& t) {
-  if (t.format() == TileFormat::Dense && t.precision() == Precision::FP32) {
-    view_ = t.d32().cview();
-  } else {
-    scratch_.resize(t.rows(), t.cols());
-    const la::Matrix<double> full = t.to_dense64();
-    la::convert(full.cview(), scratch_.view());
-    view_ = scratch_.cview();
-  }
-}
-
-F16Operand::F16Operand(const Tile& t) {
-  if (t.format() == TileFormat::Dense && t.precision() == Precision::FP16) {
-    view_ = t.d16().cview();
-  } else {
-    scratch_.resize(t.rows(), t.cols());
-    const la::Matrix<double> full = t.to_dense64();
-    la::convert(full.cview(), scratch_.view());
-    view_ = scratch_.cview();
-  }
-}
-
-Bf16Operand::Bf16Operand(const Tile& t) {
-  if (t.format() == TileFormat::Dense && t.precision() == Precision::BF16) {
-    view_ = t.dbf16().cview();
-  } else {
-    scratch_.resize(t.rows(), t.cols());
-    const la::Matrix<double> full = t.to_dense64();
-    la::convert(full.cview(), scratch_.view());
-    view_ = scratch_.cview();
-  }
-}
 
 LrOperand::LrOperand(const Tile& t) {
   GSX_REQUIRE(t.format() == TileFormat::LowRank, "LrOperand: tile is dense");
-  if (t.precision() == Precision::FP64) {
-    const auto& lr = t.lr64();
-    view_ = tlr::LrView{lr.u.cview(), lr.v.cview()};
-  } else {
-    const auto& lr = t.lr32();
-    u_scratch_.resize(lr.u.rows(), lr.u.cols());
-    v_scratch_.resize(lr.v.rows(), lr.v.cols());
-    la::convert(lr.u.cview(), u_scratch_.view());
-    la::convert(lr.v.cview(), v_scratch_.view());
-    view_ = tlr::LrView{u_scratch_.cview(), v_scratch_.cview()};
-  }
+  tile::dispatch_lowrank(t.precision(), [&]<typename T>() {
+    const tile::LowRankStorage<T>& lr = t.factors<T>();
+    view_ = tlr::LrView{fp64_view(lr.u, u_scratch_), fp64_view(lr.v, v_scratch_)};
+  });
 }
 
 int potrf_tile(Tile& akk) {
@@ -88,7 +70,7 @@ int potrf_tile(Tile& akk) {
               "potrf_tile: diagonal tiles must be dense FP64");
   account(KernelOp::Potrf, Precision::FP64, obs::potrf_flops(akk.rows()));
   const obs::KernelTimer timer(KernelOp::Potrf, Precision::FP64);
-  return la::potrf<double>(la::Uplo::Lower, akk.d64().view());
+  return la::potrf<double>(la::Uplo::Lower, akk.matrix<double>().view());
 }
 
 void trsm_tile(const Tile& lkk, Tile& amk) {
@@ -96,61 +78,26 @@ void trsm_tile(const Tile& lkk, Tile& amk) {
     // A_mk = U V^T: only V is touched (V := L_kk^{-1} V), in FP64.
     if (obs::enabled())
       obs::annotate_task(amk.precision(), static_cast<std::int64_t>(amk.rank()), 0);
-    const F64Operand l(lkk);
-    if (amk.precision() == Precision::FP64) {
-      tlr::lr_trsm_right_lower_trans(l.view(), amk.lr64().v);
-    } else {
-      auto& lr = amk.lr32();
-      la::Matrix<double> v64(lr.v.rows(), lr.v.cols());
-      la::convert(lr.v.cview(), v64.view());
-      tlr::lr_trsm_right_lower_trans(l.view(), v64);
-      la::convert(v64.cview(), lr.v.view());
-    }
+    const DenseOperand<double> l(lkk);
+    tile::dispatch_lowrank(amk.precision(), [&]<typename T>() {
+      at_scalar<double>(amk.factors<T>().v, [&](la::Matrix<double>& v) {
+        tlr::lr_trsm_right_lower_trans(l.view(), v);
+      });
+    });
     return;
   }
   account(KernelOp::Trsm, amk.precision(), obs::trsm_flops(amk.rows(), amk.cols()));
-  switch (amk.precision()) {
-    case Precision::FP64: {
-      const F64Operand l(lkk);
-      const obs::KernelTimer timer(KernelOp::Trsm, Precision::FP64);
-      la::trsm<double>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans,
-                       la::Diag::NonUnit, 1.0, l.view(), amk.d64().view());
-      break;
-    }
-    case Precision::FP32: {
-      const F32Operand l(lkk);
-      const obs::KernelTimer timer(KernelOp::Trsm, Precision::FP32);
-      la::trsm<float>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit,
-                      1.0f, l.view(), amk.d32().view());
-      break;
-    }
-    case Precision::FP16: {
-      // 16-bit formats have no reliable triangular solve: promote to FP32
-      // compute, then round back to the tile's storage precision.
-      const F32Operand l(lkk);
-      la::Matrix<float> a32(amk.rows(), amk.cols());
-      la::convert(amk.d16().cview(), a32.view());
-      {
-        const obs::KernelTimer timer(KernelOp::Trsm, Precision::FP16);
-        la::trsm<float>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans,
-                        la::Diag::NonUnit, 1.0f, l.view(), a32.view());
-      }
-      la::convert(a32.cview(), amk.d16().view());
-      break;
-    }
-    case Precision::BF16: {
-      const F32Operand l(lkk);
-      la::Matrix<float> a32(amk.rows(), amk.cols());
-      la::convert(amk.dbf16().cview(), a32.view());
-      {
-        const obs::KernelTimer timer(KernelOp::Trsm, Precision::BF16);
-        la::trsm<float>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans,
-                        la::Diag::NonUnit, 1.0f, l.view(), a32.view());
-      }
-      la::convert(a32.cview(), amk.dbf16().view());
-      break;
-    }
-  }
+  dispatch(amk.precision(), [&]<typename T>() {
+    // 16-bit formats have no reliable triangular solve: they compute in FP32
+    // and round back to the tile's storage precision.
+    using C = la::accum_t<T>;
+    const DenseOperand<C> l(lkk);
+    at_scalar<C>(amk.matrix<T>(), [&](la::Matrix<C>& a) {
+      const obs::KernelTimer timer(KernelOp::Trsm, precision_of<T>);
+      la::trsm<C>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit,
+                  C{1}, l.view(), a.view());
+    });
+  });
 }
 
 void syrk_tile(const Tile& amk, Tile& amm) {
@@ -160,55 +107,50 @@ void syrk_tile(const Tile& amk, Tile& amm) {
     if (obs::enabled())
       obs::annotate_task(amk.precision(), static_cast<std::int64_t>(amk.rank()), 0);
     const LrOperand a(amk);
-    tlr::syrk_lr_dense(-1.0, a.view(), amm.d64().view());
+    tlr::syrk_lr_dense(-1.0, a.view(), amm.matrix<double>().view());
     return;
   }
   account(KernelOp::Syrk, Precision::FP64, obs::syrk_flops(amm.rows(), amk.cols()));
-  const F64Operand a(amk);
+  const DenseOperand<double> a(amk);
   const obs::KernelTimer timer(KernelOp::Syrk, Precision::FP64);
   la::syrk<double>(la::Uplo::Lower, la::Trans::NoTrans, -1.0, a.view(), 1.0,
-                   amm.d64().view());
+                   amm.matrix<double>().view());
+}
+
+void gemm_dense_batch(const Tile& b, std::span<const DenseUpdate> items) {
+  if (items.empty()) return;
+  const Precision p = items.front().c->precision();
+  if (obs::enabled()) {
+    // One gemm_flops ledger entry per tile update, as for the other tile
+    // kernels (the batch histogram, recorded inside the kernel, is what
+    // tracks launch granularity).
+    std::uint64_t flops = 0;
+    for (const DenseUpdate& u : items) {
+      const std::uint64_t f = obs::gemm_flops(u.c->rows(), u.c->cols(), u.a->cols());
+      obs::add_flops(KernelOp::Gemm, p, f);
+      flops += f;
+    }
+    obs::annotate_task(p, -1, flops);
+  }
+  dispatch(p, [&]<typename T>() {
+    // FP16/BF16 are SHGEMM/SBGEMM: operands trimmed to 16 bits, FP32
+    // accumulation, 16-bit store.
+    const DenseOperand<T> bop(b);
+    std::vector<DenseOperand<T>> ops;  // reserved: views stay put
+    std::vector<la::GemmBatchItem<T>> batch;
+    ops.reserve(items.size());
+    batch.reserve(items.size());
+    for (const DenseUpdate& u : items) {
+      ops.emplace_back(*u.a);
+      batch.push_back({ops.back().view(), bop.view(), u.c->matrix<T>().view()});
+    }
+    const obs::KernelTimer timer(KernelOp::Gemm, p);
+    la::storage_gemm_batch<T>(la::Trans::NoTrans, la::Trans::Trans, la::accum_t<T>(-1),
+                              batch.data(), batch.size(), la::accum_t<T>(1));
+  });
 }
 
 namespace {
-
-/// GEMM with every tile dense: kernel precision = storage of A_mn.
-void gemm_dense(const Tile& amk, const Tile& ank, Tile& amn) {
-  account(KernelOp::Gemm, amn.precision(),
-          obs::gemm_flops(amn.rows(), amn.cols(), amk.cols()));
-  switch (amn.precision()) {
-    case Precision::FP64: {
-      const F64Operand a(amk), b(ank);
-      const obs::KernelTimer timer(KernelOp::Gemm, Precision::FP64);
-      la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.view(), b.view(), 1.0,
-                       amn.d64().view());
-      break;
-    }
-    case Precision::FP32: {
-      const F32Operand a(amk), b(ank);
-      const obs::KernelTimer timer(KernelOp::Gemm, Precision::FP32);
-      la::gemm<float>(la::Trans::NoTrans, la::Trans::Trans, -1.0f, a.view(), b.view(), 1.0f,
-                      amn.d32().view());
-      break;
-    }
-    case Precision::FP16: {
-      // SHGEMM: operands trimmed to FP16, FP32 accumulation, FP16 store.
-      const F16Operand a(amk), b(ank);
-      const obs::KernelTimer timer(KernelOp::Gemm, Precision::FP16);
-      la::hgemm(la::Trans::NoTrans, la::Trans::Trans, -1.0f, a.view(), b.view(), 1.0f,
-                amn.d16().view());
-      break;
-    }
-    case Precision::BF16: {
-      // SBGEMM: operands trimmed to BF16, FP32 accumulation, BF16 store.
-      const Bf16Operand a(amk), b(ank);
-      const obs::KernelTimer timer(KernelOp::Gemm, Precision::BF16);
-      la::bgemm(la::Trans::NoTrans, la::Trans::Trans, -1.0f, a.view(), b.view(), 1.0f,
-                amn.dbf16().view());
-      break;
-    }
-  }
-}
 
 /// Assemble the low-rank product P = A_mk * A_nk^T for any dense/LR mix.
 tlr::LrProduct make_product(const Tile& amk, const Tile& ank, double abs_tol) {
@@ -220,15 +162,15 @@ tlr::LrProduct make_product(const Tile& amk, const Tile& ank, double abs_tol) {
   }
   if (a_lr) {
     const LrOperand a(amk);
-    const F64Operand b(ank);
+    const DenseOperand<double> b(ank);
     return tlr::product_lr_dense(a.view(), b.view());
   }
   if (b_lr) {
-    const F64Operand a(amk);
+    const DenseOperand<double> a(amk);
     const LrOperand b(ank);
     return tlr::product_dense_lr(a.view(), b.view());
   }
-  const F64Operand a(amk), b(ank);
+  const DenseOperand<double> a(amk), b(ank);
   return tlr::product_dense_dense(a.view(), b.view(), abs_tol);
 }
 
@@ -239,7 +181,8 @@ void gemm_tile(const Tile& amk, const Tile& ank, Tile& amn, double abs_tol,
   const bool a_lr = amk.format() == TileFormat::LowRank;
   const bool b_lr = ank.format() == TileFormat::LowRank;
   if (!a_lr && !b_lr && amn.format() == TileFormat::Dense) {
-    gemm_dense(amk, ank, amn);
+    const DenseUpdate u{&amk, &amn};
+    gemm_dense_batch(ank, {&u, 1});
     return;
   }
   if (obs::enabled()) {
@@ -251,43 +194,36 @@ void gemm_tile(const Tile& amk, const Tile& ank, Tile& amn, double abs_tol,
   if (amn.format() == TileFormat::Dense) {
     // Dense output with at least one low-rank operand: FP64 compute, then
     // round back to the output tile's storage precision.
-    const Precision out_p = amn.precision();
-    la::Matrix<double> c64 = amn.to_dense64();
-    if (a_lr && b_lr) {
-      const LrOperand a(amk), b(ank);
-      tlr::gemm_lr_lr_dense(-1.0, a.view(), b.view(), c64.view());
-    } else if (a_lr) {
-      const LrOperand a(amk);
-      const F64Operand b(ank);
-      tlr::gemm_lr_dense_dense(-1.0, a.view(), b.view(), c64.view());
-    } else {
-      const F64Operand a(amk);
-      const LrOperand b(ank);
-      tlr::gemm_dense_lr_dense(-1.0, a.view(), b.view(), c64.view());
-    }
-    amn.assign_dense64(std::move(c64));
-    amn.convert_dense(out_p);
+    dispatch(amn.precision(), [&]<typename T>() {
+      at_scalar<double>(amn.matrix<T>(), [&](la::Matrix<double>& c) {
+        if (a_lr && b_lr) {
+          const LrOperand a(amk), b(ank);
+          tlr::gemm_lr_lr_dense(-1.0, a.view(), b.view(), c.view());
+        } else if (a_lr) {
+          const LrOperand a(amk);
+          const DenseOperand<double> b(ank);
+          tlr::gemm_lr_dense_dense(-1.0, a.view(), b.view(), c.view());
+        } else {
+          const DenseOperand<double> a(amk);
+          const LrOperand b(ank);
+          tlr::gemm_dense_lr_dense(-1.0, a.view(), b.view(), c.view());
+        }
+      });
+    });
     return;
   }
 
   // Low-rank output: form the product in LR form and accumulate with
-  // QR-based rounding.
+  // QR-based rounding, at FP64.
   const tlr::LrProduct p = make_product(amk, ank, abs_tol);
-  if (amn.precision() == Precision::FP64) {
-    auto& lr = amn.lr64();
-    tlr::lr_axpy_rounded(-1.0, p, lr.u, lr.v, abs_tol, rounding);
-  } else {
-    auto& lr = amn.lr32();
-    la::Matrix<double> u64(lr.u.rows(), lr.u.cols());
-    la::Matrix<double> v64(lr.v.rows(), lr.v.cols());
-    la::convert(lr.u.cview(), u64.view());
-    la::convert(lr.v.cview(), v64.view());
-    tlr::lr_axpy_rounded(-1.0, p, u64, v64, abs_tol, rounding);
-    lr.u.resize(u64.rows(), u64.cols());
-    lr.v.resize(v64.rows(), v64.cols());
-    la::convert(u64.cview(), lr.u.view());
-    la::convert(v64.cview(), lr.v.view());
-  }
+  tile::dispatch_lowrank(amn.precision(), [&]<typename T>() {
+    tile::LowRankStorage<T>& lr = amn.factors<T>();
+    at_scalar<double>(lr.u, [&](la::Matrix<double>& u) {
+      at_scalar<double>(lr.v, [&](la::Matrix<double>& v) {
+        tlr::lr_axpy_rounded(-1.0, p, u, v, abs_tol, rounding);
+      });
+    });
+  });
   if (obs::enabled())  // re-annotate with the post-accumulation rank
     obs::annotate_task(amn.precision(), static_cast<std::int64_t>(amn.rank()), 0);
 }

@@ -4,6 +4,8 @@
 // precision ('*' operands), mirroring PaRSEC's in-flight casting.
 #pragma once
 
+#include <span>
+
 #include "common/precision.hpp"
 #include "la/matrix.hpp"
 #include "tile/tile.hpp"
@@ -11,49 +13,25 @@
 
 namespace gsx::cholesky {
 
-/// Operand view of a tile at FP64: zero-copy if the tile is stored FP64
-/// dense, otherwise a converted scratch copy (the on-demand cast).
-class F64Operand {
+/// Operand view of a tile at scalar T: zero-copy if the tile is stored
+/// dense at T, otherwise a scratch copy converted straight from the stored
+/// payload (the on-demand cast; a low-rank tile forms U V^T first).
+template <typename T>
+class DenseOperand {
  public:
-  explicit F64Operand(const tile::Tile& t);
-  [[nodiscard]] Span2D<const double> view() const noexcept { return view_; }
+  explicit DenseOperand(const tile::Tile& t) {
+    if (t.format() == tile::TileFormat::Dense && t.precision() == precision_of<T>) {
+      view_ = t.matrix<T>().cview();
+    } else {
+      scratch_ = t.to_dense<T>();
+      view_ = scratch_.cview();
+    }
+  }
+  [[nodiscard]] Span2D<const T> view() const noexcept { return view_; }
 
  private:
-  la::Matrix<double> scratch_;
-  Span2D<const double> view_;
-};
-
-/// Operand view of a tile at FP32 (converted scratch unless stored FP32).
-class F32Operand {
- public:
-  explicit F32Operand(const tile::Tile& t);
-  [[nodiscard]] Span2D<const float> view() const noexcept { return view_; }
-
- private:
-  la::Matrix<float> scratch_;
-  Span2D<const float> view_;
-};
-
-/// Operand trimmed to FP16 storage (for the SHGEMM path).
-class F16Operand {
- public:
-  explicit F16Operand(const tile::Tile& t);
-  [[nodiscard]] Span2D<const half> view() const noexcept { return view_; }
-
- private:
-  la::Matrix<half> scratch_;
-  Span2D<const half> view_;
-};
-
-/// Operand trimmed to BF16 storage (for the SBGEMM path).
-class Bf16Operand {
- public:
-  explicit Bf16Operand(const tile::Tile& t);
-  [[nodiscard]] Span2D<const bfloat16> view() const noexcept { return view_; }
-
- private:
-  la::Matrix<bfloat16> scratch_;
-  Span2D<const bfloat16> view_;
+  la::Matrix<T> scratch_;
+  Span2D<const T> view_;
 };
 
 /// Low-rank view of an LR tile promoted to FP64 compute precision.
@@ -81,11 +59,23 @@ void trsm_tile(const tile::Tile& lkk, tile::Tile& amk);
 void syrk_tile(const tile::Tile& amk, tile::Tile& amm);
 
 /// GEMM: A_mn := A_mn - A_mk A_nk^T for any dense/low-rank mix. All dense:
-/// kernel precision = storage of A_mn. A low-rank operand with a dense
-/// A_mn: FP64 compute, rounded back to A_mn's storage. Low-rank A_mn: the
-/// product is accumulated in low-rank form and re-truncated to `abs_tol`
-/// by `rounding`.
+/// kernel precision = storage of A_mn, through gemm_dense_batch with one
+/// item. A low-rank operand with a dense A_mn: FP64 compute, rounded back to
+/// A_mn's storage. Low-rank A_mn: the product is accumulated in low-rank
+/// form and re-truncated to `abs_tol` by `rounding`.
 void gemm_tile(const tile::Tile& amk, const tile::Tile& ank, tile::Tile& amn,
                double abs_tol, tlr::RoundingMethod rounding);
+
+/// One all-dense update C := C - A B^T of a batch sharing B.
+struct DenseUpdate {
+  const tile::Tile* a;
+  tile::Tile* c;
+};
+
+/// The dense trailing update: C_i := C_i - A_i B^T for every item, where all
+/// tiles are dense and every C_i has the same precision and shape. One
+/// batched kernel call at the C tiles' storage precision (operands cast on
+/// demand); bit-identical to updating the items one by one.
+void gemm_dense_batch(const tile::Tile& b, std::span<const DenseUpdate> items);
 
 }  // namespace gsx::cholesky

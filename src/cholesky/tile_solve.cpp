@@ -29,7 +29,7 @@ double tile_logdet(const SymTileMatrix& l) {
     const Tile& d = l.at(k, k);
     GSX_REQUIRE(d.format() == TileFormat::Dense && d.precision() == Precision::FP64,
                 "tile_logdet: diagonal tiles must be dense FP64");
-    const auto& m = d.d64();
+    const auto& m = d.matrix<double>();
     for (std::size_t i = 0; i < m.rows(); ++i) {
       GSX_REQUIRE(m(i, i) > 0.0, "tile_logdet: factor has non-positive diagonal");
       s += std::log(m(i, i));
@@ -51,7 +51,7 @@ void apply_offdiag(const Tile& t, const double* zk, double* zi) {
     const LrOperand a(t);
     tlr::lr_gemv(-1.0, a.view(), zk, zi);
   } else {
-    const F64Operand a(t);
+    const DenseOperand<double> a(t);
     la::gemv<double>(la::Trans::NoTrans, -1.0, a.view(), zk, 1.0, zi);
   }
 }
@@ -62,7 +62,7 @@ void apply_offdiag_trans(const Tile& t, const double* zi, double* zk) {
     const LrOperand a(t);
     tlr::lr_gemv_trans(-1.0, a.view(), zi, zk);
   } else {
-    const F64Operand a(t);
+    const DenseOperand<double> a(t);
     la::gemv<double>(la::Trans::Trans, -1.0, a.view(), zi, 1.0, zk);
   }
 }
@@ -75,7 +75,7 @@ void tile_forward_solve(const SymTileMatrix& l, std::span<double> z) {
   for (std::size_t k = 0; k < nt; ++k) {
     double* zk = z.data() + l.tile_offset(k);
     // z_k := L_kk^{-1} z_k.
-    const auto& d = l.at(k, k).d64();
+    const auto& d = l.at(k, k).matrix<double>();
     const std::size_t nk = l.tile_dim(k);
     for (std::size_t j = 0; j < nk; ++j) {
       zk[j] /= d(j, j);
@@ -96,7 +96,7 @@ void tile_backward_solve(const SymTileMatrix& l, std::span<double> z) {
     for (std::size_t i = k + 1; i < nt; ++i)
       apply_offdiag_trans(l.at(i, k), z.data() + l.tile_offset(i), zk);
     // z_k := L_kk^{-T} z_k.
-    const auto& d = l.at(k, k).d64();
+    const auto& d = l.at(k, k).matrix<double>();
     const std::size_t nk = l.tile_dim(k);
     for (std::size_t jj = nk; jj-- > 0;) {
       double s = zk[jj];
@@ -140,7 +140,7 @@ void apply_offdiag_multi(const Tile& t, Span2D<const double> bk, Span2D<double> 
     la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, lr.u, w.cview(), 1.0,
                      bi);
   } else {
-    const F64Operand a(t);
+    const DenseOperand<double> a(t);
     la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, a.view(), bk, 1.0, bi);
   }
 }
@@ -153,7 +153,7 @@ void apply_offdiag_multi(const Tile& t, Span2D<const double> bk, Span2D<double> 
 void apply_offdiag_multi_batch(const SymTileMatrix& l, std::size_t k,
                                Span2D<const double> bk, Span2D<double> cols) {
   const std::size_t nt = l.nt();
-  std::deque<F64Operand> ops;
+  std::deque<DenseOperand<double>> ops;
   std::vector<la::GemmBatchItem<double>> items;
   for (std::size_t i = k + 1; i < nt; ++i) {
     auto bi = cols.sub(l.tile_offset(i), 0, l.tile_dim(i), cols.cols());
@@ -170,27 +170,6 @@ void apply_offdiag_multi_batch(const SymTileMatrix& l, std::size_t k,
   la::gemm_batch<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, items.data(),
                          items.size(), 1.0);
 }
-
-/// B_k -= A_ik^T * B_i.
-void apply_offdiag_trans_multi(const Tile& t, Span2D<const double> bi, Span2D<double> bk) {
-  if (t.format() == TileFormat::LowRank) {
-    const LrOperand a(t);
-    const tlr::LrView& lr = a.view();
-    const std::size_t k = lr.rank();
-    if (k == 0) return;
-    la::Matrix<double> w(k, bi.cols());
-    la::gemm<double>(la::Trans::Trans, la::Trans::NoTrans, 1.0, lr.u, bi, 0.0, w.view());
-    la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, lr.v, w.cview(), 1.0,
-                     bk);
-  } else {
-    const F64Operand a(t);
-    la::gemm<double>(la::Trans::Trans, la::Trans::NoTrans, -1.0, a.view(), bi, 1.0, bk);
-  }
-}
-
-}  // namespace
-
-namespace {
 
 /// Partition the m RHS columns into per-worker blocks and run `solve` on
 /// each concurrently. Columns of a triangular solve never interact, so the
@@ -220,29 +199,11 @@ void tile_forward_solve_multi(const SymTileMatrix& l, Span2D<double> b,
   solve_columns_parallel(b, workers, [&](Span2D<double> cols) {
     const std::size_t nt = l.nt();
     for (std::size_t k = 0; k < nt; ++k) {
-      const F64Operand lkk(l.at(k, k));
+      const DenseOperand<double> lkk(l.at(k, k));
       auto bk = cols.sub(l.tile_offset(k), 0, l.tile_dim(k), cols.cols());
       la::trsm<double>(la::Side::Left, la::Uplo::Lower, la::Trans::NoTrans,
                        la::Diag::NonUnit, 1.0, lkk.view(), bk);
       apply_offdiag_multi_batch(l, k, bk, cols);
-    }
-  });
-}
-
-void tile_backward_solve_multi(const SymTileMatrix& l, Span2D<double> b,
-                               std::size_t workers) {
-  GSX_REQUIRE(b.rows() == l.n(), "tile_backward_solve_multi: RHS rows mismatch");
-  solve_columns_parallel(b, workers, [&](Span2D<double> cols) {
-    const std::size_t nt = l.nt();
-    for (std::size_t k = nt; k-- > 0;) {
-      auto bk = cols.sub(l.tile_offset(k), 0, l.tile_dim(k), cols.cols());
-      for (std::size_t i = k + 1; i < nt; ++i) {
-        auto bi = cols.sub(l.tile_offset(i), 0, l.tile_dim(i), cols.cols());
-        apply_offdiag_trans_multi(l.at(i, k), bi, bk);
-      }
-      const F64Operand lkk(l.at(k, k));
-      la::trsm<double>(la::Side::Left, la::Uplo::Lower, la::Trans::Trans,
-                       la::Diag::NonUnit, 1.0, lkk.view(), bk);
     }
   });
 }

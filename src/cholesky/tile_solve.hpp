@@ -39,15 +39,13 @@ void tile_backward_solve(const tile::SymTileMatrix& l, std::span<double> z);
 /// Full log-likelihood from a factored tile matrix and observations.
 geostat::LoglikValue tile_loglik(const tile::SymTileMatrix& l, std::span<const double> z);
 
-/// Multi-right-hand-side solves (the prediction phase, Eq. 4-5, applies the
-/// factor to Sigma_nm's columns): B := L^{-1} B and B := L^{-T} B for a
-/// dense n x m block B. With `workers` > 1 the independent column blocks of
-/// B are solved concurrently on the runtime worker pool (bitwise identical
-/// to the sequential pass: columns never interact).
+/// Multi-right-hand-side forward solve (the prediction phase, Eq. 4-5,
+/// applies the factor to Sigma_nm's columns): B := L^{-1} B for a dense
+/// n x m block B. With `workers` > 1 the independent column blocks of B are
+/// solved concurrently on the runtime worker pool (bitwise identical to the
+/// sequential pass: columns never interact).
 void tile_forward_solve_multi(const tile::SymTileMatrix& l, Span2D<double> b,
                               std::size_t workers = 1);
-void tile_backward_solve_multi(const tile::SymTileMatrix& l, Span2D<double> b,
-                               std::size_t workers = 1);
 
 /// Kriging directly through the tile factor: never materializes a dense L,
 /// so the prediction phase keeps the TLR memory footprint (the paper's

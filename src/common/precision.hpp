@@ -1,8 +1,23 @@
 // Floating-point precision tags and traits used throughout the tile framework.
+//
+// A Precision names a storage format; each has one storage scalar:
+//
+//   Precision::FP64 <-> double     Precision::FP16 <-> gsx::half
+//   Precision::FP32 <-> float      Precision::BF16 <-> gsx::bfloat16
+//
+// scalar_t<P> and precision_of<T> spell that mapping at compile time, and
+// dispatch(p, f) crosses it at run time: it runs f's one generic body at
+// the scalar of a runtime Precision. Tile routines are written once over
+// the scalar and reached through dispatch, so the mapping lives here only.
 #pragma once
 
 #include <cstddef>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+
+#include "common/bfloat16.hpp"
+#include "common/half.hpp"
 
 namespace gsx {
 
@@ -18,6 +33,42 @@ enum class Precision : unsigned char {
 
 /// Number of distinct precisions (for array-indexed lookup tables).
 inline constexpr std::size_t kNumPrecisions = 4;
+
+/// The storage scalars in Precision order: element p stores Precision(p).
+using StorageScalars = std::tuple<double, float, half, bfloat16>;
+
+/// Storage scalar of precision P.
+template <Precision P>
+using scalar_t = std::tuple_element_t<static_cast<std::size_t>(P), StorageScalars>;
+
+namespace detail {
+template <typename T, std::size_t I = 0>
+constexpr Precision precision_index() {
+  static_assert(I < kNumPrecisions, "not a storage scalar");
+  if constexpr (std::is_same_v<T, std::tuple_element_t<I, StorageScalars>>)
+    return static_cast<Precision>(I);
+  else
+    return precision_index<T, I + 1>();
+}
+}  // namespace detail
+
+/// Precision stored by scalar T (double, float, half or bfloat16).
+template <typename T>
+inline constexpr Precision precision_of = detail::precision_index<T>();
+
+/// Run `f.template operator()<T>()` with T = scalar_t<p>, e.g.
+/// `dispatch(p, [&]<typename T>() { ... })`: the generic body is
+/// instantiated for every storage scalar and the call runs p's instance.
+template <typename F>
+decltype(auto) dispatch(Precision p, F&& f) {
+  switch (p) {
+    case Precision::FP64: break;
+    case Precision::FP32: return f.template operator()<scalar_t<Precision::FP32>>();
+    case Precision::FP16: return f.template operator()<scalar_t<Precision::FP16>>();
+    case Precision::BF16: return f.template operator()<scalar_t<Precision::BF16>>();
+  }
+  return f.template operator()<scalar_t<Precision::FP64>>();
+}
 
 /// Unit roundoff u (round-to-nearest) for each format.
 [[nodiscard]] constexpr double unit_roundoff(Precision p) noexcept {

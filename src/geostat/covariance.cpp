@@ -45,11 +45,15 @@ GSX_LANE_INLINE LaneD<W> closed_form_lanes(double nu, LaneD<W> x) {
 
 /// M_nu from k = exp(x) K_nu(x), 0 < x <= 700 off the closed forms. The e^{-x}
 /// joins the exponent of the prefactor, so the product does not underflow
-/// early; the min guards a tiny overshoot near x -> 0.
+/// early; the min guards a tiny overshoot near x -> 0. The min also maps NaN
+/// to 1: with NaN distances rejected up front, the product is NaN only where
+/// k overflows (x -> 0 with nu >= 1, e.g. nu = 2.2 at x <= 1e-159) while the
+/// prefactor underflows to 0, and there M_nu is 1, since 1 - M_nu ~
+/// x^2 / (4 (nu - 1)) is far below 2^-53.
 template <int W>
 GSX_LANE_INLINE LaneD<W> from_k_lanes(double nu, double log_norm, LaneD<W> x, LaneD<W> k) {
   const LaneD<W> v = mathx::lane_exp<W>((log_norm + nu * mathx::lane_log<W>(x)) - x) * k;
-  return 1.0 < v ? 1.0 : v;  // std::min(v, 1.0)
+  return v < 1.0 ? v : 1.0;  // std::min(v, 1.0), and 1 for NaN
 }
 
 /// What MaternCorrelation::fill needs of the correlation and the model.

@@ -560,7 +560,7 @@ void gemm_batch(Trans ta, Trans tb, T alpha, const GemmBatchItem<T>* items,
   }
   for (std::size_t i = 0; i < count; ++i) detail::scale_matrix(beta, items[i].c);
   if (alpha == T{0} || m == 0 || n == 0 || k == 0) return;
-  obs::record_batch(obs::KernelOp::Gemm, obs::PrecisionOf<T>::value, count);
+  obs::record_batch(obs::KernelOp::Gemm, precision_of<T>, count);
   detail::gemm_accum_fast_batch<T>(ta, tb, alpha, items, count);
 }
 

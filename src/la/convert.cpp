@@ -21,7 +21,7 @@ template <typename S, typename D>
 void convert_impl(Span2D<const S> src, Span2D<D> dst) {
   GSX_REQUIRE(src.rows() == dst.rows() && src.cols() == dst.cols(),
               "convert: shape mismatch");
-  obs::add_conversion(obs::PrecisionOf<S>::value, obs::PrecisionOf<D>::value,
+  obs::add_conversion(precision_of<S>, precision_of<D>,
                       src.rows() * src.cols());
   for (std::size_t j = 0; j < src.cols(); ++j) {
     const S* s = &src(0, j);
@@ -56,6 +56,8 @@ void convert(Span2D<const float> src, Span2D<bfloat16> dst) { convert_impl(src, 
 void convert(Span2D<const bfloat16> src, Span2D<double> dst) { convert_impl(src, dst); }
 void convert(Span2D<const bfloat16> src, Span2D<float> dst) { convert_impl(src, dst); }
 void convert(Span2D<const bfloat16> src, Span2D<bfloat16> dst) { convert_impl(src, dst); }
+void convert(Span2D<const half> src, Span2D<bfloat16> dst) { convert_impl(src, dst); }
+void convert(Span2D<const bfloat16> src, Span2D<half> dst) { convert_impl(src, dst); }
 
 namespace detail {
 

@@ -59,7 +59,7 @@ void shgemm_batch_impl(Trans ta, Trans tb, float alpha,
   check_batch_shapes(ta, tb, items, count, m, n, k);
   for (std::size_t i = 0; i < count; ++i) detail::scale_matrix(beta, items[i].c);
   if (alpha == 0.0f || m == 0 || n == 0 || k == 0) return;
-  obs::record_batch(obs::KernelOp::Gemm, obs::PrecisionOf<T16>::value, count);
+  obs::record_batch(obs::KernelOp::Gemm, precision_of<T16>, count);
   detail::gemm_batch_packed(ta, tb, alpha, items, count);
 }
 
@@ -68,7 +68,7 @@ void shgemm_batch_impl(Trans ta, Trans tb, float alpha,
 /// one batched packed sweep between them.
 template <typename T16>
 void gemm16_batch_impl(Trans ta, Trans tb, float alpha,
-                       const Gemm16BatchItem<T16>* items, std::size_t count,
+                       const GemmBatchItem<T16>* items, std::size_t count,
                        float beta) {
   if (count == 0) return;
   const std::size_t m = items[0].c.rows();
@@ -77,7 +77,7 @@ void gemm16_batch_impl(Trans ta, Trans tb, float alpha,
   check_batch_shapes(ta, tb, items, count, m, n, k);
   if (m == 0 || n == 0) return;
 
-  constexpr Precision p16 = obs::PrecisionOf<T16>::value;
+  constexpr Precision p16 = precision_of<T16>;
   obs::record_batch(obs::KernelOp::Gemm, p16, count);
   obs::add_conversion(p16, Precision::FP32, m * n * count);
 
@@ -130,13 +130,13 @@ void shgemm_batch(Trans ta, Trans tb, float alpha,
   shgemm_batch_impl(ta, tb, alpha, items, count, beta);
 }
 
-void hgemm_batch(Trans ta, Trans tb, float alpha, const Gemm16BatchItem<half>* items,
+void hgemm_batch(Trans ta, Trans tb, float alpha, const GemmBatchItem<half>* items,
                  std::size_t count, float beta) {
   gemm16_batch_impl(ta, tb, alpha, items, count, beta);
 }
 
 void bgemm_batch(Trans ta, Trans tb, float alpha,
-                 const Gemm16BatchItem<bfloat16>* items, std::size_t count, float beta) {
+                 const GemmBatchItem<bfloat16>* items, std::size_t count, float beta) {
   gemm16_batch_impl(ta, tb, alpha, items, count, beta);
 }
 

@@ -5,6 +5,8 @@
 // widened to FP32 on the fly, with all arithmetic and accumulation in FP32.
 #pragma once
 
+#include <type_traits>
+
 #include "common/bfloat16.hpp"
 #include "common/half.hpp"
 #include "common/span2d.hpp"
@@ -43,24 +45,51 @@ void shgemm_batch(Trans ta, Trans tb, float alpha,
                   const GemmBatchItem<half, float>* items, std::size_t count,
                   float beta);
 
-/// One op of a 16-bit-store GEMM batch: C is stored in the 16-bit type and
-/// round-trips through one shared FP32 scratch inside the batch call.
-template <typename T16>
-struct Gemm16BatchItem {
-  Span2D<const T16> a;
-  Span2D<const T16> b;
-  Span2D<T16> c;
-};
-
-/// Batched HGEMM: FP32 accumulation, FP16 store. Unlike looped hgemm, the
-/// C widen/narrow passes run vectorized (F16C where available) over one
-/// scratch allocation for the whole batch — this conversion glue is most of
-/// a small per-op hgemm's runtime.
-void hgemm_batch(Trans ta, Trans tb, float alpha, const Gemm16BatchItem<half>* items,
+/// Batched HGEMM: FP32 accumulation, FP16 store. C is stored in FP16 and
+/// round-trips through one shared FP32 scratch inside the call. Unlike
+/// looped hgemm, the C widen/narrow passes run vectorized (F16C where
+/// available) over one scratch allocation for the whole batch — this
+/// conversion glue is most of a small per-op hgemm's runtime.
+void hgemm_batch(Trans ta, Trans tb, float alpha, const GemmBatchItem<half>* items,
                  std::size_t count, float beta);
 
 /// Batched BGEMM: FP32 accumulation, BF16 store.
-void bgemm_batch(Trans ta, Trans tb, float alpha,
-                 const Gemm16BatchItem<bfloat16>* items, std::size_t count, float beta);
+void bgemm_batch(Trans ta, Trans tb, float alpha, const GemmBatchItem<bfloat16>* items,
+                 std::size_t count, float beta);
+
+// ---------------------------------------------------------------------------
+// The GEMM of each storage scalar, for code written once over the scalar
+// (common/precision.hpp's dispatch): la::gemm / la::gemm_batch for FP64 and
+// FP32, hgemm / bgemm and their batches for FP16 and BF16.
+
+/// Scalar a kernel on storage scalar T computes in: T for FP64 and FP32,
+/// FP32 for the 16-bit formats.
+template <typename T>
+using accum_t = std::conditional_t<std::is_same_v<T, double>, double, float>;
+
+/// C = alpha * op(A) * op(B) + beta * C with every operand stored at T.
+template <typename T>
+void storage_gemm(Trans ta, Trans tb, accum_t<T> alpha, Span2D<const T> a,
+                  Span2D<const T> b, accum_t<T> beta, Span2D<T> c) {
+  if constexpr (std::is_same_v<T, half>)
+    hgemm(ta, tb, alpha, a, b, beta, c);
+  else if constexpr (std::is_same_v<T, bfloat16>)
+    bgemm(ta, tb, alpha, a, b, beta, c);
+  else
+    gemm<T>(ta, tb, alpha, a, b, beta, c);
+}
+
+/// storage_gemm over a batch of same-shape items (bit-identical to looping
+/// it for all non-NaN data).
+template <typename T>
+void storage_gemm_batch(Trans ta, Trans tb, accum_t<T> alpha, const GemmBatchItem<T>* items,
+                        std::size_t count, accum_t<T> beta) {
+  if constexpr (std::is_same_v<T, half>)
+    hgemm_batch(ta, tb, alpha, items, count, beta);
+  else if constexpr (std::is_same_v<T, bfloat16>)
+    bgemm_batch(ta, tb, alpha, items, count, beta);
+  else
+    gemm_batch<T>(ta, tb, alpha, items, count, beta);
+}
 
 }  // namespace gsx::la

@@ -346,5 +346,7 @@ double norm_frobenius(Span2D<const T> a) {
 
 template double norm_frobenius<double>(Span2D<const double>);
 template double norm_frobenius<float>(Span2D<const float>);
+template double norm_frobenius<half>(Span2D<const half>);
+template double norm_frobenius<bfloat16>(Span2D<const bfloat16>);
 
 }  // namespace gsx::la

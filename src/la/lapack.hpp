@@ -59,11 +59,13 @@ extern template void svd_jacobi<double>(const Matrix<double>&, Matrix<double>&,
 extern template void svd_jacobi<float>(const Matrix<float>&, Matrix<float>&,
                                        std::vector<float>&, Matrix<float>&);
 
-/// Frobenius norm of a general view.
+/// Frobenius norm of a general view, summed in FP64 at any storage scalar.
 template <typename T>
 double norm_frobenius(Span2D<const T> a);
 
 extern template double norm_frobenius<double>(Span2D<const double>);
 extern template double norm_frobenius<float>(Span2D<const float>);
+extern template double norm_frobenius<half>(Span2D<const half>);
+extern template double norm_frobenius<bfloat16>(Span2D<const bfloat16>);
 
 }  // namespace gsx::la

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace gsx::obs {
@@ -49,16 +50,6 @@ struct Edge {
   std::uint64_t pred;
   std::uint64_t succ;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out;
-}
 
 /// Sorted, disjoint busy intervals; `contains` is a binary search.
 struct IntervalSet {

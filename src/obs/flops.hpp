@@ -14,8 +14,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "common/bfloat16.hpp"
-#include "common/half.hpp"
 #include "common/precision.hpp"
 #include "obs/hwcounters.hpp"
 #include "obs/metrics.hpp"
@@ -57,22 +55,6 @@ inline constexpr std::size_t kNumKernelOps = static_cast<std::size_t>(KernelOp::
   }
   return "?";
 }
-
-/// Map a storage scalar type to its Precision tag (for convert accounting).
-template <typename T>
-struct PrecisionOf;
-template <> struct PrecisionOf<double> {
-  static constexpr Precision value = Precision::FP64;
-};
-template <> struct PrecisionOf<float> {
-  static constexpr Precision value = Precision::FP32;
-};
-template <> struct PrecisionOf<half> {
-  static constexpr Precision value = Precision::FP16;
-};
-template <> struct PrecisionOf<bfloat16> {
-  static constexpr Precision value = Precision::BF16;
-};
 
 /// Plain-value copy of the ledger (subtractable for per-iteration deltas).
 struct FlopSnapshot {

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 
 namespace gsx::obs {
 
@@ -43,20 +44,6 @@ struct Store {
 Store& store() {
   static Store s;
   return s;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 /// JSON numbers cannot be inf/nan; quote them so the document stays valid.

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace gsx::obs {
@@ -38,28 +39,6 @@ void refresh_gate_locked() {
   for (const auto& [_, lvl] : g_module_levels)
     if (lvl < gate) gate = lvl;
   g_gate.store(static_cast<unsigned char>(gate), std::memory_order_relaxed);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string render_double(double v) {

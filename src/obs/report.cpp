@@ -10,6 +10,7 @@
 #include "obs/flops.hpp"
 #include "obs/health.hpp"
 #include "obs/hwcounters.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -89,20 +90,6 @@ void write_rank_counts(std::ostream& os,
     os << "\"" << rank << "\": " << n;
   }
   os << "}";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace

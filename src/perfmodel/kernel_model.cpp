@@ -4,11 +4,9 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/half.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "la/blas.hpp"
-#include "la/convert.hpp"
 #include "la/half_blas.hpp"
 #include "la/matrix.hpp"
 #include "tlr/lr_kernels.hpp"
@@ -48,55 +46,20 @@ KernelModel KernelModel::theoretical(std::size_t ts, double fp64_rate_gflops) {
 
 namespace {
 
-double time_dense_gemm64(std::size_t ts, Rng& rng) {
-  la::Matrix<double> a(ts, ts), b(ts, ts), c(ts, ts);
+/// Seconds of one ts x ts GEMM C -= A B^T at storage scalar T (FP32
+/// accumulation for the 16-bit formats), on inputs drawn A(i,j), B(i,j)
+/// alternately in column-major order.
+template <typename T>
+double time_dense_gemm(std::size_t ts, Rng& rng) {
+  la::Matrix<T> a(ts, ts), b(ts, ts), c(ts, ts);
   for (std::size_t j = 0; j < ts; ++j)
     for (std::size_t i = 0; i < ts; ++i) {
-      a(i, j) = rng.normal();
-      b(i, j) = rng.normal();
+      a(i, j) = static_cast<T>(rng.normal());
+      b(i, j) = static_cast<T>(rng.normal());
     }
   Timer t;
-  la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.cview(), b.cview(), 1.0,
-                   c.view());
-  return t.seconds();
-}
-
-double time_dense_gemm32(std::size_t ts, Rng& rng) {
-  la::Matrix<float> a(ts, ts), b(ts, ts), c(ts, ts);
-  for (std::size_t j = 0; j < ts; ++j)
-    for (std::size_t i = 0; i < ts; ++i) {
-      a(i, j) = static_cast<float>(rng.normal());
-      b(i, j) = static_cast<float>(rng.normal());
-    }
-  Timer t;
-  la::gemm<float>(la::Trans::NoTrans, la::Trans::Trans, -1.0f, a.cview(), b.cview(), 1.0f,
-                  c.view());
-  return t.seconds();
-}
-
-double time_dense_gemm16(std::size_t ts, Rng& rng) {
-  la::Matrix<half> a(ts, ts), b(ts, ts), c(ts, ts);
-  for (std::size_t j = 0; j < ts; ++j)
-    for (std::size_t i = 0; i < ts; ++i) {
-      a(i, j) = half(rng.normal());
-      b(i, j) = half(rng.normal());
-    }
-  Timer t;
-  la::hgemm(la::Trans::NoTrans, la::Trans::Trans, -1.0f, a.cview(), b.cview(), 1.0f,
-            c.view());
-  return t.seconds();
-}
-
-double time_dense_gemm_bf16(std::size_t ts, Rng& rng) {
-  la::Matrix<bfloat16> a(ts, ts), b(ts, ts), c(ts, ts);
-  for (std::size_t j = 0; j < ts; ++j)
-    for (std::size_t i = 0; i < ts; ++i) {
-      a(i, j) = bfloat16(rng.normal());
-      b(i, j) = bfloat16(rng.normal());
-    }
-  Timer t;
-  la::bgemm(la::Trans::NoTrans, la::Trans::Trans, -1.0f, a.cview(), b.cview(), 1.0f,
-            c.view());
+  la::storage_gemm<T>(la::Trans::NoTrans, la::Trans::Trans, la::accum_t<T>(-1), a.cview(),
+                      b.cview(), la::accum_t<T>(1), c.view());
   return t.seconds();
 }
 
@@ -133,18 +96,12 @@ KernelModel KernelModel::calibrate(std::size_t ts, std::span<const std::size_t> 
   auto median3 = [](double a, double b, double c) {
     return std::max(std::min(a, b), std::min(std::max(a, b), c));
   };
-  m.dense_seconds_[static_cast<int>(Precision::FP64)] =
-      median3(time_dense_gemm64(ts, rng), time_dense_gemm64(ts, rng),
-              time_dense_gemm64(ts, rng));
-  m.dense_seconds_[static_cast<int>(Precision::FP32)] =
-      median3(time_dense_gemm32(ts, rng), time_dense_gemm32(ts, rng),
-              time_dense_gemm32(ts, rng));
-  m.dense_seconds_[static_cast<int>(Precision::FP16)] =
-      median3(time_dense_gemm16(ts, rng), time_dense_gemm16(ts, rng),
-              time_dense_gemm16(ts, rng));
-  m.dense_seconds_[static_cast<int>(Precision::BF16)] =
-      median3(time_dense_gemm_bf16(ts, rng), time_dense_gemm_bf16(ts, rng),
-              time_dense_gemm_bf16(ts, rng));
+  for (const Precision p :
+       {Precision::FP64, Precision::FP32, Precision::FP16, Precision::BF16})
+    m.dense_seconds_[static_cast<int>(p)] = dispatch(p, [&]<typename T>() {
+      return median3(time_dense_gemm<T>(ts, rng), time_dense_gemm<T>(ts, rng),
+                     time_dense_gemm<T>(ts, rng));
+    });
   for (std::size_t k : ranks) {
     GSX_REQUIRE(k >= 1 && k <= ts, "KernelModel::calibrate: rank out of range");
     const double s =

@@ -148,7 +148,7 @@ void write_file(const std::string& path, const std::vector<Section>& sections) {
     put<std::uint32_t>(out, s.tag);
     put<std::uint32_t>(out, 0);
     put<std::uint64_t>(out, s.payload.size());
-    put<std::uint32_t>(out, crc32(s.payload.data(), s.payload.size()));
+    put<std::uint32_t>(out, tile::crc32(s.payload.data(), s.payload.size()));
     out.insert(out.end(), s.payload.begin(), s.payload.end());
   }
 
@@ -204,7 +204,7 @@ std::vector<Section> parse_sections(const Bytes& data, const std::string& path,
                      in.begin() + static_cast<std::ptrdiff_t>(off + bytes));
     off += bytes;
     if (verify_crc) {
-      const std::uint32_t actual = crc32(s.payload.data(), s.payload.size());
+      const std::uint32_t actual = tile::crc32(s.payload.data(), s.payload.size());
       GSX_REQUIRE(actual == crc,
                   "checkpoint: " + path + " CRC mismatch (stored " +
                       std::to_string(crc) + ", computed " + std::to_string(actual) +
@@ -228,12 +228,6 @@ bool has_section(const std::vector<Section>& sections, std::uint32_t tag) {
 }
 
 }  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
-  // One CRC32 for the whole system: checkpoints, the dist tile wire and
-  // out-of-core spill files all share the tile codec's implementation.
-  return tile::crc32(data, n);
-}
 
 void save_model_checkpoint(const std::string& path, const ModelCheckpoint& ckpt) {
   GSX_REQUIRE(ckpt.train_locs.size() == ckpt.z_train.size() &&

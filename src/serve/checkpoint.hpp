@@ -81,7 +81,4 @@ CheckpointKind probe_checkpoint(const std::string& path);
 std::string resolve_store_checkpoint(const std::string& store_dir,
                                      const std::string& model);
 
-/// CRC32 (IEEE 802.3 reflected polynomial) — exposed for tests and tools.
-std::uint32_t crc32(const std::uint8_t* data, std::size_t n);
-
 }  // namespace gsx::serve

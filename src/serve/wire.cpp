@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 
 namespace gsx::serve {
 
@@ -209,25 +210,7 @@ class Parser {
 
 void dump_string(const std::string& s, std::string& out) {
   out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c) & 0xFF);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  obs::append_json_escaped(out, s);
   out.push_back('"');
 }
 

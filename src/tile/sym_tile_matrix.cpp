@@ -45,7 +45,7 @@ void SymTileMatrix::generate(const BlockFn& fill, std::size_t num_workers) {
 void SymTileMatrix::generate_tile(std::size_t i, std::size_t j, const BlockFn& fill) {
   la::Matrix<double> block(tile_dim(i), tile_dim(j));
   fill(tile_offset(i), tile_offset(j), block.view());
-  at(i, j) = Tile::dense64(std::move(block));
+  at(i, j) = Tile::dense(std::move(block));
 }
 
 double SymTileMatrix::frobenius_norm(std::size_t num_workers) const {

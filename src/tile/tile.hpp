@@ -1,19 +1,21 @@
-// A tile: one block of the covariance matrix, stored dense in one of three
-// precisions or compressed low-rank (U V^T) in FP64 or FP32.
+// A tile: one block of the covariance matrix, stored dense in one of four
+// precisions (FP64, FP32, FP16, BF16) or compressed low-rank (U V^T) in FP64
+// or FP32.
 //
 // The per-tile (format, precision) pair is exactly the runtime decision the
 // paper embeds in PaRSEC: structure-aware (dense vs TLR, Algorithm 2) and
-// precision-aware (Frobenius rule, Section VI.C).
+// precision-aware (Frobenius rule, Section VI.C). Routines over a tile are
+// written once over the storage scalar T (common/precision.hpp) and entered
+// through dispatch(precision(), ...) or, for low-rank payloads,
+// dispatch_lowrank.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
+#include <type_traits>
+#include <utility>
 #include <variant>
-#include <vector>
 
-#include "common/bfloat16.hpp"
-#include "common/half.hpp"
+#include "common/error.hpp"
 #include "common/precision.hpp"
 #include "la/matrix.hpp"
 
@@ -30,20 +32,48 @@ struct LowRankStorage {
   [[nodiscard]] std::size_t rank() const noexcept { return u.cols(); }
 };
 
+/// dispatch() for low-rank payloads, which store FP64 or FP32 only (the
+/// paper never stores LR in FP16): runs `f.template operator()<T>()` with
+/// T = double or float; throws for a 16-bit precision.
+template <typename F>
+decltype(auto) dispatch_lowrank(Precision p, F&& f) {
+  GSX_REQUIRE(p == Precision::FP64 || p == Precision::FP32,
+              "low-rank tiles are FP64/FP32 only");
+  if (p == Precision::FP32) return f.template operator()<float>();
+  return f.template operator()<double>();
+}
+
 /// Tagged storage for one tile.
 class Tile {
  public:
   Tile() = default;
 
-  /// Dense tiles.
-  static Tile dense64(la::Matrix<double> m);
-  static Tile dense32(la::Matrix<float> m);
-  static Tile dense16(la::Matrix<half> m);
-  static Tile dense_bf16(la::Matrix<bfloat16> m);
+  /// A dense tile stored at T's precision.
+  template <typename T>
+  static Tile dense(la::Matrix<T> m) {
+    Tile t;
+    t.format_ = TileFormat::Dense;
+    t.precision_ = precision_of<T>;
+    t.rows_ = m.rows();
+    t.cols_ = m.cols();
+    t.payload_ = std::move(m);
+    return t;
+  }
 
-  /// Low-rank tiles (FP64/FP32 only; the paper never stores LR in FP16).
-  static Tile lowrank64(la::Matrix<double> u, la::Matrix<double> v);
-  static Tile lowrank32(la::Matrix<float> u, la::Matrix<float> v);
+  /// A low-rank tile U V^T stored at T's precision (FP64 or FP32).
+  template <typename T>
+  static Tile lowrank(la::Matrix<T> u, la::Matrix<T> v) {
+    static_assert(std::is_same_v<T, double> || std::is_same_v<T, float>,
+                  "low-rank tiles are FP64/FP32 only");
+    GSX_REQUIRE(u.cols() == v.cols(), "Tile::lowrank: U and V rank mismatch");
+    Tile t;
+    t.format_ = TileFormat::LowRank;
+    t.precision_ = precision_of<T>;
+    t.rows_ = u.rows();
+    t.cols_ = v.rows();
+    t.payload_ = LowRankStorage<T>{std::move(u), std::move(v)};
+    return t;
+  }
 
   [[nodiscard]] TileFormat format() const noexcept { return format_; }
   [[nodiscard]] Precision precision() const noexcept { return precision_; }
@@ -59,26 +89,43 @@ class Tile {
   /// Frobenius norm of the represented block.
   [[nodiscard]] double frobenius() const;
 
-  /// Typed access; throws unless format/precision match.
-  [[nodiscard]] la::Matrix<double>& d64();
-  [[nodiscard]] const la::Matrix<double>& d64() const;
-  [[nodiscard]] la::Matrix<float>& d32();
-  [[nodiscard]] const la::Matrix<float>& d32() const;
-  [[nodiscard]] la::Matrix<half>& d16();
-  [[nodiscard]] const la::Matrix<half>& d16() const;
-  [[nodiscard]] la::Matrix<bfloat16>& dbf16();
-  [[nodiscard]] const la::Matrix<bfloat16>& dbf16() const;
-  [[nodiscard]] LowRankStorage<double>& lr64();
-  [[nodiscard]] const LowRankStorage<double>& lr64() const;
-  [[nodiscard]] LowRankStorage<float>& lr32();
-  [[nodiscard]] const LowRankStorage<float>& lr32() const;
+  /// The dense payload; throws unless the tile is dense at T.
+  template <typename T>
+  [[nodiscard]] la::Matrix<T>& matrix() {
+    return const_cast<la::Matrix<T>&>(std::as_const(*this).matrix<T>());
+  }
+  template <typename T>
+  [[nodiscard]] const la::Matrix<T>& matrix() const {
+    GSX_REQUIRE(format_ == TileFormat::Dense && precision_ == precision_of<T>,
+                "tile: not dense " + std::string(precision_name(precision_of<T>)));
+    return std::get<la::Matrix<T>>(payload_);
+  }
 
-  /// Convert a dense tile's storage precision in place (rounds on demotion).
-  /// No-op if already at `p`. Throws for low-rank tiles.
+  /// The low-rank factors; throws unless the tile is low-rank at T.
+  template <typename T>
+  [[nodiscard]] LowRankStorage<T>& factors() {
+    return const_cast<LowRankStorage<T>&>(std::as_const(*this).factors<T>());
+  }
+  template <typename T>
+  [[nodiscard]] const LowRankStorage<T>& factors() const {
+    GSX_REQUIRE(format_ == TileFormat::LowRank && precision_ == precision_of<T>,
+                "tile: not LR " + std::string(precision_name(precision_of<T>)));
+    return std::get<LowRankStorage<T>>(payload_);
+  }
+
+  /// Convert a dense tile's storage precision in place (rounds on demotion),
+  /// straight from the stored matrix. No-op if already at `p`. Throws for
+  /// low-rank tiles.
   void convert_dense(Precision p);
 
-  /// Materialize the represented block as dense FP64 (works for any state).
-  [[nodiscard]] la::Matrix<double> to_dense64() const;
+  /// Materialize the represented block as a dense matrix at T (works for
+  /// any state): a copy of a dense tile at T, the stored matrix converted
+  /// otherwise; a low-rank tile forms U V^T at its stored precision first.
+  template <typename T>
+  [[nodiscard]] la::Matrix<T> to_dense() const;
+
+  /// to_dense<double>().
+  [[nodiscard]] la::Matrix<double> to_dense64() const { return to_dense<double>(); }
 
   /// Replace the payload with dense FP64 content (decompression).
   void assign_dense64(la::Matrix<double> m);
@@ -91,18 +138,6 @@ class Tile {
   /// U/V factors, not the product). Health-sentinel path, O(payload).
   [[nodiscard]] std::size_t nonfinite_count() const;
 
-  /// Append this tile as a self-describing binary record to `out`:
-  /// fixed little-endian header (format, precision, rows, cols, rank)
-  /// followed by the storage buffer verbatim, so a round trip is
-  /// bit-identical for every (format, precision) pair. Checkpoint layer
-  /// (gsx-ckpt-v1); little-endian hosts only.
-  void serialize(std::vector<std::uint8_t>& out) const;
-
-  /// Parse one record written by serialize() from `in` at `offset`,
-  /// advancing `offset` past it. Throws InvalidArgument on truncated or
-  /// malformed input (never reads past `in`).
-  static Tile deserialize(std::span<const std::uint8_t> in, std::size_t& offset);
-
  private:
   using Payload = std::variant<std::monostate, la::Matrix<double>, la::Matrix<float>,
                                la::Matrix<half>, la::Matrix<bfloat16>,
@@ -114,5 +149,10 @@ class Tile {
   std::size_t cols_ = 0;
   Payload payload_;
 };
+
+extern template la::Matrix<double> Tile::to_dense<double>() const;
+extern template la::Matrix<float> Tile::to_dense<float>() const;
+extern template la::Matrix<half> Tile::to_dense<half>() const;
+extern template la::Matrix<bfloat16> Tile::to_dense<bfloat16>() const;
 
 }  // namespace gsx::tile

@@ -89,21 +89,13 @@ void encode_tile(const Tile& t, std::vector<std::uint8_t>& out) {
   append_u64(out, t.cols());
   append_u64(out, t.rank());
   if (t.format() == TileFormat::Dense) {
-    switch (t.precision()) {
-      case Precision::FP64: append_matrix(out, t.d64()); break;
-      case Precision::FP32: append_matrix(out, t.d32()); break;
-      case Precision::FP16: append_matrix(out, t.d16()); break;
-      case Precision::BF16: append_matrix(out, t.dbf16()); break;
-    }
+    dispatch(t.precision(), [&]<typename T>() { append_matrix(out, t.matrix<T>()); });
     return;
   }
-  if (t.precision() == Precision::FP64) {
-    append_matrix(out, t.lr64().u);
-    append_matrix(out, t.lr64().v);
-  } else {
-    append_matrix(out, t.lr32().u);
-    append_matrix(out, t.lr32().v);
-  }
+  dispatch_lowrank(t.precision(), [&]<typename T>() {
+    append_matrix(out, t.factors<T>().u);
+    append_matrix(out, t.factors<T>().v);
+  });
 }
 
 Tile decode_tile(std::span<const std::uint8_t> in, std::size_t& offset) {
@@ -122,25 +114,15 @@ Tile decode_tile(std::span<const std::uint8_t> in, std::size_t& offset) {
   GSX_REQUIRE(rows > 0 && cols > 0 && rows < kMaxDim && cols < kMaxDim &&
                   rank <= std::min(rows, cols),
               "tile codec: implausible tile extents");
-  if (format == TileFormat::Dense) {
-    switch (precision) {
-      case Precision::FP64: return Tile::dense64(read_matrix<double>(in, offset, rows, cols));
-      case Precision::FP32: return Tile::dense32(read_matrix<float>(in, offset, rows, cols));
-      case Precision::FP16: return Tile::dense16(read_matrix<half>(in, offset, rows, cols));
-      case Precision::BF16:
-        return Tile::dense_bf16(read_matrix<bfloat16>(in, offset, rows, cols));
-    }
-  }
-  GSX_REQUIRE(precision == Precision::FP64 || precision == Precision::FP32,
-              "tile codec: low-rank tiles are FP64/FP32 only");
-  if (precision == Precision::FP64) {
-    la::Matrix<double> u = read_matrix<double>(in, offset, rows, rank);
-    la::Matrix<double> v = read_matrix<double>(in, offset, cols, rank);
-    return Tile::lowrank64(std::move(u), std::move(v));
-  }
-  la::Matrix<float> u = read_matrix<float>(in, offset, rows, rank);
-  la::Matrix<float> v = read_matrix<float>(in, offset, cols, rank);
-  return Tile::lowrank32(std::move(u), std::move(v));
+  if (format == TileFormat::Dense)
+    return dispatch(precision, [&]<typename T>() {
+      return Tile::dense(read_matrix<T>(in, offset, rows, cols));
+    });
+  return dispatch_lowrank(precision, [&]<typename T>() {
+    la::Matrix<T> u = read_matrix<T>(in, offset, rows, rank);
+    la::Matrix<T> v = read_matrix<T>(in, offset, cols, rank);
+    return Tile::lowrank(std::move(u), std::move(v));
+  });
 }
 
 void encode_tile_framed(const Tile& t, std::vector<std::uint8_t>& out) {

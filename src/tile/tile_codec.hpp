@@ -3,8 +3,8 @@
 // and the distributed tile wire (src/dist transport, out-of-core spill
 // files).
 //
-// Record layout (little-endian, exactly what Tile::serialize historically
-// wrote, so existing checkpoints stay readable):
+// Record layout (little-endian; the layout of gsx-ckpt-v1 checkpoints, so
+// existing checkpoints stay readable):
 //   u8  format (0 dense, 1 low-rank)
 //   u8  precision (Precision enum value)
 //   u16 reserved (0)

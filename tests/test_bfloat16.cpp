@@ -112,15 +112,15 @@ TEST(Bgemm, StoresRoundedBf16) {
 
 TEST(TileBf16, ConversionAndFootprint) {
   Rng rng(7);
-  tile::Tile t = tile::Tile::dense64(random_matrix(10, 10, rng));
+  tile::Tile t = tile::Tile::dense(random_matrix(10, 10, rng));
   const auto before = t.to_dense64();
   t.convert_dense(Precision::BF16);
   EXPECT_EQ(t.precision(), Precision::BF16);
   EXPECT_EQ(t.decision_code(), 'B');
   EXPECT_EQ(t.bytes(), 10u * 10u * 2u);
   EXPECT_LT(rel_frobenius_diff(t.to_dense64(), before), 2.5 * kBf16Eps * 10.0);
-  EXPECT_NO_THROW(t.dbf16());
-  EXPECT_THROW(t.d16(), InvalidArgument);
+  EXPECT_NO_THROW(t.matrix<bfloat16>());
+  EXPECT_THROW(t.matrix<half>(), InvalidArgument);
 }
 
 TEST(FrobeniusRuleBf16, RescuesFp16UnderflowTiles) {

@@ -143,8 +143,8 @@ TEST(GemmBatch16, HgemmAndBgemmMatchLooped) {
     cb_batch.push_back(filled<bfloat16>(m, n, 110 + i));
     cb_loop.push_back(cb_batch.back());
   }
-  std::vector<Gemm16BatchItem<half>> hi(count);
-  std::vector<Gemm16BatchItem<bfloat16>> bi(count);
+  std::vector<GemmBatchItem<half>> hi(count);
+  std::vector<GemmBatchItem<bfloat16>> bi(count);
   for (std::size_t i = 0; i < count; ++i) {
     hi[i] = {ah[i].cview(), bh.cview(), ch_batch[i].view()};
     bi[i] = {ab[i].cview(), bb.cview(), cb_batch[i].view()};

@@ -18,6 +18,7 @@
 #include "serve/checkpoint.hpp"
 #include "serve/registry.hpp"
 #include "test_utils.hpp"
+#include "tile/tile_codec.hpp"
 
 namespace gsx::serve {
 namespace {
@@ -33,7 +34,7 @@ std::string temp_path(const std::string& name) {
 std::vector<std::uint8_t> factor_bytes(const tile::SymTileMatrix& a) {
   std::vector<std::uint8_t> out;
   for (std::size_t j = 0; j < a.nt(); ++j)
-    for (std::size_t i = j; i < a.nt(); ++i) a.at(i, j).serialize(out);
+    for (std::size_t i = j; i < a.nt(); ++i) tile::encode_tile(a.at(i, j), out);
   return out;
 }
 
@@ -98,49 +99,49 @@ core::ModelConfig tlr_config() {
 TEST(Crc32, KnownAnswer) {
   // The standard CRC-32 check value for "123456789".
   const std::uint8_t msg[9] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc32(msg, 9), 0xCBF43926u);
-  EXPECT_EQ(crc32(nullptr, 0), 0x00000000u);
+  EXPECT_EQ(tile::crc32(msg, 9), 0xCBF43926u);
+  EXPECT_EQ(tile::crc32(nullptr, 0), 0x00000000u);
 }
 
 TEST(TileSerialize, RoundTripsEveryFormat) {
   Rng rng(7);
   std::vector<tile::Tile> tiles;
-  tiles.push_back(tile::Tile::dense64(random_matrix(8, 8, rng)));
+  tiles.push_back(tile::Tile::dense(random_matrix(8, 8, rng)));
   {
     la::Matrix<float> m(8, 5);
     for (std::size_t j = 0; j < 5; ++j)
       for (std::size_t i = 0; i < 8; ++i) m(i, j) = static_cast<float>(rng.normal());
-    tiles.push_back(tile::Tile::dense32(std::move(m)));
+    tiles.push_back(tile::Tile::dense(std::move(m)));
   }
   {
     la::Matrix<half> m(6, 6);
     for (std::size_t j = 0; j < 6; ++j)
       for (std::size_t i = 0; i < 6; ++i) m(i, j) = half(rng.normal());
-    tiles.push_back(tile::Tile::dense16(std::move(m)));
+    tiles.push_back(tile::Tile::dense(std::move(m)));
   }
   {
     la::Matrix<bfloat16> m(7, 3);  // ragged
     for (std::size_t j = 0; j < 3; ++j)
       for (std::size_t i = 0; i < 7; ++i) m(i, j) = bfloat16(rng.normal());
-    tiles.push_back(tile::Tile::dense_bf16(std::move(m)));
+    tiles.push_back(tile::Tile::dense(std::move(m)));
   }
   tiles.push_back(
-      tile::Tile::lowrank64(random_matrix(9, 2, rng), random_matrix(6, 2, rng)));
+      tile::Tile::lowrank(random_matrix(9, 2, rng), random_matrix(6, 2, rng)));
   {
     la::Matrix<float> u(5, 3), v(8, 3);
     for (std::size_t j = 0; j < 3; ++j) {
       for (std::size_t i = 0; i < 5; ++i) u(i, j) = static_cast<float>(rng.normal());
       for (std::size_t i = 0; i < 8; ++i) v(i, j) = static_cast<float>(rng.normal());
     }
-    tiles.push_back(tile::Tile::lowrank32(std::move(u), std::move(v)));
+    tiles.push_back(tile::Tile::lowrank(std::move(u), std::move(v)));
   }
 
   // All records concatenated into one buffer, then read back in order.
   std::vector<std::uint8_t> buf;
-  for (const tile::Tile& t : tiles) t.serialize(buf);
+  for (const tile::Tile& t : tiles) tile::encode_tile(t, buf);
   std::size_t off = 0;
   for (const tile::Tile& t : tiles) {
-    const tile::Tile back = tile::Tile::deserialize(buf, off);
+    const tile::Tile back = tile::decode_tile(buf, off);
     EXPECT_EQ(back.format(), t.format());
     EXPECT_EQ(back.precision(), t.precision());
     EXPECT_EQ(back.rows(), t.rows());
@@ -148,8 +149,8 @@ TEST(TileSerialize, RoundTripsEveryFormat) {
     EXPECT_EQ(back.rank(), t.rank());
     // Bit-identity: re-serializing reproduces the record byte for byte.
     std::vector<std::uint8_t> once, twice;
-    t.serialize(once);
-    back.serialize(twice);
+    tile::encode_tile(t, once);
+    tile::encode_tile(back, twice);
     EXPECT_EQ(once, twice);
   }
   EXPECT_EQ(off, buf.size());
@@ -158,12 +159,12 @@ TEST(TileSerialize, RoundTripsEveryFormat) {
 TEST(TileSerialize, RejectsTruncatedRecord) {
   Rng rng(8);
   std::vector<std::uint8_t> buf;
-  tile::Tile::dense64(random_matrix(4, 4, rng)).serialize(buf);
+  tile::encode_tile(tile::Tile::dense(random_matrix(4, 4, rng)), buf);
   for (const std::size_t keep : {std::size_t{0}, std::size_t{3}, buf.size() - 1}) {
     std::vector<std::uint8_t> cut(buf.begin(),
                                   buf.begin() + static_cast<std::ptrdiff_t>(keep));
     std::size_t off = 0;
-    EXPECT_THROW(tile::Tile::deserialize(cut, off), InvalidArgument) << keep;
+    EXPECT_THROW(tile::decode_tile(cut, off), InvalidArgument) << keep;
   }
 }
 

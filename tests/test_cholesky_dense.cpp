@@ -171,7 +171,7 @@ TEST(DenseCholesky, RejectsLowRankTileBeforeFactoring) {
   auto a = make_spd_tiles(48, 16, 0.6);
   const la::Matrix<double> before = a.at(0, 0).to_dense64();
   la::Matrix<double> u(16, 1), v(16, 1);
-  a.at(2, 0) = tile::Tile::lowrank64(std::move(u), std::move(v));
+  a.at(2, 0) = tile::Tile::lowrank(std::move(u), std::move(v));
   FactorOptions opts;
   EXPECT_THROW((void)tile_cholesky_dense(a, opts), InvalidArgument);
   EXPECT_EQ(rel_frobenius_diff(a.at(0, 0).to_dense64(), before), 0.0)

@@ -355,6 +355,13 @@ TEST(MaternCovariance, FillMatchesScalarBitwise) {
   EXPECT_NEAR(model(special[0], special[1]), 1.3, 1e-12);
   EXPECT_NEAR(model(special[0], special[2]), 1.3, 1e-12);
   EXPECT_EQ(model(special[0], special[3]), 0.0);
+  // At nu = 2.2 the pair 1e-160 apart overflows Temme's e^x K_nu(x); the
+  // entry is the x -> 0 limit, the variance, in fill and operator() alike.
+  const MaternCovariance smooth(1.3, kRange, 2.2, 0.01);
+  la::Matrix<double> close(special.size(), 1);
+  smooth.fill(special, std::span(special).first(1), close.view());
+  EXPECT_EQ(close(1, 0), 1.3);
+  EXPECT_EQ(smooth(special[1], special[0]), 1.3);
   // The closed forms too: capping x keeps 1 + x + x^2/3 finite, so no inf * 0.
   for (double nu : {1.5, 2.5})
     EXPECT_EQ(MaternCovariance(1.3, kRange, nu)(special[0], special[3]), 0.0) << "nu=" << nu;
@@ -369,6 +376,16 @@ TEST(MaternCovariance, FillMatchesScalarBitwise) {
   }
   la::Matrix<double> wrong(2, 2);
   EXPECT_THROW(model.fill(rows, cols, wrong.view()), InvalidArgument);
+}
+
+TEST(MaternCorrelation, LimitOneAtTinyDistances) {
+  // For nu > 1, e^x K_nu(x) overflows to inf at these x while the prefactor
+  // underflows to 0; 1 - M_nu ~ x^2 / (4 (nu - 1)) is far below 2^-53.
+  for (double nu : {1.3, 2.2, 3.7, 5.0}) {
+    const MaternCorrelation m(nu);
+    for (double x : {1e-300, 1e-200, 1e-160, 1e-100})
+      EXPECT_EQ(m(x), 1.0) << "nu=" << nu << " x=" << x;
+  }
 }
 
 TEST(MaternCorrelation, RejectsBadSmoothnessUpFront) {
@@ -401,7 +418,7 @@ TEST(FillCovarianceTiles, BitIdenticalToCovarianceMatrixWithRaggedTile) {
   std::size_t mismatches = 0;
   for (std::size_t tj = 0; tj < tiles.nt(); ++tj) {
     for (std::size_t ti = tj; ti < tiles.nt(); ++ti) {
-      const la::Matrix<double>& t = tiles.at(ti, tj).d64();
+      const la::Matrix<double>& t = tiles.at(ti, tj).matrix<double>();
       for (std::size_t c = 0; c < t.cols(); ++c)
         for (std::size_t r = 0; r < t.rows(); ++r)
           mismatches += bits(t(r, c)) != bits(ref(tiles.tile_offset(ti) + r,

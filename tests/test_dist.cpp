@@ -111,7 +111,7 @@ tile::Tile test_tile(double scale = 1.0, std::size_t n = 8) {
   for (std::size_t j = 0; j < n; ++j)
     for (std::size_t i = 0; i < n; ++i)
       m(i, j) = scale * (static_cast<double>(i) + 10.0 * static_cast<double>(j));
-  return tile::Tile::dense64(std::move(m));
+  return tile::Tile::dense(std::move(m));
 }
 
 TEST(WireFraming, RoundTrip) {

@@ -769,7 +769,7 @@ TEST(FleetE2E, ObservabilityPlaneTracesMetricsAndFlightCorrelation) {
   // A zero on the factor diagonal: the first predict against it trips the
   // non-finite sentinel (NumericalError arriving through data, not wire).
   ModelCheckpoint bad = make_checkpoint(p);
-  bad.factor.at(0, 0).d64()(0, 0) = 0.0;
+  bad.factor.at(0, 0).matrix<double>()(0, 0) = 0.0;
   save_model_checkpoint(store + "/bad.ckpt", bad);
 
   Fleet fleet(3, store);

@@ -14,6 +14,7 @@
 #include "geostat/field.hpp"
 #include "mathx/stats.hpp"
 #include "obs/health.hpp"
+#include "tile/tile_codec.hpp"
 
 namespace gsx::core {
 namespace {
@@ -166,7 +167,7 @@ TEST(GsxModel, MpDenseReducesFootprint) {
 /// storage verbatim), for bit-identity checks.
 std::vector<std::uint8_t> tile_bits(const tile::Tile& t) {
   std::vector<std::uint8_t> out;
-  t.serialize(out);
+  tile::encode_tile(t, out);
   return out;
 }
 

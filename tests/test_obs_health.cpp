@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -14,9 +16,13 @@
 #include "cholesky/health_audit.hpp"
 #include "cholesky/precision_policy.hpp"
 #include "common/error.hpp"
+#include "obs/flops.hpp"
 #include "obs/health.hpp"
 #include "obs/log.hpp"
+#include "obs/profile.hpp"
+#include "obs/report.hpp"
 #include "optim/nelder_mead.hpp"
+#include "serve/wire.hpp"
 #include "tile/sym_tile_matrix.hpp"
 #include "test_utils.hpp"
 
@@ -177,7 +183,7 @@ TEST_F(ObsHealth, TileNonfiniteCountScansAllFormats) {
     for (std::size_t i = 0; i < 4; ++i) m(i, j) = 1.0;
   m(1, 2) = std::numeric_limits<double>::quiet_NaN();
   m(3, 0) = std::numeric_limits<double>::infinity();
-  tile::Tile t = tile::Tile::dense64(std::move(m));
+  tile::Tile t = tile::Tile::dense(std::move(m));
   EXPECT_EQ(t.nonfinite_count(), 2u);
   t.convert_dense(Precision::FP32);
   EXPECT_EQ(t.nonfinite_count(), 2u);
@@ -223,6 +229,46 @@ TEST_F(ObsHealth, FailureCapturesOpenConvergenceTrajectory) {
   ASSERT_EQ(h.failures.size(), 1u);
   ASSERT_EQ(h.failures.front().trajectory.size(), 2u);
   EXPECT_DOUBLE_EQ(h.failures.front().trajectory[1], 9.0);
+}
+
+TEST_F(ObsHealth, ControlCharactersRoundTripThroughJsonReports) {
+  // Iteration labels and failure messages are free text; a tab, a CR or any
+  // other control byte must leave profile.json and health.json valid JSON
+  // that parses back to the original string.
+  const std::string text = std::string("label\t\r\x01") + " \"quoted\" \\";
+  obs::reset_profile();
+  obs::set_enabled(true);
+  obs::begin_iteration(text.c_str());
+  obs::end_iteration();
+  obs::set_enabled(false);
+  obs::FailureRecord f;
+  f.what = text;
+  f.rule = text;
+  obs::record_failure(std::move(f));
+
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string profile = (dir / "gsx_escape_test.profile.json").string();
+  const std::string health = (dir / "gsx_escape_test.health.json").string();
+  obs::write_profile_json(profile);
+  obs::write_health_json(health);
+  obs::reset_profile();
+  const auto parse = [](const std::string& path) {
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::remove(path.c_str());
+    return serve::JsonValue::parse(ss.str());
+  };
+  const serve::JsonValue pj = parse(profile);
+  const serve::JsonValue hj = parse(health);
+
+  const auto& iters = pj.find("iterations")->as_array();
+  ASSERT_EQ(iters.size(), 1u);
+  EXPECT_EQ(iters[0].find("label")->as_string(), text);
+  const auto& failures = hj.find("failures")->as_array();
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].find("what")->as_string(), text);
+  EXPECT_EQ(failures[0].find("rule")->as_string(), text);
 }
 
 TEST_F(ObsHealth, EnrichedNumericalErrorCarriesContext) {

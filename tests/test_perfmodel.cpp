@@ -108,10 +108,10 @@ tile::SymTileMatrix ranked_matrix(std::size_t ts, const std::vector<std::size_t>
   const std::size_t nt = ranks.size() + 1;
   tile::SymTileMatrix a(nt * ts, ts);
   for (std::size_t j = 0; j < nt; ++j) {
-    a.at(j, j) = tile::Tile::dense64(la::Matrix<double>(ts, ts));
+    a.at(j, j) = tile::Tile::dense(la::Matrix<double>(ts, ts));
     for (std::size_t i = j + 1; i < nt; ++i) {
       const std::size_t k = ranks[i - j - 1];
-      a.at(i, j) = tile::Tile::lowrank64(la::Matrix<double>(ts, k), la::Matrix<double>(ts, k));
+      a.at(i, j) = tile::Tile::lowrank(la::Matrix<double>(ts, k), la::Matrix<double>(ts, k));
     }
   }
   return a;

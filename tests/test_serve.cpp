@@ -684,7 +684,7 @@ TEST(Server, NumericalFailureDumpsFlightRecorderWithRequestId) {
   ckpt.train_locs = p.locs;
   ckpt.z_train = p.z;
   ckpt.factor = model.factor_at(p.theta, p.locs);
-  ckpt.factor.at(0, 0).d64()(0, 0) = 0.0;  // the corruption
+  ckpt.factor.at(0, 0).matrix<double>()(0, 0) = 0.0;  // the corruption
   const std::string ckpt_path = temp_path("gsx_serve_corrupt.ckpt");
   save_model_checkpoint(ckpt_path, ckpt);
 

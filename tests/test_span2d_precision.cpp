@@ -1,6 +1,9 @@
 // Span2D views and precision trait invariants.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "common/precision.hpp"
 #include "common/span2d.hpp"
 #include "la/matrix.hpp"
@@ -82,6 +85,19 @@ TEST(PrecisionTraits, BytesAndNames) {
   EXPECT_EQ(bytes_of(Precision::BF16), 2u);
   EXPECT_EQ(precision_name(Precision::FP64), "FP64");
   EXPECT_EQ(precision_name(Precision::BF16), "BF16");
+}
+
+TEST(PrecisionTraits, DispatchRunsTheStorageScalar) {
+  for (const Precision p :
+       {Precision::FP64, Precision::FP32, Precision::FP16, Precision::BF16}) {
+    const auto [tag, size] = dispatch(p, []<typename T>() {
+      return std::pair{precision_of<T>, sizeof(T)};
+    });
+    EXPECT_EQ(tag, p) << precision_name(p);
+    EXPECT_EQ(size, bytes_of(p)) << precision_name(p);
+  }
+  static_assert(std::is_same_v<scalar_t<Precision::FP16>, half>);
+  static_assert(precision_of<scalar_t<Precision::BF16>> == Precision::BF16);
 }
 
 TEST(PrecisionTraits, HigherLowerByAccuracy) {

@@ -1,6 +1,9 @@
 // Tile payloads, precision conversion, and the symmetric tile matrix.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "la/convert.hpp"
 #include "la/lapack.hpp"
 #include "test_utils.hpp"
@@ -17,7 +20,7 @@ TEST(Tile, Dense64RoundTrip) {
   Rng rng(1);
   auto m = random_matrix(6, 4, rng);
   const auto m0 = m;
-  Tile t = Tile::dense64(std::move(m));
+  Tile t = Tile::dense(std::move(m));
   EXPECT_EQ(t.format(), TileFormat::Dense);
   EXPECT_EQ(t.precision(), Precision::FP64);
   EXPECT_EQ(t.rows(), 6u);
@@ -31,7 +34,7 @@ TEST(Tile, Dense64RoundTrip) {
 TEST(Tile, ConvertDenseDownAndBack) {
   Rng rng(2);
   const auto m0 = random_matrix(8, 8, rng);
-  Tile t = Tile::dense64(m0);
+  Tile t = Tile::dense(m0);
 
   t.convert_dense(Precision::FP32);
   EXPECT_EQ(t.precision(), Precision::FP32);
@@ -52,11 +55,42 @@ TEST(Tile, ConvertDenseDownAndBack) {
 
 TEST(Tile, ConvertIsIdempotent) {
   Rng rng(3);
-  Tile t = Tile::dense64(random_matrix(4, 4, rng));
+  Tile t = Tile::dense(random_matrix(4, 4, rng));
   t.convert_dense(Precision::FP32);
   const auto snapshot = t.to_dense64();
   t.convert_dense(Precision::FP32);
   EXPECT_LT(rel_frobenius_diff(t.to_dense64(), snapshot), 1e-300);
+}
+
+TEST(Tile, DirectConversionMatchesThroughFp64) {
+  // to_dense<T> and convert_dense convert straight from the stored matrix.
+  // Widening to FP64 is exact, so the result must equal the conversion of an
+  // FP64 copy bit for bit, for every pair of storage precisions (entries
+  // from 1e-10 to 1e10 reach FP16's subnormals and overflow).
+  Rng rng(9);
+  la::Matrix<double> m = random_matrix(7, 5, rng);
+  for (std::size_t j = 0; j < 5; ++j)
+    for (std::size_t i = 0; i < 7; ++i)
+      m(i, j) *= std::pow(10.0, 2.0 * static_cast<double>(i + j) - 10.0);
+  const Precision all[] = {Precision::FP64, Precision::FP32, Precision::FP16,
+                           Precision::BF16};
+  for (const Precision from : all)
+    for (const Precision to : all) {
+      Tile t = Tile::dense(m);
+      t.convert_dense(from);
+      dispatch(to, [&]<typename T>() {
+        la::Matrix<T> via(7, 5);
+        la::convert(t.to_dense64().cview(), via.view());
+        const la::Matrix<T> direct = t.to_dense<T>();
+        Tile converted = t;
+        converted.convert_dense(to);
+        const std::size_t bytes = via.size() * sizeof(T);
+        EXPECT_EQ(std::memcmp(direct.data(), via.data(), bytes), 0)
+            << precision_name(from) << " -> " << precision_name(to);
+        EXPECT_EQ(std::memcmp(converted.matrix<T>().data(), via.data(), bytes), 0)
+            << precision_name(from) << " -> " << precision_name(to);
+      });
+    }
 }
 
 TEST(Tile, LowRankRepresentsProduct) {
@@ -66,7 +100,7 @@ TEST(Tile, LowRankRepresentsProduct) {
   la::Matrix<double> expect(10, 7);
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, 1.0, u.cview(), v.cview(), 0.0,
                    expect.view());
-  const Tile t = Tile::lowrank64(u, v);
+  const Tile t = Tile::lowrank(u, v);
   EXPECT_EQ(t.format(), TileFormat::LowRank);
   EXPECT_EQ(t.rank(), 3u);
   EXPECT_EQ(t.rows(), 10u);
@@ -83,7 +117,7 @@ TEST(Tile, LowRank32HalvesFootprint) {
   la::Matrix<float> u(10, 2), v(10, 2);
   la::convert(ud.cview(), u.view());
   la::convert(vd.cview(), v.view());
-  const Tile t = Tile::lowrank32(u, v);
+  const Tile t = Tile::lowrank(u, v);
   EXPECT_EQ(t.bytes(), (10u + 10u) * 2u * 4u);
   EXPECT_EQ(t.decision_code(), 'l');
   la::Matrix<double> expect(10, 10);
@@ -94,7 +128,7 @@ TEST(Tile, LowRank32HalvesFootprint) {
 
 TEST(Tile, FrobeniusMatchesMaterialized) {
   Rng rng(6);
-  Tile t = Tile::dense64(random_matrix(9, 9, rng));
+  Tile t = Tile::dense(random_matrix(9, 9, rng));
   const double direct = la::norm_frobenius<double>(t.to_dense64().cview());
   EXPECT_NEAR(t.frobenius(), direct, 1e-12);
   t.convert_dense(Precision::FP16);
@@ -104,19 +138,19 @@ TEST(Tile, FrobeniusMatchesMaterialized) {
 
 TEST(Tile, WrongAccessorThrows) {
   Rng rng(7);
-  Tile t = Tile::dense64(random_matrix(3, 3, rng));
-  EXPECT_THROW(t.d32(), InvalidArgument);
-  EXPECT_THROW(t.lr64(), InvalidArgument);
+  Tile t = Tile::dense(random_matrix(3, 3, rng));
+  EXPECT_THROW(t.matrix<float>(), InvalidArgument);
+  EXPECT_THROW(t.factors<double>(), InvalidArgument);
   t.convert_dense(Precision::FP16);
-  EXPECT_THROW(t.d64(), InvalidArgument);
-  EXPECT_NO_THROW(t.d16());
+  EXPECT_THROW(t.matrix<double>(), InvalidArgument);
+  EXPECT_NO_THROW(t.matrix<half>());
 }
 
 TEST(Tile, RankMismatchThrows) {
   Rng rng(8);
   const auto u = random_matrix(5, 3, rng);
   const auto v = random_matrix(5, 2, rng);
-  EXPECT_THROW(Tile::lowrank64(u, v), InvalidArgument);
+  EXPECT_THROW(Tile::lowrank(u, v), InvalidArgument);
 }
 
 // ------------------------------------------------------- SymTileMatrix

@@ -1,6 +1,6 @@
 // Shared tile serialization (tile_codec): per-precision round trips, the
-// CRC-framed variant used by the dist wire and spill files, and parity with
-// the checkpoint layer that the codec was extracted from.
+// CRC-framed variant used by the dist wire and spill files, and the record
+// bytes pinned for every (format, precision) pair.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include "common/error.hpp"
 #include "common/precision.hpp"
 #include "la/matrix.hpp"
-#include "serve/checkpoint.hpp"
 #include "tile/tile.hpp"
 #include "tile/tile_codec.hpp"
 
@@ -28,7 +27,7 @@ la::Matrix<double> sample_block(std::size_t rows, std::size_t cols) {
 }
 
 Tile dense_tile(Precision p, std::size_t rows = 7, std::size_t cols = 5) {
-  Tile t = Tile::dense64(sample_block(rows, cols));
+  Tile t = Tile::dense(sample_block(rows, cols));
   t.convert_dense(p);
   return t;
 }
@@ -42,13 +41,13 @@ Tile lowrank_tile(bool fp32) {
     for (std::size_t j = 0; j < cols; ++j)
       v(j, k) = 1.0 / static_cast<double>(j + k + 2);
   }
-  if (!fp32) return Tile::lowrank64(std::move(u), std::move(v));
+  if (!fp32) return Tile::lowrank(std::move(u), std::move(v));
   la::Matrix<float> u32(rows, rank), v32(cols, rank);
   for (std::size_t k = 0; k < rank; ++k) {
     for (std::size_t i = 0; i < rows; ++i) u32(i, k) = static_cast<float>(u(i, k));
     for (std::size_t j = 0; j < cols; ++j) v32(j, k) = static_cast<float>(v(j, k));
   }
-  return Tile::lowrank32(std::move(u32), std::move(v32));
+  return Tile::lowrank(std::move(u32), std::move(v32));
 }
 
 void expect_round_trip(const Tile& t) {
@@ -74,6 +73,42 @@ TEST(TileCodec, RoundTripEveryPrecision) {
   expect_round_trip(dense_tile(Precision::BF16));
   expect_round_trip(lowrank_tile(/*fp32=*/false));
   expect_round_trip(lowrank_tile(/*fp32=*/true));
+}
+
+/// FNV-1a (64-bit) of a byte string.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(TileCodec, RecordBytesArePinned) {
+  // Saved checkpoints and spill files hold these records, so the bytes may
+  // not move even when encoder and decoder change together. Values recorded
+  // from the gsx-ckpt-v1 codec; the tiles are 7 x 5 dense and 6 x 8 rank-2
+  // low-rank, so rows and cols cannot be swapped unnoticed.
+  struct Case {
+    Tile tile;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  const Case cases[] = {
+      {dense_tile(Precision::FP64), 308, 0x4306ca9b3375faa7ull},
+      {dense_tile(Precision::FP32), 168, 0xc5d3f3cb72df1317ull},
+      {dense_tile(Precision::FP16), 98, 0x1fe533be2c391a81ull},
+      {dense_tile(Precision::BF16), 98, 0x55da8cae3c9f436full},
+      {lowrank_tile(/*fp32=*/false), 252, 0x1723b956cd80c6b3ull},
+      {lowrank_tile(/*fp32=*/true), 140, 0xc845c24259d0bed6ull},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::uint8_t> buf;
+    encode_tile(c.tile, buf);
+    EXPECT_EQ(buf.size(), c.bytes) << c.tile.decision_code();
+    EXPECT_EQ(fnv1a(buf), c.fnv) << c.tile.decision_code();
+  }
 }
 
 TEST(TileCodec, RaggedTileRoundTrip) {
@@ -122,15 +157,6 @@ TEST(TileCodec, BareDecodeRejectsGarbage) {
   std::vector<std::uint8_t> junk(64, 0xAB);
   std::size_t off = 0;
   EXPECT_THROW((void)decode_tile(junk, off), InvalidArgument);
-}
-
-TEST(TileCodec, CheckpointCrcDelegatesToCodec) {
-  const std::string data = "gsx tile codec crc parity";
-  const auto* p = reinterpret_cast<const std::uint8_t*>(data.data());
-  EXPECT_EQ(serve::crc32(p, data.size()), crc32(p, data.size()));
-  // Known-answer: CRC32("123456789") under the IEEE reflected polynomial.
-  const auto* nine = reinterpret_cast<const std::uint8_t*>("123456789");
-  EXPECT_EQ(crc32(nine, 9), 0xCBF43926u);
 }
 
 }  // namespace

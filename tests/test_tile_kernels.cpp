@@ -19,22 +19,22 @@ using tile::Tile;
 
 Tile spd_tile64(std::size_t n, Rng& rng) {
   auto m = random_spd(n, rng);
-  return Tile::dense64(std::move(m));
+  return Tile::dense(std::move(m));
 }
 
 TEST(Operands, F64ZeroCopyForMatchingTile) {
   Rng rng(1);
-  Tile t = Tile::dense64(random_matrix(6, 6, rng));
-  const F64Operand op(t);
-  EXPECT_EQ(op.view().data(), t.d64().data()) << "FP64 tile must not be copied";
+  Tile t = Tile::dense(random_matrix(6, 6, rng));
+  const DenseOperand<double> op(t);
+  EXPECT_EQ(op.view().data(), t.matrix<double>().data()) << "FP64 tile must not be copied";
 }
 
 TEST(Operands, ConvertOnDemandForMismatch) {
   Rng rng(2);
-  Tile t = Tile::dense64(random_matrix(6, 6, rng));
+  Tile t = Tile::dense(random_matrix(6, 6, rng));
   const auto original = t.to_dense64();
   t.convert_dense(Precision::FP32);
-  const F64Operand op(t);
+  const DenseOperand<double> op(t);
   EXPECT_NE(op.view().data(), static_cast<const double*>(nullptr));
   // Values match the rounded storage, not the original.
   la::Matrix<double> got(6, 6);
@@ -46,13 +46,13 @@ TEST(Operands, ConvertOnDemandForMismatch) {
 
 TEST(Operands, F16AndBf16Trimming) {
   Rng rng(3);
-  Tile t = Tile::dense64(random_matrix(5, 4, rng));
-  const F16Operand h(t);
-  const Bf16Operand b(t);
+  Tile t = Tile::dense(random_matrix(5, 4, rng));
+  const DenseOperand<half> h(t);
+  const DenseOperand<bfloat16> b(t);
   for (std::size_t j = 0; j < 4; ++j)
     for (std::size_t i = 0; i < 5; ++i) {
-      EXPECT_EQ(h.view()(i, j).bits(), half(t.d64()(i, j)).bits());
-      EXPECT_EQ(b.view()(i, j).bits(), bfloat16(t.d64()(i, j)).bits());
+      EXPECT_EQ(h.view()(i, j).bits(), half(t.matrix<double>()(i, j)).bits());
+      EXPECT_EQ(b.view()(i, j).bits(), bfloat16(t.matrix<double>()(i, j)).bits());
     }
 }
 
@@ -70,7 +70,7 @@ TEST(PotrfTile, ReportsNonSpd) {
   m(0, 0) = 1.0;
   m(1, 1) = -1.0;
   m(2, 2) = m(3, 3) = 1.0;
-  Tile t = Tile::dense64(std::move(m));
+  Tile t = Tile::dense(std::move(m));
   EXPECT_EQ(potrf_tile(t), 2);
 }
 
@@ -80,9 +80,9 @@ TEST_P(GemmTilePrecision, LeadOperandSetsKernelAndAccuracy) {
   const Precision p = GetParam();
   Rng rng(17);
   const std::size_t ts = 12;
-  Tile a = Tile::dense64(random_matrix(ts, ts, rng));
-  Tile b = Tile::dense64(random_matrix(ts, ts, rng));
-  Tile c = Tile::dense64(random_matrix(ts, ts, rng));
+  Tile a = Tile::dense(random_matrix(ts, ts, rng));
+  Tile b = Tile::dense(random_matrix(ts, ts, rng));
+  Tile c = Tile::dense(random_matrix(ts, ts, rng));
   la::Matrix<double> oracle = c.to_dense64();
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.to_dense64().cview(),
                    b.to_dense64().cview(), 1.0, oracle.view());
@@ -117,12 +117,12 @@ TEST_P(TrsmTilePrecision, SolveAccuracyTracksStorage) {
   const std::size_t ts = 10;
   Tile lkk = spd_tile64(ts, rng);
   ASSERT_EQ(potrf_tile(lkk), 0);
-  Tile amk = Tile::dense64(random_matrix(ts, ts, rng));
+  Tile amk = Tile::dense(random_matrix(ts, ts, rng));
 
   la::Matrix<double> oracle = amk.to_dense64();
   auto ov = oracle.view();
   la::trsm<double>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit,
-                   1.0, lkk.d64().cview(), ov);
+                   1.0, lkk.matrix<double>().cview(), ov);
 
   amk.convert_dense(p);
   trsm_tile(lkk, amk);
@@ -143,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(AllPrecisions, TrsmTilePrecision,
 TEST(SyrkTile, AccumulatesInFp64OnDiagonal) {
   Rng rng(29);
   const std::size_t ts = 9;
-  Tile panel = Tile::dense64(random_matrix(ts, ts, rng));
+  Tile panel = Tile::dense(random_matrix(ts, ts, rng));
   Tile diag = spd_tile64(ts, rng);
   la::Matrix<double> oracle = diag.to_dense64();
   la::syrk<double>(la::Uplo::Lower, la::Trans::NoTrans, -1.0,
@@ -153,13 +153,13 @@ TEST(SyrkTile, AccumulatesInFp64OnDiagonal) {
   // Compare lower triangles (SYRK only touches the lower).
   for (std::size_t j = 0; j < ts; ++j)
     for (std::size_t i = j; i < ts; ++i)
-      EXPECT_NEAR(diag.d64()(i, j), oracle(i, j), 1e-12);
+      EXPECT_NEAR(diag.matrix<double>()(i, j), oracle(i, j), 1e-12);
 }
 
 TEST(SyrkTile, PromotesLowPrecisionPanel) {
   Rng rng(31);
   const std::size_t ts = 8;
-  Tile panel = Tile::dense64(random_matrix(ts, ts, rng));
+  Tile panel = Tile::dense(random_matrix(ts, ts, rng));
   panel.convert_dense(Precision::FP16);
   Tile diag = spd_tile64(ts, rng);
   la::Matrix<double> oracle = diag.to_dense64();
@@ -168,7 +168,7 @@ TEST(SyrkTile, PromotesLowPrecisionPanel) {
   syrk_tile(panel, diag);
   for (std::size_t j = 0; j < ts; ++j)
     for (std::size_t i = j; i < ts; ++i)
-      EXPECT_NEAR(diag.d64()(i, j), oracle(i, j), 1e-12)
+      EXPECT_NEAR(diag.matrix<double>()(i, j), oracle(i, j), 1e-12)
           << "FP64 accumulate of the rounded panel";
 }
 
@@ -178,21 +178,21 @@ TEST(TrsmTile, LowRankTileSolvesOnlyV) {
   Tile lkk = spd_tile64(ts, rng);
   ASSERT_EQ(potrf_tile(lkk), 0);
   const auto u = random_matrix(ts, 3, rng);
-  Tile amk = Tile::lowrank64(u, random_matrix(ts, 3, rng));
+  Tile amk = Tile::lowrank(u, random_matrix(ts, 3, rng));
   la::Matrix<double> oracle = amk.to_dense64();
   la::trsm<double>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit,
-                   1.0, lkk.d64().cview(), oracle.view());
+                   1.0, lkk.matrix<double>().cview(), oracle.view());
 
   trsm_tile(lkk, amk);
   EXPECT_EQ(amk.format(), tile::TileFormat::LowRank);
-  EXPECT_EQ(rel_frobenius_diff(amk.lr64().u, u), 0.0) << "U is untouched";
+  EXPECT_EQ(rel_frobenius_diff(amk.factors<double>().u, u), 0.0) << "U is untouched";
   EXPECT_LT(rel_frobenius_diff(amk.to_dense64(), oracle), 1e-12);
 }
 
 TEST(SyrkTile, LowRankPanelUpdatesDenseDiagonal) {
   Rng rng(35);
   const std::size_t ts = 10;
-  const Tile panel = Tile::lowrank64(random_matrix(ts, 2, rng), random_matrix(ts, 2, rng));
+  const Tile panel = Tile::lowrank(random_matrix(ts, 2, rng), random_matrix(ts, 2, rng));
   Tile diag = spd_tile64(ts, rng);
   la::Matrix<double> oracle = diag.to_dense64();
   la::syrk<double>(la::Uplo::Lower, la::Trans::NoTrans, -1.0,
@@ -200,7 +200,7 @@ TEST(SyrkTile, LowRankPanelUpdatesDenseDiagonal) {
 
   syrk_tile(panel, diag);
   for (std::size_t j = 0; j < ts; ++j)
-    for (std::size_t i = j; i < ts; ++i) EXPECT_NEAR(diag.d64()(i, j), oracle(i, j), 1e-12);
+    for (std::size_t i = j; i < ts; ++i) EXPECT_NEAR(diag.matrix<double>()(i, j), oracle(i, j), 1e-12);
 }
 
 TEST(GemmMixed, DenseOutputWithLrOperandsRoundsToStorage) {
@@ -208,9 +208,9 @@ TEST(GemmMixed, DenseOutputWithLrOperandsRoundsToStorage) {
   const std::size_t ts = 16;
   const auto u = random_matrix(ts, 3, rng);
   const auto v = random_matrix(ts, 3, rng);
-  Tile a = Tile::lowrank64(u, v);
-  Tile b = Tile::dense64(random_matrix(ts, ts, rng));
-  Tile c = Tile::dense64(random_matrix(ts, ts, rng));
+  Tile a = Tile::lowrank(u, v);
+  Tile b = Tile::dense(random_matrix(ts, ts, rng));
+  Tile c = Tile::dense(random_matrix(ts, ts, rng));
   c.convert_dense(Precision::FP32);
 
   la::Matrix<double> oracle = c.to_dense64();
@@ -226,9 +226,9 @@ TEST(GemmMixed, DenseOutputWithLrOperandsRoundsToStorage) {
 TEST(GemmMixed, LrOutputAccumulatesAndRecompresses) {
   Rng rng(41);
   const std::size_t ts = 16;
-  Tile a = Tile::lowrank64(random_matrix(ts, 2, rng), random_matrix(ts, 2, rng));
-  Tile b = Tile::lowrank64(random_matrix(ts, 4, rng), random_matrix(ts, 4, rng));
-  Tile c = Tile::lowrank64(random_matrix(ts, 3, rng), random_matrix(ts, 3, rng));
+  Tile a = Tile::lowrank(random_matrix(ts, 2, rng), random_matrix(ts, 2, rng));
+  Tile b = Tile::lowrank(random_matrix(ts, 4, rng), random_matrix(ts, 4, rng));
+  Tile c = Tile::lowrank(random_matrix(ts, 3, rng), random_matrix(ts, 3, rng));
 
   la::Matrix<double> oracle = c.to_dense64();
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.to_dense64().cview(),
@@ -243,12 +243,12 @@ TEST(GemmMixed, LrOutputAccumulatesAndRecompresses) {
 TEST(GemmMixed, Fp32LrOutputStaysFp32) {
   Rng rng(43);
   const std::size_t ts = 12;
-  Tile a = Tile::lowrank64(random_matrix(ts, 2, rng), random_matrix(ts, 2, rng));
-  Tile b = Tile::dense64(random_matrix(ts, ts, rng));
+  Tile a = Tile::lowrank(random_matrix(ts, 2, rng), random_matrix(ts, 2, rng));
+  Tile b = Tile::dense(random_matrix(ts, ts, rng));
   la::Matrix<float> u32(ts, 3), v32(ts, 3);
   la::convert(random_matrix(ts, 3, rng).cview(), u32.view());
   la::convert(random_matrix(ts, 3, rng).cview(), v32.view());
-  Tile c = Tile::lowrank32(u32, v32);
+  Tile c = Tile::lowrank(u32, v32);
 
   la::Matrix<double> oracle = c.to_dense64();
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.to_dense64().cview(),
