@@ -5,9 +5,11 @@
 // Expected shape: SGEMM above DGEMM; SHGEMM below SGEMM (the conversion
 // overhead the paper also observed, falling back to SGEMM for performance).
 // The *_ref variants time the la::ref loops the packed micro-kernel path
-// replaced, so the JSON carries the measured speedup baseline.
+// replaced, so the JSON carries the measured speedup baseline. The tile
+// Cholesky's SYRK and TRSM are timed the same way, each with a _ref twin.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -18,6 +20,7 @@
 #include "la/gemm_kernel.hpp"
 #include "la/half_blas.hpp"
 #include "la/matrix.hpp"
+#include "obs/flops.hpp"
 
 namespace {
 
@@ -272,6 +275,75 @@ void BM_sgemm_ref(benchmark::State& state) {
       2.0 * n * n * n * state.iterations() / 1e9, benchmark::Counter::kIsRate);
 }
 
+// ------------------------------------------------------- SYRK and TRSM
+// The tile Cholesky's other two kernels at the shapes its tasks call: the
+// diagonal-tile update (SYRK lower/NoTrans, alpha = -1, beta = 1) and the
+// panel solve (TRSM right/lower/trans/non-unit against a factored diagonal
+// tile). Each has a _ref twin timing the la::ref loops. Flops are counted
+// as the obs ledger counts them (obs::syrk_flops, obs::trsm_flops).
+
+template <typename T>
+la::Matrix<T> lower_factor(std::size_t n, Rng& rng) {
+  la::Matrix<T> l = random_mat<T>(n, rng);
+  const T scale = T(0.5) / static_cast<T>(n);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < n; ++i)
+      l(i, j) = (i == j) ? T(1) + std::abs(l(i, j)) : l(i, j) * scale;
+  return l;
+}
+
+template <typename T, bool kRef>
+void syrk_bench(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(7);
+  const auto a = random_mat<T>(n, rng);
+  la::Matrix<T> c(n, n);
+  for (auto _ : state) {
+    if constexpr (kRef)
+      la::ref::syrk<T>(la::Uplo::Lower, la::Trans::NoTrans, T(-1), a.cview(), T(1), c.view());
+    else
+      la::syrk<T>(la::Uplo::Lower, la::Trans::NoTrans, T(-1), a.cview(), T(1), c.view());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      static_cast<double>(obs::syrk_flops(n, n)) * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+/// The right-hand side is restored from a copy before every solve (so
+/// repeated solves never drift into subnormals); the copy is timed too and
+/// costs n^2 element moves against the solve's n^3 flops.
+template <typename T, bool kRef>
+void trsm_bench(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(8);
+  const auto l = lower_factor<T>(n, rng);
+  const auto b0 = random_mat<T>(n, rng);
+  la::Matrix<T> b = b0;
+  for (auto _ : state) {
+    b = b0;
+    if constexpr (kRef)
+      la::ref::trsm<T>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit,
+                       T(1), l.cview(), b.view());
+    else
+      la::trsm<T>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit, T(1),
+                  l.cview(), b.view());
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      static_cast<double>(obs::trsm_flops(n, n)) * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+void BM_dsyrk(benchmark::State& state) { syrk_bench<double, false>(state); }
+void BM_dsyrk_ref(benchmark::State& state) { syrk_bench<double, true>(state); }
+void BM_dtrsm(benchmark::State& state) { trsm_bench<double, false>(state); }
+void BM_dtrsm_ref(benchmark::State& state) { trsm_bench<double, true>(state); }
+void BM_strsm(benchmark::State& state) { trsm_bench<float, false>(state); }
+void BM_strsm_ref(benchmark::State& state) { trsm_bench<float, true>(state); }
+
 #define GSX_FIG8_SIZES ->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond)
 BENCHMARK(BM_dgemm) GSX_FIG8_SIZES;
 BENCHMARK(BM_sgemm) GSX_FIG8_SIZES;
@@ -286,6 +358,12 @@ BENCHMARK(BM_hgemm_batched) GSX_FIG8_SIZES;
 BENCHMARK(BM_bgemm_batched) GSX_FIG8_SIZES;
 BENCHMARK(BM_dgemm_ref) GSX_FIG8_SIZES;
 BENCHMARK(BM_sgemm_ref) GSX_FIG8_SIZES;
+BENCHMARK(BM_dsyrk) GSX_FIG8_SIZES;
+BENCHMARK(BM_dsyrk_ref) GSX_FIG8_SIZES;
+BENCHMARK(BM_dtrsm) GSX_FIG8_SIZES;
+BENCHMARK(BM_dtrsm_ref) GSX_FIG8_SIZES;
+BENCHMARK(BM_strsm) GSX_FIG8_SIZES;
+BENCHMARK(BM_strsm_ref) GSX_FIG8_SIZES;
 
 /// Console output as usual, plus a BenchRecord per run for --json. The size
 /// is recovered from the "BM_name/123" run name.
@@ -317,7 +395,9 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 /// reference baseline at the same size (stored in `gflops`; `seconds` = 0).
 void append_pct_of_ref(std::vector<bench::BenchRecord>& records) {
   const std::pair<const char*, const char*> pairs[] = {
-      {"BM_dgemm/", "BM_dgemm_ref/"}, {"BM_sgemm/", "BM_sgemm_ref/"}};
+      {"BM_dgemm/", "BM_dgemm_ref/"}, {"BM_sgemm/", "BM_sgemm_ref/"},
+      {"BM_dsyrk/", "BM_dsyrk_ref/"}, {"BM_dtrsm/", "BM_dtrsm_ref/"},
+      {"BM_strsm/", "BM_strsm_ref/"}};
   std::vector<bench::BenchRecord> derived;
   for (const auto& [fast_prefix, ref_prefix] : pairs) {
     for (const auto& fast : records) {

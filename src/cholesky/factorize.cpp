@@ -190,9 +190,12 @@ void compress_tile(SymTileMatrix& a, std::size_t i, std::size_t j, double global
 
   // Structure-aware decision: rank too high for the TLR kernel to win; keep
   // the tile dense (it re-joins the band, cf. Fig. 3(a->b)). The cap is
-  // measured against the tile side, so thin ragged tiles share it.
+  // measured against the tile side, so thin ragged tiles share it; a tile
+  // also stays dense unless its factors store fewer entries than it does.
   const std::size_t rank_cap = (opts.max_rank > 0) ? opts.max_rank : a.tile_size() / 2;
-  if (comp.rank() > rank_cap) return;
+  if (comp.rank() > rank_cap ||
+      comp.rank() * (t.rows() + t.cols()) >= t.rows() * t.cols())
+    return;
 
   // Precision-aware decision for the LR factors (FP64 vs FP32 storage).
   bool use_fp32 = false;

@@ -63,7 +63,8 @@ struct CompressStats {
 };
 
 /// The per-tile structure-aware decision (Algorithm 2) for dense tile
-/// (i, j): compress it, keep it dense if its rank exceeds the cap, and
+/// (i, j): compress it, keep it dense if its rank exceeds the cap or its
+/// factors would store at least as many entries as the tile, and
 /// store its factors in FP32 where the Frobenius rule permits against
 /// `global_norm` = ||A||_F. Records the compression flops and, under health
 /// auditing, the tile's non-finite input and observed error.

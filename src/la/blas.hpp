@@ -7,11 +7,14 @@
 // Two layers:
 //   la::ref::  — the original unit-stride reference loops, kept alive as
 //                test oracles and as the small-problem fallback.
-//   la::       — the public entry points. GEMM dispatches FP32/FP64 work of
-//                meaningful size to the packed, register-tiled micro-kernel
-//                path (gemm_kernel.hpp); SYRK and TRSM are blocked
-//                algorithms whose trailing updates funnel into that GEMM,
-//                with reference code only at the innermost block.
+//   la::       — the public entry points. FP32/FP64 work that passes the
+//                packed GEMM's size rule (use_packed) runs on the packed,
+//                register-tiled micro-kernel path (gemm_kernel.hpp):
+//                GEMM directly; SYRK as one triangle sweep of that GEMM, so
+//                each stored element equals la::gemm's bit for bit; TRSM as
+//                a substitution recursion whose coupling updates are packed
+//                GEMMs, split only while they pass use_packed, with the
+//                reference solve on the blocks below that.
 #pragma once
 
 #include <cstddef>
@@ -31,10 +34,6 @@ namespace detail {
 /// L1/L2.
 inline constexpr std::size_t kGemmKBlock = 256;
 
-/// Order at which blocked SYRK/TRSM stop recursing and run reference code
-/// on the diagonal block.
-inline constexpr std::size_t kMicroBlock = 64;
-
 template <typename T>
 void scale_matrix(T beta, Span2D<T> c) {
   if (beta == T{1}) return;
@@ -45,6 +44,19 @@ void scale_matrix(T beta, Span2D<T> c) {
     } else {
       for (std::size_t i = 0; i < c.rows(); ++i) cj[i] *= beta;
     }
+  }
+}
+
+/// scale_matrix on the `uplo` triangle of the square C only.
+template <typename T>
+void scale_triangle(Uplo uplo, T beta, Span2D<T> c) {
+  if (beta == T{1}) return;
+  const std::size_t n = c.rows();
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t ibeg = (uplo == Uplo::Lower) ? j : 0;
+    const std::size_t iend = (uplo == Uplo::Lower) ? n : j + 1;
+    T* cj = &c(0, j);
+    for (std::size_t i = ibeg; i < iend; ++i) cj[i] = (beta == T{0}) ? T{0} : cj[i] * beta;
   }
 }
 
@@ -120,47 +132,38 @@ void gemm(Trans ta, Trans tb, T alpha, Span2D<const T> a, Span2D<const T> b, T b
 }
 
 /// C = alpha * op(A) * op(A)^T + beta * C on the `uplo` triangle; oracle.
+/// Each element accumulates in ref::gemm_accum's order, so the triangle
+/// equals ref::gemm(op(A), op(A)^T)'s bit for bit.
 template <typename T>
 void syrk(Uplo uplo, Trans trans, T alpha, Span2D<const T> a, T beta, Span2D<T> c) {
   const std::size_t n = c.rows();
   const std::size_t k = (trans == Trans::NoTrans) ? a.cols() : a.rows();
 
-  // Scale the addressed triangle.
+  detail::scale_triangle(uplo, beta, c);
+  if (alpha == T{0} || k == 0) return;
+
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t ibeg = (uplo == Uplo::Lower) ? j : 0;
     const std::size_t iend = (uplo == Uplo::Lower) ? n : j + 1;
-    for (std::size_t i = ibeg; i < iend; ++i)
-      c(i, j) = (beta == T{0}) ? T{0} : c(i, j) * beta;
-  }
-  if (alpha == T{0} || k == 0) return;
-
-  if (trans == Trans::NoTrans) {
-    // C(i,j) += alpha * A(i,l) * A(j,l): axpy over i within the triangle.
-    for (std::size_t j = 0; j < n; ++j) {
+    T* cj = &c(0, j);
+    if (trans == Trans::NoTrans) {
+      // C(i,j) += A(i,l) * (alpha * A(j,l)): axpy over i within the triangle.
       for (std::size_t l = 0; l < k; ++l) {
         const T ajl = alpha * a(j, l);
-        if (ajl == T{0}) continue;
         const T* al = &a(0, l);
-        if (uplo == Uplo::Lower) {
-          T* cj = &c(0, j);
-          for (std::size_t i = j; i < n; ++i) cj[i] += al[i] * ajl;
-        } else {
-          T* cj = &c(0, j);
-          for (std::size_t i = 0; i <= j; ++i) cj[i] += al[i] * ajl;
-        }
+        for (std::size_t i = ibeg; i < iend; ++i) cj[i] += al[i] * ajl;
       }
-    }
-  } else {
-    // C(i,j) += alpha * dot(A(:,i), A(:,j)).
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t ibeg = (uplo == Uplo::Lower) ? j : 0;
-      const std::size_t iend = (uplo == Uplo::Lower) ? n : j + 1;
-      const T* aj = &a(0, j);
-      for (std::size_t i = ibeg; i < iend; ++i) {
-        const T* ai = &a(0, i);
-        T s{};
-        for (std::size_t l = 0; l < k; ++l) s += ai[l] * aj[l];
-        c(i, j) += alpha * s;
+    } else {
+      // C(i,j) += alpha * dot(A(:,i), A(:,j)), one dot per k-block.
+      for (std::size_t k0 = 0; k0 < k; k0 += detail::kGemmKBlock) {
+        const std::size_t kb = std::min(detail::kGemmKBlock, k - k0);
+        const T* aj = &a(k0, j);
+        for (std::size_t i = ibeg; i < iend; ++i) {
+          const T* ai = &a(k0, i);
+          T s{};
+          for (std::size_t l = 0; l < kb; ++l) s += ai[l] * aj[l];
+          cj[i] += alpha * s;
+        }
       }
     }
   }
@@ -343,46 +346,11 @@ void gemm(Trans ta, Trans tb, T alpha, Span2D<const T> a, Span2D<const T> b, T b
   detail::gemm_accum_fast<T>(ta, tb, alpha, a, b, c);
 }
 
-namespace detail {
-
-/// Accumulating blocked SYRK: C_triangle += alpha * op(A) op(A)^T. Splits
-/// recursively; the off-diagonal quadrant is a plain GEMM (packed path), the
-/// diagonal blocks bottom out in the reference kernel at kMicroBlock.
-template <typename T>
-void syrk_accum_blocked(Uplo uplo, Trans trans, T alpha, Span2D<const T> a, Span2D<T> c) {
-  const std::size_t n = c.rows();
-  const std::size_t k = (trans == Trans::NoTrans) ? a.cols() : a.rows();
-  if (n <= kMicroBlock || !kHasPackedKernel<T>) {
-    // Reference SYRK with beta = 1 accumulates in place.
-    ref::syrk<T>(uplo, trans, alpha, a, T{1}, c);
-    return;
-  }
-  const std::size_t h = n / 2;
-  const Span2D<const T> a1 = (trans == Trans::NoTrans) ? a.sub(0, 0, h, k)
-                                                       : a.sub(0, 0, k, h);
-  const Span2D<const T> a2 = (trans == Trans::NoTrans) ? a.sub(h, 0, n - h, k)
-                                                       : a.sub(0, h, k, n - h);
-  syrk_accum_blocked<T>(uplo, trans, alpha, a1, c.sub(0, 0, h, h));
-  syrk_accum_blocked<T>(uplo, trans, alpha, a2, c.sub(h, h, n - h, n - h));
-  if (uplo == Uplo::Lower) {
-    auto c21 = c.sub(h, 0, n - h, h);
-    if (trans == Trans::NoTrans)
-      gemm_accum_fast<T>(Trans::NoTrans, Trans::Trans, alpha, a2, a1, c21);
-    else
-      gemm_accum_fast<T>(Trans::Trans, Trans::NoTrans, alpha, a2, a1, c21);
-  } else {
-    auto c12 = c.sub(0, h, h, n - h);
-    if (trans == Trans::NoTrans)
-      gemm_accum_fast<T>(Trans::NoTrans, Trans::Trans, alpha, a1, a2, c12);
-    else
-      gemm_accum_fast<T>(Trans::Trans, Trans::NoTrans, alpha, a1, a2, c12);
-  }
-}
-
-}  // namespace detail
-
 /// C = alpha * op(A) * op(A)^T + beta * C, touching only the `uplo` triangle.
-/// op(A) is n x k; C is n x n.
+/// op(A) is n x k; C is n x n. Every stored element equals the same element
+/// of la::gemm(trans, flip(trans), alpha, a, a, beta, c) bit for bit: the
+/// packed triangle sweep when la::gemm would take the packed path, the
+/// reference loops (in ref::gemm's order) when it would not.
 template <typename T>
 void syrk(Uplo uplo, Trans trans, T alpha, Span2D<const T> a, T beta, Span2D<T> c) {
   const std::size_t n = c.rows();
@@ -390,22 +358,24 @@ void syrk(Uplo uplo, Trans trans, T alpha, Span2D<const T> a, T beta, Span2D<T> 
   const std::size_t k = (trans == Trans::NoTrans) ? a.cols() : a.rows();
   GSX_REQUIRE(((trans == Trans::NoTrans) ? a.rows() : a.cols()) == n, "syrk: A shape mismatch");
 
-  // Scale the addressed triangle.
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t ibeg = (uplo == Uplo::Lower) ? j : 0;
-    const std::size_t iend = (uplo == Uplo::Lower) ? n : j + 1;
-    for (std::size_t i = ibeg; i < iend; ++i)
-      c(i, j) = (beta == T{0}) ? T{0} : c(i, j) * beta;
+  if constexpr (detail::kHasPackedKernel<T>) {
+    if (alpha != T{0} && detail::use_packed(n, n, k)) {
+      detail::scale_triangle(uplo, beta, c);
+      detail::syrk_packed(uplo, trans, alpha, a, c);
+      return;
+    }
   }
-  if (alpha == T{0} || k == 0 || n == 0) return;
-  detail::syrk_accum_blocked<T>(uplo, trans, alpha, a, c);
+  ref::syrk<T>(uplo, trans, alpha, a, beta, c);
 }
 
 namespace detail {
 
 /// In-place blocked triangular solve (alpha already applied to B). Halves
 /// the triangle recursively: the two diagonal sub-solves recurse, the
-/// coupling update is a GEMM on the packed path. All eight
+/// coupling update is a GEMM on the packed path. A split is made only while
+/// that coupling GEMM passes use_packed — (na-h) x n x h on the left side,
+/// m x (na-h) x h on the right — so the recursion stops where the packed
+/// GEMM itself would, and the reference solve finishes the block. All eight
 /// side / uplo / trans combinations reduce to the same four-step pattern.
 template <typename T>
 void trsm_blocked(Side side, Uplo uplo, Trans ta, Diag diag, Span2D<const T> a,
@@ -413,11 +383,13 @@ void trsm_blocked(Side side, Uplo uplo, Trans ta, Diag diag, Span2D<const T> a,
   const std::size_t na = a.rows();
   const std::size_t m = b.rows();
   const std::size_t n = b.cols();
-  if (na <= kMicroBlock || !kHasPackedKernel<T>) {
+  const std::size_t h = na / 2;
+  const bool split = (side == Side::Left) ? use_packed(na - h, n, h)
+                                          : use_packed(m, na - h, h);
+  if (!split || !kHasPackedKernel<T>) {
     ref::trsm<T>(side, uplo, ta, diag, T{1}, a, b);
     return;
   }
-  const std::size_t h = na / 2;
   const auto a11 = a.sub(0, 0, h, h);
   const auto a22 = a.sub(h, h, na - h, na - h);
   const T neg1 = T{-1};

@@ -129,6 +129,55 @@ GSX_ALWAYS_INLINE void micro_store(T alpha, const T* GSX_RESTRICT acc, T* GSX_RE
   }
 }
 
+// ---------------------------------------------------------------------------
+// The stored part of C: all of it (GEMM), or one triangle (SYRK, whose op(B)
+// is op(A)^T). The predicates take a block of C by its top-left element
+// (i0, j0) and its extent; a skipped block is never packed or computed.
+
+enum class Part { All, Lower, Upper };
+
+/// Whether the block holds an element of the part.
+constexpr bool touches(Part part, std::size_t i0, std::size_t rows, std::size_t j0,
+                       std::size_t cols) noexcept {
+  switch (part) {
+    case Part::Lower: return i0 + rows > j0;
+    case Part::Upper: return j0 + cols > i0;
+    case Part::All: break;
+  }
+  return true;
+}
+
+/// Whether every element of the block is in the part.
+constexpr bool covers(Part part, std::size_t i0, std::size_t rows, std::size_t j0,
+                      std::size_t cols) noexcept {
+  switch (part) {
+    case Part::Lower: return i0 + 1 >= j0 + cols;
+    case Part::Upper: return i0 + rows <= j0 + 1;
+    case Part::All: break;
+  }
+  return true;
+}
+
+/// micro_store for a micro-tile across the diagonal of a triangle part:
+/// adds only the elements C(i0 + i, j0 + j) inside the triangle, each with
+/// micro_store's arithmetic.
+template <Part part, typename T, int MR>
+GSX_ALWAYS_INLINE void micro_store_part(T alpha, const T* GSX_RESTRICT acc,
+                                        T* GSX_RESTRICT c, std::size_t ldc, std::size_t mr,
+                                        std::size_t nr, std::size_t i0, std::size_t j0) {
+  for (std::size_t j = 0; j < nr; ++j) {
+    // The diagonal element of column j0 + j sits at local row j0 + j - i0.
+    const std::size_t diag = j0 + j;
+    const std::size_t lo =
+        (part == Part::Lower && diag > i0) ? std::min(diag - i0, mr) : 0;
+    const std::size_t hi =
+        (part == Part::Upper) ? (diag >= i0 ? std::min(diag - i0 + 1, mr) : 0) : mr;
+    T* GSX_RESTRICT cj = c + j * ldc;
+    const T* GSX_RESTRICT aj = acc + j * MR;
+    for (std::size_t i = lo; i < hi; ++i) cj[i] += alpha * aj[i];
+  }
+}
+
 /// Cache-blocking parameters (in elements): MC x KC blocks of packed op(A)
 /// target L2, one KC x NR micro-panel of packed op(B) stays L1-resident, NC
 /// bounds the packed-B footprint.
@@ -146,9 +195,11 @@ struct GemmBlocking {
 // kriging micro-batch); C is touched once per KC-deep block. A single op is
 // the count == 1 case, so one compiled variant serves both entry points and
 // batched results are bit-identical to per-op calls by construction: each
-// item sees exactly the per-op loop structure and accumulation order.
+// item sees exactly the per-op loop structure and accumulation order. A
+// triangle `part` (SYRK) runs the same loops and skips what lies outside it,
+// so each element it stores is the GEMM's bit for bit.
 
-template <typename TS, typename T, int MR, int NR>
+template <Part part, typename TS, typename T, int MR, int NR>
 GSX_ALWAYS_INLINE void gemm_macro(Trans ta, Trans tb, T alpha,
                                   const GemmBatchItem<TS, T>* items, std::size_t count,
                                   const GemmBlocking& blk, std::vector<T>& apack,
@@ -175,16 +226,24 @@ GSX_ALWAYS_INLINE void gemm_macro(Trans ta, Trans tb, T alpha,
         const Span2D<T>& ci = items[it].c;
         for (std::size_t ic = 0; ic < m; ic += blk.mc) {
           const std::size_t mcb = std::min(blk.mc, m - ic);
+          if (!touches(part, ic, mcb, jc, ncb)) continue;
           apack.resize(round_up(mcb, MR) * kcb);
           pack_a<TS, T, MR>(ta, ai, ic, pc, mcb, kcb, apack.data());
           for (std::size_t jr = 0; jr < ncb; jr += NR) {
             const std::size_t nr = std::min<std::size_t>(NR, ncb - jr);
             for (std::size_t ir = 0; ir < mcb; ir += MR) {
               const std::size_t mr = std::min<std::size_t>(MR, mcb - ir);
+              const std::size_t i0 = ic + ir;
+              const std::size_t j0 = jc + jr;
+              if (!touches(part, i0, mr, j0, nr)) continue;
               T acc[static_cast<std::size_t>(MR) * NR] = {};
               micro_accum<T, MR, NR>(kcb, apack.data() + ir * kcb, bpack.data() + jr * kcb,
                                      acc);
-              micro_store<T, MR, NR>(alpha, acc, &ci(ic + ir, jc + jr), ci.ld(), mr, nr);
+              if (covers(part, i0, mr, j0, nr))
+                micro_store<T, MR, NR>(alpha, acc, &ci(i0, j0), ci.ld(), mr, nr);
+              else
+                micro_store_part<part, T, MR>(alpha, acc, &ci(i0, j0), ci.ld(), mr, nr, i0,
+                                              j0);
             }
           }
         }
@@ -201,13 +260,25 @@ GSX_ALWAYS_INLINE void gemm_macro(Trans ta, Trans tb, T alpha,
 
 template <typename TS, typename T>
 using BatchKernelFn = void (*)(Trans, Trans, T, const GemmBatchItem<TS, T>*, std::size_t,
-                               const GemmBlocking&, std::vector<T>&, std::vector<T>&);
+                               Part, const GemmBlocking&, std::vector<T>&,
+                               std::vector<T>&);
 
+// The part is a template argument of gemm_macro, so the GEMM instance
+// compiles exactly as a sweep with no predicate; only FP64/FP32 storage
+// has a SYRK.
 #define GSX_GEMM_VARIANT(name, attr, TS, T, MR, NR)                                       \
   attr void name(Trans ta, Trans tb, T alpha, const GemmBatchItem<TS, T>* items,          \
-                 std::size_t count, const GemmBlocking& blk, std::vector<T>& apack,       \
-                 std::vector<T>& bpack) {                                                 \
-    gemm_macro<TS, T, MR, NR>(ta, tb, alpha, items, count, blk, apack, bpack);            \
+                 std::size_t count, Part part, const GemmBlocking& blk,                   \
+                 std::vector<T>& apack, std::vector<T>& bpack) {                          \
+    if constexpr (std::is_same_v<TS, T>) {                                                \
+      if (part == Part::Lower)                                                            \
+        return gemm_macro<Part::Lower, TS, T, MR, NR>(ta, tb, alpha, items, count, blk,   \
+                                                      apack, bpack);                      \
+      if (part == Part::Upper)                                                            \
+        return gemm_macro<Part::Upper, TS, T, MR, NR>(ta, tb, alpha, items, count, blk,   \
+                                                      apack, bpack);                      \
+    }                                                                                     \
+    gemm_macro<Part::All, TS, T, MR, NR>(ta, tb, alpha, items, count, blk, apack, bpack); \
   }
 
 // Shapes were chosen empirically per ISA (GCC's SLP vectorizer is
@@ -277,10 +348,20 @@ constexpr GemmBlocking kBlocking =
 /// buffers keep their capacity across tile-task invocations on a worker.
 template <typename TS, typename T>
 void run_batch(Trans ta, Trans tb, T alpha, const GemmBatchItem<TS, T>* items,
-               std::size_t count) {
+               std::size_t count, Part part = Part::All) {
   static thread_local std::vector<T> apack;
   static thread_local std::vector<T> bpack;
-  kernel_for<TS, T>(active_isa())(ta, tb, alpha, items, count, kBlocking<T>, apack, bpack);
+  kernel_for<TS, T>(active_isa())(ta, tb, alpha, items, count, part, kBlocking<T>, apack,
+                                  bpack);
+}
+
+/// SYRK as the triangle part of GEMM(op(A), op(A)^T).
+template <typename T>
+void run_syrk(Uplo uplo, Trans trans, T alpha, Span2D<const T> a, Span2D<T> c) {
+  const GemmBatchItem<T> item{a, a, c};
+  const Trans tb = (trans == Trans::NoTrans) ? Trans::Trans : Trans::NoTrans;
+  run_batch<T, T>(trans, tb, alpha, &item, 1,
+                  (uplo == Uplo::Lower) ? Part::Lower : Part::Upper);
 }
 
 template <typename TS, typename T>
@@ -374,6 +455,16 @@ void gemm_packed(Trans ta, Trans tb, float alpha, Span2D<const half> a,
 void gemm_packed(Trans ta, Trans tb, float alpha, Span2D<const bfloat16> a,
                  Span2D<const bfloat16> b, Span2D<float> c) {
   run_packed<bfloat16, float>(ta, tb, alpha, a, b, c);
+}
+
+void syrk_packed(Uplo uplo, Trans trans, double alpha, Span2D<const double> a,
+                 Span2D<double> c) {
+  run_syrk<double>(uplo, trans, alpha, a, c);
+}
+
+void syrk_packed(Uplo uplo, Trans trans, float alpha, Span2D<const float> a,
+                 Span2D<float> c) {
+  run_syrk<float>(uplo, trans, alpha, a, c);
 }
 
 void gemm_batch_packed(Trans ta, Trans tb, double alpha, const GemmBatchItem<double>* items,

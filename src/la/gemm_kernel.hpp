@@ -13,6 +13,11 @@
 // (one pass, no full-matrix scratch copies) and accumulate in FP32 — the
 // SHGEMM semantics the paper borrowed from BLIS for Fugaku's missing kernel.
 //
+// SYRK is the same sweep restricted to one triangle of C: a predicate on C's
+// coordinates skips the MC blocks and micro-tiles outside it and masks the
+// stores of the micro-tiles across its diagonal. TRSM (la/blas.hpp) reaches
+// this path through its coupling GEMMs.
+//
 // Like the fixed per-machine BLAS the paper links, each (precision, ISA)
 // pair has exactly one compiled kernel with one compile-time blocking (table
 // in docs/tuning.md). The ISA is picked once per process from the CPU
@@ -81,6 +86,16 @@ void gemm_packed(Trans ta, Trans tb, float alpha, Span2D<const half> a,
                  Span2D<const half> b, Span2D<float> c);
 void gemm_packed(Trans ta, Trans tb, float alpha, Span2D<const bfloat16> a,
                  Span2D<const bfloat16> b, Span2D<float> c);
+
+/// C's `uplo` triangle += alpha * op(A) * op(A)^T (op(A) is n x k) through
+/// the packed path: the sweep of gemm_packed(trans, flip(trans), alpha, a, a,
+/// c) with the micro-tiles outside the triangle skipped and those across
+/// its diagonal storing only their in-triangle elements, so every stored
+/// element equals gemm_packed's bit for bit. beta must already be applied.
+void syrk_packed(Uplo uplo, Trans trans, double alpha, Span2D<const double> a,
+                 Span2D<double> c);
+void syrk_packed(Uplo uplo, Trans trans, float alpha, Span2D<const float> a,
+                 Span2D<float> c);
 
 /// Batched form: every item has the same (m, n, k) and transposes, and beta
 /// is already applied. One blocked sweep over all items; the packed op(B)

@@ -145,7 +145,11 @@ INSTANTIATE_TEST_SUITE_P(
                       SyrkCase{6, 4, Uplo::Upper, Trans::Trans, 1.0, 1.0},
                       SyrkCase{1, 1, Uplo::Lower, Trans::NoTrans, 1.0, 0.0},
                       SyrkCase{31, 17, Uplo::Lower, Trans::NoTrans, -1.0, 1.0},
-                      SyrkCase{16, 33, Uplo::Upper, Trans::Trans, 1.0, 0.0}));
+                      SyrkCase{16, 33, Uplo::Upper, Trans::Trans, 1.0, 0.0},
+                      // Shapes on the packed triangle sweep (n*n*k >= 16384):
+                      // a tile-64 trailing update and a deep upper one.
+                      SyrkCase{64, 64, Uplo::Lower, Trans::NoTrans, -1.0, 1.0},
+                      SyrkCase{100, 300, Uplo::Upper, Trans::Trans, 0.5, -0.5}));
 
 // ------------------------------------------------------------------ TRSM
 
@@ -205,6 +209,10 @@ std::vector<TrsmCase> all_trsm_cases() {
   cases.push_back({1, 8, Side::Left, Uplo::Lower, Trans::NoTrans, Diag::NonUnit});
   cases.push_back({8, 1, Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit});
   cases.push_back({24, 24, Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit});
+  // Shapes whose recursion splits onto packed coupling GEMMs: the tile-128
+  // panel solve and a 4-right-hand-side forward solve.
+  cases.push_back({128, 128, Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit});
+  cases.push_back({128, 4, Side::Left, Uplo::Lower, Trans::NoTrans, Diag::NonUnit});
   return cases;
 }
 

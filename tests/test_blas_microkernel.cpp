@@ -5,8 +5,11 @@
 // trans / uplo / side / diag option space.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -182,6 +185,75 @@ void run_syrk_oracle_sweep() {
 TEST(BlasMicrokernel, SyrkMatchesOracleF64) { run_syrk_oracle_sweep<double>(); }
 TEST(BlasMicrokernel, SyrkMatchesOracleF32) { run_syrk_oracle_sweep<float>(); }
 
+template <typename T>
+auto bits_of(T v) {
+  using U = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+  return std::bit_cast<U>(v);
+}
+
+// la::syrk is the `uplo` triangle of la::gemm(op(A), op(A)^T) bit for bit,
+// on the packed sweep and on the reference loops alike, and stores nothing
+// else. Orders cross MR, NR and both MC values; depths cross KC = 256. A
+// and C are interior sub-views of larger buffers. Everything of C's buffer
+// outside the triangle is poisoned and must keep its bits, once with a NaN
+// with a payload, which must not leak into the triangle, and once with a
+// finite sentinel, which a stray accumulation changes (a NaN absorbs it).
+template <typename T>
+void run_syrk_gemm_bitwise() {
+  Rng rng(8128);
+  const T poisons[] = {std::bit_cast<T>(static_cast<decltype(bits_of(T{}))>(
+                           sizeof(T) == 8 ? 0x7ff80000005a5a5aull : 0x7fc05a5au)),
+                       T{-777.25}};
+  const T alphas[] = {T{-1}, T{-0.5}, T{0}};
+  const T betas[] = {T{1}, T{-0.5}, T{0}};
+  int combo = 0;
+  for (std::size_t n : {1, 5, 31, 33, 64, 100, 128, 257, 300}) {
+    for (std::size_t k : {1, 3, 64, 300}) {
+      for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+        for (Trans trans : {Trans::NoTrans, Trans::Trans}) {
+          // Rotate through the nine (alpha, beta) pairs across the sweep.
+          const T alpha = alphas[combo % 3];
+          const T beta = betas[(combo / 3) % 3];
+          ++combo;
+          const Trans tb = (trans == Trans::NoTrans) ? Trans::Trans : Trans::NoTrans;
+          const std::size_t ar = (trans == Trans::NoTrans) ? n : k;
+          const std::size_t ac = (trans == Trans::NoTrans) ? k : n;
+          const Matrix<T> abuf = uniform_matrix<T>(ar + 4, ac + 3, rng);
+          const Span2D<const T> a = abuf.cview().sub(1, 2, ar, ac);
+
+          const Matrix<T> c0 = uniform_matrix<T>(n + 3, n + 2, rng);
+          Matrix<T> c_gemm = c0;
+          la::gemm<T>(trans, tb, alpha, a, a, beta, c_gemm.view().sub(2, 1, n, n));
+          const auto in_triangle = [&](std::size_t i, std::size_t j) {
+            if (i < 2 || j < 1 || i >= n + 2 || j >= n + 1) return false;
+            return (uplo == Uplo::Lower) ? (i - 2 >= j - 1) : (i - 2 <= j - 1);
+          };
+          for (const T poison : poisons) {
+            Matrix<T> c_syrk = c0;
+            for (std::size_t j = 0; j < n + 2; ++j)
+              for (std::size_t i = 0; i < n + 3; ++i)
+                if (!in_triangle(i, j)) c_syrk(i, j) = poison;
+            la::syrk<T>(uplo, trans, alpha, a, beta, c_syrk.view().sub(2, 1, n, n));
+
+            std::size_t mismatches = 0;
+            for (std::size_t j = 0; j < n + 2; ++j)
+              for (std::size_t i = 0; i < n + 3; ++i)
+                mismatches += bits_of(c_syrk(i, j)) !=
+                              bits_of(in_triangle(i, j) ? c_gemm(i, j) : poison);
+            EXPECT_EQ(mismatches, 0u)
+                << "n=" << n << " k=" << k << " uplo=" << static_cast<int>(uplo)
+                << " trans=" << static_cast<int>(trans) << " alpha=" << alpha
+                << " beta=" << beta << " poison=" << poison;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BlasMicrokernel, SyrkEqualsGemmTriangleBitwiseF64) { run_syrk_gemm_bitwise<double>(); }
+TEST(BlasMicrokernel, SyrkEqualsGemmTriangleBitwiseF32) { run_syrk_gemm_bitwise<float>(); }
+
 // Well-conditioned triangle for both Diag modes: off-diagonals shrunk to
 // O(1/n) so even the Unit solves (which ignore the stored diagonal) stay
 // bounded-condition and the blocked/reference forward errors are comparable
@@ -197,20 +269,32 @@ Matrix<T> dominant_triangle(std::size_t n, Rng& rng) {
   return a;
 }
 
+// B shapes (m x n) per side: the tile pipeline's right-side panel solves
+// (tile 128, tile 64, a ragged 44-row panel under a 64 tile), its left-side
+// solves with 1-8 right-hand sides, and one odd shape that splits unevenly.
+struct TrsmShape {
+  Side side;
+  std::size_t m, n;
+};
+constexpr TrsmShape kTrsmShapes[] = {
+    {Side::Right, 128, 128}, {Side::Right, 64, 64}, {Side::Right, 44, 64},
+    {Side::Right, 213, 100}, {Side::Left, 128, 1},  {Side::Left, 128, 2},
+    {Side::Left, 128, 4},    {Side::Left, 128, 8},  {Side::Left, 64, 4},
+    {Side::Left, 213, 100}};
+
 template <typename T>
 void run_trsm_oracle_sweep() {
   Rng rng(99);
-  const std::size_t m = 213, n = 100;
-  for (Side side : {Side::Left, Side::Right}) {
+  for (const TrsmShape& s : kTrsmShapes) {
     for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
       for (Trans ta : {Trans::NoTrans, Trans::Trans}) {
         for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-          const std::size_t na = (side == Side::Left) ? m : n;
+          const std::size_t na = (s.side == Side::Left) ? s.m : s.n;
           const Matrix<T> a = dominant_triangle<T>(na, rng);
-          Matrix<T> b_fast = uniform_matrix<T>(m, n, rng);
+          Matrix<T> b_fast = uniform_matrix<T>(s.m, s.n, rng);
           Matrix<T> b_ref = b_fast;
-          la::trsm<T>(side, uplo, ta, diag, T{-0.5}, a.cview(), b_fast.view());
-          la::ref::trsm<T>(side, uplo, ta, diag, T{-0.5}, a.cview(), b_ref.view());
+          la::trsm<T>(s.side, uplo, ta, diag, T{-0.5}, a.cview(), b_fast.view());
+          la::ref::trsm<T>(s.side, uplo, ta, diag, T{-0.5}, a.cview(), b_ref.view());
           // The diagonally dominant triangle keeps the recursive and
           // reference substitution orders within a few ulps of each other.
           expect_close(b_fast, b_ref, 64.0 * std::numeric_limits<T>::epsilon() * na,

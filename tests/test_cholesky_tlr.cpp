@@ -74,16 +74,20 @@ TEST(CompressOffband, CompressionErrorWithinTolerance) {
 }
 
 TEST(CompressOffband, WeakCorrelationGivesLowerRanks) {
-  auto weak = matern_tiles(192, 32, 0.03);
-  auto strong = matern_tiles(192, 32, 0.3);
+  // A square tile stays low-rank only below half its side (its factors must
+  // store fewer entries than it does), so the matrix is large enough for
+  // strongly correlated tiles to stay low-rank too.
+  auto weak = matern_tiles(384, 32, 0.03);
+  auto strong = matern_tiles(384, 32, 0.3);
   TlrCompressOptions copt;
   copt.band_size = 1;
   copt.lr_fp32 = false;
-  copt.max_rank = 32;  // disable the structure reversion for the comparison
   const CompressStats ws = compress_offband(weak, copt, 1);
   const CompressStats ss = compress_offband(strong, copt, 1);
+  ASSERT_GT(ss.lr_tiles, 0u);
   EXPECT_LT(ws.avg_rank, ss.avg_rank)
       << "weak correlation must compress to lower ranks (paper Fig. 9)";
+  EXPECT_LT(ws.reverted_tiles, ss.reverted_tiles);
 }
 
 TEST(CompressOffband, HighRankTilesRevertToDense) {
@@ -119,6 +123,61 @@ TEST(CompressTile, RejectsNonPositiveTolerance) {
   copt.tol = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(compress_tile(a, 1, 0, a.frobenius_norm(), copt), InvalidArgument);
   EXPECT_EQ(a.at(1, 0).format(), tile::TileFormat::Dense);
+}
+
+// A low-rank tile is kept only when its factors store fewer entries than
+// the dense tile: rank * (rows + cols) < rows * cols. The 4 x 64 ragged tile
+// of a 68 x 68 matrix at tile 64 stores 256 entries dense, 272 at rank 4
+// and 204 at rank 3, under the rank cap of 32 either way.
+TEST(CompressTile, ThinTileStaysDenseUnlessFactorsAreSmaller) {
+  for (const tlr::CompressionMethod method :
+       {tlr::CompressionMethod::SVD, tlr::CompressionMethod::ACA}) {
+    for (const std::size_t rank : {std::size_t{4}, std::size_t{3}}) {
+      Rng rng(rank);
+      const la::Matrix<double> u = test::random_matrix(4, rank, rng);
+      const la::Matrix<double> v = test::random_matrix(64, rank, rng);
+      tile::SymTileMatrix a(68, 64);
+      test::generate(a, [&](std::size_t gi, std::size_t gj) {
+        if (gi < 64 || gj >= 64) return gi == gj ? 1.0 : 0.0;
+        double s = 0.0;
+        for (std::size_t l = 0; l < rank; ++l) s += u(gi - 64, l) * v(gj, l);
+        return s;
+      });
+      TlrCompressOptions copt;
+      copt.tol = 1e-10;
+      copt.method = method;
+      copt.lr_fp32 = false;
+      compress_tile(a, 1, 0, a.frobenius_norm(), copt);
+      const tile::Tile& t = a.at(1, 0);
+      if (rank == 4) {
+        EXPECT_EQ(t.format(), tile::TileFormat::Dense) << "method " << int(method);
+      } else {
+        ASSERT_EQ(t.format(), tile::TileFormat::LowRank) << "method " << int(method);
+        EXPECT_EQ(t.rank(), 3u) << "method " << int(method);
+      }
+    }
+  }
+}
+
+// Matérn (1, 0.1, 0.5) at n = 2500, tile 64, tol 1e-8, band 2: the ragged
+// 4-row tile row compresses to rank ~4. No low-rank tile may store as many
+// entries as its dense form.
+TEST(CompressOffband, NoLowRankTileOutgrowsItsDenseForm) {
+  auto a = matern_tiles(2500, 64, 0.1, 1);
+  TlrCompressOptions copt;
+  copt.tol = 1e-8;
+  copt.band_size = 2;
+  const CompressStats cs = compress_offband(a, copt, 2);
+  EXPECT_GT(cs.lr_tiles, 600u);
+  std::size_t outgrown = 0;
+  for (std::size_t j = 0; j < a.nt(); ++j)
+    for (std::size_t i = j + 2; i < a.nt(); ++i) {
+      const tile::Tile& t = a.at(i, j);
+      if (t.format() == tile::TileFormat::LowRank &&
+          t.rank() * (t.rows() + t.cols()) >= t.rows() * t.cols())
+        ++outgrown;
+    }
+  EXPECT_EQ(outgrown, 0u);
 }
 
 struct TlrCase {
