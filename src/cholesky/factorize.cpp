@@ -38,7 +38,6 @@ DatumId tid(const SymTileMatrix& a, std::size_t i, std::size_t j) {
 FactorReport run_cholesky_dag(SymTileMatrix& a, double abs_tol, const FactorOptions& opts) {
   const std::size_t nt = a.nt();
   rt::TaskGraph graph;
-  graph.set_policy(opts.sched);
 
   std::atomic<int> info{0};
 

@@ -16,6 +16,7 @@ namespace gsx::cholesky {
 
 struct FactorOptions {
   std::size_t workers = 1;
+  /// Unread: the task runtime has one ready-queue policy (rt::SchedPolicy).
   rt::SchedPolicy sched = rt::SchedPolicy::Priority;
   /// Rounding used by the TLR path's low-rank accumulations.
   tlr::RoundingMethod rounding = tlr::RoundingMethod::Rrqr;

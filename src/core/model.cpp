@@ -157,7 +157,6 @@ bool GsxModel::prepare_and_factor(std::span<const double> theta,
 
   cholesky::FactorOptions fopt;
   fopt.workers = config_.workers;
-  fopt.sched = config_.sched;
   fopt.rounding = config_.rounding;
   fopt.rule = (config_.variant == ComputeVariant::DenseFP64)
                   ? cholesky::PrecisionRule::AllFP64

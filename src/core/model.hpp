@@ -46,6 +46,7 @@ struct ModelConfig {
   ComputeVariant variant = ComputeVariant::DenseFP64;
   std::size_t tile_size = 80;
   std::size_t workers = 1;
+  /// Unread: the task runtime has one ready-queue policy (rt::SchedPolicy).
   rt::SchedPolicy sched = rt::SchedPolicy::Priority;
 
   // Mixed-precision policy (MPDense and the dense band of MPDenseTLR).

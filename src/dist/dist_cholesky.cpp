@@ -138,7 +138,6 @@ class RankEngine {
   /// single-process factorization — the dependency chains fix the kernel
   /// order, which is what makes the factor bit-identical to the oracle.
   void build_graph() {
-    graph_.set_policy(rt::SchedPolicy::Priority);
     for (std::size_t k = 0; k < nt_; ++k) {
       const int base = static_cast<int>(3 * (nt_ - k));
       if (grid_.owner(k, k) == rank()) submit_potrf(k, base + 2);

@@ -82,7 +82,7 @@ __attribute__((target("f16c,avx"))) void narrow_col_f16c(const float* s, half* d
   for (; i + 8 <= n; i += 8) {
     const __m128i h = _mm256_cvtps_ph(_mm256_loadu_ps(s + i),
                                       _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    std::memcpy(d + i, &h, sizeof(h));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i), h);
   }
   for (; i < n; ++i) d[i] = half(s[i]);
 }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <queue>
@@ -106,7 +105,6 @@ struct ReadyCompare {
 // mutex/cv discipline the worker pool uses. All methods require ctx->mtx held.
 struct TaskGraph::RunCtx {
   TaskGraph& g;
-  std::size_t num_workers;
 
   std::mutex mtx;
   std::condition_variable cv;
@@ -114,13 +112,7 @@ struct TaskGraph::RunCtx {
   std::vector<int> priorities;
   std::vector<char> notified;       // external: notify() seen
   std::vector<char> done_external;  // external: counted into `completed`
-  std::deque<std::size_t> fifo;
-  std::priority_queue<std::size_t, std::vector<std::size_t>, ReadyCompare> prio;
-  // WorkStealing: one deque per worker; owner works LIFO on the back, idle
-  // workers steal FIFO from the front of the fullest deque.
-  std::vector<std::deque<std::size_t>> deques;
-  std::size_t ready_count = 0;
-  std::size_t steal_count = 0;
+  std::priority_queue<std::size_t, std::vector<std::size_t>, ReadyCompare> ready;
   std::size_t completed = 0;
   std::exception_ptr first_error;
   std::atomic<bool> aborting{false};
@@ -136,15 +128,13 @@ struct TaskGraph::RunCtx {
   /// history events are skipped rather than emitted with aliased identities.
   bool dag_events = true;
 
-  RunCtx(TaskGraph& graph, std::size_t workers, obs::Gauge& gauge)
+  RunCtx(TaskGraph& graph, obs::Gauge& gauge)
       : g(graph),
-        num_workers(workers),
         remaining(graph.tasks_.size()),
         priorities(graph.tasks_.size()),
         notified(graph.tasks_.size(), 0),
         done_external(graph.tasks_.size(), 0),
-        prio(ReadyCompare{&priorities}),
-        deques(workers),
+        ready(ReadyCompare{&priorities}),
         queue_depth_gauge(gauge) {
     for (std::size_t i = 0; i < graph.tasks_.size(); ++i) {
       remaining[i] = graph.tasks_[i].num_predecessors;
@@ -152,57 +142,17 @@ struct TaskGraph::RunCtx {
     }
   }
 
-  bool have_ready() const { return ready_count > 0; }
+  bool have_ready() const { return !ready.empty(); }
 
-  void push_ready(std::size_t id, std::size_t worker_hint) {
-    switch (g.policy_) {
-      case SchedPolicy::Priority: prio.push(id); break;
-      case SchedPolicy::Lifo: fifo.push_front(id); break;
-      case SchedPolicy::Fifo: fifo.push_back(id); break;
-      case SchedPolicy::WorkStealing:
-        deques[worker_hint % num_workers].push_back(id);
-        break;
-    }
-    ++ready_count;
-    queue_depth_gauge.set(static_cast<double>(ready_count));
+  void push_ready(std::size_t id) {
+    ready.push(id);
+    queue_depth_gauge.set(static_cast<double>(ready.size()));
   }
 
-  std::size_t pop_ready(std::size_t worker) {
-    std::size_t id = 0;
-    switch (g.policy_) {
-      case SchedPolicy::Priority:
-        id = prio.top();
-        prio.pop();
-        break;
-      case SchedPolicy::Lifo:
-      case SchedPolicy::Fifo:
-        id = fifo.front();
-        fifo.pop_front();
-        break;
-      case SchedPolicy::WorkStealing: {
-        auto& own = deques[worker % num_workers];
-        if (!own.empty()) {
-          id = own.back();
-          own.pop_back();
-        } else {
-          // Steal from the fullest victim's front.
-          std::size_t victim = num_workers;
-          std::size_t best = 0;
-          for (std::size_t w = 0; w < num_workers; ++w) {
-            if (deques[w].size() > best) {
-              best = deques[w].size();
-              victim = w;
-            }
-          }
-          id = deques[victim].front();
-          deques[victim].pop_front();
-          ++steal_count;
-        }
-        break;
-      }
-    }
-    --ready_count;
-    queue_depth_gauge.set(static_cast<double>(ready_count));
+  std::size_t pop_ready() {
+    const std::size_t id = ready.top();
+    ready.pop();
+    queue_depth_gauge.set(static_cast<double>(ready.size()));
     return id;
   }
 
@@ -210,15 +160,15 @@ struct TaskGraph::RunCtx {
   // whose counter hits zero become ready; external successors complete in
   // place if already notified (their "execution" is the notification).
   // Returns the number of tasks pushed ready (== cv.notify_one budget).
-  std::size_t propagate(std::size_t id, std::size_t worker_hint) {
+  std::size_t propagate(std::size_t id) {
     std::size_t newly = 0;
     for (std::size_t s : g.tasks_[id].successors) {
       GSX_REQUIRE(remaining[s] > 0, "runtime: dependency counter underflow");
       if (--remaining[s] == 0) {
         if (g.tasks_[s].external) {
-          if (notified[s]) newly += complete_external(s, worker_hint);
+          if (notified[s]) newly += complete_external(s);
         } else {
-          push_ready(s, worker_hint);
+          push_ready(s);
           ++newly;
         }
       }
@@ -230,18 +180,17 @@ struct TaskGraph::RunCtx {
   // any external-only chains hanging off it. Recursion depth is bounded by
   // the longest external chain in the DAG (one, for the dist backend's
   // recv tasks).
-  std::size_t complete_external(std::size_t id, std::size_t worker_hint) {
+  std::size_t complete_external(std::size_t id) {
     if (done_external[id]) return 0;
     done_external[id] = 1;
     ++completed;
-    g.exec_order_.push_back(id);
     // Externals have no body: the notify() instant is both start and end
     // (TaskEnd only, duration 0 — analytics reconstructs a point task).
     if (dag_events)
       GSX_FLIGHT(obs::EventKind::TaskEnd, 0,
                  obs::task_ident(generation, obs::kExternalWorker, id),
                  obs::pack_op_name(g.tasks_[id].name), 0.0);
-    return propagate(id, worker_hint);
+    return propagate(id);
   }
 
   // notify() body once the context is published. Takes the lock itself.
@@ -252,7 +201,7 @@ struct TaskGraph::RunCtx {
       std::lock_guard lk(mtx);
       if (notified[id]) return;  // idempotent
       notified[id] = 1;
-      if (remaining[id] == 0) newly = complete_external(id, 0);
+      if (remaining[id] == 0) newly = complete_external(id);
       quiesced = completed == g.tasks_.size();
     }
     if (quiesced) {
@@ -294,7 +243,6 @@ void TaskGraph::notify(std::size_t task_id) {
 void TaskGraph::run(std::size_t num_workers) {
   GSX_REQUIRE(num_workers >= 1, "run: need at least one worker");
   stats_.num_tasks = tasks_.size();
-  exec_order_.clear();
   if (tasks_.empty()) return;
 
   // The registry lookup takes a mutex; this path runs once per task, so
@@ -304,7 +252,7 @@ void TaskGraph::run(std::size_t num_workers) {
   static obs::Gauge& inflight_gauge =
       obs::Registry::instance().gauge("taskgraph.inflight");
 
-  RunCtx ctx(*this, num_workers, queue_depth_gauge);
+  RunCtx ctx(*this, queue_depth_gauge);
 
   // Stamp this run's DAG identity and ship the dependency edges to the
   // flight ring up front, so the dump carries a replayable execution history
@@ -342,12 +290,12 @@ void TaskGraph::run(std::size_t num_workers) {
   }
 #endif
 
-  // Seed tasks with no predecessors. Externals never enter the ready queues:
+  // Seed tasks with no predecessors. Externals never enter the ready queue:
   // a zero-predecessor external simply waits for its notify().
   {
     std::lock_guard lk(ctx.mtx);
     for (std::size_t i = 0; i < tasks_.size(); ++i)
-      if (ctx.remaining[i] == 0 && !tasks_[i].external) ctx.push_ready(i, i);
+      if (ctx.remaining[i] == 0 && !tasks_[i].external) ctx.push_ready(i);
   }
 
   // Publish the context, then replay notifications that arrived before run().
@@ -379,8 +327,7 @@ void TaskGraph::run(std::size_t num_workers) {
             (ctx.aborting.load() && !ctx.have_ready()))
           return;
         if (!ctx.have_ready()) continue;
-        id = ctx.pop_ready(worker_id);
-        exec_order_.push_back(id);
+        id = ctx.pop_ready();
       }
 
       Task& t = tasks_[id];
@@ -427,7 +374,7 @@ void TaskGraph::run(std::size_t num_workers) {
       {
         std::lock_guard lk(ctx.mtx);
         ++ctx.completed;
-        newly_ready = ctx.propagate(id, worker_id);
+        newly_ready = ctx.propagate(id);
         quiesced = ctx.completed == tasks_.size();
       }
       // Wake one sleeper per newly-ready task — a broadcast here stampedes
@@ -466,7 +413,6 @@ void TaskGraph::run(std::size_t num_workers) {
     std::this_thread::yield();
 
   stats_.makespan_seconds = obs::now_seconds() - run_start;
-  stats_.steals = ctx.steal_count;
   stats_.total_task_seconds = 0.0;
   for (const Task& t : tasks_) stats_.total_task_seconds += t.duration_seconds;
   compute_critical_path();
@@ -484,25 +430,17 @@ void TaskGraph::run(std::size_t num_workers) {
 }
 
 void TaskGraph::compute_critical_path() {
-  // Longest path by task count and by measured duration, via reverse
-  // topological order (tasks_ indices are already topologically consistent:
-  // every edge goes from a lower to a higher submission index).
+  // Longest path by task count, via reverse topological order (tasks_
+  // indices are already topologically consistent: every edge goes from a
+  // lower to a higher submission index).
   const std::size_t n = tasks_.size();
   std::vector<std::size_t> depth(n, 1);
-  std::vector<double> wdepth(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) wdepth[i] = tasks_[i].duration_seconds;
   std::size_t best = 0;
-  double wbest = 0.0;
   for (std::size_t i = n; i-- > 0;) {
-    for (std::size_t s : tasks_[i].successors) {
-      depth[i] = std::max(depth[i], 1 + depth[s]);
-      wdepth[i] = std::max(wdepth[i], tasks_[i].duration_seconds + wdepth[s]);
-    }
+    for (std::size_t s : tasks_[i].successors) depth[i] = std::max(depth[i], 1 + depth[s]);
     best = std::max(best, depth[i]);
-    wbest = std::max(wbest, wdepth[i]);
   }
   stats_.critical_path_tasks = best;
-  stats_.critical_path_seconds = wbest;
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t num_workers,

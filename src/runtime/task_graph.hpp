@@ -58,24 +58,22 @@ struct Dep {
   Access mode = Access::Read;
 };
 
-/// Ready-task selection policy.
+/// Ready-task selection policy. The runtime has one: the ready task with
+/// the highest priority runs first, and among equal priorities the one
+/// submitted first. The enum and TaskGraph::set_policy remain only so that
+/// callers naming them still compile; nothing reads the value.
 enum class SchedPolicy : unsigned char {
-  Fifo,          ///< submission order among ready tasks
-  Lifo,          ///< depth-first: favours locality down the DAG
-  Priority,      ///< highest user priority first, FIFO tie-break
-  WorkStealing,  ///< per-worker deques; successors stay with the finishing
-                 ///< worker (locality), idle workers steal from the fullest
+  Priority,
 };
 
-/// Post-execution DAG statistics.
+/// Post-execution DAG statistics. The duration-weighted critical path is
+/// obs::critical_path over the run's flight events.
 struct GraphStats {
   std::size_t num_tasks = 0;
   std::size_t num_edges = 0;
   std::size_t critical_path_tasks = 0;   ///< longest chain, in tasks
-  double critical_path_seconds = 0.0;    ///< longest chain, measured durations
   double total_task_seconds = 0.0;       ///< sum of task durations
   double makespan_seconds = 0.0;         ///< wall time of run()
-  std::size_t steals = 0;                ///< WorkStealing: tasks taken remotely
   double parallel_efficiency(std::size_t workers) const {
     return (makespan_seconds > 0.0 && workers > 0)
                ? total_task_seconds / (makespan_seconds * static_cast<double>(workers))
@@ -128,16 +126,11 @@ class TaskGraph {
   /// Rethrows the first task exception after quiescing the pool.
   void run(std::size_t num_workers);
 
-  void set_policy(SchedPolicy p) noexcept { policy_ = p; }
+  /// No-op: SchedPolicy has one value.
+  void set_policy(SchedPolicy) noexcept {}
 
   [[nodiscard]] const GraphStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t size() const noexcept { return tasks_.size(); }
-
-  /// Execution order observed during run() (task indices). With one worker
-  /// this is a deterministic topological order — used by correctness tests.
-  [[nodiscard]] const std::vector<std::size_t>& execution_order() const noexcept {
-    return exec_order_;
-  }
 
  private:
   struct Task {
@@ -179,9 +172,7 @@ class TaskGraph {
   std::unordered_map<std::uintptr_t, DatumState> data_;
   // De-duplication of edges during construction (cheap bloom via last edge).
   std::vector<std::ptrdiff_t> last_edge_target_;
-  SchedPolicy policy_ = SchedPolicy::Priority;
   GraphStats stats_;
-  std::vector<std::size_t> exec_order_;
 };
 
 /// Parallel loop over [begin, end) with static chunking on a transient pool.

@@ -112,19 +112,30 @@ void put_config(Bytes& out, const core::ModelConfig& c) {
   put<std::uint8_t>(out, c.lr_fp32 ? 1 : 0);
 }
 
+/// One enum byte, rejected past `last`: the file may come from a client.
+template <typename E>
+E get_enum(std::span<const std::uint8_t> in, std::size_t& off, E last, const char* what) {
+  const auto v = get<std::uint8_t>(in, off);
+  GSX_REQUIRE(v <= static_cast<std::uint8_t>(last),
+              std::string("checkpoint: ") + what + " byte " + std::to_string(v) +
+                  " is out of range");
+  return static_cast<E>(v);
+}
+
 core::ModelConfig get_config(std::span<const std::uint8_t> in, std::size_t& off) {
   core::ModelConfig c;
-  c.variant = static_cast<core::ComputeVariant>(get<std::uint8_t>(in, off));
+  c.variant = get_enum(in, off, core::ComputeVariant::MPDenseTLR, "compute variant");
   c.tile_size = get<std::uint64_t>(in, off);
-  c.mp_rule = static_cast<cholesky::PrecisionRule>(get<std::uint8_t>(in, off));
+  c.mp_rule =
+      get_enum(in, off, cholesky::PrecisionRule::AdaptiveFrobenius, "precision rule");
   c.band.fp64_band = get<std::uint64_t>(in, off);
   c.band.fp32_band = get<std::uint64_t>(in, off);
   c.eps_target = get<double>(in, off);
   c.allow_fp16 = get<std::uint8_t>(in, off) != 0;
   c.allow_bf16 = get<std::uint8_t>(in, off) != 0;
   c.tlr_tol = get<double>(in, off);
-  c.compression = static_cast<tlr::CompressionMethod>(get<std::uint8_t>(in, off));
-  c.rounding = static_cast<tlr::RoundingMethod>(get<std::uint8_t>(in, off));
+  c.compression = get_enum(in, off, tlr::CompressionMethod::ACA, "compression method");
+  c.rounding = get_enum(in, off, tlr::RoundingMethod::Rrqr, "rounding method");
   c.auto_band = get<std::uint8_t>(in, off) != 0;
   c.band_size = get<std::uint64_t>(in, off);
   c.fluctuation = get<double>(in, off);

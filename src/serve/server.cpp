@@ -70,8 +70,8 @@ Server::Server(ServerConfig cfg)
       registry_(cfg.cache_bytes),
       engine_(EngineConfig{cfg.workers, cfg.queue_capacity, cfg.max_batch_points}),
       listener_(
-          LineListener::Config{cfg.unix_path, cfg.tcp_port, cfg.metrics_port,
-                               "serve"},
+          LineListener::Config{cfg.unix_path, cfg.tcp_port, cfg.metrics_port, "serve",
+                               /*metrics_renderer=*/{}},
           [this](const std::string& line) { return handle_line(line); }) {
   // Pre-register the serving metrics so a scrape sees the full schema (zeroed
   // series included) before the first request, not a shape that grows as

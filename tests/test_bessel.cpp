@@ -216,9 +216,10 @@ TEST(Bessel, PrebuiltOrderIsBitIdentical) {
     const BesselKOrder order(g.nu);
     EXPECT_EQ(bits(bessel_k_scaled(order, g.x)), g.k_scaled) << "nu=" << g.nu << " x=" << g.x;
     // Below 2 the fit's entry is Temme's series, as the free function.
-    if (g.x < 2.0)
+    if (g.x < 2.0) {
       EXPECT_EQ(bits(bessel_k_scaled(BesselKFit(g.nu), g.x)), g.k_scaled)
           << "nu=" << g.nu << " x=" << g.x;
+    }
   }
   // K_{-nu} = K_nu holds for the prebuilt constants too.
   EXPECT_EQ(bits(bessel_k_scaled(BesselKOrder(-0.8), 3.0)), bits(bessel_k_scaled(0.8, 3.0)));

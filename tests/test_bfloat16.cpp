@@ -119,8 +119,8 @@ TEST(TileBf16, ConversionAndFootprint) {
   EXPECT_EQ(t.decision_code(), 'B');
   EXPECT_EQ(t.bytes(), 10u * 10u * 2u);
   EXPECT_LT(rel_frobenius_diff(t.to_dense64(), before), 2.5 * kBf16Eps * 10.0);
-  EXPECT_NO_THROW(t.matrix<bfloat16>());
-  EXPECT_THROW(t.matrix<half>(), InvalidArgument);
+  EXPECT_NO_THROW((void)t.matrix<bfloat16>());
+  EXPECT_THROW((void)t.matrix<half>(), InvalidArgument);
 }
 
 TEST(FrobeniusRuleBf16, RescuesFp16UnderflowTiles) {

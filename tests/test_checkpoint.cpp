@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -262,6 +263,81 @@ TEST(CheckpointRejects, TruncatedFile) {
   }
   EXPECT_THROW(load_model_checkpoint(path), InvalidArgument);
   std::remove(path.c_str());
+}
+
+// The load verb reads a file the client names, so a config byte past its
+// enum's last value must be rejected even when the section's CRC holds.
+// Loads a saved dense checkpoint whose config byte `at` is set to `value`,
+// with the META section's CRC recomputed to match.
+ModelCheckpoint load_with_config_byte(std::size_t at, std::uint8_t value) {
+  const Problem p = make_problem(48);
+  // One file per (byte, value): ctest runs these tests as parallel processes.
+  const std::string path = temp_path("gsx_ckpt_enum_" + std::to_string(at) + "_" +
+                                     std::to_string(value) + ".ckpt");
+  save_model_checkpoint(path, make_checkpoint(p, dense_config()));
+  std::vector<std::uint8_t> data;
+  {
+    std::ifstream in(path, std::ios::binary);
+    data.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  // META is the first section: after the 16-byte file header come its tag,
+  // a reserved word, the u64 payload length and the CRC; the payload holds
+  // the kernel name, theta and then the config.
+  constexpr std::size_t kLength = 24, kCrc = 32, kPayload = 36;
+  EXPECT_EQ(std::memcmp(data.data() + 16, "META", 4), 0);
+  std::uint64_t length = 0;
+  std::memcpy(&length, data.data() + kLength, sizeof(length));
+  const std::size_t config = kPayload + 4 + std::strlen("matern") + 8 + 8 * p.theta.size();
+  data[config + at] = value;
+  const std::uint32_t crc = tile::crc32(data.data() + kPayload, length);
+  std::memcpy(data.data() + kCrc, &crc, sizeof(crc));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(data.data()),
+              static_cast<std::streamsize>(data.size()));
+  }
+  struct Cleanup {
+    const std::string& path;
+    ~Cleanup() { std::remove(path.c_str()); }
+  } cleanup{path};
+  return load_model_checkpoint(path);
+}
+
+void expect_config_byte_rejected(std::size_t at, std::uint8_t value, const std::string& field) {
+  try {
+    (void)load_with_config_byte(at, value);
+    ADD_FAILURE() << field << " byte " << int{value} << " loaded";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("checkpoint: " + field + " byte " + std::to_string(value)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+  }
+}
+
+// Config byte offsets: variant 0, precision rule 9, compression method 44,
+// rounding method 45. Each field's last enumerator still loads.
+TEST(CheckpointRejects, OutOfRangeComputeVariant) {
+  EXPECT_EQ(load_with_config_byte(0, 2).config.variant, core::ComputeVariant::MPDenseTLR);
+  expect_config_byte_rejected(0, 3, "compute variant");
+  expect_config_byte_rejected(0, 9, "compute variant");
+}
+
+TEST(CheckpointRejects, OutOfRangePrecisionRule) {
+  EXPECT_EQ(load_with_config_byte(9, 2).config.mp_rule,
+            cholesky::PrecisionRule::AdaptiveFrobenius);
+  expect_config_byte_rejected(9, 3, "precision rule");
+}
+
+TEST(CheckpointRejects, OutOfRangeCompressionMethod) {
+  EXPECT_EQ(load_with_config_byte(44, 1).config.compression, tlr::CompressionMethod::ACA);
+  expect_config_byte_rejected(44, 2, "compression method");
+}
+
+TEST(CheckpointRejects, OutOfRangeRoundingMethod) {
+  EXPECT_EQ(load_with_config_byte(45, 1).config.rounding, tlr::RoundingMethod::Rrqr);
+  expect_config_byte_rejected(45, 2, "rounding method");
 }
 
 TEST(CheckpointRejects, BadMagicAndMissingFile) {

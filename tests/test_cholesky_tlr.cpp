@@ -235,7 +235,9 @@ TEST(TlrCholeskyAccuracy, TighterToleranceIsMoreAccurate) {
     FactorOptions fopt;
     ASSERT_EQ(tile_cholesky_tlr(a, tol, fopt).info, 0);
     const double err = rel_frobenius_diff(reconstruct_lower(a), expect);
-    if (prev >= 0.0) EXPECT_LT(err, prev);
+    if (prev >= 0.0) {
+      EXPECT_LT(err, prev);
+    }
     prev = err;
   }
 }

@@ -80,7 +80,9 @@ TEST(TileStructureTest, FromMatrixCapturesDecisions) {
   for (std::size_t j = 0; j < a.nt(); ++j)
     for (std::size_t i = j; i < a.nt(); ++i) {
       EXPECT_EQ(s.at(i, j).lowrank, a.at(i, j).format() == tile::TileFormat::LowRank);
-      if (s.at(i, j).lowrank) EXPECT_EQ(s.at(i, j).rank, a.at(i, j).rank());
+      if (s.at(i, j).lowrank) {
+        EXPECT_EQ(s.at(i, j).rank, a.at(i, j).rank());
+      }
     }
 }
 

@@ -422,7 +422,9 @@ TEST(FleetE2E, KilledReplicaFailsOverAndKeepsServing) {
   EXPECT_GT(fleet.router->membership().rehash_events(), rehashes_before);
   const auto snapshot = fleet.router->membership().snapshot();
   for (const ReplicaInfo& r : snapshot)
-    if (r.name == "r1") EXPECT_EQ(r.state, ReplicaState::Dead);
+    if (r.name == "r1") {
+      EXPECT_EQ(r.state, ReplicaState::Dead);
+    }
 }
 
 TEST(FleetE2E, DrainCompletesEveryInFlightPredict) {
@@ -465,7 +467,9 @@ TEST(FleetE2E, DrainCompletesEveryInFlightPredict) {
   // listener closed, in which case the router's failover already marked it
   // dead — either way it must no longer count as alive.
   for (const ReplicaInfo& r : fleet.router->membership().snapshot())
-    if (r.name == "r0") EXPECT_NE(r.state, ReplicaState::Alive);
+    if (r.name == "r0") {
+      EXPECT_NE(r.state, ReplicaState::Alive);
+    }
   for (int m = 0; m < 6; ++m) {
     const auto o = fleet.router->membership().owner("model-" + std::to_string(m));
     ASSERT_TRUE(o);
@@ -633,7 +637,9 @@ TEST(FleetE2E, AnnouncerRegistersHeartbeatsAndSaysGoodbye) {
   announcer.stop();
   EXPECT_EQ(router.membership().alive_count(), 0u);
   for (const ReplicaInfo& r : router.membership().snapshot())
-    if (r.name == "hb-replica") EXPECT_EQ(r.state, ReplicaState::Draining);
+    if (r.name == "hb-replica") {
+      EXPECT_EQ(r.state, ReplicaState::Draining);
+    }
 
   router.shutdown();
   loop.join();

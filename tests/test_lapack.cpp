@@ -168,7 +168,9 @@ TEST_P(SvdTest, FactorsReconstructAndAreOrthonormal) {
   // Descending non-negative singular values.
   for (std::size_t i = 0; i < r; ++i) {
     EXPECT_GE(s[i], 0.0);
-    if (i > 0) EXPECT_LE(s[i], s[i - 1]);
+    if (i > 0) {
+      EXPECT_LE(s[i], s[i - 1]);
+    }
   }
 
   // U^T U == I, V^T V == I.

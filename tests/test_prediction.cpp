@@ -41,7 +41,9 @@ TEST(Krige, VarianceBoundsAndDistanceGrowth) {
   for (std::size_t i = 0; i < test.size(); ++i) {
     EXPECT_GE(r.variance[i], -1e-9);
     EXPECT_LE(r.variance[i], 2.0 + 1e-9) << "variance cannot exceed the prior";
-    if (i > 0) EXPECT_GE(r.variance[i], r.variance[i - 1] - 1e-9);
+    if (i > 0) {
+      EXPECT_GE(r.variance[i], r.variance[i - 1] - 1e-9);
+    }
   }
   // Far from all data, the prediction reverts to the prior mean (0) and the
   // variance to sigma^2.

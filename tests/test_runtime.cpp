@@ -1,12 +1,14 @@
 // Task-graph runtime: dependency semantics, scheduling, stress, errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <vector>
 
+#include "cholesky/tile_batch.hpp"
 #include "common/error.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -106,7 +108,6 @@ TEST(TaskGraph, DiamondDependency) {
 
 TEST(TaskGraph, PriorityOrderWithSingleWorker) {
   TaskGraph g;
-  g.set_policy(SchedPolicy::Priority);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i)
     g.submit("p" + std::to_string(i), {}, [&order, i] { order.push_back(i); }, i);
@@ -116,25 +117,60 @@ TEST(TaskGraph, PriorityOrderWithSingleWorker) {
   EXPECT_EQ(order, expect);
 }
 
-TEST(TaskGraph, FifoOrderWithSingleWorker) {
+// The one-worker order of the tile Cholesky DAG: the same accesses and
+// priorities as cholesky::run_cholesky_dag, one GEMM task per <= kGemmBatchMax
+// chunk of each (n, k) panel column. Each body appends its task index; the
+// FNV-1a of that order pins the ready heap's order: higher priority first,
+// then lower submission index.
+std::uint64_t cholesky_dag_order_hash(std::size_t nt, std::size_t expect_tasks) {
+  const auto id = [nt](std::size_t i, std::size_t j) { return DatumId::from_index(i * nt + j); };
   TaskGraph g;
-  g.set_policy(SchedPolicy::Fifo);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i)
-    g.submit("f", {}, [&order, i] { order.push_back(i); }, 100 - i);
+  std::vector<std::size_t> order;
+  const auto record = [&g, &order] {
+    const std::size_t task = g.size();
+    return [&order, task] { order.push_back(task); };
+  };
+  for (std::size_t k = 0; k < nt; ++k) {
+    const int base = 3 * static_cast<int>(nt - k);
+    g.submit("potrf", {{id(k, k), Access::ReadWrite}}, record(), base + 2);
+    for (std::size_t m = k + 1; m < nt; ++m)
+      g.submit("trsm", {{id(k, k), Access::Read}, {id(m, k), Access::ReadWrite}}, record(),
+               base + 1);
+    for (std::size_t m = k + 1; m < nt; ++m)
+      g.submit("syrk", {{id(m, k), Access::Read}, {id(m, m), Access::ReadWrite}}, record(),
+               base);
+    for (std::size_t n = k + 1; n < nt; ++n)
+      for (std::size_t m0 = n + 1; m0 < nt; m0 += cholesky::kGemmBatchMax) {
+        std::vector<Dep> deps{{id(n, k), Access::Read}};
+        for (std::size_t m = m0; m < std::min(nt, m0 + cholesky::kGemmBatchMax); ++m) {
+          deps.push_back({id(m, k), Access::Read});
+          deps.push_back({id(m, n), Access::ReadWrite});
+        }
+        g.submit("gemm", deps, record(), base);
+      }
+  }
+  EXPECT_EQ(g.size(), expect_tasks);
   g.run(1);
-  const std::vector<int> expect = {0, 1, 2, 3, 4};
-  EXPECT_EQ(order, expect) << "FIFO ignores priorities";
+  EXPECT_EQ(order.size(), g.size());
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the 8-byte indices
+  for (const std::size_t task : order)
+    for (int b = 0; b < 8; ++b) {
+      h ^= (static_cast<std::uint64_t>(task) >> (8 * b)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  return h;
 }
 
-TEST(TaskGraph, LifoOrderWithSingleWorker) {
-  TaskGraph g;
-  g.set_policy(SchedPolicy::Lifo);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) g.submit("l", {}, [&order, i] { order.push_back(i); });
-  g.run(1);
-  const std::vector<int> expect = {4, 3, 2, 1, 0};
-  EXPECT_EQ(order, expect);
+// nt = 16: one GEMM chunk per (n, k).
+TEST(TaskGraph, CholeskyDagOrderOnOneWorkerIsPinned) {
+  static_assert(cholesky::kGemmBatchMax >= 16);
+  EXPECT_EQ(cholesky_dag_order_hash(16, 361), 0x9ec233d478772e2aull);
+}
+
+// nt = 40: the panel columns n <= 6 of each k split into two GEMM chunks.
+TEST(TaskGraph, ChunkedCholeskyDagOrderOnOneWorkerIsPinned) {
+  static_assert(cholesky::kGemmBatchMax < 39);
+  EXPECT_EQ(cholesky_dag_order_hash(40, 2362), 0xb8e2591449aebc18ull);
 }
 
 TEST(TaskGraph, TaskExceptionPropagates) {
@@ -224,9 +260,10 @@ TEST(TaskGraph, ProfiledRunDrainsAnnotationPerTask) {
 TEST(TaskGraph, ExecutionOrderIsTopological) {
   TaskGraph g;
   const auto d = DatumId::from_index(0);
-  for (int i = 0; i < 20; ++i) g.submit("c", {{d, Access::ReadWrite}}, [] {});
+  std::vector<std::size_t> order;  // the chain serializes the appends
+  for (std::size_t i = 0; i < 20; ++i)
+    g.submit("c", {{d, Access::ReadWrite}}, [&order, i] { order.push_back(i); });
   g.run(4);
-  const auto& order = g.execution_order();
   ASSERT_EQ(order.size(), 20u);
   std::vector<std::size_t> sorted = order;
   std::sort(sorted.begin(), sorted.end());
@@ -240,13 +277,12 @@ TEST(TaskGraph, RejectsNullBody) {
   EXPECT_THROW(g.submit("null", {}, nullptr), InvalidArgument);
 }
 
-TEST(TaskGraph, WorkStealingMatchesSequentialOracle) {
+TEST(TaskGraph, ReadWriteChainsMatchSequentialOracle) {
   constexpr int kData = 8;
   constexpr int kTasks = 150;
   // Unsigned, so the 7x recurrence wraps (defined) instead of overflowing.
   std::vector<std::uint64_t> values(kData, 1);
   TaskGraph g;
-  g.set_policy(SchedPolicy::WorkStealing);
   for (int t = 0; t < kTasks; ++t) {
     const int src = (t * 3) % kData;
     const int dst = (t * 5 + 1) % kData;
@@ -262,42 +298,6 @@ TEST(TaskGraph, WorkStealingMatchesSequentialOracle) {
     oracle[dst] = oracle[dst] * 7 + oracle[src];
   }
   EXPECT_EQ(values, oracle);
-}
-
-TEST(TaskGraph, WorkStealingStealsWhenImbalanced) {
-  // All initial work lands on one deque hint; other workers must steal.
-  TaskGraph g;
-  g.set_policy(SchedPolicy::WorkStealing);
-  std::atomic<int> count{0};
-  // A single chain head whose completion releases many independent tasks:
-  // the finishing worker inherits them all, others steal.
-  const auto d = DatumId::from_index(0);
-  g.submit("head", {{d, Access::Write}}, [&] { ++count; });
-  for (int i = 0; i < 64; ++i)
-    g.submit("leaf", {{d, Access::Read}}, [&] {
-      volatile double x = 0;
-      for (int k = 0; k < 20000; ++k) x = x + 1.0;
-      ++count;
-    });
-  g.run(4);
-  EXPECT_EQ(count.load(), 65);
-  EXPECT_EQ(g.stats().num_tasks, 65u);
-  // On a multi-worker run with one hot deque, steals should occur; at the
-  // very least the counter must be consistent (<= tasks).
-  EXPECT_LE(g.stats().steals, g.stats().num_tasks);
-}
-
-TEST(TaskGraph, WorkStealingSingleWorkerIsLifoOnOwnDeque) {
-  TaskGraph g;
-  g.set_policy(SchedPolicy::WorkStealing);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) g.submit("t", {}, [&order, i] { order.push_back(i); });
-  g.run(1);
-  // All tasks seed the single deque (round-robin over 1 worker); the owner
-  // pops from the back.
-  const std::vector<int> expect = {4, 3, 2, 1, 0};
-  EXPECT_EQ(order, expect);
-  EXPECT_EQ(g.stats().steals, 0u);
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {

@@ -139,11 +139,11 @@ TEST(Tile, FrobeniusMatchesMaterialized) {
 TEST(Tile, WrongAccessorThrows) {
   Rng rng(7);
   Tile t = Tile::dense(random_matrix(3, 3, rng));
-  EXPECT_THROW(t.matrix<float>(), InvalidArgument);
-  EXPECT_THROW(t.factors<double>(), InvalidArgument);
+  EXPECT_THROW((void)t.matrix<float>(), InvalidArgument);
+  EXPECT_THROW((void)t.factors<double>(), InvalidArgument);
   t.convert_dense(Precision::FP16);
-  EXPECT_THROW(t.matrix<double>(), InvalidArgument);
-  EXPECT_NO_THROW(t.matrix<half>());
+  EXPECT_THROW((void)t.matrix<double>(), InvalidArgument);
+  EXPECT_NO_THROW((void)t.matrix<half>());
 }
 
 TEST(Tile, RankMismatchThrows) {
@@ -162,14 +162,14 @@ TEST(SymTileMatrix, TileGeometryWithRaggedEdge) {
   EXPECT_EQ(a.tile_dim(1), 4u);
   EXPECT_EQ(a.tile_dim(2), 2u);
   EXPECT_EQ(a.tile_offset(2), 8u);
-  EXPECT_THROW(a.tile_dim(3), InvalidArgument);
+  EXPECT_THROW((void)a.tile_dim(3), InvalidArgument);
 }
 
 TEST(SymTileMatrix, UpperTriangleAccessThrows) {
   SymTileMatrix a(8, 4);
-  EXPECT_THROW(a.at(0, 1), InvalidArgument);
-  EXPECT_NO_THROW(a.at(1, 0));
-  EXPECT_NO_THROW(a.at(1, 1));
+  EXPECT_THROW((void)a.at(0, 1), InvalidArgument);
+  EXPECT_NO_THROW((void)a.at(1, 0));
+  EXPECT_NO_THROW((void)a.at(1, 1));
 }
 
 TEST(SymTileMatrix, GenerateMatchesElementFunction) {
