@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <functional>
 
 #include "runtime/task_graph.hpp"
@@ -128,52 +127,46 @@ geostat::LoglikValue tile_loglik(const SymTileMatrix& l, std::span<const double>
 
 namespace {
 
-/// B_i -= A_ik * B_k for an off-diagonal tile against RHS block rows.
-void apply_offdiag_multi(const Tile& t, Span2D<const double> bk, Span2D<double> bi) {
-  if (t.format() == TileFormat::LowRank) {
-    const LrOperand a(t);
-    const tlr::LrView& lr = a.view();
-    const std::size_t k = lr.rank();
-    if (k == 0) return;
-    la::Matrix<double> w(k, bk.cols());
-    la::gemm<double>(la::Trans::Trans, la::Trans::NoTrans, 1.0, lr.v, bk, 0.0, w.view());
-    la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, lr.u, w.cview(), 1.0,
-                     bi);
-  } else {
-    const DenseOperand<double> a(t);
-    la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, a.view(), bk, 1.0, bi);
-  }
+/// B_i -= U (V^T B_k) for a low-rank off-diagonal tile.
+void apply_lowrank_multi(const Tile& t, Span2D<const double> bk, Span2D<double> bi) {
+  const LrOperand a(t);
+  const tlr::LrView& lr = a.view();
+  const std::size_t k = lr.rank();
+  if (k == 0) return;
+  la::Matrix<double> w(k, bk.cols());
+  la::gemm<double>(la::Trans::Trans, la::Trans::NoTrans, 1.0, lr.v, bk, 0.0, w.view());
+  la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, lr.u, w.cview(), 1.0, bi);
 }
 
-/// Forward-solve panel update: B_i -= A_ik * B_k for every i in the group,
-/// all sharing the solved block row B_k. Dense tiles of equal row count go
-/// through one gemm_batch call (the packed B_k panel is re-used across the
-/// group); low-rank or ragged tiles fall back to apply_offdiag_multi. Every
-/// B_i is written exactly once, so the result is bit-identical to looping.
-void apply_offdiag_multi_batch(const SymTileMatrix& l, std::size_t k,
-                               Span2D<const double> bk, Span2D<double> cols) {
+/// Forward-solve panel update: B_i -= A_ik * B_k for every i > k, all
+/// sharing the solved block row B_k. Dense tiles of equal row count go
+/// through one batched GEMM over their packed operands (the packed B_k
+/// panel is re-used across the group); a ragged dense tile runs alone and a
+/// low-rank one through its factors. Every B_i is written exactly once, so
+/// the result is bit-identical to looping.
+void apply_offdiag_multi_batch(const SymTileMatrix& l, const PackedOffdiag& packed,
+                               std::size_t k, Span2D<const double> bk,
+                               Span2D<double> cols) {
   const std::size_t nt = l.nt();
-  std::deque<DenseOperand<double>> ops;
-  std::vector<la::GemmBatchItem<double>> items;
+  std::vector<la::PackedGemmItem> items;
   for (std::size_t i = k + 1; i < nt; ++i) {
     auto bi = cols.sub(l.tile_offset(i), 0, l.tile_dim(i), cols.cols());
-    const Tile& t = l.at(i, k);
-    if (t.format() == TileFormat::LowRank ||
-        (!items.empty() && bi.rows() != items.front().c.rows())) {
-      apply_offdiag_multi(t, bk, bi);
-      continue;
+    const la::PackedMatrix* a = packed.at(i, k);
+    if (a == nullptr) {
+      apply_lowrank_multi(l.at(i, k), bk, bi);
+    } else if (!items.empty() && bi.rows() != items.front().c.rows()) {
+      la::gemm(-1.0, *a, bk, 1.0, bi);
+    } else {
+      items.push_back({a, bk, bi});
     }
-    ops.emplace_back(t);
-    items.push_back({ops.back().view(), bk, bi});
   }
-  if (items.empty()) return;
-  la::gemm_batch<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, items.data(),
-                         items.size(), 1.0);
+  la::gemm_batch(-1.0, items.data(), items.size(), 1.0);
 }
 
 /// Partition the m RHS columns into per-worker blocks and run `solve` on
-/// each concurrently. Columns of a triangular solve never interact, so the
-/// parallel result is bitwise identical to the sequential one.
+/// each concurrently. Columns of a triangular solve never interact; a
+/// block's width can still change its GEMMs' path (use_packed), so bits
+/// are reproducible at a fixed worker count.
 void solve_columns_parallel(Span2D<double> b, std::size_t workers,
                             const std::function<void(Span2D<double>)>& solve) {
   const std::size_t m = b.cols();
@@ -193,23 +186,55 @@ void solve_columns_parallel(Span2D<double> b, std::size_t workers,
 
 }  // namespace
 
-void tile_forward_solve_multi(const SymTileMatrix& l, Span2D<double> b,
-                              std::size_t workers) {
+PackedOffdiag::PackedOffdiag(const SymTileMatrix& l) : nt_(l.nt()) {
+  tiles_.reserve(nt_ * (nt_ - 1) / 2);
+  for (std::size_t i = 1; i < nt_; ++i)
+    for (std::size_t k = 0; k < i; ++k) {
+      const Tile& t = l.at(i, k);
+      if (t.format() == TileFormat::LowRank) {
+        tiles_.emplace_back();
+        continue;
+      }
+      dispatch(t.precision(), [&]<typename T>() {
+        tiles_.emplace_back(t.matrix<T>().cview());
+      });
+    }
+}
+
+const la::PackedMatrix* PackedOffdiag::at(std::size_t i, std::size_t k) const {
+  GSX_REQUIRE(k < i && i < nt_, "PackedOffdiag::at: not an off-diagonal tile of the factor");
+  const la::PackedMatrix& a = tiles_[i * (i - 1) / 2 + k];
+  return a.rows() == 0 ? nullptr : &a;
+}
+
+std::size_t PackedOffdiag::bytes() const noexcept {
+  std::size_t sum = 0;
+  for (const la::PackedMatrix& a : tiles_) sum += a.bytes();
+  return sum;
+}
+
+void tile_forward_solve_multi(const SymTileMatrix& l, const PackedOffdiag& packed,
+                              Span2D<double> b, std::size_t workers) {
   GSX_REQUIRE(b.rows() == l.n(), "tile_forward_solve_multi: RHS rows mismatch");
   solve_columns_parallel(b, workers, [&](Span2D<double> cols) {
     const std::size_t nt = l.nt();
     for (std::size_t k = 0; k < nt; ++k) {
-      const DenseOperand<double> lkk(l.at(k, k));
       auto bk = cols.sub(l.tile_offset(k), 0, l.tile_dim(k), cols.cols());
       la::trsm<double>(la::Side::Left, la::Uplo::Lower, la::Trans::NoTrans,
-                       la::Diag::NonUnit, 1.0, lkk.view(), bk);
-      apply_offdiag_multi_batch(l, k, bk, cols);
+                       la::Diag::NonUnit, 1.0, l.at(k, k).matrix<double>().cview(), bk);
+      apply_offdiag_multi_batch(l, packed, k, bk, cols);
     }
   });
 }
 
+void tile_forward_solve_multi(const SymTileMatrix& l, Span2D<double> b,
+                              std::size_t workers) {
+  tile_forward_solve_multi(l, PackedOffdiag(l), b, workers);
+}
+
 geostat::KrigingResult tile_krige_solved(const geostat::CovarianceModel& model,
                                          const SymTileMatrix& factored,
+                                         const PackedOffdiag& packed,
                                          std::span<const double> y_solved,
                                          std::span<const geostat::Location> train_locs,
                                          std::span<const geostat::Location> test_locs,
@@ -239,7 +264,7 @@ geostat::KrigingResult tile_krige_solved(const geostat::CovarianceModel& model,
   out.mean.assign(m, 0.0);
   {
     const obs::KernelTimer timer(obs::KernelOp::Krige, Precision::FP64);
-    tile_forward_solve_multi(factored, w.view(), workers);
+    tile_forward_solve_multi(factored, packed, w.view(), workers);
     la::gemv<double>(la::Trans::Trans, 1.0, w.cview(), y_solved.data(), 0.0,
                      out.mean.data());
   }
@@ -292,8 +317,8 @@ geostat::KrigingResult tile_krige(const geostat::CovarianceModel& model,
     const obs::KernelTimer timer(obs::KernelOp::Krige, Precision::FP64);
     tile_forward_solve(factored, y);
   }
-  return tile_krige_solved(model, factored, y, train_locs, test_locs, with_variance,
-                           workers);
+  return tile_krige_solved(model, factored, PackedOffdiag(factored), y, train_locs, test_locs,
+                           with_variance, workers);
 }
 
 la::Matrix<double> reconstruct_lower(const SymTileMatrix& l) {

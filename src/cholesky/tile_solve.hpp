@@ -5,12 +5,22 @@
 // (log|Sigma| and Z^T Sigma^{-1} Z) and the multi-RHS solves of the
 // prediction phase, applied to the tile Cholesky factor produced by
 // tile_cholesky_dense / tile_cholesky_tlr.
+//
+// A factor that serves many kriging requests is applied through
+// PackedOffdiag: its dense off-diagonal tiles packed once, as FP64, into the
+// packed GEMM's A layout (la::PackedMatrix), so a request re-packs and
+// re-widens nothing. The per-request multi-RHS GEMMs then equal la::gemm's
+// on the unpacked tile bit for bit (the packed kernel exactly where
+// la::detail::use_packed holds, reference order elsewhere). Low-rank tiles
+// keep the LrOperand path and the diagonal TRSMs run per request.
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "geostat/likelihood.hpp"
 #include "geostat/prediction.hpp"
+#include "la/gemm_kernel.hpp"
 #include "la/matrix.hpp"
 #include "obs/trace.hpp"
 #include "tile/sym_tile_matrix.hpp"
@@ -39,20 +49,45 @@ void tile_backward_solve(const tile::SymTileMatrix& l, std::span<double> z);
 /// Full log-likelihood from a factored tile matrix and observations.
 geostat::LoglikValue tile_loglik(const tile::SymTileMatrix& l, std::span<const double> z);
 
+/// The dense off-diagonal tiles of a factor, each packed once as an FP64
+/// GEMM operand; low-rank tiles are not packed. Built once per served model
+/// (serve::LoadedModel) and read concurrently by its requests.
+class PackedOffdiag {
+ public:
+  PackedOffdiag() = default;
+  explicit PackedOffdiag(const tile::SymTileMatrix& l);
+
+  /// Tile (i, k), i > k, packed; nullptr where the tile is low-rank.
+  [[nodiscard]] const la::PackedMatrix* at(std::size_t i, std::size_t k) const;
+  /// Bytes of packed panels held.
+  [[nodiscard]] std::size_t bytes() const noexcept;
+
+ private:
+  std::size_t nt_ = 0;
+  std::vector<la::PackedMatrix> tiles_;  ///< strict lower triangle, row by row
+};
+
 /// Multi-right-hand-side forward solve (the prediction phase, Eq. 4-5,
 /// applies the factor to Sigma_nm's columns): B := L^{-1} B for a dense
-/// n x m block B. With `workers` > 1 the independent column blocks of B are
-/// solved concurrently on the runtime worker pool (bitwise identical to the
-/// sequential pass: columns never interact).
+/// n x m block B, with `packed` = PackedOffdiag(l). With `workers` > 1 the
+/// independent column blocks of B are solved concurrently on the runtime
+/// worker pool. Columns never interact, but each block's GEMMs choose the
+/// packed kernel or the reference order by the block's width
+/// (la::detail::use_packed), so the bits of a column can depend on
+/// `workers`; equal worker counts give equal bits.
+void tile_forward_solve_multi(const tile::SymTileMatrix& l, const PackedOffdiag& packed,
+                              Span2D<double> b, std::size_t workers = 1);
+
+/// The same solve for a factor applied once: packs its tiles on entry.
 void tile_forward_solve_multi(const tile::SymTileMatrix& l, Span2D<double> b,
                               std::size_t workers = 1);
 
 /// Kriging directly through the tile factor: never materializes a dense L,
 /// so the prediction phase keeps the TLR memory footprint (the paper's
 /// "forward and backward substitutions to several right-hand sides").
-/// This is the tile-native entry point both GsxModel::predict and the
-/// serving engine use; the dense krige_with_cholesky path survives only as
-/// a test oracle.
+/// This is the tile-native entry point GsxModel::predict uses (it packs
+/// the factor on entry and runs tile_krige_solved); the dense
+/// krige_with_cholesky path survives only as a test oracle.
 geostat::KrigingResult tile_krige(const geostat::CovarianceModel& model,
                                   const tile::SymTileMatrix& factored,
                                   std::span<const geostat::Location> train_locs,
@@ -61,16 +96,17 @@ geostat::KrigingResult tile_krige(const geostat::CovarianceModel& model,
                                   bool with_variance = true, std::size_t workers = 1);
 
 /// Kriging from an already forward-solved observation vector
-/// y = L^{-1} Z_n (the serving layer caches y per fitted model and amortizes
-/// it across every request batch): assembles Sigma_nm, applies the factor to
-/// its columns in parallel, and forms means/variances. `y_solved` must have
-/// length n.
+/// y = L^{-1} Z_n (the serving layer caches y and `packed` =
+/// PackedOffdiag(factored) per fitted model and amortizes both across every
+/// request batch): assembles Sigma_nm, applies the factor to its columns in
+/// parallel, and forms means/variances. `y_solved` must have length n.
 /// `telemetry` (optional) carries the request trace context in and the
 /// assembly/solve timing breakdown out. Throws NumericalError (with the
 /// request id in its context) when the computed means go non-finite — the
 /// serving layer turns that into a flight-recorder dump.
 geostat::KrigingResult tile_krige_solved(const geostat::CovarianceModel& model,
                                          const tile::SymTileMatrix& factored,
+                                         const PackedOffdiag& packed,
                                          std::span<const double> y_solved,
                                          std::span<const geostat::Location> train_locs,
                                          std::span<const geostat::Location> test_locs,

@@ -24,12 +24,22 @@
 // (common/isa.hpp); GSX_GEMM_ISA can only cap it, and is the one runtime
 // control. The batch entry points run many same-shape ops through one
 // blocked sweep, re-using the packed op(B) panel across ops that share B.
+//
+// An A operand that many products share (a served factor's off-diagonal
+// tiles, re-used by every kriging request) can be packed once instead:
+// PackedMatrix holds it, widened to FP64, in the FP64 kernel's own A-panel
+// layout, and the la::gemm / la::gemm_batch overloads over it run the same
+// micro-kernel instances without re-packing. They keep la::gemm's size rule
+// (detail::use_packed) and its bits: below the rule they run the reference
+// accumulation order over the same panels.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "common/bfloat16.hpp"
 #include "common/half.hpp"
+#include "common/isa.hpp"
 #include "common/precision.hpp"
 #include "common/span2d.hpp"
 #include "la/blas_types.hpp"
@@ -69,6 +79,55 @@ struct GemmBatchItem {
   Span2D<const TS> b;
   Span2D<TAcc> c;
 };
+
+/// op(A) = A (m x k) packed once, as FP64, for products A * B with changing
+/// B. The layout is the packed GEMM's own: each KC-deep slab of A as the
+/// ISA's MR-row micro-panels, its MC x KC blocks in the macro-kernel's
+/// visiting order, ragged rows zero-padded. FP32, FP16 and BF16 sources are
+/// widened (exactly) while packing, in the one pass that writes each
+/// element. The operand records the ISA it was packed for; the GEMM
+/// overloads below refuse it under any other.
+class PackedMatrix {
+ public:
+  PackedMatrix() = default;
+  /// Packs `a` (TS = double, float, half or bfloat16) for `isa`.
+  template <typename TS>
+  explicit PackedMatrix(Span2D<const TS> a, Isa isa = active_isa());
+
+  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
+  [[nodiscard]] Isa isa() const noexcept { return isa_; }
+  /// Bytes of packed panels held (zero padding included).
+  [[nodiscard]] std::size_t bytes() const noexcept { return size_ * sizeof(double); }
+  /// The packed panels; their layout is private to gemm_kernel.cpp.
+  [[nodiscard]] const double* panels() const noexcept { return panels_.get(); }
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  Isa isa_ = Isa::Portable;
+  std::size_t size_ = 0;
+  std::unique_ptr<double[]> panels_;
+};
+
+/// One op of a batch over pre-packed A operands: C += alpha * A * B.
+struct PackedGemmItem {
+  const PackedMatrix* a;
+  Span2D<const double> b;
+  Span2D<double> c;
+};
+
+/// C = alpha * A * B + beta * C with A pre-packed. Every element equals
+/// la::gemm(NoTrans, NoTrans, alpha, A, B, beta, C) on the unpacked A
+/// widened to FP64, bit for bit. Throws if `a` was packed for an ISA other
+/// than the active one.
+void gemm(double alpha, const PackedMatrix& a, Span2D<const double> b, double beta,
+          Span2D<double> c);
+
+/// Batched form: every item has the same (m, n, k); consecutive items that
+/// share one B re-use its packed panel, as in la::gemm_batch, whose results
+/// (on the unpacked A operands) these equal bit for bit.
+void gemm_batch(double alpha, const PackedGemmItem* items, std::size_t count, double beta);
 
 namespace detail {
 

@@ -157,13 +157,14 @@ class EventRing {
 
 }  // namespace gsx::obs
 
-// Compile-time gate for record sites: with GSX_TELEMETRY=OFF the whole
-// argument expression disappears (operands are never evaluated).
+// Compile-time gate for record sites: with GSX_TELEMETRY=OFF the call sits
+// in an unevaluated operand, so no code runs, yet every argument is still
+// named (a value that exists only to be recorded is not "unused").
 #ifndef GSX_TELEMETRY_DISABLED
 #define GSX_FLIGHT(kind, request, a, b, v) \
   ::gsx::obs::flight_record((kind), (request), (a), (b), (v))
 #else
-#define GSX_FLIGHT(kind, request, a, b, v) \
-  do {                                     \
-  } while (false)
+#define GSX_FLIGHT(kind, request, a, b, v)                                    \
+  static_cast<void>(                                                          \
+      sizeof(decltype(::gsx::obs::flight_record((kind), (request), (a), (b), (v)))*))
 #endif

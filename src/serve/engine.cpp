@@ -217,9 +217,9 @@ void KrigingEngine::process_batch(std::vector<Pending> batch) {
   bool ok = true;
   try {
     // One tiled Sigma_mn assembly + solve pass for the whole micro-batch.
-    result = cholesky::tile_krige_solved(*model.kernel, model.factor, model.y_solved,
-                                         model.train_locs, points, any_variance,
-                                         cfg_.workers, &telemetry);
+    result = cholesky::tile_krige_solved(*model.kernel, model.factor, model.packed_factor,
+                                         model.y_solved, model.train_locs, points,
+                                         any_variance, cfg_.workers, &telemetry);
   } catch (const std::exception& e) {
     ok = false;
     failure = fail(std::string("prediction failed: ") + e.what());

@@ -42,11 +42,13 @@ std::shared_ptr<LoadedModel> build_loaded(std::string name, ModelCheckpoint ckpt
   m->z_train = std::move(ckpt.z_train);
   m->factor = std::move(ckpt.factor);
 
-  // Amortize the observation solve once: every batch then reuses y.
+  // Amortize the observation solve and the factor's packing once: every
+  // batch then reuses y and the packed tiles.
   m->y_solved.assign(m->z_train.begin(), m->z_train.end());
   cholesky::tile_forward_solve(m->factor, m->y_solved);
+  m->packed_factor = cholesky::PackedOffdiag(m->factor);
 
-  m->resident_bytes = m->factor.footprint_bytes() +
+  m->resident_bytes = m->factor.footprint_bytes() + m->packed_factor.bytes() +
                       m->train_locs.size() * sizeof(geostat::Location) +
                       (m->z_train.size() + m->y_solved.size()) * sizeof(double);
   return m;

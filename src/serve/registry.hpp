@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cholesky/tile_solve.hpp"
 #include "geostat/covariance.hpp"
 #include "serve/checkpoint.hpp"
 
@@ -18,7 +19,9 @@ namespace gsx::serve {
 
 /// An immutable fitted model shared (read-only) by concurrent predictions.
 /// `kernel` is positioned at the fitted theta; `y_solved` caches
-/// L^{-1} Z_n so every served request starts from the factored state.
+/// L^{-1} Z_n and `packed_factor` the factor's dense off-diagonal tiles as
+/// packed FP64 GEMM operands, so every served request starts from the
+/// factored state and re-packs nothing.
 struct LoadedModel {
   std::string name;
   std::string path;                     ///< checkpoint file of origin ("" if in-memory)
@@ -29,11 +32,13 @@ struct LoadedModel {
   std::vector<double> z_train;
   tile::SymTileMatrix factor{1, 1};
   std::vector<double> y_solved;         ///< L^{-1} Z_n, computed once at load
-  std::size_t resident_bytes = 0;       ///< factor + training data footprint
+  cholesky::PackedOffdiag packed_factor;  ///< packed once at load
+  std::size_t resident_bytes = 0;  ///< factor + packed tiles + training data footprint
 
   /// Build from a checkpoint file (CRC-verified) or an in-memory checkpoint:
   /// reconstructs the kernel from the registry name, forward-solves the
-  /// observations once, and accounts the resident footprint.
+  /// observations and packs the factor once, and accounts the resident
+  /// footprint.
   static std::shared_ptr<const LoadedModel> from_checkpoint(std::string name,
                                                             const std::string& path);
   static std::shared_ptr<const LoadedModel> from_checkpoint(std::string name,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "cholesky/factorize.hpp"
@@ -161,6 +162,89 @@ TEST(GemmBatch16, HgemmAndBgemmMatchLooped) {
     expect_bits_equal(ch_batch[i], ch_loop[i], "hgemm_batch");
     expect_bits_equal(cb_batch[i], cb_loop[i], "bgemm_batch");
   }
+}
+
+// ------------------------------------------------------- pre-packed A
+
+/// A matrix widened to FP64, as DenseOperand<double> widens a tile.
+template <typename TS>
+Matrix<double> widened(const Matrix<TS>& a) {
+  Matrix<double> w(a.rows(), a.cols());
+  for (std::size_t j = 0; j < a.cols(); ++j)
+    for (std::size_t i = 0; i < a.rows(); ++i) w(i, j) = static_cast<double>(a(i, j));
+  return w;
+}
+
+/// la::gemm / la::gemm_batch over PackedMatrix operands packed from TS
+/// storage against the same calls on the widened A, for every shape: rows
+/// crossing MR and MC = 128, k crossing KC = 256, n from 1 to 13 (so both
+/// the packed kernel and the reference order below use_packed's threshold
+/// run), single ops and a batch sharing one B.
+template <typename TS>
+void prepacked_matches_unpacked() {
+  const std::size_t count = 3;
+  for (const std::size_t m : {33, 88, 128, 200, 256})
+    for (const std::size_t k : {64, 128, 300}) {
+      std::vector<Matrix<TS>> as;
+      std::vector<Matrix<double>> wide;
+      std::vector<PackedMatrix> packed;
+      for (std::size_t i = 0; i < count; ++i) {
+        as.push_back(filled<TS>(m, k, 7 * m + k + i));
+        wide.push_back(widened(as.back()));
+        packed.emplace_back(as.back().cview());
+        ASSERT_EQ(packed.back().rows(), m);
+        ASSERT_EQ(packed.back().cols(), k);
+        ASSERT_GE(packed.back().bytes(), m * k * sizeof(double));
+      }
+      for (std::size_t n = 1; n <= 13; ++n) {
+        const Matrix<double> b = filled<double>(k, n, 31 * n + k);
+        const double alpha = n % 2 ? -1.0 : 0.75;
+        const double beta = n % 3 ? 1.0 : 0.5;
+        std::vector<Matrix<double>> c_ref, c_packed;
+        std::vector<GemmBatchItem<double>> ref_items;
+        std::vector<PackedGemmItem> packed_items;
+        for (std::size_t i = 0; i < count; ++i) {
+          c_ref.push_back(filled<double>(m, n, 3 * n + i));
+          c_packed.push_back(c_ref.back());
+        }
+        for (std::size_t i = 0; i < count; ++i) {
+          ref_items.push_back({wide[i].cview(), b.cview(), c_ref[i].view()});
+          packed_items.push_back({&packed[i], b.cview(), c_packed[i].view()});
+        }
+        // Item 0 single, items 1.. batched with the shared B.
+        gemm<double>(Trans::NoTrans, Trans::NoTrans, alpha, wide[0].cview(), b.cview(), beta,
+                     c_ref[0].view());
+        gemm(alpha, packed[0], b.cview(), beta, c_packed[0].view());
+        gemm_batch<double>(Trans::NoTrans, Trans::NoTrans, alpha, ref_items.data() + 1,
+                           count - 1, beta);
+        gemm_batch(alpha, packed_items.data() + 1, count - 1, beta);
+        const std::string what = "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                                 " n=" + std::to_string(n);
+        for (std::size_t i = 0; i < count; ++i)
+          expect_bits_equal(c_packed[i], c_ref[i], (what + (i ? " batch" : " single")).c_str());
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+}
+
+TEST(PrepackedGemm, MatchesGemmOnF64Source) { prepacked_matches_unpacked<double>(); }
+TEST(PrepackedGemm, MatchesGemmOnWidenedF32Source) { prepacked_matches_unpacked<float>(); }
+TEST(PrepackedGemm, MatchesGemmOnWidenedF16Source) { prepacked_matches_unpacked<half>(); }
+TEST(PrepackedGemm, MatchesGemmOnWidenedBf16Source) { prepacked_matches_unpacked<bfloat16>(); }
+
+TEST(PrepackedGemm, RejectsOperandPackedForAnotherIsa) {
+  const Matrix<double> a = filled<double>(64, 64, 1);
+  const Matrix<double> b = filled<double>(64, 4, 2);
+  Matrix<double> c(64, 4);
+  const Isa other = active_isa() == Isa::Portable ? Isa::Avx2 : Isa::Portable;
+  const PackedMatrix foreign(a.cview(), other);
+  EXPECT_EQ(foreign.isa(), other);
+  EXPECT_THROW(gemm(1.0, foreign, b.cview(), 0.0, c.view()), InvalidArgument);
+  const PackedGemmItem item{&foreign, b.cview(), c.view()};
+  EXPECT_THROW(gemm_batch(1.0, &item, 1, 0.0), InvalidArgument);
+  const PackedMatrix native(a.cview());
+  EXPECT_EQ(native.isa(), active_isa());
+  EXPECT_NO_THROW(gemm(1.0, native, b.cview(), 0.0, c.view()));
 }
 
 // ------------------------------------------------- Cholesky batch wiring

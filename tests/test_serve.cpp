@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -141,6 +142,26 @@ TEST(Registry, RejectsModelLargerThanCache) {
   EXPECT_THROW(reg.insert(make_model(p, "big")), InvalidArgument);
 }
 
+TEST(Registry, ResidentBytesCountThePackedFactor) {
+  const Problem p = make_problem(72);
+  const auto m = make_model(p, "a");
+  // Every dense off-diagonal tile of the factor is held packed as FP64 too.
+  std::size_t dense_offdiag = 0;
+  for (std::size_t i = 1; i < m->factor.nt(); ++i)
+    for (std::size_t k = 0; k < i; ++k) {
+      const tile::Tile& t = m->factor.at(i, k);
+      if (t.format() == tile::TileFormat::Dense) dense_offdiag += t.rows() * t.cols();
+    }
+  ASSERT_GT(dense_offdiag, 0u);
+  EXPECT_GE(m->packed_factor.bytes(), dense_offdiag * sizeof(double));
+  const std::size_t data = m->train_locs.size() * sizeof(geostat::Location) +
+                           (m->z_train.size() + m->y_solved.size()) * sizeof(double);
+  EXPECT_EQ(m->resident_bytes, m->factor.footprint_bytes() + m->packed_factor.bytes() + data);
+  ModelRegistry reg;
+  reg.insert(m);
+  EXPECT_EQ(reg.stats().resident_bytes, m->resident_bytes);
+}
+
 // --- engine -----------------------------------------------------------------
 
 TEST(Engine, MatchesDenseKrigingOracle) {
@@ -218,6 +239,83 @@ TEST(Engine, ConcurrentSubmittersAllGetCorrectAnswers) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(engine.stats().completed, kThreads * kPerThread);
+}
+
+/// A model served from its checkpoint (LoadedModel, packed once at load)
+/// answers exactly what the in-process GsxModel::predict answers, bit for
+/// bit, for 1, 4 and 7 points at engine workers 1 and 2.
+void expect_served_equals_in_process(core::ModelConfig cfg, const std::vector<double>& theta,
+                                     std::size_t n, bool expect_lowrank) {
+  Rng rng(21);
+  std::vector<geostat::Location> locs = geostat::perturbed_grid_locations(n, rng);
+  geostat::sort_morton(locs);
+  const std::vector<double> z =
+      geostat::simulate_grf(*geostat::make_kernel("matern", theta), locs, rng);
+  cfg.calibrate_perf_model = false;
+  for (const std::size_t workers : {1, 2}) {
+    cfg.workers = workers;
+    const core::GsxModel model(geostat::make_kernel("matern", theta), cfg);
+    ModelCheckpoint ckpt;
+    ckpt.kernel = "matern";
+    ckpt.theta = theta;
+    ckpt.config = cfg;
+    ckpt.train_locs = locs;
+    ckpt.z_train = z;
+    ckpt.factor = model.factor_at(theta, locs);
+    const auto loaded = LoadedModel::from_checkpoint("m", std::move(ckpt));
+
+    // The factor has what the test is about: a ragged last tile row, and
+    // FP32 dense off-diagonal tiles (packed widened) or low-rank tiles (not
+    // packed).
+    const tile::SymTileMatrix& f = loaded->factor;
+    ASSERT_NE(f.tile_dim(f.nt() - 1), cfg.tile_size);
+    std::size_t fp32 = 0, lowrank = 0;
+    for (std::size_t i = 1; i < f.nt(); ++i)
+      for (std::size_t k = 0; k < i; ++k) {
+        const tile::Tile& t = f.at(i, k);
+        if (t.format() == tile::TileFormat::LowRank) {
+          ++lowrank;
+          EXPECT_EQ(loaded->packed_factor.at(i, k), nullptr);
+        } else {
+          fp32 += t.precision() == Precision::FP32;
+          ASSERT_NE(loaded->packed_factor.at(i, k), nullptr);
+        }
+      }
+    if (expect_lowrank)
+      EXPECT_GT(lowrank, 0u);
+    else
+      EXPECT_GT(fp32, 0u);
+
+    KrigingEngine engine(EngineConfig{workers, 16, 4096});
+    for (const std::size_t m : {1, 4, 7}) {
+      const auto pts = random_points(m, 40 + m);
+      PredictOutcome out = engine.submit(loaded, pts, true).get();
+      ASSERT_TRUE(out.ok) << out.error;
+      const geostat::KrigingResult ref = model.predict(theta, locs, z, pts, true);
+      ASSERT_EQ(out.mean.size(), m);
+      ASSERT_EQ(out.variance.size(), m);
+      EXPECT_EQ(std::memcmp(out.mean.data(), ref.mean.data(), m * sizeof(double)), 0)
+          << "mean, " << m << " points, " << workers << " workers";
+      EXPECT_EQ(std::memcmp(out.variance.data(), ref.variance.data(), m * sizeof(double)), 0)
+          << "variance, " << m << " points, " << workers << " workers";
+    }
+  }
+}
+
+TEST(Engine, ServedMixedPrecisionFactorAnswersBitForBit) {
+  core::ModelConfig cfg;
+  cfg.variant = core::ComputeVariant::MPDense;
+  cfg.tile_size = 128;
+  expect_served_equals_in_process(cfg, {1.0, 0.1, 0.5}, 600, false);
+}
+
+TEST(Engine, ServedTlrFactorAnswersBitForBit) {
+  core::ModelConfig cfg;
+  cfg.variant = core::ComputeVariant::MPDenseTLR;
+  cfg.tile_size = 64;
+  cfg.auto_band = false;
+  cfg.band_size = 2;
+  expect_served_equals_in_process(cfg, {1.0, 0.03, 0.5}, 600, true);
 }
 
 TEST(Engine, QueueFullFastFails) {

@@ -294,8 +294,9 @@ int cmd_predict(const std::map<std::string, std::string>& flags) {
         static_cast<std::size_t>(std::atoll(flag(flags, "workers", "1").c_str()));
     const auto model =
         serve::LoadedModel::from_checkpoint("cli", flags.at("from-checkpoint"));
-    pred = cholesky::tile_krige_solved(*model->kernel, model->factor, model->y_solved,
-                                       model->train_locs, test.locations, true, workers);
+    pred = cholesky::tile_krige_solved(*model->kernel, model->factor, model->packed_factor,
+                                       model->y_solved, model->train_locs, test.locations,
+                                       true, workers);
   } else {
     const data::Dataset train = data::read_csv(flag(flags, "train"));
     const std::vector<double> theta = parse_theta(flag(flags, "theta"));
