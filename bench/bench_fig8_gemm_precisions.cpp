@@ -278,8 +278,7 @@ void BM_sgemm_ref(benchmark::State& state) {
 // ------------------------------------------------------- SYRK and TRSM
 // The tile Cholesky's other two kernels at the shapes its tasks call: the
 // diagonal-tile update (SYRK lower/NoTrans, alpha = -1, beta = 1) and the
-// panel solve (TRSM right/lower/trans/non-unit against a factored diagonal
-// tile). Each has a _ref twin timing the la::ref loops. Flops are counted
+// panel solve (B := B * L^{-T} against a factored diagonal tile). Each has a _ref twin timing the la::ref loops. Flops are counted
 // as the obs ledger counts them (obs::syrk_flops, obs::trsm_flops).
 
 template <typename T>
@@ -324,11 +323,9 @@ void trsm_bench(benchmark::State& state) {
   for (auto _ : state) {
     b = b0;
     if constexpr (kRef)
-      la::ref::trsm<T>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit,
-                       T(1), l.cview(), b.view());
+      la::ref::trsm_right_trans<T>(l.cview(), b.view());
     else
-      la::trsm<T>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit, T(1),
-                  l.cview(), b.view());
+      la::trsm_right_trans<T>(l.cview(), b.view());
     benchmark::DoNotOptimize(b.data());
     benchmark::ClobberMemory();
   }

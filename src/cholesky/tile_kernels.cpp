@@ -70,7 +70,7 @@ int potrf_tile(Tile& akk) {
               "potrf_tile: diagonal tiles must be dense FP64");
   account(KernelOp::Potrf, Precision::FP64, obs::potrf_flops(akk.rows()));
   const obs::KernelTimer timer(KernelOp::Potrf, Precision::FP64);
-  return la::potrf<double>(la::Uplo::Lower, akk.matrix<double>().view());
+  return la::potrf(akk.matrix<double>().view());
 }
 
 void trsm_tile(const Tile& lkk, Tile& amk) {
@@ -94,8 +94,7 @@ void trsm_tile(const Tile& lkk, Tile& amk) {
     const DenseOperand<C> l(lkk);
     at_scalar<C>(amk.matrix<T>(), [&](la::Matrix<C>& a) {
       const obs::KernelTimer timer(KernelOp::Trsm, precision_of<T>);
-      la::trsm<C>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit,
-                  C{1}, l.view(), a.view());
+      la::trsm_right_trans<C>(l.view(), a.view());
     });
   });
 }

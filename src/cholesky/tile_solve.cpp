@@ -74,14 +74,8 @@ void tile_forward_solve(const SymTileMatrix& l, std::span<double> z) {
   for (std::size_t k = 0; k < nt; ++k) {
     double* zk = z.data() + l.tile_offset(k);
     // z_k := L_kk^{-1} z_k.
-    const auto& d = l.at(k, k).matrix<double>();
-    const std::size_t nk = l.tile_dim(k);
-    for (std::size_t j = 0; j < nk; ++j) {
-      zk[j] /= d(j, j);
-      const double zj = zk[j];
-      if (zj == 0.0) continue;
-      for (std::size_t i = j + 1; i < nk; ++i) zk[i] -= d(i, j) * zj;
-    }
+    la::ref::trsm_left<double>(l.at(k, k).matrix<double>().cview(),
+                               Span2D<double>(zk, l.tile_dim(k), 1));
     for (std::size_t i = k + 1; i < nt; ++i)
       apply_offdiag(l.at(i, k), zk, z.data() + l.tile_offset(i));
   }
@@ -95,13 +89,8 @@ void tile_backward_solve(const SymTileMatrix& l, std::span<double> z) {
     for (std::size_t i = k + 1; i < nt; ++i)
       apply_offdiag_trans(l.at(i, k), z.data() + l.tile_offset(i), zk);
     // z_k := L_kk^{-T} z_k.
-    const auto& d = l.at(k, k).matrix<double>();
-    const std::size_t nk = l.tile_dim(k);
-    for (std::size_t jj = nk; jj-- > 0;) {
-      double s = zk[jj];
-      for (std::size_t i = jj + 1; i < nk; ++i) s -= d(i, jj) * zk[i];
-      zk[jj] = s / d(jj, jj);
-    }
+    la::ref::trsm_left_trans<double>(l.at(k, k).matrix<double>().cview(),
+                                     Span2D<double>(zk, l.tile_dim(k), 1));
   }
 }
 
@@ -163,24 +152,25 @@ void apply_offdiag_multi_batch(const SymTileMatrix& l, const PackedOffdiag& pack
   la::gemm_batch(-1.0, items.data(), items.size(), 1.0);
 }
 
-/// Partition the m RHS columns into per-worker blocks and run `solve` on
-/// each concurrently. Columns of a triangular solve never interact; a
-/// block's width can still change its GEMMs' path (use_packed), so bits
-/// are reproducible at a fixed worker count.
+/// Column blocks of a multi-RHS solve: one block below 2 *
+/// kSolveMinBlockCols columns, else at most kSolveMaxBlocks blocks of at
+/// least kSolveMinBlockCols columns each.
+constexpr std::size_t kSolveMinBlockCols = 16;
+constexpr std::size_t kSolveMaxBlocks = 16;
+
+/// Partition the m RHS columns into blocks and run `solve` on each, up to
+/// `workers` at a time. Columns of a triangular solve never interact, but a
+/// block's width picks its GEMMs' path (use_packed), so the partition
+/// depends on m alone: the bits do not depend on `workers`.
 void solve_columns_parallel(Span2D<double> b, std::size_t workers,
                             const std::function<void(Span2D<double>)>& solve) {
   const std::size_t m = b.cols();
-  if (workers <= 1 || m <= 1) {
-    solve(b);
-    return;
-  }
-  const std::size_t blocks = std::min(workers * 4, m);
-  const std::size_t per = (m + blocks - 1) / blocks;
+  const std::size_t blocks =
+      std::clamp<std::size_t>(m / kSolveMinBlockCols, 1, kSolveMaxBlocks);
   rt::parallel_for(0, blocks, workers, [&](std::size_t blk) {
-    const std::size_t c0 = blk * per;
-    if (c0 >= m) return;
-    const std::size_t nc = std::min(per, m - c0);
-    solve(b.sub(0, c0, b.rows(), nc));
+    const std::size_t c0 = blk * m / blocks;
+    const std::size_t c1 = (blk + 1) * m / blocks;
+    solve(b.sub(0, c0, b.rows(), c1 - c0));
   });
 }
 
@@ -220,16 +210,10 @@ void tile_forward_solve_multi(const SymTileMatrix& l, const PackedOffdiag& packe
     const std::size_t nt = l.nt();
     for (std::size_t k = 0; k < nt; ++k) {
       auto bk = cols.sub(l.tile_offset(k), 0, l.tile_dim(k), cols.cols());
-      la::trsm<double>(la::Side::Left, la::Uplo::Lower, la::Trans::NoTrans,
-                       la::Diag::NonUnit, 1.0, l.at(k, k).matrix<double>().cview(), bk);
+      la::trsm_left<double>(l.at(k, k).matrix<double>().cview(), bk);
       apply_offdiag_multi_batch(l, packed, k, bk, cols);
     }
   });
-}
-
-void tile_forward_solve_multi(const SymTileMatrix& l, Span2D<double> b,
-                              std::size_t workers) {
-  tile_forward_solve_multi(l, PackedOffdiag(l), b, workers);
 }
 
 geostat::KrigingResult tile_krige_solved(const geostat::CovarianceModel& model,

@@ -69,18 +69,15 @@ class PackedOffdiag {
 
 /// Multi-right-hand-side forward solve (the prediction phase, Eq. 4-5,
 /// applies the factor to Sigma_nm's columns): B := L^{-1} B for a dense
-/// n x m block B, with `packed` = PackedOffdiag(l). With `workers` > 1 the
-/// independent column blocks of B are solved concurrently on the runtime
-/// worker pool. Columns never interact, but each block's GEMMs choose the
-/// packed kernel or the reference order by the block's width
-/// (la::detail::use_packed), so the bits of a column can depend on
-/// `workers`; equal worker counts give equal bits.
+/// n x m block B, with `packed` = PackedOffdiag(l). B's columns are cut
+/// into blocks by a rule of m alone (one block below 32 columns, at most
+/// 16 blocks of at least 16 columns), and `workers` only sets how many
+/// blocks are solved concurrently on the runtime worker pool. Each block's
+/// GEMMs choose the packed kernel or the reference order by the block's
+/// width (la::detail::use_packed), so a column's bits depend on the
+/// factor, m and the ISA, and not on `workers`.
 void tile_forward_solve_multi(const tile::SymTileMatrix& l, const PackedOffdiag& packed,
                               Span2D<double> b, std::size_t workers = 1);
-
-/// The same solve for a factor applied once: packs its tiles on entry.
-void tile_forward_solve_multi(const tile::SymTileMatrix& l, Span2D<double> b,
-                              std::size_t workers = 1);
 
 /// Kriging directly through the tile factor: never materializes a dense L,
 /// so the prediction phase keeps the TLR memory footprint (the paper's

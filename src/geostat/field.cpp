@@ -25,7 +25,7 @@ std::vector<double> draw_from_factor(const la::Matrix<double>& chol, Rng& rng) {
 la::Matrix<double> factor_covariance(const CovarianceModel& model,
                                      std::span<const Location> locs) {
   la::Matrix<double> sigma = covariance_matrix(model, locs);
-  const int info = la::potrf<double>(la::Uplo::Lower, sigma.view());
+  const int info = la::potrf(sigma.view());
   if (info != 0)
     throw NumericalError("simulate_grf: covariance matrix not positive definite at pivot " +
                          std::to_string(info));

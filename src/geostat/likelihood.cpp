@@ -31,12 +31,7 @@ LoglikValue loglik_from_cholesky(const la::Matrix<double>& chol, std::span<const
 
   // Solve L y = z, quadratic = ||y||^2.
   std::vector<double> y(z.begin(), z.end());
-  for (std::size_t j = 0; j < n; ++j) {
-    y[j] /= chol(j, j);
-    const double yj = y[j];
-    if (yj == 0.0) continue;
-    for (std::size_t i = j + 1; i < n; ++i) y[i] -= chol(i, j) * yj;
-  }
+  la::ref::trsm_left<double>(chol.cview(), Span2D<double>(y.data(), n, 1));
   out.quadratic = 0.0;
   for (double v : y) out.quadratic += v * v;
   out.loglik = -0.5 * (static_cast<double>(n) * kLog2Pi + out.logdet + out.quadratic);
@@ -51,7 +46,7 @@ LoglikValue dense_loglik(const CovarianceModel& model, std::span<const Location>
   obs::add_flops(obs::KernelOp::Potrf, Precision::FP64, obs::potrf_flops(sigma.rows()));
   const int info = [&] {
     const obs::ScopedPhase phase("factorize");
-    return la::potrf<double>(la::Uplo::Lower, sigma.view());
+    return la::potrf(sigma.view());
   }();
   if (info != 0) return LoglikValue{};  // non-SPD: ok = false
   return loglik_from_cholesky(sigma, z);

@@ -29,16 +29,9 @@ KrigingResult krige_with_cholesky(const CovarianceModel& model,
   obs::add_flops(obs::KernelOp::Krige, Precision::FP64,
                  obs::trsm_flops(m, n) + obs::trsm_flops(1, n) +
                      obs::gemm_flops(m, 1, n));
-  auto wv = w.view();
-  la::trsm<double>(la::Side::Left, la::Uplo::Lower, la::Trans::NoTrans, la::Diag::NonUnit,
-                   1.0, chol.cview(), wv);
+  la::trsm_left<double>(chol.cview(), w.view());
   std::vector<double> y(z_train.begin(), z_train.end());
-  for (std::size_t j = 0; j < n; ++j) {
-    y[j] /= chol(j, j);
-    const double yj = y[j];
-    if (yj == 0.0) continue;
-    for (std::size_t i = j + 1; i < n; ++i) y[i] -= chol(i, j) * yj;
-  }
+  la::ref::trsm_left<double>(chol.cview(), Span2D<double>(y.data(), n, 1));
 
   KrigingResult out;
   out.mean.assign(m, 0.0);
@@ -64,7 +57,7 @@ KrigingResult krige(const CovarianceModel& model, std::span<const Location> trai
   obs::add_flops(obs::KernelOp::Potrf, Precision::FP64, obs::potrf_flops(sigma.rows()));
   const int info = [&] {
     const obs::ScopedPhase phase("factorize");
-    return la::potrf<double>(la::Uplo::Lower, sigma.view());
+    return la::potrf(sigma.view());
   }();
   if (info != 0)
     throw NumericalError("krige: Sigma_nn not positive definite at pivot " +

@@ -3,10 +3,17 @@
 // These are the sequential task bodies of the tile algorithms: one GEMM /
 // SYRK / TRSM / POTRF call per tile task, scheduled by the runtime (the
 // paper executes SSL kernels the same way, one sequential kernel per task).
+// TRSM comes in the two orientations the tile algorithms call and no
+// other, both with a lower-triangular L: B := L^{-1} B (trsm_left: the
+// forward solves of the likelihood and kriging, the low-rank panel solve)
+// and B := B * L^{-T} (trsm_right_trans: the tile Cholesky's panel solve).
+// SYRK keeps its uplo/trans flags: dropping its upper instance from the
+// packed kernels recompiles them (see docs/tuning.md).
 //
 // Two layers:
 //   la::ref::  — the original unit-stride reference loops, kept alive as
-//                test oracles and as the small-problem fallback.
+//                test oracles and as the small-problem fallback; also
+//                B := L^{-T} B (trsm_left_trans) for the vector solves.
 //   la::       — the public entry points. FP32/FP64 work that passes the
 //                packed GEMM's size rule (use_packed) runs on the packed,
 //                register-tiled micro-kernel path (gemm_kernel.hpp):
@@ -169,135 +176,54 @@ void syrk(Uplo uplo, Trans trans, T alpha, Span2D<const T> a, T beta, Span2D<T> 
   }
 }
 
-/// B = alpha * op(A)^{-1} * B (Side::Left) or B = alpha * B * op(A)^{-1}
-/// (Side::Right), with A triangular. Reference algorithm (netlib TRSM).
+/// B := L^{-1} B with L lower triangular: forward substitution, column by
+/// column; a zero entry of B skips its update.
 template <typename T>
-void trsm(Side side, Uplo uplo, Trans ta, Diag diag, T alpha, Span2D<const T> a,
-          Span2D<T> b) {
+void trsm_left(Span2D<const T> l, Span2D<T> b) {
   const std::size_t m = b.rows();
-  const std::size_t n = b.cols();
-  const bool unit = (diag == Diag::Unit);
-
-  detail::scale_matrix(alpha, b);
-  if (m == 0 || n == 0) return;
-
-  if (side == Side::Left) {
-    if (ta == Trans::NoTrans) {
-      if (uplo == Uplo::Lower) {
-        // Forward substitution, column-oriented.
-        for (std::size_t j = 0; j < n; ++j) {
-          T* bj = &b(0, j);
-          for (std::size_t kk = 0; kk < m; ++kk) {
-            if (!unit) bj[kk] /= a(kk, kk);
-            const T bkj = bj[kk];
-            if (bkj == T{0}) continue;
-            const T* ak = &a(0, kk);
-            for (std::size_t i = kk + 1; i < m; ++i) bj[i] -= ak[i] * bkj;
-          }
-        }
-      } else {
-        // Backward substitution.
-        for (std::size_t j = 0; j < n; ++j) {
-          T* bj = &b(0, j);
-          for (std::size_t kk = m; kk-- > 0;) {
-            if (!unit) bj[kk] /= a(kk, kk);
-            const T bkj = bj[kk];
-            if (bkj == T{0}) continue;
-            const T* ak = &a(0, kk);
-            for (std::size_t i = 0; i < kk; ++i) bj[i] -= ak[i] * bkj;
-          }
-        }
-      }
-    } else {  // op(A) = A^T
-      if (uplo == Uplo::Lower) {
-        // Solve L^T X = B: backward, dot-product form.
-        for (std::size_t j = 0; j < n; ++j) {
-          T* bj = &b(0, j);
-          for (std::size_t ii = m; ii-- > 0;) {
-            const T* ai = &a(0, ii);
-            T s = bj[ii];
-            for (std::size_t kk = ii + 1; kk < m; ++kk) s -= ai[kk] * bj[kk];
-            bj[ii] = unit ? s : s / a(ii, ii);
-          }
-        }
-      } else {
-        // Solve U^T X = B: forward, dot-product form.
-        for (std::size_t j = 0; j < n; ++j) {
-          T* bj = &b(0, j);
-          for (std::size_t ii = 0; ii < m; ++ii) {
-            T s = bj[ii];
-            for (std::size_t kk = 0; kk < ii; ++kk) s -= a(kk, ii) * bj[kk];
-            bj[ii] = unit ? s : s / a(ii, ii);
-          }
-        }
-      }
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    T* bj = &b(0, j);
+    for (std::size_t kk = 0; kk < m; ++kk) {
+      bj[kk] /= l(kk, kk);
+      const T bkj = bj[kk];
+      if (bkj == T{0}) continue;
+      const T* lk = &l(0, kk);
+      for (std::size_t i = kk + 1; i < m; ++i) bj[i] -= lk[i] * bkj;
     }
-  } else {  // Side::Right: B := B * op(A)^{-1}
-    if (ta == Trans::NoTrans) {
-      if (uplo == Uplo::Lower) {
-        // X L = B: process columns right-to-left.
-        for (std::size_t j = n; j-- > 0;) {
-          T* bj = &b(0, j);
-          if (!unit) {
-            const T d = T{1} / a(j, j);
-            for (std::size_t i = 0; i < m; ++i) bj[i] *= d;
-          }
-          for (std::size_t kk = 0; kk < j; ++kk) {
-            const T akj = a(j, kk);
-            if (akj == T{0}) continue;
-            T* bk = &b(0, kk);
-            for (std::size_t i = 0; i < m; ++i) bk[i] -= bj[i] * akj;
-          }
-        }
-      } else {
-        // X U = B: left-to-right.
-        for (std::size_t j = 0; j < n; ++j) {
-          T* bj = &b(0, j);
-          if (!unit) {
-            const T d = T{1} / a(j, j);
-            for (std::size_t i = 0; i < m; ++i) bj[i] *= d;
-          }
-          for (std::size_t kk = j + 1; kk < n; ++kk) {
-            const T ajk = a(j, kk);
-            if (ajk == T{0}) continue;
-            T* bk = &b(0, kk);
-            for (std::size_t i = 0; i < m; ++i) bk[i] -= bj[i] * ajk;
-          }
-        }
-      }
-    } else {  // B := B * op(A)^{-T}
-      if (uplo == Uplo::Lower) {
-        // X L^T = B: left-to-right; the tile-Cholesky panel solve.
-        for (std::size_t j = 0; j < n; ++j) {
-          T* bj = &b(0, j);
-          for (std::size_t kk = 0; kk < j; ++kk) {
-            const T ajk = a(j, kk);
-            if (ajk == T{0}) continue;
-            const T* bk = &b(0, kk);
-            for (std::size_t i = 0; i < m; ++i) bj[i] -= bk[i] * ajk;
-          }
-          if (!unit) {
-            const T d = T{1} / a(j, j);
-            for (std::size_t i = 0; i < m; ++i) bj[i] *= d;
-          }
-        }
-      } else {
-        // X U^T = B: right-to-left.
-        for (std::size_t j = n; j-- > 0;) {
-          T* bj = &b(0, j);
-          for (std::size_t kk = j + 1; kk < n; ++kk) {
-            const T akj = a(j, kk);
-            if (akj == T{0}) continue;
-            const T* bk = &b(0, kk);
-            for (std::size_t i = 0; i < m; ++i) bj[i] -= bk[i] * akj;
-          }
-          if (!unit) {
-            const T d = T{1} / a(j, j);
-            for (std::size_t i = 0; i < m; ++i) bj[i] *= d;
-          }
-        }
-      }
+  }
+}
+
+/// B := L^{-T} B with L lower triangular: backward substitution,
+/// dot-product form.
+template <typename T>
+void trsm_left_trans(Span2D<const T> l, Span2D<T> b) {
+  const std::size_t m = b.rows();
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    T* bj = &b(0, j);
+    for (std::size_t ii = m; ii-- > 0;) {
+      const T* li = &l(0, ii);
+      T s = bj[ii];
+      for (std::size_t kk = ii + 1; kk < m; ++kk) s -= li[kk] * bj[kk];
+      bj[ii] = s / l(ii, ii);
     }
+  }
+}
+
+/// B := B * L^{-T} with L lower triangular, left to right; the tile
+/// Cholesky's panel solve.
+template <typename T>
+void trsm_right_trans(Span2D<const T> l, Span2D<T> b) {
+  const std::size_t m = b.rows();
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    T* bj = &b(0, j);
+    for (std::size_t kk = 0; kk < j; ++kk) {
+      const T ljk = l(j, kk);
+      if (ljk == T{0}) continue;
+      const T* bk = &b(0, kk);
+      for (std::size_t i = 0; i < m; ++i) bj[i] -= bk[i] * ljk;
+    }
+    const T d = T{1} / l(j, j);
+    for (std::size_t i = 0; i < m; ++i) bj[i] *= d;
   }
 }
 
@@ -370,108 +296,65 @@ void syrk(Uplo uplo, Trans trans, T alpha, Span2D<const T> a, T beta, Span2D<T> 
 
 namespace detail {
 
-/// In-place blocked triangular solve (alpha already applied to B). Halves
-/// the triangle recursively: the two diagonal sub-solves recurse, the
-/// coupling update is a GEMM on the packed path. A split is made only while
-/// that coupling GEMM passes use_packed — (na-h) x n x h on the left side,
-/// m x (na-h) x h on the right — so the recursion stops where the packed
-/// GEMM itself would, and the reference solve finishes the block. All eight
-/// side / uplo / trans combinations reduce to the same four-step pattern.
+// In-place blocked triangular solves. Each halves L recursively: the two
+// diagonal sub-solves recurse, the coupling update is a GEMM on the packed
+// path. A split is made only while that coupling GEMM passes use_packed,
+// so the recursion stops where the packed GEMM itself would, and the
+// reference solve finishes the block.
+
+/// B := L^{-1} B; the coupling GEMM is (na-h) x n x h.
 template <typename T>
-void trsm_blocked(Side side, Uplo uplo, Trans ta, Diag diag, Span2D<const T> a,
-                  Span2D<T> b) {
-  const std::size_t na = a.rows();
-  const std::size_t m = b.rows();
+void trsm_left_blocked(Span2D<const T> l, Span2D<T> b) {
+  const std::size_t na = l.rows();
   const std::size_t n = b.cols();
   const std::size_t h = na / 2;
-  const bool split = (side == Side::Left) ? use_packed(na - h, n, h)
-                                          : use_packed(m, na - h, h);
-  if (!split || !kHasPackedKernel<T>) {
-    ref::trsm<T>(side, uplo, ta, diag, T{1}, a, b);
+  if (!kHasPackedKernel<T> || !use_packed(na - h, n, h)) {
+    ref::trsm_left<T>(l, b);
     return;
   }
-  const auto a11 = a.sub(0, 0, h, h);
-  const auto a22 = a.sub(h, h, na - h, na - h);
-  const T neg1 = T{-1};
+  // [L11 0; L21 L22] [X1; X2] = [B1; B2]
+  auto b1 = b.sub(0, 0, h, n);
+  auto b2 = b.sub(h, 0, na - h, n);
+  trsm_left_blocked<T>(l.sub(0, 0, h, h), b1);
+  gemm_accum_fast<T>(Trans::NoTrans, Trans::NoTrans, T{-1}, l.sub(h, 0, na - h, h), b1, b2);
+  trsm_left_blocked<T>(l.sub(h, h, na - h, na - h), b2);
+}
 
-  if (side == Side::Left) {
-    auto b1 = b.sub(0, 0, h, n);
-    auto b2 = b.sub(h, 0, m - h, n);
-    if (uplo == Uplo::Lower) {
-      const auto a21 = a.sub(h, 0, na - h, h);
-      if (ta == Trans::NoTrans) {
-        // [A11 0; A21 A22] [X1; X2] = [B1; B2]
-        trsm_blocked<T>(side, uplo, ta, diag, a11, b1);
-        gemm_accum_fast<T>(Trans::NoTrans, Trans::NoTrans, neg1, a21, b1, b2);
-        trsm_blocked<T>(side, uplo, ta, diag, a22, b2);
-      } else {
-        // [A11^T A21^T; 0 A22^T] [X1; X2] = [B1; B2]
-        trsm_blocked<T>(side, uplo, ta, diag, a22, b2);
-        gemm_accum_fast<T>(Trans::Trans, Trans::NoTrans, neg1, a21, b2, b1);
-        trsm_blocked<T>(side, uplo, ta, diag, a11, b1);
-      }
-    } else {
-      const auto a12 = a.sub(0, h, h, na - h);
-      if (ta == Trans::NoTrans) {
-        // [A11 A12; 0 A22] [X1; X2] = [B1; B2]
-        trsm_blocked<T>(side, uplo, ta, diag, a22, b2);
-        gemm_accum_fast<T>(Trans::NoTrans, Trans::NoTrans, neg1, a12, b2, b1);
-        trsm_blocked<T>(side, uplo, ta, diag, a11, b1);
-      } else {
-        // [A11^T 0; A12^T A22^T] [X1; X2] = [B1; B2]
-        trsm_blocked<T>(side, uplo, ta, diag, a11, b1);
-        gemm_accum_fast<T>(Trans::Trans, Trans::NoTrans, neg1, a12, b1, b2);
-        trsm_blocked<T>(side, uplo, ta, diag, a22, b2);
-      }
-    }
-  } else {  // Side::Right: X op(A) = B
-    auto b1 = b.sub(0, 0, m, h);
-    auto b2 = b.sub(0, h, m, n - h);
-    if (uplo == Uplo::Lower) {
-      const auto a21 = a.sub(h, 0, na - h, h);
-      if (ta == Trans::NoTrans) {
-        // [X1 X2] [A11 0; A21 A22] = [B1 B2]
-        trsm_blocked<T>(side, uplo, ta, diag, a22, b2);
-        gemm_accum_fast<T>(Trans::NoTrans, Trans::NoTrans, neg1, b2, a21, b1);
-        trsm_blocked<T>(side, uplo, ta, diag, a11, b1);
-      } else {
-        // [X1 X2] [A11^T A21^T; 0 A22^T] = [B1 B2]; the tile panel solve.
-        trsm_blocked<T>(side, uplo, ta, diag, a11, b1);
-        gemm_accum_fast<T>(Trans::NoTrans, Trans::Trans, neg1, b1, a21, b2);
-        trsm_blocked<T>(side, uplo, ta, diag, a22, b2);
-      }
-    } else {
-      const auto a12 = a.sub(0, h, h, na - h);
-      if (ta == Trans::NoTrans) {
-        // [X1 X2] [A11 A12; 0 A22] = [B1 B2]
-        trsm_blocked<T>(side, uplo, ta, diag, a11, b1);
-        gemm_accum_fast<T>(Trans::NoTrans, Trans::NoTrans, neg1, b1, a12, b2);
-        trsm_blocked<T>(side, uplo, ta, diag, a22, b2);
-      } else {
-        // [X1 X2] [A11^T 0; A12^T A22^T] = [B1 B2]
-        trsm_blocked<T>(side, uplo, ta, diag, a22, b2);
-        gemm_accum_fast<T>(Trans::NoTrans, Trans::Trans, neg1, b2, a12, b1);
-        trsm_blocked<T>(side, uplo, ta, diag, a11, b1);
-      }
-    }
+/// B := B * L^{-T}; the coupling GEMM is m x (na-h) x h.
+template <typename T>
+void trsm_right_trans_blocked(Span2D<const T> l, Span2D<T> b) {
+  const std::size_t na = l.rows();
+  const std::size_t m = b.rows();
+  const std::size_t h = na / 2;
+  if (!kHasPackedKernel<T> || !use_packed(m, na - h, h)) {
+    ref::trsm_right_trans<T>(l, b);
+    return;
   }
+  // [X1 X2] [L11^T L21^T; 0 L22^T] = [B1 B2]
+  auto b1 = b.sub(0, 0, m, h);
+  auto b2 = b.sub(0, h, m, na - h);
+  trsm_right_trans_blocked<T>(l.sub(0, 0, h, h), b1);
+  gemm_accum_fast<T>(Trans::NoTrans, Trans::Trans, T{-1}, b1, l.sub(h, 0, na - h, h), b2);
+  trsm_right_trans_blocked<T>(l.sub(h, h, na - h, na - h), b2);
 }
 
 }  // namespace detail
 
-/// B = alpha * op(A)^{-1} * B (Side::Left) or B = alpha * B * op(A)^{-1}
-/// (Side::Right), with A triangular.
+/// B := L^{-1} B with L (m x m) lower triangular; B is m x n.
 template <typename T>
-void trsm(Side side, Uplo uplo, Trans ta, Diag diag, T alpha, Span2D<const T> a,
-          Span2D<T> b) {
-  const std::size_t m = b.rows();
-  const std::size_t n = b.cols();
-  const std::size_t na = (side == Side::Left) ? m : n;
-  GSX_REQUIRE(a.rows() == na && a.cols() == na, "trsm: A shape mismatch");
+void trsm_left(Span2D<const T> l, Span2D<T> b) {
+  GSX_REQUIRE(l.rows() == b.rows() && l.cols() == b.rows(), "trsm_left: L shape mismatch");
+  if (b.rows() == 0 || b.cols() == 0) return;
+  detail::trsm_left_blocked<T>(l, b);
+}
 
-  detail::scale_matrix(alpha, b);
-  if (m == 0 || n == 0) return;
-  detail::trsm_blocked<T>(side, uplo, ta, diag, a, b);
+/// B := B * L^{-T} with L (n x n) lower triangular; B is m x n.
+template <typename T>
+void trsm_right_trans(Span2D<const T> l, Span2D<T> b) {
+  GSX_REQUIRE(l.rows() == b.cols() && l.cols() == b.cols(),
+              "trsm_right_trans: L shape mismatch");
+  if (b.rows() == 0 || b.cols() == 0) return;
+  detail::trsm_right_trans_blocked<T>(l, b);
 }
 
 // ---------------------------------------------------------------------------

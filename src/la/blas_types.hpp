@@ -7,7 +7,5 @@ namespace gsx::la {
 
 enum class Uplo : unsigned char { Lower, Upper };
 enum class Trans : unsigned char { NoTrans, Trans };
-enum class Side : unsigned char { Left, Right };
-enum class Diag : unsigned char { NonUnit, Unit };
 
 }  // namespace gsx::la

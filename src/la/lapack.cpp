@@ -9,21 +9,20 @@ namespace gsx::la {
 namespace {
 
 /// Unblocked lower Cholesky of the leading block; 0 or 1-based failure index.
-template <typename T>
-int potf2_lower(Span2D<T> a) {
+int potf2_lower(Span2D<double> a) {
   const std::size_t n = a.rows();
   for (std::size_t k = 0; k < n; ++k) {
-    T akk = a(k, k);
-    if (!(akk > T{0})) return static_cast<int>(k) + 1;
+    double akk = a(k, k);
+    if (!(akk > 0.0)) return static_cast<int>(k) + 1;
     akk = std::sqrt(akk);
     a(k, k) = akk;
-    const T inv = T{1} / akk;
+    const double inv = 1.0 / akk;
     for (std::size_t i = k + 1; i < n; ++i) a(i, k) *= inv;
     for (std::size_t j = k + 1; j < n; ++j) {
-      const T ajk = a(j, k);
-      if (ajk == T{0}) continue;
-      T* aj = &a(0, j);
-      const T* ak = &a(0, k);
+      const double ajk = a(j, k);
+      if (ajk == 0.0) continue;
+      double* aj = &a(0, j);
+      const double* ak = &a(0, k);
       for (std::size_t i = j; i < n; ++i) aj[i] -= ak[i] * ajk;
     }
   }
@@ -34,25 +33,9 @@ constexpr std::size_t kPotrfBlock = 96;
 
 }  // namespace
 
-template <typename T>
-int potrf(Uplo uplo, Span2D<T> a) {
+int potrf(Span2D<double> a) {
   const std::size_t n = a.rows();
   GSX_REQUIRE(a.cols() == n, "potrf: matrix must be square");
-
-  if (uplo == Uplo::Upper) {
-    // Factor the transpose problem through the lower-triangular code path by
-    // operating on A^T in place: U^T U = A  <=>  L L^T = A with L = U^T.
-    // For simplicity and because the library only stores lower triangles on
-    // hot paths, transpose into a scratch, factor, transpose back.
-    Matrix<T> tmp(n, n);
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t i = 0; i <= j; ++i) tmp(j, i) = a(i, j);
-    const int info = potrf<T>(Uplo::Lower, tmp.view());
-    if (info != 0) return info;
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t i = 0; i <= j; ++i) a(i, j) = tmp(j, i);
-    return 0;
-  }
 
   // Blocked right-looking lower Cholesky.
   for (std::size_t k = 0; k < n; k += kPotrfBlock) {
@@ -63,46 +46,41 @@ int potrf(Uplo uplo, Span2D<T> a) {
     if (k + kb < n) {
       const std::size_t rest = n - k - kb;
       auto panel = a.sub(k + kb, k, rest, kb);
-      trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T{1},
-              Span2D<const T>(akk), panel);
+      trsm_right_trans<double>(akk, panel);
       auto trail = a.sub(k + kb, k + kb, rest, rest);
-      syrk<T>(Uplo::Lower, Trans::NoTrans, T{-1}, Span2D<const T>(panel), T{1}, trail);
+      syrk<double>(Uplo::Lower, Trans::NoTrans, -1.0, panel, 1.0, trail);
     }
   }
   return 0;
 }
 
-template int potrf<double>(Uplo, Span2D<double>);
-template int potrf<float>(Uplo, Span2D<float>);
-
-template <typename T>
-void qr_factor(Span2D<T> a, Matrix<T>& q) {
+void qr_factor(Span2D<double> a, Matrix<double>& q) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   GSX_REQUIRE(m >= n, "qr_factor: requires m >= n (tall or square)");
 
-  std::vector<T> tau(n);
-  std::vector<T> v(m);
+  std::vector<double> tau(n);
+  std::vector<double> v(m);
 
   // Unblocked Householder: fine for the tall-skinny blocks of recompression.
   for (std::size_t k = 0; k < n; ++k) {
     // Build the reflector annihilating A(k+1:m, k).
-    T normx{};
+    double normx{};
     for (std::size_t i = k; i < m; ++i) normx += a(i, k) * a(i, k);
     normx = std::sqrt(normx);
-    if (normx == T{0}) {
-      tau[k] = T{0};
+    if (normx == 0.0) {
+      tau[k] = 0.0;
       continue;
     }
-    const T alpha = a(k, k);
-    const T beta = (alpha >= T{0}) ? -normx : normx;
+    const double alpha = a(k, k);
+    const double beta = (alpha >= 0.0) ? -normx : normx;
     tau[k] = (beta - alpha) / beta;
-    const T scal = T{1} / (alpha - beta);
+    const double scal = 1.0 / (alpha - beta);
     for (std::size_t i = k + 1; i < m; ++i) a(i, k) *= scal;
     a(k, k) = beta;
     // Apply (I - tau v v^T) to trailing columns; v = [1; A(k+1:m, k)].
     for (std::size_t j = k + 1; j < n; ++j) {
-      T s = a(k, j);
+      double s = a(k, j);
       for (std::size_t i = k + 1; i < m; ++i) s += a(i, k) * a(i, j);
       s *= tau[k];
       a(k, j) -= s;
@@ -112,11 +90,11 @@ void qr_factor(Span2D<T> a, Matrix<T>& q) {
 
   // Accumulate thin Q = H_0 ... H_{n-1} * [I; 0].
   q.resize(m, n);
-  for (std::size_t j = 0; j < n; ++j) q(j, j) = T{1};
+  for (std::size_t j = 0; j < n; ++j) q(j, j) = 1.0;
   for (std::size_t k = n; k-- > 0;) {
-    if (tau[k] == T{0}) continue;
+    if (tau[k] == 0.0) continue;
     for (std::size_t j = k; j < n; ++j) {
-      T s = q(k, j);
+      double s = q(k, j);
       for (std::size_t i = k + 1; i < m; ++i) s += a(i, k) * q(i, j);
       s *= tau[k];
       q(k, j) -= s;
@@ -126,27 +104,23 @@ void qr_factor(Span2D<T> a, Matrix<T>& q) {
 
   // Zero the sub-diagonal of A so the caller reads a clean R.
   for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t i = j + 1; i < m; ++i) a(i, j) = T{0};
+    for (std::size_t i = j + 1; i < m; ++i) a(i, j) = 0.0;
 }
 
-template void qr_factor<double>(Span2D<double>, Matrix<double>&);
-template void qr_factor<float>(Span2D<float>, Matrix<float>&);
-
-template <typename T>
-std::size_t qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm,
-                       T stop_norm) {
+std::size_t qr_pivoted(Span2D<double> a, Matrix<double>& q, std::vector<std::size_t>& perm,
+                       double stop_norm) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   const std::size_t steps = std::min(m, n);
 
   perm.resize(n);
   for (std::size_t j = 0; j < n; ++j) perm[j] = j;
-  std::vector<T> tau(steps, T{0});
+  std::vector<double> tau(steps, 0.0);
   // Partial column norms with downdating (and their reference values for
   // the cancellation-triggered recomputation).
-  std::vector<T> norms(n), norms0(n);
+  std::vector<double> norms(n), norms0(n);
   for (std::size_t j = 0; j < n; ++j) {
-    T s{};
+    double s{};
     for (std::size_t i = 0; i < m; ++i) s += a(i, j) * a(i, j);
     norms[j] = std::sqrt(s);
     norms0[j] = norms[j];
@@ -156,8 +130,8 @@ std::size_t qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm
   for (; k < steps; ++k) {
     // Early stop on the trailing block summed exactly: the downdated column
     // norms are estimates and can under-report it.
-    if (stop_norm > T{0} &&
-        norm_frobenius<T>(a.sub(k, k, m - k, n - k)) <= static_cast<double>(stop_norm))
+    if (stop_norm > 0.0 &&
+        norm_frobenius<double>(a.sub(k, k, m - k, n - k)) <= stop_norm)
       break;
 
     // Pivot: residual column of largest norm.
@@ -172,35 +146,35 @@ std::size_t qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm
     }
 
     // Householder reflector annihilating A(k+1:m, k).
-    T normx{};
+    double normx{};
     for (std::size_t i = k; i < m; ++i) normx += a(i, k) * a(i, k);
     normx = std::sqrt(normx);
-    if (normx == T{0}) {
-      tau[k] = T{0};
+    if (normx == 0.0) {
+      tau[k] = 0.0;
       continue;
     }
-    const T alpha = a(k, k);
-    const T beta = (alpha >= T{0}) ? -normx : normx;
+    const double alpha = a(k, k);
+    const double beta = (alpha >= 0.0) ? -normx : normx;
     tau[k] = (beta - alpha) / beta;
-    const T scal = T{1} / (alpha - beta);
+    const double scal = 1.0 / (alpha - beta);
     for (std::size_t i = k + 1; i < m; ++i) a(i, k) *= scal;
     a(k, k) = beta;
 
     // Apply to trailing columns and downdate their partial norms.
     for (std::size_t j = k + 1; j < n; ++j) {
-      T s = a(k, j);
+      double s = a(k, j);
       for (std::size_t i = k + 1; i < m; ++i) s += a(i, k) * a(i, j);
       s *= tau[k];
       a(k, j) -= s;
       for (std::size_t i = k + 1; i < m; ++i) a(i, j) -= a(i, k) * s;
 
-      if (norms[j] != T{0}) {
-        const T t = std::abs(a(k, j)) / norms[j];
-        const T f = std::max(T{0}, (T{1} - t) * (T{1} + t));
+      if (norms[j] != 0.0) {
+        const double t = std::abs(a(k, j)) / norms[j];
+        const double f = std::max(0.0, (1.0 - t) * (1.0 + t));
         // Recompute when cancellation erodes the downdated estimate.
-        const T est = norms[j] * std::sqrt(f);
-        if (est <= T(0.1) * norms0[j] * std::sqrt(std::sqrt(f))) {
-          T s2{};
+        const double est = norms[j] * std::sqrt(f);
+        if (est <= 0.1 * norms0[j] * std::sqrt(std::sqrt(f))) {
+          double s2{};
           for (std::size_t i = k + 1; i < m; ++i) s2 += a(i, j) * a(i, j);
           norms[j] = std::sqrt(s2);
           norms0[j] = norms[j];
@@ -214,11 +188,11 @@ std::size_t qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm
   // Accumulate thin Q from the k reflectors taken (same back-substitution
   // as qr_factor).
   q.resize(m, k);
-  for (std::size_t j = 0; j < k; ++j) q(j, j) = T{1};
+  for (std::size_t j = 0; j < k; ++j) q(j, j) = 1.0;
   for (std::size_t l = k; l-- > 0;) {
-    if (tau[l] == T{0}) continue;
+    if (tau[l] == 0.0) continue;
     for (std::size_t j = l; j < k; ++j) {
-      T s = q(l, j);
+      double s = q(l, j);
       for (std::size_t i = l + 1; i < m; ++i) s += a(i, l) * q(i, j);
       s *= tau[l];
       q(l, j) -= s;
@@ -226,62 +200,57 @@ std::size_t qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm
     }
   }
   for (std::size_t j = 0; j < k; ++j)
-    for (std::size_t i = j + 1; i < m; ++i) a(i, j) = T{0};
+    for (std::size_t i = j + 1; i < m; ++i) a(i, j) = 0.0;
   return k;
 }
 
-template std::size_t qr_pivoted<double>(Span2D<double>, Matrix<double>&,
-                                        std::vector<std::size_t>&, double);
-template std::size_t qr_pivoted<float>(Span2D<float>, Matrix<float>&,
-                                       std::vector<std::size_t>&, float);
-
-template <typename T>
-void svd_jacobi(const Matrix<T>& a, Matrix<T>& u, std::vector<T>& s, Matrix<T>& v) {
+void svd_jacobi(const Matrix<double>& a, Matrix<double>& u, std::vector<double>& s,
+                Matrix<double>& v) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
 
   // Work on W (m x n if tall, else transpose so rows >= cols), with V
   // accumulating the right rotations; transpose back at the end.
   const bool transposed = m < n;
-  Matrix<T> w = transposed ? a.transposed() : a;
+  Matrix<double> w = transposed ? a.transposed() : a;
   const std::size_t wm = w.rows();
   const std::size_t wn = w.cols();
-  Matrix<T> vv = Matrix<T>::identity(wn);
+  Matrix<double> vv = Matrix<double>::identity(wn);
 
-  const T eps = std::numeric_limits<T>::epsilon();
+  const double eps = std::numeric_limits<double>::epsilon();
   const int max_sweeps = 60;
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     bool converged = true;
     for (std::size_t p = 0; p + 1 < wn; ++p) {
       for (std::size_t q = p + 1; q < wn; ++q) {
         // 2x2 Gram block of columns p, q.
-        T app{}, aqq{}, apq{};
-        const T* cp = &w(0, p);
-        const T* cq = &w(0, q);
+        double app{}, aqq{}, apq{};
+        const double* cp = &w(0, p);
+        const double* cq = &w(0, q);
         for (std::size_t i = 0; i < wm; ++i) {
           app += cp[i] * cp[i];
           aqq += cq[i] * cq[i];
           apq += cp[i] * cq[i];
         }
-        if (std::abs(apq) <= eps * std::sqrt(app * aqq) || apq == T{0}) continue;
+        if (std::abs(apq) <= eps * std::sqrt(app * aqq) || apq == 0.0) continue;
         converged = false;
         // Jacobi rotation zeroing the off-diagonal Gram entry.
-        const T zeta = (aqq - app) / (T{2} * apq);
-        const T t = ((zeta >= T{0}) ? T{1} : T{-1}) /
-                    (std::abs(zeta) + std::sqrt(T{1} + zeta * zeta));
-        const T c = T{1} / std::sqrt(T{1} + t * t);
-        const T sn = c * t;
-        T* wp = &w(0, p);
-        T* wq = &w(0, q);
+        const double zeta = (aqq - app) / (2.0 * apq);
+        const double t = ((zeta >= 0.0) ? 1.0 : -1.0) /
+                    (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
+        const double c = 1.0 / std::sqrt(1.0 + t * t);
+        const double sn = c * t;
+        double* wp = &w(0, p);
+        double* wq = &w(0, q);
         for (std::size_t i = 0; i < wm; ++i) {
-          const T t1 = wp[i];
+          const double t1 = wp[i];
           wp[i] = c * t1 - sn * wq[i];
           wq[i] = sn * t1 + c * wq[i];
         }
-        T* vp = &vv(0, p);
-        T* vq = &vv(0, q);
+        double* vp = &vv(0, p);
+        double* vq = &vv(0, q);
         for (std::size_t i = 0; i < wn; ++i) {
-          const T t1 = vp[i];
+          const double t1 = vp[i];
           vp[i] = c * t1 - sn * vq[i];
           vq[i] = sn * t1 + c * vq[i];
         }
@@ -291,15 +260,15 @@ void svd_jacobi(const Matrix<T>& a, Matrix<T>& u, std::vector<T>& s, Matrix<T>& 
   }
 
   // Singular values = column norms; left vectors = normalized columns.
-  s.assign(wn, T{0});
-  Matrix<T> uu(wm, wn);
+  s.assign(wn, 0.0);
+  Matrix<double> uu(wm, wn);
   for (std::size_t j = 0; j < wn; ++j) {
-    T nrm{};
+    double nrm{};
     for (std::size_t i = 0; i < wm; ++i) nrm += w(i, j) * w(i, j);
     nrm = std::sqrt(nrm);
     s[j] = nrm;
-    if (nrm > T{0}) {
-      const T inv = T{1} / nrm;
+    if (nrm > 0.0) {
+      const double inv = 1.0 / nrm;
       for (std::size_t i = 0; i < wm; ++i) uu(i, j) = w(i, j) * inv;
     }
   }
@@ -308,8 +277,8 @@ void svd_jacobi(const Matrix<T>& a, Matrix<T>& u, std::vector<T>& s, Matrix<T>& 
   std::vector<std::size_t> idx(wn);
   std::iota(idx.begin(), idx.end(), std::size_t{0});
   std::sort(idx.begin(), idx.end(), [&](std::size_t x, std::size_t y) { return s[x] > s[y]; });
-  Matrix<T> us(wm, wn), vs(wn, wn);
-  std::vector<T> ss(wn);
+  Matrix<double> us(wm, wn), vs(wn, wn);
+  std::vector<double> ss(wn);
   for (std::size_t j = 0; j < wn; ++j) {
     ss[j] = s[idx[j]];
     for (std::size_t i = 0; i < wm; ++i) us(i, j) = uu(i, idx[j]);
@@ -325,11 +294,6 @@ void svd_jacobi(const Matrix<T>& a, Matrix<T>& u, std::vector<T>& s, Matrix<T>& 
     v = std::move(us);
   }
 }
-
-template void svd_jacobi<double>(const Matrix<double>&, Matrix<double>&,
-                                 std::vector<double>&, Matrix<double>&);
-template void svd_jacobi<float>(const Matrix<float>&, Matrix<float>&, std::vector<float>&,
-                                Matrix<float>&);
 
 template <typename T>
 double norm_frobenius(Span2D<const T> a) {

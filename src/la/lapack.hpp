@@ -1,4 +1,6 @@
-// LAPACK-style dense factorizations over column-major views.
+// LAPACK-style dense factorizations over column-major views, in FP64: the
+// tile Cholesky's diagonal tiles, the dense oracles and the TLR
+// compression's QR and SVD.
 #pragma once
 
 #include <cstddef>
@@ -10,23 +12,15 @@
 
 namespace gsx::la {
 
-/// Cholesky factorization in place: A = L L^T (Lower) or U^T U (Upper).
+/// Lower Cholesky factorization in place: A = L L^T.
 /// Returns 0 on success, or 1-based index of the first non-positive pivot
-/// (matching LAPACK xPOTRF info semantics). Only the `uplo` triangle of A is
-/// referenced or written; the other triangle is left untouched.
-template <typename T>
-int potrf(Uplo uplo, Span2D<T> a);
-
-extern template int potrf<double>(Uplo, Span2D<double>);
-extern template int potrf<float>(Uplo, Span2D<float>);
+/// (matching LAPACK xPOTRF info semantics). Only the lower triangle of A is
+/// referenced or written; the strict upper triangle is left untouched.
+int potrf(Span2D<double> a);
 
 /// Householder QR: A (m x n, m >= n) is replaced by R in its upper triangle;
 /// `q` is returned with orthonormal columns spanning range(A) (thin Q, m x n).
-template <typename T>
-void qr_factor(Span2D<T> a, Matrix<T>& q);
-
-extern template void qr_factor<double>(Span2D<double>, Matrix<double>&);
-extern template void qr_factor<float>(Span2D<float>, Matrix<float>&);
+void qr_factor(Span2D<double> a, Matrix<double>& q);
 
 /// Column-pivoted thin QR (xGEQP3-style, with norm downdating):
 /// A * P = Q * R for any m x n A. Runs k = min(m, n) Householder steps, or
@@ -38,26 +32,15 @@ extern template void qr_factor<float>(Span2D<float>, Matrix<float>&);
 /// perm[j] the original index of the column now in position j. The diagonal
 /// of R is non-increasing in magnitude — the rank-revealing property the
 /// cheap TLR recompression and the QR-first tile SVD rely on.
-template <typename T>
-std::size_t qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm,
-                       T stop_norm = T{0});
-
-extern template std::size_t qr_pivoted<double>(Span2D<double>, Matrix<double>&,
-                                               std::vector<std::size_t>&, double);
-extern template std::size_t qr_pivoted<float>(Span2D<float>, Matrix<float>&,
-                                              std::vector<std::size_t>&, float);
+std::size_t qr_pivoted(Span2D<double> a, Matrix<double>& q, std::vector<std::size_t>& perm,
+                       double stop_norm = 0.0);
 
 /// Thin SVD by one-sided Jacobi: A (m x n, any shape) = U diag(s) V^T with
 /// U m x r, V n x r, r = min(m, n). Singular values descending. Accurate to
 /// machine precision for the small/rectangular blocks used in tile
 /// compression and recompression.
-template <typename T>
-void svd_jacobi(const Matrix<T>& a, Matrix<T>& u, std::vector<T>& s, Matrix<T>& v);
-
-extern template void svd_jacobi<double>(const Matrix<double>&, Matrix<double>&,
-                                        std::vector<double>&, Matrix<double>&);
-extern template void svd_jacobi<float>(const Matrix<float>&, Matrix<float>&,
-                                       std::vector<float>&, Matrix<float>&);
+void svd_jacobi(const Matrix<double>& a, Matrix<double>& u, std::vector<double>& s,
+                Matrix<double>& v);
 
 /// Frobenius norm of a general view, summed in FP64 at any storage scalar.
 template <typename T>

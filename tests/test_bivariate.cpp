@@ -99,7 +99,7 @@ TEST_P(BivariateSpd, CovarianceMatrixFactorizes) {
   const auto locs = make_bivariate_locations(spatial);
   const BivariateMaternCovariance m(1.0, 2.0, 0.15, 0.5, 1.5, rho, 1e-8);
   la::Matrix<double> sigma = covariance_matrix(m, locs);
-  EXPECT_EQ(la::potrf<double>(la::Uplo::Lower, sigma.view()), 0) << "rho = " << rho;
+  EXPECT_EQ(la::potrf(sigma.view()), 0) << "rho = " << rho;
 }
 
 INSTANTIATE_TEST_SUITE_P(RhoGrid, BivariateSpd, ::testing::Values(-0.8, -0.3, 0.0, 0.3, 0.8));

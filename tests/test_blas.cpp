@@ -1,6 +1,9 @@
 // Level-3 BLAS kernel tests against naive oracles, across shapes and flags.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "la/blas.hpp"
@@ -153,70 +156,113 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------------------ TRSM
 
+// The solves with a lower-triangular L: B := L^{-1} B (left), B := B * L^{-T}
+// (right_trans) and the reference-only B := L^{-T} B (left_trans, the
+// vector backward solve). A padded case solves on sub-views (ld > rows) of
+// larger matrices, as the multi-RHS solve does on its column blocks.
+enum class Solve { Left, LeftTrans, RightTrans };
+
 struct TrsmCase {
   std::size_t m, n;
-  Side side;
-  Uplo uplo;
-  Trans trans;
-  Diag diag;
+  Solve solve;
+  std::size_t pad = 0;  ///< NaN rows/columns around L and B
 };
 
 class TrsmTest : public ::testing::TestWithParam<TrsmCase> {};
 
 TEST_P(TrsmTest, SolveThenMultiplyRecoversRhs) {
   const TrsmCase c = GetParam();
-  Rng rng(c.m * 131 + c.n * 7 + static_cast<std::size_t>(c.side) * 2 +
-          static_cast<std::size_t>(c.uplo));
-  const std::size_t na = (c.side == Side::Left) ? c.m : c.n;
+  Rng rng(c.m * 131 + c.n * 7 + static_cast<std::size_t>(c.solve));
+  const std::size_t na = (c.solve == Solve::RightTrans) ? c.n : c.m;
 
-  // Well-conditioned triangular matrix.
-  auto a = random_matrix(na, na, rng, 0.1);
-  for (std::size_t i = 0; i < na; ++i) a(i, i) = 2.0 + 0.1 * static_cast<double>(i);
-  // Zero the unused triangle so the oracle multiply can use the full matrix.
+  // Well-conditioned lower-triangular matrix; the zero upper triangle lets
+  // the oracle multiply use the full matrix.
+  auto l = random_matrix(na, na, rng, 0.1);
+  for (std::size_t i = 0; i < na; ++i) l(i, i) = 2.0 + 0.1 * static_cast<double>(i);
   for (std::size_t j = 0; j < na; ++j)
-    for (std::size_t i = 0; i < na; ++i)
-      if ((c.uplo == Uplo::Lower) ? (i < j) : (i > j)) a(i, j) = 0.0;
-  auto a_mult = a;
-  if (c.diag == Diag::Unit)
-    for (std::size_t i = 0; i < na; ++i) a_mult(i, i) = 1.0;
-
-  const double alpha = 1.5;
+    for (std::size_t i = 0; i < j; ++i) l(i, j) = 0.0;
   const auto b0 = random_matrix(c.m, c.n, rng);
-  la::Matrix<double> x = b0;
-  trsm<double>(c.side, c.uplo, c.trans, c.diag, alpha, a.cview(), x.view());
 
-  // Check op(A) X == alpha * B (left) or X op(A) == alpha * B (right).
-  la::Matrix<double> recovered(c.m, c.n);
-  if (c.side == Side::Left) {
-    recovered = naive_gemm<double>(c.trans, Trans::NoTrans, 1.0, a_mult, x, 0.0,
-                                   la::Matrix<double>(c.m, c.n));
-  } else {
-    recovered = naive_gemm<double>(Trans::NoTrans, c.trans, 1.0, x, a_mult, 0.0,
-                                   la::Matrix<double>(c.m, c.n));
+  // The solve sees L and B at offset (pad, pad) of NaN-filled matrices,
+  // with NaN in L's strict upper triangle too: it may read only L's lower
+  // triangle and touch only B.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  la::Matrix<double> l_buf(na + 2 * c.pad, na + 2 * c.pad, nan);
+  la::Matrix<double> x_buf(c.m + 2 * c.pad, c.n + 2 * c.pad, nan);
+  for (std::size_t j = 0; j < na; ++j)
+    for (std::size_t i = j; i < na; ++i) l_buf(c.pad + i, c.pad + j) = l(i, j);
+  for (std::size_t j = 0; j < c.n; ++j)
+    for (std::size_t i = 0; i < c.m; ++i) x_buf(c.pad + i, c.pad + j) = b0(i, j);
+  const auto lv = l_buf.cview().sub(c.pad, c.pad, na, na);
+  const auto xv = x_buf.view().sub(c.pad, c.pad, c.m, c.n);
+  switch (c.solve) {
+    case Solve::Left: trsm_left<double>(lv, xv); break;
+    case Solve::LeftTrans: ref::trsm_left_trans<double>(lv, xv); break;
+    case Solve::RightTrans: trsm_right_trans<double>(lv, xv); break;
   }
+  la::Matrix<double> x(c.m, c.n);
+  for (std::size_t j = 0; j < x_buf.cols(); ++j)
+    for (std::size_t i = 0; i < x_buf.rows(); ++i) {
+      const bool inside =
+          i >= c.pad && i < c.pad + c.m && j >= c.pad && j < c.pad + c.n;
+      if (inside)
+        x(i - c.pad, j - c.pad) = x_buf(i, j);
+      else
+        EXPECT_TRUE(std::isnan(x_buf(i, j))) << "margin (" << i << "," << j << ") written";
+    }
+
+  // Check L X == B (left), L^T X == B (left_trans) or X L^T == B (right).
+  const la::Matrix<double> zero(c.m, c.n);
+  const la::Matrix<double> recovered =
+      (c.solve == Solve::Left)
+          ? naive_gemm<double>(Trans::NoTrans, Trans::NoTrans, 1.0, l, x, 0.0, zero)
+      : (c.solve == Solve::LeftTrans)
+          ? naive_gemm<double>(Trans::Trans, Trans::NoTrans, 1.0, l, x, 0.0, zero)
+          : naive_gemm<double>(Trans::NoTrans, Trans::Trans, 1.0, x, l, 0.0, zero);
   for (std::size_t j = 0; j < c.n; ++j)
     for (std::size_t i = 0; i < c.m; ++i)
-      EXPECT_NEAR(recovered(i, j), alpha * b0(i, j), 1e-9) << "(" << i << "," << j << ")";
+      EXPECT_NEAR(recovered(i, j), b0(i, j), 1e-9) << "(" << i << "," << j << ")";
 }
 
-std::vector<TrsmCase> all_trsm_cases() {
-  std::vector<TrsmCase> cases;
-  for (Side s : {Side::Left, Side::Right})
-    for (Uplo u : {Uplo::Lower, Uplo::Upper})
-      for (Trans t : {Trans::NoTrans, Trans::Trans})
-        for (Diag d : {Diag::NonUnit, Diag::Unit}) cases.push_back({9, 6, s, u, t, d});
-  // A few degenerate / rectangular extremes.
-  cases.push_back({1, 8, Side::Left, Uplo::Lower, Trans::NoTrans, Diag::NonUnit});
-  cases.push_back({8, 1, Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit});
-  cases.push_back({24, 24, Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit});
-  // Shapes whose recursion splits onto packed coupling GEMMs: the tile-128
-  // panel solve and a 4-right-hand-side forward solve.
-  cases.push_back({128, 128, Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit});
-  cases.push_back({128, 4, Side::Left, Uplo::Lower, Trans::NoTrans, Diag::NonUnit});
-  return cases;
-}
+INSTANTIATE_TEST_SUITE_P(
+    LowerSolves, TrsmTest,
+    ::testing::Values(TrsmCase{9, 6, Solve::Left}, TrsmCase{9, 6, Solve::RightTrans},
+                      TrsmCase{9, 6, Solve::LeftTrans},
+                      // A few degenerate / rectangular extremes.
+                      TrsmCase{1, 8, Solve::Left}, TrsmCase{8, 1, Solve::RightTrans},
+                      TrsmCase{24, 24, Solve::RightTrans},
+                      // The vector backward solve on a tile-128 diagonal tile.
+                      TrsmCase{128, 1, Solve::LeftTrans},
+                      // Shapes whose recursion splits onto packed coupling
+                      // GEMMs: the tile-128 panel solve and a
+                      // 4-right-hand-side forward solve.
+                      TrsmCase{128, 128, Solve::RightTrans}, TrsmCase{128, 4, Solve::Left},
+                      // Two levels of splits, the second into odd halves.
+                      TrsmCase{300, 8, Solve::Left}, TrsmCase{8, 300, Solve::RightTrans},
+                      // The split shapes again on strided sub-views.
+                      TrsmCase{128, 4, Solve::Left, 3},
+                      TrsmCase{128, 128, Solve::RightTrans, 3}),
+    [](const auto& info) {
+      const TrsmCase& c = info.param;
+      const char* solve = (c.solve == Solve::Left)        ? "left_"
+                          : (c.solve == Solve::LeftTrans) ? "left_trans_"
+                                                          : "right_trans_";
+      return solve + std::to_string(c.m) + "x" + std::to_string(c.n) +
+             (c.pad != 0 ? "_padded" : "");
+    });
 
-INSTANTIATE_TEST_SUITE_P(AllSixteenCombos, TrsmTest, ::testing::ValuesIn(all_trsm_cases()));
+TEST(Trsm, RejectsMismatchedShapes) {
+  const la::Matrix<double> l4(4, 4, 1.0);
+  const la::Matrix<double> l43(4, 3, 1.0);
+  la::Matrix<double> b52(5, 2), b42(4, 2), b25(2, 5), b24(2, 4);
+  EXPECT_THROW(trsm_left<double>(l4.cview(), b52.view()), InvalidArgument);
+  EXPECT_THROW(trsm_left<double>(l43.cview(), b42.view()), InvalidArgument);
+  EXPECT_THROW(trsm_right_trans<double>(l4.cview(), b25.view()), InvalidArgument);
+  EXPECT_THROW(trsm_right_trans<double>(l43.cview(), b24.view()), InvalidArgument);
+  // The matching shapes solve.
+  EXPECT_NO_THROW(trsm_left<double>(l4.cview(), b42.view()));
+  EXPECT_NO_THROW(trsm_right_trans<double>(l4.cview(), b24.view()));
+}
 
 // ------------------------------------------------------------------ GEMV
 

@@ -1,8 +1,8 @@
 // Oracle tests for the packed micro-kernel BLAS path: la::gemm / la::syrk /
-// la::trsm (blocked, register-tiled) against the la::ref reference loops,
-// across shapes that exercise every edge case of the packing (micro-tile
-// remainders, KC/MC/NC block remainders, strided sub-views) and the full
-// trans / uplo / side / diag option space.
+// la::trsm_left / la::trsm_right_trans (blocked, register-tiled) against
+// the la::ref reference loops, across shapes that exercise every edge case
+// of the packing (micro-tile remainders, KC/MC/NC block remainders, strided
+// sub-views) and the trans / uplo option space of GEMM and SYRK.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,9 +22,7 @@
 namespace gsx {
 namespace {
 
-using la::Diag;
 using la::Matrix;
-using la::Side;
 using la::Trans;
 using la::Uplo;
 
@@ -254,10 +252,9 @@ void run_syrk_gemm_bitwise() {
 TEST(BlasMicrokernel, SyrkEqualsGemmTriangleBitwiseF64) { run_syrk_gemm_bitwise<double>(); }
 TEST(BlasMicrokernel, SyrkEqualsGemmTriangleBitwiseF32) { run_syrk_gemm_bitwise<float>(); }
 
-// Well-conditioned triangle for both Diag modes: off-diagonals shrunk to
-// O(1/n) so even the Unit solves (which ignore the stored diagonal) stay
-// bounded-condition and the blocked/reference forward errors are comparable
-// within a few ulps.
+// Well-conditioned lower triangle: off-diagonals shrunk to O(1/n), so the
+// blocked and reference forward errors are comparable within a few ulps.
+// The solves read only the lower triangle.
 template <typename T>
 Matrix<T> dominant_triangle(std::size_t n, Rng& rng) {
   Matrix<T> a(n, n);
@@ -269,39 +266,37 @@ Matrix<T> dominant_triangle(std::size_t n, Rng& rng) {
   return a;
 }
 
-// B shapes (m x n) per side: the tile pipeline's right-side panel solves
-// (tile 128, tile 64, a ragged 44-row panel under a 64 tile), its left-side
-// solves with 1-8 right-hand sides, and one odd shape that splits unevenly.
+// B shapes (m x n) per solve: the tile pipeline's panel solves
+// B := B * L^{-T} (tile 128, tile 64, a ragged 44-row panel under a 64
+// tile), its forward solves B := L^{-1} B with 1-8 right-hand sides, and one
+// odd shape each that splits unevenly.
 struct TrsmShape {
-  Side side;
+  bool left;
   std::size_t m, n;
 };
 constexpr TrsmShape kTrsmShapes[] = {
-    {Side::Right, 128, 128}, {Side::Right, 64, 64}, {Side::Right, 44, 64},
-    {Side::Right, 213, 100}, {Side::Left, 128, 1},  {Side::Left, 128, 2},
-    {Side::Left, 128, 4},    {Side::Left, 128, 8},  {Side::Left, 64, 4},
-    {Side::Left, 213, 100}};
+    {false, 128, 128}, {false, 64, 64}, {false, 44, 64}, {false, 213, 100},
+    {true, 128, 1},    {true, 128, 2},  {true, 128, 4},  {true, 128, 8},
+    {true, 64, 4},     {true, 213, 100}};
 
 template <typename T>
 void run_trsm_oracle_sweep() {
   Rng rng(99);
   for (const TrsmShape& s : kTrsmShapes) {
-    for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
-      for (Trans ta : {Trans::NoTrans, Trans::Trans}) {
-        for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-          const std::size_t na = (s.side == Side::Left) ? s.m : s.n;
-          const Matrix<T> a = dominant_triangle<T>(na, rng);
-          Matrix<T> b_fast = uniform_matrix<T>(s.m, s.n, rng);
-          Matrix<T> b_ref = b_fast;
-          la::trsm<T>(s.side, uplo, ta, diag, T{-0.5}, a.cview(), b_fast.view());
-          la::ref::trsm<T>(s.side, uplo, ta, diag, T{-0.5}, a.cview(), b_ref.view());
-          // The diagonally dominant triangle keeps the recursive and
-          // reference substitution orders within a few ulps of each other.
-          expect_close(b_fast, b_ref, 64.0 * std::numeric_limits<T>::epsilon() * na,
-                       "trsm");
-        }
-      }
+    const std::size_t na = s.left ? s.m : s.n;
+    const Matrix<T> l = dominant_triangle<T>(na, rng);
+    Matrix<T> b_fast = uniform_matrix<T>(s.m, s.n, rng);
+    Matrix<T> b_ref = b_fast;
+    if (s.left) {
+      la::trsm_left<T>(l.cview(), b_fast.view());
+      la::ref::trsm_left<T>(l.cview(), b_ref.view());
+    } else {
+      la::trsm_right_trans<T>(l.cview(), b_fast.view());
+      la::ref::trsm_right_trans<T>(l.cview(), b_ref.view());
     }
+    // The diagonally dominant triangle keeps the recursive and reference
+    // substitution orders within a few ulps of each other.
+    expect_close(b_fast, b_ref, 64.0 * std::numeric_limits<T>::epsilon() * na, "trsm");
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <set>
 
@@ -245,6 +246,87 @@ TEST(GsxModel, AutoBandTuningRuns) {
   }
   EXPECT_GT(lowrank, 0u);
   EXPECT_GT(in_band_fp64, 0u);
+}
+
+/// FNV-1a (64-bit) over encode_tile of every tile of a factor.
+std::uint64_t factor_fnv(const tile::SymTileMatrix& f) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t j = 0; j < f.nt(); ++j)
+    for (std::size_t i = j; i < f.nt(); ++i)
+      for (const std::uint8_t b : tile_bits(f.at(i, j))) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
+/// Counts of a factor's off-diagonal tiles by storage.
+struct TileMix {
+  std::size_t fp32 = 0, fp16 = 0, lowrank_fp32 = 0, lowrank_fp64 = 0;
+};
+TileMix tile_mix(const tile::SymTileMatrix& f) {
+  TileMix mix;
+  for (std::size_t j = 0; j < f.nt(); ++j)
+    for (std::size_t i = j + 1; i < f.nt(); ++i) {
+      const tile::Tile& t = f.at(i, j);
+      const bool fp32 = t.precision() == Precision::FP32;
+      if (t.format() == tile::TileFormat::LowRank)
+        ++(fp32 ? mix.lowrank_fp32 : mix.lowrank_fp64);
+      else
+        (fp32 ? mix.fp32 : mix.fp16) += fp32 || t.precision() == Precision::FP16;
+    }
+  return mix;
+}
+
+/// The factor's tiles and the bits of l(theta) agree between 1 and 4
+/// workers, on n = 700 at tile 128 (a 60-row ragged last tile).
+TileMix expect_factor_and_loglik_worker_independent(ModelConfig cfg, double range) {
+  const SpaceData d = make_space_data(700, range);
+  const geostat::MaternCovariance proto(1.0, range, 0.5, 1e-6);
+  const std::vector<double> theta = {1.0, range, 0.5};
+  cfg.tile_size = 128;
+  cfg.calibrate_perf_model = false;
+  cfg.workers = 1;
+  const GsxModel seq(proto.clone(), cfg);
+  cfg.workers = 4;
+  const GsxModel par(proto.clone(), cfg);
+
+  const tile::SymTileMatrix f1 = seq.factor_at(theta, d.locs);
+  EXPECT_EQ(factor_fnv(f1), factor_fnv(par.factor_at(theta, d.locs)));
+  const geostat::LoglikValue l1 = seq.evaluate(theta, d.locs, d.z);
+  const geostat::LoglikValue l4 = par.evaluate(theta, d.locs, d.z);
+  EXPECT_TRUE(l1.ok && l4.ok);
+  EXPECT_EQ(std::memcmp(&l1.loglik, &l4.loglik, sizeof(double)), 0)
+      << l1.loglik << " vs " << l4.loglik;
+  return tile_mix(f1);
+}
+
+TEST(GsxModel, MixedPrecisionFactorAndLoglikDoNotDependOnWorkers) {
+  ModelConfig cfg;
+  cfg.variant = ComputeVariant::MPDense;
+  cfg.mp_rule = cholesky::PrecisionRule::AdaptiveFrobenius;
+  cfg.eps_target = 1e-5;  // leaves 10 FP32 and 5 FP16 off-diagonal tiles
+  const TileMix mix = expect_factor_and_loglik_worker_independent(cfg, 0.03);
+  EXPECT_GT(mix.fp32, 0u);
+  EXPECT_GT(mix.fp16, 0u);
+}
+
+TEST(GsxModel, TlrFactorAndLoglikDoNotDependOnWorkers) {
+  ModelConfig cfg;
+  cfg.variant = ComputeVariant::MPDenseTLR;
+  cfg.lr_fp32 = true;
+  cfg.auto_band = false;
+  cfg.band_size = 2;
+  const TileMix mix = expect_factor_and_loglik_worker_independent(cfg, 0.03);
+  EXPECT_GT(mix.lowrank_fp32, 0u);
+}
+
+TEST(GsxModel, Fp64TlrFactorAndLoglikDoNotDependOnWorkers) {
+  ModelConfig cfg;
+  cfg.variant = ComputeVariant::MPDenseTLR;
+  cfg.lr_fp32 = false;
+  cfg.auto_band = false;
+  cfg.band_size = 2;
+  const TileMix mix = expect_factor_and_loglik_worker_independent(cfg, 0.03);
+  EXPECT_GT(mix.lowrank_fp64, 0u);
+  EXPECT_EQ(mix.lowrank_fp32, 0u);
 }
 
 TEST(GsxModel, RejectsBadTlrSettingsAtConstruction) {

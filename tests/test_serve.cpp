@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "cholesky/tile_solve.hpp"
 #include "common/rng.hpp"
 #include "core/model.hpp"
 #include "geostat/field.hpp"
@@ -316,6 +317,78 @@ TEST(Engine, ServedTlrFactorAnswersBitForBit) {
   cfg.auto_band = false;
   cfg.band_size = 2;
   expect_served_equals_in_process(cfg, {1.0, 0.03, 0.5}, 600, true);
+}
+
+/// Served answers depend on the model, the batch's points and the ISA, and
+/// not on the worker count: tile_krige_solved and the engine give
+/// memcmp-equal means and variances at workers 1, 2 and 3, for batches of
+/// 1 to 9 points (one column block) and of 48 (three).
+void expect_answers_worker_independent(core::ModelConfig cfg, const std::vector<double>& theta,
+                                       std::size_t n) {
+  Rng rng(21);
+  std::vector<geostat::Location> locs = geostat::perturbed_grid_locations(n, rng);
+  geostat::sort_morton(locs);
+  const std::vector<double> z =
+      geostat::simulate_grf(*geostat::make_kernel("matern", theta), locs, rng);
+  cfg.calibrate_perf_model = false;
+  const core::GsxModel model(geostat::make_kernel("matern", theta), cfg);
+  ModelCheckpoint ckpt;
+  ckpt.kernel = "matern";
+  ckpt.theta = theta;
+  ckpt.config = cfg;
+  ckpt.train_locs = locs;
+  ckpt.z_train = z;
+  ckpt.factor = model.factor_at(theta, locs);
+  const auto loaded = LoadedModel::from_checkpoint("m", std::move(ckpt));
+
+  KrigingEngine engine1(EngineConfig{1, 16, 4096});
+  KrigingEngine engine2(EngineConfig{2, 16, 4096});
+  KrigingEngine engine3(EngineConfig{3, 16, 4096});
+  const auto same = [](const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (const std::size_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 48}) {
+    const auto pts = random_points(m, 70 + m);
+    const auto solve = [&](std::size_t workers) {
+      return cholesky::tile_krige_solved(*loaded->kernel, loaded->factor, loaded->packed_factor,
+                                         loaded->y_solved, loaded->train_locs, pts, true,
+                                         workers);
+    };
+    const geostat::KrigingResult ref = solve(1);
+    for (const std::size_t workers : {2, 3}) {
+      const geostat::KrigingResult got = solve(workers);
+      EXPECT_TRUE(same(got.mean, ref.mean))
+          << "mean, " << m << " points, " << workers << " workers";
+      EXPECT_TRUE(same(got.variance, ref.variance))
+          << "variance, " << m << " points, " << workers << " workers";
+    }
+    std::size_t workers = 1;
+    for (KrigingEngine* engine : {&engine1, &engine2, &engine3}) {
+      const PredictOutcome out = engine->submit(loaded, pts, true).get();
+      ASSERT_TRUE(out.ok) << out.error;
+      EXPECT_TRUE(same(out.mean, ref.mean))
+          << "engine mean, " << m << " points, " << workers << " workers";
+      EXPECT_TRUE(same(out.variance, ref.variance))
+          << "engine variance, " << m << " points, " << workers << " workers";
+      ++workers;
+    }
+  }
+}
+
+TEST(Engine, MixedPrecisionAnswersDoNotDependOnWorkers) {
+  core::ModelConfig cfg;
+  cfg.variant = core::ComputeVariant::MPDense;
+  cfg.tile_size = 128;
+  expect_answers_worker_independent(cfg, {1.0, 0.1, 0.5}, 600);
+}
+
+TEST(Engine, TlrAnswersDoNotDependOnWorkers) {
+  core::ModelConfig cfg;
+  cfg.variant = core::ComputeVariant::MPDenseTLR;
+  cfg.tile_size = 64;
+  cfg.auto_band = false;
+  cfg.band_size = 2;
+  expect_answers_worker_independent(cfg, {1.0, 0.03, 0.5}, 600);
 }
 
 TEST(Engine, QueueFullFastFails) {

@@ -121,8 +121,7 @@ TEST_P(TrsmTilePrecision, SolveAccuracyTracksStorage) {
 
   la::Matrix<double> oracle = amk.to_dense64();
   auto ov = oracle.view();
-  la::trsm<double>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit,
-                   1.0, lkk.matrix<double>().cview(), ov);
+  la::trsm_right_trans<double>(lkk.matrix<double>().cview(), ov);
 
   amk.convert_dense(p);
   trsm_tile(lkk, amk);
@@ -180,8 +179,7 @@ TEST(TrsmTile, LowRankTileSolvesOnlyV) {
   const auto u = random_matrix(ts, 3, rng);
   Tile amk = Tile::lowrank(u, random_matrix(ts, 3, rng));
   la::Matrix<double> oracle = amk.to_dense64();
-  la::trsm<double>(la::Side::Right, la::Uplo::Lower, la::Trans::Trans, la::Diag::NonUnit,
-                   1.0, lkk.matrix<double>().cview(), oracle.view());
+  la::trsm_right_trans<double>(lkk.matrix<double>().cview(), oracle.view());
 
   trsm_tile(lkk, amk);
   EXPECT_EQ(amk.format(), tile::TileFormat::LowRank);

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "cholesky/factorize.hpp"
 #include "cholesky/tile_solve.hpp"
@@ -53,23 +55,42 @@ tile::SymTileMatrix factor_tlr(const Problem& p, std::size_t ts, double tol) {
   return a;
 }
 
+/// Solves an m-column batch at workers 1 and 3: the bits agree, and every
+/// column matches its single-vector solve, so the column blocks cover each
+/// column exactly once.
+void expect_batch_solves_every_column_once(const tile::SymTileMatrix& a, std::size_t m) {
+  Rng rng(5);
+  const std::size_t n = a.n();
+  const auto b = random_matrix(n, m, rng);
+  const PackedOffdiag packed(a);
+  la::Matrix<double> x1 = b, x3 = b;
+  tile_forward_solve_multi(a, packed, x1.view(), 1);
+  tile_forward_solve_multi(a, packed, x3.view(), 3);
+  EXPECT_EQ(std::memcmp(x1.data(), x3.data(), n * m * sizeof(double)), 0);
+  for (std::size_t j = 0; j < m; ++j) {
+    std::vector<double> col(&b(0, j), &b(0, j) + n);
+    tile_forward_solve(a, col);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x3(i, j), col[i], 1e-11) << i << "," << j;
+  }
+}
+
+// 7 columns: one column block.
 TEST(MultiRhsSolve, MatchesColumnwiseSingleSolves) {
   const Problem p = make_problem(96);
-  const auto a = factor_dense(p, 32);
+  expect_batch_solves_every_column_once(factor_dense(p, 32), 7);
+}
 
-  Rng rng(5);
-  const std::size_t m = 7;
-  auto b = random_matrix(96, m, rng);
-  la::Matrix<double> b_multi = b;
-  tile_forward_solve_multi(a, b_multi.view());
+// 300 columns: 16 column blocks of 18 or 19 columns.
+TEST(MultiRhsSolve, WideBatchSolvesEveryColumnOnce) {
+  const Problem p = make_problem(96);
+  expect_batch_solves_every_column_once(factor_dense(p, 32), 300);
+}
 
-  for (std::size_t j = 0; j < m; ++j) {
-    std::vector<double> col(96);
-    for (std::size_t i = 0; i < 96; ++i) col[i] = b(i, j);
-    tile_forward_solve(a, col);
-    for (std::size_t i = 0; i < 96; ++i)
-      EXPECT_NEAR(b_multi(i, j), col[i], 1e-11) << i << "," << j;
-  }
+// 33 columns, the narrowest batch cut in two: blocks of 16 and 17 columns,
+// through low-rank tiles.
+TEST(MultiRhsSolve, TwoBlockTlrBatchSolvesEveryColumnOnce) {
+  const Problem p = make_problem(128);
+  expect_batch_solves_every_column_once(factor_tlr(p, 32, 1e-10), 33);
 }
 
 TEST(MultiRhsSolve, BackwardInvertsForward) {
@@ -85,7 +106,7 @@ TEST(MultiRhsSolve, BackwardInvertsForward) {
   const std::size_t m = 5;
   const auto b = random_matrix(128, m, rng);
   la::Matrix<double> x = b;
-  tile_forward_solve_multi(a, x.view());
+  tile_forward_solve_multi(a, PackedOffdiag(a), x.view());
   for (std::size_t j = 0; j < m; ++j)
     tile_backward_solve(a, std::span<double>(&x(0, j), 128));
   // Sigma * X == B within the compression tolerance.
