@@ -323,7 +323,7 @@ void trsm_bench(benchmark::State& state) {
   for (auto _ : state) {
     b = b0;
     if constexpr (kRef)
-      la::ref::trsm_right_trans<T>(l.cview(), b.view());
+      la::ref::trsm_right_trans(l.cview(), b.view());
     else
       la::trsm_right_trans<T>(l.cview(), b.view());
     benchmark::DoNotOptimize(b.data());

@@ -315,9 +315,11 @@ int run_fleet_bench(std::size_t max_replicas, const std::string& json) {
                   overhead.size());
       records.push_back({std::string(label) + " req/s", n, pass_seconds,
                          percentile(scraped_rps, 0.50)});
-      records.push_back({"fleet scrape-under-load overhead fraction", n, med, 0.0});
-      records.push_back({"fleet scrape-under-load overhead q1 fraction", n, q1, 0.0});
-      records.push_back({"fleet scrape-under-load overhead q3 fraction", n, q3, 0.0});
+      records.push_back({"fleet scrape-under-load overhead fraction", n, med, 0.0, "fraction"});
+      records.push_back(
+          {"fleet scrape-under-load overhead q1 fraction", n, q1, 0.0, "fraction"});
+      records.push_back(
+          {"fleet scrape-under-load overhead q3 fraction", n, q3, 0.0, "fraction"});
     }
   }
 

@@ -81,6 +81,10 @@ struct BenchRecord {
   std::size_t size = 0;   ///< problem size n (0 when not size-indexed)
   double seconds = 0.0;   ///< wall time per repetition
   double gflops = 0.0;    ///< effective rate; 0 when not meaningful
+  /// "fraction" when `seconds` holds a near-zero ratio of either sign (an
+  /// overhead), which bench_compare gates by absolute difference; empty for
+  /// a time, and then not written.
+  std::string unit = {};
 };
 
 /// Output path from `--json FILE` in leftover argv (framework flags already
@@ -116,8 +120,10 @@ inline void write_bench_json(const std::string& path,
     }
     std::fprintf(f,
                  "%s\n    {\"name\": \"%s\", \"size\": %zu, \"seconds\": %.9g, "
-                 "\"gflops\": %.9g}",
-                 i ? "," : "", name.c_str(), r.size, r.seconds, r.gflops);
+                 "\"gflops\": %.9g%s%s%s}",
+                 i ? "," : "", name.c_str(), r.size, r.seconds, r.gflops,
+                 r.unit.empty() ? "" : ", \"unit\": \"", r.unit.c_str(),
+                 r.unit.empty() ? "" : "\"");
   }
   std::fprintf(f, "%s]\n}\n", records.empty() ? "" : "\n  ");
   std::fclose(f);

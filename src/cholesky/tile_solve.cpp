@@ -44,14 +44,19 @@ double tile_logdet(const SymTileMatrix& l) {
 
 namespace {
 
-/// Apply z_i -= A_ik * z_k for an off-diagonal tile of the factor.
+/// Apply z_i -= A_ik * z_k for an off-diagonal tile of the factor. FP64
+/// and FP32 tiles are read in place; a 16-bit tile is widened first.
 void apply_offdiag(const Tile& t, const double* zk, double* zi) {
   if (t.format() == TileFormat::LowRank) {
     const LrOperand a(t);
     tlr::lr_gemv(-1.0, a.view(), zk, zi);
+  } else if (t.precision() == Precision::FP64) {
+    la::gemv_sub(t.matrix<double>().cview(), zk, zi);
+  } else if (t.precision() == Precision::FP32) {
+    la::gemv_sub(t.matrix<float>().cview(), zk, zi);
   } else {
     const DenseOperand<double> a(t);
-    la::gemv<double>(la::Trans::NoTrans, -1.0, a.view(), zk, 1.0, zi);
+    la::gemv_sub(a.view(), zk, zi);
   }
 }
 
@@ -74,8 +79,8 @@ void tile_forward_solve(const SymTileMatrix& l, std::span<double> z) {
   for (std::size_t k = 0; k < nt; ++k) {
     double* zk = z.data() + l.tile_offset(k);
     // z_k := L_kk^{-1} z_k.
-    la::ref::trsm_left<double>(l.at(k, k).matrix<double>().cview(),
-                               Span2D<double>(zk, l.tile_dim(k), 1));
+    la::ref::trsm_left(l.at(k, k).matrix<double>().cview(),
+                       Span2D<double>(zk, l.tile_dim(k), 1));
     for (std::size_t i = k + 1; i < nt; ++i)
       apply_offdiag(l.at(i, k), zk, z.data() + l.tile_offset(i));
   }
@@ -116,15 +121,18 @@ geostat::LoglikValue tile_loglik(const SymTileMatrix& l, std::span<const double>
 
 namespace {
 
-/// B_i -= U (V^T B_k) for a low-rank off-diagonal tile.
+/// B_i -= U (V^T B_k) for a low-rank off-diagonal tile, in the reference
+/// accumulation order at every width of B: each column's sums take the
+/// same operations whatever columns it is solved with.
 void apply_lowrank_multi(const Tile& t, Span2D<const double> bk, Span2D<double> bi) {
   const LrOperand a(t);
   const tlr::LrView& lr = a.view();
   const std::size_t k = lr.rank();
   if (k == 0) return;
   la::Matrix<double> w(k, bk.cols());
-  la::gemm<double>(la::Trans::Trans, la::Trans::NoTrans, 1.0, lr.v, bk, 0.0, w.view());
-  la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, lr.u, w.cview(), 1.0, bi);
+  la::ref::gemm<double>(la::Trans::Trans, la::Trans::NoTrans, 1.0, lr.v, bk, 0.0, w.view());
+  la::ref::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, lr.u, w.cview(), 1.0,
+                        bi);
 }
 
 /// Forward-solve panel update: B_i -= A_ik * B_k for every i > k, all
@@ -159,9 +167,9 @@ constexpr std::size_t kSolveMinBlockCols = 16;
 constexpr std::size_t kSolveMaxBlocks = 16;
 
 /// Partition the m RHS columns into blocks and run `solve` on each, up to
-/// `workers` at a time. Columns of a triangular solve never interact, but a
-/// block's width picks its GEMMs' path (use_packed), so the partition
-/// depends on m alone: the bits do not depend on `workers`.
+/// `workers` at a time. Every kernel of the solve takes each column through
+/// the same operations whatever block it is in, so the partition sets only
+/// how the work is shared, never the bits.
 void solve_columns_parallel(Span2D<double> b, std::size_t workers,
                             const std::function<void(Span2D<double>)>& solve) {
   const std::size_t m = b.cols();
@@ -210,7 +218,7 @@ void tile_forward_solve_multi(const SymTileMatrix& l, const PackedOffdiag& packe
     const std::size_t nt = l.nt();
     for (std::size_t k = 0; k < nt; ++k) {
       auto bk = cols.sub(l.tile_offset(k), 0, l.tile_dim(k), cols.cols());
-      la::trsm_left<double>(l.at(k, k).matrix<double>().cview(), bk);
+      la::ref::trsm_left(l.at(k, k).matrix<double>().cview(), bk);
       apply_offdiag_multi_batch(l, packed, k, bk, cols);
     }
   });
@@ -232,12 +240,16 @@ geostat::KrigingResult tile_krige_solved(const geostat::CovarianceModel& model,
   const std::uint64_t req = telemetry != nullptr ? telemetry->ctx.request_id : 0;
   GSX_FLIGHT(obs::EventKind::SolveBegin, req, n, m, 0.0);
 
-  // W = L^{-1} Sigma_nm through the tile factor. Assembly parallelizes over
-  // test columns; the solve parallelizes over independent column blocks.
+  // W = L^{-1} Sigma_nm through the tile factor. Assembly fills one block
+  // of test columns per worker; the solve parallelizes over independent
+  // column blocks.
   const double t_assemble0 = obs::now_seconds();
   la::Matrix<double> w(n, m);
-  rt::parallel_for(0, m, workers, [&](std::size_t j) {
-    model.fill(train_locs, test_locs.subspan(j, 1), w.view().sub(0, j, n, 1));
+  const std::size_t fill_blocks = std::min(m, std::max<std::size_t>(workers, 1));
+  rt::parallel_for(0, fill_blocks, workers, [&](std::size_t blk) {
+    const std::size_t c0 = blk * m / fill_blocks;
+    const std::size_t c1 = (blk + 1) * m / fill_blocks;
+    model.fill(train_locs, test_locs.subspan(c0, c1 - c0), w.view().sub(0, c0, n, c1 - c0));
   });
   const double t_solve0 = obs::now_seconds();
   if (telemetry != nullptr) telemetry->assemble_seconds = t_solve0 - t_assemble0;

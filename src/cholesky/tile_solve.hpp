@@ -9,10 +9,12 @@
 // A factor that serves many kriging requests is applied through
 // PackedOffdiag: its dense off-diagonal tiles packed once, as FP64, into the
 // packed GEMM's A layout (la::PackedMatrix), so a request re-packs and
-// re-widens nothing. The per-request multi-RHS GEMMs then equal la::gemm's
-// on the unpacked tile bit for bit (the packed kernel exactly where
-// la::detail::use_packed holds, reference order elsewhere). Low-rank tiles
-// keep the LrOperand path and the diagonal TRSMs run per request.
+// re-widens nothing. Every kernel of the multi-RHS solve takes each column
+// through the same operations at every width: the per-request GEMMs run the
+// micro-kernel on the pre-packed tiles, low-rank tiles keep the LrOperand
+// path in the reference accumulation order, and the diagonal solves are
+// la::ref::trsm_left. A point's answer therefore does not depend on the
+// points solved with it.
 #pragma once
 
 #include <span>
@@ -40,7 +42,9 @@ struct SolveTelemetry {
 /// log|Sigma| = 2 * sum log L_ii from the factored diagonal tiles.
 double tile_logdet(const tile::SymTileMatrix& l);
 
-/// z := L^{-1} z.
+/// z := L^{-1} z: la::ref::trsm_left on each diagonal tile and la::gemv_sub
+/// (FP64 and FP32 tiles read in place) on each dense off-diagonal one, with
+/// the bits of the per-tile substitution loops.
 void tile_forward_solve(const tile::SymTileMatrix& l, std::span<double> z);
 
 /// z := L^{-T} z.
@@ -72,10 +76,9 @@ class PackedOffdiag {
 /// n x m block B, with `packed` = PackedOffdiag(l). B's columns are cut
 /// into blocks by a rule of m alone (one block below 32 columns, at most
 /// 16 blocks of at least 16 columns), and `workers` only sets how many
-/// blocks are solved concurrently on the runtime worker pool. Each block's
-/// GEMMs choose the packed kernel or the reference order by the block's
-/// width (la::detail::use_packed), so a column's bits depend on the
-/// factor, m and the ISA, and not on `workers`.
+/// blocks are solved concurrently on the runtime worker pool. A column's
+/// bits depend on the factor, the column and the ISA alone: not on m, the
+/// blocks or `workers`.
 void tile_forward_solve_multi(const tile::SymTileMatrix& l, const PackedOffdiag& packed,
                               Span2D<double> b, std::size_t workers = 1);
 
@@ -95,8 +98,10 @@ geostat::KrigingResult tile_krige(const geostat::CovarianceModel& model,
 /// Kriging from an already forward-solved observation vector
 /// y = L^{-1} Z_n (the serving layer caches y and `packed` =
 /// PackedOffdiag(factored) per fitted model and amortizes both across every
-/// request batch): assembles Sigma_nm, applies the factor to its columns in
-/// parallel, and forms means/variances. `y_solved` must have length n.
+/// request batch): assembles Sigma_nm (one block of test points per
+/// worker), applies the factor to its columns in parallel, and forms
+/// means/variances. Each point's mean and variance equal the same point's
+/// solved alone, bit for bit. `y_solved` must have length n.
 /// `telemetry` (optional) carries the request trace context in and the
 /// assembly/solve timing breakdown out. Throws NumericalError (with the
 /// request id in its context) when the computed means go non-finite — the

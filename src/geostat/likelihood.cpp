@@ -31,7 +31,7 @@ LoglikValue loglik_from_cholesky(const la::Matrix<double>& chol, std::span<const
 
   // Solve L y = z, quadratic = ||y||^2.
   std::vector<double> y(z.begin(), z.end());
-  la::ref::trsm_left<double>(chol.cview(), Span2D<double>(y.data(), n, 1));
+  la::ref::trsm_left(chol.cview(), Span2D<double>(y.data(), n, 1));
   out.quadratic = 0.0;
   for (double v : y) out.quadratic += v * v;
   out.loglik = -0.5 * (static_cast<double>(n) * kLog2Pi + out.logdet + out.quadratic);

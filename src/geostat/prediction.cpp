@@ -29,9 +29,9 @@ KrigingResult krige_with_cholesky(const CovarianceModel& model,
   obs::add_flops(obs::KernelOp::Krige, Precision::FP64,
                  obs::trsm_flops(m, n) + obs::trsm_flops(1, n) +
                      obs::gemm_flops(m, 1, n));
-  la::trsm_left<double>(chol.cview(), w.view());
+  la::trsm_left(chol.cview(), w.view());
   std::vector<double> y(z_train.begin(), z_train.end());
-  la::ref::trsm_left<double>(chol.cview(), Span2D<double>(y.data(), n, 1));
+  la::ref::trsm_left(chol.cview(), Span2D<double>(y.data(), n, 1));
 
   KrigingResult out;
   out.mean.assign(m, 0.0);

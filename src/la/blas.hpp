@@ -11,9 +11,12 @@
 // packed kernels recompiles them (see docs/tuning.md).
 //
 // Two layers:
-//   la::ref::  — the original unit-stride reference loops, kept alive as
-//                test oracles and as the small-problem fallback; also
-//                B := L^{-T} B (trsm_left_trans) for the vector solves.
+//   la::ref::  — the reference orders: the original unit-stride loops, kept
+//                alive as test oracles and as the small-problem fallback,
+//                B := L^{-T} B (trsm_left_trans) for the vector solves, and
+//                the two lower solves in the reference order but vectorized
+//                per ISA (solve_kernel.cpp): B := L^{-1} B in FP64, whose
+//                columns never interact, and B := B * L^{-T}.
 //   la::       — the public entry points. FP32/FP64 work that passes the
 //                packed GEMM's size rule (use_packed) runs on the packed,
 //                register-tiled micro-kernel path (gemm_kernel.hpp):
@@ -176,22 +179,12 @@ void syrk(Uplo uplo, Trans trans, T alpha, Span2D<const T> a, T beta, Span2D<T> 
   }
 }
 
-/// B := L^{-1} B with L lower triangular: forward substitution, column by
-/// column; a zero entry of B skips its update.
-template <typename T>
-void trsm_left(Span2D<const T> l, Span2D<T> b) {
-  const std::size_t m = b.rows();
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    T* bj = &b(0, j);
-    for (std::size_t kk = 0; kk < m; ++kk) {
-      bj[kk] /= l(kk, kk);
-      const T bkj = bj[kk];
-      if (bkj == T{0}) continue;
-      const T* lk = &l(0, kk);
-      for (std::size_t i = kk + 1; i < m; ++i) bj[i] -= lk[i] * bkj;
-    }
-  }
-}
+/// B := L^{-1} B with L lower triangular, FP64: forward substitution in
+/// which a zero entry of the solution skips its update (solve_kernel.cpp:
+/// left-looking, register-blocked and compiled per ISA, with the column
+/// sweep's operations on every element in its order, so the bits do not
+/// depend on B's width or the ISA).
+void trsm_left(Span2D<const double> l, Span2D<double> b);
 
 /// B := L^{-T} B with L lower triangular: backward substitution,
 /// dot-product form.
@@ -210,22 +203,12 @@ void trsm_left_trans(Span2D<const T> l, Span2D<T> b) {
 }
 
 /// B := B * L^{-T} with L lower triangular, left to right; the tile
-/// Cholesky's panel solve.
-template <typename T>
-void trsm_right_trans(Span2D<const T> l, Span2D<T> b) {
-  const std::size_t m = b.rows();
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    T* bj = &b(0, j);
-    for (std::size_t kk = 0; kk < j; ++kk) {
-      const T ljk = l(j, kk);
-      if (ljk == T{0}) continue;
-      const T* bk = &b(0, kk);
-      for (std::size_t i = 0; i < m; ++i) bj[i] -= bk[i] * ljk;
-    }
-    const T d = T{1} / l(j, j);
-    for (std::size_t i = 0; i < m; ++i) bj[i] *= d;
-  }
-}
+/// Cholesky's panel solve and la::trsm_right_trans's base blocks. Column j
+/// takes -B(:,kk) * L(j,kk) for kk < j (skipped where L(j,kk) is zero),
+/// then one scale by 1 / L(j,j): axpys over B's rows, compiled per ISA
+/// (solve_kernel.cpp).
+void trsm_right_trans(Span2D<const double> l, Span2D<double> b);
+void trsm_right_trans(Span2D<const float> l, Span2D<float> b);
 
 }  // namespace ref
 
@@ -300,34 +283,34 @@ namespace detail {
 // diagonal sub-solves recurse, the coupling update is a GEMM on the packed
 // path. A split is made only while that coupling GEMM passes use_packed,
 // so the recursion stops where the packed GEMM itself would, and the
-// reference solve finishes the block.
+// reference-order solve finishes the block.
 
 /// B := L^{-1} B; the coupling GEMM is (na-h) x n x h.
-template <typename T>
-void trsm_left_blocked(Span2D<const T> l, Span2D<T> b) {
+inline void trsm_left_blocked(Span2D<const double> l, Span2D<double> b) {
   const std::size_t na = l.rows();
   const std::size_t n = b.cols();
   const std::size_t h = na / 2;
-  if (!kHasPackedKernel<T> || !use_packed(na - h, n, h)) {
-    ref::trsm_left<T>(l, b);
+  if (!use_packed(na - h, n, h)) {
+    ref::trsm_left(l, b);
     return;
   }
   // [L11 0; L21 L22] [X1; X2] = [B1; B2]
   auto b1 = b.sub(0, 0, h, n);
   auto b2 = b.sub(h, 0, na - h, n);
-  trsm_left_blocked<T>(l.sub(0, 0, h, h), b1);
-  gemm_accum_fast<T>(Trans::NoTrans, Trans::NoTrans, T{-1}, l.sub(h, 0, na - h, h), b1, b2);
-  trsm_left_blocked<T>(l.sub(h, h, na - h, na - h), b2);
+  trsm_left_blocked(l.sub(0, 0, h, h), b1);
+  gemm_accum_fast<double>(Trans::NoTrans, Trans::NoTrans, -1.0, l.sub(h, 0, na - h, h), b1,
+                          b2);
+  trsm_left_blocked(l.sub(h, h, na - h, na - h), b2);
 }
 
-/// B := B * L^{-T}; the coupling GEMM is m x (na-h) x h.
+/// B := B * L^{-T} (FP64 or FP32); the coupling GEMM is m x (na-h) x h.
 template <typename T>
 void trsm_right_trans_blocked(Span2D<const T> l, Span2D<T> b) {
   const std::size_t na = l.rows();
   const std::size_t m = b.rows();
   const std::size_t h = na / 2;
-  if (!kHasPackedKernel<T> || !use_packed(m, na - h, h)) {
-    ref::trsm_right_trans<T>(l, b);
+  if (!use_packed(m, na - h, h)) {
+    ref::trsm_right_trans(l, b);
     return;
   }
   // [X1 X2] [L11^T L21^T; 0 L22^T] = [B1 B2]
@@ -340,15 +323,18 @@ void trsm_right_trans_blocked(Span2D<const T> l, Span2D<T> b) {
 
 }  // namespace detail
 
-/// B := L^{-1} B with L (m x m) lower triangular; B is m x n.
-template <typename T>
-void trsm_left(Span2D<const T> l, Span2D<T> b) {
+/// B := L^{-1} B with L (m x m) lower triangular; B is m x n, FP64. The
+/// TLR panel solve: split while the coupling GEMM passes use_packed, so the
+/// bits depend on n. A solve whose columns must not depend on each other
+/// calls ref::trsm_left.
+inline void trsm_left(Span2D<const double> l, Span2D<double> b) {
   GSX_REQUIRE(l.rows() == b.rows() && l.cols() == b.rows(), "trsm_left: L shape mismatch");
   if (b.rows() == 0 || b.cols() == 0) return;
-  detail::trsm_left_blocked<T>(l, b);
+  detail::trsm_left_blocked(l, b);
 }
 
-/// B := B * L^{-T} with L (n x n) lower triangular; B is m x n.
+/// B := B * L^{-T} with L (n x n) lower triangular; B is m x n (FP64 or
+/// FP32).
 template <typename T>
 void trsm_right_trans(Span2D<const T> l, Span2D<T> b) {
   GSX_REQUIRE(l.rows() == b.cols() && l.cols() == b.cols(),
@@ -442,5 +428,12 @@ void gemv(Trans ta, T alpha, Span2D<const T> a, const T* x, T beta, T* y) {
     }
   }
 }
+
+/// y := y - A x for an m x n A stored as FP64 or FP32 (widened exactly
+/// element by element): the bits of gemv(NoTrans, -1, A, x, 1, y) on the
+/// FP64 A, x_j == 0 skipped the same way, compiled per ISA
+/// (solve_kernel.cpp). x has n entries, y m.
+void gemv_sub(Span2D<const double> a, const double* x, double* y);
+void gemv_sub(Span2D<const float> a, const double* x, double* y);
 
 }  // namespace gsx::la

@@ -29,9 +29,9 @@
 // tiles, re-used by every kriging request) can be packed once instead:
 // PackedMatrix holds it, widened to FP64, in the FP64 kernel's own A-panel
 // layout, and the la::gemm / la::gemm_batch overloads over it run the same
-// micro-kernel instances without re-packing. They keep la::gemm's size rule
-// (detail::use_packed) and its bits: below the rule they run the reference
-// accumulation order over the same panels.
+// micro-kernel instances without re-packing, at every shape (the size rule
+// detail::use_packed does not apply to them), so each column of C takes the
+// same operations whatever the width of B.
 #pragma once
 
 #include <cstddef>
@@ -117,16 +117,19 @@ struct PackedGemmItem {
   Span2D<double> c;
 };
 
-/// C = alpha * A * B + beta * C with A pre-packed. Every element equals
+/// C = alpha * A * B + beta * C with A pre-packed, on the packed
+/// micro-kernel at every shape: every element equals
 /// la::gemm(NoTrans, NoTrans, alpha, A, B, beta, C) on the unpacked A
-/// widened to FP64, bit for bit. Throws if `a` was packed for an ISA other
-/// than the active one.
+/// widened to FP64, bit for bit, wherever that takes the packed path
+/// (detail::use_packed), and each column of C equals the same column
+/// computed alone. Throws if `a` was packed for an ISA other than the
+/// active one.
 void gemm(double alpha, const PackedMatrix& a, Span2D<const double> b, double beta,
           Span2D<double> c);
 
 /// Batched form: every item has the same (m, n, k); consecutive items that
-/// share one B re-use its packed panel, as in la::gemm_batch, whose results
-/// (on the unpacked A operands) these equal bit for bit.
+/// share one B re-use its packed panel, as in la::gemm_batch. Results equal
+/// looping gemm above over the items, bit for bit.
 void gemm_batch(double alpha, const PackedGemmItem* items, std::size_t count, double beta);
 
 namespace detail {

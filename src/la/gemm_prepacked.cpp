@@ -58,33 +58,6 @@ void with_f64_mr(Isa isa, F&& f) {
   f.template operator()<kF64Portable.mr>();
 }
 
-/// ref::gemm_accum(NoTrans, NoTrans) over a pre-packed A: every element of
-/// C takes A's columns in ascending order with the reference loops'
-/// arithmetic (alpha * b(l, j) formed first), so each sum equals theirs bit
-/// for bit. Like them it compiles for the baseline target.
-template <int MR>
-void ref_accum_prepacked(double alpha, const PackedMatrix& a, Span2D<const double> b,
-                         Span2D<double> c) {
-  const std::size_t m = c.rows();
-  const std::size_t k = a.cols();
-  const std::size_t padded = round_up(m, MR);
-  for (std::size_t pc = 0; pc < k; pc += kBlocking<double>.kc) {
-    const std::size_t kcb = std::min(kBlocking<double>.kc, k - pc);
-    const double* slab = a.panels() + padded * pc;
-    for (std::size_t j = 0; j < c.cols(); ++j) {
-      double* cj = &c(0, j);
-      for (std::size_t l = 0; l < kcb; ++l) {
-        const double blj = alpha * b(pc + l, j);
-        for (std::size_t ir = 0; ir < m; ir += MR) {
-          const double* al = slab + ir * kcb + l * MR;
-          const std::size_t mr = std::min<std::size_t>(MR, m - ir);
-          for (std::size_t i = 0; i < mr; ++i) cj[ir + i] += al[i] * blj;
-        }
-      }
-    }
-  }
-}
-
 /// Checks a pre-packed batch and applies beta; false when nothing is left
 /// to accumulate (la::gemm_batch's early exits).
 bool begin_prepacked(double alpha, const PackedGemmItem* items, std::size_t count,
@@ -104,20 +77,13 @@ bool begin_prepacked(double alpha, const PackedGemmItem* items, std::size_t coun
   return alpha != 0.0 && m != 0 && n != 0 && k != 0;
 }
 
-/// C += alpha * A * B over checked items, on the micro-kernel where
-/// la::gemm would pack and in reference order elsewhere.
+/// C += alpha * A * B over checked items, on the micro-kernel at every
+/// shape: the packing was paid at load, and each column of C then takes the
+/// same operations whatever the width of B.
 void run_prepacked(double alpha, const PackedGemmItem* items, std::size_t count) {
-  const Span2D<double>& c = items[0].c;
-  if (detail::use_packed(c.rows(), c.cols(), items[0].a->cols())) {
-    static thread_local std::vector<double> apack;  // unused: A is packed
-    static thread_local std::vector<double> bpack;
-    packed_kernel_for(active_isa())(alpha, items, count, kBlocking<double>, apack, bpack);
-    return;
-  }
-  with_f64_mr(active_isa(), [&]<int MR>() {
-    for (std::size_t i = 0; i < count; ++i)
-      ref_accum_prepacked<MR>(alpha, *items[i].a, items[i].b, items[i].c);
-  });
+  static thread_local std::vector<double> apack;  // unused: A is packed
+  static thread_local std::vector<double> bpack;
+  packed_kernel_for(active_isa())(alpha, items, count, kBlocking<double>, apack, bpack);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ void lr_trsm_right_lower_trans(Span2D<const double> l, la::Matrix<double>& v) {
   GSX_REQUIRE(l.rows() == v.rows(), "lr_trsm: L order must match V rows");
   if (v.cols() == 0) return;
   lr_flops(obs::KernelOp::LrTrsm, obs::trsm_flops(v.cols(), v.rows()));
-  la::trsm_left<double>(l, v.view());
+  la::trsm_left(l, v.view());
 }
 
 void gemm_lr_lr_dense(double alpha, const LrView& a, const LrView& b, Span2D<double> c) {

@@ -1,10 +1,13 @@
 // Level-3 BLAS kernel tests against naive oracles, across shapes and flags.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "la/blas.hpp"
 #include "la/half_blas.hpp"
@@ -196,7 +199,7 @@ TEST_P(TrsmTest, SolveThenMultiplyRecoversRhs) {
   const auto lv = l_buf.cview().sub(c.pad, c.pad, na, na);
   const auto xv = x_buf.view().sub(c.pad, c.pad, c.m, c.n);
   switch (c.solve) {
-    case Solve::Left: trsm_left<double>(lv, xv); break;
+    case Solve::Left: trsm_left(lv, xv); break;
     case Solve::LeftTrans: ref::trsm_left_trans<double>(lv, xv); break;
     case Solve::RightTrans: trsm_right_trans<double>(lv, xv); break;
   }
@@ -255,14 +258,161 @@ TEST(Trsm, RejectsMismatchedShapes) {
   const la::Matrix<double> l4(4, 4, 1.0);
   const la::Matrix<double> l43(4, 3, 1.0);
   la::Matrix<double> b52(5, 2), b42(4, 2), b25(2, 5), b24(2, 4);
-  EXPECT_THROW(trsm_left<double>(l4.cview(), b52.view()), InvalidArgument);
-  EXPECT_THROW(trsm_left<double>(l43.cview(), b42.view()), InvalidArgument);
+  EXPECT_THROW(trsm_left(l4.cview(), b52.view()), InvalidArgument);
+  EXPECT_THROW(trsm_left(l43.cview(), b42.view()), InvalidArgument);
   EXPECT_THROW(trsm_right_trans<double>(l4.cview(), b25.view()), InvalidArgument);
   EXPECT_THROW(trsm_right_trans<double>(l43.cview(), b24.view()), InvalidArgument);
   // The matching shapes solve.
-  EXPECT_NO_THROW(trsm_left<double>(l4.cview(), b42.view()));
+  EXPECT_NO_THROW(trsm_left(l4.cview(), b42.view()));
   EXPECT_NO_THROW(trsm_right_trans<double>(l4.cview(), b24.view()));
 }
+
+// ---------------------------------------------------- vectorized solves
+
+// la::ref's two lower solves and la::gemv_sub run ISA-dispatched kernels
+// (solve_kernel.cpp) that must equal the scalar loops bit for bit at every
+// ISA (the GSX_GEMM_ISA reruns in tests/CMakeLists.txt), every width of B
+// and every row count: full register blocks, single-vector blocks and
+// scalar tail rows. B carries +0 and -0 entries, and its first column and
+// first row are -0 throughout: there every update comes from a zero, so
+// only the skip keeps the -0 (an unskipped one subtracts L(i,kk) * -0 =
+// -0 and leaves +0). L has zero multipliers and holds NaN above its
+// diagonal, which no solve may read.
+
+/// memcmp of two equal-shape matrices, reporting the first differing entry.
+template <typename T>
+::testing::AssertionResult same_bits(const la::Matrix<T>& got, const la::Matrix<T>& want) {
+  for (std::size_t j = 0; j < got.cols(); ++j)
+    for (std::size_t i = 0; i < got.rows(); ++i)
+      if (std::memcmp(&got(i, j), &want(i, j), sizeof(T)) != 0)
+        return ::testing::AssertionFailure()
+               << "(" << i << "," << j << "): " << got(i, j) << " vs " << want(i, j);
+  return ::testing::AssertionSuccess();
+}
+
+/// A well-conditioned lower triangle with a few zero multipliers and NaN
+/// above the diagonal.
+template <typename T>
+la::Matrix<T> solve_triangle(std::size_t n, Rng& rng) {
+  la::Matrix<T> l(n, n, std::numeric_limits<T>::quiet_NaN());
+  for (std::size_t j = 0; j < n; ++j) {
+    l(j, j) = static_cast<T>(rng.uniform(1.0, 2.0));
+    for (std::size_t i = j + 1; i < n; ++i)
+      l(i, j) = static_cast<T>((i + 2 * j) % 7 == 0 ? 0.0 : rng.uniform(-0.5, 0.5) / n);
+  }
+  return l;
+}
+
+/// An m x n right-hand side with +0 and -0 sprinkled in, and -0 all along
+/// its first column and first row.
+template <typename T>
+la::Matrix<T> solve_rhs(std::size_t m, std::size_t n, Rng& rng) {
+  la::Matrix<T> b(m, n);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t h = (3 * i + 5 * j) % 11;
+      const bool neg_zero = i == 0 || j == 0 || h == 1;
+      b(i, j) = static_cast<T>(neg_zero ? -0.0 : h == 0 ? 0.0 : rng.uniform(-1.0, 1.0));
+    }
+  return b;
+}
+
+constexpr std::size_t kSolveRows[] = {1, 2, 3, 5, 7, 9, 17, 31, 64, 70, 88, 128, 131, 256};
+constexpr std::size_t kSolveCols[] = {1, 2, 3, 4, 5, 8, 12, 13};
+
+TEST(SolveKernel, LeftSolveMatchesScalarSweepBitwise) {
+  Rng rng(41);
+  for (const std::size_t m : kSolveRows) {
+    const la::Matrix<double> l = solve_triangle<double>(m, rng);
+    for (const std::size_t n : kSolveCols) {
+      const la::Matrix<double> b = solve_rhs<double>(m, n, rng);
+      la::Matrix<double> got = b, want = b;
+      ref::trsm_left(l.cview(), got.view());
+      gsx::test::oracle_trsm_left<double>(l.cview(), want.view());
+      ASSERT_TRUE(same_bits(got, want)) << "m=" << m << " n=" << n;
+      EXPECT_TRUE(std::signbit(got(m - 1, 0))) << "m=" << m;
+    }
+  }
+}
+
+TEST(SolveKernel, LeftSolveColumnsDoNotDependOnWidth) {
+  // Each column of a 13-wide solve equals that column solved alone, on a
+  // strided sub-view of B.
+  Rng rng(43);
+  for (const std::size_t m : {64, 88, 128, 131}) {
+    const la::Matrix<double> l = solve_triangle<double>(m, rng);
+    const la::Matrix<double> b = solve_rhs<double>(m + 3, 13, rng);
+    la::Matrix<double> wide = b;
+    ref::trsm_left(l.cview(), wide.view().sub(3, 0, m, 13));
+    for (std::size_t j = 0; j < 13; ++j) {
+      la::Matrix<double> solo(m, 1), got(m, 1);
+      for (std::size_t i = 0; i < m; ++i) {
+        solo(i, 0) = b(3 + i, j);
+        got(i, 0) = wide(3 + i, j);
+      }
+      ref::trsm_left(l.cview(), solo.view());
+      EXPECT_TRUE(same_bits(got, solo)) << "m=" << m << " column " << j;
+    }
+  }
+}
+
+template <typename T>
+void right_solve_matches_scalar_sweep() {
+  Rng rng(47);
+  for (const std::size_t na : {1, 5, 16, 33, 64}) {
+    // Non-negative multipliers: then row 0 of the solution is -0 in
+    // column 0 and +0 after it, except in the columns whose multiplier on
+    // column 0 is a skipped zero, which keep the -0.
+    la::Matrix<T> l = solve_triangle<T>(na, rng);
+    for (std::size_t j = 0; j < na; ++j)
+      for (std::size_t i = j + 1; i < na; ++i) l(i, j) = std::abs(l(i, j));
+    for (const std::size_t m : {1, 3, 44, 64, 128, 131}) {
+      const la::Matrix<T> b = solve_rhs<T>(m, na, rng);
+      la::Matrix<T> got = b, want = b;
+      ref::trsm_right_trans(l.cview(), got.view());
+      gsx::test::oracle_trsm_right_trans<T>(l.cview(), want.view());
+      ASSERT_TRUE(same_bits(got, want)) << "m=" << m << " na=" << na;
+    }
+  }
+}
+
+TEST(SolveKernel, RightTransSolveMatchesScalarSweepBitwiseF64) {
+  right_solve_matches_scalar_sweep<double>();
+}
+TEST(SolveKernel, RightTransSolveMatchesScalarSweepBitwiseF32) {
+  right_solve_matches_scalar_sweep<float>();
+}
+
+template <typename TS>
+void gemv_sub_matches_gemv() {
+  Rng rng(53);
+  for (const std::size_t m : {1, 3, 8, 31, 64, 70, 88, 128, 131})
+    for (const std::size_t n : {1, 7, 64, 128}) {
+      la::Matrix<TS> a(m, n);
+      la::Matrix<double> wide(m, n);
+      for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t i = 0; i < m; ++i) {
+          a(i, j) = static_cast<TS>(rng.uniform(-1.0, 1.0));
+          wide(i, j) = static_cast<double>(a(i, j));
+        }
+      // x and y as rows of solve_rhs: zeros sprinkled in, and a second
+      // pass with x and y all -0.
+      const la::Matrix<double> x = solve_rhs<double>(2, n, rng);
+      const la::Matrix<double> y = solve_rhs<double>(2, m, rng);
+      for (const std::size_t row : {1, 0}) {
+        std::vector<double> xr(n), got(m), want(m);
+        for (std::size_t j = 0; j < n; ++j) xr[j] = x(row, j);
+        for (std::size_t i = 0; i < m; ++i) got[i] = want[i] = y(row, i);
+        gemv_sub(a.cview(), xr.data(), got.data());
+        gemv<double>(Trans::NoTrans, -1.0, wide.cview(), xr.data(), 1.0, want.data());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), m * sizeof(double)), 0)
+            << "m=" << m << " n=" << n << " row " << row;
+      }
+    }
+}
+
+TEST(SolveKernel, GemvSubMatchesGemvBitwiseF64) { gemv_sub_matches_gemv<double>(); }
+TEST(SolveKernel, GemvSubMatchesGemvBitwiseWidenedF32) { gemv_sub_matches_gemv<float>(); }
 
 // ------------------------------------------------------------------ GEMV
 

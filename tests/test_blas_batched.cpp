@@ -176,10 +176,11 @@ Matrix<double> widened(const Matrix<TS>& a) {
 }
 
 /// la::gemm / la::gemm_batch over PackedMatrix operands packed from TS
-/// storage against the same calls on the widened A, for every shape: rows
-/// crossing MR and MC = 128, k crossing KC = 256, n from 1 to 13 (so both
-/// the packed kernel and the reference order below use_packed's threshold
-/// run), single ops and a batch sharing one B.
+/// storage against the packed micro-kernel on the widened A, which the
+/// pre-packed GEMM runs at every shape (and la::gemm wherever use_packed
+/// holds): rows crossing MR and MC = 128, k crossing KC = 256, n from 1 to
+/// 13 (below and above use_packed's threshold), single ops and a batch
+/// sharing one B.
 template <typename TS>
 void prepacked_matches_unpacked() {
   const std::size_t count = 3;
@@ -212,12 +213,19 @@ void prepacked_matches_unpacked() {
           packed_items.push_back({&packed[i], b.cview(), c_packed[i].view()});
         }
         // Item 0 single, items 1.. batched with the shared B.
-        gemm<double>(Trans::NoTrans, Trans::NoTrans, alpha, wide[0].cview(), b.cview(), beta,
-                     c_ref[0].view());
+        for (std::size_t i = 0; i < count; ++i) la::detail::scale_matrix(beta, c_ref[i].view());
+        la::detail::gemm_packed(Trans::NoTrans, Trans::NoTrans, alpha, wide[0].cview(),
+                                b.cview(), c_ref[0].view());
         gemm(alpha, packed[0], b.cview(), beta, c_packed[0].view());
-        gemm_batch<double>(Trans::NoTrans, Trans::NoTrans, alpha, ref_items.data() + 1,
-                           count - 1, beta);
+        la::detail::gemm_batch_packed(Trans::NoTrans, Trans::NoTrans, alpha,
+                                      ref_items.data() + 1, count - 1);
         gemm_batch(alpha, packed_items.data() + 1, count - 1, beta);
+        if (la::detail::use_packed(m, n, k)) {
+          Matrix<double> c_gemm = filled<double>(m, n, 3 * n);
+          gemm<double>(Trans::NoTrans, Trans::NoTrans, alpha, wide[0].cview(), b.cview(), beta,
+                       c_gemm.view());
+          expect_bits_equal(c_packed[0], c_gemm, "la::gemm");
+        }
         const std::string what = "m=" + std::to_string(m) + " k=" + std::to_string(k) +
                                  " n=" + std::to_string(n);
         for (std::size_t i = 0; i < count; ++i)
@@ -231,6 +239,43 @@ TEST(PrepackedGemm, MatchesGemmOnF64Source) { prepacked_matches_unpacked<double>
 TEST(PrepackedGemm, MatchesGemmOnWidenedF32Source) { prepacked_matches_unpacked<float>(); }
 TEST(PrepackedGemm, MatchesGemmOnWidenedF16Source) { prepacked_matches_unpacked<half>(); }
 TEST(PrepackedGemm, MatchesGemmOnWidenedBf16Source) { prepacked_matches_unpacked<bfloat16>(); }
+
+/// Each column of a pre-packed GEMM equals that column computed alone, at
+/// every width from 1 to past two register tiles (2 * NR + 1 for every
+/// ISA's NR) and on ragged row counts: a kriging point's answer cannot
+/// depend on the points solved with it.
+template <typename TS>
+void prepacked_columns_equal_solo() {
+  for (const std::size_t m : {33, 88, 131})
+    for (const std::size_t k : {64, 300}) {
+      const Matrix<TS> a = filled<TS>(m, k, 5 * m + k);
+      const PackedMatrix packed(a.cview());
+      for (std::size_t n = 1; n <= 17; ++n) {
+        const Matrix<double> b = filled<double>(k, n, 17 * n + k);
+        const Matrix<double> c0 = filled<double>(m, n, 9 * n);
+        Matrix<double> c = c0;
+        gemm(-1.0, packed, b.cview(), 1.0, c.view());
+        for (std::size_t j = 0; j < n; ++j) {
+          Matrix<double> solo(m, 1);
+          for (std::size_t i = 0; i < m; ++i) solo(i, 0) = c0(i, j);
+          gemm(-1.0, packed, b.cview().sub(0, j, k, 1), 1.0, solo.view());
+          Matrix<double> got(m, 1);
+          for (std::size_t i = 0; i < m; ++i) got(i, 0) = c(i, j);
+          const std::string what = "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                                   " n=" + std::to_string(n) + " j=" + std::to_string(j);
+          expect_bits_equal(got, solo, what.c_str());
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+}
+
+TEST(PrepackedGemm, ColumnsEqualSoloProductsOnF64Source) {
+  prepacked_columns_equal_solo<double>();
+}
+TEST(PrepackedGemm, ColumnsEqualSoloProductsOnWidenedF32Source) {
+  prepacked_columns_equal_solo<float>();
+}
 
 TEST(PrepackedGemm, RejectsOperandPackedForAnotherIsa) {
   const Matrix<double> a = filled<double>(64, 64, 1);

@@ -269,7 +269,7 @@ Matrix<T> dominant_triangle(std::size_t n, Rng& rng) {
 // B shapes (m x n) per solve: the tile pipeline's panel solves
 // B := B * L^{-T} (tile 128, tile 64, a ragged 44-row panel under a 64
 // tile), its forward solves B := L^{-1} B with 1-8 right-hand sides, and one
-// odd shape each that splits unevenly.
+// odd shape each that splits unevenly. The forward solve is FP64 only.
 struct TrsmShape {
   bool left;
   std::size_t m, n;
@@ -283,16 +283,20 @@ template <typename T>
 void run_trsm_oracle_sweep() {
   Rng rng(99);
   for (const TrsmShape& s : kTrsmShapes) {
+    if (s.left && !std::is_same_v<T, double>) continue;
     const std::size_t na = s.left ? s.m : s.n;
     const Matrix<T> l = dominant_triangle<T>(na, rng);
     Matrix<T> b_fast = uniform_matrix<T>(s.m, s.n, rng);
     Matrix<T> b_ref = b_fast;
-    if (s.left) {
-      la::trsm_left<T>(l.cview(), b_fast.view());
-      la::ref::trsm_left<T>(l.cview(), b_ref.view());
-    } else {
+    if constexpr (std::is_same_v<T, double>) {
+      if (s.left) {
+        la::trsm_left(l.cview(), b_fast.view());
+        la::ref::trsm_left(l.cview(), b_ref.view());
+      }
+    }
+    if (!s.left) {
       la::trsm_right_trans<T>(l.cview(), b_fast.view());
-      la::ref::trsm_right_trans<T>(l.cview(), b_ref.view());
+      la::ref::trsm_right_trans(l.cview(), b_ref.view());
     }
     // The diagonally dominant triangle keeps the recursive and reference
     // substitution orders within a few ulps of each other.

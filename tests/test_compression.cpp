@@ -60,6 +60,11 @@ struct MethodCase {
   const char* name;
 };
 
+// gtest appends the printed parameter to each test's name; its default byte
+// dump would print this struct's padding and the address of `name`, which
+// change from run to run.
+void PrintTo(const MethodCase& c, std::ostream* os) { *os << c.name; }
+
 class CompressionMethods : public ::testing::TestWithParam<MethodCase> {};
 
 TEST_P(CompressionMethods, MeetsAbsoluteTolerance) {

@@ -391,6 +391,100 @@ TEST(Engine, TlrAnswersDoNotDependOnWorkers) {
   expect_answers_worker_independent(cfg, {1.0, 0.03, 0.5}, 600);
 }
 
+/// A served point's answer depends on the model, the point and the ISA
+/// alone: in every batch of 1 to 16 points and of 48, each point's mean and
+/// variance are memcmp-equal to the same point solved alone, through
+/// tile_krige_solved and through the engine at workers 1 and 3, whether
+/// the points arrive as one request or as one-point requests the
+/// dispatcher coalesces into one batch.
+void expect_answers_batch_independent(core::ModelConfig cfg, const std::vector<double>& theta,
+                                      std::size_t n) {
+  Rng rng(23);
+  std::vector<geostat::Location> locs = geostat::perturbed_grid_locations(n, rng);
+  geostat::sort_morton(locs);
+  const std::vector<double> z =
+      geostat::simulate_grf(*geostat::make_kernel("matern", theta), locs, rng);
+  cfg.calibrate_perf_model = false;
+  const core::GsxModel model(geostat::make_kernel("matern", theta), cfg);
+  ModelCheckpoint ckpt;
+  ckpt.kernel = "matern";
+  ckpt.theta = theta;
+  ckpt.config = cfg;
+  ckpt.train_locs = locs;
+  ckpt.z_train = z;
+  ckpt.factor = model.factor_at(theta, locs);
+  const auto loaded = LoadedModel::from_checkpoint("m", std::move(ckpt));
+
+  const auto solve = [&](std::span<const geostat::Location> pts, std::size_t workers) {
+    return cholesky::tile_krige_solved(*loaded->kernel, loaded->factor, loaded->packed_factor,
+                                       loaded->y_solved, loaded->train_locs, pts, true, workers);
+  };
+  const auto same = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  std::vector<std::size_t> sizes;
+  for (std::size_t m = 1; m <= 16; ++m) sizes.push_back(m);
+  sizes.push_back(48);
+  for (const std::size_t m : sizes) {
+    const auto pts = random_points(m, 90 + m);
+    std::vector<geostat::KrigingResult> solo;
+    for (std::size_t j = 0; j < m; ++j)
+      solo.push_back(solve(std::span<const geostat::Location>(pts).subspan(j, 1), 1));
+    const auto expect_solo = [&](const std::vector<double>& mean,
+                                 const std::vector<double>& variance, const std::string& what) {
+      ASSERT_EQ(mean.size(), m);
+      ASSERT_EQ(variance.size(), m);
+      for (std::size_t j = 0; j < m; ++j) {
+        EXPECT_TRUE(same(mean[j], solo[j].mean[0]))
+            << what << ": mean of point " << j << " of " << m;
+        EXPECT_TRUE(same(variance[j], solo[j].variance[0]))
+            << what << ": variance of point " << j << " of " << m;
+      }
+    };
+    for (const std::size_t workers : {1, 3}) {
+      const std::string at = ", " + std::to_string(workers) + " workers";
+      const geostat::KrigingResult got = solve(pts, workers);
+      expect_solo(got.mean, got.variance, "tile_krige_solved" + at);
+
+      KrigingEngine engine(EngineConfig{workers, 64, 4096}, /*auto_start=*/false);
+      auto whole = engine.submit(loaded, pts, true);
+      std::vector<std::future<PredictOutcome>> singles;
+      for (std::size_t j = 0; j < m; ++j)
+        singles.push_back(engine.submit(loaded, std::vector<geostat::Location>{pts[j]}, true));
+      engine.start();
+      const PredictOutcome out = whole.get();
+      ASSERT_TRUE(out.ok) << out.error;
+      expect_solo(out.mean, out.variance, "engine request" + at);
+      std::vector<double> mean, variance;
+      for (auto& f : singles) {
+        const PredictOutcome one = f.get();
+        ASSERT_TRUE(one.ok) << one.error;
+        ASSERT_EQ(one.mean.size(), 1u);
+        mean.push_back(one.mean[0]);
+        variance.push_back(one.variance[0]);
+      }
+      expect_solo(mean, variance, "engine coalesced singles" + at);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(Engine, MixedPrecisionAnswersDoNotDependOnTheBatch) {
+  // predict-fleet's model: MPDense, n = 600 at tile 128 (an 88-row last
+  // tile).
+  core::ModelConfig cfg;
+  cfg.variant = core::ComputeVariant::MPDense;
+  cfg.tile_size = 128;
+  expect_answers_batch_independent(cfg, {1.0, 0.1, 0.5}, 600);
+}
+
+TEST(Engine, TlrAnswersDoNotDependOnTheBatch) {
+  core::ModelConfig cfg;
+  cfg.variant = core::ComputeVariant::MPDenseTLR;
+  cfg.tile_size = 64;
+  cfg.auto_band = false;
+  cfg.band_size = 2;
+  expect_answers_batch_independent(cfg, {1.0, 0.03, 0.5}, 600);
+}
+
 TEST(Engine, QueueFullFastFails) {
   const Problem p = make_problem(48);
   const auto model = make_model(p, "m");

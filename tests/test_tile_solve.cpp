@@ -73,8 +73,8 @@ TEST(TileSolve, BackwardInvertsForward) {
 
 // The vector solves run la::ref's left solves on the diagonal tiles. These
 // oracles spell out the per-tile substitution loops those solves replaced,
-// zero skip included, with the same GEMV on every dense FP64 off-diagonal
-// tile, so the solves keep the bits of l(theta) and kriging.
+// zero skip included, with la::gemv on every dense off-diagonal tile
+// widened to FP64, so the solves keep the bits of l(theta) and kriging.
 void substitution_forward(const tile::SymTileMatrix& l, std::vector<double>& z) {
   for (std::size_t k = 0; k < l.nt(); ++k) {
     double* zk = z.data() + l.tile_offset(k);
@@ -86,7 +86,7 @@ void substitution_forward(const tile::SymTileMatrix& l, std::vector<double>& z) 
       for (std::size_t i = j + 1; i < l.tile_dim(k); ++i) zk[i] -= d(i, j) * zj;
     }
     for (std::size_t i = k + 1; i < l.nt(); ++i)
-      la::gemv<double>(la::Trans::NoTrans, -1.0, l.at(i, k).matrix<double>().cview(), zk, 1.0,
+      la::gemv<double>(la::Trans::NoTrans, -1.0, l.at(i, k).to_dense64().cview(), zk, 1.0,
                        z.data() + l.tile_offset(i));
   }
 }
@@ -125,6 +125,22 @@ struct SubstitutionProblem {
 
 TEST(TileSolve, ForwardSolveKeepsSubstitutionBits) {
   const SubstitutionProblem p;
+  std::vector<double> got = p.z, want = p.z;
+  tile_forward_solve(p.l, got);
+  substitution_forward(p.l, want);
+  EXPECT_TRUE(std::signbit(got[2]));
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+}
+
+TEST(TileSolve, ForwardSolveKeepsSubstitutionBitsOnDemotedTiles) {
+  // The mixed-precision factor's storage: FP32 tiles are read in place,
+  // 16-bit ones widened first; either way each product is the widened
+  // tile's.
+  SubstitutionProblem p;
+  const Precision demoted[] = {Precision::FP32, Precision::FP16, Precision::BF16};
+  std::size_t d = 0;
+  for (std::size_t k = 0; k < p.l.nt(); ++k)
+    for (std::size_t i = k + 1; i < p.l.nt(); ++i) p.l.at(i, k).convert_dense(demoted[d++ % 3]);
   std::vector<double> got = p.z, want = p.z;
   tile_forward_solve(p.l, got);
   substitution_forward(p.l, want);

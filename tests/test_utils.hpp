@@ -90,6 +90,45 @@ la::Matrix<T> naive_gemm(la::Trans ta, la::Trans tb, T alpha, const la::Matrix<T
   return out;
 }
 
+/// The scalar column sweeps of B := L^{-1} B and B := B * L^{-T} (lower
+/// L) that la::ref's vectorized solves must equal bit for bit: pivot by
+/// pivot, each product rounded before its difference, an update skipped
+/// where its multiplier is zero.
+template <typename T>
+void oracle_trsm_left(Span2D<const T> l, Span2D<T> b) {
+  const std::size_t m = b.rows();
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    T* bj = &b(0, j);
+    for (std::size_t kk = 0; kk < m; ++kk) {
+      bj[kk] /= l(kk, kk);
+      const T bkj = bj[kk];
+      if (bkj == T{0}) continue;
+      for (std::size_t i = kk + 1; i < m; ++i) {
+        const volatile T p = l(i, kk) * bkj;  // rounded apart, never fused
+        bj[i] -= p;
+      }
+    }
+  }
+}
+
+template <typename T>
+void oracle_trsm_right_trans(Span2D<const T> l, Span2D<T> b) {
+  const std::size_t m = b.rows();
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    T* bj = &b(0, j);
+    for (std::size_t kk = 0; kk < j; ++kk) {
+      const T ljk = l(j, kk);
+      if (ljk == T{0}) continue;
+      for (std::size_t i = 0; i < m; ++i) {
+        const volatile T p = b(i, kk) * ljk;
+        bj[i] -= p;
+      }
+    }
+    const T d = T{1} / l(j, j);
+    for (std::size_t i = 0; i < m; ++i) bj[i] *= d;
+  }
+}
+
 template <typename T>
 double max_abs_diff(const la::Matrix<T>& a, const la::Matrix<T>& b) {
   double d = 0.0;

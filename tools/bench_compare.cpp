@@ -6,9 +6,13 @@
 // (`seconds`) grows by more than the threshold (default 10%), or its
 // throughput (`gflops`, when nonzero in the baseline) drops by more than the
 // threshold — this covers both the plain timing rows and the latency rows
-// (p50/p999 records carry their quantile in `seconds`). Exit status: 0 clean,
-// 1 regressions found, 2 usage/parse errors. Names present in only one file
-// are reported but never fail the gate (benchmarks grow columns over time).
+// (p50/p999 records carry their quantile in `seconds`). A record marked
+// `"unit": "fraction"` holds a near-zero ratio of either sign in `seconds`
+// (an overhead), where a relative change means nothing; it regresses when
+// it grows by more than 0.02 absolute, the 2% telemetry budget. Exit
+// status: 0 clean, 1 regressions found, 2 usage/parse errors. Names present
+// in only one file are reported but never fail the gate (benchmarks grow
+// columns over time).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -21,9 +25,13 @@
 
 namespace {
 
+/// Absolute growth beyond which a fraction record regresses.
+constexpr double kFractionTolerance = 0.02;
+
 struct Record {
   double seconds = 0.0;
   double gflops = 0.0;
+  bool fraction = false;
 };
 
 void usage(const char* argv0) {
@@ -68,6 +76,8 @@ bool load_records(const char* argv0, const std::string& path,
       rec.seconds = seconds->as_number();
       const gsx::serve::JsonValue* gflops = r.find("gflops");
       if (gflops != nullptr && gflops->is_number()) rec.gflops = gflops->as_number();
+      const gsx::serve::JsonValue* unit = r.find("unit");
+      rec.fraction = unit != nullptr && unit->is_string() && unit->as_string() == "fraction";
       out[name->as_string()] = rec;
     }
     return true;
@@ -127,6 +137,14 @@ int main(int argc, char** argv) {
     const Record& c = it->second;
     ++compared;
     bool bad = false;
+    if (b.fraction || c.fraction) {
+      if (c.seconds > b.seconds + kFractionTolerance) {
+        std::printf("REGRESS  %-40s fraction %+.4f -> %+.4f (> +%.2f)\n", name.c_str(),
+                    b.seconds, c.seconds, kFractionTolerance);
+        ++regressions;
+      }
+      continue;
+    }
     if (b.seconds > 0.0 && c.seconds > b.seconds * (1.0 + tol)) {
       std::printf("REGRESS  %-40s seconds %.6g -> %.6g (+%.1f%%)\n", name.c_str(),
                   b.seconds, c.seconds, 100.0 * (c.seconds / b.seconds - 1.0));
