@@ -317,27 +317,4 @@ geostat::KrigingResult tile_krige(const geostat::CovarianceModel& model,
                            with_variance, workers);
 }
 
-la::Matrix<double> reconstruct_lower(const SymTileMatrix& l) {
-  const std::size_t n = l.n();
-  la::Matrix<double> full(n, n);
-  for (std::size_t j = 0; j < l.nt(); ++j) {
-    for (std::size_t i = j; i < l.nt(); ++i) {
-      const la::Matrix<double> block = l.at(i, j).to_dense64();
-      const std::size_t gi0 = l.tile_offset(i);
-      const std::size_t gj0 = l.tile_offset(j);
-      if (i == j) {
-        // Diagonal tiles carry the factor only in their lower triangle.
-        for (std::size_t jj = 0; jj < block.cols(); ++jj)
-          for (std::size_t ii = jj; ii < block.rows(); ++ii)
-            full(gi0 + ii, gj0 + jj) = block(ii, jj);
-      } else {
-        for (std::size_t jj = 0; jj < block.cols(); ++jj)
-          for (std::size_t ii = 0; ii < block.rows(); ++ii)
-            full(gi0 + ii, gj0 + jj) = block(ii, jj);
-      }
-    }
-  }
-  return full;
-}
-
 }  // namespace gsx::cholesky

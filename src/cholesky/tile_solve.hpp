@@ -86,8 +86,8 @@ void tile_forward_solve_multi(const tile::SymTileMatrix& l, const PackedOffdiag&
 /// so the prediction phase keeps the TLR memory footprint (the paper's
 /// "forward and backward substitutions to several right-hand sides").
 /// This is the tile-native entry point GsxModel::predict uses (it packs
-/// the factor on entry and runs tile_krige_solved); the dense
-/// krige_with_cholesky path survives only as a test oracle.
+/// the factor on entry and runs tile_krige_solved); the tests hold it to
+/// a dense kriging oracle.
 geostat::KrigingResult tile_krige(const geostat::CovarianceModel& model,
                                   const tile::SymTileMatrix& factored,
                                   std::span<const geostat::Location> train_locs,
@@ -115,9 +115,5 @@ geostat::KrigingResult tile_krige_solved(const geostat::CovarianceModel& model,
                                          bool with_variance = true,
                                          std::size_t workers = 1,
                                          SolveTelemetry* telemetry = nullptr);
-
-/// Materialize the lower-triangular Cholesky factor as a dense FP64 matrix
-/// (upper triangle zero); feeds reference paths and tests.
-la::Matrix<double> reconstruct_lower(const tile::SymTileMatrix& l);
 
 }  // namespace gsx::cholesky

@@ -206,8 +206,8 @@ FitResult GsxModel::fit(std::span<const Location> locs, std::span<const double> 
   std::size_t evals_seen = 0;
 
   const optim::Objective objective = [&](std::span<const double> theta) {
-    // Jointly-constrained parameterizations (e.g. the bivariate rho bound)
-    // can reject box-feasible points; treat them as infeasible.
+    // A kernel's set_params may reject a box-feasible point
+    // (InvalidArgument); treat it as infeasible.
     double fval = std::numeric_limits<double>::infinity();
     try {
       const geostat::LoglikValue v = evaluate(theta, locs, z);

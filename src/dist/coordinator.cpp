@@ -14,13 +14,6 @@ namespace gsx::dist {
 
 namespace {
 
-// The complete control-plane vocabulary. tools/check_docs.sh extracts this
-// table and requires an "op" example for each verb in docs/distributed.md.
-const std::vector<std::string> kDistVerbs = {
-    "dist_register", "dist_peers",  "dist_barrier", "dist_reduce",
-    "dist_heartbeat", "dist_stats", "dist_done",
-};
-
 double num_field(const serve::JsonValue& req, const char* key) {
   const serve::JsonValue* v = req.find(key);
   GSX_REQUIRE(v != nullptr && v->is_number(), "dist wire: missing numeric field");
@@ -32,8 +25,6 @@ std::uint64_t u64_field(const serve::JsonValue& req, const char* key) {
 }
 
 }  // namespace
-
-const std::vector<std::string>& dist_verbs() { return kDistVerbs; }
 
 Coordinator::Coordinator(int nprocs) : nprocs_(nprocs) {
   GSX_REQUIRE(nprocs >= 1, "Coordinator: need at least one rank");
@@ -156,11 +147,6 @@ std::string Coordinator::handle(const std::string& line) {
   } catch (const std::exception& e) {
     return serve::wire_error(e.what());
   }
-}
-
-bool Coordinator::all_done() const {
-  std::lock_guard lk(mu_);
-  return done_count_ == nprocs_;
 }
 
 bool Coordinator::all_ok() const {

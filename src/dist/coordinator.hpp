@@ -5,9 +5,9 @@
 // Prometheus scrapes) works on a distributed factorization out of the box.
 //
 // The launcher (gsx_dist run) owns the Coordinator; each worker process
-// holds one CoordClient connection for the whole run. Verbs (kDistVerbs in
-// coordinator.cpp, extracted by tools/check_docs.sh — every verb must have
-// an "op" example in docs/distributed.md):
+// holds one CoordClient connection for the whole run. Verbs (the op chain
+// of Coordinator::handle, which tools/check_docs.sh reads — every verb must
+// have an "op" example in docs/distributed.md):
 //   dist_register  rank -> data-plane port announcement
 //   dist_peers     poll for the complete rank -> port map
 //   dist_barrier   epoch-tagged full barrier (handler thread blocks)
@@ -31,9 +31,6 @@
 #include "serve/wire.hpp"
 
 namespace gsx::dist {
-
-/// The control-plane vocabulary (one string per verb; see kDistVerbs).
-[[nodiscard]] const std::vector<std::string>& dist_verbs();
 
 /// Per-rank counters reported via dist_stats, summed for the run summary.
 struct RankStats {
@@ -63,9 +60,7 @@ class Coordinator {
   /// Stop the listener (drains in-flight handlers).
   void stop();
 
-  /// True once every rank sent dist_done with ok. `failed` (optional)
-  /// receives the first failure message.
-  [[nodiscard]] bool all_done() const;
+  /// True once every rank sent dist_done with ok.
   [[nodiscard]] bool all_ok() const;
   [[nodiscard]] std::vector<std::string> failures() const;
 

@@ -48,12 +48,4 @@ inline std::vector<std::pair<std::size_t, std::size_t>> owned_tiles(
   return coords;
 }
 
-/// Stored-tile count per rank (load-balance diagnostics and tests).
-inline std::vector<std::size_t> tile_counts(const ProcessGrid& grid, std::size_t nt) {
-  std::vector<std::size_t> counts(grid.nodes(), 0);
-  for (std::size_t j = 0; j < nt; ++j)
-    for (std::size_t i = j; i < nt; ++i) ++counts[grid.owner(i, j)];
-  return counts;
-}
-
 }  // namespace gsx::dist

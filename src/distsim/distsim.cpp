@@ -31,20 +31,6 @@ std::size_t TileStructure::tile_bytes(std::size_t i, std::size_t j) const {
   return ts_ * ts_ * elem;
 }
 
-TileStructure TileStructure::from_matrix(const tile::SymTileMatrix& a) {
-  TileStructure s(a.nt(), a.tile_size());
-  for (std::size_t j = 0; j < a.nt(); ++j) {
-    for (std::size_t i = j; i < a.nt(); ++i) {
-      const tile::Tile& t = a.at(i, j);
-      TileInfo& info = s.at(i, j);
-      info.lowrank = (t.format() == tile::TileFormat::LowRank);
-      info.rank = info.lowrank ? t.rank() : a.tile_size();
-      info.precision = t.precision();
-    }
-  }
-  return s;
-}
-
 TileStructure TileStructure::synthetic(std::size_t nt, std::size_t tile_size,
                                        std::size_t band, double rank_decay,
                                        std::size_t min_rank, bool mixed_precision) {

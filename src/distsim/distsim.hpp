@@ -16,9 +16,9 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/precision.hpp"
 #include "dist/placement.hpp"
 #include "perfmodel/kernel_model.hpp"
-#include "tile/sym_tile_matrix.hpp"
 
 namespace gsx::distsim {
 
@@ -69,10 +69,6 @@ struct TileInfo {
 class TileStructure {
  public:
   TileStructure(std::size_t nt, std::size_t tile_size);
-
-  /// Capture the structure of a real decided matrix (after the policy /
-  /// compression passes) — small problems.
-  static TileStructure from_matrix(const tile::SymTileMatrix& a);
 
   /// Synthesize the structure of a large problem from a rank profile:
   /// rank(sub-diagonal d) = max(min_rank, full * exp(-decay * d)), tiles

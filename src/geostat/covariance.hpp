@@ -47,7 +47,7 @@ namespace gsx::geostat {
 /// Each pass is one template over the lane count whose one-lane instance
 /// is operator() (and mathx::euclidean2d for the distance), so fill()
 /// equals the per-entry models bit for bit at every width, and every
-/// Matérn-based model (nugget, anisotropic, Gneiting, bivariate) shares
+/// Matérn-based model (nugget, anisotropic, Gneiting) shares
 /// operator()'s bits. K itself keeps its bits: Temme's series and the fit
 /// are mathx::bessel_k_scaled(fit, x)'s. The closed forms cap x at 750,
 /// where e^{-x} is already 0, so a huge distance gives 0 rather than

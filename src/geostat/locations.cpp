@@ -7,17 +7,6 @@
 
 namespace gsx::geostat {
 
-std::vector<Location> uniform_random_locations(std::size_t n, double lx, double ly,
-                                               Rng& rng) {
-  GSX_REQUIRE(n > 0 && lx > 0 && ly > 0, "uniform_random_locations: bad arguments");
-  std::vector<Location> locs(n);
-  for (auto& l : locs) {
-    l.x = rng.uniform(0.0, lx);
-    l.y = rng.uniform(0.0, ly);
-  }
-  return locs;
-}
-
 std::vector<Location> perturbed_grid_locations(std::size_t n, Rng& rng) {
   GSX_REQUIRE(n > 0, "perturbed_grid_locations: n must be positive");
   const auto side = static_cast<std::size_t>(std::ceil(std::sqrt(static_cast<double>(n))));

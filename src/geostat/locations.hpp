@@ -16,10 +16,6 @@ struct Location {
   double t = 0.0;
 };
 
-/// n locations uniformly random in [0, lx] x [0, ly].
-std::vector<Location> uniform_random_locations(std::size_t n, double lx, double ly,
-                                               Rng& rng);
-
 /// n locations on a jittered sqrt(n) x sqrt(n) grid in the unit square
 /// (the irregular-but-space-filling layout ExaGeoStat uses for synthetic
 /// datasets; jitter keeps the covariance matrix non-singular).

@@ -1,14 +1,11 @@
 // Kriging prediction at unobserved locations, Eqs. (4)-(5):
 //   Z_m = Sigma_mn Sigma_nn^{-1} Z_n,
 //   U_m = diag[Sigma_mm - Sigma_mn Sigma_nn^{-1} Sigma_nm].
+// cholesky::tile_krige and tile_krige_solved compute them through the tile
+// factor.
 #pragma once
 
-#include <span>
 #include <vector>
-
-#include "geostat/covariance.hpp"
-#include "geostat/locations.hpp"
-#include "la/matrix.hpp"
 
 namespace gsx::geostat {
 
@@ -16,25 +13,5 @@ struct KrigingResult {
   std::vector<double> mean;      ///< predicted Z_m
   std::vector<double> variance;  ///< prediction uncertainty U_m (if requested)
 };
-
-/// Dense kriging reference: assemble Sigma_nn, factor it with LAPACK, predict
-/// all test locations. Throws NumericalError if Sigma_nn is not positive
-/// definite. This is the TEST ORACLE for the tile-native prediction path
-/// (cholesky::tile_krige / tile_krige_solved), which production code — both
-/// GsxModel::predict and the serving engine — uses instead; it re-does the
-/// O(n^3) factorization on every call and materializes the full dense matrix.
-KrigingResult krige(const CovarianceModel& model, std::span<const Location> train_locs,
-                    std::span<const double> z_train, std::span<const Location> test_locs,
-                    bool with_variance = true);
-
-/// Kriging from a precomputed dense lower Cholesky factor of Sigma_nn.
-/// Test oracle only (see krige above): the tile variants predict through the
-/// tile factor directly and never reconstruct a dense L.
-KrigingResult krige_with_cholesky(const CovarianceModel& model,
-                                  const la::Matrix<double>& chol,
-                                  std::span<const Location> train_locs,
-                                  std::span<const double> z_train,
-                                  std::span<const Location> test_locs,
-                                  bool with_variance = true);
 
 }  // namespace gsx::geostat

@@ -48,14 +48,10 @@ void convert(Span2D<const float> src, Span2D<double> dst) { convert_impl(src, ds
 void convert(Span2D<const float> src, Span2D<half> dst) { convert_impl(src, dst); }
 void convert(Span2D<const half> src, Span2D<double> dst) { convert_impl(src, dst); }
 void convert(Span2D<const half> src, Span2D<float> dst) { convert_impl(src, dst); }
-void convert(Span2D<const double> src, Span2D<double> dst) { convert_impl(src, dst); }
-void convert(Span2D<const float> src, Span2D<float> dst) { convert_impl(src, dst); }
-void convert(Span2D<const half> src, Span2D<half> dst) { convert_impl(src, dst); }
 void convert(Span2D<const double> src, Span2D<bfloat16> dst) { convert_impl(src, dst); }
 void convert(Span2D<const float> src, Span2D<bfloat16> dst) { convert_impl(src, dst); }
 void convert(Span2D<const bfloat16> src, Span2D<double> dst) { convert_impl(src, dst); }
 void convert(Span2D<const bfloat16> src, Span2D<float> dst) { convert_impl(src, dst); }
-void convert(Span2D<const bfloat16> src, Span2D<bfloat16> dst) { convert_impl(src, dst); }
 void convert(Span2D<const half> src, Span2D<bfloat16> dst) { convert_impl(src, dst); }
 void convert(Span2D<const bfloat16> src, Span2D<half> dst) { convert_impl(src, dst); }
 

@@ -19,14 +19,10 @@ void convert(Span2D<const float> src, Span2D<double> dst);
 void convert(Span2D<const float> src, Span2D<half> dst);
 void convert(Span2D<const half> src, Span2D<double> dst);
 void convert(Span2D<const half> src, Span2D<float> dst);
-void convert(Span2D<const double> src, Span2D<double> dst);
-void convert(Span2D<const float> src, Span2D<float> dst);
-void convert(Span2D<const half> src, Span2D<half> dst);
 void convert(Span2D<const double> src, Span2D<bfloat16> dst);
 void convert(Span2D<const float> src, Span2D<bfloat16> dst);
 void convert(Span2D<const bfloat16> src, Span2D<double> dst);
 void convert(Span2D<const bfloat16> src, Span2D<float> dst);
-void convert(Span2D<const bfloat16> src, Span2D<bfloat16> dst);
 void convert(Span2D<const half> src, Span2D<bfloat16> dst);
 void convert(Span2D<const bfloat16> src, Span2D<half> dst);
 

@@ -12,7 +12,6 @@ namespace gsx::mathx {
 namespace {
 
 constexpr double kEps = 1.0e-16;
-constexpr double kFpMin = std::numeric_limits<double>::min() / kEps;
 constexpr int kMaxIter = 10000;
 constexpr double kXMin = 2.0;  // series/continued-fraction switch point
 constexpr long double kPiL = 3.141592653589793238462643383279502884L;
@@ -190,10 +189,6 @@ double bessel_k_scaled(double nu, double x) {
   return k_only(BesselKOrder(nu), x, /*scaled=*/true);
 }
 
-double bessel_k_scaled(const BesselKOrder& order, double x) {
-  return k_only(order, x, /*scaled=*/true);
-}
-
 BesselKFit::BesselKFit(double nu) : order(nu) {
   // Interpolate g0 and g1 at the Chebyshev nodes u_k = cos(pi (k + 1/2) / n),
   // i.e. x_k = 4 / (u_k + 1) in (2, 1870), with CF2 in long double.
@@ -227,50 +222,6 @@ double bessel_k_scaled(const BesselKFit& fit, double x) {
   double k[1];
   fit_k_scaled<1, 1>(fit, xs, k);
   return k[0];
-}
-
-double bessel_i(double nu, double x) {
-  GSX_REQUIRE(nu >= 0.0, "bessel_i: order must be non-negative");
-  require_argument(x);
-  const BesselKOrder o(nu);
-  const double xi = 1.0 / x;
-  const double xi2 = 2.0 * xi;
-
-  // CF1 for I'_nu/I_nu.
-  double h = nu * xi;
-  if (h < kFpMin) h = kFpMin;
-  double b = xi2 * nu;
-  double d = 0.0;
-  double c = h;
-  int iter = 0;
-  for (; iter < kMaxIter; ++iter) {
-    b += xi2;
-    d = 1.0 / (b + d);
-    c = b + 1.0 / c;
-    const double del = c * d;
-    h = del * h;
-    if (std::fabs(del - 1.0) < kEps) break;
-  }
-  GSX_REQUIRE(iter < kMaxIter, "bessel: CF1 failed to converge (x too large for order?)");
-
-  // Downward recurrence of an unnormalised I from order nu to xmu.
-  double ril = kFpMin;
-  double ripl = h * ril;
-  const double ril1 = ril;
-  double fact = nu * xi;
-  for (int l = o.nl; l >= 1; --l) {
-    const double ritemp = fact * ril + ripl;
-    fact -= xi;
-    ripl = fact * ritemp + ril;
-    ril = ritemp;
-  }
-  const double f = ripl / ril;  // I'_xmu/I_xmu
-
-  // I_xmu from the Wronskian with the reduced-order K pair, rescaled to nu.
-  const KPair k = k_reduced(o, x, /*scaled=*/false);
-  const double rkmup = o.xmu * xi * k.kmu - k.k1;
-  const double rimu = xi / (f * k.kmu - rkmup);
-  return (rimu * ril1) / ril;
 }
 
 }  // namespace gsx::mathx

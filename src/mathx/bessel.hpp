@@ -1,22 +1,18 @@
-// Modified Bessel functions K_nu and I_nu for real order nu.
+// Modified Bessel function K_nu for real order nu.
 //
 // The Matérn covariance C(r) = sigma^2 * 2^{1-nu}/Gamma(nu) * (r)^nu * K_nu(r)
 // requires K_nu for arbitrary real smoothness nu, evaluated O(n^2) times
 // during covariance-matrix generation, always at one nu per matrix.
 //
-// The free functions follow the classical Temme/Steed scheme (Numerical
-// Recipes "bessik"), split by what each needs:
-//   - K (bessel_k, bessel_k_scaled): Temme's series for x < 2 or Steed's
-//     second continued fraction (CF2) for x >= 2 gives K_mu and K_{mu+1} at
-//     the reduced order mu = nu - round(nu) in [-1/2, 1/2]; the upward order
-//     recurrence then reaches nu.
-//   - I (bessel_i): additionally runs Steed's first continued fraction (CF1)
-//     for I'_nu/I_nu and a downward recurrence to mu, then recovers I_mu from
-//     the Wronskian with the K pair above.
-// The terms that depend on nu alone (the reduced order, the Gamma-function
-// Chebyshev fits and the reflection factor of Temme's series) live in
-// BesselKOrder. The free functions' bits are fixed: tests compare them with
-// recorded tables.
+// The free functions (bessel_k, bessel_k_scaled) follow the K half of the
+// classical Temme/Steed scheme (Numerical Recipes "bessik"): Temme's series
+// for x < 2 or Steed's second continued fraction (CF2) for x >= 2 gives K_mu
+// and K_{mu+1} at the reduced order mu = nu - round(nu) in [-1/2, 1/2]; the
+// upward order recurrence then reaches nu. They are the oracles the tests
+// hold BesselKFit to. The terms that depend on nu alone (the reduced order,
+// the Gamma-function Chebyshev fits and the reflection factor of Temme's
+// series) live in BesselKOrder. The free functions' bits are fixed: tests
+// compare them with recorded tables.
 //
 // BesselKFit is the many-x path. Each CF2 step depends on the one before and
 // makes three divisions, and CF2 takes 11-80 steps. Since nu is fixed while
@@ -77,10 +73,6 @@ double bessel_k(double nu, double x);
 /// exp(x) * K_nu(x): numerically stable for large x where K_nu underflows.
 double bessel_k_scaled(double nu, double x);
 
-/// exp(x) * K_nu(x) with the order's constants prebuilt; bit-identical to
-/// bessel_k_scaled(nu, x) for order = BesselKOrder(nu).
-double bessel_k_scaled(const BesselKOrder& order, double x);
-
 /// The Chebyshev fit of exp(x) K_nu(x) above x = 2 for one order (see
 /// above). A default-constructed value is a placeholder; build a usable one
 /// with BesselKFit(nu), which runs CF2 in long double at kTerms nodes
@@ -102,10 +94,5 @@ struct BesselKFit {
 /// bits of bessel_k_scaled), the fit for x >= 2. Throws InvalidArgument
 /// unless x is positive and finite.
 double bessel_k_scaled(const BesselKFit& fit, double x);
-
-/// Modified Bessel function of the first kind, I_nu(x), x > 0, nu >= 0.
-/// (Exposed for testing the Wronskian identity
-/// I_nu(x) K_{nu+1}(x) + I_{nu+1}(x) K_nu(x) = 1/x.)
-double bessel_i(double nu, double x);
 
 }  // namespace gsx::mathx

@@ -1,4 +1,4 @@
-// Distance metrics between observation locations.
+// The distance between observation locations.
 #pragma once
 
 namespace gsx::mathx {
@@ -10,10 +10,5 @@ namespace gsx::mathx {
 /// distance 0, means "same location". This is the one-lane instance of
 /// mathx::lane_distance, which the Matérn assembly runs in vector lanes.
 double euclidean2d(double x1, double y1, double x2, double y2);
-
-/// Great-circle distance on the unit sphere between (lon, lat) pairs given
-/// in degrees, via the haversine formula. Multiply by the Earth radius for
-/// kilometres; geostatistical range parameters absorb the scale.
-double haversine_deg(double lon1, double lat1, double lon2, double lat2);
 
 }  // namespace gsx::mathx

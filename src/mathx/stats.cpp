@@ -19,8 +19,6 @@ double quantile(std::span<const double> data, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double median(std::span<const double> data) { return quantile(data, 0.5); }
-
 double mean(std::span<const double> data) {
   GSX_REQUIRE(!data.empty(), "mean: empty data");
   double s = 0.0;
@@ -35,8 +33,6 @@ double variance(std::span<const double> data) {
   for (double v : data) s += (v - m) * (v - m);
   return s / static_cast<double>(data.size() - 1);
 }
-
-double stddev(std::span<const double> data) { return std::sqrt(variance(data)); }
 
 BoxplotSummary boxplot_summary(std::span<const double> data) {
   GSX_REQUIRE(!data.empty(), "boxplot_summary: empty data");
@@ -62,14 +58,6 @@ double mspe(std::span<const double> predicted, std::span<const double> truth) {
     const double d = predicted[i] - truth[i];
     s += d * d;
   }
-  return s / static_cast<double>(truth.size());
-}
-
-double mae(std::span<const double> predicted, std::span<const double> truth) {
-  GSX_REQUIRE(predicted.size() == truth.size() && !truth.empty(),
-              "mae: size mismatch or empty");
-  double s = 0.0;
-  for (std::size_t i = 0; i < truth.size(); ++i) s += std::fabs(predicted[i] - truth[i]);
   return s / static_cast<double>(truth.size());
 }
 

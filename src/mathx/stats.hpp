@@ -21,24 +21,16 @@ struct BoxplotSummary {
 /// Linear-interpolation quantile (type 7, the R default) of unsorted data.
 double quantile(std::span<const double> data, double p);
 
-/// Median of unsorted data.
-double median(std::span<const double> data);
-
 double mean(std::span<const double> data);
 
 /// Unbiased sample variance (n-1 denominator); 0 for n < 2.
 double variance(std::span<const double> data);
-
-double stddev(std::span<const double> data);
 
 /// Five-number summary + mean of unsorted data.
 BoxplotSummary boxplot_summary(std::span<const double> data);
 
 /// Mean squared prediction error between predictions and truth.
 double mspe(std::span<const double> predicted, std::span<const double> truth);
-
-/// Mean absolute error.
-double mae(std::span<const double> predicted, std::span<const double> truth);
 
 /// Ordinary least squares fit y ~ 1 + X (X column-major n x p).
 /// Returns p+1 coefficients (intercept first). Used by the detrending

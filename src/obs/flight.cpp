@@ -185,8 +185,6 @@ std::uint64_t set_current_trace(std::uint64_t trace) noexcept {
   return prev;
 }
 
-std::uint64_t current_trace() noexcept { return t_current_trace; }
-
 std::uint64_t mint_span_id() noexcept {
   static std::atomic<std::uint64_t> next{1};
   const std::uint64_t n = next.fetch_add(1, std::memory_order_relaxed);
@@ -320,16 +318,6 @@ void FlightRecorder::install_fatal_handlers(int fd) noexcept {
   ::sigaction(SIGBUS, &sa, nullptr);
   ::sigaction(SIGABRT, &sa, nullptr);
   ::sigaction(SIGFPE, &sa, nullptr);
-}
-
-std::uint64_t FlightRecorder::total_recorded() const noexcept {
-  std::uint64_t total = 0;
-  const std::size_t count = g_ring_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < count; ++i) {
-    const EventRing* r = g_rings[i].load(std::memory_order_acquire);
-    if (r != nullptr) total += r->recorded();
-  }
-  return total;
 }
 
 }  // namespace gsx::obs

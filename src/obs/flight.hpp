@@ -38,9 +38,6 @@ void flight_record(EventKind kind, std::uint64_t request, std::uint64_t a,
 /// previous value so scopes can nest.
 std::uint64_t set_current_trace(std::uint64_t trace) noexcept;
 
-/// The calling thread's ambient trace id (0 = untraced).
-[[nodiscard]] std::uint64_t current_trace() noexcept;
-
 /// RAII trace scope: events recorded by this thread inside the scope carry
 /// `trace`; the previous ambient id is restored on exit.
 class FlightTraceScope {
@@ -106,9 +103,6 @@ class FlightRecorder {
   /// recorder to `fd` (typically an opened crash file or stderr) and then
   /// re-raise with the default disposition. Idempotent.
   void install_fatal_handlers(int fd) noexcept;
-
-  /// Total events recorded process-wide (monotonic, includes overwritten).
-  [[nodiscard]] std::uint64_t total_recorded() const noexcept;
 
   // Internal: called by flight_record on a thread's first event.
   EventRing* acquire_ring(std::uint16_t* index_out) noexcept;

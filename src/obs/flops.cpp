@@ -104,12 +104,6 @@ std::uint64_t FlopSnapshot::flops_at(Precision p) const noexcept {
   return t;
 }
 
-double FlopSnapshot::seconds_at(Precision p) const noexcept {
-  double t = 0.0;
-  for (double v : seconds[static_cast<std::size_t>(p)]) t += v;
-  return t;
-}
-
 double FlopSnapshot::gflops_at(Precision p) const noexcept {
   const auto pi = static_cast<std::size_t>(p);
   double secs = 0.0;

@@ -74,8 +74,6 @@ struct FlopSnapshot {
   [[nodiscard]] std::uint64_t total_conversions() const noexcept;
   [[nodiscard]] std::uint64_t total_converted_elems() const noexcept;
 
-  /// Seconds with timing coverage at precision `p` (sum over timed cells).
-  [[nodiscard]] double seconds_at(Precision p) const noexcept;
   /// Achieved GFLOP/s at precision `p`, computed only over cells that have
   /// recorded seconds (so untimed kernels don't inflate the rate). Returns
   /// 0 when nothing at `p` was timed.

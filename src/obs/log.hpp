@@ -2,24 +2,17 @@
 //
 // Like the metrics registry, logging is opt-in and its disabled cost in a
 // hot path is a single predictable branch: log_enabled() is one relaxed
-// atomic load against the lowest level any sink currently wants. The level
-// defaults to Off, so a library user who never touches the logger pays
-// nothing and sees nothing.
+// atomic load of the global level. The level defaults to Off, so a library
+// user who never touches the logger pays nothing and sees nothing.
 //
-// A passing message is rendered to two sinks: a human-readable text stream
-// (default stderr) and, when opened, a JSONL file (one JSON object per
-// line, machine-parseable by the same tooling that reads the profile
-// reports). Messages carry structured fields — typed key/value pairs that
-// render as `key=value` in text and as JSON members in the JSONL sink.
-//
-// Per-module levels let one subsystem (say "cholesky") log at Debug while
-// the rest stays at Warn. Rate limiting caps the per-(module, level)
-// message rate so a pathological MLE run cannot flood a sink; suppressed
-// messages are counted, never silently lost.
+// A passing message is rendered to two sinks: human-readable text on
+// stderr and, when opened, a JSONL file (one JSON object per line,
+// machine-parseable by the same tooling that reads the profile reports).
+// Messages carry structured fields — typed key/value pairs that render as
+// `key=value` in text and as JSON members in the JSONL sink.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <initializer_list>
 #include <optional>
 #include <string>
@@ -52,17 +45,11 @@ enum class LogLevel : unsigned char {
 [[nodiscard]] std::optional<LogLevel> parse_log_level(std::string_view name) noexcept;
 
 /// Fast admission check: one relaxed atomic load and a compare. True when
-/// *some* module would accept a message at `level` (the per-module decision
-/// happens on the slow path inside log()).
+/// a message at `level` passes the global threshold.
 [[nodiscard]] bool log_enabled(LogLevel level) noexcept;
 
 /// Global threshold: messages below `level` are dropped (default Off).
 void set_log_level(LogLevel level) noexcept;
-
-/// Override the threshold for one module name (exact match against the
-/// `module` argument of log()). Overrides may raise or lower the global
-/// threshold for that module.
-void set_module_log_level(const std::string& module, LogLevel level);
 
 /// One structured field. Build with the lf() helpers; numbers render
 /// unquoted in the JSONL sink.
@@ -77,12 +64,11 @@ struct LogField {
 [[nodiscard]] LogField lf(std::string key, double value);
 [[nodiscard]] LogField lf(std::string key, std::uint64_t value);
 [[nodiscard]] LogField lf(std::string key, std::int64_t value);
-[[nodiscard]] LogField lf(std::string key, int value);
 [[nodiscard]] LogField lf(std::string key, bool value);
 
 /// Emit one message. Callers building expensive fields should guard with
-/// log_enabled(level) first; log() re-checks admission (module override,
-/// rate limit) before touching a sink. Thread-safe.
+/// log_enabled(level) first; log() re-checks it before touching a sink.
+/// Thread-safe.
 void log(LogLevel level, const char* module, std::string_view message,
          std::initializer_list<LogField> fields = {});
 
@@ -104,23 +90,9 @@ inline void log_error(const char* module, std::string_view msg,
   if (log_enabled(LogLevel::Error)) log(LogLevel::Error, module, msg, fields);
 }
 
-/// Text sink (default stderr). nullptr silences the text sink; the stream
-/// is borrowed, never closed.
-void set_log_text_stream(std::FILE* stream) noexcept;
-
 /// Open (truncate) a JSONL sink at `path`. Throws InvalidArgument when the
 /// file cannot be created. Closes any previously open JSONL sink.
 void open_log_json(const std::string& path);
 void close_log_json();
-
-/// Cap messages per (module, level) key per second; 0 = unlimited
-/// (default 0). Suppressed messages increment log_suppressed_count().
-void set_log_rate_limit(std::uint64_t max_per_second) noexcept;
-[[nodiscard]] std::uint64_t log_suppressed_count() noexcept;
-
-/// Restore defaults: level Off, no module overrides, text sink stderr,
-/// JSONL closed, rate limit off, suppressed count zero. For tests and CLI
-/// teardown.
-void reset_log();
 
 }  // namespace gsx::obs

@@ -60,10 +60,6 @@ std::uint64_t Histogram::count() const noexcept {
 double Histogram::sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
 double Histogram::min() const noexcept { return min_.load(std::memory_order_relaxed); }
 double Histogram::max() const noexcept { return max_.load(std::memory_order_relaxed); }
-double Histogram::mean() const noexcept {
-  const std::uint64_t c = count();
-  return c > 0 ? sum() / static_cast<double>(c) : 0.0;
-}
 
 double Histogram::percentile(double p) const noexcept {
   const std::uint64_t total = count();

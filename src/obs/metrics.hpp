@@ -65,7 +65,6 @@ class Histogram {
   [[nodiscard]] double sum() const noexcept;
   [[nodiscard]] double min() const noexcept;
   [[nodiscard]] double max() const noexcept;
-  [[nodiscard]] double mean() const noexcept;
   /// p in [0, 1]; returns 0 for an empty histogram.
   [[nodiscard]] double percentile(double p) const noexcept;
 

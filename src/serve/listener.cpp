@@ -282,21 +282,6 @@ bool WireClient::dial_tcp(const std::string& host, std::uint16_t port) {
   return true;
 }
 
-bool WireClient::dial_unix(const std::string& path) {
-  close();
-  if (path.empty() || path.size() >= sizeof(sockaddr_un{}.sun_path)) return false;
-  fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd_ < 0) return false;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close();
-    return false;
-  }
-  return true;
-}
-
 void WireClient::close() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;

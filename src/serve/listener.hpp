@@ -105,10 +105,9 @@ class WireClient {
   WireClient(const WireClient&) = delete;
   WireClient& operator=(const WireClient&) = delete;
 
-  /// Connect to 127.0.0.1:port (host is kept for error text only) or to a
-  /// Unix-domain socket path. Returns false on failure (errno preserved).
+  /// Connect to 127.0.0.1:port (host is kept for error text only).
+  /// Returns false on failure (errno preserved).
   bool dial_tcp(const std::string& host, std::uint16_t port);
-  bool dial_unix(const std::string& path);
 
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
   void close();

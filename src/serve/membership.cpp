@@ -172,22 +172,6 @@ bool Membership::mark_dead(const std::string& name) {
   return true;
 }
 
-bool Membership::erase(const std::string& name) {
-  std::lock_guard lk(mu_);
-  const auto it = std::lower_bound(names_.begin(), names_.end(), name);
-  if (it == names_.end() || *it != name) return false;
-  const std::size_t idx = static_cast<std::size_t>(it - names_.begin());
-  const bool was_routable = entries_[idx].state == ReplicaState::Alive;
-  names_.erase(it);
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(idx));
-  rebuild_ring_locked();
-  if (was_routable) {
-    rehash_events_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("router.rehash_events").add();
-  }
-  return true;
-}
-
 std::size_t Membership::expire_stale(Clock::time_point now) {
   std::lock_guard lk(mu_);
   std::size_t demoted = 0;

@@ -78,10 +78,6 @@ class Membership {
   /// stale window must re-announce itself.
   bool heartbeat(const std::string& name, double queue_depth,
                  double inflight = 0.0, Clock::time_point now = Clock::now());
-  bool heartbeat(const std::string& name, double queue_depth,
-                 Clock::time_point now) {
-    return heartbeat(name, queue_depth, 0.0, now);
-  }
 
   /// Mark Draining: keeps the replica in the table, removes it from the
   /// ring's routable set. Returns false for an unknown name.
@@ -90,8 +86,6 @@ class Membership {
   /// Mark Dead (failed forward, kill detection). Returns false when unknown
   /// or already Dead.
   bool mark_dead(const std::string& name);
-
-  bool erase(const std::string& name);
 
   /// Demote Alive replicas whose heartbeat age exceeds stale_after to Dead.
   /// Returns how many were demoted (each is one rehash event).

@@ -156,12 +156,4 @@ RegistryStats ModelRegistry::stats() const {
   return s;
 }
 
-std::vector<std::string> ModelRegistry::names() const {
-  std::shared_lock lk(mu_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
-}
-
 }  // namespace gsx::serve

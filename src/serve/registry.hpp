@@ -78,7 +78,6 @@ class ModelRegistry {
   bool unload(const std::string& name);
 
   [[nodiscard]] RegistryStats stats() const;
-  [[nodiscard]] std::vector<std::string> names() const;
 
  private:
   struct Entry {

@@ -2,7 +2,8 @@
 // across a fleet of gsx_serve replicas.
 //
 // The router speaks the same newline-delimited JSON wire as the replicas
-// (the authoritative verb table is router_verbs() in serve/wire.cpp):
+// (the verbs are the op chain of Router::handle_request, which
+// tools/check_docs.sh reads):
 //
 //   replica-facing (the Announcer sends these):
 //     {"op":"register","replica":"r0","host":"127.0.0.1","port":9101}

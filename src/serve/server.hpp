@@ -3,7 +3,7 @@
 //
 // The wire protocol is newline-delimited JSON — one request object per line,
 // one response object per line, over a Unix-domain or TCP socket. Verbs
-// (the authoritative table is server_verbs() in serve/wire.cpp):
+// (the op chain of Server::handle_request, which tools/check_docs.sh reads):
 //
 //   {"op":"load","name":"era5","path":"/models/era5.ckpt"}
 //   {"op":"load","name":"era5"}                  // resolve from --store

@@ -373,23 +373,4 @@ std::uint64_t parse_trace_id(const std::string& s) noexcept {
   return id;
 }
 
-// Verb tables. tools/check_docs.sh greps the initializer lists below, so
-// keep one string literal per verb (no computed entries).
-const std::vector<std::string>& server_verbs() {
-  static const std::vector<std::string> kServerVerbs = {
-      "load", "unload", "predict", "stats", "health", "metrics", "drain",
-      "flight",
-  };
-  return kServerVerbs;
-}
-
-const std::vector<std::string>& router_verbs() {
-  static const std::vector<std::string> kRouterVerbs = {
-      "register", "heartbeat", "drain",   "load",          "unload",
-      "predict",  "stats",     "health",  "metrics",       "fleet_metrics",
-      "flight_collect",
-  };
-  return kRouterVerbs;
-}
-
 }  // namespace gsx::serve

@@ -94,11 +94,4 @@ std::string wire_error(const std::string& why);
 /// id; 0 when unrecognized.
 [[nodiscard]] std::uint64_t parse_trace_id(const std::string& s) noexcept;
 
-/// The complete wire vocabulary, one table per daemon. The dispatchers in
-/// server.cpp / router.cpp validate against these, and tools/check_docs.sh
-/// extracts them to enforce that every verb is documented — add a verb here
-/// and the docs check fails until docs/serving.md / docs/fleet.md cover it.
-[[nodiscard]] const std::vector<std::string>& server_verbs();
-[[nodiscard]] const std::vector<std::string>& router_verbs();
-
 }  // namespace gsx::serve

@@ -170,7 +170,7 @@ TEST(CholeskyBf16, FactorizationThroughBf16Tiles) {
   cholesky::FactorOptions opts;
   ASSERT_EQ(tile_cholesky_dense(a, opts).info, 0);
   // BF16 roundoff is ~4e-3: the factor differs at that level, not more.
-  EXPECT_LT(rel_frobenius_diff(cholesky::reconstruct_lower(a), ref), 5e-2);
+  EXPECT_LT(rel_frobenius_diff(test::reconstruct_lower(a), ref), 5e-2);
   // Storage stays BF16 through the factorization.
   EXPECT_EQ(a.at(a.nt() - 1, 0).precision(), Precision::BF16);
 }

@@ -29,6 +29,14 @@ struct GemmCase {
   double alpha, beta;
 };
 
+const char* trans_name(Trans t) { return t == Trans::NoTrans ? "NoTrans" : "Trans"; }
+
+// Names the test case; gtest's default print dumps bytes, padding included.
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << "m=" << c.m << " n=" << c.n << " k=" << c.k << ' ' << trans_name(c.ta) << ' '
+      << trans_name(c.tb) << " alpha=" << c.alpha << " beta=" << c.beta;
+}
+
 class GemmTest : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmTest, MatchesNaiveOracle) {
@@ -116,6 +124,11 @@ struct SyrkCase {
   double alpha, beta;
 };
 
+void PrintTo(const SyrkCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " k=" << c.k << ' ' << (c.uplo == Uplo::Lower ? "Lower" : "Upper")
+      << ' ' << trans_name(c.trans) << " alpha=" << c.alpha << " beta=" << c.beta;
+}
+
 class SyrkTest : public ::testing::TestWithParam<SyrkCase> {};
 
 TEST_P(SyrkTest, MatchesGemmOnTriangle) {
@@ -170,6 +183,12 @@ struct TrsmCase {
   Solve solve;
   std::size_t pad = 0;  ///< NaN rows/columns around L and B
 };
+
+void PrintTo(const TrsmCase& c, std::ostream* os) {
+  *os << "m=" << c.m << " n=" << c.n << ' '
+      << (c.solve == Solve::Left ? "Left" : c.solve == Solve::LeftTrans ? "LeftTrans" : "RightTrans")
+      << " pad=" << c.pad;
+}
 
 class TrsmTest : public ::testing::TestWithParam<TrsmCase> {};
 

@@ -15,6 +15,7 @@
 namespace gsx::cholesky {
 namespace {
 
+using gsx::test::reconstruct_lower;
 using gsx::test::rel_frobenius_diff;
 
 /// SPD covariance-like test matrix with exponential decay.

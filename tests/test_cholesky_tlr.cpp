@@ -15,6 +15,7 @@
 namespace gsx::cholesky {
 namespace {
 
+using gsx::test::reconstruct_lower;
 using gsx::test::rel_frobenius_diff;
 
 /// Matérn covariance tiles over Morton-sorted 2-D locations: the real

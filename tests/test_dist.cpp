@@ -90,6 +90,14 @@ TEST(Placement, PartitionCoversTriangleOnce) {
     for (std::size_t i = j; i < nt; ++i) EXPECT_EQ(seen[i * nt + j], 1);
 }
 
+/// Stored-tile count per rank.
+std::vector<std::size_t> tile_counts(const ProcessGrid& grid, std::size_t nt) {
+  std::vector<std::size_t> counts(grid.nodes(), 0);
+  for (std::size_t j = 0; j < nt; ++j)
+    for (std::size_t i = j; i < nt; ++i) ++counts[grid.owner(i, j)];
+  return counts;
+}
+
 TEST(Placement, BlockCyclicBalance) {
   // 2D block-cyclic keeps stored-tile counts within a small spread.
   const ProcessGrid g = ProcessGrid::near_square(4);

@@ -3,10 +3,7 @@
 
 #include <cmath>
 
-#include "cholesky/factorize.hpp"
 #include "distsim/distsim.hpp"
-#include "geostat/assemble.hpp"
-#include "geostat/covariance.hpp"
 
 namespace gsx::distsim {
 namespace {
@@ -61,29 +58,6 @@ TEST(TileStructureTest, SyntheticRankProfile) {
   EXPECT_EQ(s.at(0, 0).precision, Precision::FP64);
   EXPECT_EQ(s.at(1, 0).precision, Precision::FP32);
   EXPECT_EQ(s.at(8, 0).precision, Precision::FP32);
-}
-
-TEST(TileStructureTest, FromMatrixCapturesDecisions) {
-  Rng rng(3);
-  auto locs = geostat::perturbed_grid_locations(192, rng);
-  geostat::sort_morton(locs);
-  const geostat::MaternCovariance model(1.0, 0.05, 0.5, 1e-6);
-  tile::SymTileMatrix a(192, 64);
-  geostat::fill_covariance_tiles(a, model, locs, 1);
-  cholesky::TlrCompressOptions copt;
-  copt.band_size = 1;
-  copt.lr_fp32 = false;
-  cholesky::compress_offband(a, copt, 1);
-
-  const auto s = TileStructure::from_matrix(a);
-  EXPECT_EQ(s.nt(), a.nt());
-  for (std::size_t j = 0; j < a.nt(); ++j)
-    for (std::size_t i = j; i < a.nt(); ++i) {
-      EXPECT_EQ(s.at(i, j).lowrank, a.at(i, j).format() == tile::TileFormat::LowRank);
-      if (s.at(i, j).lowrank) {
-        EXPECT_EQ(s.at(i, j).rank, a.at(i, j).rank());
-      }
-    }
 }
 
 TEST(TileStructureTest, TileBytes) {

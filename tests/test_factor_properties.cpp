@@ -33,6 +33,9 @@ std::string sweep_name(const ::testing::TestParamInfo<Sweep>& info) {
          std::to_string(static_cast<int>(s.range * 100)) + "_" + v;
 }
 
+// Names the test case; gtest's default print dumps bytes, padding included.
+void PrintTo(const Sweep& s, std::ostream* os) { *os << sweep_name({s, 0}); }
+
 class FactorSweep : public ::testing::TestWithParam<Sweep> {};
 
 TEST_P(FactorSweep, LoglikConsistentWithDenseReference) {
@@ -103,7 +106,7 @@ TEST_P(BandWidthSweep, WiderBandNeverLessAccurate) {
   cholesky::compress_offband(a, copt, 1);
   cholesky::FactorOptions fopt;
   ASSERT_EQ(cholesky::tile_cholesky_tlr(a, 1e-8, fopt).info, 0);
-  const double err = rel_frobenius_diff(cholesky::reconstruct_lower(a), ref);
+  const double err = rel_frobenius_diff(test::reconstruct_lower(a), ref);
   EXPECT_LT(err, 1e-5) << "band " << band;
 }
 
@@ -131,7 +134,7 @@ TEST_P(WorkerSweep, TlrFactorizationDeterministicAcrossWorkerCounts) {
     cholesky::FactorOptions fopt;
     fopt.workers = w;
     EXPECT_EQ(cholesky::tile_cholesky_tlr(a, 1e-8, fopt).info, 0);
-    return cholesky::reconstruct_lower(a);
+    return test::reconstruct_lower(a);
   };
   const auto base = run(1);
   const auto par = run(workers);

@@ -9,19 +9,6 @@
 namespace gsx::geostat {
 namespace {
 
-TEST(UniformRandom, BoundsAndCount) {
-  Rng rng(1);
-  const auto locs = uniform_random_locations(500, 2.0, 3.0, rng);
-  ASSERT_EQ(locs.size(), 500u);
-  for (const auto& l : locs) {
-    EXPECT_GE(l.x, 0.0);
-    EXPECT_LT(l.x, 2.0);
-    EXPECT_GE(l.y, 0.0);
-    EXPECT_LT(l.y, 3.0);
-    EXPECT_EQ(l.t, 0.0);
-  }
-}
-
 TEST(PerturbedGrid, ExactCountAndCoverage) {
   Rng rng(2);
   for (std::size_t n : {16u, 100u, 123u, 1000u}) {

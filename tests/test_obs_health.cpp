@@ -29,20 +29,21 @@
 namespace gsx {
 namespace {
 
-/// Each test runs with a clean, armed health ledger and a silenced text log
-/// sink, and restores the process-wide defaults on exit.
+/// Each test runs with a clean, armed health ledger and the logger off, and
+/// restores the process-wide defaults on exit.
 class ObsHealth : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::reset_health();
-    obs::reset_log();
-    obs::set_log_text_stream(nullptr);
+    obs::set_log_level(obs::LogLevel::Off);
+    obs::close_log_json();
     obs::set_health_enabled(true);
   }
   void TearDown() override {
     obs::set_health_enabled(false);
     obs::reset_health();
-    obs::reset_log();
+    obs::set_log_level(obs::LogLevel::Off);
+    obs::close_log_json();
   }
 };
 
@@ -431,30 +432,6 @@ TEST_F(ObsHealth, JsonlSinkEmitsStructuredFields) {
   EXPECT_NE(text.find("\"ok\": true"), std::string::npos);
   EXPECT_EQ(text.find("below threshold"), std::string::npos);
   std::remove(path.c_str());
-}
-
-TEST_F(ObsHealth, ModuleOverrideAdmitsSelectively) {
-  const std::string path = ::testing::TempDir() + "gsx_log_module.jsonl";
-  obs::open_log_json(path);
-  obs::set_log_level(obs::LogLevel::Off);
-  obs::set_module_log_level("cholesky", obs::LogLevel::Debug);
-  obs::log(obs::LogLevel::Debug, "cholesky", "admitted");
-  obs::log(obs::LogLevel::Debug, "assemble", "rejected");
-  obs::close_log_json();
-
-  const std::string text = slurp(path);
-  EXPECT_NE(text.find("admitted"), std::string::npos);
-  EXPECT_EQ(text.find("rejected"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST_F(ObsHealth, RateLimitCountsSuppressedMessages) {
-  obs::set_log_level(obs::LogLevel::Info);
-  obs::set_log_rate_limit(2);
-  for (int i = 0; i < 10; ++i) obs::log_info("ratelimited", "burst");
-  // The burst may straddle a one-second window boundary; at least one side
-  // of the split must exceed the cap.
-  EXPECT_GE(obs::log_suppressed_count(), 1u);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 namespace gsx::geostat {
 namespace {
 
+using gsx::test::krige;
+
 TEST(Krige, ExactInterpolationAtTrainingPoints) {
   // With zero nugget, kriging reproduces observed values exactly, with zero
   // predictive variance.

@@ -232,8 +232,8 @@ TEST(TlrCholeskyRrqr, EndToEndAccuracyMatchesQrSvd) {
   o2.rounding = tlr::RoundingMethod::Rrqr;
   ASSERT_EQ(cholesky::tile_cholesky_tlr(a_svd, 1e-9, o1).info, 0);
   ASSERT_EQ(cholesky::tile_cholesky_tlr(a_rrqr, 1e-9, o2).info, 0);
-  const auto l1 = cholesky::reconstruct_lower(a_svd);
-  const auto l2 = cholesky::reconstruct_lower(a_rrqr);
+  const auto l1 = test::reconstruct_lower(a_svd);
+  const auto l2 = test::reconstruct_lower(a_rrqr);
   EXPECT_LT(rel_frobenius_diff(l2, l1), 1e-5);
 }
 

@@ -32,6 +32,7 @@
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
+#include "test_utils.hpp"
 
 namespace gsx::serve {
 namespace {
@@ -176,7 +177,7 @@ TEST(Engine, MatchesDenseKrigingOracle) {
   ASSERT_EQ(out.mean.size(), pts.size());
 
   const auto kernel = geostat::make_kernel("matern", p.theta);
-  const auto oracle = geostat::krige(*kernel, p.locs, p.z, pts, true);
+  const auto oracle = gsx::test::krige(*kernel, p.locs, p.z, pts, true);
   expect_close(out.mean, oracle.mean, 1e-10);
   expect_close(out.variance, oracle.variance, 1e-10);
 }
@@ -200,7 +201,7 @@ TEST(Engine, MicroBatchesQueuedRequestsIntoOnePass) {
     PredictOutcome out = futures[r].get();
     ASSERT_TRUE(out.ok) << out.error;
     EXPECT_EQ(out.batched_with, k);  // all pre-queued requests in one batch
-    const auto oracle = geostat::krige(*kernel, p.locs, p.z, pts[r], true);
+    const auto oracle = gsx::test::krige(*kernel, p.locs, p.z, pts[r], true);
     expect_close(out.mean, oracle.mean, 1e-10);
     if (r % 2 == 0) expect_close(out.variance, oracle.variance, 1e-10);
     else EXPECT_TRUE(out.variance.empty());
@@ -229,7 +230,7 @@ TEST(Engine, ConcurrentSubmittersAllGetCorrectAnswers) {
           ++failures;
           continue;
         }
-        const auto oracle = geostat::krige(*kernel, p.locs, p.z, pts, true);
+        const auto oracle = gsx::test::krige(*kernel, p.locs, p.z, pts, true);
         for (std::size_t i = 0; i < pts.size(); ++i)
           if (std::abs(out.mean[i] - oracle.mean[i]) >
               1e-10 * std::max(1.0, std::abs(oracle.mean[i])))
@@ -696,7 +697,7 @@ TEST(Server, SocketEndToEndLoadPredictStatsDrain) {
         sent[i].x = std::stod(std::to_string(pts[i].x));
         sent[i].y = std::stod(std::to_string(pts[i].y));
       }
-      const auto oracle = geostat::krige(*kernel, p.locs, p.z, sent, true);
+      const auto oracle = gsx::test::krige(*kernel, p.locs, p.z, sent, true);
       const auto& mean = r.find("mean")->as_array();
       const auto& var = r.find("variance")->as_array();
       for (std::size_t i = 0; i < sent.size(); ++i) {

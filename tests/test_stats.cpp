@@ -16,7 +16,6 @@ TEST(Stats, MeanAndVariance) {
   const std::vector<double> x = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(mean(x), 5.0);
   EXPECT_NEAR(variance(x), 32.0 / 7.0, 1e-12);  // unbiased
-  EXPECT_NEAR(stddev(x), std::sqrt(32.0 / 7.0), 1e-12);
 }
 
 TEST(Stats, QuantileType7MatchesR) {
@@ -31,7 +30,7 @@ TEST(Stats, QuantileType7MatchesR) {
 
 TEST(Stats, MedianSingleElement) {
   const std::vector<double> x = {42.0};
-  EXPECT_DOUBLE_EQ(median(x), 42.0);
+  EXPECT_DOUBLE_EQ(quantile(x, 0.5), 42.0);
   EXPECT_DOUBLE_EQ(quantile(x, 0.99), 42.0);
 }
 
@@ -53,7 +52,6 @@ TEST(Stats, MspeAndMae) {
   const std::vector<double> pred = {1.0, 2.0, 3.0};
   const std::vector<double> truth = {1.0, 4.0, 2.0};
   EXPECT_DOUBLE_EQ(mspe(pred, truth), (0.0 + 4.0 + 1.0) / 3.0);
-  EXPECT_DOUBLE_EQ(mae(pred, truth), (0.0 + 2.0 + 1.0) / 3.0);
 }
 
 TEST(Stats, EmptyInputsThrow) {
@@ -107,16 +105,6 @@ TEST(Ols, RejectsDegenerateInputs) {
 TEST(Distance, Euclidean) {
   EXPECT_DOUBLE_EQ(euclidean2d(0, 0, 3, 4), 5.0);
   EXPECT_DOUBLE_EQ(euclidean2d(1, 1, 1, 1), 0.0);
-}
-
-TEST(Distance, HaversineKnownPoints) {
-  // Same point -> 0; antipodal points -> pi.
-  EXPECT_DOUBLE_EQ(haversine_deg(10, 20, 10, 20), 0.0);
-  EXPECT_NEAR(haversine_deg(0, 0, 180, 0), 3.14159265358979, 1e-10);
-  // Quarter circle along the equator.
-  EXPECT_NEAR(haversine_deg(0, 0, 90, 0), 3.14159265358979 / 2, 1e-10);
-  // Symmetric.
-  EXPECT_DOUBLE_EQ(haversine_deg(5, 40, 7, 42), haversine_deg(7, 42, 5, 40));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "la/convert.hpp"
 #include "la/lapack.hpp"
@@ -80,7 +81,11 @@ TEST(Tile, DirectConversionMatchesThroughFp64) {
       t.convert_dense(from);
       dispatch(to, [&]<typename T>() {
         la::Matrix<T> via(7, 5);
-        la::convert(t.to_dense64().cview(), via.view());
+        if constexpr (std::is_same_v<T, double>) {
+          via = t.to_dense64();
+        } else {
+          la::convert(t.to_dense64().cview(), via.view());
+        }
         const la::Matrix<T> direct = t.to_dense<T>();
         Tile converted = t;
         converted.convert_dense(to);

@@ -16,6 +16,7 @@
 namespace gsx::cholesky {
 namespace {
 
+using gsx::test::krige;
 using gsx::test::max_abs_diff;
 using gsx::test::random_matrix;
 
@@ -132,7 +133,7 @@ TEST(TileKrige, MatchesDenseKrigingExactly) {
   FactorOptions opts;
   ASSERT_EQ(tile_cholesky_dense(at, opts).info, 0);
   const auto tile_result = tile_krige(p.model, at, train, ztrain, test, true);
-  const auto dense_result = geostat::krige(p.model, train, ztrain, test, true);
+  const auto dense_result = krige(p.model, train, ztrain, test, true);
 
   ASSERT_EQ(tile_result.mean.size(), dense_result.mean.size());
   for (std::size_t i = 0; i < tile_result.mean.size(); ++i) {
@@ -153,7 +154,7 @@ TEST(TileKrige, TlrFactorPredictsAccurately) {
   sub.locs.assign(train.begin(), train.end());
   const auto a = factor_tlr(sub, 32, 1e-9);
   const auto tlr_result = tile_krige(p.model, a, train, ztrain, test, true);
-  const auto dense_result = geostat::krige(p.model, train, ztrain, test, true);
+  const auto dense_result = krige(p.model, train, ztrain, test, true);
   for (std::size_t i = 0; i < tlr_result.mean.size(); ++i) {
     EXPECT_NEAR(tlr_result.mean[i], dense_result.mean[i], 1e-4);
     EXPECT_NEAR(tlr_result.variance[i], dense_result.variance[i], 1e-4);

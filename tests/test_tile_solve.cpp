@@ -16,6 +16,8 @@
 namespace gsx::cholesky {
 namespace {
 
+using gsx::test::reconstruct_lower;
+
 tile::SymTileMatrix spd_tiles(std::size_t n, std::size_t ts) {
   tile::SymTileMatrix a(n, ts);
   gsx::test::generate(a,

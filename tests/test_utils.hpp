@@ -5,11 +5,18 @@
 #include <cstddef>
 #include <cstdlib>
 #include <functional>
+#include <span>
+#include <string>
 #include <string_view>
+#include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/span2d.hpp"
+#include "geostat/assemble.hpp"
+#include "geostat/prediction.hpp"
 #include "la/blas.hpp"
+#include "la/lapack.hpp"
 #include "la/matrix.hpp"
 #include "tile/sym_tile_matrix.hpp"
 
@@ -136,6 +143,73 @@ double max_abs_diff(const la::Matrix<T>& a, const la::Matrix<T>& b) {
     for (std::size_t i = 0; i < a.rows(); ++i)
       d = std::max(d, std::fabs(static_cast<double>(a(i, j)) - static_cast<double>(b(i, j))));
   return d;
+}
+
+/// Materialize the lower-triangular Cholesky factor as a dense FP64 matrix
+/// (upper triangle zero).
+inline la::Matrix<double> reconstruct_lower(const tile::SymTileMatrix& l) {
+  const std::size_t n = l.n();
+  la::Matrix<double> full(n, n);
+  for (std::size_t j = 0; j < l.nt(); ++j) {
+    for (std::size_t i = j; i < l.nt(); ++i) {
+      const la::Matrix<double> block = l.at(i, j).to_dense64();
+      const std::size_t gi0 = l.tile_offset(i);
+      const std::size_t gj0 = l.tile_offset(j);
+      if (i == j) {
+        // Diagonal tiles carry the factor only in their lower triangle.
+        for (std::size_t jj = 0; jj < block.cols(); ++jj)
+          for (std::size_t ii = jj; ii < block.rows(); ++ii)
+            full(gi0 + ii, gj0 + jj) = block(ii, jj);
+      } else {
+        for (std::size_t jj = 0; jj < block.cols(); ++jj)
+          for (std::size_t ii = 0; ii < block.rows(); ++ii)
+            full(gi0 + ii, gj0 + jj) = block(ii, jj);
+      }
+    }
+  }
+  return full;
+}
+
+/// Dense kriging, Eqs. (4)-(5): assemble Sigma_nn, factor it with LAPACK
+/// and predict every test location through the dense factor. The oracle of
+/// the tile-native path (cholesky::tile_krige / tile_krige_solved). Throws
+/// NumericalError if Sigma_nn is not positive definite.
+inline geostat::KrigingResult krige(const geostat::CovarianceModel& model,
+                                    std::span<const geostat::Location> train_locs,
+                                    std::span<const double> z_train,
+                                    std::span<const geostat::Location> test_locs,
+                                    bool with_variance = true) {
+  const std::size_t n = train_locs.size();
+  const std::size_t m = test_locs.size();
+  GSX_REQUIRE(z_train.size() == n, "krige: training data size mismatch");
+  GSX_REQUIRE(m > 0, "krige: no test locations");
+  la::Matrix<double> chol = geostat::covariance_matrix(model, train_locs);
+  const int info = la::potrf(chol.view());
+  if (info != 0)
+    throw NumericalError("krige: Sigma_nn not positive definite at pivot " +
+                         std::to_string(info));
+
+  // W = L^{-1} Sigma_nm  (n x m), y = L^{-1} Z_n.
+  la::Matrix<double> w = geostat::cross_covariance(model, train_locs, test_locs);
+  la::trsm_left(chol.cview(), w.view());
+  std::vector<double> y(z_train.begin(), z_train.end());
+  la::ref::trsm_left(chol.cview(), Span2D<double>(y.data(), n, 1));
+
+  geostat::KrigingResult out;
+  out.mean.assign(m, 0.0);
+  // Z_m = Sigma_mn Sigma_nn^{-1} Z_n = W^T y.
+  la::gemv<double>(la::Trans::Trans, 1.0, w.cview(), y.data(), 0.0, out.mean.data());
+
+  if (with_variance) {
+    out.variance.assign(m, 0.0);
+    for (std::size_t j = 0; j < m; ++j) {
+      const double smm = model(test_locs[j], test_locs[j]);
+      double wnorm = 0.0;
+      for (std::size_t i = 0; i < n; ++i) wnorm += w(i, j) * w(i, j);
+      out.variance[j] = smm - wnorm;
+    }
+  }
+  return out;
 }
 
 inline double rel_frobenius_diff(const la::Matrix<double>& a, const la::Matrix<double>& b) {

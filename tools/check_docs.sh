@@ -3,12 +3,14 @@
 #   1. every relative markdown link in the top-level docs and docs/ resolves
 #      to an existing file or directory;
 #   2. every module directory under src/ appears in the README module map;
-#   3. every wire verb the server speaks (kServerVerbs in
-#      src/serve/wire.cpp) has an "op" example in docs/serving.md, every
-#      router verb (kRouterVerbs) has one in docs/fleet.md, and every
-#      coordinator verb (kDistVerbs in src/dist/coordinator.cpp) has one
-#      in docs/distributed.md — the verb lists are extracted from the
-#      source, so adding a verb without documenting it fails this check;
+#   3. every wire verb the server speaks (the `op == "..."` chain of
+#      Server::handle_request in src/serve/server.cpp) has an "op" example
+#      in docs/serving.md, every router verb (Router::handle_request in
+#      src/serve/router.cpp) has one in docs/fleet.md, and every
+#      coordinator verb (Coordinator::handle in src/dist/coordinator.cpp)
+#      has one in docs/distributed.md — the verbs are read from the
+#      dispatchers themselves, so a verb added to a dispatcher without
+#      documenting it fails this check;
 #   4. every CLI flag printed by gsx_serve's, gsx_router's, gsx_dist's
 #      and gsx_obs's usage() text is mentioned somewhere in README.md or
 #      docs/;
@@ -70,15 +72,17 @@ for mod in "$root"/src/*/; do
 done
 
 # --- 3. docs cover every wire verb -----------------------------------------
-# Each verb table keeps one string literal per verb so it can be extracted
-# here: take the initializer list of the named table in the named source.
+# A dispatcher compares the request's op with one string literal per verb
+# (`op == "predict"`). Its verbs are those comparisons in its body: from
+# the line that defines it up to the first line that is a lone "}".
 extract_verbs() {
-  # $1 = table name (kServerVerbs / kRouterVerbs / kDistVerbs),
-  # $2 = source path (repo-relative)
-  sed -n "/$1 = {/,/};/p" "$root/$2" | grep -o '"[a-z_]*"' | tr -d '"'
+  # $1 = dispatcher (e.g. Server::handle_request), $2 = source path
+  # (repo-relative)
+  sed -n "/^std::string $1(/,/^}/p" "$root/$2" | grep -o 'op == "[a-z_]*"' \
+    | sed 's/^op == "\(.*\)"$/\1/'
 }
 check_verbs() {
-  # $1 = table name, $2 = source path, $3 = doc path (repo-relative)
+  # $1 = dispatcher, $2 = source path, $3 = doc path (repo-relative)
   doc="$root/$3"
   if [ ! -e "$doc" ]; then
     echo "MISSING DOC: $3"
@@ -87,7 +91,7 @@ check_verbs() {
   fi
   verbs=$(extract_verbs "$1" "$2")
   if [ -z "$verbs" ]; then
-    echo "EXTRACT FAILED: no verbs found for $1 in $2"
+    echo "EXTRACT FAILED: no verbs found in $1 ($2)"
     status=1
     return
   fi
@@ -98,9 +102,9 @@ check_verbs() {
     fi
   done
 }
-check_verbs kServerVerbs src/serve/wire.cpp docs/serving.md
-check_verbs kRouterVerbs src/serve/wire.cpp docs/fleet.md
-check_verbs kDistVerbs src/dist/coordinator.cpp docs/distributed.md
+check_verbs Server::handle_request src/serve/server.cpp docs/serving.md
+check_verbs Router::handle_request src/serve/router.cpp docs/fleet.md
+check_verbs Coordinator::handle src/dist/coordinator.cpp docs/distributed.md
 
 # --- 4. docs cover every daemon CLI flag -----------------------------------
 # Flags are taken from each tool's usage() text (the lines between
