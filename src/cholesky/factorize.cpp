@@ -44,7 +44,7 @@ FactorReport run_cholesky_dag(SymTileMatrix& a, double abs_tol, const FactorOpti
   for (std::size_t k = 0; k < nt; ++k) {
     const int base = 3 * static_cast<int>(nt - k);
     graph.submit(
-        "potrf(" + std::to_string(k) + ")", {{tid(a, k, k), Access::ReadWrite}},
+        "potrf", {{tid(a, k, k), Access::ReadWrite}},
         [&a, &info, k, rule = opts.rule] {
           const int local = potrf_tile(a.at(k, k));
           if (local != 0) {
@@ -65,13 +65,11 @@ FactorReport run_cholesky_dag(SymTileMatrix& a, double abs_tol, const FactorOpti
         base + 2);
 
     for (std::size_t m = k + 1; m < nt; ++m) {
-      graph.submit("trsm(" + std::to_string(m) + "," + std::to_string(k) + ")",
-                   {{tid(a, k, k), Access::Read}, {tid(a, m, k), Access::ReadWrite}},
+      graph.submit("trsm", {{tid(a, k, k), Access::Read}, {tid(a, m, k), Access::ReadWrite}},
                    [&a, m, k] { trsm_tile(a.at(k, k), a.at(m, k)); }, base + 1);
     }
     for (std::size_t m = k + 1; m < nt; ++m) {
-      graph.submit("syrk(" + std::to_string(m) + "," + std::to_string(k) + ")",
-                   {{tid(a, m, k), Access::Read}, {tid(a, m, m), Access::ReadWrite}},
+      graph.submit("syrk", {{tid(a, m, k), Access::Read}, {tid(a, m, m), Access::ReadWrite}},
                    [&a, m, k] { syrk_tile(a.at(m, k), a.at(m, m)); }, base);
     }
     for (std::size_t n = k + 1; n < nt; ++n) {
@@ -87,10 +85,7 @@ FactorReport run_cholesky_dag(SymTileMatrix& a, double abs_tol, const FactorOpti
           deps.push_back({tid(a, m, k), Access::Read});
           deps.push_back({tid(a, m, n), Access::ReadWrite});
         }
-        graph.submit("gemm(" + std::to_string(m0) +
-                         (m1 - m0 > 1 ? ".." + std::to_string(m1 - 1) : std::string{}) +
-                         "," + std::to_string(n) + "," + std::to_string(k) + ")",
-                     deps,
+        graph.submit("gemm", deps,
                      [&a, ms = std::move(ms), n, k, abs_tol, rounding = opts.rounding] {
                        gemm_tile_batch(a, k, n, ms, abs_tol, rounding);
                      },
@@ -102,7 +97,7 @@ FactorReport run_cholesky_dag(SymTileMatrix& a, double abs_tol, const FactorOpti
   FactorReport report;
   Timer t;
   try {
-    const obs::ScopedPhase phase("factorize");
+    const obs::ScopedPhase phase(obs::Phase::Factorize);
     graph.run(opts.workers);
   } catch (const NumericalError& e) {
     // info carries the failing pivot; callers treat info != 0 as soft
@@ -232,7 +227,7 @@ CompressStats compress_offband(SymTileMatrix& a, const TlrCompressOptions& opts,
   GSX_REQUIRE(opts.band_size >= 1, "compress_offband: band must keep the diagonal dense");
   const std::size_t nt = a.nt();
 
-  const obs::ScopedPhase obs_phase("compress");
+  const obs::ScopedPhase obs_phase(obs::Phase::Compress);
   CompressStats stats;
   stats.bytes_before = a.footprint_bytes();
 

@@ -101,7 +101,7 @@ void tile_backward_solve(const SymTileMatrix& l, std::span<double> z) {
 
 geostat::LoglikValue tile_loglik(const SymTileMatrix& l, std::span<const double> z) {
   GSX_REQUIRE(z.size() == l.n(), "tile_loglik: vector size mismatch");
-  const obs::ScopedPhase phase("solve");
+  const obs::ScopedPhase phase(obs::Phase::Solve);
   obs::add_flops(obs::KernelOp::Solve, Precision::FP64, obs::trsm_flops(1, l.n()));
   geostat::LoglikValue out;
   out.logdet = tile_logdet(l);
@@ -253,7 +253,7 @@ geostat::KrigingResult tile_krige_solved(const geostat::CovarianceModel& model,
   });
   const double t_solve0 = obs::now_seconds();
   if (telemetry != nullptr) telemetry->assemble_seconds = t_solve0 - t_assemble0;
-  const obs::ScopedPhase phase("krige");
+  const obs::ScopedPhase phase(obs::Phase::Krige);
   obs::add_flops(obs::KernelOp::Krige, Precision::FP64,
                  obs::trsm_flops(m, n) + obs::gemm_flops(m, 1, n));
   geostat::KrigingResult out;

@@ -49,7 +49,7 @@ void profile_tiles(const SymTileMatrix& a) {
 std::size_t compress_outside_in(SymTileMatrix& a, const cholesky::TlrCompressOptions& copt,
                                 const perfmodel::KernelModel& model, double fluctuation,
                                 std::size_t workers) {
-  const obs::ScopedPhase phase("compress");
+  const obs::ScopedPhase phase(obs::Phase::Compress);
   const double global_norm = copt.lr_fp32 ? a.frobenius_norm(workers) : 0.0;
   const std::size_t nt = a.nt();
   std::vector<tile::Tile> assembled(nt);
@@ -141,7 +141,7 @@ void GsxModel::prepare(std::span<const double> theta, std::span<const Location> 
       break;
   }
   {
-    const obs::ScopedPhase phase("precision_policy");
+    const obs::ScopedPhase phase(obs::Phase::PrecisionPolicy);
     cholesky::apply_precision_policy(out, policy, config_.workers);
   }
   if (breakdown) breakdown->footprint_bytes = out.footprint_bytes();

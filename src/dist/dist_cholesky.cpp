@@ -203,9 +203,8 @@ class RankEngine {
     const std::uint64_t tag = tile_tag(i, j);
     if (recv_task_.find(tag) == recv_task_.end()) {
       staging_[tag];  // default slot, overwritten by the delivery callback
-      recv_task_[tag] = graph_.submit_external(
-          "recv(" + std::to_string(i) + "," + std::to_string(j) + ")",
-          {{staging_datum(i, j), rt::Access::Write}});
+      recv_task_[tag] =
+          graph_.submit_external("recv", {{staging_datum(i, j), rt::Access::Write}});
     }
     return {staging_datum(i, j), rt::Access::Read};
   }
@@ -237,7 +236,7 @@ class RankEngine {
 
   void submit_potrf(std::size_t k, int priority) {
     graph_.submit(
-        "potrf(" + std::to_string(k) + ")", {{owned_datum(k, k), rt::Access::ReadWrite}},
+        "potrf", {{owned_datum(k, k), rt::Access::ReadWrite}},
         [this, k] {
           TileLease d(*store_, k, k);
           const int info = cholesky::potrf_tile(d.get());
@@ -259,8 +258,7 @@ class RankEngine {
 
   void submit_trsm(std::size_t m, std::size_t k, int priority) {
     graph_.submit(
-        "trsm(" + std::to_string(m) + "," + std::to_string(k) + ")",
-        {read_dep(k, k), {owned_datum(m, k), rt::Access::ReadWrite}},
+        "trsm", {read_dep(k, k), {owned_datum(m, k), rt::Access::ReadWrite}},
         [this, m, k] {
           Operand l = read_operand(k, k);
           TileLease b(*store_, m, k);
@@ -278,8 +276,7 @@ class RankEngine {
 
   void submit_syrk(std::size_t m, std::size_t k, int priority) {
     graph_.submit(
-        "syrk(" + std::to_string(m) + "," + std::to_string(k) + ")",
-        {read_dep(m, k), {owned_datum(m, m), rt::Access::ReadWrite}},
+        "syrk", {read_dep(m, k), {owned_datum(m, m), rt::Access::ReadWrite}},
         [this, m, k] {
           Operand p = read_operand(m, k);
           TileLease d(*store_, m, m);
@@ -290,9 +287,7 @@ class RankEngine {
 
   void submit_gemm(std::size_t m, std::size_t n, std::size_t k, int priority) {
     graph_.submit(
-        "gemm(" + std::to_string(m) + "," + std::to_string(n) + "," +
-            std::to_string(k) + ")",
-        {read_dep(m, k), read_dep(n, k), {owned_datum(m, n), rt::Access::ReadWrite}},
+        "gemm", {read_dep(m, k), read_dep(n, k), {owned_datum(m, n), rt::Access::ReadWrite}},
         [this, m, n, k] {
           Operand x = read_operand(m, k);
           Operand y = read_operand(n, k);

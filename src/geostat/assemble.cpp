@@ -49,8 +49,9 @@ la::Matrix<double> cross_covariance(const CovarianceModel& model,
 void fill_covariance_tiles(tile::SymTileMatrix& tiles, const CovarianceModel& model,
                            std::span<const Location> locs, std::size_t num_workers) {
   GSX_REQUIRE(locs.size() == tiles.n(), "fill_covariance_tiles: size mismatch");
-  const obs::ScopedTimer timer("assemble.seconds");
-  const obs::ScopedPhase phase("assemble");
+  // The phase observes into the same "assemble.seconds" histogram as the
+  // dense assemblies' timers above.
+  const obs::ScopedPhase phase(obs::Phase::Assemble);
   tiles.generate(
       [&](std::size_t gi0, std::size_t gj0, Span2D<double> block) {
         model.fill(locs.subspan(gi0, block.rows()), locs.subspan(gj0, block.cols()), block);

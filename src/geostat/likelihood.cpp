@@ -18,7 +18,7 @@ constexpr double kLog2Pi = 1.8378770664093454835606594728112;
 LoglikValue loglik_from_cholesky(const la::Matrix<double>& chol, std::span<const double> z) {
   const std::size_t n = chol.rows();
   GSX_REQUIRE(chol.cols() == n && z.size() == n, "loglik_from_cholesky: size mismatch");
-  const obs::ScopedPhase phase("solve");
+  const obs::ScopedPhase phase(obs::Phase::Solve);
   obs::add_flops(obs::KernelOp::Solve, Precision::FP64, obs::trsm_flops(1, n));
   LoglikValue out;
   out.logdet = 0.0;
@@ -45,7 +45,7 @@ LoglikValue dense_loglik(const CovarianceModel& model, std::span<const Location>
   la::Matrix<double> sigma = covariance_matrix(model, locs);
   obs::add_flops(obs::KernelOp::Potrf, Precision::FP64, obs::potrf_flops(sigma.rows()));
   const int info = [&] {
-    const obs::ScopedPhase phase("factorize");
+    const obs::ScopedPhase phase(obs::Phase::Factorize);
     return la::potrf(sigma.view());
   }();
   if (info != 0) return LoglikValue{};  // non-SPD: ok = false

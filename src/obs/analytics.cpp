@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -44,11 +45,6 @@ struct GraphKey {
     if (process != o.process) return process < o.process;
     return generation < o.generation;
   }
-};
-
-struct Edge {
-  std::uint64_t pred;
-  std::uint64_t succ;
 };
 
 /// Sorted, disjoint busy intervals; `contains` is a binary search.
@@ -92,35 +88,34 @@ struct IntervalSet {
 ExecutionHistory build_history(const std::vector<MergedEvent>& timeline) {
   ExecutionHistory h;
   std::map<GraphKey, GraphExec> graphs;
-  std::map<GraphKey, std::vector<Edge>> edges;
 
   for (const MergedEvent& e : timeline) {
-    if (e.kind == "task_start" || e.kind == "task_end") {
+    const bool begin = e.kind == "task_begin";
+    if (begin || e.kind == "task_finish") {
       const std::uint64_t gen = e.a >> 48;
-      const std::uint64_t worker = (e.a >> 40) & 0xFF;
       const std::uint64_t task = e.a & 0xFFFFFFFFFFull;
-      const GraphKey key{e.process, gen};
-      GraphExec& g = graphs[key];
+      GraphExec& g = graphs[GraphKey{e.process, gen}];
       g.process = e.process;
       g.generation = gen;
       TaskExec& t = g.tasks[task];
       t.task = task;
-      t.worker = worker;
-      t.op = unpack_op_name(e.b);
-      if (e.kind == "task_start") {
+      t.worker = (e.a >> 40) & 0xFF;
+      if (begin) {
+        t.began = true;
+        t.op = unpack_op_name(e.b);
         t.start = e.t_wall;
-        t.started = true;
-        t.dep_count = static_cast<std::size_t>(e.v);
-        if (t.end < t.start) t.end = t.start;
+        if (e.v >= 1.0) t.releaser = static_cast<std::uint64_t>(e.v) - 1;
+        if (!t.finished) t.end = t.start;
       } else {
-        // External tasks record only task_end (duration 0): start == end.
+        t.finished = true;
+        t.annotation = unpack_annotation(e.b);
         t.end = e.t_wall;
-        if (t.start == 0.0 || t.start > t.end - e.v) t.start = t.end - e.v;
+        if (!t.began) t.start = t.end - e.v;
       }
-    } else if (e.kind == "task_dep") {
-      const std::uint64_t gen = e.a >> 48;
-      edges[GraphKey{e.process, gen}].push_back(
-          Edge{e.a & 0xFFFFFFull, (e.a >> 24) & 0xFFFFFFull});
+    } else if (e.kind == "phase") {
+      h.phases.push_back(PhaseExec{e.process,
+                                   std::string(phase_name(static_cast<Phase>(e.a))),
+                                   e.t_wall - e.v, e.t_wall});
     } else if (e.kind == "tile_send" || e.kind == "tile_recv") {
       h.comm.push_back(CommEvent{e.process, e.t_wall, e.b, e.kind == "tile_recv"});
     }
@@ -128,13 +123,6 @@ ExecutionHistory build_history(const std::vector<MergedEvent>& timeline) {
 
   bool any = false;
   for (auto& [key, g] : graphs) {
-    for (const Edge& ed : edges[key]) {
-      auto ps = g.tasks.find(ed.pred);
-      auto ss = g.tasks.find(ed.succ);
-      if (ps == g.tasks.end() || ss == g.tasks.end()) continue;
-      ss->second.preds.push_back(ed.pred);
-      ++g.edges;
-    }
     for (const auto& [id, t] : g.tasks) {
       if (!any) {
         h.t_min = t.start;
@@ -176,52 +164,29 @@ CriticalPathReport critical_path(const GraphExec& g) {
   r.generation = g.generation;
   if (g.tasks.empty()) return r;
 
-  // Longest duration-weighted chain ending at each task. Predecessor ids are
-  // always smaller than successor ids (submission order), and std::map
-  // iterates ascending, so one forward pass suffices.
-  std::map<std::uint64_t, double> down;     // heaviest chain ending here
-  std::map<std::uint64_t, std::int64_t> via;  // argmax predecessor (-1 = seed)
-  double total_task_seconds = 0.0;
-  std::uint64_t best_id = g.tasks.begin()->first;
-  double best = -1.0;
-  // Whole history: no task missing (ids 0..n-1) and every worker task saw
-  // all the predecessor edges its TaskStart counted.
   r.complete = g.tasks.begin()->first == 0 && g.tasks.rbegin()->first + 1 == g.tasks.size();
+  double total_task_seconds = 0.0;
+  const TaskExec* last = nullptr;
   for (const auto& [id, t] : g.tasks) {
-    if (t.worker != kExternalWorker && (!t.started || t.preds.size() != t.dep_count))
+    if (!t.began || !t.finished || (t.releaser && !g.tasks.contains(*t.releaser)))
       r.complete = false;
-    double chain = 0.0;
-    std::int64_t from = -1;
-    for (const std::uint64_t p : t.preds) {
-      const auto it = down.find(p);
-      if (it != down.end() && it->second > chain) {
-        chain = it->second;
-        from = static_cast<std::int64_t>(p);
-      }
-    }
-    chain += t.duration();
-    down[id] = chain;
-    via[id] = from;
     total_task_seconds += t.duration();
-    if (chain > best) {
-      best = chain;
-      best_id = id;
-    }
+    if (last == nullptr || t.end >= last->end) last = &t;
   }
 
-  r.length_seconds = best;
-  for (std::int64_t id = static_cast<std::int64_t>(best_id); id >= 0;
-       id = via[static_cast<std::uint64_t>(id)]) {
-    const TaskExec& t = g.tasks.at(static_cast<std::uint64_t>(id));
-    r.path.push_back(t.task);
-    r.op_seconds[t.op] += t.duration();
+  // Walk the releasers back. A releaser is a predecessor, so its id is
+  // smaller; stopping otherwise keeps a corrupt dump from looping.
+  for (const TaskExec* t = last; t != nullptr;) {
+    r.path.push_back(t->task);
+    r.op_seconds[t->op] += t->duration();
+    r.length_seconds += t->duration();
+    const auto it = t->releaser && *t->releaser < t->task ? g.tasks.find(*t->releaser)
+                                                          : g.tasks.end();
+    t = it == g.tasks.end() ? nullptr : &it->second;
   }
   std::reverse(r.path.begin(), r.path.end());
   r.length_tasks = r.path.size();
-  if (!r.path.empty()) {
-    r.span_seconds =
-        g.tasks.at(r.path.back()).end - g.tasks.at(r.path.front()).start;
-  }
+  r.span_seconds = last->end - g.tasks.at(r.path.front()).start;
   if (total_task_seconds > 0.0) r.dominance = r.length_seconds / total_task_seconds;
   return r;
 }
@@ -250,9 +215,9 @@ UtilizationReport utilization(const ExecutionHistory& h) {
   std::map<std::pair<std::string, std::uint64_t>, Lane> lanes;
 
   for (const GraphExec& g : h.graphs) {
-    // A task's ready time: all recorded predecessors done (seeds: the
-    // graph's first observed start). start - ready is the scheduler-side
-    // queue wait — time the task sat runnable without a worker.
+    // A task's ready time: its releaser's end (seeds: the graph's first
+    // observed start). start - ready is the scheduler-side queue wait —
+    // time the task sat runnable without a worker.
     double g_t0 = 0.0;
     bool have_t0 = false;
     for (const auto& [id, t] : g.tasks) {
@@ -265,9 +230,9 @@ UtilizationReport utilization(const ExecutionHistory& h) {
       lane.busy.add(t.start, t.end);
       ++lane.tasks;
       double ready = g_t0;
-      for (const std::uint64_t p : t.preds) {
-        const auto it = g.tasks.find(p);
-        if (it != g.tasks.end()) ready = std::max(ready, it->second.end);
+      if (t.releaser) {
+        const auto it = g.tasks.find(*t.releaser);
+        if (it != g.tasks.end()) ready = it->second.end;
       }
       lane.queue_wait += std::max(0.0, t.start - ready);
     }
@@ -385,10 +350,15 @@ void write_gantt_trace(const ExecutionHistory& h, const std::string& path) {
   GSX_REQUIRE(os.good(), "write_gantt_trace: cannot open " + path);
   os << std::fixed << std::setprecision(3);
 
-  // Stable pid per process name; tid = worker lane (external lane last).
+  // Stable pid per process name; tid = worker lane (external lane 255), the
+  // phases on the pipeline row, wire events on their own lane.
+  constexpr int kPipelineTid = 999;
+  constexpr int kWireTid = 300;
   std::map<std::string, int> pids;
   for (const GraphExec& g : h.graphs)
     pids.emplace(g.process, static_cast<int>(pids.size()) + 1);
+  for (const PhaseExec& p : h.phases)
+    pids.emplace(p.process, static_cast<int>(pids.size()) + 1);
   for (const CommEvent& c : h.comm)
     pids.emplace(c.process, static_cast<int>(pids.size()) + 1);
 
@@ -403,7 +373,20 @@ void write_gantt_trace(const ExecutionHistory& h, const std::string& path) {
     os << R"(  {"name": "process_name", "ph": "M", "pid": )" << pid
        << R"(, "args": {"name": ")" << json_escape(proc) << "\"}}";
   }
-  const double t0 = h.t_min;
+  double t0 = h.t_min;
+  for (const PhaseExec& p : h.phases) t0 = std::min(t0, p.start);
+  std::set<std::string> pipelines;
+  for (const PhaseExec& p : h.phases) {
+    if (pipelines.insert(p.process).second) {
+      sep();
+      os << R"(  {"name": "thread_name", "ph": "M", "pid": )" << pids[p.process]
+         << R"(, "tid": )" << kPipelineTid << R"(, "args": {"name": "pipeline"}})";
+    }
+    sep();
+    os << R"(  {"name": ")" << json_escape(p.name) << R"(", "cat": "phase", "ph": "X", "ts": )"
+       << (p.start - t0) * 1e6 << R"(, "dur": )" << (p.end - p.start) * 1e6
+       << R"(, "pid": )" << pids[p.process] << R"(, "tid": )" << kPipelineTid << "}";
+  }
   for (const GraphExec& g : h.graphs) {
     const int pid = pids[g.process];
     for (const auto& [id, t] : g.tasks) {
@@ -411,8 +394,13 @@ void write_gantt_trace(const ExecutionHistory& h, const std::string& path) {
       os << R"(  {"name": ")" << json_escape(t.op) << R"(", "cat": "task", "ph": "X", "ts": )"
          << (t.start - t0) * 1e6 << R"(, "dur": )" << t.duration() * 1e6
          << R"(, "pid": )" << pid << R"(, "tid": )" << t.worker
-         << R"(, "args": {"task": )" << t.task << R"(, "gen": )" << g.generation
-         << R"(, "deps": )" << t.dep_count << "}}";
+         << R"(, "args": {"task": )" << t.task << R"(, "gen": )" << g.generation;
+      if (t.annotation) {
+        os << R"(, "precision": ")" << precision_name(t.annotation->precision) << "\"";
+        if (t.annotation->rank >= 0) os << R"(, "rank": )" << t.annotation->rank;
+        if (t.annotation->flops > 0) os << R"(, "flops": )" << t.annotation->flops;
+      }
+      os << "}}";
     }
   }
   // Tile wire activity as instant events on a dedicated lane per process.
@@ -420,8 +408,8 @@ void write_gantt_trace(const ExecutionHistory& h, const std::string& path) {
     sep();
     os << R"(  {"name": ")" << (c.recv ? "tile_recv" : "tile_send")
        << R"(", "cat": "wire", "ph": "i", "s": "t", "ts": )" << (c.t - t0) * 1e6
-       << R"(, "pid": )" << pids[c.process]
-       << R"(, "tid": 300, "args": {"bytes": )" << c.bytes << "}}";
+       << R"(, "pid": )" << pids[c.process] << R"(, "tid": )" << kWireTid
+       << R"(, "args": {"bytes": )" << c.bytes << "}}";
   }
   os << "\n]\n";
   GSX_REQUIRE(os.good(), "write_gantt_trace: write failed for " + path);

@@ -1,7 +1,8 @@
-// Execution analytics: turn flight-recorder history (TaskStart / TaskEnd /
-// TaskDepEdge plus the tile-exchange events) into the three diagnostics that
-// govern task-runtime scalability — the critical path of the executed DAG,
-// per-worker / per-rank utilization, and comm-vs-compute overlap.
+// Execution analytics: turn flight-recorder history (TaskBegin /
+// TaskFinish / Phase plus the tile-exchange events) into the three
+// diagnostics that govern task-runtime scalability — the as-executed
+// critical path of each DAG, per-worker / per-rank utilization, and
+// comm-vs-compute overlap — and into the Chrome trace.
 //
 // The input is a merged fleet timeline (obs/flight_merge.hpp): either one
 // process's dump or a flight_collect directory of a distributed run, with
@@ -11,14 +12,17 @@
 // gsx_obs subcommands and the in-process profile.json summary.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/flight_merge.hpp"
 #include "obs/ring.hpp"
+#include "obs/trace.hpp"
 
 namespace gsx::obs {
 
@@ -28,30 +32,48 @@ namespace gsx::obs {
 [[nodiscard]] std::uint64_t pack_op_name(std::string_view name) noexcept;
 [[nodiscard]] std::string unpack_op_name(std::uint64_t packed);
 
-// Field layouts of the TaskStart/TaskEnd/TaskDepEdge `a` word (ring.hpp).
+/// Field layout of the TaskBegin/TaskFinish `a` word (ring.hpp).
 [[nodiscard]] constexpr std::uint64_t task_ident(std::uint64_t gen,
                                                  std::uint64_t worker,
                                                  std::uint64_t task) noexcept {
   return (gen & 0xFFFFu) << 48 | (worker & 0xFFu) << 40 | (task & 0xFFFFFFFFFFu);
 }
-[[nodiscard]] constexpr std::uint64_t dep_ident(std::uint64_t gen,
-                                                std::uint64_t succ,
-                                                std::uint64_t pred) noexcept {
-  return (gen & 0xFFFFu) << 48 | (succ & 0xFFFFFFu) << 24 | (pred & 0xFFFFFFu);
-}
 /// Worker field value for externally-completed tasks (transport notify()).
 inline constexpr std::uint64_t kExternalWorker = 0xFF;
 
-/// One executed task reconstructed from its TaskStart/TaskEnd pair.
+/// TaskFinish's `b` word: precision code + 1 in bits 0-3, rank + 1 in bits
+/// 4-23 and flops in bits 24-63, each field saturating. 0 means the task
+/// made no annotation.
+[[nodiscard]] constexpr std::uint64_t pack_annotation(const TaskAnnotation& a) noexcept {
+  constexpr std::uint64_t kRankMax = 0xFFFFEu;
+  constexpr std::uint64_t kFlopsMax = 0xFFFFFFFFFFu;
+  const std::uint64_t rank1 =
+      a.rank < 0 ? 0 : std::min(static_cast<std::uint64_t>(a.rank), kRankMax) + 1;
+  return (static_cast<std::uint64_t>(a.precision) + 1) | rank1 << 4 |
+         std::min(a.flops, kFlopsMax) << 24;
+}
+[[nodiscard]] constexpr std::optional<TaskAnnotation> unpack_annotation(
+    std::uint64_t packed) noexcept {
+  const std::uint64_t p1 = packed & 0xFu;
+  if (p1 == 0 || p1 > kNumPrecisions) return std::nullopt;
+  return TaskAnnotation{static_cast<Precision>(p1 - 1),
+                        static_cast<std::int64_t>((packed >> 4) & 0xFFFFFu) - 1,
+                        packed >> 24};
+}
+
+/// One executed task reconstructed from its TaskBegin/TaskFinish pair.
 struct TaskExec {
   std::uint64_t task = 0;    ///< submission index within its graph
   std::uint64_t worker = 0;  ///< executing worker (kExternalWorker = external)
-  std::string op;            ///< decoded op-kind prefix ("gemm", ...)
+  std::string op;            ///< decoded op kind ("gemm", ...)
   double start = 0.0;        ///< wall seconds (offset-corrected)
   double end = 0.0;
-  bool started = false;                ///< a TaskStart was decoded
-  std::size_t dep_count = 0;           ///< predecessor count TaskStart recorded
-  std::vector<std::uint64_t> preds;    ///< predecessor task ids (same graph)
+  bool began = false;     ///< its TaskBegin was decoded
+  bool finished = false;  ///< its TaskFinish was decoded
+  /// The predecessor whose completion made this task ready; empty for a
+  /// seed task or one released by notify().
+  std::optional<std::uint64_t> releaser;
+  std::optional<TaskAnnotation> annotation;  ///< what its kernel reported
   [[nodiscard]] double duration() const noexcept { return end - start; }
 };
 
@@ -60,7 +82,14 @@ struct GraphExec {
   std::string process;
   std::uint64_t generation = 0;
   std::map<std::uint64_t, TaskExec> tasks;  ///< task id -> execution record
-  std::size_t edges = 0;                    ///< TaskDepEdge events decoded
+};
+
+/// One pipeline phase (a Phase event) on a process.
+struct PhaseExec {
+  std::string process;
+  std::string name;  ///< phase_name()
+  double start = 0.0;  ///< wall seconds (offset-corrected)
+  double end = 0.0;
 };
 
 /// One communication point event (TileSend/TileRecv) on a process.
@@ -74,15 +103,18 @@ struct CommEvent {
 /// Everything analytics needs, decoded once from a merged timeline.
 struct ExecutionHistory {
   std::vector<GraphExec> graphs;
+  std::vector<PhaseExec> phases;
   std::vector<CommEvent> comm;
   double t_min = 0.0;  ///< earliest task start across all graphs
   double t_max = 0.0;  ///< latest task end
 };
 
 /// Decode a merged timeline (clock offsets already applied by
-/// merge_flight_dumps). Events other than the task/tile vocabulary are
-/// ignored. TaskEnd without a matching TaskStart (external tasks) yields a
-/// zero-duration task at the end timestamp.
+/// merge_flight_dumps). The only decoder of the task events: events other
+/// than the task/phase/tile vocabulary are ignored, which includes the
+/// retired task_start/task_end/task_dep of older dumps. A task missing one
+/// of its two events keeps the other's timestamp (duration from TaskFinish's
+/// v when only that survived).
 [[nodiscard]] ExecutionHistory build_history(const std::vector<MergedEvent>& timeline);
 
 /// Convenience: decode this process's own flight recorder snapshot (raw
@@ -90,7 +122,8 @@ struct ExecutionHistory {
 [[nodiscard]] ExecutionHistory build_history(const std::vector<Event>& events,
                                              const std::string& process = "gsx");
 
-/// Longest duration-weighted dependency chain through one executed DAG.
+/// The as-executed critical path of one DAG: the chain of releasing
+/// predecessors, walked back from the last task to finish.
 struct CriticalPathReport {
   std::string process;
   std::uint64_t generation = 0;
@@ -103,15 +136,14 @@ struct CriticalPathReport {
   /// serialized the execution was (1.0 = a pure chain).
   double dominance = 0.0;
   /// True when the graph's history is whole: task ids run contiguously from
-  /// 0 and every non-external task has a TaskStart whose dep_count equals
-  /// its decoded predecessors. Ring wrap drops tasks or edges; the path of an
-  /// incomplete graph may then be shorter than the one that really ran.
+  /// 0, every task has both events, and every recorded releaser is present.
+  /// Ring wrap drops events; the path of an incomplete graph may end early
+  /// or start from a task that was not the last to finish.
   bool complete = false;
 };
 
-/// Critical path of one graph. With edges missing (ring wrap) the chain is
-/// computed over what was decoded — down to the heaviest single task when no
-/// edge survived — and `complete` is false.
+/// Critical path of one graph, over whatever events survived (`complete`
+/// says whether that is all of them).
 [[nodiscard]] CriticalPathReport critical_path(const GraphExec& g);
 /// The dominant critical path across the history: the longest
 /// length_seconds among complete graphs, or among all graphs when none is
@@ -124,7 +156,7 @@ struct WorkerUtilization {
   std::uint64_t worker = 0;
   std::size_t tasks = 0;
   double busy_seconds = 0.0;        ///< union of task intervals
-  double queue_wait_seconds = 0.0;  ///< sum of (start - all-preds-done)
+  double queue_wait_seconds = 0.0;  ///< sum of (start - releaser's end)
   double utilization = 0.0;         ///< busy / window
 };
 
@@ -176,8 +208,11 @@ void export_analytics_metrics(const AnalyticsReport& r);
 
 /// Chrome-trace (about://tracing, Perfetto) export of the merged per-rank
 /// timeline: one pid per process, one tid per worker lane, an "X" slice per
-/// task plus instant events for tile sends/receives. Throws InvalidArgument
-/// if the file cannot be written.
+/// task (named by op kind, with task id, generation and any kernel
+/// annotation as args), the phases on a "pipeline" row, and instant events
+/// for tile sends/receives. gsx_cli --profile writes this over its own
+/// flight history as PREFIX.trace.json. Throws InvalidArgument if the file
+/// cannot be written.
 void write_gantt_trace(const ExecutionHistory& h, const std::string& path);
 
 }  // namespace gsx::obs

@@ -72,7 +72,7 @@ class FlightRecorder {
   ///   {"t":1.25,"kind":"dump_header","process":"r0","pid":4242,
   ///    "wall_anchor":1754700000.5,"mono_anchor":1.25}
   /// followed by one event object per line:
-  ///   {"t":1.25,"kind":"task_start","thread":0,"request":0,"trace":0,...}
+  ///   {"t":1.25,"kind":"task_begin","thread":0,"request":0,"trace":0,...}
   [[nodiscard]] std::string snapshot_jsonl() const;
 
   /// Process name stamped on dump headers (defaults to "gsx"). Set once at

@@ -101,7 +101,6 @@ void write_profile_json(const std::string& path) {
 
   const FlopSnapshot totals = flop_snapshot();
   const std::vector<IterationRecord> iters = profile_iterations();
-  const std::vector<Span> spans = trace_spans();
 
   // Execution analytics over this process's own flight history, plus the
   // hardware-counter roofline ledger — published as gauges first so the
@@ -178,23 +177,22 @@ void write_profile_json(const std::string& path) {
   }
   os << (iters.empty() ? "]" : "\n  ]");
 
-  // Aggregate phase timings from the trace spans.
+  // Per-phase running totals (ScopedPhase's histograms), in Phase order.
   os << ",\n  \"phase_seconds\": {";
   double phase_sum = 0.0;
   {
-    std::map<std::string, double> phase_totals;
-    for (const Span& s : spans)
-      if (s.category == "phase") phase_totals[s.name] += s.end_seconds - s.start_seconds;
     bool first = true;
-    for (const auto& [name, secs] : phase_totals) {
+    for (std::size_t p = 0; p < kNumPhases; ++p) {
+      const Histogram& h = phase_histogram(static_cast<Phase>(p));
+      if (h.count() == 0) continue;
       if (!first) os << ", ";
       first = false;
-      os << "\"" << json_escape(name) << "\": " << secs;
-      phase_sum += secs;
+      os << "\"" << phase_name(static_cast<Phase>(p)) << "\": " << h.sum();
+      phase_sum += h.sum();
     }
   }
   os << "},\n";
-  // Iteration wall time no phase span accounts for.
+  // Iteration wall time no phase accounts for.
   double iteration_sum = 0.0;
   for (const IterationRecord& it : iters) iteration_sum += it.seconds;
   os << "  \"unattributed_seconds\": " << iteration_sum - phase_sum << ",\n";
@@ -257,27 +255,6 @@ void write_profile_json(const std::string& path) {
   GSX_REQUIRE(os.good(), "write_profile_json: write failed for " + path);
 }
 
-void write_profile_trace_json(const std::string& path) {
-  std::ofstream os(path);
-  GSX_REQUIRE(os.good(), "write_profile_trace_json: cannot open " + path);
-  const std::vector<Span> spans = trace_spans();
-  os << "[\n";
-  // Name the pipeline-phase row so Perfetto labels it.
-  os << R"(  {"name": "thread_name", "ph": "M", "pid": 1, "tid": )" << kPipelineTid
-     << R"(, "args": {"name": "pipeline"}})";
-  os << std::fixed << std::setprecision(3);
-  for (const Span& s : spans) {
-    // Timestamps in microseconds, as the format expects.
-    os << ",\n" << R"(  {"name": ")" << s.name << R"(", "cat": ")" << s.category
-       << R"(", "ph": "X", "ts": )" << s.start_seconds * 1e6 << R"(, "dur": )"
-       << (s.end_seconds - s.start_seconds) * 1e6 << R"(, "pid": 1, "tid": )" << s.tid;
-    if (!s.args.empty()) os << R"(, "args": {)" << s.args << "}";
-    os << "}";
-  }
-  os << "\n]\n";
-  GSX_REQUIRE(os.good(), "write_profile_trace_json: write failed for " + path);
-}
-
 void write_flops_csv(const std::string& path) {
   std::ofstream os(path);
   GSX_REQUIRE(os.good(), "write_flops_csv: cannot open " + path);
@@ -308,7 +285,6 @@ void write_flops_csv(const std::string& path) {
 void reset_all() {
   Registry::instance().reset();
   reset_flops();
-  reset_trace();
   reset_profile();
   reset_health();
   reset_hw();

@@ -29,9 +29,9 @@ std::string_view event_kind_name(EventKind k) noexcept {
     case EventKind::TileRecv: return "tile_recv";
     case EventKind::SpillOut: return "spill_out";
     case EventKind::SpillIn: return "spill_in";
-    case EventKind::TaskStart: return "task_start";
-    case EventKind::TaskEnd: return "task_end";
-    case EventKind::TaskDepEdge: return "task_dep";
+    case EventKind::TaskBegin: return "task_begin";
+    case EventKind::TaskFinish: return "task_finish";
+    case EventKind::Phase: return "phase";
   }
   return "unknown";
 }

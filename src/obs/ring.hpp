@@ -9,9 +9,16 @@
 // per-slot sequence and discard entries that were being rewritten mid-copy,
 // so a snapshot never blocks or corrupts the hot path.
 //
+// The rings are the one record of task and phase execution: each task-graph
+// task writes a TaskBegin/TaskFinish pair and each pipeline phase one Phase
+// event; the execution analytics and the Chrome trace read those. A trace
+// therefore covers the last kRingCapacity events of each thread, not the
+// whole run.
+//
 // Record sites compile away entirely when the GSX_TELEMETRY CMake option is
 // OFF (the GSX_FLIGHT macro below), bounding the always-on cost to zero for
-// builds that want it.
+// builds that want it. Such a build records no task or phase, so its
+// Chrome trace is empty; the per-phase totals (obs/trace.hpp) still count.
 #pragma once
 
 #include <atomic>
@@ -30,7 +37,7 @@ enum class EventKind : std::uint16_t {
   RequestComplete = 3,   ///< a = ok (1/0), v = total seconds
   RequestReject = 4,     ///< a = 1 queue-full, 2 deadline, 3 draining
   // 10-12 are retired (the former task_ready/task_run/task_done interval
-  // events, superseded by TaskStart/TaskEnd below). Never reuse them: older
+  // events, superseded by the task events below). Never reuse them: older
   // dumps still carry those values.
   TileDemotion = 20,     ///< a = tile i, b = tile j, v = observed error
   CacheHit = 30,         ///< request-scoped model lookup hit
@@ -64,23 +71,23 @@ enum class EventKind : std::uint16_t {
   TileRecv = 81,  ///< worker: tile frame received and CRC-verified
   SpillOut = 82,  ///< out-of-core pool: cold tile written to disk
   SpillIn = 83,   ///< out-of-core pool: spilled tile read back (CRC-checked)
-  // Replayable DAG execution history (src/obs/analytics.hpp decodes these).
-  // TaskStart/TaskEnd carry the full task identity in one word:
+  // 90-92 are retired (task_start/task_end plus one task_dep per DAG edge,
+  // superseded by TaskBegin/TaskFinish below). Never reuse them either.
+  //
+  // Task execution history (src/obs/analytics.hpp decodes these): each task
+  // records exactly two events, on its executing worker's ring. Both carry
+  // the full task identity in one word:
   //   a = (graph_gen << 48) | (worker << 40) | task_id
   // where graph_gen is a process-wide 16-bit run() generation (so concurrent
-  // graphs in one process — e.g. bench_dist_cholesky's in-process ranks —
-  // stay separable), worker is 8-bit (0xFF = externally-completed task), and
-  // task_id is the 40-bit submission index. b packs the task-name prefix
-  // before '(' as up to 8 little-endian ASCII bytes ("potrf", "gemm", ...),
-  // the per-op-kind attribution key.
-  TaskStart = 90,   ///< v = dependency (predecessor) count
-  TaskEnd = 91,     ///< v = body duration seconds (0 for external tasks)
-  // One event per DAG edge, recorded at run() start on the caller's ring:
-  //   a = (graph_gen << 48) | (successor << 24) | predecessor
-  // (24-bit task ids), b = packed op name of the successor. Edge events for
-  // graphs beyond ~4k edges wrap the caller's ring oldest-first; analytics
-  // then reports that graph's critical path as incomplete.
-  TaskDepEdge = 92,
+  // graphs in one process stay separable), worker is 8-bit (0xFF = an
+  // externally-completed task, which records both at its completion), and
+  // task_id is the 40-bit submission index.
+  TaskBegin = 93,   ///< b = op kind, up to 8 little-endian ASCII bytes;
+                    ///< v = releasing predecessor's id + 1 (0 = a seed, or
+                    ///< released by notify())
+  TaskFinish = 94,  ///< b = kernel annotation (precision, rank, flops; 0 =
+                    ///< none), v = body duration seconds
+  Phase = 95,       ///< a = obs::Phase, v = phase seconds (t = phase end)
 };
 
 [[nodiscard]] std::string_view event_kind_name(EventKind k) noexcept;

@@ -1,8 +1,10 @@
 #include "obs/trace.hpp"
 
+#include <array>
 #include <chrono>
-#include <mutex>
+#include <string>
 
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 
 namespace gsx::obs {
@@ -16,16 +18,6 @@ clock::time_point epoch() {
   return e;
 }
 
-std::mutex& trace_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::vector<Span>& span_store() {
-  static std::vector<Span> s;
-  return s;
-}
-
 thread_local std::optional<TaskAnnotation> t_annotation;
 
 }  // namespace
@@ -34,34 +26,38 @@ double now_seconds() noexcept {
   return std::chrono::duration<double>(clock::now() - epoch()).count();
 }
 
-void record_span(Span s) {
-  if (!enabled()) return;
-  std::lock_guard lk(trace_mutex());
-  span_store().push_back(std::move(s));
+std::string_view phase_name(Phase p) noexcept {
+  switch (p) {
+    case Phase::Assemble: return "assemble";
+    case Phase::Compress: return "compress";
+    case Phase::PrecisionPolicy: return "precision_policy";
+    case Phase::Factorize: return "factorize";
+    case Phase::Solve: return "solve";
+    case Phase::Krige: return "krige";
+  }
+  return "unknown";
 }
 
-std::vector<Span> trace_spans() {
-  std::lock_guard lk(trace_mutex());
-  return span_store();
+Histogram& phase_histogram(Phase p) {
+  // The registry lookup takes a mutex: resolve every phase once (references
+  // stay valid across Registry::reset()).
+  static const std::array<Histogram*, kNumPhases> hists = [] {
+    std::array<Histogram*, kNumPhases> h{};
+    for (std::size_t i = 0; i < kNumPhases; ++i)
+      h[i] = &Registry::instance().histogram(
+          std::string(phase_name(static_cast<Phase>(i))) + ".seconds",
+          Histogram::duration_bounds());
+    return h;
+  }();
+  return *hists.at(static_cast<std::size_t>(p));
 }
 
-void reset_trace() {
-  std::lock_guard lk(trace_mutex());
-  span_store().clear();
-}
-
-ScopedPhase::ScopedPhase(const char* name)
-    : name_(name), start_(enabled() ? now_seconds() : -1.0) {}
+ScopedPhase::ScopedPhase(Phase phase) noexcept : phase_(phase), start_(now_seconds()) {}
 
 ScopedPhase::~ScopedPhase() {
-  if (start_ < 0.0 || !enabled()) return;
-  Span s;
-  s.name = name_;
-  s.category = "phase";
-  s.tid = kPipelineTid;
-  s.start_seconds = start_;
-  s.end_seconds = now_seconds();
-  record_span(std::move(s));
+  const double seconds = now_seconds() - start_;
+  GSX_FLIGHT(EventKind::Phase, 0, static_cast<std::uint64_t>(phase_), 0, seconds);
+  if (enabled()) phase_histogram(phase_).observe(seconds);
 }
 
 void annotate_task(Precision p, std::int64_t rank, std::uint64_t flops) noexcept {
@@ -72,21 +68,6 @@ void annotate_task(Precision p, std::int64_t rank, std::uint64_t flops) noexcept
 std::optional<TaskAnnotation> take_task_annotation() noexcept {
   std::optional<TaskAnnotation> out;
   t_annotation.swap(out);
-  return out;
-}
-
-std::string annotation_args(const TaskAnnotation& a) {
-  std::string out = "\"precision\": \"";
-  out += precision_name(a.precision);
-  out += "\"";
-  if (a.rank >= 0) {
-    out += ", \"rank\": ";
-    out += std::to_string(a.rank);
-  }
-  if (a.flops > 0) {
-    out += ", \"flops\": ";
-    out += std::to_string(a.flops);
-  }
   return out;
 }
 

@@ -1,19 +1,19 @@
-// End-to-end pipeline tracing: phase spans plus per-task kernel events.
+// Pipeline phases and per-task kernel annotations on the shared clock.
 //
-// While enabled, the runtime's TaskGraph workers record every finished
-// kernel task here; the store keeps those task spans, the surrounding
-// pipeline phases (assembly -> precision policy -> compression -> factorize
-// -> solve -> krige) and any user spans on a single process-wide clock, so
-// one Chrome trace covers the full MLE / prediction pipeline. Kernels
-// attach metadata (precision, rank, flops) to the task that is currently
-// executing them via a thread-local annotation slot drained by the
-// TaskGraph worker loop.
+// A ScopedPhase (assemble -> compress -> precision policy -> factorize ->
+// solve, or krige) records one Phase event in the calling thread's flight
+// ring and, while obs is enabled, observes its seconds into the phase's
+// registry histogram, whose running sum profile.json reports. Kernels
+// attach metadata (precision, rank, flops) to the task currently executing
+// them through a thread-local annotation slot; the TaskGraph worker loop
+// drains it into the task's TaskFinish event. The Chrome trace is rendered from those flight events
+// (obs/analytics.hpp, write_gantt_trace).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/precision.hpp"
 
@@ -22,44 +22,46 @@ namespace gsx::obs {
 /// Seconds since the process-wide observability epoch (steady clock).
 [[nodiscard]] double now_seconds() noexcept;
 
-/// One completed span on the shared clock.
-struct Span {
-  std::string name;
-  std::string category;  ///< "phase" for pipeline stages, "task" for kernels
-  std::uint32_t tid = 0;  ///< worker id for tasks; kPipelineTid for phases
-  double start_seconds = 0.0;
-  double end_seconds = 0.0;
-  std::string args;  ///< pre-rendered JSON fields ("\"k\": v, ...") or empty
+/// The pipeline stages a likelihood evaluation or a prediction runs.
+/// Keep the numeric values stable: Phase events carry them in dumps.
+enum class Phase : std::uint8_t {
+  Assemble = 0,
+  Compress = 1,
+  PrecisionPolicy = 2,
+  Factorize = 3,
+  Solve = 4,
+  Krige = 5,
 };
+inline constexpr std::size_t kNumPhases = 6;
 
-/// Chrome-trace row that pipeline phases render on (kept clear of worker
-/// ids, which start at 0).
-inline constexpr std::uint32_t kPipelineTid = 999;
+/// "assemble", "compress", "precision_policy", "factorize", "solve",
+/// "krige"; "unknown" for a value outside the enum.
+[[nodiscard]] std::string_view phase_name(Phase p) noexcept;
 
-/// Append a completed span (thread-safe; no-op when disabled).
-void record_span(Span s);
+class Histogram;
 
-/// All spans recorded since the last reset_trace(), in recording order.
-[[nodiscard]] std::vector<Span> trace_spans();
+/// The registry histogram "<phase_name>.seconds" (duration buckets) that
+/// every ScopedPhase of `p` observes while obs is enabled; Registry::reset
+/// (obs::reset_all) zeroes it.
+[[nodiscard]] Histogram& phase_histogram(Phase p);
 
-void reset_trace();
-
-/// RAII pipeline-phase span ("phase" category, pipeline row).
+/// RAII pipeline phase: one Phase flight event at scope exit, plus one
+/// phase_histogram observation while obs is enabled.
 class ScopedPhase {
  public:
-  explicit ScopedPhase(const char* name);
+  explicit ScopedPhase(Phase phase) noexcept;
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
   ~ScopedPhase();
 
  private:
-  const char* name_;
-  double start_ = -1.0;  ///< < 0: disabled at entry, destructor no-ops
+  Phase phase_;
+  double start_;
 };
 
 /// Trace context propagated from the serving layer into solver entry points
-/// (an explicit argument, never ambient state), so spans and flight-recorder
-/// events deep in cholesky/ carry the originating request id end-to-end.
+/// (an explicit argument, never ambient state), so flight-recorder events
+/// deep in cholesky/ carry the originating request id end-to-end.
 struct RequestContext {
   std::uint64_t request_id = 0;  ///< serve::mint_request_id(); 0 = no request
 };
@@ -79,8 +81,5 @@ void annotate_task(Precision p, std::int64_t rank, std::uint64_t flops) noexcept
 
 /// Drain the calling thread's annotation slot (empty after the call).
 [[nodiscard]] std::optional<TaskAnnotation> take_task_annotation() noexcept;
-
-/// Render an annotation as Chrome-trace "args" fields.
-[[nodiscard]] std::string annotation_args(const TaskAnnotation& a);
 
 }  // namespace gsx::obs

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <queue>
 #include <thread>
 
@@ -17,25 +18,23 @@
 
 namespace gsx::rt {
 
-std::size_t TaskGraph::submit(std::string name, const std::vector<Dep>& deps,
+std::size_t TaskGraph::submit(std::string_view op, const std::vector<Dep>& deps,
                               std::function<void()> body, int priority) {
   GSX_REQUIRE(body != nullptr, "submit: task body must be callable");
-  return submit_impl(std::move(name), deps, std::move(body), priority,
-                     /*external=*/false);
+  return submit_impl(op, deps, std::move(body), priority, /*external=*/false);
 }
 
-std::size_t TaskGraph::submit_external(std::string name,
+std::size_t TaskGraph::submit_external(std::string_view op,
                                        const std::vector<Dep>& deps) {
-  return submit_impl(std::move(name), deps, nullptr, /*priority=*/0,
-                     /*external=*/true);
+  return submit_impl(op, deps, nullptr, /*priority=*/0, /*external=*/true);
 }
 
-std::size_t TaskGraph::submit_impl(std::string name, const std::vector<Dep>& deps,
+std::size_t TaskGraph::submit_impl(std::string_view op, const std::vector<Dep>& deps,
                                    std::function<void()> body, int priority,
                                    bool external) {
   const std::size_t id = tasks_.size();
   Task t;
-  t.name = std::move(name);
+  t.op = obs::pack_op_name(op);
   t.body = std::move(body);
   t.priority = priority;
   t.external = external;
@@ -112,20 +111,24 @@ struct TaskGraph::RunCtx {
   std::vector<int> priorities;
   std::vector<char> notified;       // external: notify() seen
   std::vector<char> done_external;  // external: counted into `completed`
+  /// Releasing predecessor's id + 1, set when a task's counter reaches
+  /// zero (0 = seed, or an external whose notify() came last). Carried in
+  /// TaskBegin's v.
+  std::vector<std::size_t> released_by;
   std::priority_queue<std::size_t, std::vector<std::size_t>, ReadyCompare> ready;
   std::size_t completed = 0;
   std::exception_ptr first_error;
   std::atomic<bool> aborting{false};
   std::atomic<std::size_t> inflight{0};
   obs::Gauge& queue_depth_gauge;
-  /// Process-wide run() generation, folded into TaskStart/TaskEnd/TaskDepEdge
+  /// Process-wide run() generation, folded into the TaskBegin/TaskFinish
   /// identities so concurrent graphs (in-process dist ranks, serving solves)
   /// replay as separate DAGs. 16 bits: wraps harmlessly — generations only
   /// need to be distinct among graphs alive in one flight-ring window.
   std::uint64_t generation = 0;
-  /// False when this run exceeds the packed TaskStart/TaskEnd/TaskDepEdge
-  /// field widths (8-bit worker lanes, 24-bit edge endpoints): the DAG
-  /// history events are skipped rather than emitted with aliased identities.
+  /// False when this run has more workers than the packed 8-bit worker lane
+  /// holds: the task events are skipped rather than emitted with aliased
+  /// identities.
   bool dag_events = true;
 
   RunCtx(TaskGraph& graph, obs::Gauge& gauge)
@@ -134,6 +137,7 @@ struct TaskGraph::RunCtx {
         priorities(graph.tasks_.size()),
         notified(graph.tasks_.size(), 0),
         done_external(graph.tasks_.size(), 0),
+        released_by(graph.tasks_.size(), 0),
         ready(ReadyCompare{&priorities}),
         queue_depth_gauge(gauge) {
     for (std::size_t i = 0; i < graph.tasks_.size(); ++i) {
@@ -165,6 +169,8 @@ struct TaskGraph::RunCtx {
     for (std::size_t s : g.tasks_[id].successors) {
       GSX_REQUIRE(remaining[s] > 0, "runtime: dependency counter underflow");
       if (--remaining[s] == 0) {
+        // An external not yet notified is released by its notify(): 0.
+        released_by[s] = g.tasks_[s].external && !notified[s] ? 0 : id + 1;
         if (g.tasks_[s].external) {
           if (notified[s]) newly += complete_external(s);
         } else {
@@ -184,12 +190,14 @@ struct TaskGraph::RunCtx {
     if (done_external[id]) return 0;
     done_external[id] = 1;
     ++completed;
-    // Externals have no body: the notify() instant is both start and end
-    // (TaskEnd only, duration 0 — analytics reconstructs a point task).
-    if (dag_events)
-      GSX_FLIGHT(obs::EventKind::TaskEnd, 0,
-                 obs::task_ident(generation, obs::kExternalWorker, id),
-                 obs::pack_op_name(g.tasks_[id].name), 0.0);
+    // Externals have no body: their completion instant is both begin and
+    // finish (duration 0).
+    if (dag_events) {
+      const std::uint64_t ident = obs::task_ident(generation, obs::kExternalWorker, id);
+      GSX_FLIGHT(obs::EventKind::TaskBegin, 0, ident, g.tasks_[id].op,
+                 static_cast<double>(released_by[id]));
+      GSX_FLIGHT(obs::EventKind::TaskFinish, 0, ident, 0, 0.0);
+    }
     return propagate(id);
   }
 
@@ -254,41 +262,24 @@ void TaskGraph::run(std::size_t num_workers) {
 
   RunCtx ctx(*this, queue_depth_gauge);
 
-  // Stamp this run's DAG identity and ship the dependency edges to the
-  // flight ring up front, so the dump carries a replayable execution history
-  // (obs/analytics.hpp). One event per edge on the caller's ring; graphs
-  // past the ring capacity lose their oldest edges, and analytics then
-  // reports the graph's critical path as incomplete.
+  // Stamp this run's DAG identity: every task event carries it.
   {
     static std::atomic<std::uint64_t> run_generation{0};
     ctx.generation = run_generation.fetch_add(1, std::memory_order_relaxed) & 0xFFFF;
   }
-  // The packed identities carry 8-bit worker lanes (0xFF reserved for
-  // externals) and 24-bit TaskDepEdge endpoints (analytics.hpp); a run past
-  // either width would alias worker 255 with externals or orphan edges from
-  // their tasks. Degrade explicitly: warn once and skip the DAG events, so
+  // The packed identity carries an 8-bit worker lane (0xFF reserved for
+  // externals); a run past that width would alias worker 255 with
+  // externals. Degrade explicitly: warn once and skip the task events, so
   // such a run leaves no task events in the flight rings.
-  ctx.dag_events =
-      num_workers <= obs::kExternalWorker && tasks_.size() <= 0xFFFFFFu;
+  ctx.dag_events = num_workers <= obs::kExternalWorker;
   if (!ctx.dag_events) {
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true, std::memory_order_relaxed))
       std::fprintf(stderr,
-                   "gsx: DAG flight events disabled for this run: %zu workers / "
-                   "%zu tasks exceed the packed event fields\n",
-                   num_workers, tasks_.size());
+                   "gsx: task flight events disabled for this run: %zu workers "
+                   "exceed the packed 8-bit worker field\n",
+                   num_workers);
   }
-#ifndef GSX_TELEMETRY_DISABLED
-  if (ctx.dag_events) {
-    for (std::size_t from = 0; from < tasks_.size(); ++from) {
-      for (const std::size_t to : tasks_[from].successors) {
-        GSX_FLIGHT(obs::EventKind::TaskDepEdge, 0,
-                   obs::dep_ident(ctx.generation, to, from),
-                   obs::pack_op_name(tasks_[to].name), 0.0);
-      }
-    }
-  }
-#endif
 
   // Seed tasks with no predecessors. Externals never enter the ready queue:
   // a zero-predecessor external simply waits for its notify().
@@ -311,12 +302,13 @@ void TaskGraph::run(std::size_t num_workers) {
   }
   for (std::size_t id : pre) ctx.handle_notify(id);
 
-  // Profile-trace rows: one "task" span per finished task while obs is on.
-  const bool record_spans = obs::enabled();
   const double run_start = obs::now_seconds();
+  std::vector<double> task_seconds(num_workers, 0.0);
   auto worker_loop = [&](std::size_t worker_id) {
+    double busy = 0.0;
     for (;;) {
       std::size_t id;
+      std::size_t releaser;
       {
         std::unique_lock lk(ctx.mtx);
         ctx.cv.wait(lk, [&] {
@@ -325,17 +317,17 @@ void TaskGraph::run(std::size_t num_workers) {
         });
         if (ctx.completed == tasks_.size() ||
             (ctx.aborting.load() && !ctx.have_ready()))
-          return;
+          break;
         if (!ctx.have_ready()) continue;
         id = ctx.pop_ready();
+        releaser = ctx.released_by[id];
       }
 
       Task& t = tasks_[id];
+      const std::uint64_t ident = obs::task_ident(ctx.generation, worker_id, id);
       if (ctx.dag_events)
-        GSX_FLIGHT(obs::EventKind::TaskStart, 0,
-                   obs::task_ident(ctx.generation, worker_id, id),
-                   obs::pack_op_name(t.name),
-                   static_cast<double>(t.num_predecessors));
+        GSX_FLIGHT(obs::EventKind::TaskBegin, 0, ident, t.op,
+                   static_cast<double>(releaser));
       inflight_gauge.set(static_cast<double>(
           ctx.inflight.fetch_add(1, std::memory_order_relaxed) + 1));
       const double t0 = obs::now_seconds();
@@ -353,21 +345,16 @@ void TaskGraph::run(std::size_t num_workers) {
           ctx.cv.notify_all();
         }
       }
-      const double t1 = obs::now_seconds();
-      t.duration_seconds = t1 - t0;
+      const double seconds = obs::now_seconds() - t0;
+      busy += seconds;
       inflight_gauge.set(static_cast<double>(
           ctx.inflight.fetch_sub(1, std::memory_order_relaxed) - 1));
-      if (ctx.dag_events)
-        GSX_FLIGHT(obs::EventKind::TaskEnd, 0,
-                   obs::task_ident(ctx.generation, worker_id, id),
-                   obs::pack_op_name(t.name), t.duration_seconds);
-
-      // Kernel-attached metadata (precision, rank, flops) for the span.
-      // Always drained so a stale annotation never leaks onto a later task.
+      // Kernel-attached metadata (precision, rank, flops), drained for every
+      // task so a stale annotation never leaks onto a later one.
       const auto ann = obs::take_task_annotation();
-      if (record_spans)
-        obs::record_span({t.name, "task", static_cast<std::uint32_t>(worker_id), t0, t1,
-                          ann ? obs::annotation_args(*ann) : std::string{}});
+      if (ctx.dag_events)
+        GSX_FLIGHT(obs::EventKind::TaskFinish, 0, ident,
+                   ann ? obs::pack_annotation(*ann) : 0, seconds);
 
       std::size_t newly_ready = 0;
       bool quiesced = false;
@@ -388,6 +375,7 @@ void TaskGraph::run(std::size_t num_workers) {
         for (std::size_t i = 0; i < newly_ready; ++i) ctx.cv.notify_one();
       }
     }
+    task_seconds[worker_id] = busy;
   };
 
   if (num_workers == 1) {
@@ -413,8 +401,7 @@ void TaskGraph::run(std::size_t num_workers) {
     std::this_thread::yield();
 
   stats_.makespan_seconds = obs::now_seconds() - run_start;
-  stats_.total_task_seconds = 0.0;
-  for (const Task& t : tasks_) stats_.total_task_seconds += t.duration_seconds;
+  stats_.total_task_seconds = std::accumulate(task_seconds.begin(), task_seconds.end(), 0.0);
   compute_critical_path();
 
   auto& reg = obs::Registry::instance();

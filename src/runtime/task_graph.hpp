@@ -8,6 +8,13 @@
 // precision-conversion tasks, exactly the structure the paper builds inside
 // PaRSEC. Priorities let the panel chain (the critical path of Cholesky)
 // overtake trailing updates.
+//
+// Like PaRSEC's profiling, a run records each task as a begin/end pair in
+// the executing thread's flight ring (obs/ring.hpp) and nothing else: the
+// begin names the predecessor whose completion released the task, the end
+// carries the duration and the kernel's annotation. obs/analytics.hpp
+// derives the as-executed critical path, utilization and the Chrome trace
+// from those events after the run.
 #pragma once
 
 #include <atomic>
@@ -16,7 +23,7 @@
 #include <functional>
 #include <limits>
 #include <mutex>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -66,13 +73,14 @@ enum class SchedPolicy : unsigned char {
   Priority,
 };
 
-/// Post-execution DAG statistics. The duration-weighted critical path is
+/// Post-execution DAG statistics. The as-executed critical path is
 /// obs::critical_path over the run's flight events.
 struct GraphStats {
   std::size_t num_tasks = 0;
   std::size_t num_edges = 0;
   std::size_t critical_path_tasks = 0;   ///< longest chain, in tasks
-  double total_task_seconds = 0.0;       ///< sum of task durations
+  double total_task_seconds = 0.0;       ///< sum of task durations (each
+                                         ///< worker sums its own)
   double makespan_seconds = 0.0;         ///< wall time of run()
   double parallel_efficiency(std::size_t workers) const {
     return (makespan_seconds > 0.0 && workers > 0)
@@ -85,7 +93,7 @@ struct GraphStats {
 ///
 /// Usage:
 ///   TaskGraph g;
-///   g.submit("potrf(0)", {{id, Access::ReadWrite}}, [&]{ ... }, /*priority=*/10);
+///   g.submit("potrf", {{id, Access::ReadWrite}}, [&]{ ... }, /*priority=*/10);
 ///   ...
 ///   g.run(4);
 ///
@@ -94,18 +102,20 @@ struct GraphStats {
 /// dependencies); run() executes bodies concurrently. Bodies must touch only
 /// data they declared (CP.2/CP.3: the graph is the sharing discipline).
 ///
-/// Every run records each task once per reader: TaskStart/TaskEnd (and one
-/// TaskDepEdge per edge) in the flight rings for obs/analytics, and, while
-/// obs::enabled(), one "task" obs::Span carrying the kernel's annotation for
-/// the profile trace.
+/// Every run records each task exactly twice, in the flight rings:
+/// TaskBegin (op kind, releasing predecessor) and TaskFinish (kernel
+/// annotation, duration). No event is recorded per edge, and none at all
+/// in a GSX_TELEMETRY=OFF build.
 class TaskGraph {
  public:
   TaskGraph() = default;
   TaskGraph(const TaskGraph&) = delete;
   TaskGraph& operator=(const TaskGraph&) = delete;
 
-  /// Add a task. Returns its index (its task id in the flight events).
-  std::size_t submit(std::string name, const std::vector<Dep>& deps,
+  /// Add a task. `op` names its kind ("potrf", "gemm", ...; the first 8
+  /// bytes before any '(' are recorded). Returns its index (its task id in
+  /// the flight events).
+  std::size_t submit(std::string_view op, const std::vector<Dep>& deps,
                      std::function<void()> body, int priority = 0);
 
   /// Add an externally-completed task: it has no body and is never handed to
@@ -115,7 +125,7 @@ class TaskGraph {
   /// (declaring Write on the staging datum); the transport receiver thread
   /// notifies it when the tile arrives, which releases every local consumer
   /// without parking a worker in a blocking recv.
-  std::size_t submit_external(std::string name, const std::vector<Dep>& deps);
+  std::size_t submit_external(std::string_view op, const std::vector<Dep>& deps);
 
   /// Mark an external task's out-of-band condition satisfied. Thread-safe;
   /// callable from any thread before or during run(). Calling it for a
@@ -134,13 +144,12 @@ class TaskGraph {
 
  private:
   struct Task {
-    std::string name;
+    std::uint64_t op = 0;  ///< obs::pack_op_name of the submitted op kind
     std::function<void()> body;
     int priority = 0;
     bool external = false;  ///< completed via notify(), not a worker
     std::vector<std::size_t> successors;
     std::size_t num_predecessors = 0;
-    double duration_seconds = 0.0;
   };
 
   struct DatumState {
@@ -151,7 +160,7 @@ class TaskGraph {
 
   struct RunCtx;  // live scheduler state, defined in task_graph.cpp
 
-  std::size_t submit_impl(std::string name, const std::vector<Dep>& deps,
+  std::size_t submit_impl(std::string_view op, const std::vector<Dep>& deps,
                           std::function<void()> body, int priority, bool external);
   void add_edge(std::size_t from, std::size_t to);
   void compute_critical_path();

@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "cholesky/factorize.hpp"
 #include "cholesky/tile_batch.hpp"
 #include "cholesky/tile_solve.hpp"
 #include "la/lapack.hpp"
+#include "obs/analytics.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -172,21 +177,47 @@ TEST(DenseCholesky, ProfiledRunRecordsEveryTaskInsideFactorizePhase) {
   obs::set_enabled(true);
   const FactorReport rep = tile_cholesky_dense(a, opts);
   obs::set_enabled(false);
-  const std::vector<obs::Span> spans = obs::trace_spans();
+  const std::uint64_t factorize_phases = obs::phase_histogram(obs::Phase::Factorize).count();
   obs::reset_all();
   ASSERT_EQ(rep.info, 0);
+  // profile.json's phase total counts the run in every build.
+  EXPECT_EQ(factorize_phases, 1u);
 
-  const obs::Span* phase = nullptr;
-  for (const obs::Span& s : spans)
-    if (s.category == "phase" && s.name == "factorize") phase = &s;
-  ASSERT_NE(phase, nullptr);
+  // The profiled run's trace.json: its factorize phase is the last one on
+  // the pipeline row, its tasks the slices of the latest generation. A
+  // GSX_TELEMETRY=OFF build records neither, so its trace has no phase and
+  // no task slice.
+  const obs::ExecutionHistory h =
+      obs::build_history(obs::FlightRecorder::instance().snapshot());
+  const std::vector<std::string> lines = test::flight_trace_lines();
+  if (!test::kFlightRecords) {
+    EXPECT_TRUE(h.graphs.empty());
+    for (const std::string& line : lines) {
+      EXPECT_EQ(line.find("\"cat\": \"phase\""), std::string::npos) << line;
+      EXPECT_EQ(line.find("\"cat\": \"task\""), std::string::npos) << line;
+    }
+    return;
+  }
+  ASSERT_FALSE(h.graphs.empty());
+  const std::uint64_t gen = h.graphs.back().generation;
+  double phase_ts = std::nan("");
+  double phase_end = std::nan("");
+  for (const std::string& line : lines)
+    if (line.find("\"name\": \"factorize\", \"cat\": \"phase\"") != std::string::npos &&
+        line.find("\"tid\": 999}") != std::string::npos) {
+      phase_ts = test::trace_number(line, "\"ts\": ");
+      phase_end = phase_ts + test::trace_number(line, "\"dur\": ");
+    }
+  ASSERT_FALSE(std::isnan(phase_ts)) << "no factorize phase on the pipeline row";
+  constexpr double kRounding = 0.002;  // microseconds, 3 decimals written
   std::size_t tasks = 0;
-  for (const obs::Span& s : spans) {
-    if (s.category != "task") continue;
+  for (const std::string& line : lines) {
+    if (!test::is_task_slice(line, gen)) continue;
     ++tasks;
-    EXPECT_NE(s.args.find("\"precision\""), std::string::npos) << s.name;
-    EXPECT_GE(s.start_seconds, phase->start_seconds) << s.name;
-    EXPECT_LE(s.end_seconds, phase->end_seconds) << s.name;
+    EXPECT_NE(line.find("\"precision\": \""), std::string::npos) << line;
+    const double ts = test::trace_number(line, "\"ts\": ");
+    EXPECT_GE(ts, phase_ts - kRounding) << line;
+    EXPECT_LE(ts + test::trace_number(line, "\"dur\": "), phase_end + kRounding) << line;
   }
   EXPECT_EQ(tasks, rep.graph.num_tasks);
 }

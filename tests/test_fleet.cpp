@@ -695,7 +695,7 @@ TEST(Router, HeartbeatSeqMustBeAnUnsigned64BitInteger) {
                   .find("ok")->as_bool());
 }
 
-TEST(Wire, RequestIdRoundTripAndVerbTables) {
+TEST(Wire, RequestIdRoundTrip) {
   EXPECT_EQ(parse_request_id("r-17"), 17u);
   EXPECT_EQ(parse_request_id("17"), 17u);
   EXPECT_EQ(parse_request_id("r-"), 0u);

@@ -30,7 +30,7 @@ using gsx::obs::FlightRecorder;
 Event make_event(std::uint64_t i) {
   Event e;
   e.t = static_cast<double>(i) * 0.5;
-  e.kind = EventKind::TaskStart;
+  e.kind = EventKind::TaskBegin;
   e.request = i;
   e.a = i;
   e.b = i;
@@ -48,7 +48,7 @@ TEST(EventRing, RecordsAndSnapshots) {
   ASSERT_EQ(out.size(), 100u);
   std::set<std::uint64_t> seen;
   for (const Event& e : out) {
-    EXPECT_EQ(e.kind, EventKind::TaskStart);
+    EXPECT_EQ(e.kind, EventKind::TaskBegin);
     EXPECT_EQ(e.a, e.request);
     EXPECT_DOUBLE_EQ(e.v, static_cast<double>(e.a));
     seen.insert(e.a);

@@ -1,5 +1,6 @@
 // Observability layer: registry instruments, flop/conversion ledger,
-// iteration profiling and report writers (profile JSON, Chrome trace, CSV).
+// phase histograms, iteration profiling and report writers (profile JSON,
+// Chrome trace, CSV).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -8,15 +9,19 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/analytics.hpp"
+#include "obs/flight.hpp"
 #include "obs/flops.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "test_utils.hpp"
 
 namespace gsx::obs {
 namespace {
@@ -69,7 +74,7 @@ TEST_F(ObsMetrics, DisabledPathRecordsNothing) {
   add_flops(KernelOp::Gemm, Precision::FP32, 1000);
   add_conversion(Precision::FP64, Precision::FP16, 64);
   annotate_task(Precision::FP32, 4, 100);
-  record_span({"s", "phase", kPipelineTid, 0.0, 1.0, ""});
+  { const ScopedPhase p(Phase::Assemble); }
   begin_iteration("nope");
   end_iteration();
   set_enabled(true);
@@ -80,7 +85,7 @@ TEST_F(ObsMetrics, DisabledPathRecordsNothing) {
   EXPECT_EQ(flop_snapshot().total_flops(), 0u);
   EXPECT_EQ(flop_snapshot().total_conversions(), 0u);
   EXPECT_FALSE(take_task_annotation().has_value());
-  EXPECT_TRUE(trace_spans().empty());
+  EXPECT_EQ(phase_histogram(Phase::Assemble).count(), 0u);
   EXPECT_TRUE(profile_iterations().empty());
 }
 
@@ -267,15 +272,36 @@ TEST_F(ObsMetrics, ScopedTimerRecordsIntoHistogram) {
 }
 
 TEST_F(ObsMetrics, PhaseSpansLandOnPipelineRow) {
-  { const ScopedPhase p("assemble"); }
-  { const ScopedPhase p("factorize"); }
-  const auto spans = trace_spans();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "assemble");
-  EXPECT_EQ(spans[0].category, "phase");
-  EXPECT_EQ(spans[0].tid, kPipelineTid);
-  EXPECT_LE(spans[0].start_seconds, spans[0].end_seconds);
-  EXPECT_LE(spans[0].end_seconds, spans[1].start_seconds);
+  { const ScopedPhase p(Phase::Assemble); }
+  { const ScopedPhase p(Phase::Factorize); }
+  // Each phase observes its registry histogram, in every build.
+  EXPECT_EQ(phase_histogram(Phase::Assemble).count(), 1u);
+  EXPECT_EQ(&phase_histogram(Phase::Assemble),
+            &Registry::instance().histogram("assemble.seconds"));
+  EXPECT_EQ(phase_histogram(Phase::Factorize).count(), 1u);
+  EXPECT_GE(phase_histogram(Phase::Factorize).sum(), 0.0);
+  EXPECT_EQ(phase_histogram(Phase::Solve).count(), 0u);
+  // Each phase is also one flight event on this thread, drawn on the
+  // pipeline row; a GSX_TELEMETRY=OFF build records no event, so its trace
+  // has no phase.
+  const std::vector<std::string> lines = test::flight_trace_lines();
+  std::ptrdiff_t assemble = -1;
+  std::ptrdiff_t factorize = -1;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].find("\"cat\": \"phase\"") == std::string::npos) continue;
+    EXPECT_NE(lines[i].find("\"tid\": 999}"), std::string::npos) << lines[i];
+    if (lines[i].find("\"name\": \"assemble\"") != std::string::npos)
+      assemble = static_cast<std::ptrdiff_t>(i);
+    if (lines[i].find("\"name\": \"factorize\"") != std::string::npos)
+      factorize = static_cast<std::ptrdiff_t>(i);
+  }
+  if (!test::kFlightRecords) {
+    EXPECT_EQ(assemble, -1);
+    EXPECT_EQ(factorize, -1);
+    return;
+  }
+  ASSERT_GE(assemble, 0);
+  EXPECT_GT(factorize, assemble);  // recording order
 }
 
 TEST_F(ObsMetrics, AnnotationIsDrainedOnce) {
@@ -287,10 +313,12 @@ TEST_F(ObsMetrics, AnnotationIsDrainedOnce) {
   EXPECT_EQ(a->flops, 777u);
   EXPECT_FALSE(take_task_annotation().has_value());
 
-  const std::string args = annotation_args(*a);
-  EXPECT_NE(args.find("\"precision\": \"FP16\""), std::string::npos);
-  EXPECT_NE(args.find("\"rank\": 12"), std::string::npos);
-  EXPECT_NE(args.find("\"flops\": 777"), std::string::npos);
+  // What a task's finish event carries survives the packed round trip.
+  const auto packed = unpack_annotation(pack_annotation(*a));
+  ASSERT_TRUE(packed.has_value());
+  EXPECT_EQ(packed->precision, Precision::FP16);
+  EXPECT_EQ(packed->rank, 12);
+  EXPECT_EQ(packed->flops, 777u);
 }
 
 TEST_F(ObsMetrics, IterationRecordsCaptureDeltaAndTiles) {
@@ -334,7 +362,7 @@ TEST_F(ObsMetrics, ReportWritersEmitExpectedStructure) {
   const std::size_t ranks[] = {6};
   record_iteration_tiles(mix, ranks);
   end_iteration();
-  { const ScopedPhase p("factorize"); }
+  { const ScopedPhase p(Phase::Factorize); }
 
   const std::string jpath = "/tmp/gsx_obs_report_test.json";
   const std::string cpath = "/tmp/gsx_obs_report_test.csv";
@@ -364,7 +392,7 @@ TEST_F(ObsMetrics, ProfileReportsUnattributedIterationTime) {
   // One iteration: 10 ms inside a phase span, then 10 ms outside any.
   begin_iteration("evaluate");
   {
-    const ScopedPhase p("assemble");
+    const ScopedPhase p(Phase::Assemble);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -385,42 +413,42 @@ TEST_F(ObsMetrics, ProfileReportsUnattributedIterationTime) {
 }
 
 TEST_F(ObsMetrics, ProfileTraceCoversPhasesAndAnnotatedTasks) {
-  // A pipeline phase span plus an annotated kernel-task span, as a profiled
-  // factorization records them: phases on the pipeline row, tasks on worker
-  // rows with precision/rank/flops args.
-  { const ScopedPhase phase("assemble"); }
-  TaskAnnotation ann;
-  ann.precision = Precision::FP32;
-  ann.rank = 7;
-  ann.flops = 512;
-  record_span({"gemm(2,1,0)", "task", 3, now_seconds(), now_seconds(), annotation_args(ann)});
+  // A pipeline phase plus an annotated kernel task, recorded as a profiled
+  // factorization records them (directly, so the writer is tested in every
+  // build): phases on the pipeline row, tasks on worker rows named by op
+  // kind with precision/rank/flops args.
+  flight_record(EventKind::Phase, 0, static_cast<std::uint64_t>(Phase::Assemble), 0, 0.001);
+  const std::uint64_t ident = task_ident(0xBEEF, 3, 0);
+  flight_record(EventKind::TaskBegin, 0, ident, pack_op_name("gemm"), 0.0);
+  flight_record(EventKind::TaskFinish, 0, ident,
+                pack_annotation({Precision::FP32, 7, 512}), 0.0);
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "gsx_profile_trace_test.json").string();
-  write_profile_trace_json(path);
-  const std::string content = slurp(path);
-  std::remove(path.c_str());
-
+  const std::vector<std::string> lines = test::flight_trace_lines();
+  std::string content;
+  for (const std::string& line : lines) content += line + "\n";
   EXPECT_EQ(content.front(), '[');
   EXPECT_EQ(content[content.size() - 2], ']');
   // Pipeline row is named via a thread_name metadata event.
   EXPECT_NE(content.find("\"ph\": \"M\""), std::string::npos);
   EXPECT_NE(content.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(content.find("pipeline"), std::string::npos);
-  // The phase span, on the pipeline row with its category.
-  EXPECT_NE(content.find("\"name\": \"assemble\""), std::string::npos);
-  EXPECT_NE(content.find("\"cat\": \"phase\""), std::string::npos);
-  // The task span keeps its worker tid and kernel metadata.
-  EXPECT_NE(content.find("\"name\": \"gemm(2,1,0)\""), std::string::npos);
-  EXPECT_NE(content.find("\"cat\": \"task\""), std::string::npos);
-  EXPECT_NE(content.find("\"tid\": 3"), std::string::npos);
-  EXPECT_NE(content.find("\"precision\": \"FP32\""), std::string::npos);
-  EXPECT_NE(content.find("\"rank\": 7"), std::string::npos);
+  // The phase slice, on the pipeline row with its category.
+  EXPECT_NE(content.find("\"name\": \"assemble\", \"cat\": \"phase\""), std::string::npos);
+  // The task slice keeps its worker tid and kernel metadata.
+  std::string slice;
+  for (const std::string& line : lines)
+    if (test::is_task_slice(line, 0xBEEF)) slice = line;
+  EXPECT_NE(slice.find("\"name\": \"gemm\", \"cat\": \"task\""), std::string::npos) << slice;
+  EXPECT_NE(slice.find("\"tid\": 3"), std::string::npos) << slice;
+  EXPECT_NE(slice.find("\"precision\": \"FP32\""), std::string::npos) << slice;
+  EXPECT_NE(slice.find("\"rank\": 7"), std::string::npos) << slice;
+  EXPECT_NE(slice.find("\"flops\": 512"), std::string::npos) << slice;
 }
 
 TEST_F(ObsMetrics, ReportWriterRejectsUnwritablePath) {
   EXPECT_THROW(write_profile_json("/nonexistent-dir/x.json"), InvalidArgument);
-  EXPECT_THROW(write_profile_trace_json("/nonexistent-dir/x.trace.json"), InvalidArgument);
+  EXPECT_THROW(write_gantt_trace(ExecutionHistory{}, "/nonexistent-dir/x.trace.json"),
+               InvalidArgument);
   EXPECT_THROW(write_flops_csv("/nonexistent-dir/x.csv"), InvalidArgument);
 }
 

@@ -6,15 +6,18 @@
 #include <cstdint>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "cholesky/tile_batch.hpp"
 #include "common/error.hpp"
+#include "obs/analytics.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/ring.hpp"
 #include "obs/trace.hpp"
 #include "runtime/task_graph.hpp"
+#include "test_utils.hpp"
 
 namespace gsx::rt {
 namespace {
@@ -117,27 +120,21 @@ TEST(TaskGraph, PriorityOrderWithSingleWorker) {
   EXPECT_EQ(order, expect);
 }
 
-// The one-worker order of the tile Cholesky DAG: the same accesses and
-// priorities as cholesky::run_cholesky_dag, one GEMM task per <= kGemmBatchMax
-// chunk of each (n, k) panel column. Each body appends its task index; the
-// FNV-1a of that order pins the ready heap's order: higher priority first,
-// then lower submission index.
-std::uint64_t cholesky_dag_order_hash(std::size_t nt, std::size_t expect_tasks) {
+// The tile Cholesky DAG: the same accesses and priorities as
+// cholesky::run_cholesky_dag, one GEMM task per <= kGemmBatchMax chunk of
+// each (n, k) panel column. `make_body()` supplies each task's body, called
+// once per task in submission order.
+template <class MakeBody>
+void submit_cholesky_dag(TaskGraph& g, std::size_t nt, MakeBody make_body) {
   const auto id = [nt](std::size_t i, std::size_t j) { return DatumId::from_index(i * nt + j); };
-  TaskGraph g;
-  std::vector<std::size_t> order;
-  const auto record = [&g, &order] {
-    const std::size_t task = g.size();
-    return [&order, task] { order.push_back(task); };
-  };
   for (std::size_t k = 0; k < nt; ++k) {
     const int base = 3 * static_cast<int>(nt - k);
-    g.submit("potrf", {{id(k, k), Access::ReadWrite}}, record(), base + 2);
+    g.submit("potrf", {{id(k, k), Access::ReadWrite}}, make_body(), base + 2);
     for (std::size_t m = k + 1; m < nt; ++m)
-      g.submit("trsm", {{id(k, k), Access::Read}, {id(m, k), Access::ReadWrite}}, record(),
+      g.submit("trsm", {{id(k, k), Access::Read}, {id(m, k), Access::ReadWrite}}, make_body(),
                base + 1);
     for (std::size_t m = k + 1; m < nt; ++m)
-      g.submit("syrk", {{id(m, k), Access::Read}, {id(m, m), Access::ReadWrite}}, record(),
+      g.submit("syrk", {{id(m, k), Access::Read}, {id(m, m), Access::ReadWrite}}, make_body(),
                base);
     for (std::size_t n = k + 1; n < nt; ++n)
       for (std::size_t m0 = n + 1; m0 < nt; m0 += cholesky::kGemmBatchMax) {
@@ -146,9 +143,21 @@ std::uint64_t cholesky_dag_order_hash(std::size_t nt, std::size_t expect_tasks) 
           deps.push_back({id(m, k), Access::Read});
           deps.push_back({id(m, n), Access::ReadWrite});
         }
-        g.submit("gemm", deps, record(), base);
+        g.submit("gemm", deps, make_body(), base);
       }
   }
+}
+
+// The one-worker order of the tile Cholesky DAG. Each body appends its task
+// index; the FNV-1a of that order pins the ready heap's order: higher
+// priority first, then lower submission index.
+std::uint64_t cholesky_dag_order_hash(std::size_t nt, std::size_t expect_tasks) {
+  TaskGraph g;
+  std::vector<std::size_t> order;
+  submit_cholesky_dag(g, nt, [&g, &order] {
+    const std::size_t task = g.size();
+    return [&order, task] { order.push_back(task); };
+  });
   EXPECT_EQ(g.size(), expect_tasks);
   g.run(1);
   EXPECT_EQ(order.size(), g.size());
@@ -220,42 +229,110 @@ TEST(TaskGraph, StatsAccounting) {
   EXPECT_GT(g.stats().makespan_seconds, 0.0);
 }
 
+/// The most recent graph in this process's flight history: the run the
+/// calling test just made (empty in a GSX_TELEMETRY=OFF build).
+obs::GraphExec latest_graph() {
+  obs::ExecutionHistory h = obs::build_history(obs::FlightRecorder::instance().snapshot());
+  if (h.graphs.empty()) return {};
+  return std::move(h.graphs.back());
+}
+
 TEST(TaskGraph, ProfiledRunRecordsOneSpanPerTask) {
-  obs::reset_trace();
   obs::set_enabled(true);
   TaskGraph g;
   for (int i = 0; i < 7; ++i) g.submit("traced" + std::to_string(i), {}, [] {});
   g.run(3);
   obs::set_enabled(false);
-  const std::vector<obs::Span> spans = obs::trace_spans();
-  obs::reset_trace();
-  ASSERT_EQ(spans.size(), 7u);
-  for (const obs::Span& s : spans) {
-    EXPECT_EQ(s.category, "task");
-    EXPECT_LE(s.start_seconds, s.end_seconds);
-    EXPECT_LT(s.tid, 3u);
+  EXPECT_EQ(g.stats().num_tasks, 7u);
+  const std::uint64_t gen = latest_graph().generation;
+
+  // The Chrome trace holds one task slice per task of this run, on its
+  // worker's row; a GSX_TELEMETRY=OFF build records none.
+  std::size_t slices = 0;
+  for (const std::string& line : test::flight_trace_lines()) {
+    if (!test::is_task_slice(line, gen)) continue;
+    ++slices;
+    EXPECT_NE(line.find("\"name\": \"traced"), std::string::npos) << line;
+    EXPECT_LT(test::trace_number(line, "\"tid\": "), 3.0) << line;
   }
+  EXPECT_EQ(slices, test::kFlightRecords ? 7u : 0u);
 }
 
 TEST(TaskGraph, ProfiledRunDrainsAnnotationPerTask) {
-  obs::reset_trace();
   obs::set_enabled(true);
   TaskGraph g;
-  g.submit("annotated", {}, [] { obs::annotate_task(Precision::FP16, 5, 99); });
+  g.submit("noted", {}, [] { obs::annotate_task(Precision::FP16, 5, 99); });
   g.submit("plain", {}, [] {});
   g.run(1);
   obs::set_enabled(false);
-  const std::vector<obs::Span> spans = obs::trace_spans();
-  obs::reset_trace();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "annotated");
-  EXPECT_NE(spans[0].args.find("\"precision\": \"FP16\""), std::string::npos);
-  EXPECT_NE(spans[0].args.find("\"rank\": 5"), std::string::npos);
-  EXPECT_NE(spans[0].args.find("\"flops\": 99"), std::string::npos);
+  // The one worker is this thread: the run left its slot empty.
+  EXPECT_FALSE(obs::take_task_annotation().has_value());
+  const obs::GraphExec run = latest_graph();
+  if (!test::kFlightRecords) {
+    EXPECT_TRUE(run.tasks.empty());
+    return;
+  }
+  ASSERT_EQ(run.tasks.size(), 2u);
+  const obs::TaskExec& annotated = run.tasks.at(0);
+  EXPECT_EQ(annotated.op, "noted");
+  ASSERT_TRUE(annotated.annotation.has_value());
+  EXPECT_EQ(annotated.annotation->precision, Precision::FP16);
+  EXPECT_EQ(annotated.annotation->rank, 5);
+  EXPECT_EQ(annotated.annotation->flops, 99u);
   // The slot is drained per task: no annotation may leak across tasks.
-  EXPECT_EQ(spans[1].name, "plain");
-  EXPECT_TRUE(spans[1].args.empty());
+  EXPECT_EQ(run.tasks.at(1).op, "plain");
+  EXPECT_FALSE(run.tasks.at(1).annotation.has_value());
 }
+
+#ifndef GSX_TELEMETRY_DISABLED
+// The dense Cholesky DAG at nt = 32 has 1,489 tasks and 7,813 edges: more
+// edges than a 4096-slot ring holds. Its history is two events per task on
+// the workers' rings, so the whole graph decodes and its as-executed
+// critical path ends at the last task to finish.
+TEST(TaskGraph, CholeskyDagHistoryIsComplete) {
+  TaskGraph g;
+  submit_cholesky_dag(g, 32, [] { return [] {}; });
+  ASSERT_EQ(g.size(), 1489u);
+  g.run(4);
+  const obs::GraphExec run = latest_graph();
+  ASSERT_EQ(run.tasks.size(), 1489u);
+  const obs::CriticalPathReport cp = obs::critical_path(run);
+  EXPECT_TRUE(cp.complete);
+  ASSERT_FALSE(cp.path.empty());
+  const auto last = std::max_element(run.tasks.begin(), run.tasks.end(),
+                                     [](const auto& a, const auto& b) {
+                                       return a.second.end < b.second.end;
+                                     });
+  EXPECT_EQ(run.tasks.at(cp.path.back()).end, last->second.end);
+  EXPECT_EQ(cp.path.front(), 0u);  // the chain starts at the first potrf
+  for (std::size_t i = 1; i < cp.path.size(); ++i)
+    EXPECT_EQ(run.tasks.at(cp.path[i]).releaser, cp.path[i - 1]);
+}
+
+// An external task is released by whichever of its two conditions comes
+// last: its predecessors' completion or its notify(). Here the predecessor
+// finishes first and a later task delivers the notification, so the
+// external records no releaser, and the as-executed chain stops at it.
+TEST(TaskGraph, LateNotifyReleasesExternalTask) {
+  TaskGraph g;
+  const auto d = DatumId::from_index(0);
+  const auto e = DatumId::from_index(1);
+  const std::size_t pred = g.submit("pred", {{d, Access::Write}}, [] {}, 2);
+  const std::size_t ext = g.submit_external("recv", {{d, Access::Read}, {e, Access::Write}});
+  g.submit("notifier", {{d, Access::Read}}, [&g, ext] { g.notify(ext); }, 1);
+  const std::size_t last = g.submit("after", {{e, Access::Read}}, [] {}, 0);
+  g.run(1);
+  const obs::GraphExec run = latest_graph();
+  ASSERT_EQ(run.tasks.size(), 4u);
+  EXPECT_FALSE(run.tasks.at(ext).releaser.has_value());
+  EXPECT_EQ(run.tasks.at(last).releaser, ext);
+  const obs::CriticalPathReport cp = obs::critical_path(run);
+  EXPECT_TRUE(cp.complete);
+  // Not {pred, ext, last}: pred's completion did not release the external.
+  EXPECT_EQ(cp.path, (std::vector<std::uint64_t>{ext, last}));
+  EXPECT_TRUE(run.tasks.at(pred).finished);
+}
+#endif
 
 TEST(TaskGraph, ExecutionOrderIsTopological) {
   TaskGraph g;
@@ -330,11 +407,11 @@ TEST(ParallelFor, SingleWorkerSequential) {
 }
 
 #ifndef GSX_TELEMETRY_DISABLED
-// The packed TaskStart/TaskEnd/TaskDepEdge identities carry 8-bit worker
-// lanes (0xFF reserved for externals): a run with more workers than the
-// field can hold must skip the DAG-history events entirely — worker 255
-// would otherwise masquerade as an external task. Such a run records no
-// task events at all, and it still completes.
+// The packed TaskBegin/TaskFinish identities carry 8-bit worker lanes (0xFF
+// reserved for externals): a run with more workers than the field can hold
+// must skip the task events entirely — worker 255 would otherwise
+// masquerade as an external task. Such a run records no task events at
+// all, and it still completes.
 TEST(TaskGraph, OversizedWorkerCountSkipsPackedDagEvents) {
   const auto count = [](gsx::obs::EventKind k) {
     std::size_t n = 0;
@@ -343,9 +420,9 @@ TEST(TaskGraph, OversizedWorkerCountSkipsPackedDagEvents) {
     return n;
   };
 
-  // Control: an in-range worker count records the packed DAG history.
+  // Control: an in-range worker count records the packed task history.
   {
-    const std::size_t start_before = count(gsx::obs::EventKind::TaskStart);
+    const std::size_t begin_before = count(gsx::obs::EventKind::TaskBegin);
     TaskGraph g;
     std::atomic<int> ran{0};
     const auto d = DatumId::from_index(0);
@@ -353,16 +430,15 @@ TEST(TaskGraph, OversizedWorkerCountSkipsPackedDagEvents) {
     g.submit("b()", {{d, Access::Read}}, [&] { ++ran; });
     g.run(2);
     EXPECT_EQ(ran.load(), 2);
-    EXPECT_GT(count(gsx::obs::EventKind::TaskStart), start_before);
+    EXPECT_GT(count(gsx::obs::EventKind::TaskBegin), begin_before);
   }
 
-  // 300 workers overflow the 8-bit lane field: no new TaskStart/TaskEnd/
-  // TaskDepEdge events (older ones may age out of the ring, hence LE), and
-  // the graph still executes.
+  // 300 workers overflow the 8-bit lane field: no new TaskBegin/TaskFinish
+  // events (older ones may age out of the ring, hence LE), and the graph
+  // still executes.
   {
-    const std::size_t start_before = count(gsx::obs::EventKind::TaskStart);
-    const std::size_t end_before = count(gsx::obs::EventKind::TaskEnd);
-    const std::size_t edge_before = count(gsx::obs::EventKind::TaskDepEdge);
+    const std::size_t begin_before = count(gsx::obs::EventKind::TaskBegin);
+    const std::size_t finish_before = count(gsx::obs::EventKind::TaskFinish);
     TaskGraph g;
     std::atomic<int> ran{0};
     const auto d = DatumId::from_index(0);
@@ -370,9 +446,8 @@ TEST(TaskGraph, OversizedWorkerCountSkipsPackedDagEvents) {
     g.submit("b()", {{d, Access::Read}}, [&] { ++ran; });
     g.run(300);
     EXPECT_EQ(ran.load(), 2);
-    EXPECT_LE(count(gsx::obs::EventKind::TaskStart), start_before);
-    EXPECT_LE(count(gsx::obs::EventKind::TaskEnd), end_before);
-    EXPECT_LE(count(gsx::obs::EventKind::TaskDepEdge), edge_before);
+    EXPECT_LE(count(gsx::obs::EventKind::TaskBegin), begin_before);
+    EXPECT_LE(count(gsx::obs::EventKind::TaskFinish), finish_before);
   }
 }
 #endif

@@ -48,7 +48,7 @@ TEST(Stats, BoxplotSummaryOrdering) {
   EXPECT_NEAR(b.q3 - b.q1, 1.349, 0.2);  // IQR of the standard normal
 }
 
-TEST(Stats, MspeAndMae) {
+TEST(Stats, Mspe) {
   const std::vector<double> pred = {1.0, 2.0, 3.0};
   const std::vector<double> truth = {1.0, 4.0, 2.0};
   EXPECT_DOUBLE_EQ(mspe(pred, truth), (0.0 + 4.0 + 1.0) / 3.0);

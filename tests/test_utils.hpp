@@ -1,9 +1,14 @@
 // Shared helpers for the GeoStatX test suite.
 #pragma once
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <span>
 #include <string>
@@ -18,6 +23,8 @@
 #include "la/blas.hpp"
 #include "la/lapack.hpp"
 #include "la/matrix.hpp"
+#include "obs/analytics.hpp"
+#include "obs/flight.hpp"
 #include "tile/sym_tile_matrix.hpp"
 
 namespace gsx::test {
@@ -31,6 +38,42 @@ inline bool gemm_isa_within_cap() {
   };
   const char* cap = std::getenv("GSX_GEMM_ISA");
   return cap == nullptr || rank(la::gemm_kernel_isa()) <= rank(cap);
+}
+
+/// Whether GSX_FLIGHT sites record: false in a GSX_TELEMETRY=OFF build,
+/// where only a direct obs::flight_record call reaches the rings.
+#ifndef GSX_TELEMETRY_DISABLED
+inline constexpr bool kFlightRecords = true;
+#else
+inline constexpr bool kFlightRecords = false;
+#endif
+
+/// This process's flight history as the Chrome trace gsx_cli --profile
+/// writes (obs::write_gantt_trace), read back one line per trace event.
+inline std::vector<std::string> flight_trace_lines() {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("gsx_trace_" + std::to_string(::getpid()) + ".json"))
+                               .string();
+  obs::write_gantt_trace(obs::build_history(obs::FlightRecorder::instance().snapshot()), path);
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::remove(path.c_str());
+  return lines;
+}
+
+/// Whether a trace line is a task slice of graph generation `gen`.
+inline bool is_task_slice(const std::string& line, std::uint64_t gen) {
+  const std::string arg = "\"gen\": " + std::to_string(gen);
+  const std::size_t at = line.find(arg);
+  return line.find("\"cat\": \"task\"") != std::string::npos && at != std::string::npos &&
+         (line[at + arg.size()] == ',' || line[at + arg.size()] == '}');
+}
+
+/// The number after `key` in a trace line (NaN when absent).
+inline double trace_number(const std::string& line, std::string_view key) {
+  const std::size_t at = line.find(key);
+  return at == std::string::npos ? std::nan("") : std::stod(line.substr(at + key.size()));
 }
 
 /// Generate every stored tile of `a` from an element functor sigma(gi, gj)

@@ -27,6 +27,8 @@
 #include "geostat/kernel_registry.hpp"
 #include "la/gemm_kernel.hpp"
 #include "mathx/stats.hpp"
+#include "obs/analytics.hpp"
+#include "obs/flight.hpp"
 #include "obs/health.hpp"
 #include "obs/hwcounters.hpp"
 #include "obs/log.hpp"
@@ -57,9 +59,10 @@ using namespace gsx;
                "full fitted model (gsx-ckpt-v1) on completion; an existing\n"
                "fit-progress checkpoint at FILE resumes the interrupted fit\n"
                "kernels: matern matern-nugget powexp aniso-matern gneiting\n"
-               "--profile writes PREFIX.trace.json (Chrome trace of the full\n"
-               "pipeline), PREFIX.profile.json (per-iteration flop/precision/rank\n"
-               "report) and PREFIX.flops.csv\n"
+               "--profile writes PREFIX.trace.json (Chrome trace of the last\n"
+               "4096 flight events per thread: phases and tasks),\n"
+               "PREFIX.profile.json (per-iteration flop/precision/rank report)\n"
+               "and PREFIX.flops.csv\n"
                "observability (any command):\n"
                "  --log-level trace|debug|info|warn|error|off   stderr logging\n"
                "  --log-json FILE    structured JSONL log sink (implies info)\n"
@@ -116,6 +119,13 @@ std::unique_ptr<geostat::CovarianceModel> make_kernel(const std::string& name,
 /// model so profile.json can report achieved-vs-peak rooflines.
 bool begin_profile(const std::map<std::string, std::string>& flags) {
   if (!flags.count("profile")) return false;
+#ifdef GSX_TELEMETRY_DISABLED
+  // The trace is drawn from the flight rings, which this build never writes.
+  std::fprintf(stderr,
+               "gsx_cli: warning: built with GSX_TELEMETRY=OFF: %s.trace.json will hold "
+               "no phase or task (profile.json's phase totals still count)\n",
+               flags.at("profile").c_str());
+#endif
   obs::reset_all();
   obs::set_enabled(true);
   obs::set_hw_enabled(true);
@@ -134,7 +144,8 @@ bool begin_profile(const std::map<std::string, std::string>& flags) {
 /// they are written.
 void end_profile(const std::map<std::string, std::string>& flags) {
   const std::string& prefix = flags.at("profile");
-  obs::write_profile_trace_json(prefix + ".trace.json");
+  obs::write_gantt_trace(obs::build_history(obs::FlightRecorder::instance().snapshot()),
+                         prefix + ".trace.json");
   obs::write_profile_json(prefix + ".profile.json");
   obs::write_flops_csv(prefix + ".flops.csv");
   obs::set_hw_enabled(false);

@@ -8,9 +8,9 @@
 // different machines' clocks land in one order a human can read. See
 // docs/observability.md ("Fleet observability") for a worked post-mortem.
 //
-// The analytics subcommands decode the TaskStart/TaskEnd/TaskDepEdge DAG
-// execution history (docs/observability.md, "Execution analytics"):
-//   critical-path  longest duration-weighted dependency chain + per-op-kind
+// The analytics subcommands decode the task_begin/task_finish execution
+// history (docs/observability.md, "Execution analytics"):
+//   critical-path  as-executed chain of releasing predecessors + per-op-kind
 //                  attribution + per-rank utilization
 //   imbalance      per-worker busy/idle/queue-wait, Jain fairness,
 //                  comm-vs-compute overlap
@@ -42,6 +42,10 @@
 
 namespace {
 
+constexpr const char* kNoTaskEvents =
+    "no task_begin/task_finish events in the dumps (telemetry off, or a dump "
+    "that predates them: its task_start/task_end/task_dep events are not decoded)";
+
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <command> [options] FILE|DIR...\n"
@@ -54,8 +58,8 @@ void usage(const char* argv0) {
                "  --offsets        print per-process clock offsets and exit\n"
                "  --traces         print the trace-id inventory and exit\n"
                "\n"
-               "--critical-path   longest weighted dependency chain, per-op\n"
-               "                  attribution, per-rank utilization\n"
+               "--critical-path   as-executed chain of releasing predecessors,\n"
+               "                  per-op attribution, per-rank utilization\n"
                "--imbalance       per-worker busy/idle/queue-wait, Jain index,\n"
                "                  comm-vs-compute overlap\n"
                "--gantt           Chrome-trace export of the merged timeline\n"
@@ -143,8 +147,7 @@ int cmd_critical_path(const char* argv0, const std::vector<std::string>& args,
   }
   const gsx::obs::CriticalPathReport& cp = report.critical_path;
   if (cp.length_tasks == 0) {
-    std::fprintf(stderr, "%s: no task_start/task_end events in the dumps "
-                 "(telemetry off, or a pre-analytics recording?)\n", argv0);
+    std::fprintf(stderr, "%s: %s\n", argv0, kNoTaskEvents);
     return 1;
   }
   std::printf("critical path: %.6f s over %zu tasks (process %s, graph %" PRIu64
@@ -152,8 +155,8 @@ int cmd_critical_path(const char* argv0, const std::vector<std::string>& args,
               cp.length_seconds, cp.length_tasks, cp.process.c_str(),
               cp.generation, cp.span_seconds, 100.0 * cp.dominance);
   if (!cp.complete)
-    std::printf("warning: incomplete history (flight rings wrapped: tasks or edges of "
-                "this graph are missing), so the real critical path may be longer\n");
+    std::printf("warning: incomplete history (flight rings wrapped: task events of "
+                "this graph are missing), so the real critical path may differ\n");
   std::printf("op attribution on the path:\n");
   for (const auto& [op, secs] : cp.op_seconds)
     std::printf("  %-10s %.6f s (%5.1f%%)\n", op.c_str(), secs,
@@ -181,7 +184,7 @@ int cmd_imbalance(const char* argv0, const std::vector<std::string>& args,
     return 0;
   }
   if (report.utilization.workers.empty()) {
-    std::fprintf(stderr, "%s: no task_start/task_end events in the dumps\n", argv0);
+    std::fprintf(stderr, "%s: %s\n", argv0, kNoTaskEvents);
     return 1;
   }
   print_utilization(report.utilization);
