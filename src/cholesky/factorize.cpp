@@ -86,8 +86,8 @@ FactorReport run_cholesky_dag(SymTileMatrix& a, double abs_tol, const FactorOpti
           deps.push_back({tid(a, m, n), Access::ReadWrite});
         }
         graph.submit("gemm", deps,
-                     [&a, ms = std::move(ms), n, k, abs_tol, rounding = opts.rounding] {
-                       gemm_tile_batch(a, k, n, ms, abs_tol, rounding);
+                     [&a, ms = std::move(ms), n, k, abs_tol] {
+                       gemm_tile_batch(a, k, n, ms, abs_tol);
                      },
                      base);
       }
@@ -179,8 +179,7 @@ void compress_tile(SymTileMatrix& a, std::size_t i, std::size_t j, double global
                      obs::lf("count", static_cast<std::uint64_t>(bad))});
     }
   }
-  tlr::Compressed comp =
-      tlr::compress(opts.method, full.view(), opts.tol, tlr::TolMode::Absolute);
+  tlr::Compressed comp = tlr::compress_svd(full.view(), opts.tol);
 
   // Structure-aware decision: rank too high for the TLR kernel to win; keep
   // the tile dense (it re-joins the band, cf. Fig. 3(a->b)). The cap is

@@ -18,7 +18,7 @@ struct FactorOptions {
   std::size_t workers = 1;
   /// Unread: the task runtime has one ready-queue policy (rt::SchedPolicy).
   rt::SchedPolicy sched = rt::SchedPolicy::Priority;
-  /// Rounding used by the TLR path's low-rank accumulations.
+  /// Unread: low-rank accumulations have one rounding (tlr::recompress).
   tlr::RoundingMethod rounding = tlr::RoundingMethod::Rrqr;
   /// Precision rule that shaped the matrix — forensic context only (the
   /// factorization itself reads per-tile precisions, not the rule).
@@ -43,6 +43,7 @@ FactorReport tile_cholesky_dense(tile::SymTileMatrix& a, const FactorOptions& op
 struct TlrCompressOptions {
   double tol = 1.0e-8;          ///< absolute Frobenius tolerance per tile
   std::size_t band_size = 1;    ///< |i-j| < band_size stays dense (>= 1)
+  /// Unread: tiles have one compressor (tlr::compress_svd).
   tlr::CompressionMethod method = tlr::CompressionMethod::SVD;
   /// Structure-aware cap (Algorithm 2 outcome): a tile whose compressed
   /// rank exceeds this is converted back to dense. 0 = half the tile side.

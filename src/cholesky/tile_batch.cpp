@@ -20,8 +20,7 @@ struct Group {
 }  // namespace
 
 void gemm_tile_batch(SymTileMatrix& a, std::size_t k, std::size_t n,
-                     const std::vector<std::size_t>& ms, double abs_tol,
-                     tlr::RoundingMethod rounding) {
+                     const std::vector<std::size_t>& ms, double abs_tol) {
   const Tile& ank = a.at(n, k);
   const bool ank_lr = ank.format() == TileFormat::LowRank;
   std::vector<Group> groups;
@@ -33,7 +32,7 @@ void gemm_tile_batch(SymTileMatrix& a, std::size_t k, std::size_t n,
     // batched items cannot change any result.
     if (ank_lr || amk.format() == TileFormat::LowRank ||
         amn.format() == TileFormat::LowRank) {
-      gemm_tile(amk, ank, amn, abs_tol, rounding);
+      gemm_tile(amk, ank, amn, abs_tol);
       continue;
     }
     Group* g = nullptr;

@@ -25,9 +25,8 @@ inline constexpr std::size_t kGemmBatchMax = 32;
 /// Dense tiles are grouped by (output precision, rows) — cols and the inner
 /// dimension are fixed by (n, k) — and each group runs as one
 /// gemm_dense_batch. An update touching a low-rank tile runs the per-op
-/// gemm_tile with the given rounding tolerance and method.
+/// gemm_tile with the given rounding tolerance.
 void gemm_tile_batch(tile::SymTileMatrix& a, std::size_t k, std::size_t n,
-                     const std::vector<std::size_t>& ms, double abs_tol,
-                     tlr::RoundingMethod rounding);
+                     const std::vector<std::size_t>& ms, double abs_tol);
 
 }  // namespace gsx::cholesky

@@ -175,8 +175,7 @@ tlr::LrProduct make_product(const Tile& amk, const Tile& ank, double abs_tol) {
 
 }  // namespace
 
-void gemm_tile(const Tile& amk, const Tile& ank, Tile& amn, double abs_tol,
-               tlr::RoundingMethod rounding) {
+void gemm_tile(const Tile& amk, const Tile& ank, Tile& amn, double abs_tol) {
   const bool a_lr = amk.format() == TileFormat::LowRank;
   const bool b_lr = ank.format() == TileFormat::LowRank;
   if (!a_lr && !b_lr && amn.format() == TileFormat::Dense) {
@@ -219,7 +218,7 @@ void gemm_tile(const Tile& amk, const Tile& ank, Tile& amn, double abs_tol,
     tile::LowRankStorage<T>& lr = amn.factors<T>();
     at_scalar<double>(lr.u, [&](la::Matrix<double>& u) {
       at_scalar<double>(lr.v, [&](la::Matrix<double>& v) {
-        tlr::lr_axpy_rounded(-1.0, p, u, v, abs_tol, rounding);
+        tlr::lr_axpy_rounded(-1.0, p, u, v, abs_tol);
       });
     });
   });

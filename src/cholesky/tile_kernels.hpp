@@ -62,9 +62,9 @@ void syrk_tile(const tile::Tile& amk, tile::Tile& amm);
 /// kernel precision = storage of A_mn, through gemm_dense_batch with one
 /// item. A low-rank operand with a dense A_mn: FP64 compute, rounded back to
 /// A_mn's storage. Low-rank A_mn: the product is accumulated in low-rank
-/// form and re-truncated to `abs_tol` by `rounding`.
+/// form and re-truncated to `abs_tol`.
 void gemm_tile(const tile::Tile& amk, const tile::Tile& ank, tile::Tile& amn,
-               double abs_tol, tlr::RoundingMethod rounding);
+               double abs_tol);
 
 /// One all-dense update C := C - A B^T of a batch sharing B.
 struct DenseUpdate {

@@ -88,7 +88,7 @@ const perfmodel::KernelModel& GsxModel::perf_model(std::size_t ts) const {
                                                 std::max<std::size_t>(2, ts / 8),
                                                 std::max<std::size_t>(4, ts / 4),
                                                 std::max<std::size_t>(8, ts / 2)};
-      perf_model_ = perfmodel::KernelModel::calibrate(ts, ranks, 7, config_.rounding);
+      perf_model_ = perfmodel::KernelModel::calibrate(ts, ranks, 7);
     } else {
       perf_model_ = perfmodel::KernelModel::theoretical(ts);
     }
@@ -111,7 +111,6 @@ void GsxModel::prepare(std::span<const double> theta, std::span<const Location> 
   if (config_.variant == ComputeVariant::MPDenseTLR) {
     cholesky::TlrCompressOptions copt;
     copt.tol = config_.tlr_tol;
-    copt.method = config_.compression;
     copt.lr_fp32 = config_.lr_fp32;
     copt.eps_target = config_.eps_target;
     std::size_t band = std::max<std::size_t>(1, config_.band_size);
@@ -157,7 +156,6 @@ bool GsxModel::prepare_and_factor(std::span<const double> theta,
 
   cholesky::FactorOptions fopt;
   fopt.workers = config_.workers;
-  fopt.rounding = config_.rounding;
   fopt.rule = (config_.variant == ComputeVariant::DenseFP64)
                   ? cholesky::PrecisionRule::AllFP64
                   : config_.mp_rule;

@@ -58,7 +58,9 @@ struct ModelConfig {
 
   // TLR configuration (MPDenseTLR).
   double tlr_tol = 1.0e-8;
+  /// Unread: tiles have one compressor (tlr::compress_svd).
   tlr::CompressionMethod compression = tlr::CompressionMethod::SVD;
+  /// Unread: low-rank accumulations have one rounding (tlr::recompress).
   tlr::RoundingMethod rounding = tlr::RoundingMethod::Rrqr;
   bool auto_band = true;       ///< Algorithm 2 band auto-tuning
   std::size_t band_size = 2;   ///< used when auto_band is off

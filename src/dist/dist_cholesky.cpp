@@ -47,11 +47,10 @@ std::uint64_t tile_tag(std::size_t i, std::size_t j) {
 /// GsxModel's own functions: TLR compression (absolute tolerance 1e-7,
 /// dense band 2, rank cap tile_size/2, FP32 factors where the Frobenius
 /// rule allows at eps 1e-8, seed 42), adaptive-Frobenius demotion (eps
-/// 1e-8, FP16 allowed), and the oracle's rounding of low-rank updates.
+/// 1e-8, FP16 allowed).
 constexpr cholesky::TlrCompressOptions kTlr{.tol = 1.0e-7, .band_size = 2};
 constexpr cholesky::PrecisionPolicy kMp{.rule = cholesky::PrecisionRule::AdaptiveFrobenius,
                                         .band = {}};
-constexpr tlr::RoundingMethod kRounding = cholesky::FactorOptions{}.rounding;
 
 /// The deterministic Matérn problem: same seed -> same locations -> same
 /// Sigma on every rank and in the oracle. Mirrors bench make_space_problem.
@@ -292,7 +291,7 @@ class RankEngine {
           Operand x = read_operand(m, k);
           Operand y = read_operand(n, k);
           TileLease c(*store_, m, n);
-          cholesky::gemm_tile(*x.t, *y.t, c.get(), kTlr.tol, kRounding);
+          cholesky::gemm_tile(*x.t, *y.t, c.get(), kTlr.tol);
         },
         priority);
   }

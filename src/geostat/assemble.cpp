@@ -35,22 +35,11 @@ la::Matrix<double> covariance_matrix(const CovarianceModel& model,
   return sigma;
 }
 
-la::Matrix<double> cross_covariance(const CovarianceModel& model,
-                                    std::span<const Location> a,
-                                    std::span<const Location> b) {
-  GSX_REQUIRE(!a.empty() && !b.empty(), "cross_covariance: empty location set");
-  const obs::ScopedTimer timer("assemble.seconds");
-  count_cov_evals(a.size() * b.size());
-  la::Matrix<double> sigma(a.size(), b.size());
-  model.fill(a, b, sigma.view());
-  return sigma;
-}
-
 void fill_covariance_tiles(tile::SymTileMatrix& tiles, const CovarianceModel& model,
                            std::span<const Location> locs, std::size_t num_workers) {
   GSX_REQUIRE(locs.size() == tiles.n(), "fill_covariance_tiles: size mismatch");
-  // The phase observes into the same "assemble.seconds" histogram as the
-  // dense assemblies' timers above.
+  // The phase observes into the same "assemble.seconds" histogram as
+  // covariance_matrix's timer above.
   const obs::ScopedPhase phase(obs::Phase::Assemble);
   tiles.generate(
       [&](std::size_t gi0, std::size_t gj0, Span2D<double> block) {

@@ -15,12 +15,6 @@ namespace gsx::geostat {
 la::Matrix<double> covariance_matrix(const CovarianceModel& model,
                                      std::span<const Location> locs);
 
-/// Cross-covariance Sigma_ab (|a| x |b|) between two location sets — the
-/// Sigma_mn block of the prediction equations (4)-(5).
-la::Matrix<double> cross_covariance(const CovarianceModel& model,
-                                    std::span<const Location> a,
-                                    std::span<const Location> b);
-
 /// Generate the tiled covariance matrix (dense FP64 tiles) in parallel; the
 /// adaptive Cholesky variants then demote/compress tiles per their policies.
 void fill_covariance_tiles(tile::SymTileMatrix& tiles, const CovarianceModel& model,

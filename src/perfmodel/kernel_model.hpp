@@ -22,7 +22,7 @@ namespace gsx::perfmodel {
 [[nodiscard]] double dense_gemm_flops(std::size_t ts) noexcept;
 
 /// Flop estimate of one TLR GEMM update (LR product of rank-k operands plus
-/// QR-based recompression of the rank-2k accumulation on a ts x ts tile).
+/// RRQR rounding of the rank-2k accumulation on a ts x ts tile).
 [[nodiscard]] double tlr_gemm_flops(std::size_t ts, std::size_t rank) noexcept;
 
 /// One measured point of the TLR GEMM cost curve.
@@ -39,11 +39,11 @@ class KernelModel {
   static KernelModel theoretical(std::size_t ts, double fp64_rate_gflops = 2.0);
 
   /// Calibrate by timing the real kernels on this machine: dense GEMM per
-  /// precision and the TLR GEMM (with the given rounding method) at each
-  /// rank in `ranks`.
+  /// precision and the TLR GEMM at each rank in `ranks`. The fourth
+  /// argument is unread: low-rank updates have one rounding.
   static KernelModel calibrate(std::size_t ts, std::span<const std::size_t> ranks,
                                std::uint64_t seed = 7,
-                               tlr::RoundingMethod rounding = tlr::RoundingMethod::Rrqr);
+                               tlr::RoundingMethod = tlr::RoundingMethod::Rrqr);
 
   [[nodiscard]] std::size_t tile_size() const noexcept { return ts_; }
 

@@ -134,8 +134,11 @@ core::ModelConfig get_config(std::span<const std::uint8_t> in, std::size_t& off)
   c.allow_fp16 = get<std::uint8_t>(in, off) != 0;
   c.allow_bf16 = get<std::uint8_t>(in, off) != 0;
   c.tlr_tol = get<double>(in, off);
-  c.compression = get_enum(in, off, tlr::CompressionMethod::ACA, "compression method");
-  c.rounding = get_enum(in, off, tlr::RoundingMethod::Rrqr, "rounding method");
+  // These two bytes once chose SVD (0) or ACA (1) compression and QR+SVD (0)
+  // or RRQR (1) rounding. Only SVD and RRQR are left, and a factor built
+  // either way still serves, so 0 and 1 load for both.
+  (void)get_enum<std::uint8_t>(in, off, 1, "compression method");
+  (void)get_enum<std::uint8_t>(in, off, 1, "rounding method");
   c.auto_band = get<std::uint8_t>(in, off) != 0;
   c.band_size = get<std::uint64_t>(in, off);
   c.fluctuation = get<double>(in, off);

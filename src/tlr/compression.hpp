@@ -1,13 +1,12 @@
-// Low-rank compression of dense tiles: A ~= U V^T to a target accuracy.
+// Low-rank compression of dense tiles: A ~= U V^T to an absolute accuracy.
 //
 // The paper compresses off-diagonal tiles "up to a target accuracy
-// threshold" (1e-8 for the geostatistics application). Two compressors are
-// provided — truncated SVD (the default; QR-first, so its cost follows the
-// rank rather than the tile size) and adaptive cross approximation (ACA) —
-// plus the QR-based recompression ("rounding") used after low-rank additions
-// inside the TLR Cholesky. Both check their error against the assembled
-// tile, so ||A - U V^T||_F <= threshold holds up to floating-point rounding
-// whichever is chosen.
+// threshold" (1e-8 for the geostatistics application) and re-truncates them
+// after every update, as the TLR MLE it extends does. compress_svd is the
+// compressor (a truncated SVD, QR-first, so its cost follows the rank rather
+// than the tile size) and recompress the rounding used after low-rank
+// additions inside the TLR Cholesky (one thin QR and one column-pivoted QR).
+// Both keep ||A - U V^T||_F <= abs_tol up to floating-point rounding.
 #pragma once
 
 #include <cstddef>
@@ -17,12 +16,15 @@
 
 namespace gsx::tlr {
 
-enum class TolMode : unsigned char {
-  RelativeFrobenius,  ///< ||A - UV^T||_F <= tol * ||A||_F
-  Absolute,           ///< ||A - UV^T||_F <= tol
-};
+/// Tiles are compressed by compress_svd. The enum remains only so that
+/// callers naming it still compile; nothing reads the value.
+enum class CompressionMethod : unsigned char { SVD };
 
-enum class CompressionMethod : unsigned char { SVD, ACA };
+/// Low-rank sums are rounded by recompress. The enum remains only so that
+/// callers naming it still compile; nothing reads the value. Rrqr keeps the
+/// value 1 it had beside the QR+SVD rounding, so a checkpoint stores the
+/// same byte.
+enum class RoundingMethod : unsigned char { Rrqr = 1 };
 
 struct Compressed {
   la::Matrix<double> u;  ///< m x k
@@ -31,39 +33,22 @@ struct Compressed {
 };
 
 /// Truncated SVD compression, QR first: a column-pivoted QR stopped once
-/// the trailing block's norm ||R22||_F is <= threshold / 100, then a Jacobi
+/// the trailing block's norm ||R22||_F is <= abs_tol / 100, then a Jacobi
 /// SVD of the k x n factor [R11 R12] truncated at
-/// sqrt(threshold^2 - ||R22||_F^2). ||A - U V^T||_F <= threshold holds as
-/// for a full-tile SVD. The rank is never below the full SVD's truncation
-/// rank, and equals it unless the energy that truncation drops lies within
-/// the last 1e-4 of threshold^2.
-Compressed compress_svd(Span2D<const double> a, double tol,
-                        TolMode mode = TolMode::RelativeFrobenius);
+/// sqrt(abs_tol^2 - ||R22||_F^2). ||A - U V^T||_F <= abs_tol holds as for
+/// a full-tile SVD. The rank is never below the full SVD's truncation rank,
+/// and equals it unless the energy that truncation drops lies within the
+/// last 1e-4 of abs_tol^2.
+Compressed compress_svd(Span2D<const double> a, double abs_tol);
 
-/// Adaptive cross approximation with partial pivoting on the assembled
-/// tile. It keeps the residual explicitly, stops once ||A - U V^T||_F is
-/// <= threshold / 10, and rounds the cross terms (QrSvd) with the budget
-/// left, so ||A - U V^T||_F <= threshold holds like compress_svd's.
-Compressed compress_aca(Span2D<const double> a, double tol,
-                        TolMode mode = TolMode::RelativeFrobenius);
+/// RRQR rounding of a low-rank representation: replaces (u, v) by an
+/// equivalent factorization truncated to ||U V^T - U' V'^T||_F <= abs_tol.
+/// Used after LR additions (GEMM accumulation into a low-rank tile). Factors
+/// wider than the block (k > min(m, n)) are multiplied out and compressed by
+/// compress_svd instead.
+void recompress(la::Matrix<double>& u, la::Matrix<double>& v, double abs_tol);
 
-/// Dispatch on method.
-Compressed compress(CompressionMethod method, Span2D<const double> a, double tol,
-                    TolMode mode = TolMode::RelativeFrobenius);
-
-/// How low-rank sums are rounded back to the tolerance.
-enum class RoundingMethod : unsigned char {
-  QrSvd,  ///< two thin QRs + SVD of the small core (reference accuracy)
-  Rrqr,   ///< one thin QR + one column-pivoted QR (no SVD, ~2-4x cheaper)
-};
-
-/// QR-based rounding of a low-rank representation: replaces (u, v) by an
-/// equivalent factorization truncated to `tol`. Used after LR additions
-/// (GEMM accumulation into a low-rank tile).
-void recompress(la::Matrix<double>& u, la::Matrix<double>& v, double tol, TolMode mode,
-                RoundingMethod method);
-
-/// ||A - U V^T||_F (testing helper).
+/// ||A - U V^T||_F (the health audit's observed compression error).
 double lowrank_error(Span2D<const double> a, const la::Matrix<double>& u,
                      const la::Matrix<double>& v);
 

@@ -1,6 +1,7 @@
 #include "tlr/lr_kernels.hpp"
 
 #include "common/error.hpp"
+#include "tlr/compression.hpp"
 #include "obs/flops.hpp"
 
 namespace gsx::tlr {
@@ -141,19 +142,20 @@ LrProduct product_dense_dense(Span2D<const double> a, Span2D<const double> b, do
   lr_flops(obs::KernelOp::LrGemm, obs::gemm_flops(a.rows(), b.rows(), a.cols()));
   la::Matrix<double> full(a.rows(), b.rows());
   la::gemm<double>(Trans::NoTrans, Trans::Trans, 1.0, a, b, 0.0, full.view());
-  Compressed c = compress_svd(full.cview(), tol, TolMode::Absolute);
+  Compressed c = compress_svd(full.cview(), tol);
   return LrProduct{std::move(c.u), std::move(c.v)};
 }
 
 void lr_axpy_rounded(double alpha, const LrProduct& p, la::Matrix<double>& uc,
-                     la::Matrix<double>& vc, double abs_tol, RoundingMethod method) {
+                     la::Matrix<double>& vc, double abs_tol) {
   const std::size_t kc = uc.cols();
   const std::size_t kp = p.u.cols();
   GSX_REQUIRE(uc.rows() == p.u.rows() && vc.rows() == p.v.rows(),
               "lr_axpy_rounded: shape mismatch");
   if (kp == 0) return;
-  // QR-based rounding cost estimate: two skinny QRs at the concatenated
-  // rank plus the small-core SVD (dominated by the QRs).
+  // Rounding cost estimate: recompress's two QRs at the concatenated rank,
+  // thin on the m x kr factor and column-pivoted on the n x kr one, each
+  // ~4 rows kr^2 with its Q formed.
   const std::uint64_t kr = kc + kp;
   lr_flops(obs::KernelOp::Compress, 4 * (uc.rows() + vc.rows()) * kr * kr);
   la::Matrix<double> u2(uc.rows(), kc + kp);
@@ -166,7 +168,7 @@ void lr_axpy_rounded(double alpha, const LrProduct& p, la::Matrix<double>& uc,
     for (std::size_t i = 0; i < uc.rows(); ++i) u2(i, kc + j) = alpha * p.u(i, j);
     for (std::size_t i = 0; i < vc.rows(); ++i) v2(i, kc + j) = p.v(i, j);
   }
-  recompress(u2, v2, abs_tol, TolMode::Absolute, method);
+  recompress(u2, v2, abs_tol);
   uc = std::move(u2);
   vc = std::move(v2);
 }

@@ -5,13 +5,12 @@
 //   SYRK  : C -= (U V^T)(U V^T)^T = C - U (V^T V) U^T       — small core
 //   GEMM  : C -= A_ik A_jk^T for every dense/LR combination of the three
 //           tiles, with LR x LR products of rank min(k_ik, k_jk) followed by
-//           QR-based rounding when accumulating into an LR tile.
+//           RRQR rounding when accumulating into an LR tile.
 #pragma once
 
 #include "common/span2d.hpp"
 #include "la/blas.hpp"
 #include "la/matrix.hpp"
-#include "tlr/compression.hpp"
 
 namespace gsx::tlr {
 
@@ -54,10 +53,9 @@ LrProduct product_dense_lr(Span2D<const double> a, const LrView& b);
 LrProduct product_dense_dense(Span2D<const double> a, Span2D<const double> b, double tol);
 
 /// Accumulate C := C + alpha * P into a low-rank tile (uc, vc), followed by
-/// rounding to `abs_tol` (absolute Frobenius threshold) with the chosen
-/// method (QR+SVD reference or the cheaper RRQR).
+/// rounding (recompress) to `abs_tol` (absolute Frobenius threshold).
 void lr_axpy_rounded(double alpha, const LrProduct& p, la::Matrix<double>& uc,
-                     la::Matrix<double>& vc, double abs_tol, RoundingMethod method);
+                     la::Matrix<double>& vc, double abs_tol);
 
 /// y += alpha * (U V^T) x  (tile GEMV for the triangular solve phase).
 void lr_gemv(double alpha, const LrView& a, const double* x, double* y);

@@ -267,14 +267,18 @@ TEST(CheckpointRejects, TruncatedFile) {
 
 // The load verb reads a file the client names, so a config byte past its
 // enum's last value must be rejected even when the section's CRC holds.
-// Loads a saved dense checkpoint whose config byte `at` is set to `value`,
-// with the META section's CRC recomputed to match.
-ModelCheckpoint load_with_config_byte(std::size_t at, std::uint8_t value) {
-  const Problem p = make_problem(48);
-  // One file per (byte, value): ctest runs these tests as parallel processes.
-  const std::string path = temp_path("gsx_ckpt_enum_" + std::to_string(at) + "_" +
-                                     std::to_string(value) + ".ckpt");
-  save_model_checkpoint(path, make_checkpoint(p, dense_config()));
+// Loads `ckpt` saved with its config byte `at` set to `value`, with the
+// META section's CRC recomputed to match; `saved`, if given, receives the
+// byte as the file held it.
+ModelCheckpoint load_with_config_byte(std::size_t at, std::uint8_t value,
+                                      const ModelCheckpoint& ckpt,
+                                      std::uint8_t* saved = nullptr) {
+  // One file per (variant, byte, value): ctest runs these tests as parallel
+  // processes.
+  const std::string path =
+      temp_path("gsx_ckpt_enum_" + std::to_string(static_cast<int>(ckpt.config.variant)) +
+                "_" + std::to_string(at) + "_" + std::to_string(value) + ".ckpt");
+  save_model_checkpoint(path, ckpt);
   std::vector<std::uint8_t> data;
   {
     std::ifstream in(path, std::ios::binary);
@@ -287,7 +291,8 @@ ModelCheckpoint load_with_config_byte(std::size_t at, std::uint8_t value) {
   EXPECT_EQ(std::memcmp(data.data() + 16, "META", 4), 0);
   std::uint64_t length = 0;
   std::memcpy(&length, data.data() + kLength, sizeof(length));
-  const std::size_t config = kPayload + 4 + std::strlen("matern") + 8 + 8 * p.theta.size();
+  const std::size_t config = kPayload + 4 + std::strlen("matern") + 8 + 8 * ckpt.theta.size();
+  if (saved != nullptr) *saved = data[config + at];
   data[config + at] = value;
   const std::uint32_t crc = tile::crc32(data.data() + kPayload, length);
   std::memcpy(data.data() + kCrc, &crc, sizeof(crc));
@@ -301,6 +306,11 @@ ModelCheckpoint load_with_config_byte(std::size_t at, std::uint8_t value) {
     ~Cleanup() { std::remove(path.c_str()); }
   } cleanup{path};
   return load_model_checkpoint(path);
+}
+
+/// The same for a small dense model.
+ModelCheckpoint load_with_config_byte(std::size_t at, std::uint8_t value) {
+  return load_with_config_byte(at, value, make_checkpoint(make_problem(48), dense_config()));
 }
 
 void expect_config_byte_rejected(std::size_t at, std::uint8_t value, const std::string& field) {
@@ -330,14 +340,49 @@ TEST(CheckpointRejects, OutOfRangePrecisionRule) {
   expect_config_byte_rejected(9, 3, "precision rule");
 }
 
+// Bytes 44 and 45 once chose SVD (0) or ACA (1) compression and QR+SVD (0)
+// or RRQR (1) rounding; only SVD and RRQR are left. A file is still written
+// with 0 and 1 there, a file holding either value in either byte loads, and
+// a TLR factor saved under the deleted method serves the same answers.
+void expect_retired_method_byte(std::size_t at, std::uint8_t written,
+                                const std::string& field) {
+  const Problem p = make_problem(120);
+  const ModelCheckpoint fresh = make_checkpoint(p, tlr_config());
+  std::size_t lowrank = 0;
+  for (std::size_t j = 0; j < fresh.factor.nt(); ++j)
+    for (std::size_t i = j + 1; i < fresh.factor.nt(); ++i)
+      lowrank += fresh.factor.at(i, j).format() == tile::TileFormat::LowRank;
+  ASSERT_GT(lowrank, 0u);
+  std::uint8_t saved = 0xFF;
+  const ModelCheckpoint other =
+      load_with_config_byte(at, static_cast<std::uint8_t>(1 - written), fresh, &saved);
+  EXPECT_EQ(saved, written);
+  const ModelCheckpoint same = load_with_config_byte(at, written);
+  for (const ModelCheckpoint* c : {&other, &same}) {
+    EXPECT_EQ(c->config.compression, tlr::CompressionMethod::SVD);
+    EXPECT_EQ(c->config.rounding, tlr::RoundingMethod::Rrqr);
+  }
+
+  EXPECT_EQ(factor_bytes(other.factor), factor_bytes(fresh.factor));
+  const auto served = LoadedModel::from_checkpoint("m", other);
+  Rng rng(21);
+  const std::vector<geostat::Location> test_locs = geostat::perturbed_grid_locations(9, rng);
+  const auto want =
+      cholesky::tile_krige(*served->kernel, fresh.factor, p.locs, p.z, test_locs, true);
+  const auto got =
+      cholesky::tile_krige(*served->kernel, served->factor, p.locs, p.z, test_locs, true);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.variance, want.variance);
+
+  expect_config_byte_rejected(at, 2, field);
+}
+
 TEST(CheckpointRejects, OutOfRangeCompressionMethod) {
-  EXPECT_EQ(load_with_config_byte(44, 1).config.compression, tlr::CompressionMethod::ACA);
-  expect_config_byte_rejected(44, 2, "compression method");
+  expect_retired_method_byte(44, 0, "compression method");
 }
 
 TEST(CheckpointRejects, OutOfRangeRoundingMethod) {
-  EXPECT_EQ(load_with_config_byte(45, 1).config.rounding, tlr::RoundingMethod::Rrqr);
-  expect_config_byte_rejected(45, 2, "rounding method");
+  expect_retired_method_byte(45, 1, "rounding method");
 }
 
 TEST(CheckpointRejects, BadMagicAndMissingFile) {

@@ -131,31 +131,27 @@ TEST(CompressTile, RejectsNonPositiveTolerance) {
 // of a 68 x 68 matrix at tile 64 stores 256 entries dense, 272 at rank 4
 // and 204 at rank 3, under the rank cap of 32 either way.
 TEST(CompressTile, ThinTileStaysDenseUnlessFactorsAreSmaller) {
-  for (const tlr::CompressionMethod method :
-       {tlr::CompressionMethod::SVD, tlr::CompressionMethod::ACA}) {
-    for (const std::size_t rank : {std::size_t{4}, std::size_t{3}}) {
-      Rng rng(rank);
-      const la::Matrix<double> u = test::random_matrix(4, rank, rng);
-      const la::Matrix<double> v = test::random_matrix(64, rank, rng);
-      tile::SymTileMatrix a(68, 64);
-      test::generate(a, [&](std::size_t gi, std::size_t gj) {
-        if (gi < 64 || gj >= 64) return gi == gj ? 1.0 : 0.0;
-        double s = 0.0;
-        for (std::size_t l = 0; l < rank; ++l) s += u(gi - 64, l) * v(gj, l);
-        return s;
-      });
-      TlrCompressOptions copt;
-      copt.tol = 1e-10;
-      copt.method = method;
-      copt.lr_fp32 = false;
-      compress_tile(a, 1, 0, a.frobenius_norm(), copt);
-      const tile::Tile& t = a.at(1, 0);
-      if (rank == 4) {
-        EXPECT_EQ(t.format(), tile::TileFormat::Dense) << "method " << int(method);
-      } else {
-        ASSERT_EQ(t.format(), tile::TileFormat::LowRank) << "method " << int(method);
-        EXPECT_EQ(t.rank(), 3u) << "method " << int(method);
-      }
+  for (const std::size_t rank : {std::size_t{4}, std::size_t{3}}) {
+    Rng rng(rank);
+    const la::Matrix<double> u = test::random_matrix(4, rank, rng);
+    const la::Matrix<double> v = test::random_matrix(64, rank, rng);
+    tile::SymTileMatrix a(68, 64);
+    test::generate(a, [&](std::size_t gi, std::size_t gj) {
+      if (gi < 64 || gj >= 64) return gi == gj ? 1.0 : 0.0;
+      double s = 0.0;
+      for (std::size_t l = 0; l < rank; ++l) s += u(gi - 64, l) * v(gj, l);
+      return s;
+    });
+    TlrCompressOptions copt;
+    copt.tol = 1e-10;
+    copt.lr_fp32 = false;
+    compress_tile(a, 1, 0, a.frobenius_norm(), copt);
+    const tile::Tile& t = a.at(1, 0);
+    if (rank == 4) {
+      EXPECT_EQ(t.format(), tile::TileFormat::Dense);
+    } else {
+      ASSERT_EQ(t.format(), tile::TileFormat::LowRank);
+      EXPECT_EQ(t.rank(), 3u);
     }
   }
 }

@@ -55,69 +55,39 @@ la::Matrix<double> covariance_block(std::size_t m, std::size_t n, double sep) {
   return a;
 }
 
-struct MethodCase {
-  CompressionMethod method;
-  const char* name;
-};
-
-// gtest appends the printed parameter to each test's name; its default byte
-// dump would print this struct's padding and the address of `name`, which
-// change from run to run.
-void PrintTo(const MethodCase& c, std::ostream* os) { *os << c.name; }
-
-class CompressionMethods : public ::testing::TestWithParam<MethodCase> {};
-
-TEST_P(CompressionMethods, MeetsAbsoluteTolerance) {
+TEST(CompressSvd, MeetsAbsoluteTolerance) {
   // A 1-D exponential block, and a separated tile of the application's
-  // matrix on which stopping on a heuristic (ACA's ||u|| ||v||) left the
-  // error above the tolerance.
+  // matrix.
   for (const la::Matrix<double>& a :
        {covariance_block(40, 36, 1.5), morton_matern(0.1).at(2, 0).to_dense64()}) {
     for (double tol : {1e-2, 1e-4, 1e-8}) {
-      const Compressed c = compress(GetParam().method, a.cview(), tol, TolMode::Absolute);
+      const Compressed c = compress_svd(a.cview(), tol);
       EXPECT_LE(lowrank_error(a.cview(), c.u, c.v), tol * 1.0001)
-          << GetParam().name << " " << a.rows() << "x" << a.cols() << " tol=" << tol;
+          << a.rows() << "x" << a.cols() << " tol=" << tol;
     }
   }
 }
 
-TEST_P(CompressionMethods, MeetsRelativeTolerance) {
-  const auto a = covariance_block(32, 32, 2.0);
-  const double norm = la::norm_frobenius<double>(a.cview());
-  for (double tol : {1e-3, 1e-6}) {
-    const Compressed c =
-        compress(GetParam().method, a.cview(), tol, TolMode::RelativeFrobenius);
-    EXPECT_LE(lowrank_error(a.cview(), c.u, c.v), tol * norm * 1.0001)
-        << GetParam().name << " tol=" << tol;
-  }
-}
-
-TEST_P(CompressionMethods, RecoversExactRank) {
+TEST(CompressSvd, RecoversExactRank) {
   Rng rng(21);
   const auto a = random_lowrank(30, 25, 4, rng);
-  const Compressed c =
-      compress(GetParam().method, a.cview(), 1e-10, TolMode::RelativeFrobenius);
-  EXPECT_GE(c.rank(), 4u) << GetParam().name;
-  EXPECT_LE(c.rank(), 8u) << GetParam().name << ": rank should stay near the true rank";
-  EXPECT_LE(lowrank_error(a.cview(), c.u, c.v),
-            1e-9 * la::norm_frobenius<double>(a.cview()));
+  const double tol = 1e-10 * la::norm_frobenius<double>(a.cview());
+  const Compressed c = compress_svd(a.cview(), tol);
+  EXPECT_GE(c.rank(), 4u);
+  EXPECT_LE(c.rank(), 8u) << "rank should stay near the true rank";
+  EXPECT_LE(lowrank_error(a.cview(), c.u, c.v), 10 * tol);
 }
 
-TEST_P(CompressionMethods, TighterToleranceNeverLowersRank) {
+TEST(CompressSvd, TighterToleranceNeverLowersRank) {
   const auto a = covariance_block(36, 36, 1.2);
-  const Compressed loose = compress(GetParam().method, a.cview(), 1e-2, TolMode::Absolute);
-  const Compressed tight = compress(GetParam().method, a.cview(), 1e-9, TolMode::Absolute);
-  EXPECT_LE(loose.rank(), tight.rank()) << GetParam().name;
+  const Compressed loose = compress_svd(a.cview(), 1e-2);
+  const Compressed tight = compress_svd(a.cview(), 1e-9);
+  EXPECT_LE(loose.rank(), tight.rank());
 }
-
-INSTANTIATE_TEST_SUITE_P(All, CompressionMethods,
-                         ::testing::Values(MethodCase{CompressionMethod::SVD, "svd"},
-                                           MethodCase{CompressionMethod::ACA, "aca"}),
-                         [](const auto& info) { return info.param.name; });
 
 TEST(CompressSvd, ZeroMatrixGivesRankZero) {
   const la::Matrix<double> a(10, 10);
-  const Compressed c = compress_svd(a.cview(), 1e-8, TolMode::Absolute);
+  const Compressed c = compress_svd(a.cview(), 1e-8);
   EXPECT_EQ(c.rank(), 0u);
 }
 
@@ -126,7 +96,8 @@ TEST(CompressSvd, RectangularBlocks) {
   for (auto [m, n] : {std::pair<std::size_t, std::size_t>{20, 8},
                       std::pair<std::size_t, std::size_t>{8, 20}}) {
     const auto a = random_lowrank(m, n, 3, rng);
-    const Compressed c = compress_svd(a.cview(), 1e-12, TolMode::RelativeFrobenius);
+    const Compressed c =
+        compress_svd(a.cview(), 1e-12 * la::norm_frobenius<double>(a.cview()));
     EXPECT_EQ(c.u.rows(), m);
     EXPECT_EQ(c.v.rows(), n);
     EXPECT_LE(lowrank_error(a.cview(), c.u, c.v),
@@ -140,8 +111,6 @@ TEST(CompressSvd, MatchesFullTileSvdOnMortonMaternTiles) {
   std::size_t wide = 0;
   for (double range : {0.03, 0.1}) {
     const tile::SymTileMatrix a = morton_matern(range);
-    std::vector<TolMode> modes{TolMode::Absolute};
-    if (range == 0.1) modes.push_back(TolMode::RelativeFrobenius);
     for (std::size_t j = 0; j < a.nt(); ++j)
       for (std::size_t i = j + 1; i < a.nt(); ++i) {
         const la::Matrix<double> t = a.at(i, j).to_dense64();
@@ -149,11 +118,11 @@ TEST(CompressSvd, MatchesFullTileSvdOnMortonMaternTiles) {
         la::Matrix<double> u, v;
         std::vector<double> s;
         la::svd_jacobi(t, u, s, v);
-        for (TolMode mode : modes) {
-          const double threshold = (mode == TolMode::Absolute)
-                                       ? 1e-8
-                                       : 1e-8 * la::norm_frobenius<double>(t.cview());
-          const Compressed c = compress_svd(t.cview(), 1e-8, mode);
+        // At range 0.1 also at a threshold relative to the tile's norm.
+        std::vector<double> thresholds{1e-8};
+        if (range == 0.1) thresholds.push_back(1e-8 * la::norm_frobenius<double>(t.cview()));
+        for (const double threshold : thresholds) {
+          const Compressed c = compress_svd(t.cview(), threshold);
           EXPECT_LE(lowrank_error(t.cview(), c.u, c.v), threshold)
               << "range " << range << " tile (" << i << "," << j << ")";
           EXPECT_EQ(c.rank(), truncation_rank(s, threshold))
@@ -169,7 +138,7 @@ TEST(CompressSvd, FullRankTileStaysDenseInCompressTile) {
   // its rank exceeds tile/2, so compress_tile keeps it dense and untouched.
   Rng rng(51);
   const la::Matrix<double> r = random_matrix(128, 128, rng);
-  const Compressed c = compress_svd(r.cview(), 1e-8, TolMode::Absolute);
+  const Compressed c = compress_svd(r.cview(), 1e-8);
   EXPECT_EQ(c.rank(), 128u);
   EXPECT_LE(lowrank_error(r.cview(), c.u, c.v), 1e-8);
 
@@ -181,29 +150,6 @@ TEST(CompressSvd, FullRankTileStaysDenseInCompressTile) {
   EXPECT_EQ(max_abs_diff(a.at(1, 0).to_dense64(), r), 0.0);
 }
 
-TEST(Recompress, ReducesInflatedRank) {
-  Rng rng(41);
-  // Build an exactly rank-3 block represented with rank 12 factors.
-  const auto a = random_lowrank(24, 20, 3, rng);
-  Compressed c = compress_svd(a.cview(), 1e-14, TolMode::Absolute);
-  const std::size_t true_rank = c.rank();
-  // Inflate: duplicate columns scaled by 0.5 (same span, higher rank).
-  la::Matrix<double> u2(24, 2 * true_rank), v2(20, 2 * true_rank);
-  for (std::size_t j = 0; j < true_rank; ++j) {
-    for (std::size_t i = 0; i < 24; ++i) {
-      u2(i, j) = 0.5 * c.u(i, j);
-      u2(i, true_rank + j) = 0.5 * c.u(i, j);
-    }
-    for (std::size_t i = 0; i < 20; ++i) {
-      v2(i, j) = c.v(i, j);
-      v2(i, true_rank + j) = c.v(i, j);
-    }
-  }
-  recompress(u2, v2, 1e-10, TolMode::Absolute, RoundingMethod::QrSvd);
-  EXPECT_EQ(u2.cols(), true_rank);
-  EXPECT_LE(lowrank_error(a.cview(), u2, v2), 1e-8);
-}
-
 TEST(Recompress, PreservesValueWithinTolerance) {
   Rng rng(42);
   const std::size_t m = 30, n = 26, k = 9;
@@ -212,13 +158,13 @@ TEST(Recompress, PreservesValueWithinTolerance) {
   la::Matrix<double> before(m, n);
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, 1.0, u.cview(), v.cview(), 0.0,
                    before.view());
-  recompress(u, v, 1e-6, TolMode::Absolute, RoundingMethod::QrSvd);
+  recompress(u, v, 1e-6);
   EXPECT_LE(lowrank_error(before.cview(), u, v), 1e-6 * 1.0001);
 }
 
 TEST(Recompress, RankZeroIsNoop) {
   la::Matrix<double> u(10, 0), v(8, 0);
-  recompress(u, v, 1e-8, TolMode::Absolute, RoundingMethod::QrSvd);
+  recompress(u, v, 1e-8);
   EXPECT_EQ(u.cols(), 0u);
 }
 
@@ -231,7 +177,7 @@ TEST(Recompress, WideFactorsFallBackToDenseSvd) {
   la::Matrix<double> before(m, n);
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, 1.0, u.cview(), v.cview(), 0.0,
                    before.view());
-  recompress(u, v, 1e-10, TolMode::Absolute, RoundingMethod::QrSvd);
+  recompress(u, v, 1e-10);
   EXPECT_LE(u.cols(), std::min(m, n));
   EXPECT_LE(lowrank_error(before.cview(), u, v), 1e-8);
 }
@@ -248,7 +194,7 @@ TEST(Compression, MatérnOffDiagonalBlockIsLowRank) {
       const geostat::Location q{2.0 + static_cast<double>(j) / b, 0.0, 0.0};
       block(i, j) = model(p, q);
     }
-  const Compressed c = compress_svd(block.cview(), 1e-8, TolMode::Absolute);
+  const Compressed c = compress_svd(block.cview(), 1e-8);
   EXPECT_LT(c.rank(), b / 4) << "separated covariance blocks must be low-rank";
 }
 

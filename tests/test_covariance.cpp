@@ -477,7 +477,7 @@ TEST(CrossCovariance, MatchesElementwiseModel) {
   auto a = perturbed_grid_locations(9, rng);
   auto b = perturbed_grid_locations(16, rng);
   const MaternCovariance model(1.5, 0.2, 0.5);
-  const auto sigma = cross_covariance(model, a, b);
+  const auto sigma = test::cross_covariance(model, a, b);
   ASSERT_EQ(sigma.rows(), 9u);
   ASSERT_EQ(sigma.cols(), 16u);
   for (std::size_t j = 0; j < 16; ++j)

@@ -216,7 +216,6 @@ TEST(GsxModel, AutoBandTuningRuns) {
   tile::SymTileMatrix eager = assembled;
   cholesky::TlrCompressOptions copt;
   copt.tol = cfg.tlr_tol;
-  copt.method = cfg.compression;
   copt.lr_fp32 = cfg.lr_fp32;
   copt.eps_target = cfg.eps_target;
   copt.band_size = 1;

@@ -142,26 +142,31 @@ TEST(QrPivoted, HandlesZeroColumns) {
 }
 
 TEST(RecompressRrqr, MatchesQrSvdValueWithinTolerance) {
+  // RRQR rounding of the factors against the QR-first truncated SVD of their
+  // dense product at the same tolerance: both meet it, so they agree to 2 tol.
   Rng rng(7);
   const std::size_t m = 40, n = 34, k = 10;
-  auto u1 = random_matrix(m, k, rng);
-  auto v1 = random_matrix(n, k, rng);
-  auto u2 = u1, v2 = v1;
+  auto u = random_matrix(m, k, rng);
+  auto v = random_matrix(n, k, rng);
   la::Matrix<double> before(m, n);
-  la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, 1.0, u1.cview(), v1.cview(), 0.0,
+  la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, 1.0, u.cview(), v.cview(), 0.0,
                    before.view());
 
-  tlr::recompress(u1, v1, 1e-7, tlr::TolMode::Absolute, tlr::RoundingMethod::QrSvd);
-  tlr::recompress(u2, v2, 1e-7, tlr::TolMode::Absolute, tlr::RoundingMethod::Rrqr);
-  EXPECT_LE(tlr::lowrank_error(before.cview(), u1, v1), 1e-7 * 1.001);
-  EXPECT_LE(tlr::lowrank_error(before.cview(), u2, v2), 1e-7 * 1.001);
+  const tlr::Compressed svd = tlr::compress_svd(before.cview(), 1e-7);
+  tlr::recompress(u, v, 1e-7);
+  EXPECT_LE(tlr::lowrank_error(before.cview(), svd.u, svd.v), 1e-7 * 1.001);
+  EXPECT_LE(tlr::lowrank_error(before.cview(), u, v), 1e-7 * 1.001);
+  la::Matrix<double> svd_value(m, n);
+  la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, 1.0, svd.u.cview(), svd.v.cview(),
+                   0.0, svd_value.view());
+  EXPECT_LE(tlr::lowrank_error(svd_value.cview(), u, v), 2e-7 * 1.001);
 }
 
 TEST(RecompressRrqr, ReducesInflatedRankCloseToSvd) {
   Rng rng(8);
   // Exact rank-4 block carried at rank 16.
   const auto a = random_lowrank(36, 30, 4, rng);
-  tlr::Compressed c = tlr::compress_svd(a.cview(), 1e-14, tlr::TolMode::Absolute);
+  tlr::Compressed c = tlr::compress_svd(a.cview(), 1e-14);
   const std::size_t k0 = c.rank();
   la::Matrix<double> u(36, 4 * k0), v(30, 4 * k0);
   for (std::size_t rep = 0; rep < 4; ++rep)
@@ -169,22 +174,9 @@ TEST(RecompressRrqr, ReducesInflatedRankCloseToSvd) {
       for (std::size_t i = 0; i < 36; ++i) u(i, rep * k0 + j) = 0.25 * c.u(i, j);
       for (std::size_t i = 0; i < 30; ++i) v(i, rep * k0 + j) = c.v(i, j);
     }
-  tlr::recompress(u, v, 1e-10, tlr::TolMode::Absolute, tlr::RoundingMethod::Rrqr);
+  tlr::recompress(u, v, 1e-10);
   EXPECT_LE(u.cols(), k0 + 1);  // RRQR may keep one extra direction
   EXPECT_LE(tlr::lowrank_error(a.cview(), u, v), 1e-8);
-}
-
-TEST(RecompressRrqr, RelativeToleranceMode) {
-  Rng rng(9);
-  const std::size_t m = 30, n = 26, k = 8;
-  auto u = random_matrix(m, k, rng);
-  auto v = random_matrix(n, k, rng);
-  la::Matrix<double> before(m, n);
-  la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, 1.0, u.cview(), v.cview(), 0.0,
-                   before.view());
-  const double norm = la::norm_frobenius<double>(before.cview());
-  tlr::recompress(u, v, 1e-5, tlr::TolMode::RelativeFrobenius, tlr::RoundingMethod::Rrqr);
-  EXPECT_LE(tlr::lowrank_error(before.cview(), u, v), 1e-5 * norm * 1.001);
 }
 
 TEST(LrAxpyRrqr, AccumulationMatchesOracle) {
@@ -203,38 +195,37 @@ TEST(LrAxpyRrqr, AccumulationMatchesOracle) {
 
   auto uc = uc0;
   auto vc = vc0;
-  tlr::lr_axpy_rounded(-1.5, tlr::LrProduct{up, vp}, uc, vc, 1e-9,
-                       tlr::RoundingMethod::Rrqr);
+  tlr::lr_axpy_rounded(-1.5, tlr::LrProduct{up, vp}, uc, vc, 1e-9);
   EXPECT_LE(tlr::lowrank_error(oracle.cview(), uc, vc), 1e-8);
 }
 
-TEST(TlrCholeskyRrqr, EndToEndAccuracyMatchesQrSvd) {
-  // Full TLR factorization with both rounding methods on a Matérn matrix.
+TEST(TlrCholeskyRrqr, EndToEndAccuracyMatchesDenseFactor) {
+  // Full TLR factorization of a Matérn matrix, whose low-rank updates are
+  // rounded by RRQR, against the dense FP64 tile factor of the same matrix.
   Rng rng(11);
-  auto locs = geostat::perturbed_grid_locations(128, rng);
+  auto locs = geostat::perturbed_grid_locations(256, rng);
   geostat::sort_morton(locs);
-  const geostat::MaternCovariance model(1.0, 0.06, 0.5, 1e-6);
+  const geostat::MaternCovariance model(1.0, 0.03, 0.5, 1e-6);
 
-  auto make = [&] {
-    tile::SymTileMatrix a(128, 32);
-    geostat::fill_covariance_tiles(a, model, locs, 1);
-    cholesky::TlrCompressOptions copt;
-    copt.tol = 1e-9;
-    copt.band_size = 1;
-    copt.lr_fp32 = false;
-    cholesky::compress_offband(a, copt, 1);
-    return a;
-  };
-  auto a_svd = make();
-  auto a_rrqr = make();
-  cholesky::FactorOptions o1, o2;
-  o1.rounding = tlr::RoundingMethod::QrSvd;
-  o2.rounding = tlr::RoundingMethod::Rrqr;
-  ASSERT_EQ(cholesky::tile_cholesky_tlr(a_svd, 1e-9, o1).info, 0);
-  ASSERT_EQ(cholesky::tile_cholesky_tlr(a_rrqr, 1e-9, o2).info, 0);
-  const auto l1 = test::reconstruct_lower(a_svd);
-  const auto l2 = test::reconstruct_lower(a_rrqr);
-  EXPECT_LT(rel_frobenius_diff(l2, l1), 1e-5);
+  tile::SymTileMatrix dense(256, 32);
+  geostat::fill_covariance_tiles(dense, model, locs, 1);
+  tile::SymTileMatrix tlr = dense;
+  cholesky::TlrCompressOptions copt;
+  copt.tol = 1e-9;
+  copt.band_size = 1;
+  copt.lr_fp32 = false;
+  cholesky::compress_offband(tlr, copt, 1);
+  // A low-rank tile in a column j >= 1 takes j rounded updates.
+  std::size_t rounded = 0;
+  for (std::size_t j = 1; j < tlr.nt(); ++j)
+    for (std::size_t i = j + 1; i < tlr.nt(); ++i)
+      if (tlr.at(i, j).format() == tile::TileFormat::LowRank) rounded += j;
+  ASSERT_GT(rounded, 0u);
+
+  ASSERT_EQ(cholesky::tile_cholesky_tlr(tlr, 1e-9, {}).info, 0);
+  ASSERT_EQ(cholesky::tile_cholesky_dense(dense, {}).info, 0);
+  EXPECT_LT(rel_frobenius_diff(test::reconstruct_lower(tlr), test::reconstruct_lower(dense)),
+            1e-8);
 }
 
 }  // namespace

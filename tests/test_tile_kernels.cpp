@@ -93,7 +93,7 @@ TEST_P(GemmTilePrecision, LeadOperandSetsKernelAndAccuracy) {
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.to_dense64().cview(),
                    b.to_dense64().cview(), 1.0, oracle_rounded.view());
 
-  gemm_tile(a, b, c, 0.0, tlr::RoundingMethod::Rrqr);
+  gemm_tile(a, b, c, 0.0);
   EXPECT_EQ(c.precision(), p) << "storage precision is sticky";
   const double tol = (p == Precision::FP64)   ? 1e-13
                      : (p == Precision::FP32) ? 1e-5
@@ -215,7 +215,7 @@ TEST(GemmMixed, DenseOutputWithLrOperandsRoundsToStorage) {
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.to_dense64().cview(),
                    b.to_dense64().cview(), 1.0, oracle.view());
 
-  gemm_tile(a, b, c, 1e-9, tlr::RoundingMethod::Rrqr);
+  gemm_tile(a, b, c, 1e-9);
   EXPECT_EQ(c.format(), tile::TileFormat::Dense);
   EXPECT_EQ(c.precision(), Precision::FP32);
   EXPECT_LT(rel_frobenius_diff(c.to_dense64(), oracle), 1e-5);
@@ -232,7 +232,7 @@ TEST(GemmMixed, LrOutputAccumulatesAndRecompresses) {
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.to_dense64().cview(),
                    b.to_dense64().cview(), 1.0, oracle.view());
 
-  gemm_tile(a, b, c, 1e-10, tlr::RoundingMethod::Rrqr);
+  gemm_tile(a, b, c, 1e-10);
   EXPECT_EQ(c.format(), tile::TileFormat::LowRank);
   EXPECT_LE(c.rank(), 5u);  // 3 + min(2,4)
   EXPECT_LT(rel_frobenius_diff(c.to_dense64(), oracle), 1e-8);
@@ -252,7 +252,7 @@ TEST(GemmMixed, Fp32LrOutputStaysFp32) {
   la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, a.to_dense64().cview(),
                    b.to_dense64().cview(), 1.0, oracle.view());
 
-  gemm_tile(a, b, c, 1e-8, tlr::RoundingMethod::Rrqr);
+  gemm_tile(a, b, c, 1e-8);
   EXPECT_EQ(c.precision(), Precision::FP32);
   EXPECT_EQ(c.format(), tile::TileFormat::LowRank);
   EXPECT_LT(rel_frobenius_diff(c.to_dense64(), oracle), 1e-4);

@@ -213,6 +213,17 @@ inline la::Matrix<double> reconstruct_lower(const tile::SymTileMatrix& l) {
   return full;
 }
 
+/// Cross-covariance Sigma_ab (|a| x |b|) between two location sets: the
+/// Sigma_nm block of the prediction equations (4)-(5), for the dense
+/// oracles.
+inline la::Matrix<double> cross_covariance(const geostat::CovarianceModel& model,
+                                           std::span<const geostat::Location> a,
+                                           std::span<const geostat::Location> b) {
+  la::Matrix<double> sigma(a.size(), b.size());
+  model.fill(a, b, sigma.view());
+  return sigma;
+}
+
 /// Dense kriging, Eqs. (4)-(5): assemble Sigma_nn, factor it with LAPACK
 /// and predict every test location through the dense factor. The oracle of
 /// the tile-native path (cholesky::tile_krige / tile_krige_solved). Throws
@@ -233,7 +244,7 @@ inline geostat::KrigingResult krige(const geostat::CovarianceModel& model,
                          std::to_string(info));
 
   // W = L^{-1} Sigma_nm  (n x m), y = L^{-1} Z_n.
-  la::Matrix<double> w = geostat::cross_covariance(model, train_locs, test_locs);
+  la::Matrix<double> w = cross_covariance(model, train_locs, test_locs);
   la::trsm_left(chol.cview(), w.view());
   std::vector<double> y(z_train.begin(), z_train.end());
   la::ref::trsm_left(chol.cview(), Span2D<double>(y.data(), n, 1));
